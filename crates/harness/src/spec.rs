@@ -604,24 +604,15 @@ impl AggregationSpec {
 
 /// A per-process address table for the netd mesh (`--peers`), mapping
 /// process `i` to the `host:port` its TCP listener binds (and peers dial).
-/// The default — no table — keeps the established localhost layout
-/// (`127.0.0.1`, `port_base + i`); an explicit table lets a cluster later
-/// span hosts without touching the wire protocol.
+/// Without an explicit table the cluster harness reserves free loopback
+/// ports itself; an explicit table lets a cluster span hosts without
+/// touching the wire protocol.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AddressTable {
     entries: Vec<(String, u16)>,
 }
 
 impl AddressTable {
-    /// The canonical single-host table: `127.0.0.1:port_base + i`.
-    pub fn localhost(n: usize, port_base: u16) -> Self {
-        AddressTable {
-            entries: (0..n)
-                .map(|i| ("127.0.0.1".to_string(), port_base + i as u16))
-                .collect(),
-        }
-    }
-
     /// Parses a `--peers` value: a comma-separated `host:port` list, one
     /// entry per process in id order (`"10.0.0.1:9000,10.0.0.2:9000"`).
     pub fn parse(raw: &str) -> Result<Self, String> {
@@ -740,13 +731,14 @@ pub enum RuntimeSpec {
     Thread,
     /// One OS *process* per consensus process over real TCP sockets
     /// (`dex-netd`) — kill-9-able processes, optionally spread across
-    /// hosts by an explicit [`AddressTable`] (`peers: None` keeps the
-    /// localhost `port_base + i` layout). In-process execution is
+    /// hosts by an explicit [`AddressTable`] (`peers: None` lets the
+    /// harness reserve free loopback ports). In-process execution is
     /// impossible by construction; [`RunSpec::run`] reports an error
     /// pointing at the `dex-netd` cluster harness, which owns the
     /// child-spawning orchestration.
     Netd {
-        /// Explicit per-process `host:port` table, `None` for localhost.
+        /// Explicit per-process `host:port` table, `None` for loopback
+        /// ports the harness picks.
         peers: Option<AddressTable>,
     },
 }
@@ -1440,15 +1432,12 @@ mod tests {
     }
 
     #[test]
-    fn address_table_parses_round_trips_and_defaults_to_localhost() {
+    fn address_table_parses_and_round_trips() {
         let table = AddressTable::parse("10.0.0.1:9000,10.0.0.2:9001").unwrap();
         assert_eq!(table.len(), 2);
         assert_eq!((table.host(0), table.port(0)), ("10.0.0.1", 9000));
         assert_eq!((table.host(1), table.port(1)), ("10.0.0.2", 9001));
         assert_eq!(AddressTable::parse(&table.flag()).unwrap(), table);
-        let local = AddressTable::localhost(3, 25000);
-        assert_eq!(local.len(), 3);
-        assert_eq!((local.host(2), local.port(2)), ("127.0.0.1", 25002));
         assert!(AddressTable::parse("nohost").is_err());
         assert!(AddressTable::parse(":9000").is_err());
         assert!(AddressTable::parse("h:notaport").is_err());

@@ -6,10 +6,10 @@
 //! behavior on real TCP links**, so every robustness claim the simulated
 //! runtimes make is falsifiable against actual network pathology. The
 //! injection point is the writer/reader boundary inside the mesh: a
-//! [`ChaosRuntime`] is consulted once per logical send (drop / dup /
-//! hold verdicts, mirroring the simulator's fixed decision order:
-//! partition hold → drop → dup → crash hold) and once per physical write
-//! (mid-frame connection tears, for the reconnect suite).
+//! [`ChaosRuntime`] is consulted once per logical send (the drop / dup /
+//! hold verdict of [`FaultSchedule::verdict`], the very function the
+//! simulator calls) and once per physical write (mid-frame connection
+//! tears, for the reconnect suite).
 //!
 //! # Determinism story
 //!
@@ -34,7 +34,7 @@
 //! spans `5 ms → 120 ms` of real time.
 
 use dex_harness::spec::ChaosSpec;
-use dex_simnet::{FaultSchedule, CHAOS_SALT};
+use dex_simnet::{FaultSchedule, Verdict, CHAOS_SALT};
 use dex_types::{ProcessId, SystemConfig};
 use rand::rngs::StdRng;
 use std::sync::Mutex;
@@ -50,21 +50,6 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// What the chaos layer decided for one outbound frame.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// The frame never reaches the socket.
-    Drop,
-    /// The frame travels, possibly held and/or duplicated.
-    Deliver {
-        /// Earliest instant the writer may put it on the wire (partition
-        /// or crash hold), `None` for immediate.
-        not_before: Option<Instant>,
-        /// When set, a duplicate copy is queued for this instant.
-        dup_at: Option<Instant>,
-    },
 }
 
 /// A deliberate mid-frame connection tear: the writer sends exactly
@@ -194,57 +179,44 @@ impl ChaosRuntime {
     }
 
     /// The wall instant at which virtual unit `u` is reached.
-    fn instant_of(&self, u: u64) -> Instant {
+    pub fn instant_of(&self, u: u64) -> Instant {
         self.start + Duration::from_micros(u.saturating_mul(self.scale_us))
     }
 
-    /// Decides the fate of one logical outbound frame to `to`, in the
-    /// simulator's fixed order: partition hold → drop → dup → crash hold.
+    /// Decides the fate of one logical outbound frame to `to`: the
+    /// schedule's [`Verdict`] at the current virtual instant (wall clock
+    /// in schedule units, zero link delay — the real link supplies its
+    /// own), drawn from this link's stream. Map its instants to the wall
+    /// clock with [`instant_of`](Self::instant_of).
     pub fn outbound(&self, to: ProcessId) -> Verdict {
+        let at = self.now_units();
         let Some(link) = &self.links[to.index()] else {
             return Verdict::Deliver {
-                not_before: None,
+                at,
+                held_partition: false,
+                held_crash: false,
                 dup_at: None,
             };
         };
         let mut link = link.lock().expect("chaos link lock");
         link.frames += 1;
-        let at = self.now_units();
-        let mut release = None;
-        let mut deliver_units = at;
-        if let Some(heal) = self.schedule.partition_hold(self.me, to, at) {
-            release = Some(self.instant_of(heal));
-            deliver_units = heal;
-            link.held += 1;
-        }
-        let (p_drop, p_dup) = self.schedule.link_probs(self.me, to, at);
-        if p_drop > 0.0 && link.rng.random_range(0.0f64..1.0) < p_drop {
-            link.drops += 1;
-            return Verdict::Drop;
-        }
-        let mut dup_at = None;
-        if p_dup > 0.0 && link.rng.random_range(0.0f64..1.0) < p_dup {
-            let jitter: u64 = link.rng.random_range(1u64..=8);
-            dup_at = Some(self.instant_of(deliver_units + jitter));
-            link.dups += 1;
-        }
-        match self.schedule.crash_hold(to, deliver_units) {
-            Some(Some(recovery)) => {
-                // The recipient is down: its traffic queues until recovery.
-                release = Some(self.instant_of(recovery));
-                link.held += 1;
-            }
-            Some(None) => {
-                // The recipient never comes back; the frame is lost.
+        let verdict = self.schedule.verdict(&mut link.rng, self.me, to, at, 0);
+        match verdict {
+            Verdict::Drop { held_partition } => {
+                link.held += u64::from(held_partition);
                 link.drops += 1;
-                return Verdict::Drop;
             }
-            None => {}
+            Verdict::Deliver {
+                held_partition,
+                held_crash,
+                dup_at,
+                ..
+            } => {
+                link.held += u64::from(held_partition) + u64::from(held_crash);
+                link.dups += u64::from(dup_at.is_some());
+            }
         }
-        Verdict::Deliver {
-            not_before: release,
-            dup_at,
-        }
+        verdict
     }
 
     /// Consulted by the writer before each physical write to `to`:
@@ -315,6 +287,19 @@ impl ChaosRuntime {
 mod tests {
     use super::*;
 
+    /// An untouched frame: delivered, not held, not duplicated.
+    fn free(verdict: Verdict) -> bool {
+        matches!(
+            verdict,
+            Verdict::Deliver {
+                held_partition: false,
+                held_crash: false,
+                dup_at: None,
+                ..
+            }
+        )
+    }
+
     fn config7() -> SystemConfig {
         SystemConfig::new(7, 1).expect("n > 6t")
     }
@@ -355,25 +340,16 @@ mod tests {
         // p6 is the budget process under last-1 placement: the 2→6 link
         // drops everything, correct↔correct links drop nothing.
         let rt = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(2), 7, 1000);
-        assert_eq!(rt.outbound(ProcessId::new(6)), Verdict::Drop);
-        assert_eq!(
-            rt.outbound(ProcessId::new(3)),
-            Verdict::Deliver {
-                not_before: None,
-                dup_at: None
-            }
-        );
+        assert!(matches!(
+            rt.outbound(ProcessId::new(6)),
+            Verdict::Drop { .. }
+        ));
+        assert!(free(rt.outbound(ProcessId::new(3))));
         // With f = 0 the budget is empty and the schedule compiles empty:
         // nothing drops anywhere (exactly the simulator's behavior).
         let clean = ChaosRuntime::new(&spec, config7(), 0, ProcessId::new(2), 7, 1000);
         assert!(clean.schedule().is_empty());
-        assert_eq!(
-            clean.outbound(ProcessId::new(6)),
-            Verdict::Deliver {
-                not_before: None,
-                dup_at: None
-            }
-        );
+        assert!(free(clean.outbound(ProcessId::new(6))));
     }
 
     #[test]
@@ -390,19 +366,14 @@ mod tests {
         let rt = ChaosRuntime::new(&spec_now, config7(), 0, ProcessId::new(0), 7, 1000);
         match rt.outbound(ProcessId::new(5)) {
             Verdict::Deliver {
-                not_before: Some(_),
+                at: 1_000_000,
+                held_partition: true,
                 ..
             } => {}
-            other => panic!("cross-cut frame must be held, got {other:?}"),
+            other => panic!("cross-cut frame must be held to the heal, got {other:?}"),
         }
         // Same-side traffic flows freely.
-        assert_eq!(
-            rt.outbound(ProcessId::new(1)),
-            Verdict::Deliver {
-                not_before: None,
-                dup_at: None
-            }
-        );
+        assert!(free(rt.outbound(ProcessId::new(1))));
         // After the heal instant the cut is gone (probe the schedule
         // directly — wall clock cannot be fast-forwarded in a test).
         let sched = spec.build_with_budget(config7(), 0);
@@ -427,7 +398,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1)); // enter the window
         match rt.outbound(ProcessId::new(6)) {
             Verdict::Deliver {
-                not_before: Some(_),
+                at: 1_000_000,
+                held_crash: true,
                 ..
             } => {}
             other => panic!("frames to a crashed peer must queue, got {other:?}"),
@@ -446,9 +418,17 @@ mod tests {
         let rt = ChaosRuntime::new(&spec, config7(), 0, ProcessId::new(1), 9, 1000);
         match rt.outbound(ProcessId::new(2)) {
             Verdict::Deliver {
-                not_before: None,
-                dup_at: Some(at),
-            } => assert!(at > Instant::now(), "duplicate lands in the future"),
+                at,
+                held_partition: false,
+                held_crash: false,
+                dup_at: Some(dup),
+            } => {
+                assert!(dup > at, "the duplicate trails the original");
+                assert!(
+                    rt.instant_of(dup) > Instant::now(),
+                    "duplicate lands in the future"
+                );
+            }
             other => panic!("p = 1 must duplicate, got {other:?}"),
         }
     }

@@ -30,6 +30,7 @@
 
 use crate::chaos::{splitmix64, ChaosRuntime, DEFAULT_SCALE_US};
 use crate::endpoint::Endpoint;
+use crate::listener::free_loopback_addrs;
 use dex_conditions::FrequencyPair;
 use dex_core::{DexActor, DexProcess};
 use dex_harness::campaign::{CampaignCell, CampaignSpec};
@@ -66,8 +67,6 @@ pub enum Phase {
 pub struct ClusterOpts {
     /// The spec driving workload, `n`/`t`, seeding and `--stats`.
     pub spec: RunSpec,
-    /// First listen port; process `i` binds `port_base + i`.
-    pub port_base: u16,
     /// Committed slots the kill-9 phase must reach.
     pub slots: u64,
     /// Pipeline window for the kill-9 replicas.
@@ -92,8 +91,6 @@ pub struct NodeOpts {
     pub t: usize,
     /// Run seed (shared by the whole cluster; per-process RNGs derive).
     pub seed: u64,
-    /// First listen port.
-    pub port_base: u16,
     /// Chaos schedule this child compiles into its [`ChaosRuntime`]
     /// (`ChaosSpec::None` runs clean).
     pub chaos: ChaosSpec,
@@ -103,8 +100,8 @@ pub struct NodeOpts {
     pub f: usize,
     /// Wall microseconds per virtual chaos-schedule unit.
     pub scale_us: u64,
-    /// Explicit peer address table; `None` means localhost `port_base + i`.
-    pub peers: Option<AddressTable>,
+    /// Where every process listens (`--peers`); this one binds entry `me`.
+    pub peers: AddressTable,
     /// What this child runs.
     pub role: Role,
 }
@@ -133,12 +130,6 @@ pub enum Role {
         /// identical stream (the divergent-state kill -9 schedule).
         divergent: bool,
     },
-}
-
-/// Derives a default port base from the parent pid so concurrent
-/// harnesses on one machine do not collide.
-pub fn default_port_base() -> u16 {
-    23000 + (std::process::id() % 20000) as u16
 }
 
 // ---------------------------------------------------------------------
@@ -272,14 +263,6 @@ pub fn run_node(opts: NodeOpts) -> Result<(), String> {
     }
 }
 
-/// The address table a child binds against: explicit `--peers`, or the
-/// single-host default of `port_base + i` on loopback.
-fn node_addrs(opts: &NodeOpts) -> AddressTable {
-    opts.peers
-        .clone()
-        .unwrap_or_else(|| AddressTable::localhost(opts.n, opts.port_base))
-}
-
 fn consensus_node(
     opts: NodeOpts,
     cfg: SystemConfig,
@@ -304,7 +287,7 @@ fn consensus_node(
             opts.scale_us,
         )))
     };
-    let mut ep = Endpoint::with_net(actor, opts.me, node_addrs(&opts), opts.seed, chaos.clone())
+    let mut ep = Endpoint::with_net(actor, opts.me, opts.peers, opts.seed, chaos.clone())
         .map_err(|e| format!("bind: {e}"))?;
     ep.boot();
     let mut announced = false;
@@ -370,7 +353,7 @@ fn replica_node(
     // In-memory snapshots would not survive a kill -9 anyway.
     let file_wal = FileWal::open(&wal).map_err(|e| format!("wal {}: {e}", wal.display()))?;
     replica.enable_durability(Durability::new(Box::new(file_wal), 0));
-    let mut ep = Endpoint::with_net(replica, opts.me, node_addrs(&opts), opts.seed, None)
+    let mut ep = Endpoint::with_net(replica, opts.me, opts.peers, opts.seed, None)
         .map_err(|e| format!("bind: {e}"))?;
     if respawn {
         ep.boot_restart();
@@ -409,53 +392,154 @@ fn replica_node(
 // Parent orchestration.
 // ---------------------------------------------------------------------
 
-/// A spawned child plus its parsed stdout line stream.
+/// How often a wait on one child's stdout looks at the other children.
+const LIVENESS_POLL: Duration = Duration::from_millis(50);
+/// Stderr lines kept per child for its failure report.
+const STDERR_TAIL: usize = 20;
+
+/// A spawned child plus its parsed stdout line stream. Dropping the
+/// handle reaps the child, so every exit path of a phase — success, a
+/// failed wait, a malformed report — leaves no process behind.
 struct ChildHandle {
+    id: usize,
     child: Child,
     rx: mpsc::Receiver<String>,
+    /// Drains the child's stderr to EOF, keeping the last lines.
+    stderr: Option<thread::JoinHandle<VecDeque<String>>>,
+    /// Set by [`ChildHandle::kill`]: this death is the harness's doing.
+    killed: bool,
     argv: Vec<String>,
 }
 
 impl ChildHandle {
-    /// Next stdout line before `deadline`.
-    fn line_by(&self, deadline: Instant) -> Option<String> {
-        let now = Instant::now();
-        if now >= deadline {
-            return None;
-        }
-        self.rx.recv_timeout(deadline - now).ok()
-    }
-
     fn kill(&mut self) {
+        self.killed = true;
         let _ = self.child.kill(); // SIGKILL on unix
         let _ = self.child.wait();
     }
+
+    /// If the child died on its own: its id, exit status and stderr tail.
+    fn obituary(&mut self) -> Option<String> {
+        if self.killed {
+            return None;
+        }
+        let status = self.child.try_wait().ok()??;
+        let tail = self
+            .stderr
+            .take()
+            .and_then(|drain| drain.join().ok())
+            .unwrap_or_default();
+        Some(format!(
+            "process {} exited ({status}) before its report; stderr:\n{}",
+            self.id,
+            Vec::from(tail).join("\n")
+        ))
+    }
 }
 
-fn spawn_node_process(argv: Vec<String>) -> Result<ChildHandle, String> {
+impl Drop for ChildHandle {
+    fn drop(&mut self) {
+        self.kill();
+    }
+}
+
+/// Next stdout line of `children[i]` before `deadline`. The error says
+/// why there is none: the deadline passed, or some child — the awaited
+/// one or any other, since one dead process can stall the rest for good —
+/// exited without the harness killing it.
+fn next_line(children: &mut [ChildHandle], i: usize, deadline: Instant) -> Result<String, String> {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match children[i].rx.recv_timeout(left.min(LIVENESS_POLL)) {
+            Ok(line) => return Ok(line),
+            // Stdout closed or a poll interval passed: look for the dead.
+            Err(err) => {
+                let closed = err == mpsc::RecvTimeoutError::Disconnected;
+                if closed {
+                    // Stdout closes a moment before the status is there.
+                    let _ = children[i].child.wait();
+                }
+                if let Some(obituary) = children.iter_mut().find_map(ChildHandle::obituary) {
+                    return Err(obituary);
+                }
+                if closed {
+                    return Err(format!("process {i} was killed before its report"));
+                }
+                if left.is_zero() {
+                    return Err(format!("process {i} did not report before the deadline"));
+                }
+            }
+        }
+    }
+}
+
+/// Spawns child `id` in `mode` with the argv every role shares, then
+/// `role_args`.
+fn spawn_node_process(
+    id: usize,
+    mode: &str,
+    spec: &RunSpec,
+    seed: u64,
+    peers: &AddressTable,
+    role_args: Vec<String>,
+) -> Result<ChildHandle, String> {
+    let mut argv: Vec<String> = vec!["--node".into(), id.to_string()];
+    for (flag, value) in [
+        ("--mode", mode.to_string()),
+        ("--n", spec.n.to_string()),
+        ("--t", spec.t.to_string()),
+        ("--seed", seed.to_string()),
+        ("--peers", peers.flag()),
+    ] {
+        argv.extend([flag.to_string(), value]);
+    }
+    argv.extend(role_args);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut child = Command::new(exe)
         .args(&argv)
         .stdin(Stdio::piped()) // the child's parent-liveness watch
         .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
+        .stderr(Stdio::piped())
         .spawn()
         .map_err(|e| format!("spawn child: {e}"))?;
     let stdout = child.stdout.take().expect("piped stdout");
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
-        for line in BufReader::new(stdout).lines() {
-            match line {
-                Ok(l) => {
-                    if tx.send(l).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => break,
+        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+            if tx.send(line).is_err() {
+                break;
             }
         }
     });
-    Ok(ChildHandle { child, rx, argv })
+    let stderr = child.stderr.take().expect("piped stderr");
+    let stderr = thread::spawn(move || {
+        let mut tail = VecDeque::with_capacity(STDERR_TAIL);
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            if tail.len() == STDERR_TAIL {
+                tail.pop_front();
+            }
+            tail.push_back(line);
+        }
+        tail
+    });
+    Ok(ChildHandle {
+        id,
+        child,
+        rx,
+        stderr: Some(stderr),
+        killed: false,
+        argv,
+    })
+}
+
+/// The addresses one phase's children listen on: the spec's explicit
+/// `--peers` table, else loopback ports reserved now. A kill -9 respawn is
+/// handed the same table, so it re-binds the port its corpse held.
+fn cluster_addrs(spec: &RunSpec) -> Result<AddressTable, String> {
+    match spec.runtime.peers() {
+        Some(table) => Ok(table.clone()),
+        None => free_loopback_addrs(spec.n).map_err(|e| format!("reserving listen ports: {e}")),
+    }
 }
 
 /// One child's `DECIDED` report.
@@ -512,46 +596,28 @@ fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, Str
     let seed = spec.seed + run_idx as u64;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
     let input = spec.workload.generator().generate(spec.n, &mut rng);
+    let peers = cluster_addrs(spec)?;
     let start = Instant::now();
     let deadline = start + opts.timeout;
     let mut children = Vec::with_capacity(spec.n);
     for i in 0..spec.n {
-        let argv: Vec<String> = [
-            "--node",
-            &i.to_string(),
-            "--mode",
-            "consensus",
-            "--n",
-            &spec.n.to_string(),
-            "--t",
-            &spec.t.to_string(),
-            "--seed",
-            &seed.to_string(),
-            "--port-base",
-            &opts.port_base.to_string(),
-            "--propose",
-            &input[ProcessId::new(i)].to_string(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let mut argv = argv;
+        let mut argv = vec!["--propose".into(), input[ProcessId::new(i)].to_string()];
         if !spec.aggregate.is_off() {
             argv.push("--aggregate".into());
         }
         if !spec.chaos.is_none() {
-            argv.push("--chaos".into());
-            argv.push(spec.chaos.flag());
-            argv.push("--f".into());
-            argv.push(spec.f.to_string());
-            argv.push("--chaos-scale-us".into());
-            argv.push(opts.scale_us.to_string());
+            argv.extend(["--chaos".into(), spec.chaos.flag()]);
+            argv.extend(["--f".into(), spec.f.to_string()]);
+            argv.extend(["--chaos-scale-us".into(), opts.scale_us.to_string()]);
         }
-        if let Some(table) = spec.runtime.peers() {
-            argv.push("--peers".into());
-            argv.push(table.flag());
-        }
-        children.push(spawn_node_process(argv)?);
+        children.push(spawn_node_process(
+            i,
+            "consensus",
+            spec,
+            seed,
+            &peers,
+            argv,
+        )?);
     }
     // Under chaos the last `f` children are the fault budget: spawned (so
     // the survivors' quorums are honest) but never awaited.
@@ -559,17 +625,15 @@ fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, Str
     let mut decisions: Vec<Decision> = Vec::with_capacity(survivors);
     let mut links: Vec<LinkTrace> = Vec::new();
     let mut net = NetStats::default();
-    let mut failure = None;
-    'collect: for (i, child) in children.iter().enumerate().take(survivors) {
+    'collect: for i in 0..survivors {
         let mut decided = None;
         loop {
-            let Some(line) = child.line_by(deadline) else {
-                failure = Some(format!(
-                    "run {run_idx}: process {i} reported no decision within {:?}",
+            let line = next_line(&mut children, i, deadline).map_err(|cause| {
+                format!(
+                    "run {run_idx}: no decision ({:?} budget): {cause}",
                     opts.timeout
-                ));
-                break 'collect;
-            };
+                )
+            })?;
             if line.starts_with("DECIDED ") {
                 decided = Some(Decision {
                     value: field_u64(&line, "value").ok_or("bad DECIDED line")?,
@@ -591,12 +655,7 @@ fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, Str
         }
     }
     let wall_us = start.elapsed().as_micros() as u64;
-    for child in &mut children {
-        child.kill();
-    }
-    if let Some(err) = failure {
-        return Err(err);
-    }
+    drop(children);
     let first = decisions[0].value;
     if decisions.iter().any(|d| d.value != first) {
         return Err(format!(
@@ -649,53 +708,39 @@ pub struct Kill9Run {
 /// victim is down — survivor progress, before any recovery — before the
 /// respawn is even spawned.
 fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
-    let spec = &opts.spec;
-    let seed = spec.seed;
-    let divergent = spec.kill.divergent;
-    let wal_dir = std::env::temp_dir().join(format!("dex-netd-{}-{seed}", std::process::id()));
+    let wal_dir = std::env::temp_dir().join(format!(
+        "dex-netd-{}-{}",
+        std::process::id(),
+        opts.spec.seed
+    ));
     std::fs::create_dir_all(&wal_dir).map_err(|e| format!("wal dir: {e}"))?;
+    let run = run_kill9_in(opts, &wal_dir);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    run
+}
+
+fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Run, String> {
+    let spec = &opts.spec;
+    let divergent = spec.kill.divergent;
+    let peers = cluster_addrs(spec)?;
     let start = Instant::now();
     let deadline = start + opts.timeout;
-    let argv_for = |i: usize, respawn: bool| -> Vec<String> {
-        let mut argv: Vec<String> = [
-            "--node",
-            &i.to_string(),
-            "--mode",
-            "replica",
-            "--n",
-            &spec.n.to_string(),
-            "--t",
-            &spec.t.to_string(),
-            "--seed",
-            &seed.to_string(),
-            "--port-base",
-            &opts.port_base.to_string(),
-            "--slots",
-            &opts.slots.to_string(),
-            "--window",
-            &opts.window.to_string(),
-            "--wal",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        argv.push(wal_dir.join(format!("wal_{i}.log")).display().to_string());
+    let spawn = |i: usize, respawn: bool| {
+        let mut argv = vec!["--slots".into(), opts.slots.to_string()];
+        argv.extend(["--window".into(), opts.window.to_string()]);
+        let wal = wal_dir.join(format!("wal_{i}.log"));
+        argv.extend(["--wal".into(), wal.display().to_string()]);
         if respawn {
             argv.push("--respawn".into());
         }
         if divergent {
             argv.push("--divergent".into());
         }
-        if let Some(table) = spec.runtime.peers() {
-            argv.push("--peers".into());
-            argv.push(table.flag());
-        }
-        argv
+        spawn_node_process(i, "replica", spec, spec.seed, &peers, argv)
     };
-    let mut children = Vec::with_capacity(spec.n);
-    for i in 0..spec.n {
-        children.push(spawn_node_process(argv_for(i, false))?);
-    }
+    let mut children = (0..spec.n)
+        .map(|i| spawn(i, false))
+        .collect::<Result<Vec<_>, _>>()?;
     // The victim: not the UC coordinator (p0 stays up so fallbacks keep
     // deciding), and guaranteed to have synced `spec.kill.after` commits
     // to its WAL before dying, so recovery exercises replay *and*
@@ -703,15 +748,12 @@ fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
     let victim = 1usize;
     let mut killed_at = 0u64;
     while killed_at < spec.kill.after {
-        let Some(line) = children[victim].line_by(deadline) else {
-            for c in &mut children {
-                c.kill();
-            }
-            return Err(format!(
-                "kill9: victim never committed {} slots",
+        let line = next_line(&mut children, victim, deadline).map_err(|cause| {
+            format!(
+                "kill9: victim never committed {} slots: {cause}",
                 spec.kill.after
-            ));
-        };
+            )
+        })?;
         if let Some(prefix) = field_u64(&line, "prefix") {
             killed_at = killed_at.max(prefix);
         }
@@ -730,19 +772,14 @@ fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
         0
     };
     if divergent {
-        let mut progress_failure = None;
-        'survivors: for (i, child) in children.iter().enumerate() {
-            if i == victim {
-                continue;
-            }
+        for i in (0..spec.n).filter(|i| *i != victim) {
             loop {
-                let Some(line) = child.line_by(deadline) else {
-                    progress_failure = Some(format!(
+                let line = next_line(&mut children, i, deadline).map_err(|cause| {
+                    format!(
                         "kill9: survivor {i} stalled below prefix {survivor_floor} \
-                         while the victim was down"
-                    ));
-                    break 'survivors;
-                };
+                         while the victim was down: {cause}"
+                    )
+                })?;
                 if line.starts_with("PROGRESS ") {
                     if field_u64(&line, "prefix").is_some_and(|p| p >= survivor_floor) {
                         break;
@@ -756,21 +793,13 @@ fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
                 }
             }
         }
-        if let Some(err) = progress_failure {
-            for c in &mut children {
-                c.kill();
-            }
-            let _ = std::fs::remove_dir_all(&wal_dir);
-            return Err(err);
-        }
         println!(
             "kill9: all {} survivors progressed to ≥ {survivor_floor} with the victim dead at {killed_at}",
             spec.n - 1
         );
     }
     // Now the respawn.
-    let mut respawned = spawn_node_process(argv_for(victim, true))?;
-    std::mem::swap(&mut children[victim], &mut respawned);
+    children[victim] = spawn(victim, true)?;
     println!(
         "kill9: SIGKILLed process {victim} at prefix {killed_at}, respawned as `{}`",
         children[victim].argv.join(" ")
@@ -780,22 +809,14 @@ fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
     let mut prefixes = Vec::with_capacity(spec.n);
     let mut restarts = 0u64;
     let mut net = NetStats::default();
-    let mut failure = None;
-    'collect: for (i, child) in children.iter().enumerate() {
+    'collect: for (i, stashed) in stash.iter_mut().enumerate() {
         let mut done = false;
         loop {
-            let line = match stash[i].pop_front() {
+            let line = match stashed.pop_front() {
                 Some(line) => line,
-                None => {
-                    let Some(line) = child.line_by(deadline) else {
-                        failure = Some(format!(
-                            "kill9: process {i} did not converge within {:?}",
-                            opts.timeout
-                        ));
-                        break 'collect;
-                    };
-                    line
-                }
+                None => next_line(&mut children, i, deadline).map_err(|cause| {
+                    format!("kill9: no convergence ({:?} budget): {cause}", opts.timeout)
+                })?,
             };
             if line.starts_with("DONE ") {
                 digests.push(field(&line, "digest").ok_or("bad DONE line")?.to_string());
@@ -813,13 +834,7 @@ fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
         }
     }
     let wall_us = start.elapsed().as_micros() as u64;
-    for child in &mut children {
-        child.kill();
-    }
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    if let Some(err) = failure {
-        return Err(err);
-    }
+    drop(children);
     let digest = digests[0].clone();
     if digests.iter().any(|d| *d != digest) {
         return Err(format!("kill9: digest divergence: {digests:?}"));
@@ -1118,10 +1133,10 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
         "--seed",
         &take_value(&mut args, "--seed")?.ok_or("--seed required")?,
     )?;
-    let port_base: u16 = parse_num(
-        "--port-base",
-        &take_value(&mut args, "--port-base")?.ok_or("--port-base required")?,
-    )?;
+    let peers = AddressTable::parse(&take_value(&mut args, "--peers")?.ok_or("--peers required")?)?;
+    if peers.len() != n {
+        return Err(format!("--peers names {} processes, --n {n}", peers.len()));
+    }
     let chaos = match take_value(&mut args, "--chaos")? {
         Some(raw) => ChaosSpec::parse(&raw)?,
         None => ChaosSpec::None,
@@ -1133,10 +1148,6 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
     let scale_us: u64 = match take_value(&mut args, "--chaos-scale-us")? {
         Some(raw) => parse_num("--chaos-scale-us", &raw)?,
         None => DEFAULT_SCALE_US,
-    };
-    let peers = match take_value(&mut args, "--peers")? {
-        Some(raw) => Some(AddressTable::parse(&raw)?),
-        None => None,
     };
     let role = match mode.as_str() {
         "consensus" => Role::Consensus {
@@ -1169,7 +1180,6 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
         n,
         t,
         seed,
-        port_base,
         chaos,
         f,
         scale_us,
@@ -1182,10 +1192,6 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
 /// valid [`RunSpec`] flag set (with `--runtime netd` implied).
 pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> {
     take_flag(&mut args, "--cluster");
-    let port_base = match take_value(&mut args, "--port-base")? {
-        Some(raw) => parse_num("--port-base", &raw)?,
-        None => default_port_base(),
-    };
     let slots: u64 = match take_value(&mut args, "--slots")? {
         Some(raw) => parse_num("--slots", &raw)?,
         None => 8,
@@ -1215,7 +1221,6 @@ pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> 
     let spec = RunSpec::from_args(&args)?;
     Ok(ClusterOpts {
         spec,
-        port_base,
         slots,
         window,
         phase,
@@ -1238,10 +1243,6 @@ fn run_campaign_args(mut args: Vec<String>) -> Result<(), String> {
         .split_once(':')
         .ok_or("--campaign wants <name>:<cell>, e.g. smoke:0")?;
     let idx: usize = parse_num("--campaign cell", idx)?;
-    let port_base = match take_value(&mut args, "--port-base")? {
-        Some(raw) => parse_num("--port-base", &raw)?,
-        None => default_port_base(),
-    };
     let runs: Option<usize> = take_value(&mut args, "--runs")?
         .map(|raw| parse_num("--runs", &raw))
         .transpose()?;
@@ -1262,7 +1263,7 @@ fn run_campaign_args(mut args: Vec<String>) -> Result<(), String> {
         )
     })?;
     let runs = runs.unwrap_or(campaign.seeds);
-    run_campaign_cell(&campaign, cell, idx, runs, port_base, timeout)
+    run_campaign_cell(&campaign, cell, idx, runs, timeout)
 }
 
 /// Runs one campaign cell `runs` times on netd (real processes, wall
@@ -1274,7 +1275,6 @@ fn run_campaign_cell(
     cell: &CampaignCell,
     idx: usize,
     runs: usize,
-    port_base: u16,
     timeout: Duration,
 ) -> Result<(), String> {
     let name = &campaign.name;
@@ -1286,7 +1286,6 @@ fn run_campaign_cell(
         let spec = campaign.runspec_for_netd(cell, run)?;
         let opts = ClusterOpts {
             spec,
-            port_base,
             slots: 8,
             window: 1,
             phase: Phase::Cells,
@@ -1363,9 +1362,9 @@ pub fn main(args: Vec<String>) -> Result<(), String> {
         run_node(parse_node_args(args)?)
     } else {
         Err(concat!(
-            "usage: dex-netd --cluster [spec flags] [--port-base P] [--slots K] ",
+            "usage: dex-netd --cluster [spec flags] [--slots K] ",
             "[--window W] [--phase cells|kill9|both] [--timeout-secs S] [--chaos-scale-us U]\n",
-            "       dex-netd --campaign <name>:<cell> [--runs R] [--port-base P] [--timeout-secs S]\n",
+            "       dex-netd --campaign <name>:<cell> [--runs R] [--timeout-secs S]\n",
             "       (children are spawned internally via --node)"
         )
         .into())
@@ -1402,7 +1401,7 @@ mod tests {
     #[test]
     fn node_argv_round_trips_both_roles() {
         let opts = parse_node_args(
-            "--node 2 --mode consensus --n 5 --t 0 --seed 9 --port-base 23000 --propose 7"
+            "--node 2 --mode consensus --n 2 --t 0 --seed 9 --peers h:1,h:2 --propose 7"
                 .split_whitespace()
                 .map(String::from)
                 .collect(),
@@ -1417,7 +1416,7 @@ mod tests {
             }
         ));
         let opts = parse_node_args(
-            "--node 1 --mode replica --n 5 --t 0 --seed 9 --port-base 23000 --wal /tmp/w.log --slots 8 --window 4 --respawn --divergent"
+            "--node 1 --mode replica --n 2 --t 0 --seed 9 --peers h:1,h:2 --wal /tmp/w.log --slots 8 --window 4 --respawn --divergent"
                 .split_whitespace()
                 .map(String::from)
                 .collect(),
@@ -1442,7 +1441,7 @@ mod tests {
     #[test]
     fn node_argv_carries_chaos_and_peers() {
         let opts = parse_node_args(
-            "--node 2 --mode consensus --n 7 --t 1 --seed 9 --port-base 23000 --propose 7 \
+            "--node 2 --mode consensus --n 3 --t 0 --seed 9 --propose 7 \
              --chaos drop:0.4 --f 1 --chaos-scale-us 500 --peers 10.0.0.1:9000,10.0.0.2:9001,10.0.0.3:9002"
                 .split_whitespace()
                 .map(String::from)
@@ -1451,20 +1450,24 @@ mod tests {
         .expect("chaos argv");
         assert_eq!(opts.chaos, ChaosSpec::DropHeavy { p: 0.4 });
         assert_eq!((opts.f, opts.scale_us), (1, 500));
-        let peers = opts.peers.expect("peers table");
-        assert_eq!(peers.len(), 3);
-        assert_eq!((peers.host(1), peers.port(1)), ("10.0.0.2", 9001));
-        // Defaults: clean, no budget, canonical scale, localhost table.
-        let opts = parse_node_args(
-            "--node 0 --mode consensus --n 5 --t 0 --seed 9 --port-base 23000 --propose 7"
+        assert_eq!(opts.peers.len(), 3);
+        assert_eq!((opts.peers.host(1), opts.peers.port(1)), ("10.0.0.2", 9001));
+        // Defaults: clean, no budget, canonical scale.
+        let argv = |tail: &str| -> Vec<String> {
+            format!("--node 0 --mode consensus --n 2 --t 0 --seed 9 --propose 7 {tail}")
                 .split_whitespace()
                 .map(String::from)
-                .collect(),
-        )
-        .expect("clean argv");
+                .collect()
+        };
+        let opts = parse_node_args(argv("--peers h:1,h:2")).expect("clean argv");
         assert!(opts.chaos.is_none());
         assert_eq!((opts.f, opts.scale_us), (0, DEFAULT_SCALE_US));
-        assert!(opts.peers.is_none());
+        // The table is the only addressing path: it is required, and it
+        // must name exactly `n` processes.
+        let err = parse_node_args(argv("")).expect_err("no table");
+        assert!(err.contains("--peers required"), "{err}");
+        let err = parse_node_args(argv("--peers h:1,h:2,h:3")).expect_err("wrong size");
+        assert!(err.contains("names 3 processes"), "{err}");
     }
 
     #[test]

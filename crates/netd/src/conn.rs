@@ -23,9 +23,10 @@
 //! models, and the consensus/replication layers own retransmission
 //! semantics (catch-up, flush ticks).
 
-use crate::chaos::{ChaosRuntime, Verdict};
+use crate::chaos::ChaosRuntime;
 use crate::frame::{hello_sender, FrameBuf};
 use dex_harness::spec::AddressTable;
+use dex_simnet::Verdict;
 use dex_types::{ProcessId, StepDepth};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -169,13 +170,6 @@ pub struct Mesh {
 }
 
 impl Mesh {
-    /// Builds the mesh for process `me` of `n` on the canonical localhost
-    /// layout (`127.0.0.1`, `port_base + i`), chaos-free. See
-    /// [`Mesh::with_net`] for the general form.
-    pub fn new(me: ProcessId, n: usize, port_base: u16) -> std::io::Result<Mesh> {
-        Mesh::with_net(me, AddressTable::localhost(n, port_base), None)
-    }
-
     /// Builds the mesh for process `me` against an explicit address table
     /// (`n = addrs.len()`), with optional fault injection: binds the
     /// listen socket (`addrs[me]`, loopback-bound when the table says
@@ -240,14 +234,20 @@ impl Mesh {
         let Some(peer) = &self.peers[to.index()] else {
             return;
         };
-        match self.chaos.as_ref().map(|c| c.outbound(to)) {
-            None => peer.enqueue(frame, None),
-            Some(Verdict::Drop) => {}
-            Some(Verdict::Deliver { not_before, dup_at }) => {
-                peer.enqueue(Arc::clone(&frame), not_before);
-                if let Some(at) = dup_at {
-                    peer.enqueue(frame, Some(at));
-                }
+        let Some(chaos) = &self.chaos else {
+            return peer.enqueue(frame, None);
+        };
+        if let Verdict::Deliver {
+            at,
+            held_partition,
+            held_crash,
+            dup_at,
+        } = chaos.outbound(to)
+        {
+            let not_before = (held_partition || held_crash).then(|| chaos.instant_of(at));
+            peer.enqueue(Arc::clone(&frame), not_before);
+            if let Some(dup) = dup_at {
+                peer.enqueue(frame, Some(chaos.instant_of(dup)));
             }
         }
     }
@@ -537,17 +537,14 @@ fn read_frames(
 mod tests {
     use super::*;
     use crate::frame::encode_frame;
-
-    fn test_port_base() -> u16 {
-        40000 + (std::process::id() % 20000) as u16
-    }
+    use crate::listener::free_loopback_addrs;
 
     #[test]
     fn three_process_mesh_delivers_both_directions() {
-        let base = test_port_base();
         let n = 3;
+        let addrs = free_loopback_addrs(n).expect("free ports");
         let meshes: Vec<Mesh> = (0..n)
-            .map(|i| Mesh::new(ProcessId::new(i), n, base).expect("bind"))
+            .map(|i| Mesh::with_net(ProcessId::new(i), addrs.clone(), None).expect("bind"))
             .collect();
         // Every process sends one frame to every other.
         for (i, mesh) in meshes.iter().enumerate() {
@@ -577,14 +574,14 @@ mod tests {
 
     #[test]
     fn frames_buffered_while_peer_down_flush_on_connect() {
-        let base = test_port_base() + 8;
+        let addrs = free_loopback_addrs(2).expect("free ports");
         // Process 1 comes up first and sends to 0 before 0 exists: the
         // frame must wait in the outbound queue, then flush on dial.
-        let m1 = Mesh::new(ProcessId::new(1), 2, base).expect("bind 1");
+        let m1 = Mesh::with_net(ProcessId::new(1), addrs.clone(), None).expect("bind 1");
         let frame: Arc<[u8]> = encode_frame(0, 2, b"early").into();
         m1.send(ProcessId::new(0), frame);
         thread::sleep(Duration::from_millis(50));
-        let m0 = Mesh::new(ProcessId::new(0), 2, base).expect("bind 0");
+        let m0 = Mesh::with_net(ProcessId::new(0), addrs, None).expect("bind 0");
         let d = m0
             .recv_timeout(Duration::from_secs(10))
             .expect("buffered frame arrives after the peer comes up");

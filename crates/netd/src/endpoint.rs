@@ -1,87 +1,95 @@
 //! The per-process event loop: one [`Actor`] plugged onto a [`Mesh`].
 //!
-//! This is the netd counterpart of a `dex-threadnet` worker thread, with
-//! TCP in place of crossbeam channels. The contract is identical —
-//! simulator actors run unmodified:
+//! Everything a wall-clock runtime owes the actor — context clock and
+//! depths, the outbox → stamped-outbox → timers drain, the local timer
+//! list, the [`NetStats`] ledger, recorder events — is the shared
+//! [`ActorHost`] (see [`dex_simnet::host`]); simulator actors run
+//! unmodified. This module is only what is netd:
 //!
-//! * deliveries construct a [`Context`] at the frame's causal depth and
-//!   the current wall clock (virtual units = microseconds, as in
-//!   threadnet);
-//! * outbox/outbox-at/timer buffers are drained after every handler;
-//! * timers live in a local wall-clock list, never on the wire;
-//! * the wire ledger is kept through the shared [`NetStats`] hooks, so
-//!   `--stats` breakdowns are comparable across all three runtimes line
-//!   for line. A `Dest::All` multicast is encoded **once** and the frame
-//!   allocation is shared across peer sockets, so `payload_clones`
-//!   honestly reports zero on this runtime.
-//!
-//! Self-addressed traffic (a multicast's own copy, explicit self-sends)
-//! never touches a socket: it loops through a local queue, preserving the
-//! simulator's semantics that a process always hears itself.
+//! * a `Dest::All` multicast is encoded **once** and the frame allocation
+//!   is shared across peer sockets, so the host is told `0` fan-out
+//!   clones and `payload_clones` honestly reports zero on this runtime;
+//! * self-addressed traffic (a multicast's own copy, explicit self-sends)
+//!   never touches a socket: it loops through a local queue, preserving
+//!   the simulator's semantics that a process always hears itself;
+//! * a process inside its own chaos crash-silence window stalls its loop;
+//! * frames whose payload does not decode are counted, not delivered.
 
 use crate::chaos::ChaosRuntime;
 use crate::codec::WireCodec;
 use crate::conn::{Delivery, Mesh};
 use crate::frame::{class_byte, encode_frame};
 use dex_harness::spec::AddressTable;
-use dex_simnet::{Actor, Context, NetStats, Recoverable, Time};
+use dex_simnet::{Actor, ActorHost, Context, NetStats, Recoverable};
 use dex_types::{Dest, ProcessId, StepDepth};
-use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// A timer armed by the local actor.
-struct PendingTimer<M> {
-    due: Instant,
-    depth: StepDepth,
-    payload: M,
-}
+/// Self-addressed messages waiting for their turn in the event loop.
+type LocalQueue<M> = VecDeque<(StepDepth, M)>;
 
-/// One consensus process: actor + mesh + timers + wire ledger.
+/// One consensus process: actor + host + mesh.
 pub struct Endpoint<A: Actor>
 where
     A::Msg: WireCodec + Clone,
 {
     actor: A,
-    me: ProcessId,
-    n: usize,
+    host: ActorHost<A>,
     mesh: Mesh,
-    start: Instant,
-    rng: StdRng,
-    timers: Vec<PendingTimer<A::Msg>>,
-    local: VecDeque<(StepDepth, A::Msg)>,
-    wire: NetStats,
-    delivered: u64,
+    local: LocalQueue<A::Msg>,
     chaos: Option<Arc<ChaosRuntime>>,
     /// Frames whose payload failed to decode (hostile or torn peer).
     pub decode_failures: u64,
+}
+
+/// The host's send sink on this runtime: encode once, share the frame
+/// allocation across the fan-out, keep self-addressed copies local.
+fn wire_sink<'a, A: Actor>(
+    mesh: &'a Mesh,
+    local: &'a mut LocalQueue<A::Msg>,
+    me: ProcessId,
+    n: usize,
+) -> impl FnMut(Dest, A::Msg, StepDepth) + 'a
+where
+    A::Msg: WireCodec,
+{
+    move |dest, payload, depth| {
+        if dest == Dest::To(me) {
+            local.push_back((depth, payload));
+            return;
+        }
+        let frame: Arc<[u8]> = encode_frame(
+            class_byte(A::msg_class(&payload)),
+            depth.get(),
+            &payload.to_bytes(),
+        )
+        .into();
+        match dest {
+            Dest::To(to) => mesh.send(to, frame),
+            Dest::All => {
+                for to in (0..n).map(ProcessId::new).filter(|to| *to != me) {
+                    mesh.send(to, Arc::clone(&frame));
+                }
+                local.push_back((depth, payload));
+            }
+        }
+    }
 }
 
 impl<A: Actor> Endpoint<A>
 where
     A::Msg: WireCodec + Clone,
 {
-    /// Binds the mesh for process `me` of `n` on `port_base` and wraps
-    /// `actor` around it. No protocol traffic flows until [`Self::boot`]
-    /// or [`Self::boot_restart`].
-    pub fn new(
-        actor: A,
-        me: ProcessId,
-        n: usize,
-        port_base: u16,
-        seed: u64,
-    ) -> std::io::Result<Self> {
-        Endpoint::with_net(actor, me, AddressTable::localhost(n, port_base), seed, None)
-    }
-
-    /// The general form of [`Endpoint::new`]: binds against an explicit
-    /// address table (`n = addrs.len()`) and optionally routes all
-    /// outbound traffic through a [`ChaosRuntime`]. The chaos runtime is
-    /// shared with the mesh: the endpoint consults it only for the local
-    /// process's crash-silence windows ([`ChaosRuntime::self_resume_at`]),
-    /// the mesh for everything link-level.
+    /// Binds the mesh for process `me` against the address table
+    /// (`n = addrs.len()`) and wraps `actor` around it, optionally routing
+    /// all outbound traffic through a [`ChaosRuntime`]. No protocol traffic
+    /// flows until [`Self::boot`] or [`Self::boot_restart`]. The chaos
+    /// runtime is shared with the mesh: the endpoint consults it only for
+    /// the local process's crash-silence windows
+    /// ([`ChaosRuntime::self_resume_at`]), the mesh for everything
+    /// link-level.
     pub fn with_net(
         actor: A,
         me: ProcessId,
@@ -92,15 +100,9 @@ where
         let n = addrs.len();
         Ok(Endpoint {
             actor,
-            me,
-            n,
             mesh: Mesh::with_net(me, addrs, chaos.clone())?,
-            start: Instant::now(),
-            rng: StdRng::seed_from_u64(seed.wrapping_add(me.index() as u64)),
-            timers: Vec::new(),
+            host: ActorHost::new(me, n, seed, Instant::now(), 0),
             local: VecDeque::new(),
-            wire: NetStats::default(),
-            delivered: 0,
             chaos,
             decode_failures: 0,
         })
@@ -108,14 +110,7 @@ where
 
     /// Runs the actor's `on_start` and flushes its opening traffic.
     pub fn boot(&mut self) {
-        let mut ctx =
-            Context::external(self.me, self.n, Time::ZERO, StepDepth::ZERO, &mut self.rng);
-        self.actor.on_start(&mut ctx);
-        let out = ctx.take_outbox();
-        let out_at = ctx.take_outbox_at();
-        let armed = ctx.take_timers();
-        drop(ctx);
-        self.flush(out, out_at, armed, StepDepth::ONE);
+        self.boot_with(|actor, ctx| actor.on_start(ctx));
     }
 
     /// Boots through the crash-recovery path instead of `on_start`: the
@@ -126,14 +121,19 @@ where
     where
         A: Recoverable,
     {
-        let mut ctx =
-            Context::external(self.me, self.n, Time::ZERO, StepDepth::ZERO, &mut self.rng);
-        self.actor.restart(&mut ctx);
-        let out = ctx.take_outbox();
-        let out_at = ctx.take_outbox_at();
-        let armed = ctx.take_timers();
-        drop(ctx);
-        self.flush(out, out_at, armed, StepDepth::ONE);
+        self.boot_with(|actor, ctx| actor.restart(ctx));
+    }
+
+    fn boot_with(&mut self, hook: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
+        let (me, n) = (self.host.me(), self.host.n());
+        let sink = wire_sink::<A>(&self.mesh, &mut self.local, me, n);
+        self.host.boot(&mut self.actor, hook, sink);
+    }
+
+    fn deliver(&mut self, from: ProcessId, depth: StepDepth, msg: &A::Msg) {
+        let (me, n) = (self.host.me(), self.host.n());
+        let sink = wire_sink::<A>(&self.mesh, &mut self.local, me, n);
+        self.host.deliver(&mut self.actor, from, depth, msg, sink);
     }
 
     /// Processes one unit of work — a due timer, a queued self-delivery,
@@ -154,121 +154,31 @@ where
             return false;
         }
         // Due timers first, earliest first.
-        let now = Instant::now();
-        let due_idx = self
-            .timers
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.due <= now)
-            .min_by_key(|(_, t)| t.due)
-            .map(|(idx, _)| idx);
-        if let Some(idx) = due_idx {
-            let timer = self.timers.remove(idx);
-            self.deliver(self.me, timer.depth, timer.payload);
+        let (me, n) = (self.host.me(), self.host.n());
+        let sink = wire_sink::<A>(&self.mesh, &mut self.local, me, n);
+        if self.host.fire_due(&mut self.actor, sink) {
             return true;
         }
         // Local (self-addressed) traffic next.
         if let Some((depth, msg)) = self.local.pop_front() {
-            self.deliver(self.me, depth, msg);
+            self.deliver(me, depth, &msg);
             return true;
         }
         // Then the sockets, but never sleep past the next timer.
-        let wait = self
-            .timers
-            .iter()
-            .map(|t| t.due.saturating_duration_since(now))
-            .min()
-            .unwrap_or(idle)
-            .min(idle);
-        match self.mesh.recv_timeout(wait) {
+        match self.mesh.recv_timeout(self.host.next_wait(idle)) {
             Some(Delivery {
                 from,
                 depth,
                 payload,
                 ..
-            }) => match A::Msg::from_bytes(&payload) {
-                Some(msg) => {
-                    self.deliver(from, depth, msg);
-                    true
+            }) => {
+                match A::Msg::from_bytes(&payload) {
+                    Some(msg) => self.deliver(from, depth, &msg),
+                    None => self.decode_failures += 1,
                 }
-                None => {
-                    self.decode_failures += 1;
-                    true
-                }
-            },
+                true
+            }
             None => false,
-        }
-    }
-
-    fn deliver(&mut self, from: ProcessId, depth: StepDepth, msg: A::Msg) {
-        self.wire.note_delivery(depth);
-        self.delivered += 1;
-        let now = Time::new(self.start.elapsed().as_micros() as u64);
-        let mut ctx = Context::external(self.me, self.n, now, depth, &mut self.rng);
-        self.actor.on_message(from, &msg, &mut ctx);
-        let out = ctx.take_outbox();
-        let out_at = ctx.take_outbox_at();
-        let armed = ctx.take_timers();
-        drop(ctx);
-        self.flush(out, out_at, armed, depth.next());
-    }
-
-    fn flush(
-        &mut self,
-        out: Vec<(Dest, A::Msg)>,
-        out_at: Vec<(Dest, A::Msg, StepDepth)>,
-        armed: Vec<(u64, A::Msg)>,
-        next_depth: StepDepth,
-    ) {
-        for (dest, payload) in out {
-            self.dispatch(dest, payload, next_depth);
-        }
-        for (dest, payload, depth) in out_at {
-            self.dispatch(dest, payload, depth);
-        }
-        let armed_at = Instant::now();
-        for (delay, payload) in armed {
-            self.wire.note_timer::<A>(&payload, next_depth);
-            self.timers.push(PendingTimer {
-                due: armed_at + Duration::from_micros(delay),
-                depth: next_depth,
-                payload,
-            });
-        }
-    }
-
-    /// Puts one logical send on the wire: ledger once, encode once, share
-    /// the frame allocation across the fan-out.
-    fn dispatch(&mut self, dest: Dest, payload: A::Msg, depth: StepDepth) {
-        self.wire.note_send::<A>(self.n, &dest, &payload, depth, 0);
-        match dest {
-            Dest::To(to) if to == self.me => {
-                self.local.push_back((depth, payload));
-            }
-            Dest::To(to) => {
-                let frame: Arc<[u8]> = encode_frame(
-                    class_byte(A::msg_class(&payload)),
-                    depth.get(),
-                    &payload.to_bytes(),
-                )
-                .into();
-                self.mesh.send(to, frame);
-            }
-            Dest::All => {
-                let frame: Arc<[u8]> = encode_frame(
-                    class_byte(A::msg_class(&payload)),
-                    depth.get(),
-                    &payload.to_bytes(),
-                )
-                .into();
-                for j in 0..self.n {
-                    let to = ProcessId::new(j);
-                    if to != self.me {
-                        self.mesh.send(to, Arc::clone(&frame));
-                    }
-                }
-                self.local.push_back((depth, payload));
-            }
         }
     }
 
@@ -279,17 +189,17 @@ where
 
     /// The wire ledger so far.
     pub fn stats(&self) -> &NetStats {
-        &self.wire
+        self.host.stats()
     }
 
     /// Deliveries handled so far (timer firings included).
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.host.stats().delivered
     }
 
     /// Microseconds since the endpoint came up.
     pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
+        self.host.elapsed_us()
     }
 
     /// Live peer connections (diagnostic).
@@ -301,11 +211,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_obs::{EventKind, Recorder};
 
     /// The threadnet doc-example actor, now crossing real sockets.
     struct Counter {
         got: usize,
         armed: bool,
+        rec: Recorder,
     }
 
     impl Actor for Counter {
@@ -322,28 +234,30 @@ mod tests {
                 ctx.send_self_after(500, 99); // exercise the timer path
             }
         }
-    }
 
-    fn test_port_base() -> u16 {
-        28000 + (std::process::id() % 20000) as u16
+        fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+            self.rec.active_mut()
+        }
     }
 
     #[test]
     fn endpoints_run_a_broadcast_round_over_tcp() {
-        let base = test_port_base();
         let n = 3;
+        let addrs = crate::listener::free_loopback_addrs(n).expect("free ports");
         let mut handles = Vec::new();
         for i in 0..n {
+            let addrs = addrs.clone();
             handles.push(std::thread::spawn(move || {
-                let mut ep = Endpoint::new(
+                let mut ep = Endpoint::with_net(
                     Counter {
                         got: 0,
                         armed: false,
+                        rec: Recorder::new(i as u16),
                     },
                     ProcessId::new(i),
-                    n,
-                    base,
+                    addrs,
                     7,
+                    None,
                 )
                 .expect("bind");
                 ep.boot();
@@ -363,11 +277,18 @@ mod tests {
                         ep.stats()
                     );
                 }
-                (i, ep.actor().got, ep.stats().clone(), ep.delivered())
+                let events = ep.actor().rec.trace().events;
+                (
+                    i,
+                    ep.actor().got,
+                    ep.stats().clone(),
+                    ep.delivered(),
+                    events,
+                )
             }));
         }
         for h in handles {
-            let (i, got, stats, delivered) = h.join().expect("endpoint thread");
+            let (i, got, stats, delivered, events) = h.join().expect("endpoint thread");
             let want = if i == 0 { 4 } else { 3 };
             assert_eq!(got, want, "process {i} heard the round");
             assert_eq!(delivered, want as u64);
@@ -377,6 +298,22 @@ mod tests {
             assert_eq!(stats.payload_clones, 0);
             let timer_sends = if i == 0 { 1 } else { 0 };
             assert_eq!(stats.sent, 3 + timer_sends);
+            // The shared host clocks the recorder here as on threadnet:
+            // one `Send` per recipient of the boot broadcast, one
+            // `Deliver` per handled delivery.
+            let sends: Vec<u16> = events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Send { to } => Some(to),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(sends, vec![0, 1, 2]);
+            let delivers = events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Deliver { .. }))
+                .count();
+            assert_eq!(delivers as u64, delivered);
         }
     }
 }

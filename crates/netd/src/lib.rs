@@ -32,7 +32,7 @@ pub mod endpoint;
 pub mod frame;
 pub mod listener;
 
-pub use chaos::{ChaosRuntime, TearPoint, Verdict};
+pub use chaos::{ChaosRuntime, TearPoint};
 pub use cluster::{run_cluster, ClusterOpts, Phase};
 pub use codec::WireCodec;
 pub use conn::Mesh;

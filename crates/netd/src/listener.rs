@@ -11,8 +11,46 @@
 //! crate) and handed to [`TcpListener`] as a raw fd. Everywhere else the
 //! plain bind is used and a fast respawn may have to retry.
 
+use dex_harness::spec::AddressTable;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::net::TcpListener;
+
+/// Picks `n` loopback listen addresses that are free right now — the one
+/// way single-host clusters (the `--cluster` parent, the benchmark-style
+/// in-process tests) obtain the [`AddressTable`] their meshes bind.
+///
+/// Ports are probed upward from a random start inside `10000..32000`,
+/// deliberately *below* the kernel's ephemeral range (32768+): while a
+/// process is down (kill -9, a torn listener between proptest cases) its
+/// peers keep redialling, and an outbound socket — theirs or anybody's —
+/// auto-bound to an ephemeral port equal to the dead listener's would make
+/// the respawn's bind fail with `AddrInUse`. Nothing auto-binds down here,
+/// so a reserved port is only ever lost to another explicit binder, and
+/// the random start keeps concurrent harnesses (parallel `cargo test`
+/// binaries) out of each other's blocks without any shared state.
+///
+/// The probe listeners are dropped on return; callers re-bind through
+/// [`bind_reusable_on`], which tolerates the `TIME_WAIT` a probe leaves.
+pub fn free_loopback_addrs(n: usize) -> io::Result<AddressTable> {
+    const LOW: u16 = 10_000;
+    const SPAN: u16 = 22_000;
+    let start = RandomState::new().build_hasher().finish() % u64::from(SPAN);
+    let peers: Vec<String> = (0..SPAN)
+        .map(|k| LOW + ((start + u64::from(k)) % u64::from(SPAN)) as u16)
+        .filter(|port| bind_reusable(*port).is_ok())
+        .take(n)
+        .map(|port| format!("127.0.0.1:{port}"))
+        .collect();
+    if peers.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::AddrInUse,
+            format!("only {} of {n} loopback ports free", peers.len()),
+        ));
+    }
+    AddressTable::parse(&peers.join(",")).map_err(io::Error::other)
+}
 
 /// Binds `127.0.0.1:port` for listening, with `SO_REUSEADDR` where the
 /// platform shim supports it.
@@ -118,14 +156,9 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    fn test_port() -> u16 {
-        // Processes running the suite concurrently must not collide.
-        20000 + (std::process::id() % 20000) as u16
-    }
-
     #[test]
     fn rebinding_after_drop_succeeds_immediately() {
-        let port = test_port();
+        let port = free_loopback_addrs(1).expect("a free port").port(0);
         let first = bind_reusable(port).expect("first bind");
         // Open (and abruptly drop) a connection so the port has seen
         // traffic — the TIME_WAIT scenario a respawned child faces.
@@ -143,5 +176,25 @@ mod tests {
             port,
             "same port reacquired"
         );
+    }
+
+    #[test]
+    fn free_addrs_are_distinct_bindable_and_below_the_ephemeral_range() {
+        let table = free_loopback_addrs(5).expect("five free ports");
+        assert_eq!(table.len(), 5);
+        let mut ports: Vec<u16> = (0..5).map(|i| table.port(i)).collect();
+        let held: Vec<TcpListener> = ports
+            .iter()
+            .map(|p| bind_reusable(*p).expect("reserved port binds"))
+            .collect();
+        assert!(ports.iter().all(|p| (10_000..32_000).contains(p)));
+        assert!((0..5).all(|i| table.host(i) == "127.0.0.1"));
+        // A port somebody listens on is never handed out again.
+        let more = free_loopback_addrs(5).expect("five more");
+        assert!((0..5).all(|i| !ports.contains(&more.port(i))));
+        drop(held);
+        ports.sort_unstable();
+        ports.dedup();
+        assert_eq!(ports.len(), 5, "no port handed out twice");
     }
 }

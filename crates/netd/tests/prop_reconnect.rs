@@ -23,28 +23,15 @@
 //!    riding over TCP, acked and resent until every gap closes.
 
 use dex_core::{Reliable, ResendPolicy};
-use dex_harness::spec::AddressTable;
 use dex_netd::frame::encode_frame;
+use dex_netd::listener::free_loopback_addrs;
 use dex_netd::{ChaosRuntime, Endpoint, Mesh, TearPoint};
 use dex_replication::{Replica, StateMachine, TotalOrder};
 use dex_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Each proptest case gets its own port block so torn-and-reconnecting
-/// listeners from one case can never collide with the next. The 22xxx
-/// range is distinct from the bases used by the conn (40000+), endpoint
-/// (28000+) and listener (20000+) unit tests, and sits *below* the
-/// kernel's ephemeral range (32768+): the reconnect churn burns through
-/// ephemeral ports, and a dialer's outbound socket squatting on a later
-/// case's listen port would fail that bind with `AddrInUse`.
-fn next_port_base() -> u16 {
-    static NEXT: AtomicU16 = AtomicU16::new(0);
-    let block = NEXT.fetch_add(1, Ordering::Relaxed) % 512;
-    22000 + (std::process::id() % 2048) as u16 + block * 8
-}
 
 /// A tear schedule for one directed link: which physical write attempts
 /// to cut, and where. Offsets are clamped to `1..frame_len` at tear
@@ -80,20 +67,19 @@ proptest! {
         schedule in proptest::collection::vec((0u64..8, 1usize..4096), 1..4),
     ) {
         let n = 2;
-        let base = next_port_base();
+        // Fresh addresses per case: torn-and-reconnecting listeners from one
+        // case can never collide with the next.
+        let addrs = free_loopback_addrs(n).expect("free ports");
         let receiver = 1 - sender;
         let tears: Vec<TearPoint> = schedule
             .into_iter()
             .map(|(attempt, offset)| TearPoint { to: receiver, attempt, offset })
             .collect();
 
+        let rx_addrs = addrs.clone();
         let rx_thread = std::thread::spawn(move || {
-            let mesh = Mesh::with_net(
-                ProcessId::new(receiver),
-                AddressTable::localhost(n, base),
-                None,
-            )
-            .expect("bind receiver");
+            let mesh = Mesh::with_net(ProcessId::new(receiver), rx_addrs, None)
+                .expect("bind receiver");
             let mut seqs = Vec::new();
             let deadline = Instant::now() + Duration::from_secs(20);
             while (seqs.len() as u64) < frames && Instant::now() < deadline {
@@ -116,12 +102,8 @@ proptest! {
         });
 
         let chaos = Arc::new(ChaosRuntime::with_tears(n, ProcessId::new(sender), tears));
-        let mesh = Mesh::with_net(
-            ProcessId::new(sender),
-            AddressTable::localhost(n, base),
-            Some(chaos),
-        )
-        .expect("bind sender");
+        let mesh = Mesh::with_net(ProcessId::new(sender), addrs, Some(chaos))
+            .expect("bind sender");
         for seq in 0..frames {
             // Varying payload sizes put the clamped tear offsets at
             // different positions relative to each frame boundary.
@@ -154,7 +136,7 @@ proptest! {
     ) {
         let n = 3;
         let slots = 4u64;
-        let base = next_port_base();
+        let addrs = free_loopback_addrs(n).expect("free ports");
         let done = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for (i, mut tears) in link_tears.into_iter().enumerate() {
@@ -163,6 +145,7 @@ proptest! {
                 t.to = (i + 1 + k % (n - 1)) % n;
             }
             let done = done.clone();
+            let addrs = addrs.clone();
             handles.push(std::thread::spawn(move || {
                 let cfg = SystemConfig::new(n, 0).expect("n=3 t=0");
                 let me = ProcessId::new(i);
@@ -185,14 +168,8 @@ proptest! {
                     },
                 );
                 let chaos = Arc::new(ChaosRuntime::with_tears(n, me, tears));
-                let mut ep = Endpoint::with_net(
-                    reliable,
-                    me,
-                    AddressTable::localhost(n, base),
-                    seed,
-                    Some(chaos),
-                )
-                .expect("bind endpoint");
+                let mut ep = Endpoint::with_net(reliable, me, addrs, seed, Some(chaos))
+                    .expect("bind endpoint");
                 ep.boot();
                 let deadline = Instant::now() + Duration::from_secs(30);
                 let mut counted = false;

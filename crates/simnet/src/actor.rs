@@ -159,11 +159,13 @@ impl<'a, M: Clone> Context<'a, M> {
         }
     }
 
-    /// Builds a context for an **external runtime** (e.g. the threaded
-    /// runtime in `dex-threadnet`) that drives [`Actor`]s outside this
-    /// simulator. The runtime is responsible for supplying a coherent
-    /// `(now, depth)` pair and for dispatching the outbox afterwards via
-    /// [`take_outbox`](Self::take_outbox).
+    /// Builds a context for code that drives an [`Actor`] from outside
+    /// this crate — today only actor *wrappers* that run an inner actor
+    /// under a shadow context (`dex_core::Reliable`); the wall-clock
+    /// runtimes go through [`ActorHost`](crate::ActorHost) instead. The
+    /// caller supplies a coherent `(now, depth)` pair and forwards what
+    /// the inner handler buffered via [`take_outbox`](Self::take_outbox)
+    /// and [`take_timers`](Self::take_timers).
     pub fn external(
         me: ProcessId,
         n: usize,
@@ -174,24 +176,14 @@ impl<'a, M: Clone> Context<'a, M> {
         Context::new(me, n, now, depth, rng)
     }
 
-    /// Drains the buffered `(Dest, Msg)` sends — the external-runtime
-    /// counterpart of the simulator's internal dispatch. A [`Dest::All`]
-    /// entry is still unexpanded; the runtime decides how to fan it out.
+    /// Drains the buffered `(Dest, Msg)` sends. A [`Dest::All`] entry is
+    /// still unexpanded; whoever forwards it decides how to fan it out.
     pub fn take_outbox(&mut self) -> Vec<(Dest, M)> {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Drains the buffered depth-stamped sends queued with
-    /// [`send_dest_at`](Self::send_dest_at). External runtimes must drain
-    /// this alongside [`take_outbox`](Self::take_outbox) or
-    /// depth-preserving traffic (flushed echo batches) would be lost.
-    pub fn take_outbox_at(&mut self) -> Vec<(Dest, M, StepDepth)> {
-        std::mem::take(&mut self.outbox_at)
-    }
-
     /// Drains the buffered `(delay, Msg)` timers armed with
-    /// [`send_self_after`](Self::send_self_after) — for external runtimes
-    /// that implement their own clock (e.g. wall-time in `dex-threadnet`).
+    /// [`send_self_after`](Self::send_self_after).
     pub fn take_timers(&mut self) -> Vec<(u64, M)> {
         std::mem::take(&mut self.timers)
     }

@@ -29,6 +29,7 @@
 //! fault-free artifacts stay byte-identical.
 
 use dex_types::ProcessId;
+use rand::rngs::StdRng;
 use std::collections::BTreeSet;
 
 /// Drop/duplication probabilities on a set of links.
@@ -109,6 +110,32 @@ pub struct CrashWindow {
     /// Whether the process keeps ([`CrashMode::Silence`]) or loses
     /// ([`CrashMode::Restart`]) its volatile state and in-window inbox.
     pub mode: CrashMode,
+}
+
+/// What [`FaultSchedule::verdict`] decides for one message, in virtual
+/// time units. The `held_*` flags feed the caller's counters.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// Lost: a drop draw, or a recipient that never recovers (or recovers
+    /// with amnesia).
+    Drop {
+        /// It had first been held by an open partition.
+        held_partition: bool,
+    },
+    /// Arrives at `at`: send instant plus link delay, re-based on a
+    /// partition's heal, deferred to a crashed recipient's recovery.
+    Deliver {
+        /// Arrival instant.
+        at: u64,
+        /// It waited for a partition to heal.
+        held_partition: bool,
+        /// It waited for the recipient to recover.
+        held_crash: bool,
+        /// A duplicate is due then. The crash hold is not applied to it;
+        /// a caller that models the recipient's inbox re-checks with
+        /// [`FaultSchedule::crash_hold`].
+        dup_at: Option<u64>,
+    },
 }
 
 /// A deterministic chaos schedule for one simulation run.
@@ -418,6 +445,50 @@ impl FaultSchedule {
         held.then_some(Some(when))
     }
 
+    /// Decides the fate of one message `from → to` sent at `send_at` with
+    /// link delay `delay` — the one owner of the decision order and its
+    /// RNG draw sequence, for the simulator (one chaos stream) and
+    /// `dex-netd` (one stream per directed link, `delay = 0`) alike:
+    /// partition hold (no draw) → drop (one `f64` draw iff the drop
+    /// probability is positive) → dup (likewise, plus a `1..=8` jitter
+    /// draw on a hit) → crash hold at the arrival instant (no draw). A
+    /// `(rng state, schedule)` pair therefore replays bit for bit.
+    pub fn verdict(
+        &self,
+        rng: &mut StdRng,
+        from: ProcessId,
+        to: ProcessId,
+        send_at: u64,
+        delay: u64,
+    ) -> Verdict {
+        let heal = self.partition_hold(from, to, send_at);
+        let held_partition = heal.is_some();
+        let at = heal.unwrap_or(send_at) + delay;
+        let (p_drop, p_dup) = self.link_probs(from, to, send_at);
+        if p_drop > 0.0 && rng.random_range(0.0f64..1.0) < p_drop {
+            return Verdict::Drop { held_partition };
+        }
+        let mut dup_at = None;
+        if p_dup > 0.0 && rng.random_range(0.0f64..1.0) < p_dup {
+            dup_at = Some(at + rng.random_range(1u64..=8));
+        }
+        match self.crash_hold(to, at) {
+            Some(Some(recovery)) => Verdict::Deliver {
+                at: recovery,
+                held_partition,
+                held_crash: true,
+                dup_at,
+            },
+            Some(None) => Verdict::Drop { held_partition },
+            None => Verdict::Deliver {
+                at,
+                held_partition,
+                held_crash: false,
+                dup_at,
+            },
+        }
+    }
+
     /// Combined `(drop, dup)` probabilities for a message `from → to` sent
     /// at `at`; matching entries compose independently.
     pub fn link_probs(&self, from: ProcessId, to: ProcessId, at: u64) -> (f64, f64) {
@@ -523,6 +594,80 @@ mod tests {
         assert!((dup - 0.25).abs() < 1e-12);
         let (drop2, _) = s.link_probs(p(2), p(3), 0);
         assert_eq!(drop2, 0.0);
+    }
+
+    #[test]
+    fn verdict_applies_partition_drop_dup_crash_in_that_order() {
+        let rng = || StdRng::seed_from_u64(3);
+        let deliver = |at| Verdict::Deliver {
+            at,
+            held_partition: false,
+            held_crash: false,
+            dup_at: None,
+        };
+        // An empty schedule draws nothing and adds the delay.
+        let mut r = rng();
+        assert_eq!(
+            FaultSchedule::none().verdict(&mut r, p(0), p(1), 10, 4),
+            deliver(14)
+        );
+        assert_eq!(r, rng(), "no draw without a lossy link");
+        // Partition hold re-bases on the heal; the crash hold is judged at
+        // the re-based arrival and wins the final instant.
+        let s = FaultSchedule::new()
+            .partition([p(0)], 5, 50)
+            .crash(p(1), 40, 90);
+        assert_eq!(
+            s.verdict(&mut r, p(0), p(1), 10, 4),
+            Verdict::Deliver {
+                at: 90,
+                held_partition: true,
+                held_crash: true,
+                dup_at: None,
+            }
+        );
+        assert_eq!(
+            s.verdict(&mut r, p(0), p(1), 60, 4),
+            Verdict::Deliver {
+                at: 90,
+                held_partition: false,
+                held_crash: true,
+                dup_at: None,
+            }
+        );
+        assert_eq!(r, rng(), "holds draw nothing");
+        // A certain drop costs exactly one draw, and still reports the cut.
+        let s = FaultSchedule::new()
+            .partition([p(0)], 5, 50)
+            .lossy_link(None, None, 1.0, 1.0);
+        assert_eq!(
+            s.verdict(&mut r, p(0), p(1), 10, 4),
+            Verdict::Drop {
+                held_partition: true
+            }
+        );
+        let mut one = rng();
+        let _: f64 = one.random_range(0.0..1.0);
+        assert_eq!(r, one, "the dup draw is never reached");
+        // A certain dup: dup draw, then jitter in 1..=8 past the original.
+        let s = FaultSchedule::new().dup_all(1.0).crash_forever(p(2), 100);
+        let mut r = rng();
+        let Verdict::Deliver {
+            at: 14,
+            dup_at: Some(dup),
+            ..
+        } = s.verdict(&mut r, p(0), p(1), 10, 4)
+        else {
+            panic!("p = 1 must duplicate");
+        };
+        assert!((15..=22).contains(&dup));
+        // …and a permanently crashed recipient loses even a duplicated one.
+        assert_eq!(
+            s.verdict(&mut r, p(0), p(2), 100, 4),
+            Verdict::Drop {
+                held_partition: false
+            }
+        );
     }
 
     #[test]

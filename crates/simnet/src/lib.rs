@@ -65,6 +65,7 @@ mod actor;
 mod builder;
 mod delay;
 pub mod faults;
+pub mod host;
 mod sim;
 mod slab;
 mod stats;
@@ -75,7 +76,8 @@ pub use actor::{Actor, Context, MsgClass, Recoverable};
 pub use builder::SimulationBuilder;
 pub use delay::DelayModel;
 pub use dex_types::Dest;
-pub use faults::{CrashMode, CrashWindow, FaultSchedule, LinkFault, Partition};
+pub use faults::{CrashMode, CrashWindow, FaultSchedule, LinkFault, Partition, Verdict};
+pub use host::ActorHost;
 pub use sim::{RunOutcome, Simulation, CHAOS_SALT};
 pub use stats::NetStats;
 pub use time::Time;

@@ -3,7 +3,7 @@
 use crate::actor::{Actor, Context, MsgClass};
 use crate::builder::SimulationBuilder;
 use crate::delay::DelayModel;
-use crate::faults::FaultSchedule;
+use crate::faults::{FaultSchedule, Verdict};
 use crate::slab::PayloadSlab;
 use crate::stats::NetStats;
 use crate::time::Time;
@@ -299,39 +299,33 @@ impl<A: Actor> Simulation<A> {
                 payload,
             });
         }
-        // Route the delivery through the fault schedule. Decision order is
-        // fixed (partition hold → drop → dup → crash hold) so a given
-        // (seed, schedule) pair replays bit-for-bit.
+        // Route the delivery through the fault schedule; the decision
+        // order and its draws live in `FaultSchedule::verdict`.
         let mut duplicate_at = None;
         if let Some(chaos) = self.chaos.as_mut() {
             let send_at = self.now.as_units();
-            if let Some(heal) = chaos.schedule.partition_hold(from, to, send_at) {
-                // Held by the cut, then it travels: re-based on the heal
-                // instant, so the message arrives after the partition —
-                // a long-but-finite delay, exactly what asynchrony allows.
-                deliver_at = Time::new(heal) + delay;
-                self.stats.held_partition += 1;
-            }
-            let (p_drop, p_dup) = chaos.schedule.link_probs(from, to, send_at);
-            if p_drop > 0.0 && chaos.rng.random_range(0.0f64..1.0) < p_drop {
-                self.drop_message(from, to, depth, slot);
-                return;
-            }
-            if p_dup > 0.0 && chaos.rng.random_range(0.0f64..1.0) < p_dup {
-                duplicate_at = Some(deliver_at + chaos.rng.random_range(1u64..=8));
-            }
-            match chaos.schedule.crash_hold(to, deliver_at.as_units()) {
-                Some(Some(recovery)) => {
-                    // The recipient is down: its inbox queues until recovery.
-                    deliver_at = Time::new(recovery);
-                    self.stats.held_crash += 1;
-                }
-                Some(None) => {
-                    // The recipient never comes back; the message is lost.
+            match chaos
+                .schedule
+                .verdict(&mut chaos.rng, from, to, send_at, delay)
+            {
+                Verdict::Drop { held_partition } => {
+                    self.stats.held_partition += u64::from(held_partition);
                     self.drop_message(from, to, depth, slot);
                     return;
                 }
-                None => {}
+                Verdict::Deliver {
+                    at,
+                    held_partition,
+                    held_crash,
+                    dup_at,
+                } => {
+                    // A held message still travels: a long-but-finite
+                    // delay, exactly what asynchrony allows.
+                    deliver_at = Time::new(at);
+                    self.stats.held_partition += u64::from(held_partition);
+                    self.stats.held_crash += u64::from(held_crash);
+                    duplicate_at = dup_at.map(Time::new);
+                }
             }
         }
         self.seq += 1;

@@ -8,11 +8,15 @@
 //! order is whatever the OS scheduler produces. Causal step depths are
 //! carried on the wire exactly as in the simulator.
 //!
-//! Timers armed with [`Context::send_self_after`] are honoured too: the
-//! simulator's virtual time units map to **microseconds of wall clock**
-//! here, each worker keeps its own pending-timer list, and an armed timer
-//! counts as in-flight traffic — quiescence waits for it, exactly as the
-//! simulator's event queue would.
+//! What each worker owes its actor — the context clock (virtual time units
+//! are **microseconds of wall clock**), the outbox/timer drain and its
+//! depth rules, the wire ledger, recorder events — is the shared
+//! [`ActorHost`] (see [`dex_simnet::host`]), the same one `dex-netd` runs
+//! on. This crate is the transport under it: the delay-injecting
+//! dispatcher, the clone-per-peer multicast fan-out, quiescence detection,
+//! and kill/respawn of the actor value. An armed timer counts as in-flight
+//! traffic — quiescence waits for it, exactly as the simulator's event
+//! queue would.
 //!
 //! Quiescence is detected with an in-flight message counter: the network
 //! has drained when no message is queued, delayed, being handled, or
@@ -57,7 +61,7 @@
 #![warn(missing_docs)]
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dex_simnet::{Actor, Context, Dest, NetStats, Recoverable, Time};
+use dex_simnet::{Actor, ActorHost, Context, Dest, NetStats, Recoverable};
 use dex_types::{ProcessId, StepDepth};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
@@ -149,30 +153,9 @@ pub struct ThreadKillPlan<A> {
     pub rebuild: Box<dyn FnOnce() -> A + Send>,
 }
 
-/// [`ThreadKillPlan`] lowered for the generic runner: the `restart` hook
-/// is captured as a plain fn pointer where the `Recoverable` bound is
-/// available, so `run_inner` itself needs only `Actor`.
-struct KillTask<A: Actor> {
-    victim: usize,
-    after: Duration,
-    down: Duration,
-    rebuild: Box<dyn FnOnce() -> A + Send>,
-    restart: fn(&mut A, &mut Context<'_, A::Msg>),
-}
-
-/// Counts one logical send against a worker's wire statistics via the
-/// shared [`NetStats::note_send`] ledger hook. The thread boundary clones
-/// multicast payloads `n − 1` times (one per peer channel), and the ledger
-/// records that honestly where the simulator's shared slab reports zero.
-fn note_send<A: Actor>(
-    wire: &mut NetStats,
-    n: usize,
-    dest: &Dest,
-    payload: &A::Msg,
-    depth: StepDepth,
-) {
-    wire.note_send::<A>(n, dest, payload, depth, n as u64 - 1);
-}
+/// [`Recoverable::restart`] as a plain fn pointer, captured where the
+/// `Recoverable` bound is available so `run_inner` needs only `Actor`.
+type RestartHook<A> = fn(&mut A, &mut Context<'_, <A as Actor>::Msg>);
 
 struct Envelope<M> {
     from: ProcessId,
@@ -205,272 +188,90 @@ impl<M> Ord for Delayed<M> {
     }
 }
 
-/// A timer armed by the local actor: fires at `due` with causal depth
-/// `depth` (the depth its tick is delivered at, like any send).
-struct PendingTimer<M> {
-    due: Instant,
-    depth: StepDepth,
-    payload: M,
-}
+/// How long a worker or the dispatcher blocks before re-checking shutdown.
+const IDLE: Duration = Duration::from_millis(20);
 
-/// The simulator shares one payload among a multicast's recipients;
-/// threads cannot, so fan-out is expanded (with the necessary clones) at
-/// this boundary.
-fn expand<M: Clone>(n: usize, out: Vec<(Dest, M)>) -> Vec<(ProcessId, M)> {
-    let mut flat = Vec::with_capacity(out.len());
-    for (dest, payload) in out {
-        match dest {
-            Dest::To(to) => flat.push((to, payload)),
-            Dest::All => {
-                for j in 0..n - 1 {
-                    flat.push((ProcessId::new(j), payload.clone()));
-                }
-                flat.push((ProcessId::new(n - 1), payload));
-            }
-        }
-    }
-    flat
-}
-
-/// Expands depth-stamped sends (`Context::send_dest_at`) the same way as
-/// [`expand`], carrying each entry's explicit causal depth through to the
-/// envelope. Draining this buffer alongside the plain outbox keeps
-/// depth-preserving traffic (echo-aggregation flushes) from being lost on
-/// the threaded runtime.
-fn expand_at<M: Clone>(n: usize, out: Vec<(Dest, M, StepDepth)>) -> Vec<(ProcessId, M, StepDepth)> {
-    let mut flat = Vec::with_capacity(out.len());
-    for (dest, payload, depth) in out {
-        match dest {
-            Dest::To(to) => flat.push((to, payload, depth)),
-            Dest::All => {
-                for j in 0..n - 1 {
-                    flat.push((ProcessId::new(j), payload.clone(), depth));
-                }
-                flat.push((ProcessId::new(n - 1), payload, depth));
-            }
-        }
-    }
-    flat
-}
-
-/// Handles one delivery (network envelope or fired timer) at a worker:
-/// runs the actor, records obs events, queues reactions to the dispatcher
-/// and newly armed timers to the local list. Each queued reaction and
-/// armed timer counts `+1` in flight; the handled delivery counts `−1`.
-#[allow(clippy::too_many_arguments)]
-fn deliver<A: Actor>(
-    actor: &mut A,
+/// A worker's way into the network: the dispatcher channel plus the
+/// in-flight count every queued envelope is added to.
+struct Outlet<M> {
     me: ProcessId,
     n: usize,
-    env: Envelope<A::Msg>,
-    start: Instant,
-    rng: &mut StdRng,
-    local_seq: &mut u64,
-    timers: &mut Vec<PendingTimer<A::Msg>>,
-    dispatch_tx: &Sender<(usize, Envelope<A::Msg>)>,
-    inflight: &AtomicI64,
-    delivered: &AtomicI64,
-    wire: &mut NetStats,
-) {
-    let now = Time::new(start.elapsed().as_micros() as u64);
-    *local_seq += 1;
-    wire.note_delivery(env.depth);
-    if let Some(rec) = actor.recorder_mut() {
-        rec.set_clock(*local_seq, env.depth.get());
-        rec.record(dex_obs::EventKind::Deliver {
-            from: env.from.index() as u16,
-        });
-    }
-    let mut ctx = Context::external(me, n, now, env.depth, rng);
-    actor.on_message(env.from, &env.payload, &mut ctx);
-    let raw_out = ctx.take_outbox();
-    let raw_out_at = ctx.take_outbox_at();
-    let armed = ctx.take_timers();
-    drop(ctx);
-    for (dest, payload) in &raw_out {
-        note_send::<A>(wire, n, dest, payload, env.depth.next());
-    }
-    for (dest, payload, depth) in &raw_out_at {
-        note_send::<A>(wire, n, dest, payload, *depth);
-    }
-    for (_, payload) in &armed {
-        wire.note_timer::<A>(payload, env.depth.next());
-    }
-    let out = expand(n, raw_out);
-    let out_at = expand_at(n, raw_out_at);
-    if let Some(rec) = actor.recorder_mut() {
-        for (to, _) in &out {
-            rec.record_at(
-                *local_seq,
-                env.depth.next().get(),
-                dex_obs::EventKind::Send {
-                    to: to.index() as u16,
-                },
-            );
-        }
-        for (to, _, depth) in &out_at {
-            rec.record_at(
-                *local_seq,
-                depth.get(),
-                dex_obs::EventKind::Send {
-                    to: to.index() as u16,
-                },
-            );
-        }
-    }
-    for (to, payload) in out {
-        inflight.fetch_add(1, Ordering::AcqRel);
-        let _ = dispatch_tx.send((
-            to.index(),
-            Envelope {
-                from: me,
-                depth: env.depth.next(),
-                payload,
-            },
-        ));
-    }
-    for (to, payload, depth) in out_at {
-        inflight.fetch_add(1, Ordering::AcqRel);
-        let _ = dispatch_tx.send((
-            to.index(),
-            Envelope {
-                from: me,
-                depth,
-                payload,
-            },
-        ));
-    }
-    let armed_at = Instant::now();
-    for (delay, payload) in armed {
-        inflight.fetch_add(1, Ordering::AcqRel);
-        timers.push(PendingTimer {
-            due: armed_at + Duration::from_micros(delay),
-            depth: env.depth.next(),
-            payload,
-        });
-    }
-    delivered.fetch_add(1, Ordering::AcqRel);
-    inflight.fetch_sub(1, Ordering::AcqRel);
-}
-
-/// Per-thread worker machinery, factored out of the spawn closure so a
-/// kill/respawn run can drive the same boot-and-deliver loop across two
-/// actor incarnations on one thread. Owns everything that survives the
-/// kill: the RNG, the wire ledger, the inbox receiver, pending timers,
-/// and the per-process delivery sequence the recorder uses as its clock.
-struct Worker<A: Actor> {
-    me: ProcessId,
-    n: usize,
-    start: Instant,
-    rng: StdRng,
-    local_seq: u64,
-    wire: NetStats,
-    timers: Vec<PendingTimer<A::Msg>>,
-    rx: Receiver<Envelope<A::Msg>>,
-    dispatch_tx: Sender<(usize, Envelope<A::Msg>)>,
+    dispatch_tx: Sender<(usize, Envelope<M>)>,
     inflight: Arc<AtomicI64>,
-    delivered: Arc<AtomicI64>,
+}
+
+impl<M: Clone> Outlet<M> {
+    /// The host's send sink on this runtime: every recipient copy enters
+    /// the dispatcher as its own envelope, `+1` in flight. The simulator
+    /// shares one payload among a multicast's recipients; threads cannot,
+    /// so the fan-out clones here (the `n − 1` the host's ledger is told
+    /// about).
+    fn sink(&self) -> impl FnMut(Dest, M, StepDepth) + '_ {
+        move |dest, payload, depth| {
+            let post = |to: usize, payload: M| {
+                self.inflight.fetch_add(1, Ordering::AcqRel);
+                // A send failure means the dispatcher already shut down.
+                let _ = self.dispatch_tx.send((
+                    to,
+                    Envelope {
+                        from: self.me,
+                        depth,
+                        payload,
+                    },
+                ));
+            };
+            match dest {
+                Dest::To(to) => post(to.index(), payload),
+                Dest::All => {
+                    for to in 0..self.n - 1 {
+                        post(to, payload.clone());
+                    }
+                    post(self.n - 1, payload);
+                }
+            }
+        }
+    }
+}
+
+/// Per-thread worker machinery: the [`ActorHost`] — which, like the
+/// inbox, survives a kill, so a kill/respawn run drives two actor
+/// incarnations through one worker — plus this runtime's plumbing.
+struct Worker<A: Actor> {
+    host: ActorHost<A>,
+    out: Outlet<A::Msg>,
+    rx: Receiver<Envelope<A::Msg>>,
     shutdown: Arc<AtomicBool>,
     queue_depths: Arc<Vec<AtomicI64>>,
 }
 
 impl<A: Actor> Worker<A> {
-    /// Runs a boot hook (`on_start`, or [`Recoverable::restart`] on a
-    /// respawn) at `now` and flushes its sends and timers into the
-    /// network at causal depth 1 — a boot starts a fresh causal chain.
-    fn boot(
-        &mut self,
-        actor: &mut A,
-        now: Time,
-        hook: impl FnOnce(&mut A, &mut Context<'_, A::Msg>),
-    ) {
-        let mut ctx = Context::external(self.me, self.n, now, StepDepth::ZERO, &mut self.rng);
-        hook(actor, &mut ctx);
-        let raw_out = ctx.take_outbox();
-        let raw_out_at = ctx.take_outbox_at();
-        let armed = ctx.take_timers();
-        drop(ctx);
-        for (dest, payload) in &raw_out {
-            note_send::<A>(&mut self.wire, self.n, dest, payload, StepDepth::ONE);
-        }
-        for (dest, payload, depth) in &raw_out_at {
-            note_send::<A>(&mut self.wire, self.n, dest, payload, *depth);
-        }
-        for (_, payload) in &armed {
-            self.wire.note_timer::<A>(payload, StepDepth::ONE);
-        }
-        let out = expand(self.n, raw_out);
-        let out_at = expand_at(self.n, raw_out_at);
-        if let Some(rec) = actor.recorder_mut() {
-            for (to, _) in &out {
-                rec.record_at(
-                    self.local_seq,
-                    StepDepth::ONE.get(),
-                    dex_obs::EventKind::Send {
-                        to: to.index() as u16,
-                    },
-                );
-            }
-            for (to, _, depth) in &out_at {
-                rec.record_at(
-                    self.local_seq,
-                    depth.get(),
-                    dex_obs::EventKind::Send {
-                        to: to.index() as u16,
-                    },
-                );
-            }
-        }
-        for (to, payload) in out {
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-            let _ = self.dispatch_tx.send((
-                to.index(),
-                Envelope {
-                    from: self.me,
-                    depth: StepDepth::ONE,
-                    payload,
-                },
-            ));
-        }
-        for (to, payload, depth) in out_at {
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-            let _ = self.dispatch_tx.send((
-                to.index(),
-                Envelope {
-                    from: self.me,
-                    depth,
-                    payload,
-                },
-            ));
-        }
-        let armed_at = Instant::now();
-        for (delay, payload) in armed {
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-            self.timers.push(PendingTimer {
-                due: armed_at + Duration::from_micros(delay),
-                depth: StepDepth::ONE,
-                payload,
-            });
-        }
+    /// Rebalances the in-flight count after a host call that started with
+    /// `tokens` of this worker's in flight (its pending timers, plus the
+    /// envelope being handled if any): afterwards exactly the timers now
+    /// pending remain. Runs after the call's sends were counted, so the
+    /// total never dips to zero in between.
+    fn settle(&self, tokens: usize) {
+        let now = self.host.pending_timers() as i64;
+        self.out
+            .inflight
+            .fetch_add(now - tokens as i64, Ordering::AcqRel);
     }
 
-    /// Handles one delivery through the free [`deliver`] with this
-    /// worker's state.
+    /// Runs a boot hook (`on_start`, or [`Recoverable::restart`] on a
+    /// respawn) through the host.
+    fn boot(&mut self, actor: &mut A, hook: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
+        let tokens = self.host.pending_timers();
+        self.host.boot(actor, hook, self.out.sink());
+        self.settle(tokens);
+    }
+
+    /// Handles one network envelope through the host.
     fn handle(&mut self, actor: &mut A, env: Envelope<A::Msg>) {
-        deliver(
-            actor,
-            self.me,
-            self.n,
-            env,
-            self.start,
-            &mut self.rng,
-            &mut self.local_seq,
-            &mut self.timers,
-            &self.dispatch_tx,
-            &self.inflight,
-            &self.delivered,
-            &mut self.wire,
-        );
+        let tokens = self.host.pending_timers() + 1;
+        let sink = self.out.sink();
+        self.host
+            .deliver(actor, env.from, env.depth, &env.payload, sink);
+        self.settle(tokens);
     }
 
     /// Delivery loop: fires due timers and handles inbox envelopes until
@@ -481,43 +282,25 @@ impl<A: Actor> Worker<A> {
             if die_at.is_some_and(|at| Instant::now() >= at) {
                 return true;
             }
-            // Fire due timers, earliest first, before waiting on the
-            // inbox again.
+            // Catch up on due timers before waiting on the inbox again.
             loop {
-                let now = Instant::now();
-                let due_idx = self
-                    .timers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.due <= now)
-                    .min_by_key(|(_, t)| t.due)
-                    .map(|(idx, _)| idx);
-                let Some(idx) = due_idx else { break };
-                let timer = self.timers.remove(idx);
-                let env = Envelope {
-                    from: self.me,
-                    depth: timer.depth,
-                    payload: timer.payload,
-                };
-                self.handle(actor, env);
+                let tokens = self.host.pending_timers();
+                if !self.host.fire_due(actor, self.out.sink()) {
+                    break;
+                }
+                self.settle(tokens);
             }
-            let mut wait = self
-                .timers
-                .iter()
-                .map(|t| t.due.saturating_duration_since(Instant::now()))
-                .min()
-                .unwrap_or(Duration::from_millis(20))
-                .min(Duration::from_millis(20));
+            let mut wait = self.host.next_wait(IDLE);
             if let Some(at) = die_at {
                 wait = wait.min(at.saturating_duration_since(Instant::now()));
             }
             match self.rx.recv_timeout(wait) {
                 Ok(env) => {
-                    self.queue_depths[self.me.index()].fetch_sub(1, Ordering::AcqRel);
+                    self.queue_depths[self.out.me.index()].fetch_sub(1, Ordering::AcqRel);
                     if die_at.is_some_and(|at| Instant::now() >= at) {
                         // The kill lands before this envelope is
                         // handled: it dies with the process.
-                        self.inflight.fetch_sub(1, Ordering::AcqRel);
+                        self.out.inflight.fetch_sub(1, Ordering::AcqRel);
                         return true;
                     }
                     self.handle(actor, env);
@@ -537,19 +320,18 @@ impl<A: Actor> Worker<A> {
     /// envelope forwarded to the corpse during the window is discarded —
     /// messages to a dead process are lost, not queued for the respawn.
     fn crash(&mut self, down: Duration) {
-        let lost_timers = self.timers.len() as i64;
-        self.timers.clear();
-        self.inflight.fetch_sub(lost_timers, Ordering::AcqRel);
+        let lost_timers = self.host.drop_timers() as i64;
+        self.out.inflight.fetch_sub(lost_timers, Ordering::AcqRel);
         let until = Instant::now() + down;
         loop {
             let left = until.saturating_duration_since(Instant::now());
             if left.is_zero() || self.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            match self.rx.recv_timeout(left.min(Duration::from_millis(20))) {
+            match self.rx.recv_timeout(left.min(IDLE)) {
                 Ok(_) => {
-                    self.queue_depths[self.me.index()].fetch_sub(1, Ordering::AcqRel);
-                    self.inflight.fetch_sub(1, Ordering::AcqRel);
+                    self.queue_depths[self.out.me.index()].fetch_sub(1, Ordering::AcqRel);
+                    self.out.inflight.fetch_sub(1, Ordering::AcqRel);
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -603,23 +385,13 @@ where
         plan.victim.index(),
         actors.len()
     );
-    run_inner(
-        actors,
-        options,
-        Some(KillTask {
-            victim: plan.victim.index(),
-            after: plan.after,
-            down: plan.down,
-            rebuild: plan.rebuild,
-            restart: |a, ctx| a.restart(ctx),
-        }),
-    )
+    run_inner(actors, options, Some((plan, |a, ctx| a.restart(ctx))))
 }
 
 fn run_inner<A>(
     actors: Vec<A>,
     options: NetworkOptions,
-    mut kill: Option<KillTask<A>>,
+    mut kill: Option<(ThreadKillPlan<A>, RestartHook<A>)>,
 ) -> NetworkResult<A>
 where
     A: Actor + Send + 'static,
@@ -646,7 +418,6 @@ where
     // timer is armed, −1 after the receiving worker has fully handled the
     // delivery (including queueing its reactions). Zero ⇒ quiescent.
     let inflight = Arc::new(AtomicI64::new(0));
-    let delivered = Arc::new(AtomicI64::new(0));
     let shutdown = Arc::new(AtomicBool::new(false));
     let restarts = Arc::new(AtomicU64::new(0));
     // Respawn-pending token: held from network start until the respawned
@@ -674,8 +445,8 @@ where
                 let wait = heap
                     .peek()
                     .map(|Reverse(d)| d.due.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(20));
-                match dispatch_rx.recv_timeout(wait.min(Duration::from_millis(20))) {
+                    .unwrap_or(IDLE);
+                match dispatch_rx.recv_timeout(wait.min(IDLE)) {
                     Ok((to, env)) => {
                         let delay = Duration::from_micros(rng.random_range(lo..=hi.max(lo)));
                         seq += 1;
@@ -714,71 +485,53 @@ where
         let rx = worker_rxs.remove(0);
         let dispatch_tx = dispatch_tx.clone();
         let inflight = Arc::clone(&inflight);
-        let delivered = Arc::clone(&delivered);
         let shutdown = Arc::clone(&shutdown);
         let queue_depths = Arc::clone(&queue_depths);
         let restarts = Arc::clone(&restarts);
         let seed = options.seed;
-        let task = if kill.as_ref().is_some_and(|k| k.victim == i) {
-            kill.take()
-        } else {
-            None
-        };
+        let task = kill.take_if(|(plan, _)| plan.victim.index() == i);
         handles.push(thread::spawn(move || {
+            let me = ProcessId::new(i);
             let mut w = Worker {
-                me: ProcessId::new(i),
-                n,
-                start,
-                // Per-thread RNG; the per-process delivery sequence is the
-                // recorder's clock (wall time is not reproducible, but
-                // per-process event order is what the checker consumes).
-                rng: StdRng::seed_from_u64(seed.wrapping_add(i as u64)),
-                local_seq: 0,
-                // Per-worker wire ledger, merged across workers at join.
-                wire: NetStats::default(),
-                // Timers are local to their actor, so each worker owns
-                // its pending list (virtual units = microseconds here).
-                timers: Vec::new(),
+                // The thread boundary clones a multicast's payload once
+                // per peer channel; the ledger records that honestly.
+                host: ActorHost::new(me, n, seed, start, n as u64 - 1),
+                out: Outlet {
+                    me,
+                    n,
+                    dispatch_tx,
+                    inflight,
+                },
                 rx,
-                dispatch_tx,
-                inflight,
-                delivered,
                 shutdown,
                 queue_depths,
             };
-            w.boot(&mut actor, Time::ZERO, |a, ctx| a.on_start(ctx));
+            w.boot(&mut actor, |a, ctx| a.on_start(ctx));
             match task {
                 None => {
                     w.run(&mut actor, None);
                 }
-                Some(KillTask {
-                    after,
-                    down,
-                    rebuild,
-                    restart,
-                    ..
-                }) => {
-                    if w.run(&mut actor, Some(start + after)) {
+                Some((plan, restart)) => {
+                    if w.run(&mut actor, Some(start + plan.after)) {
                         // kill -9: the first incarnation's volatile state
                         // dies here; only what it persisted survives.
                         drop(actor);
-                        w.crash(down);
-                        actor = rebuild();
-                        let now = Time::new(start.elapsed().as_micros() as u64);
-                        w.boot(&mut actor, now, restart);
+                        w.crash(plan.down);
+                        actor = (plan.rebuild)();
+                        w.boot(&mut actor, restart);
                         restarts.fetch_add(1, Ordering::AcqRel);
                         // Recovery traffic is queued: release the
                         // respawn-pending token.
-                        w.inflight.fetch_sub(1, Ordering::AcqRel);
+                        w.out.inflight.fetch_sub(1, Ordering::AcqRel);
                         w.run(&mut actor, None);
                     } else {
                         // Cut off before the kill fired; release the
                         // token so teardown accounting stays balanced.
-                        w.inflight.fetch_sub(1, Ordering::AcqRel);
+                        w.out.inflight.fetch_sub(1, Ordering::AcqRel);
                     }
                 }
             }
-            (actor, w.wire)
+            (actor, w.host.stats().clone())
         }));
     }
     drop(dispatch_tx);
@@ -824,7 +577,7 @@ where
     NetworkResult {
         actors,
         quiescent,
-        delivered: delivered.load(Ordering::Acquire) as u64,
+        delivered: stats.delivered,
         residual_inflight,
         undrained,
         stats,

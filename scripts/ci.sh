@@ -7,13 +7,16 @@
 # Stages:
 #   lint             cargo fmt --check + clippy -D warnings (first-party)
 #   build            warning-free release build of the workspace + examples
-#   test             full test suite, example smokes, trace determinism
+#   test             full test suite (twice, default parallelism), example
+#                    smokes, trace determinism
 #   chaos-matrix     chaos schedules x seeds through the invariant checker
 #   recovery-matrix  crash-restart recovery: WAL + catch-up + resend
 #   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves
 #   netd-smoke       real-process TCP cluster: MATRIX cell + kill -9 respawn
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
 #                    fault traces, divergent-state kill -9, campaign rates
+#   benchmark-smoke  benchmark/ builds and tests offline against this
+#                    checkout; one short netlog and one simlog run exit 0
 #   bench-gate       criterion smoke + bench-regression gate vs baselines
 #   all              everything above, in order (the default)
 #
@@ -42,7 +45,11 @@ stage_build() {
 }
 
 stage_test() {
-  echo "== test"
+  # Twice, at cargo's default test parallelism: the second pass is what
+  # catches tests that share a port, a file or a global with a neighbour.
+  echo "== test (pass 1 of 2)"
+  cargo test -q --workspace
+  echo "== test (pass 2 of 2)"
   cargo test -q --workspace
 
   echo "== example smoke: quickstart, equivocation_demo"
@@ -88,6 +95,19 @@ stage_netd_chaos() {
   ./scripts/netd_chaos.sh
 }
 
+stage_benchmark_smoke() {
+  # benchmark/ is a package of its own that reaches the program through
+  # path dependencies and public items only (dex_netd::{Endpoint, Mesh},
+  # dex_simnet, ...): a signature change there breaks this build, not the
+  # workspace's.
+  echo "== benchmark smoke: build + test benchmark/ offline"
+  (cd benchmark && cargo test --release --offline -q)
+
+  echo "== benchmark smoke: netlog-n7-w1 and simlog-n31, 3 s each, every output check"
+  bash benchmark/run.sh --workload netlog-n7-w1 --seconds 3 > /dev/null
+  bash benchmark/run.sh --workload simlog-n31 --seconds 3 > /dev/null
+}
+
 stage_bench_gate() {
   echo "== bench smoke: view_ops"
   # CRITERION_MEASURE_MS keeps the smoke run short; the bench harness reads
@@ -99,7 +119,7 @@ stage_bench_gate() {
 }
 
 usage() {
-  sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 stage="${1:-all}"
@@ -112,6 +132,7 @@ case "$stage" in
   campaign-smoke) stage_campaign_smoke ;;
   netd-smoke) stage_netd_smoke ;;
   netd-chaos) stage_netd_chaos ;;
+  benchmark-smoke) stage_benchmark_smoke ;;
   bench-gate) stage_bench_gate ;;
   all)
     stage_lint
@@ -122,6 +143,7 @@ case "$stage" in
     stage_campaign_smoke
     stage_netd_smoke
     stage_netd_chaos
+    stage_benchmark_smoke
     stage_bench_gate
     echo "== ci OK"
     ;;

@@ -2,9 +2,10 @@
 //!
 //! Two argv forms, dispatched by `dex_netd::cluster::main`:
 //!
-//! * `dex-netd --cluster [spec flags] [--port-base P] [--slots K]
-//!   [--window W] [--phase cells|kill9|both]` — the parent harness:
-//!   spawns `n` local child processes per run, drives fault-free MATRIX
+//! * `dex-netd --cluster [spec flags] [--slots K] [--window W]
+//!   [--phase cells|kill9|both]` — the parent harness: reserves `n` free
+//!   loopback ports (or takes `--peers`), spawns `n` child processes per
+//!   run, drives fault-free MATRIX
 //!   consensus cells and the kill -9 + respawn replication schedule, and
 //!   writes `BENCH_netd.json` + `results/netd_<seed>.json`. Add
 //!   `--chaos <schedule>` to inject the schedule's faults onto the live

@@ -11,7 +11,8 @@
 //! while the victim is down, byte-identical committed prefixes after the
 //! respawn. The harness itself asserts agreement, convergence and the
 //! restart count; these tests assert the harness succeeds and emits the
-//! artifacts.
+//! artifacts — and (e) that a child which dies instead of reporting fails
+//! the run at once, with its id, exit status and stderr.
 
 use std::path::Path;
 use std::process::Command;
@@ -237,6 +238,43 @@ fn campaign_cell_records_wall_clock_rates_next_to_simnet_rates() {
     assert!(
         report.contains("\"netd\":{\"fast\":") && report.contains("\"simnet\":{\"fast\":"),
         "campaign artifact shape: {report}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_child_that_cannot_bind_fails_the_run_at_once_with_its_stderr() {
+    use std::net::TcpListener;
+    let dir = scratch_dir("bind-failure");
+    // Process 0's listen address is taken: its bind must fail. The other
+    // four addresses are free (probed, then released).
+    let squatter = TcpListener::bind("127.0.0.1:0").expect("squatter");
+    let free: Vec<TcpListener> = (0..4)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("probe"))
+        .collect();
+    let peers: Vec<String> = std::iter::once(&squatter)
+        .chain(&free)
+        .map(|l| format!("127.0.0.1:{}", l.local_addr().expect("addr").port()))
+        .collect();
+    drop(free);
+    let started = std::time::Instant::now();
+    let output = Command::new(env!("CARGO_BIN_EXE_dex-netd"))
+        .current_dir(&dir)
+        .args(["--cluster", "--n", "5", "--t", "0", "--phase", "cells"])
+        .args(["--runs", "1", "--timeout-secs", "120", "--peers"])
+        .arg(peers.join(","))
+        .output()
+        .expect("spawn dex-netd");
+    let took = started.elapsed();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "a dead child must fail the run");
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "the failure must not wait out the 120 s budget (took {took:?})"
+    );
+    assert!(
+        stderr.contains("process 0 exited") && stderr.contains("bind: "),
+        "the report must name the child and carry its stderr:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
