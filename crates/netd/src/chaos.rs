@@ -8,8 +8,8 @@
 //! injection point is the writer/reader boundary inside the mesh: a
 //! [`ChaosRuntime`] is consulted once per logical send (the drop / dup /
 //! hold verdict of [`FaultSchedule::verdict`], the very function the
-//! simulator calls) and once per physical write (mid-frame connection
-//! tears, for the reconnect suite).
+//! simulator calls) and once per frame the writer offers to a socket
+//! (mid-frame connection tears, for the reconnect suite).
 //!
 //! # Determinism story
 //!
@@ -52,15 +52,20 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deliberate mid-frame connection tear: the writer sends exactly
-/// `offset` bytes of the frame, then kills the socket. Built only by
+/// A deliberate mid-frame connection tear: the writer sends the whole
+/// frames batched ahead of this one and exactly `offset` bytes of it,
+/// then kills the socket. Built only by
 /// tests ([`ChaosRuntime::with_tears`]) — `ChaosSpec` schedules never
 /// tear, they drop whole frames like the simulator does.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TearPoint {
     /// Destination process of the torn link.
     pub to: usize,
-    /// Zero-based index of the physical write attempt to tear.
+    /// Which frame to tear: the zero-based count of frames the writer has
+    /// offered to this link's socket, in queue order. The writer coalesces
+    /// many frames into one `write`, so this counts frames, not syscalls;
+    /// a frame requeued after a tear or a dead connection is offered — and
+    /// counted — again.
     pub attempt: u64,
     /// Byte offset to cut at (clamped to `1..frame_len` at tear time, so
     /// the peer always observes a genuinely torn frame, never a clean
@@ -80,7 +85,7 @@ struct LinkChaos {
     dups: u64,
     held: u64,
     torn: u64,
-    /// Physical write attempts (tear schedule index).
+    /// Frames offered to the socket so far (tear schedule index).
     write_attempts: u64,
 }
 
@@ -219,10 +224,10 @@ impl ChaosRuntime {
         verdict
     }
 
-    /// Consulted by the writer before each physical write to `to`:
-    /// `Some(offset)` tears the connection after `offset` bytes of this
-    /// frame. Offsets are clamped to `1..frame_len` so a tear is never a
-    /// clean frame boundary.
+    /// Consulted by the writer once for each frame it is about to offer
+    /// to `to`'s socket, in queue order: `Some(offset)` tears the
+    /// connection after `offset` bytes of this frame. Offsets are clamped
+    /// to `1..frame_len` so a tear is never a clean frame boundary.
     pub fn tear_len(&self, to: ProcessId, frame_len: usize) -> Option<usize> {
         let link = self.links[to.index()].as_ref()?;
         let mut link = link.lock().expect("chaos link lock");

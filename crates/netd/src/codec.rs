@@ -329,6 +329,7 @@ impl<M: WireCodec> WireCodec for ReliableMsg<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_frame, write_frame};
 
     #[test]
     fn primitives_round_trip() {
@@ -362,9 +363,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replica_msg_round_trips_every_variant() {
-        let msgs: Vec<ReplicaMsg<u64>> = vec![
+    fn replica_msgs() -> Vec<ReplicaMsg<u64>> {
+        vec![
             ReplicaMsg::Slot {
                 slot: 9,
                 inner: DexMsg::Proposal(1),
@@ -382,10 +382,27 @@ mod tests {
                 entries: vec![(4, ProcessId::new(2), 8)],
             },
             ReplicaMsg::EchoFlushTick,
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    #[test]
+    fn replica_msg_round_trips_every_variant() {
+        for msg in replica_msgs() {
             let bytes = msg.to_bytes();
             assert_eq!(ReplicaMsg::from_bytes(&bytes), Some(msg));
+        }
+    }
+
+    /// The endpoint encodes header and payload into one buffer; tests and
+    /// probes frame a finished payload. Same bytes either way.
+    #[test]
+    fn framing_in_place_equals_framing_a_finished_payload() {
+        let mut scratch = vec![0xEE; 3]; // appended to, never overwritten
+        for (depth, msg) in replica_msgs().iter().enumerate() {
+            scratch.truncate(3);
+            write_frame(&mut scratch, 2, depth as u32, |out| msg.encode(out));
+            assert_eq!(scratch[..3], [0xEE; 3]);
+            assert_eq!(scratch[3..], encode_frame(2, depth as u32, &msg.to_bytes()));
         }
     }
 

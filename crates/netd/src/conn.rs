@@ -14,9 +14,11 @@
 //!   re-adopted without any coordination.
 //! * **Outbound buffering while a peer is down** — sends enqueue encoded
 //!   frames per peer ([`MAX_QUEUE`] cap, oldest dropped beyond it); a
-//!   dedicated writer thread per peer flushes the queue whenever a live
-//!   stream is installed. Frames share one allocation across the fan-out
-//!   (`Arc<[u8]>`), so a multicast clones nothing.
+//!   dedicated writer thread per peer drains the queue whenever a live
+//!   stream is installed, handing the kernel every releasable frame at
+//!   the head of the queue in one coalesced write. Frames share one
+//!   allocation across the fan-out (`Arc<[u8]>`), so a multicast clones
+//!   nothing.
 //!
 //! Frames that were handed to a connection that later died are *lost*,
 //! not retried: netd offers the same at-most-once delivery the simulator
@@ -29,9 +31,9 @@ use dex_harness::spec::AddressTable;
 use dex_simnet::Verdict;
 use dex_types::{ProcessId, StepDepth};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
@@ -44,6 +46,30 @@ pub const BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// Per-peer outbound queue cap, in frames. Beyond it the *oldest* frames
 /// are dropped first: fresher consensus traffic supersedes stale.
 pub const MAX_QUEUE: usize = 1 << 16;
+/// Most bytes one coalesced write carries, so one peer's backlog cannot
+/// grow an unbounded write buffer. A batch always takes at least its head
+/// frame, however large.
+const MAX_BATCH_BYTES: usize = 64 * 1024;
+
+/// What a [`Mesh`] has done so far, summed over its peers.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct MeshCounters {
+    /// `write` calls that handed bytes to a socket.
+    pub socket_writes: u64,
+    /// Whole frames handed to a socket (a torn or failed frame counts
+    /// when its retry goes through).
+    pub frames_written: u64,
+    /// Frames dropped, oldest first, from a peer queue past [`MAX_QUEUE`].
+    pub queue_dropped: u64,
+}
+
+/// The live form of [`MeshCounters`]: statistics only, so relaxed.
+#[derive(Default)]
+struct Counters {
+    socket_writes: AtomicU64,
+    frames_written: AtomicU64,
+    queue_dropped: AtomicU64,
+}
 
 /// One message received from a peer, as the event loop consumes it.
 #[derive(Debug)]
@@ -67,6 +93,14 @@ struct QueuedFrame {
     not_before: Option<Instant>,
 }
 
+impl QueuedFrame {
+    /// How much longer the chaos layer holds this frame, if it still does.
+    fn held_for(&self) -> Option<Duration> {
+        let wait = self.not_before?.saturating_duration_since(Instant::now());
+        (!wait.is_zero()).then_some(wait)
+    }
+}
+
 /// Outbound state for one peer.
 struct PeerState {
     queue: VecDeque<QueuedFrame>,
@@ -84,11 +118,13 @@ struct PeerState {
 struct Peer {
     state: Mutex<PeerState>,
     cv: Condvar,
+    counters: Arc<Counters>,
 }
 
 impl Peer {
-    fn new() -> Arc<Peer> {
+    fn new(counters: Arc<Counters>) -> Arc<Peer> {
         Arc::new(Peer {
+            counters,
             state: Mutex::new(PeerState {
                 queue: VecDeque::new(),
                 stream: None,
@@ -130,18 +166,25 @@ impl Peer {
         Some(st.generation)
     }
 
-    /// Clears the stream if `generation` still names the live connection.
+    /// Clears the stream if `generation` still names the live connection,
+    /// and wakes the writer so it lets go of its handle on that stream —
+    /// the socket closes, and the remote end learns the link is dead, only
+    /// when the last handle drops.
     fn uninstall(&self, generation: u64) {
         let mut st = self.state.lock().expect("peer lock");
         if st.generation == generation {
             st.stream = None;
+            self.cv.notify_all();
         }
     }
 
     fn enqueue(&self, frame: Arc<[u8]>, not_before: Option<Instant>) {
         let mut st = self.state.lock().expect("peer lock");
-        if st.queue.len() >= MAX_QUEUE {
+        // `while`: a failed batch requeued at the head can leave the queue
+        // over the cap by more than one.
+        while st.queue.len() >= MAX_QUEUE {
             st.queue.pop_front();
+            self.counters.queue_dropped.fetch_add(1, Ordering::Relaxed);
         }
         st.queue.push_back(QueuedFrame {
             bytes: frame,
@@ -167,6 +210,7 @@ pub struct Mesh {
     rx: Receiver<Delivery>,
     shutdown: Arc<AtomicBool>,
     chaos: Option<Arc<ChaosRuntime>>,
+    counters: Arc<Counters>,
 }
 
 impl Mesh {
@@ -193,13 +237,14 @@ impl Mesh {
         let (tx, rx) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
         let addrs = Arc::new(addrs);
+        let counters = Arc::new(Counters::default());
         let mut peers: Vec<Option<Arc<Peer>>> = Vec::with_capacity(n);
         for j in 0..n {
             if j == me.index() {
                 peers.push(None);
                 continue;
             }
-            let peer = Peer::new();
+            let peer = Peer::new(Arc::clone(&counters));
             spawn_writer(ProcessId::new(j), Arc::clone(&peer), chaos.clone());
             if j < me.index() {
                 spawn_dialer(
@@ -220,6 +265,7 @@ impl Mesh {
             rx,
             shutdown,
             chaos,
+            counters,
         })
     }
 
@@ -266,6 +312,15 @@ impl Mesh {
             .count()
     }
 
+    /// What the writers and queues have done so far.
+    pub fn counters(&self) -> MeshCounters {
+        MeshCounters {
+            socket_writes: self.counters.socket_writes.load(Ordering::Relaxed),
+            frames_written: self.counters.frames_written.load(Ordering::Relaxed),
+            queue_dropped: self.counters.queue_dropped.load(Ordering::Relaxed),
+        }
+    }
+
     /// Signals every mesh thread to wind down. Threads are detached and
     /// exit within one poll interval; sockets close with the process.
     pub fn shutdown(&self) {
@@ -282,72 +337,145 @@ impl Drop for Mesh {
     }
 }
 
-/// Writer thread: flushes one peer's queue whenever a stream is live and
-/// the head frame's chaos release time (if any) has been reached. Under a
-/// chaos runtime it also executes scheduled mid-frame connection tears —
-/// writing a strict prefix of the frame, killing the socket, and
-/// requeueing the *full* frame at the head, so the reconnect path (not
-/// the chaos layer) is what restores delivery: no frame is lost, and the
-/// peer's torn prefix dies with the condemned connection, so none is
-/// duplicated either.
+/// Writer thread: whenever a stream is live, drains the releasable run at
+/// the head of one peer's queue — every frame up to the first one whose
+/// chaos release time is still ahead, or [`MAX_BATCH_BYTES`] — under one
+/// lock, concatenates it and hands it to the kernel in one write loop,
+/// through a stream handle cloned once per connection generation. What
+/// the per-frame guarantees rest on:
+///
+/// * **FIFO through a hold.** A held frame ends the batch; at the head it
+///   blocks the queue until its release instant, like real TCP through a
+///   partition.
+/// * **At-most-once after hand-off.** The write loop counts the bytes the
+///   kernel accepted. When the connection dies, exactly the frames not
+///   fully written go back to the head of the queue, in order, for the
+///   next incarnation; a frame the peer may already have parsed is never
+///   resent. The peer's partial frame dies with the socket, so there is
+///   no resync issue.
+/// * **Tears.** Under a chaos runtime every frame is offered to
+///   [`ChaosRuntime::tear_len`] once, in queue order. A torn frame ends
+///   the batch: the whole frames before it go out, then a strict prefix
+///   of it, then the socket is killed — and the byte accounting requeues
+///   the *full* frame and everything behind it, so the reconnect path
+///   (not the chaos layer) is what restores delivery.
+/// * **Generations.** The handle is dropped when the peer's generation
+///   moves, when the slot is cleared, or when a write fails; a stale
+///   writer error cannot clear a newer connection.
 fn spawn_writer(to: ProcessId, peer: Arc<Peer>, chaos: Option<Arc<ChaosRuntime>>) {
-    thread::spawn(move || loop {
-        let (frame, release, stream, generation) = {
-            let mut st = peer.state.lock().expect("peer lock");
-            loop {
-                // On shutdown, drain what a live stream can still take;
-                // exit once the queue is empty or the connection is gone.
-                if st.shutdown && (st.queue.is_empty() || st.stream.is_none()) {
-                    return;
+    thread::spawn(move || {
+        // All three grow on demand: most links never see a large batch.
+        let mut handle: Option<(u64, TcpStream)> = None;
+        let mut batch: Vec<QueuedFrame> = Vec::new();
+        let mut wire: Vec<u8> = Vec::new();
+        loop {
+            {
+                let mut st = peer.state.lock().expect("peer lock");
+                loop {
+                    // Let go of a superseded or cleared connection: the
+                    // socket closes when its last handle drops.
+                    handle = handle.filter(|(g, _)| *g == st.generation && st.stream.is_some());
+                    // On shutdown, drain what a live stream can still take;
+                    // exit once the queue is empty or the connection is gone.
+                    if st.shutdown && (st.queue.is_empty() || st.stream.is_none()) {
+                        return;
+                    }
+                    if st.stream.is_some() && !st.queue.is_empty() {
+                        // A held head blocks the queue until its release
+                        // instant (FIFO, like real TCP through a partition).
+                        let Some(wait) = st.queue.front().and_then(QueuedFrame::held_for) else {
+                            break;
+                        };
+                        let (next, _) = peer.cv.wait_timeout(st, wait).expect("peer lock");
+                        st = next;
+                        continue;
+                    }
+                    st = peer.cv.wait(st).expect("peer lock");
                 }
-                if st.stream.is_some() && !st.queue.is_empty() {
-                    // A held head blocks the queue until its release
-                    // instant (FIFO, like real TCP through a partition).
-                    let hold = st.queue.front().and_then(|f| {
-                        f.not_before
-                            .map(|at| at.saturating_duration_since(Instant::now()))
-                    });
-                    match hold {
-                        Some(wait) if !wait.is_zero() => {
-                            let (next, _) = peer.cv.wait_timeout(st, wait).expect("peer lock");
-                            st = next;
+                if handle.is_none() {
+                    match st.stream.as_ref().expect("checked some").try_clone() {
+                        Ok(s) => handle = Some((st.generation, s)),
+                        Err(_) => {
+                            // No handle, no connection: wait for the next.
+                            st.stream = None;
                             continue;
                         }
-                        _ => break,
                     }
                 }
-                st = peer.cv.wait(st).expect("peer lock");
+                let mut bytes = 0;
+                while let Some(head) = st.queue.front() {
+                    let full = bytes + head.bytes.len() > MAX_BATCH_BYTES;
+                    if !batch.is_empty() && (full || head.held_for().is_some()) {
+                        break;
+                    }
+                    bytes += head.bytes.len();
+                    batch.push(st.queue.pop_front().expect("checked non-empty"));
+                }
             }
-            let frame = st.queue.pop_front().expect("checked non-empty");
-            let stream = st.stream.as_ref().expect("checked some").try_clone();
-            (frame.bytes, frame.not_before, stream, st.generation)
-        };
-        let tear = chaos.as_ref().and_then(|c| c.tear_len(to, frame.len()));
-        let ok = match (stream, tear) {
-            (Ok(mut s), None) => s.write_all(&frame).is_ok(),
-            (Ok(mut s), Some(cut)) => {
-                // Deliberate mid-frame tear: send a strict prefix, then
-                // condemn the connection. Counts as a write failure below,
-                // so the full frame is requeued for the next incarnation.
-                let _ = s.write_all(&frame[..cut]);
-                let _ = s.flush();
-                let _ = s.shutdown(Shutdown::Both);
-                false
+            let (generation, stream) = handle.as_mut().expect("cloned above");
+            let mut torn = false;
+            for frame in &batch {
+                match chaos
+                    .as_ref()
+                    .and_then(|c| c.tear_len(to, frame.bytes.len()))
+                {
+                    None => wire.extend_from_slice(&frame.bytes),
+                    Some(cut) => {
+                        wire.extend_from_slice(&frame.bytes[..cut]);
+                        torn = true;
+                        break;
+                    }
+                }
             }
-            (Err(_), _) => false,
-        };
-        if !ok {
-            // The connection died mid-frame: drop it (the peer's frame
-            // buffer dies with the socket, so no resync issue) and put
-            // the unsent frame back for the next incarnation.
-            let mut st = peer.state.lock().expect("peer lock");
-            if st.generation == generation {
-                st.stream = None;
+            let mut written = 0;
+            while written < wire.len() {
+                match stream.write(&wire[written..]) {
+                    Ok(0) => break,
+                    Ok(k) => {
+                        written += k;
+                        peer.counters.socket_writes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => break,
+                }
             }
-            st.queue.push_front(QueuedFrame {
-                bytes: frame,
-                not_before: release,
-            });
+            let dead = torn || written < wire.len();
+            if torn {
+                // Deliberate mid-frame tear: the strict prefix is out,
+                // now condemn the connection.
+                let _ = stream.flush();
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            // The frames the kernel took whole are gone for good; the rest
+            // of the batch (if the connection died) is the unsent tail.
+            let mut end = 0;
+            let sent = batch
+                .iter()
+                .take_while(|frame| {
+                    end += frame.bytes.len();
+                    end <= written
+                })
+                .count();
+            peer.counters
+                .frames_written
+                .fetch_add(sent as u64, Ordering::Relaxed);
+            if dead {
+                let mut st = peer.state.lock().expect("peer lock");
+                if st.generation == *generation {
+                    st.stream = None;
+                }
+                for frame in batch.drain(sent..).rev() {
+                    st.queue.push_front(frame);
+                }
+                handle = None;
+            }
+            batch.clear();
+            if wire.len() > MAX_BATCH_BYTES {
+                // An oversized head frame: don't keep its buffer around.
+                wire = Vec::new();
+            } else {
+                wire.clear();
+            }
         }
     });
 }
@@ -471,7 +599,6 @@ fn identify(stream: &TcpStream) -> Option<(usize, FrameBuf)> {
     // otherwise defeat the read timeout indefinitely.
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut buf = FrameBuf::new();
-    let mut chunk = [0u8; 256];
     loop {
         if let Ok(Some(frame)) = buf.next_frame() {
             let sender = hello_sender(&frame)?;
@@ -481,9 +608,9 @@ fn identify(stream: &TcpStream) -> Option<(usize, FrameBuf)> {
         if Instant::now() >= deadline {
             return None;
         }
-        match s.read(&mut chunk) {
+        match buf.read_from(&mut s) {
             Ok(0) | Err(_) => return None,
-            Ok(k) => buf.extend(&chunk[..k]),
+            Ok(_) => {}
         }
     }
 }
@@ -499,7 +626,6 @@ fn read_frames(
     mut buf: FrameBuf,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut chunk = [0u8; 64 * 1024];
     // Drain frames the identify step may already have buffered, then the
     // socket.
     loop {
@@ -523,9 +649,9 @@ fn read_frames(
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        match stream.read(&mut chunk) {
+        match buf.read_from(&mut stream) {
             Ok(0) => return, // orderly close
-            Ok(k) => buf.extend(&chunk[..k]),
+            Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return,
@@ -538,6 +664,7 @@ mod tests {
     use super::*;
     use crate::frame::encode_frame;
     use crate::listener::free_loopback_addrs;
+    use std::io::Read;
 
     #[test]
     fn three_process_mesh_delivers_both_directions() {
@@ -588,5 +715,148 @@ mod tests {
         assert_eq!(d.from, ProcessId::new(1));
         assert_eq!(d.payload, b"early");
         assert_eq!(d.depth, StepDepth::new(2));
+    }
+
+    /// Receives `count` frames from `mesh`, asserting they carry the
+    /// depths `0..count` in order, and returns when each arrived.
+    fn recv_in_order(mesh: &Mesh, count: u32) -> Vec<Instant> {
+        (0..count)
+            .map(|i| {
+                let d = mesh
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("delivery within deadline");
+                assert_eq!(d.depth, StepDepth::new(i), "frames arrive in queue order");
+                Instant::now()
+            })
+            .collect()
+    }
+
+    /// Polls until the writers have accounted for `frames` frames (the
+    /// receiver can see the last bytes before the writer's counter moves).
+    fn counters_at(mesh: &Mesh, frames: u64) -> MeshCounters {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while mesh.counters().frames_written < frames && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        mesh.counters()
+    }
+
+    #[test]
+    fn a_backlog_goes_out_in_few_bounded_writes() {
+        let addrs = free_loopback_addrs(2).expect("free ports");
+        // 1 000 frames queue up before the peer exists, so the writer
+        // finds them all at its first wake-up.
+        let m1 = Mesh::with_net(ProcessId::new(1), addrs.clone(), None).expect("bind 1");
+        let mut bytes = 0;
+        for i in 0..1000 {
+            let frame = encode_frame(1, i, &[i as u8; 100]);
+            bytes += frame.len();
+            m1.send(ProcessId::new(0), frame.into());
+        }
+        let m0 = Mesh::with_net(ProcessId::new(0), addrs, None).expect("bind 0");
+        recv_in_order(&m0, 1000);
+        let counters = counters_at(&m1, 1000);
+        assert_eq!(counters.frames_written, 1000);
+        assert_eq!(counters.queue_dropped, 0);
+        // At least one write per MAX_BATCH_BYTES; short writes may add a
+        // few, but nowhere near one per frame.
+        let batches = bytes.div_ceil(MAX_BATCH_BYTES) as u64;
+        assert!(batches >= 2, "the backlog spans more than one batch");
+        assert!(
+            (batches..100).contains(&counters.socket_writes),
+            "{counters:?} for {batches} batches"
+        );
+    }
+
+    #[test]
+    fn frames_larger_than_the_batch_cap_still_go_out() {
+        let addrs = free_loopback_addrs(2).expect("free ports");
+        let m1 = Mesh::with_net(ProcessId::new(1), addrs.clone(), None).expect("bind 1");
+        let sizes = [
+            10,
+            2 * MAX_BATCH_BYTES,
+            10,
+            MAX_BATCH_BYTES + 1,
+            MAX_BATCH_BYTES,
+        ];
+        for (i, size) in sizes.iter().enumerate() {
+            let frame = encode_frame(1, i as u32, &vec![i as u8; *size]);
+            m1.send(ProcessId::new(0), frame.into());
+        }
+        let m0 = Mesh::with_net(ProcessId::new(0), addrs, None).expect("bind 0");
+        for (i, size) in sizes.iter().enumerate() {
+            let d = m0
+                .recv_timeout(Duration::from_secs(10))
+                .expect("delivery within deadline");
+            assert_eq!(d.depth, StepDepth::new(i as u32));
+            assert_eq!(d.payload, vec![i as u8; *size]);
+        }
+        assert_eq!(counters_at(&m1, 5).frames_written, 5);
+    }
+
+    #[test]
+    fn the_oldest_frames_past_the_queue_cap_are_dropped_and_counted() {
+        let addrs = free_loopback_addrs(2).expect("free ports");
+        let m1 = Mesh::with_net(ProcessId::new(1), addrs.clone(), None).expect("bind 1");
+        let extra = 5;
+        for i in 0..(MAX_QUEUE + extra) as u32 {
+            m1.send(ProcessId::new(0), encode_frame(1, i, &[]).into());
+        }
+        assert_eq!(m1.counters().queue_dropped, extra as u64);
+        let m0 = Mesh::with_net(ProcessId::new(0), addrs, None).expect("bind 0");
+        let first = m0
+            .recv_timeout(Duration::from_secs(10))
+            .expect("delivery within deadline");
+        assert_eq!(first.depth, StepDepth::new(extra as u32));
+    }
+
+    #[test]
+    fn a_held_frame_is_not_overtaken_and_delays_nothing_ahead_of_it() {
+        let addrs = free_loopback_addrs(2).expect("free ports");
+        let m1 = Mesh::with_net(ProcessId::new(1), addrs.clone(), None).expect("bind 1");
+        let m0 = Mesh::with_net(ProcessId::new(0), addrs, None).expect("bind 0");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while m0.connected() + m1.connected() < 2 {
+            assert!(Instant::now() < deadline, "the link never came up");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // Frames 0 and 1 are free, 2 is held (as a partition or a crash
+        // window would hold it), 3 and 4 queue up behind it. The hold is
+        // long enough that a loaded machine still delivers 0 and 1 inside it.
+        let release = Instant::now() + Duration::from_millis(200);
+        let peer = m1.peers[0].as_ref().expect("peer slot");
+        for i in 0..5 {
+            let frame = encode_frame(1, i, b"x").into();
+            peer.enqueue(frame, (i == 2).then_some(release));
+        }
+        let at = recv_in_order(&m0, 5);
+        assert!(at[1] < release, "frames ahead of the hold are not delayed");
+        assert!(at[2] >= release, "the held frame waits for its instant");
+    }
+
+    #[test]
+    fn a_condemned_connection_closes_although_the_writer_holds_a_handle() {
+        let addrs = free_loopback_addrs(2).expect("free ports");
+        let m0 = Mesh::with_net(ProcessId::new(0), addrs.clone(), None).expect("bind 0");
+        // Process 1 by hand: dial, say hello, and take one frame, so that
+        // m0's writer has cloned its handle on this connection.
+        let mut raw = TcpStream::connect((addrs.host(0), addrs.port(0))).expect("dial");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        raw.write_all(&crate::frame::hello_frame(1)).expect("hello");
+        let frame = encode_frame(1, 0, b"x");
+        m0.send(ProcessId::new(1), frame.clone().into());
+        let mut got = vec![0; frame.len()];
+        raw.read_exact(&mut got).expect("the frame arrives");
+        assert_eq!(got, frame);
+        // An impossible length prefix makes m0's reader condemn the
+        // connection. The dialer must see it close — and redial — rather
+        // than wait on a socket the idle writer keeps open.
+        raw.write_all(&0u32.to_le_bytes()).expect("corrupt prefix");
+        match raw.read(&mut [0; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            other => panic!("the connection stayed open: {other:?}"),
+        }
     }
 }

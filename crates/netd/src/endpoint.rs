@@ -17,8 +17,8 @@
 
 use crate::chaos::ChaosRuntime;
 use crate::codec::WireCodec;
-use crate::conn::{Delivery, Mesh};
-use crate::frame::{class_byte, encode_frame};
+use crate::conn::{Delivery, Mesh, MeshCounters};
+use crate::frame::{class_byte, write_frame};
 use dex_harness::spec::AddressTable;
 use dex_simnet::{Actor, ActorHost, Context, NetStats, Recoverable};
 use dex_types::{Dest, ProcessId, StepDepth};
@@ -39,16 +39,20 @@ where
     host: ActorHost<A>,
     mesh: Mesh,
     local: LocalQueue<A::Msg>,
+    /// Encode buffer, reused across sends.
+    scratch: Vec<u8>,
     chaos: Option<Arc<ChaosRuntime>>,
     /// Frames whose payload failed to decode (hostile or torn peer).
     pub decode_failures: u64,
 }
 
-/// The host's send sink on this runtime: encode once, share the frame
-/// allocation across the fan-out, keep self-addressed copies local.
+/// The host's send sink on this runtime: encode once — header and payload
+/// straight into `scratch`, one allocation for the shared frame — share
+/// that allocation across the fan-out, keep self-addressed copies local.
 fn wire_sink<'a, A: Actor>(
     mesh: &'a Mesh,
     local: &'a mut LocalQueue<A::Msg>,
+    scratch: &'a mut Vec<u8>,
     me: ProcessId,
     n: usize,
 ) -> impl FnMut(Dest, A::Msg, StepDepth) + 'a
@@ -60,12 +64,10 @@ where
             local.push_back((depth, payload));
             return;
         }
-        let frame: Arc<[u8]> = encode_frame(
-            class_byte(A::msg_class(&payload)),
-            depth.get(),
-            &payload.to_bytes(),
-        )
-        .into();
+        scratch.clear();
+        let class = class_byte(A::msg_class(&payload));
+        write_frame(scratch, class, depth.get(), |out| payload.encode(out));
+        let frame: Arc<[u8]> = Arc::from(&scratch[..]);
         match dest {
             Dest::To(to) => mesh.send(to, frame),
             Dest::All => {
@@ -103,6 +105,7 @@ where
             mesh: Mesh::with_net(me, addrs, chaos.clone())?,
             host: ActorHost::new(me, n, seed, Instant::now(), 0),
             local: VecDeque::new(),
+            scratch: Vec::new(),
             chaos,
             decode_failures: 0,
         })
@@ -126,13 +129,13 @@ where
 
     fn boot_with(&mut self, hook: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
         let (me, n) = (self.host.me(), self.host.n());
-        let sink = wire_sink::<A>(&self.mesh, &mut self.local, me, n);
+        let sink = wire_sink::<A>(&self.mesh, &mut self.local, &mut self.scratch, me, n);
         self.host.boot(&mut self.actor, hook, sink);
     }
 
     fn deliver(&mut self, from: ProcessId, depth: StepDepth, msg: &A::Msg) {
         let (me, n) = (self.host.me(), self.host.n());
-        let sink = wire_sink::<A>(&self.mesh, &mut self.local, me, n);
+        let sink = wire_sink::<A>(&self.mesh, &mut self.local, &mut self.scratch, me, n);
         self.host.deliver(&mut self.actor, from, depth, msg, sink);
     }
 
@@ -155,7 +158,7 @@ where
         }
         // Due timers first, earliest first.
         let (me, n) = (self.host.me(), self.host.n());
-        let sink = wire_sink::<A>(&self.mesh, &mut self.local, me, n);
+        let sink = wire_sink::<A>(&self.mesh, &mut self.local, &mut self.scratch, me, n);
         if self.host.fire_due(&mut self.actor, sink) {
             return true;
         }
@@ -205,6 +208,11 @@ where
     /// Live peer connections (diagnostic).
     pub fn connected(&self) -> usize {
         self.mesh.connected()
+    }
+
+    /// What the mesh's writers and queues have done so far.
+    pub fn mesh_counters(&self) -> MeshCounters {
+        self.mesh.counters()
     }
 }
 

@@ -21,6 +21,7 @@
 //! resynchronizes inside a stream, it reconnects.
 
 use dex_simnet::MsgClass;
+use std::io::{self, Read};
 
 /// Frames larger than this are rejected as corrupt: no legitimate DEX or
 /// replication message gets anywhere near 16 MiB, so an insane length
@@ -74,15 +75,31 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Encodes one frame.
-pub fn encode_frame(class: u8, depth: u32, payload: &[u8]) -> Vec<u8> {
-    let total = FRAME_OVERHEAD + payload.len();
-    debug_assert!(total as u32 <= MAX_FRAME);
-    let mut out = Vec::with_capacity(LEN_PREFIX + total);
-    out.extend_from_slice(&(total as u32).to_le_bytes());
+/// Appends one frame to `out`, the payload written in place by `body`:
+/// the header goes down with a length placeholder, `body` encodes
+/// straight after it, and the length is patched once the payload's size
+/// is known. The one definition of the wire layout — [`encode_frame`] and
+/// the endpoint's send path both come through here.
+pub(crate) fn write_frame(
+    out: &mut Vec<u8>,
+    class: u8,
+    depth: u32,
+    body: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    out.extend_from_slice(&[0; LEN_PREFIX]);
     out.push(class);
     out.extend_from_slice(&depth.to_le_bytes());
-    out.extend_from_slice(payload);
+    body(out);
+    let total = out.len() - start - LEN_PREFIX;
+    debug_assert!(total <= MAX_FRAME as usize);
+    out[start..start + LEN_PREFIX].copy_from_slice(&(total as u32).to_le_bytes());
+}
+
+/// Encodes one frame around an already-encoded payload.
+pub fn encode_frame(class: u8, depth: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(LEN_PREFIX + FRAME_OVERHEAD + payload.len());
+    write_frame(&mut out, class, depth, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -116,9 +133,19 @@ pub fn hello_sender(frame: &Frame) -> Option<usize> {
 /// ```
 #[derive(Default, Debug)]
 pub struct FrameBuf {
+    /// Storage, zero-initialised up to its length so a socket can read
+    /// straight into the part past `end`.
     buf: Vec<u8>,
+    /// Start of the bytes not yet parsed into a frame.
     pos: usize,
+    /// End of the bytes received so far.
+    end: usize,
 }
+
+/// Smallest spare room [`FrameBuf::read_from`] offers a read.
+const READ_MIN: usize = 4096;
+/// Largest: a read that fills its room doubles the storage up to this.
+const READ_MAX: usize = 64 * 1024;
 
 impl FrameBuf {
     /// An empty accumulator.
@@ -126,25 +153,58 @@ impl FrameBuf {
         FrameBuf::default()
     }
 
-    /// Appends raw bytes read from the socket.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Reclaim the consumed prefix before growing, so a long-lived
-        // connection doesn't accrete every frame it ever parsed.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos > 4096) {
-            self.buf.drain(..self.pos);
+    /// Makes room for `want` more bytes past `end`: reclaims the consumed
+    /// prefix first, so a long-lived connection doesn't accrete every
+    /// frame it ever parsed, and grows the storage only when the unparsed
+    /// tail itself leaves too little.
+    fn make_room(&mut self, want: usize) {
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end < want && self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.end < want {
+            let len = (self.end + want).max(self.buf.len() * 2);
+            self.buf.resize(len, 0);
+        }
+    }
+
+    /// Appends raw bytes read from the socket.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Does one `read` from `src` straight into the accumulator's own
+    /// spare room — no intermediate chunk, no copy — and returns what the
+    /// read returned (`Ok(0)` is end of stream). The room starts at 4 KiB
+    /// and doubles, up to 64 KiB, each time a read fills it, so an idle
+    /// link holds a page and a busy one still drains its socket in large
+    /// reads.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        self.make_room(READ_MIN);
+        let room = self.buf.len() - self.end;
+        let k = src.read(&mut self.buf[self.end..])?;
+        self.end += k;
+        if k == room && self.buf.len() < READ_MAX {
+            self.buf.resize((self.buf.len() * 2).min(READ_MAX), 0);
+        }
+        Ok(k)
     }
 
     /// Bytes buffered but not yet parsed into a frame.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Parses the next complete frame, `Ok(None)` when the tail is torn.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        let avail = &self.buf[self.pos..];
+        let avail = &self.buf[self.pos..self.end];
         if avail.len() < LEN_PREFIX {
             return Ok(None);
         }
@@ -225,6 +285,78 @@ mod tests {
         let f = buf.next_frame().unwrap().unwrap();
         assert_eq!((f.class, f.depth), (1, 9));
         assert_eq!(f.payload, b"payload");
+    }
+
+    /// Drains `src` through `read_from`, parsing as it goes.
+    fn read_all(buf: &mut FrameBuf, mut src: impl Read, got: &mut Vec<Frame>) {
+        while buf.read_from(&mut src).expect("in-memory read") > 0 {
+            while let Some(f) = buf.next_frame().expect("no corruption") {
+                got.push(f);
+            }
+        }
+    }
+
+    /// A reader that hands out at most `step` bytes per `read`.
+    struct Dribble<'a>(&'a [u8], usize);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let k = self.1.min(out.len()).min(self.0.len());
+            out[..k].copy_from_slice(&self.0[..k]);
+            self.0 = &self.0[k..];
+            Ok(k)
+        }
+    }
+
+    #[test]
+    fn read_from_yields_the_same_frames_at_every_split() {
+        let payloads: [&[u8]; 3] = [b"alpha", &[], &[0xAB; 300]];
+        let wire: Vec<u8> = payloads
+            .iter()
+            .enumerate()
+            .flat_map(|(i, p)| encode_frame(i as u8, 7 + i as u32, p))
+            .collect();
+        let check = |got: &[Frame]| {
+            assert_eq!(got.len(), payloads.len());
+            for (i, f) in got.iter().enumerate() {
+                assert_eq!((f.class, f.depth), (i as u8, 7 + i as u32));
+                assert_eq!(f.payload, payloads[i]);
+            }
+        };
+        // Two reads, the stream torn at every byte offset between them.
+        for cut in 0..=wire.len() {
+            let (head, tail) = wire.split_at(cut);
+            let (mut buf, mut got) = (FrameBuf::new(), Vec::new());
+            read_all(&mut buf, head, &mut got);
+            assert!(got.len() < payloads.len() || cut == wire.len());
+            read_all(&mut buf, tail, &mut got);
+            check(&got);
+            assert_eq!(buf.pending(), 0);
+        }
+        // One byte per read: every prefix is a torn tail, never an error.
+        let (mut buf, mut got) = (FrameBuf::new(), Vec::new());
+        read_all(&mut buf, Dribble(&wire, 1), &mut got);
+        check(&got);
+    }
+
+    #[test]
+    fn read_from_grows_for_busy_links_and_oversized_frames() {
+        // A frame larger than the largest read room, small frames around
+        // it, and a source that always fills whatever room it is offered.
+        let big = vec![0x5A; 3 * READ_MAX];
+        let mut wire = Vec::new();
+        for i in 0..200u32 {
+            wire.extend_from_slice(&encode_frame(1, i, &i.to_le_bytes()));
+        }
+        wire.extend_from_slice(&encode_frame(2, 200, &big));
+        wire.extend_from_slice(&encode_frame(1, 201, b"tail"));
+        let (mut buf, mut got) = (FrameBuf::new(), Vec::new());
+        read_all(&mut buf, &wire[..], &mut got);
+        assert_eq!(got.len(), 202);
+        assert!(got.iter().enumerate().all(|(i, f)| f.depth == i as u32));
+        assert_eq!(got[200].payload, big);
+        assert_eq!(got[201].payload, b"tail");
+        assert_eq!(buf.pending(), 0);
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub mod listener;
 pub use chaos::{ChaosRuntime, TearPoint};
 pub use cluster::{run_cluster, ClusterOpts, Phase};
 pub use codec::WireCodec;
-pub use conn::Mesh;
+pub use conn::{Mesh, MeshCounters};
 pub use endpoint::Endpoint;
 pub use frame::{FrameBuf, FrameError, MAX_FRAME};

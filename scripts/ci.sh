@@ -16,7 +16,8 @@
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
 #                    fault traces, divergent-state kill -9, campaign rates
 #   benchmark-smoke  benchmark/ builds and tests offline against this
-#                    checkout; one short netlog and one simlog run exit 0
+#                    checkout; both netlog workloads and one simlog run,
+#                    3 s each, exit 0
 #   bench-gate       criterion smoke + bench-regression gate vs baselines
 #   all              everything above, in order (the default)
 #
@@ -103,8 +104,9 @@ stage_benchmark_smoke() {
   echo "== benchmark smoke: build + test benchmark/ offline"
   (cd benchmark && cargo test --release --offline -q)
 
-  echo "== benchmark smoke: netlog-n7-w1 and simlog-n31, 3 s each, every output check"
+  echo "== benchmark smoke: netlog-n7-w1, netlog-n7-w8 and simlog-n31, 3 s each, every output check"
   bash benchmark/run.sh --workload netlog-n7-w1 --seconds 3 > /dev/null
+  bash benchmark/run.sh --workload netlog-n7-w8 --seconds 3 > /dev/null
   bash benchmark/run.sh --workload simlog-n31 --seconds 3 > /dev/null
 }
 
@@ -119,7 +121,7 @@ stage_bench_gate() {
 }
 
 usage() {
-  sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 stage="${1:-all}"
