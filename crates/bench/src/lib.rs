@@ -1,93 +1,17 @@
 //! Shared plumbing for the table/figure regeneration binaries.
 //!
-//! Each binary under `src/bin/` regenerates one artifact of the paper (see
-//! `DESIGN.md` §4 and `EXPERIMENTS.md`): it prints the plain-text table to
-//! stdout and writes a CSV next to it under `results/`.
+//! Each `table*` / `fig*` binary under `src/bin/` regenerates one artifact
+//! of the paper (see `DESIGN.md` §4 and `EXPERIMENTS.md`): it prints the
+//! plain-text table to stdout and writes a CSV next to it under `results/`.
+//! `fuzz_safety`, `safety_grid` and `legality_check` are checkers that share
+//! the same plumbing. Performance is measured elsewhere — by the
+//! `benchmark/` package that `BENCHMARK.json` declares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dex_metrics::Table;
 use std::path::PathBuf;
-
-/// From-scratch view statistics — the pre-tally implementation of the §3.1
-/// queries, kept as the baseline for `benches/view_ops.rs` and the
-/// `bench_view_tally` binary. Each call rebuilds a histogram by scanning all
-/// `n` entries (one `HashMap` allocation per call), which is exactly what
-/// the per-message hot path paid before `View` maintained its tally
-/// incrementally.
-pub mod naive {
-    use dex_types::{Value, View};
-    use std::collections::HashMap;
-
-    /// A value with its occurrence count, as returned by [`first_second`].
-    pub type Ranked<V> = Option<(V, usize)>;
-
-    /// `(1st(J), 2nd(J))` with occurrence counts, recomputed from scratch.
-    /// Ties break towards the largest value (§3.3), matching `View`.
-    pub fn first_second<V: Value>(view: &View<V>) -> (Ranked<V>, Ranked<V>) {
-        let mut counts: HashMap<&V, usize> = HashMap::new();
-        for v in view.as_options().iter().flatten() {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-        let mut first: Option<(&V, usize)> = None;
-        let mut second: Option<(&V, usize)> = None;
-        for (v, c) in counts {
-            let beats = |other: Option<(&V, usize)>| {
-                other.is_none_or(|(ov, oc)| c > oc || (c == oc && *v > *ov))
-            };
-            if beats(first) {
-                second = first;
-                first = Some((v, c));
-            } else if beats(second) {
-                second = Some((v, c));
-            }
-        }
-        (
-            first.map(|(v, c)| (v.clone(), c)),
-            second.map(|(v, c)| (v.clone(), c)),
-        )
-    }
-
-    /// `margin(J)`, recomputed from scratch.
-    pub fn frequency_margin<V: Value>(view: &View<V>) -> usize {
-        match first_second(view) {
-            (Some((_, c1)), Some((_, c2))) => c1 - c2,
-            (Some((_, c1)), None) => c1,
-            _ => 0,
-        }
-    }
-
-    /// `#v(J)`, recomputed by scanning the entries.
-    pub fn count_of<V: Value>(view: &View<V>, v: &V) -> usize {
-        view.as_options()
-            .iter()
-            .flatten()
-            .filter(|x| *x == v)
-            .count()
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use dex_types::ProcessId;
-
-        #[test]
-        fn naive_matches_tally() {
-            let mut view: View<u64> = View::bottom(9);
-            for (i, v) in [(0, 3), (1, 1), (2, 3), (3, 2), (4, 1), (5, 3)] {
-                view.set(ProcessId::new(i), v);
-            }
-            let (first, second) = first_second(&view);
-            assert_eq!(first, view.first_with_count().map(|(v, c)| (*v, c)));
-            assert_eq!(second, view.second_with_count().map(|(v, c)| (*v, c)));
-            assert_eq!(frequency_margin(&view), view.frequency_margin());
-            for v in 0..4 {
-                assert_eq!(count_of(&view, &v), view.count_of(&v));
-            }
-        }
-    }
-}
 
 /// Number of runs per experiment point: `DEX_RUNS` env var, or the default.
 pub fn runs_from_env(default: usize) -> usize {

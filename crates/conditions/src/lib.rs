@@ -20,7 +20,7 @@
 //!   `C²_k = C^prv(m)_{2t+k}` — needs `n > 5t`.
 //!
 //! The [`verify`] module machine-checks the theorems by exhaustively
-//! enumerating small instances and testing every legality criterion — a
+//! enumerating small instances and testing each of the legality criteria — a
 //! model-checking companion to the paper's hand proofs.
 //!
 //! # Examples

@@ -3,7 +3,7 @@
 //! The paper proves Theorems 1 and 2 (legality of `P_freq` and `P_prv`) by
 //! hand. This module re-verifies them mechanically on finite instances: it
 //! enumerates every input vector in `V^n` and every view in `V^n_t` over a
-//! small ordered value domain and checks each criterion directly against its
+//! small ordered value domain and checks each of the criteria against its
 //! quantifier structure. A single violation is returned with a concrete
 //! witness, which makes the checker double as a debugging tool for anyone
 //! designing *new* condition-sequence pairs.

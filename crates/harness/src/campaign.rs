@@ -651,7 +651,7 @@ pub struct FMonotonicity {
     /// `f = t`.
     pub strict: usize,
     /// As `strict`, but restricted to canonical chaos schedules (the
-    /// MATRIX) — the acceptance criterion's bar.
+    /// MATRIX) — the bar the campaign gate asserts.
     pub strict_canonical: usize,
 }
 
@@ -666,8 +666,7 @@ fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
+    sorted[dex_metrics::nearest_rank(sorted.len(), q)]
 }
 
 fn rate_json(p: &RatePoint) -> String {

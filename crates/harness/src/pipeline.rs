@@ -6,8 +6,8 @@
 //! carrying a batch of client values (see
 //! [`dex_workloads::slot_batches`]). The throughput metric is *committed
 //! values per kilo-tick of virtual time* — a deterministic quantity (same
-//! spec + seed ⇒ same number), which is what lets the bench regression
-//! gate assert hard speedup ratios instead of tolerating wall-clock noise.
+//! spec + seed ⇒ same number), which is what lets a unit test assert a
+//! hard speedup ratio instead of tolerating wall-clock noise.
 //!
 //! [`PipelineRun::traced`] re-executes the run with event recording and
 //! assembles the checked trace artifact, carrying
@@ -21,8 +21,7 @@ use dex_simnet::{DelayModel, Simulation};
 use dex_types::{ProcessId, SystemConfig};
 use dex_workloads::slot_batches;
 
-/// Log slots a CLI `--pipeline` invocation commits (the bench binary picks
-/// its own slot counts per system size).
+/// Log slots a CLI `--pipeline` invocation commits.
 pub const DEFAULT_SLOTS: u64 = 16;
 
 /// One pipelined replication run, fully determined by its fields.
@@ -73,7 +72,7 @@ pub struct PipelineOutcome {
 
 impl PipelineOutcome {
     /// Committed client values per 1000 ticks of virtual time — the
-    /// deterministic throughput metric the bench gates ride on.
+    /// deterministic throughput metric (`simnet.values_per_ktick`).
     pub fn values_per_ktick(&self) -> u64 {
         self.committed_values * 1000 / self.ticks.max(1)
     }
@@ -259,22 +258,33 @@ mod tests {
 
     #[test]
     fn sequential_and_pipelined_commit_the_same_log() {
-        let slots = 6;
-        let seq = PipelineRun::from_spec(&spec(1, 3, 9), slots)
-            .unwrap()
-            .execute();
-        let pipe = PipelineRun::from_spec(&spec(4, 3, 9), slots)
-            .unwrap()
-            .execute();
-        assert_eq!(seq.log, pipe.log, "same seed ⇒ per-slot-identical logs");
-        assert_eq!(seq.committed_values, slots * 3);
-        assert!(
-            pipe.ticks < seq.ticks,
-            "window 4 must finish earlier ({} vs {})",
-            pipe.ticks,
-            seq.ticks
-        );
-        assert_eq!(pipe.payload_clones, 0, "slab fast path only");
+        // (slots, batch, seed, window, least values-per-kilo-tick gain); the
+        // second cell is the 48-slot n = 7 throughput cell, where window 8
+        // commits 2430 values per kilo-tick against 482 at window 1.
+        for (slots, batch, seed, window, gain) in [(6, 3, 9, 4, 1), (48, 4, 42, 8, 2)] {
+            let seq = PipelineRun::from_spec(&spec(1, batch, seed), slots)
+                .unwrap()
+                .execute();
+            let pipe = PipelineRun::from_spec(&spec(window, batch, seed), slots)
+                .unwrap()
+                .execute();
+            assert_eq!(seq.log, pipe.log, "same seed ⇒ per-slot-identical logs");
+            assert_eq!(seq.committed_values, slots * batch);
+            assert!(
+                pipe.ticks < seq.ticks,
+                "window {window} must finish earlier ({} vs {})",
+                pipe.ticks,
+                seq.ticks
+            );
+            assert!(
+                pipe.values_per_ktick() >= gain * seq.values_per_ktick(),
+                "window {window} must commit {gain}× the values per kilo-tick ({} vs {})",
+                pipe.values_per_ktick(),
+                seq.values_per_ktick()
+            );
+            assert_eq!(seq.payload_clones, 0, "slab fast path only");
+            assert_eq!(pipe.payload_clones, 0, "slab fast path only");
+        }
     }
 
     #[test]

@@ -1132,6 +1132,43 @@ mod tests {
     }
 
     #[test]
+    fn aggregation_collapses_the_echo_flood_at_n31() {
+        // Same seeds, same workload draws; only the `aggregate` bit differs:
+        // 1025.0 sent messages per decision off, 223.7 on (4.58×).
+        let workload = dex_workloads::BernoulliMix { p: 0.8, a: 1, b: 0 };
+        let batch = |aggregate| {
+            let stats = run_batch(&BatchSpec {
+                config: SystemConfig::new(31, 5).unwrap(),
+                algo: Algo::DexFreq,
+                underlying: UnderlyingKind::Oracle,
+                strategy: ByzantineStrategy::Silent,
+                f: 0,
+                placement: Placement::LastK,
+                workload: &workload,
+                delay: DelayModel::Uniform { min: 1, max: 10 },
+                chaos: ChaosSpec::None,
+                aggregate,
+                runs: 8,
+                seed0: 42,
+                max_events: 50_000_000,
+            });
+            assert!(stats.clean(), "aggregate = {aggregate}: {stats:?}");
+            assert_eq!(stats.net.payload_clones, 0, "aggregate = {aggregate}");
+            let decisions: u64 = stats.paths.iter().map(|(_, count)| count).sum();
+            (stats.net.sent as f64 / decisions as f64, stats.net)
+        };
+        let (off_per_decision, off) = batch(false);
+        let (on_per_decision, on) = batch(true);
+        assert!(off.sent_echo > 0 && off.echoes_batched == 0);
+        assert_eq!(on.sent_echo, 0, "aggregated run sent a bare echo");
+        assert!(on.echoes_batched > 0, "no echoes were batched");
+        assert!(
+            off_per_decision >= 3.0 * on_per_decision,
+            "sent messages per decision: {off_per_decision:.1} off vs {on_per_decision:.1} on"
+        );
+    }
+
+    #[test]
     fn traced_chaos_run_carries_chaos_meta() {
         let mut spec = base_spec(7, 1, Algo::DexFreq, InputVector::unanimous(7, 3));
         assert!(run_instance_traced(&spec).trace.meta.chaos.is_none());

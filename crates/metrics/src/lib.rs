@@ -30,5 +30,5 @@ mod table;
 
 pub use counter::Counter;
 pub use histogram::Histogram;
-pub use summary::Summary;
+pub use summary::{nearest_rank, Summary};
 pub use table::Table;

@@ -2,6 +2,13 @@
 
 use std::cell::OnceCell;
 
+/// Index of the `q`-quantile (nearest-rank) in a sorted slice of `len > 0`
+/// samples, `q ∈ [0, 1]` — the one definition every percentile in the repo
+/// uses.
+pub fn nearest_rank(len: usize, q: f64) -> usize {
+    ((len as f64 - 1.0) * q).round() as usize
+}
+
 /// A summary of numeric samples: count, mean, min, max, percentiles.
 ///
 /// Samples are retained (sorted lazily) so exact percentiles are available;
@@ -82,8 +89,7 @@ impl Summary {
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
             sorted
         });
-        let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        Some(sorted[idx])
+        Some(sorted[nearest_rank(sorted.len(), q)])
     }
 
     /// Sample standard deviation; 0 with fewer than two samples.

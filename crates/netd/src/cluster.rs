@@ -24,7 +24,7 @@
 //! `PROGRESS …`, `DONE …`, `STATS …`); the parent folds the per-child
 //! wire ledgers into one [`NetStats`] and emits wall-clock artifacts
 //! (`BENCH_netd.json`, `results/netd_<seed>.json`) shape-compatible with
-//! the simnet bench artifacts. Each child also watches its stdin and
+//! the simnet artifacts. Each child also watches its stdin and
 //! exits when the parent goes away, so an aborted harness never leaks
 //! orphan processes.
 

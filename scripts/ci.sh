@@ -5,7 +5,8 @@
 # fans these exact stages out as jobs.
 #
 # Stages:
-#   lint             cargo fmt --check + clippy -D warnings (first-party)
+#   lint             cargo fmt --check + clippy -D warnings (first-party);
+#                    the workflow's stage matrix names only stages below
 #   build            warning-free release build of the workspace + examples
 #   test             full test suite (twice, default parallelism), example
 #                    smokes, trace determinism
@@ -18,7 +19,6 @@
 #   benchmark-smoke  benchmark/ builds and tests offline against this
 #                    checkout; both netlog workloads and one simlog run,
 #                    3 s each, exit 0
-#   bench-gate       criterion smoke + bench-regression gate vs baselines
 #   all              everything above, in order (the default)
 #
 # The workspace builds fully offline: every external dependency is vendored
@@ -27,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Lints gate first-party code only; vendored stand-ins are checked as-is.
-FIRST_PARTY=(--workspace --exclude criterion --exclude crossbeam --exclude proptest --exclude rand)
+FIRST_PARTY=(--workspace --exclude crossbeam --exclude proptest --exclude rand)
 
 stage_lint() {
   echo "== fmt"
@@ -35,6 +35,11 @@ stage_lint() {
 
   echo "== clippy"
   cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings
+
+  echo "== workflow matrix stages are ci.sh stages"
+  for s in $(sed -n 's/^ *stage: \[\(.*\)\]$/\1/p' .github/workflows/ci.yml | tr -d ','); do
+    grep -q "^  $s) stage_" scripts/ci.sh || { echo "workflow stage '$s' is not a ci.sh stage" >&2; exit 1; }
+  done
 }
 
 stage_build() {
@@ -110,18 +115,9 @@ stage_benchmark_smoke() {
   bash benchmark/run.sh --workload simlog-n31 --seconds 3 > /dev/null
 }
 
-stage_bench_gate() {
-  echo "== bench smoke: view_ops"
-  # CRITERION_MEASURE_MS keeps the smoke run short; the bench harness reads
-  # it per sample (see vendor/criterion).
-  CRITERION_MEASURE_MS=2 cargo bench --bench view_ops -p dex-bench
-
-  echo "== bench gate: view-tally + simnet + pipeline + broadcast speedups vs committed baselines"
-  ./scripts/bench_check.sh
-}
-
 usage() {
-  sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'
+  # The leading comment block, whatever its length.
+  awk 'NR > 1 { if (!/^#/) exit; sub(/^# ?/, ""); print }' scripts/ci.sh
 }
 
 stage="${1:-all}"
@@ -135,7 +131,6 @@ case "$stage" in
   netd-smoke) stage_netd_smoke ;;
   netd-chaos) stage_netd_chaos ;;
   benchmark-smoke) stage_benchmark_smoke ;;
-  bench-gate) stage_bench_gate ;;
   all)
     stage_lint
     stage_build
@@ -146,7 +141,6 @@ case "$stage" in
     stage_netd_smoke
     stage_netd_chaos
     stage_benchmark_smoke
-    stage_bench_gate
     echo "== ci OK"
     ;;
   -h|--help|help) usage ;;
