@@ -66,6 +66,7 @@ mod builder;
 mod delay;
 pub mod faults;
 pub mod host;
+mod queue;
 mod sim;
 mod slab;
 mod stats;

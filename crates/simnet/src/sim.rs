@@ -4,14 +4,13 @@ use crate::actor::{Actor, Context, MsgClass};
 use crate::builder::SimulationBuilder;
 use crate::delay::DelayModel;
 use crate::faults::{FaultSchedule, Verdict};
+use crate::queue::EventQueue;
 use crate::slab::PayloadSlab;
 use crate::stats::NetStats;
 use crate::time::Time;
 use crate::trace::{Trace, TraceDetail, TraceEvent};
 use dex_types::{Dest, ProcessId, StepDepth};
 use rand::rngs::StdRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Salt xored into the simulation seed for the chaos RNG, so fault
 /// decisions never perturb the delay-model stream: a run with an empty
@@ -73,39 +72,6 @@ impl ChaosState {
     }
 }
 
-/// Compact heap entry: ordering fields plus a key into the payload slab.
-///
-/// `seq` is a monotone counter breaking `deliver_at` ties deterministically.
-/// The entry is `Copy` and payload-free, so `BinaryHeap` comparisons and
-/// sifts never touch (or move) message payloads — a multicast's payload is
-/// stored once in the slab and shared by all its deliveries.
-#[derive(Clone, Copy, Debug)]
-struct QueueKey {
-    deliver_at: Time,
-    seq: u64,
-    slot: u32,
-    to: ProcessId,
-}
-
-impl PartialEq for QueueKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl Eq for QueueKey {}
-impl PartialOrd for QueueKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.deliver_at
-            .cmp(&other.deliver_at)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// Result of running a simulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RunOutcome {
@@ -125,12 +91,16 @@ pub struct RunOutcome {
 #[derive(Debug)]
 pub struct Simulation<A: Actor> {
     actors: Vec<A>,
-    queue: BinaryHeap<Reverse<QueueKey>>,
+    /// Pending deliveries as payload-free `(slab slot, recipient)` entries,
+    /// one FIFO bucket per pending instant (see [`EventQueue`]). Pop order is
+    /// `(deliver_at, scheduling order)` — what a heap keyed by `deliver_at`
+    /// and a monotone tie-breaking counter yields, at a cost that does not
+    /// grow with the number of pending deliveries.
+    queue: EventQueue,
     /// In-flight payload storage; a `Dest::All` multicast holds one slot
     /// shared (refcounted) by all `n` deliveries.
     slab: PayloadSlab<A::Msg>,
     now: Time,
-    seq: u64,
     rng: StdRng,
     delay: DelayModel,
     stats: NetStats,
@@ -153,6 +123,14 @@ pub struct Simulation<A: Actor> {
 /// [`SimulationBuilder::recoverable`](crate::SimulationBuilder::recoverable),
 /// it is the actor's `Recoverable::restart` taken as a plain fn pointer.
 pub(crate) type RestartHook<A> = fn(&mut A, &mut Context<'_, <A as Actor>::Msg>);
+
+/// What [`Simulation::wake`] runs on an actor: a payload-free hook
+/// (`on_start`, or the reboot hook) or the delivery of a slab slot, which
+/// is released once the handler returns.
+enum Wake<A: Actor> {
+    Hook(RestartHook<A>),
+    Message { from: ProcessId, slot: u32 },
+}
 
 impl<A: Actor> Simulation<A> {
     /// Starts a [`SimulationBuilder`] over the given actors (actor `i` is
@@ -185,10 +163,9 @@ impl<A: Actor> Simulation<A> {
         stats.per_depth.reserve(depth_hint);
         Simulation {
             actors,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             slab: PayloadSlab::new(),
             now: Time::ZERO,
-            seq: 0,
             rng: StdRng::seed_from_u64(seed),
             delay,
             stats,
@@ -259,8 +236,9 @@ impl<A: Actor> Simulation<A> {
     /// Enqueues one delivery of the payload in `slot`, sampling its link
     /// delay. For a `Dest::All` multicast this is called for `to = 0..n` in
     /// ascending order — exactly the order the old eager per-recipient
-    /// expansion produced — so the RNG stream, `seq` numbering and thus the
-    /// whole virtual-time schedule are unchanged by the slab fast path.
+    /// expansion produced — so the RNG stream, the queue's FIFO order within
+    /// each instant and thus the whole virtual-time schedule are unchanged
+    /// by the slab fast path.
     fn schedule(
         &mut self,
         from: ProcessId,
@@ -328,13 +306,7 @@ impl<A: Actor> Simulation<A> {
                 }
             }
         }
-        self.seq += 1;
-        self.queue.push(Reverse(QueueKey {
-            deliver_at,
-            seq: self.seq,
-            slot,
-            to,
-        }));
+        self.queue.push(deliver_at, slot, to);
         if let Some(dup_at) = duplicate_at {
             self.duplicate_message(from, to, depth, slot, dup_at);
         }
@@ -387,13 +359,7 @@ impl<A: Actor> Simulation<A> {
             );
         }
         self.slab.retain(slot);
-        self.seq += 1;
-        self.queue.push(Reverse(QueueKey {
-            deliver_at,
-            seq: self.seq,
-            slot,
-            to,
-        }));
+        self.queue.push(deliver_at, slot, to);
     }
 
     /// The instant of the next unprocessed schedule boundary, if any.
@@ -460,18 +426,40 @@ impl<A: Actor> Simulation<A> {
             return;
         };
         self.now = self.now.max(Time::new(at));
-        let n = self.actors.len();
         if let Some(rec) = self.actors[p.index()].recorder_mut() {
             rec.set_clock(self.now.as_units(), 0);
         }
+        self.wake(p, StepDepth::ZERO, Wake::Hook(hook));
+    }
+
+    /// Runs one handler of actor `me` at causal depth `depth` and puts what
+    /// it produced on the network one depth further: plain sends, then
+    /// depth-stamped sends, then timers — the order every draw from the
+    /// shared RNG depends on. The outbox buffer is lent to the [`Context`]
+    /// and taken back, so the hot path allocates nothing.
+    fn wake(&mut self, me: ProcessId, depth: StepDepth, wake: Wake<A>) {
+        let n = self.actors.len();
         let buf = std::mem::take(&mut self.scratch);
-        let mut ctx = Context::with_buffer(p, n, self.now, StepDepth::ZERO, &mut self.rng, buf);
-        hook(&mut self.actors[p.index()], &mut ctx);
+        let mut ctx = Context::with_buffer(me, n, self.now, depth, &mut self.rng, buf);
+        let actor = &mut self.actors[me.index()];
+        let delivered = match wake {
+            Wake::Hook(hook) => {
+                hook(actor, &mut ctx);
+                None
+            }
+            Wake::Message { from, slot } => {
+                actor.on_message(from, self.slab.payload(slot), &mut ctx);
+                Some(slot)
+            }
+        };
         self.stats.payload_clones += ctx.cloned();
         let (mut outbox, mut outbox_at, mut timers) = ctx.into_parts();
-        self.dispatch(p, &mut outbox, StepDepth::ONE);
-        self.dispatch_at(p, &mut outbox_at);
-        self.dispatch_timers(p, &mut timers, StepDepth::ONE);
+        if let Some(slot) = delivered {
+            self.slab.release(slot);
+        }
+        self.dispatch(me, &mut outbox, depth.next());
+        self.dispatch_at(me, &mut outbox_at);
+        self.dispatch_timers(me, &mut timers, depth.next());
         self.scratch = outbox;
     }
 
@@ -526,13 +514,7 @@ impl<A: Actor> Simulation<A> {
                     None => {}
                 }
             }
-            self.seq += 1;
-            self.queue.push(Reverse(QueueKey {
-                deliver_at,
-                seq: self.seq,
-                slot,
-                to: me,
-            }));
+            self.queue.push(deliver_at, slot, me);
         }
     }
 
@@ -596,19 +578,8 @@ impl<A: Actor> Simulation<A> {
             return;
         }
         self.started = true;
-        let n = self.actors.len();
-        for i in 0..n {
-            let me = ProcessId::new(i);
-            let buf = std::mem::take(&mut self.scratch);
-            let mut ctx =
-                Context::with_buffer(me, n, self.now, StepDepth::ZERO, &mut self.rng, buf);
-            self.actors[i].on_start(&mut ctx);
-            self.stats.payload_clones += ctx.cloned();
-            let (mut outbox, mut outbox_at, mut timers) = ctx.into_parts();
-            self.dispatch(me, &mut outbox, StepDepth::ONE);
-            self.dispatch_at(me, &mut outbox_at);
-            self.dispatch_timers(me, &mut timers, StepDepth::ONE);
-            self.scratch = outbox;
+        for i in 0..self.actors.len() {
+            self.wake(ProcessId::new(i), StepDepth::ZERO, Wake::Hook(A::on_start));
         }
     }
 
@@ -622,23 +593,23 @@ impl<A: Actor> Simulation<A> {
         // flush order), and a restart hook may wake a quiescent network —
         // its recovery sends become new deliveries, so re-examine the queue
         // after every boundary.
-        loop {
-            let delivery = self.queue.peek().map(|&Reverse(k)| k.deliver_at.as_units());
-            match (delivery, self.next_boundary_at()) {
-                (None, None) => return None,
-                (Some(_), None) => break,
-                (Some(d), Some(b)) if b > d => break,
-                _ => self.process_next_boundary(),
+        while let Some(boundary) = self.next_boundary_at() {
+            if self
+                .queue
+                .next_at()
+                .is_some_and(|d| boundary > d.as_units())
+            {
+                break;
             }
+            self.process_next_boundary();
         }
-        let Reverse(key) = self.queue.pop().expect("a delivery was peeked above");
-        self.now = key.deliver_at;
-        let to = key.to;
-        let (from, depth) = self.slab.meta(key.slot);
+        let (deliver_at, slot, to) = self.queue.pop()?;
+        self.now = deliver_at;
+        let (from, depth) = self.slab.meta(slot);
         self.stats.record_delivery(depth);
         if let Some(trace) = &mut self.trace {
             let payload = match trace.detail() {
-                TraceDetail::Payloads => format!("{:?}", self.slab.payload(key.slot)),
+                TraceDetail::Payloads => format!("{:?}", self.slab.payload(slot)),
                 TraceDetail::Events => String::new(),
             };
             trace.push(TraceEvent::Deliver {
@@ -649,7 +620,6 @@ impl<A: Actor> Simulation<A> {
                 payload,
             });
         }
-        let n = self.actors.len();
         if let Some(rec) = self.actors[to.index()].recorder_mut() {
             // Stamp the recipient's clock so protocol events recorded inside
             // the handler carry the delivery's virtual time and causal depth.
@@ -658,16 +628,7 @@ impl<A: Actor> Simulation<A> {
                 from: from.index() as u16,
             });
         }
-        let buf = std::mem::take(&mut self.scratch);
-        let mut ctx = Context::with_buffer(to, n, self.now, depth, &mut self.rng, buf);
-        self.actors[to.index()].on_message(from, self.slab.payload(key.slot), &mut ctx);
-        self.stats.payload_clones += ctx.cloned();
-        let (mut outbox, mut outbox_at, mut timers) = ctx.into_parts();
-        self.slab.release(key.slot);
-        self.dispatch(to, &mut outbox, depth.next());
-        self.dispatch_at(to, &mut outbox_at);
-        self.dispatch_timers(to, &mut timers, depth.next());
-        self.scratch = outbox;
+        self.wake(to, depth, Wake::Message { from, slot });
         Some((from, to, depth))
     }
 
@@ -1299,6 +1260,77 @@ mod tests {
         assert_eq!(deferred.first(), Some(&(400, me)), "deferred to recovery");
         let lost = run(FaultSchedule::new().crash_restart(me, 10, 400));
         assert!(lost.is_empty(), "restart amnesia loses pending timers");
+    }
+
+    #[test]
+    fn send_due_at_the_instant_being_drained_queues_behind_it() {
+        /// p0 sends itself 1, 2, 3; handling 1 sends 9. Every delay is at
+        /// least one tick and timers must be positive, so the one way a
+        /// handler schedules for its own instant is a saturated clock: with
+        /// a `u64::MAX` delay all four fall due at t = `u64::MAX`.
+        struct Resend {
+            order: Vec<u32>,
+        }
+        impl Actor for Resend {
+            type Msg = u32;
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                for tag in 1..=3 {
+                    ctx.send(ctx.me(), tag);
+                }
+            }
+            fn on_message(&mut self, _from: ProcessId, msg: &u32, ctx: &mut Context<'_, u32>) {
+                assert_eq!(ctx.now(), Time::new(u64::MAX));
+                self.order.push(*msg);
+                if *msg == 1 {
+                    ctx.send(ctx.me(), 9);
+                }
+            }
+        }
+        let mut sim = Simulation::builder(vec![Resend { order: Vec::new() }])
+            .delay(DelayModel::Constant(u64::MAX))
+            .build();
+        assert!(sim.run(100).quiescent);
+        assert_eq!(
+            sim.actor(ProcessId::new(0)).order,
+            vec![1, 2, 3, 9],
+            "same instant, behind everything already queued for it"
+        );
+    }
+
+    #[test]
+    fn boundary_fires_before_a_delivery_at_the_same_instant() {
+        // p0's timer and p1's reboot both fall on t=500: the reboot hook
+        // must have run by the time the timer is delivered.
+        struct Sleeper {
+            restarts: u32,
+        }
+        impl Actor for Sleeper {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+                if ctx.me() == ProcessId::new(0) {
+                    ctx.send_self_after(500, ());
+                }
+            }
+            fn on_message(&mut self, _: ProcessId, _: &(), _: &mut Context<'_, ()>) {}
+        }
+        impl crate::actor::Recoverable for Sleeper {
+            fn restart(&mut self, _ctx: &mut Context<'_, ()>) {
+                self.restarts += 1;
+            }
+        }
+        let victim = ProcessId::new(1);
+        let mut sim = Simulation::builder(vec![Sleeper { restarts: 0 }, Sleeper { restarts: 0 }])
+            .faults(FaultSchedule::new().crash_restart(victim, 1, 500))
+            .recoverable()
+            .build();
+        assert_eq!(sim.step().map(|(_, to, _)| to), Some(ProcessId::new(0)));
+        assert_eq!(sim.now(), Time::new(500));
+        assert_eq!(
+            sim.actor(victim).restarts,
+            1,
+            "rebooted before the delivery"
+        );
+        assert!(sim.step().is_none());
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! A multicast stores its payload **once**, together with the sender and
 //! causal depth it was dispatched with, plus a refcount of pending
-//! deliveries. The event queue then carries only a compact `Copy` key
-//! referencing the slot, so `BinaryHeap` comparisons and sifts never move a
-//! payload. Slots are pushed onto a free list when their last delivery
-//! completes and are reused by later inserts, so a steady-state simulation
-//! stops allocating once the slab has grown to the peak in-flight count.
+//! deliveries. The event queue (`queue.rs`: one FIFO bucket per pending
+//! instant) then carries only a compact `Copy` `(slot, recipient)` pair, so
+//! queueing a delivery never moves a payload. Slots are pushed onto a free
+//! list when their last delivery completes and are reused by later inserts,
+//! so a steady-state simulation stops allocating once the slab has grown to
+//! the peak in-flight count.
 
 use dex_types::{ProcessId, StepDepth};
 

@@ -34,10 +34,16 @@ rm -f results/campaign_smoke_jobs1.json
 # (including the pipeline window-bound and slot-reuse checks) intact on
 # the same configuration. The campaign artifact was cmp'd before this
 # step, so the staircase is by construction unchanged by aggregation.
-echo "campaign cell via --pipeline with aggregation: n=7 t=1, invariants"
-cargo run --release -q --bin dex-sim -- \
-  --n 7 --t 1 --algo dex-freq --f 0 \
-  --pipeline 4:2 --aggregate --stats --seed 42 --trace > /dev/null
-rm -f results/trace_pipeline_42.json
+# Run twice and cmp'd: the pipeline trace names the slot each recycled
+# instance was freed from, which once followed a HashMap's iteration order.
+echo "campaign cell via --pipeline with aggregation: n=7 t=1, invariants, twice, byte-identical artifact"
+PIPELINE_ARGS=(--n 7 --t 1 --algo dex-freq --f 0
+               --pipeline 4:2 --aggregate --stats --seed 42 --trace)
+rm -f results/trace_pipeline_42.json results/trace_pipeline_42.first.json
+cargo run --release -q --bin dex-sim -- "${PIPELINE_ARGS[@]}" > /dev/null
+mv results/trace_pipeline_42.json results/trace_pipeline_42.first.json
+cargo run --release -q --bin dex-sim -- "${PIPELINE_ARGS[@]}" > /dev/null
+cmp results/trace_pipeline_42.json results/trace_pipeline_42.first.json
+rm -f results/trace_pipeline_42.json results/trace_pipeline_42.first.json
 
 echo "campaign smoke OK"

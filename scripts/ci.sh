@@ -12,7 +12,8 @@
 #                    smokes, trace determinism
 #   chaos-matrix     chaos schedules x seeds through the invariant checker
 #   recovery-matrix  crash-restart recovery: WAL + catch-up + resend
-#   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves
+#   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves;
+#                    pipelined cell traced twice, cmp
 #   netd-smoke       real-process TCP cluster: MATRIX cell + kill -9 respawn
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
 #                    fault traces, divergent-state kill -9, campaign rates
@@ -87,7 +88,7 @@ stage_recovery_matrix() {
 }
 
 stage_campaign_smoke() {
-  echo "== campaign smoke: fixed sweep twice at different --jobs, cmp + rate curves"
+  echo "== campaign smoke: fixed sweep twice at different --jobs, cmp + rate curves; pipeline trace twice, cmp"
   ./scripts/campaign_smoke.sh
 }
 
