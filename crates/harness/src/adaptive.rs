@@ -14,10 +14,9 @@
 //! evaluation at `n − t` votes keys only on `t`, so its one-step region
 //! does not grow when `f < t`.
 
-use crate::runner::{run_instance, Algo, RunInstance, UnderlyingKind};
+use crate::runner::{run_instance, Algo, RunInstance};
 use dex_adversary::{ByzantineStrategy, FaultPlan};
 use dex_metrics::{Summary, Table};
-use dex_simnet::DelayModel;
 use dex_types::{InputVector, ProcessId, SystemConfig};
 
 /// Options for the adaptiveness experiment.
@@ -29,16 +28,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 2,
-            runs: 50,
-            seed0: 0,
-        }
-    }
 }
 
 /// Deterministic split input: the first `mc` *correct-range* entries are
@@ -64,17 +53,10 @@ fn one_step_fraction(
     let mut fractions = Summary::new();
     for i in 0..runs {
         let result = run_instance(&RunInstance {
-            faults: dex_simnet::FaultSchedule::none(),
-            config: cfg,
-            algo,
-            underlying: UnderlyingKind::Oracle,
             strategy: ByzantineStrategy::ConsistentLie { value: 0 },
             fault_plan: FaultPlan::from_ids(cfg, (cfg.n() - f..cfg.n()).map(ProcessId::new)),
-            input: split_input(cfg.n(), mc),
-            delay: DelayModel::Uniform { min: 1, max: 10 },
             seed: seed0 + i as u64,
-            max_events: 5_000_000,
-            aggregate: false,
+            ..RunInstance::base(cfg, algo, split_input(cfg.n(), mc))
         });
         assert!(result.quiescent && result.agreement_ok() && result.all_decided());
         let correct = result.decided().count();

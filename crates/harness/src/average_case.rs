@@ -10,10 +10,8 @@
 //! degrades gracefully through its two-step channel before paying 4 steps.
 //! The table locates the crossover where DEX's mean steps beat Bosco's.
 
-use crate::runner::{run_batch_auto, Algo, BatchSpec, Placement, UnderlyingKind};
-use dex_adversary::ByzantineStrategy;
+use crate::runner::{run_batch, Algo, BatchSpec};
 use dex_metrics::Table;
-use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
 use dex_workloads::BernoulliMix;
 
@@ -30,34 +28,14 @@ pub struct Opts {
     pub seed0: u64,
 }
 
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 2,
-            f: 0,
-            runs: 100,
-            seed0: 0,
-        }
-    }
-}
-
 /// Mean decision steps of `algo` under contention `p`.
 pub fn mean_steps(cfg: SystemConfig, algo: Algo, p: f64, f: usize, runs: usize, seed0: u64) -> f64 {
     let workload = BernoulliMix { p, a: 1, b: 0 };
-    let stats = run_batch_auto(&BatchSpec {
-        chaos: crate::spec::ChaosSpec::None,
-        config: cfg,
-        algo,
-        underlying: UnderlyingKind::Oracle,
-        strategy: ByzantineStrategy::Silent,
+    let stats = run_batch(&BatchSpec {
         f,
-        placement: Placement::LastK,
-        workload: &workload,
-        delay: DelayModel::Uniform { min: 1, max: 10 },
         runs,
         seed0,
-        max_events: 5_000_000,
-        aggregate: false,
+        ..BatchSpec::base(cfg, algo, &workload)
     });
     assert!(stats.clean(), "violations at p={p}: {stats:?}");
     stats.steps.mean()

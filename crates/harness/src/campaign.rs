@@ -14,29 +14,26 @@
 //!
 //! # Determinism
 //!
-//! Workers share one atomic cursor over the task grid and record digests
-//! into *per-worker* vectors; which worker executes which task is
+//! Which worker of the pool (`runner::par_map`) executes which task is
 //! scheduling-dependent, but every task is a pure function of
-//! `(cell, run)` — the seed is `seed0 + run`, the input vector, fault
-//! plan and chaos schedule all derive from that seed exactly as a
-//! single-run [`RunSpec`] would derive them (see
-//! [`CampaignSpec::runspec_for`]). The aggregator then sorts all digests
-//! by `(cell, run)` before folding, so the artifact is byte-identical
-//! regardless of worker count or scheduling order — `--jobs 1` and
-//! `--jobs 8` must `cmp` equal, and CI pins exactly that.
+//! `(cell, run)` — the seed is `seed0 + run`, and the input vector, fault
+//! plan and chaos schedule are the ones
+//! [`BatchSpec::instance`] derives for the single-run [`RunSpec`] the task
+//! compiles to (see [`CampaignSpec::runspec_for`]). The pool returns the
+//! digests in task order and the aggregator sorts by `(cell, run)` before
+//! folding anyway, so the artifact is byte-identical regardless of worker
+//! count or scheduling order — `--jobs 1` and `--jobs 8` must `cmp` equal,
+//! and CI pins exactly that.
 
-use crate::runner::{run_instance, Algo, Outcome, RunInstance, UnderlyingKind};
+use crate::runner::{
+    par_map, run_instance, Algo, BatchSpec, Outcome, Placement, RunInstance, UnderlyingKind,
+};
 use crate::spec::{AdversarySpec, ChaosSpec, PipelineSpec, RunSpec, UnderlyingSpec, WorkloadSpec};
-use dex_adversary::FaultPlan;
 use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
-use dex_workloads::{
-    ClientPopulation, ContentionPhase, InputGenerator, PhaseSchedule, PopulationModel,
-};
-use rand::rngs::StdRng;
+use dex_workloads::{ClientPopulation, ContentionPhase, PhaseSchedule, PopulationModel};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One cell of the sweep grid: a system pair, an actual fault count, an
 /// adversary and a chaos schedule. Each cell is run for every campaign
@@ -231,7 +228,7 @@ impl CampaignSpec {
             },
             adversary: cell.adversary,
             underlying: self.underlying,
-            placement: crate::runner::Placement::RandomK,
+            placement: Placement::RandomK,
             delay: self.delay.clone(),
             chaos: cell.chaos.clone(),
             pipeline: PipelineSpec::default(),
@@ -304,11 +301,41 @@ pub struct RunDigest {
     pub quiescent: bool,
 }
 
-/// Executes one `(cell, run)` task against a pre-compiled population.
-///
-/// Mirrors the batch runner's per-index derivation exactly: the run's RNG
-/// is seeded `seed ^ 0x5EED_5EED`, the input vector is drawn first, then
-/// the fault plan, then the chaos schedule is compiled against it.
+/// Derives the [`RunInstance`] of one `(cell, run)` task against a
+/// pre-compiled population: index 0 of the one-run batch that
+/// [`CampaignSpec::runspec_for`] describes (seed `seed0 + run`, fault
+/// plan placed at random, the MVC coin seeded per run), minus the cost of
+/// recompiling the population per task.
+fn task_instance(
+    spec: &CampaignSpec,
+    cell: &CampaignCell,
+    populations: &[ClientPopulation],
+    run: usize,
+) -> RunInstance {
+    let config = SystemConfig::new(cell.n, cell.t).expect("validated pair");
+    let seed = spec.seed0 + run as u64;
+    BatchSpec {
+        underlying: match spec.underlying {
+            UnderlyingSpec::Oracle => UnderlyingKind::Oracle,
+            UnderlyingSpec::Mvc => UnderlyingKind::Mvc { coin_seed: seed },
+        },
+        strategy: cell.adversary.strategy(),
+        f: cell.f,
+        placement: Placement::RandomK,
+        delay: spec.delay.clone(),
+        chaos: cell.chaos.clone(),
+        seed0: seed,
+        max_events: spec.max_events,
+        ..BatchSpec::base(
+            config,
+            spec.algo,
+            &populations[spec.phases.phase_index(run)],
+        )
+    }
+    .instance(0)
+}
+
+/// Executes one `(cell, run)` task and digests its result.
 fn execute_task(
     spec: &CampaignSpec,
     cells: &[CampaignCell],
@@ -316,37 +343,13 @@ fn execute_task(
     cell_idx: usize,
     run: usize,
 ) -> RunDigest {
-    let cell = &cells[cell_idx];
-    let config = SystemConfig::new(cell.n, cell.t).expect("validated pair");
-    let phase = spec.phases.phase_index(run);
-    let seed = spec.seed0 + run as u64;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-    let input = populations[phase].generate(cell.n, &mut rng);
-    let fault_plan = FaultPlan::random_k(config, cell.f, &mut rng);
-    let faults = cell.chaos.build(config, &fault_plan);
-    let margin = input.to_view().frequency_margin();
-    let underlying = match spec.underlying {
-        UnderlyingSpec::Oracle => UnderlyingKind::Oracle,
-        UnderlyingSpec::Mvc => UnderlyingKind::Mvc { coin_seed: seed },
-    };
-    let result = run_instance(&RunInstance {
-        config,
-        algo: spec.algo,
-        underlying,
-        strategy: cell.adversary.strategy(),
-        fault_plan,
-        input,
-        delay: spec.delay.clone(),
-        faults,
-        seed,
-        max_events: spec.max_events,
-        aggregate: false,
-    });
+    let inst = task_instance(spec, &cells[cell_idx], populations, run);
+    let result = run_instance(&inst);
     let mut digest = RunDigest {
         cell: cell_idx,
         run,
-        phase,
-        margin,
+        phase: spec.phases.phase_index(run),
+        margin: inst.input.to_view().frequency_margin(),
         one_step: 0,
         two_step: 0,
         fallback: 0,
@@ -373,50 +376,17 @@ fn execute_task(
     digest
 }
 
-/// Runs every `(cell, run)` task of the campaign on `jobs` scoped worker
-/// threads and returns the raw per-run digests, in whatever order the
-/// workers produced them.
-///
-/// Workers steal tasks off a shared atomic cursor (the grid is flat:
-/// task `i` is cell `i / seeds`, run `i % seeds`) and fold digests into
-/// per-worker vectors that are only merged after every worker has joined.
-/// The digest *set* is identical for any `jobs ≥ 1`; [`aggregate`] sorts
-/// before folding, so the artifact is too.
+/// Runs every `(cell, run)` task of the campaign on `jobs` worker threads
+/// (`runner::par_map`) and returns the per-run digests in task order (the
+/// grid is flat: task `i` is cell `i / seeds`, run `i % seeds`). The
+/// digests are identical for any `jobs ≥ 1`, so the artifact is too.
 pub fn run_digests(spec: &CampaignSpec, jobs: usize) -> Result<Vec<RunDigest>, String> {
     spec.validate()?;
     let cells = spec.cells();
     let populations = spec.phases.compile();
-    let total = cells.len() * spec.seeds;
-    let jobs = jobs.clamp(1, total.max(1));
-    let cursor = AtomicUsize::new(0);
-    let mut digests: Vec<RunDigest> = Vec::with_capacity(total);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            let (cells, populations, cursor) = (&cells, &populations, &cursor);
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    local.push(execute_task(
-                        spec,
-                        cells,
-                        populations,
-                        i / spec.seeds,
-                        i % spec.seeds,
-                    ));
-                }
-                local
-            }));
-        }
-        for handle in handles {
-            digests.extend(handle.join().expect("campaign worker panicked"));
-        }
-    });
-    Ok(digests)
+    Ok(par_map(cells.len() * spec.seeds, jobs, |i| {
+        execute_task(spec, &cells, &populations, i / spec.seeds, i % spec.seeds)
+    }))
 }
 
 /// Runs the whole campaign: [`run_digests`] then [`aggregate`]. The
@@ -1036,6 +1006,58 @@ mod tests {
                 stats.latency.mean() * stats.latency.count() as f64
             );
         }
+    }
+
+    #[test]
+    fn every_run_path_executes_the_one_derived_instance() {
+        use crate::runner::{batch_runs, traced_batch_run, Runtime};
+        use dex_types::ProcessId;
+        // One phase, so a whole cell is one batch over one population and
+        // run i of that batch is the campaign's task (cell, i).
+        let mut spec = tiny();
+        spec.phases = PhaseSchedule::new(vec![spec.phases.phases()[1].clone()]);
+        let cells = spec.cells();
+        let populations = spec.phases.compile();
+        let cell = &cells[2];
+        assert_eq!((cell.f, &cell.chaos), (1, &ChaosSpec::None));
+        let cell_batch = RunSpec {
+            runs: spec.seeds,
+            ..spec.runspec_for(cell, 0)
+        };
+        cell_batch
+            .with_batch(|batch| {
+                let sim = batch_runs(batch, Runtime::Simnet, 2);
+                let threads = batch_runs(batch, Runtime::Thread, 1);
+                for i in 0..spec.seeds {
+                    let want = batch.instance(i);
+                    let same = |inst: &RunInstance, path: &str| {
+                        assert_eq!(inst.seed, want.seed, "{path} run {i}");
+                        assert_eq!(inst.input, want.input, "{path} run {i}");
+                        assert_eq!(inst.fault_plan, want.fault_plan, "{path} run {i}");
+                    };
+                    same(
+                        &task_instance(&spec, cell, &populations, i),
+                        "campaign task",
+                    );
+                    same(
+                        &spec.runspec_for(cell, i).instance(0).unwrap(),
+                        "runspec_for",
+                    );
+                    for (path, (inst, run)) in [("simnet", &sim[i]), ("threadnet", &threads[i])] {
+                        same(inst, path);
+                        // The fault plan, read back off the result.
+                        for p in 0..cell.n {
+                            assert_eq!(
+                                run.outcomes[p] == Outcome::Faulty,
+                                want.fault_plan.is_faulty(ProcessId::new(p)),
+                                "{path} run {i} p{p}"
+                            );
+                        }
+                    }
+                    assert_eq!(traced_batch_run(batch, i).result, sim[i].1, "run {i}");
+                }
+            })
+            .unwrap();
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! causal steps, per algorithm. DEX's two-step channel is what separates it
 //! from Bosco on mid-skew inputs.
 
-use crate::runner::{run_batch_auto, Algo, BatchSpec, Placement, UnderlyingKind};
-use dex_adversary::ByzantineStrategy;
+use crate::runner::{run_batch, Algo, BatchSpec};
 use dex_metrics::Table;
-use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
 use dex_workloads::{InputGenerator, UniformRandom, ZipfRequests};
 
@@ -29,16 +27,6 @@ pub struct Opts {
     pub seed0: u64,
 }
 
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 1,
-            runs: 200,
-            seed0: 0,
-        }
-    }
-}
-
 fn fractions(
     cfg: SystemConfig,
     algo: Algo,
@@ -46,20 +34,10 @@ fn fractions(
     runs: usize,
     seed0: u64,
 ) -> (f64, f64) {
-    let stats = run_batch_auto(&BatchSpec {
-        chaos: crate::spec::ChaosSpec::None,
-        config: cfg,
-        algo,
-        underlying: UnderlyingKind::Oracle,
-        strategy: ByzantineStrategy::Silent,
-        f: 0,
-        placement: Placement::LastK,
-        workload,
-        delay: DelayModel::Uniform { min: 1, max: 10 },
+    let stats = run_batch(&BatchSpec {
         runs,
         seed0,
-        max_events: 5_000_000,
-        aggregate: false,
+        ..BatchSpec::base(cfg, algo, workload)
     });
     assert!(stats.clean(), "{stats:?}");
     let one = stats.path_fraction("1-step");

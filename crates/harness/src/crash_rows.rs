@@ -7,10 +7,8 @@
 //! with far weaker margins (`> 2f` instead of `> 4t + 2f`), because views
 //! can omit entries but never contain lies.
 
-use crate::runner::{run_batch_auto, Algo, BatchSpec, Placement, UnderlyingKind};
-use dex_adversary::ByzantineStrategy;
+use crate::runner::{run_batch, Algo, BatchSpec, Placement};
 use dex_metrics::Table;
-use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
 use dex_workloads::{SplitCount, Unanimous};
 
@@ -23,16 +21,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 2,
-            runs: 100,
-            seed0: 0,
-        }
-    }
 }
 
 /// Runs E1b and renders the crash-rows table.
@@ -69,20 +57,13 @@ pub fn run(opts: Opts) -> Table {
                 ),
                 ("margin-2 split", &thin_margin),
             ] {
-                let stats = run_batch_auto(&BatchSpec {
-                    chaos: crate::spec::ChaosSpec::None,
-                    config: cfg,
-                    algo,
-                    underlying: UnderlyingKind::Oracle,
-                    strategy: ByzantineStrategy::Silent, // crash model
+                // The base's silent strategy *is* the crash model.
+                let stats = run_batch(&BatchSpec {
                     f,
                     placement: Placement::RandomK,
-                    workload,
-                    delay: DelayModel::Uniform { min: 1, max: 10 },
                     runs: opts.runs,
                     seed0: opts.seed0,
-                    max_events: 5_000_000,
-                    aggregate: false,
+                    ..BatchSpec::base(cfg, algo, workload)
                 });
                 assert!(stats.clean(), "{}/{wname}/f={f}: {stats:?}", algo.label());
                 table.row(vec![

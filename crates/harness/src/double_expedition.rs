@@ -8,10 +8,9 @@
 //! underlying consensus). Margins above `4t + 2f` collapse to one step;
 //! margins at or below `2t + 2f` fall back (4 steps for DEX).
 
-use crate::runner::{run_instance, Algo, RunInstance, UnderlyingKind};
+use crate::runner::{run_instance, Algo, RunInstance};
 use dex_adversary::{ByzantineStrategy, FaultPlan};
 use dex_metrics::{Summary, Table};
-use dex_simnet::DelayModel;
 use dex_types::{InputVector, ProcessId, SystemConfig};
 
 /// Options for the double-expedition experiment.
@@ -23,16 +22,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 2,
-            runs: 50,
-            seed0: 0,
-        }
-    }
 }
 
 /// Mean steps and decision-path mix of one algorithm at one margin.
@@ -62,17 +51,10 @@ pub fn measure(
             *e = 0;
         }
         let result = run_instance(&RunInstance {
-            faults: dex_simnet::FaultSchedule::none(),
-            config: cfg,
-            algo,
-            underlying: UnderlyingKind::Oracle,
             strategy: ByzantineStrategy::ConsistentLie { value: 0 },
             fault_plan: FaultPlan::from_ids(cfg, (cfg.n() - f..cfg.n()).map(ProcessId::new)),
-            input: InputVector::new(entries),
-            delay: DelayModel::Uniform { min: 1, max: 10 },
             seed: seed0 + i as u64,
-            max_events: 5_000_000,
-            aggregate: false,
+            ..RunInstance::base(cfg, algo, InputVector::new(entries))
         });
         assert!(result.quiescent && result.agreement_ok() && result.all_decided());
         for r in result.decided() {

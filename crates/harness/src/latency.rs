@@ -8,8 +8,7 @@
 //! for the `n − t`-th fastest message, an order statistic that behaves very
 //! differently under uniform and heavy-tailed delays).
 
-use crate::runner::{run_batch_auto, Algo, BatchSpec, Placement, UnderlyingKind};
-use dex_adversary::ByzantineStrategy;
+use crate::runner::{run_batch, Algo, BatchSpec};
 use dex_metrics::Table;
 use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
@@ -24,16 +23,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 1,
-            runs: 100,
-            seed0: 0,
-        }
-    }
 }
 
 /// Runs E12 and renders the latency table (mean and p99 in virtual time
@@ -57,20 +46,12 @@ pub fn run(opts: Opts) -> Table {
         for p in [1.0f64, 0.8] {
             for algo in [Algo::DexFreq, Algo::Bosco, Algo::UnderlyingOnly] {
                 let workload = BernoulliMix { p, a: 1, b: 0 };
-                let stats = run_batch_auto(&BatchSpec {
-                    chaos: crate::spec::ChaosSpec::None,
-                    config: cfg,
-                    algo,
-                    underlying: UnderlyingKind::Oracle,
-                    strategy: ByzantineStrategy::Silent,
-                    f: 0,
-                    placement: Placement::LastK,
-                    workload: &workload,
+                let stats = run_batch(&BatchSpec {
                     delay: delay.clone(),
                     runs: opts.runs,
                     seed0: opts.seed0,
                     max_events: 10_000_000,
-                    aggregate: false,
+                    ..BatchSpec::base(cfg, algo, &workload)
                 });
                 assert!(stats.clean(), "{stats:?}");
                 table.row(vec![

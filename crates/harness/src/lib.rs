@@ -6,19 +6,24 @@
 //! * [`AnyUc`] — a uniform wrapper over the underlying-consensus
 //!   implementations (idealized oracle vs the real randomized stack), so a
 //!   single node type serves every experiment.
-//! * [`nodes`] — heterogeneous actor enums (`DexNode`, `BoscoNode`,
-//!   `PlainNode`) mixing correct protocol actors with Byzantine actors, plus
-//!   the [`ProtocolForgery`](dex_adversary::ProtocolForgery)
-//!   implementations that let the generic adversary attack each protocol.
+//! * [`nodes`] — the one system-node type, [`Node<A>`](nodes::Node): a
+//!   correct actor of algorithm `A` or a Byzantine actor on the same wire
+//!   type; and [`Protocol`](nodes::Protocol), the small trait (event
+//!   recording, aggregation switch, measured outcome) an algorithm
+//!   implements to run here.
 //! * [`spec`] — the unified, serializable [`RunSpec`](spec::RunSpec)
 //!   (system size, algorithm, workload, adversary, chaos schedule, seed…)
 //!   that maps 1:1 onto the `dex-sim` CLI flags and runs batches directly.
 //! * [`stats`] — the shared [`RunStats`](stats::RunStats) carrier every
 //!   runtime's result surface projects into, so `--stats` prints the same
 //!   per-class wire breakdown on simnet, threadnet and netd alike.
-//! * [`runner`] — single-run and batch execution with safety checking
-//!   (agreement / unanimity / termination violations are *counted*, the
-//!   experiment asserts they stay zero) and step/latency statistics.
+//! * [`runner`] — one generic run body for every algorithm on simnet or
+//!   threadnet ([`run_instance`](runner::run_instance)), the one per-run
+//!   derivation ([`BatchSpec::instance`](runner::BatchSpec::instance)),
+//!   the one worker pool (`par_map`, shared with [`campaign`]) and batch
+//!   execution with safety checking (agreement / unanimity / termination
+//!   violations are *counted*, the experiment asserts they stay zero) and
+//!   step/latency statistics.
 //! * [`campaign`] — the million-client testbed sweep: a
 //!   [`CampaignSpec`](campaign::CampaignSpec) fans contention-phase
 //!   workloads across seeds × adversaries × chaos schedules × legal

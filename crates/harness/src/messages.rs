@@ -9,10 +9,8 @@
 //! asymptotic gap — and the fact that it does not depend on which path
 //! decides — concrete.
 
-use crate::runner::{run_instance, Algo, RunInstance, UnderlyingKind};
-use dex_adversary::{ByzantineStrategy, FaultPlan};
+use crate::runner::{run_instance, Algo, RunInstance};
 use dex_metrics::{Summary, Table};
-use dex_simnet::DelayModel;
 use dex_types::{InputVector, SystemConfig};
 
 /// Options for the message-complexity experiment.
@@ -22,12 +20,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts { runs: 20, seed0: 0 }
-    }
 }
 
 /// Mean delivered messages for one `(algo, n, input)` point.
@@ -41,17 +33,9 @@ pub fn mean_messages(
     let mut messages = Summary::new();
     for i in 0..runs {
         let r = run_instance(&RunInstance {
-            faults: dex_simnet::FaultSchedule::none(),
-            config: cfg,
-            algo,
-            underlying: UnderlyingKind::Oracle,
-            strategy: ByzantineStrategy::Silent,
-            fault_plan: FaultPlan::none(),
-            input: input.clone(),
-            delay: DelayModel::Uniform { min: 1, max: 10 },
             seed: seed0 + i as u64,
             max_events: 50_000_000,
-            aggregate: false,
+            ..RunInstance::base(cfg, algo, input.clone())
         });
         assert!(r.quiescent && r.agreement_ok() && r.all_decided());
         messages.add(r.messages as f64);

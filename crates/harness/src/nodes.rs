@@ -1,23 +1,19 @@
-//! Heterogeneous node types: correct protocol actors mixed with Byzantine
-//! actors, plus the forgery implementations the generic adversary needs.
+//! The one system-node type: a correct protocol actor or a Byzantine
+//! actor speaking the same wire type — plus the [`Protocol`] trait that is
+//! everything the runner needs from an algorithm beyond
+//! [`Actor`](dex_simnet::Actor), and the forgery implementation the generic
+//! adversary needs for bare underlying-consensus traffic.
 
-// Node enums hold whole protocol actors inline; boxing them would buy
-// nothing in a simulation that owns every actor for its full lifetime.
-#![allow(clippy::large_enum_variant)]
-
+use crate::runner::Outcome;
 use crate::ucwrap::{AnyUc, AnyUcMsg};
 use dex_adversary::{ByzantineActor, ProtocolForgery};
-use dex_baselines::{BoscoActor, BoscoMsg, CrashActor, CrashMsg, UnderlyingOnlyActor};
-use dex_conditions::{FrequencyPair, PrivilegedPair};
-use dex_core::{DexActor, DexMsg};
-use dex_simnet::{Actor, Context};
+use dex_baselines::{BoscoActor, BoscoPath, CrashActor, CrashPath, UnderlyingOnlyActor};
+use dex_conditions::LegalityPair;
+use dex_core::{DecisionPath, DexActor};
+use dex_obs::{ProcessTrace, Recorder};
+use dex_simnet::{Actor, Context, MsgClass};
 use dex_types::ProcessId;
 use dex_underlying::OracleMsg;
-
-/// Messages of DEX over the unified underlying consensus.
-pub type DexWire = DexMsg<u64, AnyUcMsg>;
-/// Messages of Bosco over the unified underlying consensus.
-pub type BoscoWire = BoscoMsg<u64, AnyUcMsg>;
 
 impl ProtocolForgery for AnyUcMsg {
     type Value = u64;
@@ -27,261 +23,168 @@ impl ProtocolForgery for AnyUcMsg {
     }
 }
 
-/// A DEX system node: a correct process running one of the two legality
-/// pairs, or a Byzantine process.
-pub enum DexNode {
-    /// Correct process, frequency pair.
-    Freq(DexActor<u64, FrequencyPair, AnyUc>),
-    /// Correct process, privileged-value pair.
-    Prv(DexActor<u64, PrivilegedPair<u64>, AnyUc>),
-    /// Byzantine process.
-    Byz(ByzantineActor<DexWire>),
+/// What the runner needs from a correct process's actor: event recording,
+/// the aggregation switch and the measured outcome. Adding an algorithm to
+/// the harness is one impl of this trait plus one arm in the runner's
+/// `Algo` match.
+pub trait Protocol: Actor {
+    /// Turns echo/vote aggregation on — `None` for algorithms with no
+    /// echo/vote flood to coalesce (`RunSpec::config` rejects `--aggregate`
+    /// for those).
+    const AGGREGATE: Option<fn(&mut Self)>;
+
+    /// Enables structured event recording for process index `me`.
+    fn enable_obs(&mut self, me: u16);
+
+    /// Copies out the recorded trace (empty unless recording was enabled).
+    fn obs_trace(&self) -> ProcessTrace;
+
+    /// The process's measured outcome once the run is over.
+    fn outcome(&self) -> Outcome;
 }
 
-impl DexNode {
-    /// Enables structured event recording on correct nodes (no-op for
-    /// Byzantine nodes, whose logs would be untrusted anyway). The process
-    /// id is taken from the wrapped state machine.
-    pub fn enable_obs(&mut self, _me: u16) {
-        match self {
-            DexNode::Freq(a) => a.process_mut().enable_obs(),
-            DexNode::Prv(a) => a.process_mut().enable_obs(),
-            DexNode::Byz(_) => {}
-        }
+impl<P: LegalityPair<u64> + Send + 'static> Protocol for DexActor<u64, P, AnyUc> {
+    const AGGREGATE: Option<fn(&mut Self)> = Some(Self::enable_aggregation);
+
+    fn enable_obs(&mut self, _me: u16) {
+        // The process id is taken from the wrapped state machine.
+        self.process_mut().enable_obs();
     }
 
-    /// Copies out the recorded trace (`None` for Byzantine nodes or when
-    /// recording was never enabled).
-    pub fn obs_trace(&self) -> Option<dex_obs::ProcessTrace> {
-        let obs = match self {
-            DexNode::Freq(a) => a.process().obs(),
-            DexNode::Prv(a) => a.process().obs(),
-            DexNode::Byz(_) => return None,
-        };
-        obs.is_active().then(|| obs.trace())
+    fn obs_trace(&self) -> ProcessTrace {
+        self.process().obs().trace()
     }
 
-    /// Turns on echo aggregation on correct nodes (no-op for Byzantine
-    /// nodes — the adversary never batches, which also exercises receivers
-    /// against mixed batched/unbatched traffic).
-    pub fn enable_aggregation(&mut self) {
-        match self {
-            DexNode::Freq(a) => a.enable_aggregation(),
-            DexNode::Prv(a) => a.enable_aggregation(),
-            DexNode::Byz(_) => {}
-        }
+    fn outcome(&self) -> Outcome {
+        self.decision().map_or(Outcome::Undecided, |d| {
+            Outcome::decided(d.value, d.path, d.depth, d.at)
+        })
     }
 }
 
-impl Actor for DexNode {
-    type Msg = DexWire;
+impl Protocol for BoscoActor<u64, AnyUc> {
+    const AGGREGATE: Option<fn(&mut Self)> = Some(Self::enable_aggregation);
+
+    fn enable_obs(&mut self, me: u16) {
+        BoscoActor::enable_obs(self, me);
+    }
+
+    fn obs_trace(&self) -> ProcessTrace {
+        self.obs().trace()
+    }
+
+    fn outcome(&self) -> Outcome {
+        self.decision().map_or(Outcome::Undecided, |d| {
+            let path = match d.path {
+                BoscoPath::OneStep => DecisionPath::OneStep,
+                BoscoPath::Underlying => DecisionPath::Underlying,
+            };
+            Outcome::decided(d.value, path, d.depth, d.at)
+        })
+    }
+}
+
+impl Protocol for CrashActor<u64, AnyUc> {
+    const AGGREGATE: Option<fn(&mut Self)> = None;
+
+    fn enable_obs(&mut self, me: u16) {
+        CrashActor::enable_obs(self, me);
+    }
+
+    fn obs_trace(&self) -> ProcessTrace {
+        self.obs().trace()
+    }
+
+    fn outcome(&self) -> Outcome {
+        self.decision().map_or(Outcome::Undecided, |d| {
+            let path = match d.path {
+                CrashPath::OneStep => DecisionPath::OneStep,
+                CrashPath::Underlying => DecisionPath::Underlying,
+            };
+            Outcome::decided(d.value, path, d.depth, d.at)
+        })
+    }
+}
+
+impl Protocol for UnderlyingOnlyActor<u64, AnyUc> {
+    const AGGREGATE: Option<fn(&mut Self)> = None;
+
+    fn enable_obs(&mut self, me: u16) {
+        UnderlyingOnlyActor::enable_obs(self, me);
+    }
+
+    fn obs_trace(&self) -> ProcessTrace {
+        self.obs().trace()
+    }
+
+    fn outcome(&self) -> Outcome {
+        self.decision().map_or(Outcome::Undecided, |d| {
+            Outcome::decided(d.value, DecisionPath::Underlying, d.depth, d.at)
+        })
+    }
+}
+
+/// A system node: a correct process running algorithm `A`, or a Byzantine
+/// process attacking it over the same wire type. Byzantine nodes record no
+/// events (their logs would be untrusted anyway) and never batch, which
+/// also exercises receivers against mixed batched/unbatched traffic.
+// Nodes hold whole protocol actors inline; boxing them would buy nothing
+// in a run that owns every actor for its full lifetime.
+#[allow(clippy::large_enum_variant)]
+pub enum Node<A: Actor>
+where
+    A::Msg: ProtocolForgery,
+{
+    /// Correct process.
+    Correct(A),
+    /// Byzantine (or, for the crash-model rows, crashed) process.
+    Byz(ByzantineActor<A::Msg>),
+}
+
+impl<A: Actor> Actor for Node<A>
+where
+    A::Msg: ProtocolForgery,
+{
+    type Msg = A::Msg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         match self {
-            DexNode::Freq(a) => a.on_start(ctx),
-            DexNode::Prv(a) => a.on_start(ctx),
-            DexNode::Byz(a) => a.on_start(ctx),
+            Node::Correct(a) => a.on_start(ctx),
+            Node::Byz(a) => a.on_start(ctx),
         }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
         match self {
-            DexNode::Freq(a) => a.on_message(from, msg, ctx),
-            DexNode::Prv(a) => a.on_message(from, msg, ctx),
-            DexNode::Byz(a) => a.on_message(from, msg, ctx),
+            Node::Correct(a) => a.on_message(from, msg, ctx),
+            Node::Byz(a) => a.on_message(from, msg, ctx),
         }
     }
 
-    fn recorder_mut(&mut self) -> Option<&mut dex_obs::Recorder> {
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
         match self {
-            DexNode::Freq(a) => a.recorder_mut(),
-            DexNode::Prv(a) => a.recorder_mut(),
-            DexNode::Byz(_) => None,
+            Node::Correct(a) => a.recorder_mut(),
+            Node::Byz(_) => None,
         }
     }
 
     fn msg_bytes(msg: &Self::Msg) -> usize {
-        dex_core::dex_msg_bytes(msg)
+        A::msg_bytes(msg)
     }
 
-    fn msg_class(msg: &Self::Msg) -> dex_simnet::MsgClass {
-        dex_core::dex_msg_class(msg)
-    }
-}
-
-/// A Bosco system node.
-pub enum BoscoNode {
-    /// Correct process.
-    Correct(BoscoActor<u64, AnyUc>),
-    /// Byzantine process.
-    Byz(ByzantineActor<BoscoWire>),
-}
-
-impl BoscoNode {
-    /// Enables structured event recording on correct nodes.
-    pub fn enable_obs(&mut self, me: u16) {
-        if let BoscoNode::Correct(a) = self {
-            a.enable_obs(me);
-        }
-    }
-
-    /// Copies out the recorded trace, if any.
-    pub fn obs_trace(&self) -> Option<dex_obs::ProcessTrace> {
-        match self {
-            BoscoNode::Correct(a) => a.obs().is_active().then(|| a.obs().trace()),
-            BoscoNode::Byz(_) => None,
-        }
-    }
-
-    /// Turns on vote aggregation on correct nodes (no-op for Byzantine
-    /// nodes).
-    pub fn enable_aggregation(&mut self) {
-        if let BoscoNode::Correct(a) = self {
-            a.enable_aggregation();
-        }
-    }
-}
-
-impl Actor for BoscoNode {
-    type Msg = BoscoWire;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            BoscoNode::Correct(a) => a.on_start(ctx),
-            BoscoNode::Byz(a) => a.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            BoscoNode::Correct(a) => a.on_message(from, msg, ctx),
-            BoscoNode::Byz(a) => a.on_message(from, msg, ctx),
-        }
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut dex_obs::Recorder> {
-        match self {
-            BoscoNode::Correct(a) => a.recorder_mut(),
-            BoscoNode::Byz(_) => None,
-        }
-    }
-
-    fn msg_bytes(msg: &Self::Msg) -> usize {
-        dex_baselines::bosco_msg_bytes(msg)
-    }
-
-    fn msg_class(msg: &Self::Msg) -> dex_simnet::MsgClass {
-        dex_baselines::bosco_msg_class(msg)
-    }
-}
-
-/// Messages of the crash-model algorithms over the unified underlying
-/// consensus.
-pub type CrashWire = CrashMsg<u64, AnyUcMsg>;
-
-/// A crash-model system node (Table 1's crash rows).
-pub enum CrashNode {
-    /// Correct process.
-    Correct(CrashActor<u64, AnyUc>),
-    /// Crashed (or, for robustness checks, Byzantine) process.
-    Byz(ByzantineActor<CrashWire>),
-}
-
-impl CrashNode {
-    /// Enables structured event recording on correct nodes.
-    pub fn enable_obs(&mut self, me: u16) {
-        if let CrashNode::Correct(a) = self {
-            a.enable_obs(me);
-        }
-    }
-
-    /// Copies out the recorded trace, if any.
-    pub fn obs_trace(&self) -> Option<dex_obs::ProcessTrace> {
-        match self {
-            CrashNode::Correct(a) => a.obs().is_active().then(|| a.obs().trace()),
-            CrashNode::Byz(_) => None,
-        }
-    }
-}
-
-impl Actor for CrashNode {
-    type Msg = CrashWire;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            CrashNode::Correct(a) => a.on_start(ctx),
-            CrashNode::Byz(a) => a.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            CrashNode::Correct(a) => a.on_message(from, msg, ctx),
-            CrashNode::Byz(a) => a.on_message(from, msg, ctx),
-        }
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut dex_obs::Recorder> {
-        match self {
-            CrashNode::Correct(a) => a.recorder_mut(),
-            CrashNode::Byz(_) => None,
-        }
-    }
-}
-
-/// An underlying-only system node.
-pub enum PlainNode {
-    /// Correct process.
-    Correct(UnderlyingOnlyActor<u64, AnyUc>),
-    /// Byzantine process.
-    Byz(ByzantineActor<AnyUcMsg>),
-}
-
-impl PlainNode {
-    /// Enables structured event recording on correct nodes.
-    pub fn enable_obs(&mut self, me: u16) {
-        if let PlainNode::Correct(a) = self {
-            a.enable_obs(me);
-        }
-    }
-
-    /// Copies out the recorded trace, if any.
-    pub fn obs_trace(&self) -> Option<dex_obs::ProcessTrace> {
-        match self {
-            PlainNode::Correct(a) => a.obs().is_active().then(|| a.obs().trace()),
-            PlainNode::Byz(_) => None,
-        }
-    }
-}
-
-impl Actor for PlainNode {
-    type Msg = AnyUcMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            PlainNode::Correct(a) => a.on_start(ctx),
-            PlainNode::Byz(a) => a.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            PlainNode::Correct(a) => a.on_message(from, msg, ctx),
-            PlainNode::Byz(a) => a.on_message(from, msg, ctx),
-        }
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut dex_obs::Recorder> {
-        match self {
-            PlainNode::Correct(a) => a.recorder_mut(),
-            PlainNode::Byz(_) => None,
-        }
+    fn msg_class(msg: &Self::Msg) -> MsgClass {
+        A::msg_class(msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_baselines::BoscoMsg;
+    use dex_core::DexMsg;
+
+    type DexWire = DexMsg<u64, AnyUcMsg>;
+    type BoscoWire = BoscoMsg<u64, AnyUcMsg>;
 
     #[test]
     fn dex_forgery_builds_both_channels() {

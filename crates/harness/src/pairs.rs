@@ -11,10 +11,8 @@
 //!   the frequency pair can expedite any popular value; the privileged pair
 //!   never fires because `m` is not proposed at all.
 
-use crate::runner::{run_batch_auto, Algo, BatchSpec, Placement, UnderlyingKind};
-use dex_adversary::ByzantineStrategy;
+use crate::runner::{run_batch, Algo, BatchSpec};
 use dex_metrics::Table;
-use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
 use dex_workloads::{BernoulliMix, InputGenerator, SplitCount};
 
@@ -27,16 +25,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 2,
-            runs: 100,
-            seed0: 0,
-        }
-    }
 }
 
 /// Fast-decision fractions of one algorithm on one workload.
@@ -55,20 +43,10 @@ pub fn fast_fractions(
     runs: usize,
     seed0: u64,
 ) -> FastFractions {
-    let stats = run_batch_auto(&BatchSpec {
-        chaos: crate::spec::ChaosSpec::None,
-        config: cfg,
-        algo,
-        underlying: UnderlyingKind::Oracle,
-        strategy: ByzantineStrategy::Silent,
-        f: 0,
-        placement: Placement::LastK,
-        workload,
-        delay: DelayModel::Uniform { min: 1, max: 10 },
+    let stats = run_batch(&BatchSpec {
         runs,
         seed0,
-        max_events: 5_000_000,
-        aggregate: false,
+        ..BatchSpec::base(cfg, algo, workload)
     });
     assert!(stats.clean(), "{stats:?}");
     FastFractions {

@@ -1,21 +1,22 @@
 //! Single-run and batch experiment execution.
 
-use crate::nodes::{BoscoNode, CrashNode, DexNode, PlainNode};
+use crate::nodes::{Node, Protocol};
 use crate::spec::ChaosSpec;
 use crate::ucwrap::AnyUc;
-use dex_adversary::{ByzantineActor, ByzantineStrategy, FaultPlan};
+use dex_adversary::{ByzantineActor, ByzantineStrategy, FaultPlan, ProtocolForgery};
 use dex_baselines::{
-    BoscoActor, BoscoPath, BoscoProcess, CrashActor, CrashOneStep, CrashPath, CrashRule,
-    UnderlyingOnlyActor, UnderlyingOnlyProcess,
+    BoscoActor, BoscoProcess, CrashActor, CrashOneStep, CrashRule, UnderlyingOnlyActor,
+    UnderlyingOnlyProcess,
 };
 use dex_conditions::{FrequencyPair, PrivilegedPair};
 use dex_core::{DecisionPath, DexActor, DexProcess};
 use dex_metrics::{Counter, Summary};
 use dex_obs::{obs_code, ChaosMeta, ProcessTrace, RunTrace, SchemeRules, TraceMeta};
-use dex_simnet::{DelayModel, FaultSchedule, Simulation};
-use dex_types::{InputVector, ProcessId, SystemConfig};
+use dex_simnet::{DelayModel, FaultSchedule, Simulation, Time};
+use dex_types::{InputVector, ProcessId, StepDepth, SystemConfig};
 use dex_workloads::InputGenerator;
 use rand::rngs::StdRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which algorithm a run executes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,6 +52,19 @@ impl Algo {
             Algo::UnderlyingOnly => "underlying-only",
             Algo::Brasileiro => "brasileiro",
             Algo::CrashAdaptive => "crash-adaptive",
+        }
+    }
+
+    /// Whether the algorithm has an echo/vote flood that `--aggregate` can
+    /// coalesce — read off its actor's [`Protocol`] impl.
+    pub fn aggregates(self) -> bool {
+        match self {
+            Algo::DexFreq | Algo::DexPrv { .. } => {
+                DexActor::<u64, FrequencyPair, AnyUc>::AGGREGATE.is_some()
+            }
+            Algo::Bosco => BoscoActor::<u64, AnyUc>::AGGREGATE.is_some(),
+            Algo::UnderlyingOnly => UnderlyingOnlyActor::<u64, AnyUc>::AGGREGATE.is_some(),
+            Algo::Brasileiro | Algo::CrashAdaptive => CrashActor::<u64, AnyUc>::AGGREGATE.is_some(),
         }
     }
 }
@@ -120,6 +134,18 @@ pub enum Outcome {
     Undecided,
     /// A correct process that decided.
     Decided(ProcessResult),
+}
+
+impl Outcome {
+    /// A decision of `value` via `path`, `depth` causal steps in, at `at`.
+    pub fn decided(value: u64, path: DecisionPath, depth: StepDepth, at: Time) -> Self {
+        Outcome::Decided(ProcessResult {
+            value,
+            path: path.label(),
+            steps: depth.get(),
+            latency: at.as_units(),
+        })
+    }
 }
 
 /// Result of one run.
@@ -194,16 +220,26 @@ impl RunResult {
     }
 }
 
-fn byz_strategy(spec: &RunInstance) -> ByzantineStrategy<u64> {
-    spec.strategy.clone()
-}
-
-fn make_uc(spec: &RunInstance, me: ProcessId) -> AnyUc {
-    match spec.underlying {
-        UnderlyingKind::Oracle => {
-            AnyUc::oracle(spec.config, me, spec.fault_plan.coordinator(spec.config))
+impl RunInstance {
+    /// The figure drivers' common run: oracle underlying consensus, no
+    /// faults (silent, should a plan be struct-updated in), `uniform:1:10`
+    /// delays, a clean network, seed 0, a 5 M delivery cap, no
+    /// aggregation. Drivers struct-update the fields their experiment
+    /// varies.
+    pub fn base(config: SystemConfig, algo: Algo, input: InputVector<u64>) -> Self {
+        RunInstance {
+            config,
+            algo,
+            underlying: UnderlyingKind::Oracle,
+            strategy: ByzantineStrategy::Silent,
+            fault_plan: FaultPlan::none(),
+            input,
+            delay: DelayModel::Uniform { min: 1, max: 10 },
+            faults: FaultSchedule::none(),
+            seed: 0,
+            max_events: 5_000_000,
+            aggregate: false,
         }
-        UnderlyingKind::Mvc { coin_seed } => AnyUc::mvc(spec.config, me, coin_seed),
     }
 }
 
@@ -212,15 +248,12 @@ fn make_uc(spec: &RunInstance, me: ProcessId) -> AnyUc {
 /// # Panics
 ///
 /// Panics if the spec's algorithm cannot be instantiated for its
-/// configuration (e.g. `DexFreq` with `n ≤ 6t`) or the fault plan exceeds
-/// `t` — misconfigured experiments should fail loudly.
+/// configuration (e.g. `DexFreq` with `n ≤ 6t`), the fault plan exceeds
+/// `t`, the input vector does not match the system size, or `aggregate` is
+/// set for an algorithm with nothing to aggregate — misconfigured
+/// experiments should fail loudly.
 pub fn run_instance(spec: &RunInstance) -> RunResult {
-    assert_eq!(
-        spec.input.n(),
-        spec.config.n(),
-        "input vector must match system size"
-    );
-    dispatch_spec(spec, false).0
+    dispatch(spec, Runtime::Simnet, false).0
 }
 
 /// A run's measured result together with the structured event trace of
@@ -241,12 +274,7 @@ pub struct TracedRun {
 ///
 /// Panics under the same conditions as [`run_instance`].
 pub fn run_instance_traced(spec: &RunInstance) -> TracedRun {
-    assert_eq!(
-        spec.input.n(),
-        spec.config.n(),
-        "input vector must match system size"
-    );
-    let (result, processes) = dispatch_spec(spec, true);
+    let (result, processes) = dispatch(spec, Runtime::Simnet, true);
     TracedRun {
         result,
         trace: RunTrace {
@@ -256,13 +284,147 @@ pub fn run_instance_traced(spec: &RunInstance) -> TracedRun {
     }
 }
 
-fn dispatch_spec(spec: &RunInstance, trace: bool) -> (RunResult, Vec<ProcessTrace>) {
+/// Which in-process runtime carries a run's messages (netd cannot run
+/// in-process; see [`RuntimeSpec`](crate::spec::RuntimeSpec)).
+#[derive(Clone, Copy)]
+pub(crate) enum Runtime {
+    /// The deterministic simulator.
+    Simnet,
+    /// One OS thread per process; latencies are wall-clock microseconds.
+    Thread,
+}
+
+/// Picks [`execute`]'s monomorphisation: each arm says only how the
+/// algorithm's correct-process actor is built.
+fn dispatch(spec: &RunInstance, runtime: Runtime, trace: bool) -> (RunResult, Vec<ProcessTrace>) {
+    let cfg = spec.config;
+    let crash = |rule| {
+        move |me, uc, proposal| CrashActor::new(CrashOneStep::new(cfg, me, rule, uc), proposal)
+    };
     match spec.algo {
-        Algo::DexFreq | Algo::DexPrv { .. } => run_dex(spec, trace),
-        Algo::Bosco => run_bosco(spec, trace),
-        Algo::UnderlyingOnly => run_plain(spec, trace),
-        Algo::Brasileiro => run_crash(spec, CrashRule::Brasileiro, trace),
-        Algo::CrashAdaptive => run_crash(spec, CrashRule::Adaptive, trace),
+        Algo::DexFreq => execute(spec, runtime, trace, |me, uc, proposal| {
+            let pair = FrequencyPair::new(cfg).expect("n > 6t required for DexFreq");
+            DexActor::new(DexProcess::new(cfg, me, pair, uc), proposal)
+        }),
+        Algo::DexPrv { m } => execute(spec, runtime, trace, |me, uc, proposal| {
+            let pair = PrivilegedPair::new(cfg, m).expect("n > 5t required for DexPrv");
+            DexActor::new(DexProcess::new(cfg, me, pair, uc), proposal)
+        }),
+        Algo::Bosco => execute(spec, runtime, trace, |me, uc, proposal| {
+            BoscoActor::new(BoscoProcess::new(cfg, me, uc), proposal)
+        }),
+        Algo::UnderlyingOnly => execute(spec, runtime, trace, |_, uc, proposal| {
+            UnderlyingOnlyActor::new(UnderlyingOnlyProcess::new(uc), proposal)
+        }),
+        Algo::Brasileiro => execute(spec, runtime, trace, crash(CrashRule::Brasileiro)),
+        Algo::CrashAdaptive => execute(spec, runtime, trace, crash(CrashRule::Adaptive)),
+    }
+}
+
+/// The one run body: builds the node vector (`correct` makes each correct
+/// process's actor from its id, underlying consensus and proposal; faulty
+/// ids get the spec's Byzantine strategy), runs it on `runtime`, and
+/// harvests outcomes and — when `trace` — every process's event trace
+/// (empty for Byzantine nodes).
+fn execute<A>(
+    spec: &RunInstance,
+    runtime: Runtime,
+    trace: bool,
+    correct: impl Fn(ProcessId, AnyUc, u64) -> A,
+) -> (RunResult, Vec<ProcessTrace>)
+where
+    A: Protocol + Send + 'static,
+    A::Msg: ProtocolForgery<Value = u64>,
+{
+    assert_eq!(
+        spec.input.n(),
+        spec.config.n(),
+        "input vector must match system size"
+    );
+    let aggregate = spec
+        .aggregate
+        .then(|| A::AGGREGATE.expect("`aggregate` needs an algorithm with an echo/vote flood"));
+    let nodes: Vec<Node<A>> = spec
+        .config
+        .processes()
+        .map(|me| {
+            if spec.fault_plan.is_faulty(me) {
+                return Node::Byz(ByzantineActor::new(spec.strategy.clone()));
+            }
+            let uc = match spec.underlying {
+                UnderlyingKind::Oracle => {
+                    AnyUc::oracle(spec.config, me, spec.fault_plan.coordinator(spec.config))
+                }
+                UnderlyingKind::Mvc { coin_seed } => AnyUc::mvc(spec.config, me, coin_seed),
+            };
+            let mut actor = correct(me, uc, *spec.input.get(me));
+            if let Some(enable) = aggregate {
+                enable(&mut actor);
+            }
+            if trace {
+                actor.enable_obs(me.index() as u16);
+            }
+            Node::Correct(actor)
+        })
+        .collect();
+    let harvest = |nodes: &[Node<A>], quiescent, net: dex_simnet::NetStats| {
+        let outcomes = nodes.iter().map(|node| match node {
+            Node::Correct(a) => a.outcome(),
+            Node::Byz(_) => Outcome::Faulty,
+        });
+        let result = RunResult {
+            outcomes: outcomes.collect(),
+            quiescent,
+            messages: net.delivered,
+            net,
+        };
+        let traces = nodes.iter().enumerate().map(|(i, node)| match node {
+            Node::Correct(a) => a.obs_trace(),
+            Node::Byz(_) => ProcessTrace {
+                id: i as u16,
+                events: Vec::new(),
+            },
+        });
+        let traces = if trace { traces.collect() } else { Vec::new() };
+        (result, traces)
+    };
+    match runtime {
+        Runtime::Simnet => {
+            let mut sim = Simulation::builder(nodes)
+                .seed(spec.seed)
+                .delay(spec.delay.clone())
+                .faults(spec.faults.clone())
+                .build();
+            let run = sim.run(spec.max_events);
+            harvest(sim.actors(), run.quiescent, sim.stats().clone())
+        }
+        Runtime::Thread => {
+            let res = dex_threadnet::run_network(nodes, thread_options(&spec.delay, spec.seed));
+            harvest(&res.actors, res.quiescent, res.stats)
+        }
+    }
+}
+
+/// Derives the threaded runtime's [`NetworkOptions`] from a spec's delay
+/// model: virtual units map to microseconds, so `uniform:50:500` means a
+/// 50–500 µs jitter window. Models without a CLI spelling fall back to
+/// their nearest uniform envelope.
+///
+/// [`NetworkOptions`]: dex_threadnet::NetworkOptions
+fn thread_options(delay: &DelayModel, seed: u64) -> dex_threadnet::NetworkOptions {
+    let delay_us = match delay {
+        DelayModel::Constant(d) => (*d, *d),
+        DelayModel::Uniform { min, max } => (*min, *max),
+        DelayModel::Exponential { mean } => (1, (2 * mean).max(1)),
+        // Skewed/Targeted shape *which link* is slow, which the threaded
+        // dispatcher's single jitter window cannot express; keep the
+        // overall envelope.
+        _ => (1, 10),
+    };
+    dex_threadnet::NetworkOptions {
+        seed,
+        delay_us,
+        timeout: std::time::Duration::from_secs(30),
     }
 }
 
@@ -327,308 +489,6 @@ fn chaos_meta(faults: &FaultSchedule, plan: &FaultPlan) -> Option<ChaosMeta> {
     })
 }
 
-/// Harvests every node's trace after a run, substituting an empty trace
-/// for nodes that recorded nothing (Byzantine or recording disabled).
-fn collect_traces<'a, N: 'a>(
-    nodes: impl Iterator<Item = &'a N>,
-    obs_trace: impl Fn(&N) -> Option<ProcessTrace>,
-) -> Vec<ProcessTrace> {
-    nodes
-        .enumerate()
-        .map(|(i, n)| {
-            obs_trace(n).unwrap_or(ProcessTrace {
-                id: i as u16,
-                events: Vec::new(),
-            })
-        })
-        .collect()
-}
-
-/// Builds the crash-model actor vector for a run — shared by the simnet
-/// and threaded execution paths, so both runtimes drive byte-identical
-/// actor populations.
-fn crash_nodes(spec: &RunInstance, rule: CrashRule) -> Vec<CrashNode> {
-    let cfg = spec.config;
-    cfg.processes()
-        .map(|me| {
-            if spec.fault_plan.is_faulty(me) {
-                CrashNode::Byz(ByzantineActor::new(byz_strategy(spec)))
-            } else {
-                CrashNode::Correct(CrashActor::new(
-                    CrashOneStep::new(cfg, me, rule, make_uc(spec, me)),
-                    *spec.input.get(me),
-                ))
-            }
-        })
-        .collect()
-}
-
-/// Reads one crash-model node's outcome after a run (any runtime).
-fn crash_node_outcome(node: &CrashNode) -> Outcome {
-    match node {
-        CrashNode::Byz(_) => Outcome::Faulty,
-        CrashNode::Correct(a) => match a.decision() {
-            None => Outcome::Undecided,
-            Some(d) => Outcome::Decided(ProcessResult {
-                value: d.value,
-                path: match d.path {
-                    CrashPath::OneStep => DecisionPath::OneStep.label(),
-                    CrashPath::Underlying => DecisionPath::Underlying.label(),
-                },
-                steps: d.depth.get(),
-                latency: d.at.as_units(),
-            }),
-        },
-    }
-}
-
-fn run_crash(spec: &RunInstance, rule: CrashRule, trace: bool) -> (RunResult, Vec<ProcessTrace>) {
-    let mut nodes = crash_nodes(spec, rule);
-    if trace {
-        for (i, node) in nodes.iter_mut().enumerate() {
-            node.enable_obs(i as u16);
-        }
-    }
-    let mut sim = Simulation::builder(nodes)
-        .seed(spec.seed)
-        .delay(spec.delay.clone())
-        .faults(spec.faults.clone())
-        .build();
-    let run = sim.run(spec.max_events);
-    let outcomes = sim.actors().iter().map(crash_node_outcome).collect();
-    let traces = collect_traces(sim.actors().iter(), CrashNode::obs_trace);
-    (
-        RunResult {
-            outcomes,
-            quiescent: run.quiescent,
-            messages: sim.stats().delivered,
-            net: sim.stats().clone(),
-        },
-        traces,
-    )
-}
-
-/// Builds the DEX actor vector for a run (frequency or privileged pair),
-/// applying the spec's aggregation switch — shared by the simnet and
-/// threaded execution paths.
-fn dex_nodes(spec: &RunInstance) -> Vec<DexNode> {
-    let cfg = spec.config;
-    let mut nodes: Vec<DexNode> = cfg
-        .processes()
-        .map(|me| {
-            if spec.fault_plan.is_faulty(me) {
-                DexNode::Byz(ByzantineActor::new(byz_strategy(spec)))
-            } else {
-                let proposal = *spec.input.get(me);
-                match spec.algo {
-                    Algo::DexFreq => DexNode::Freq(DexActor::new(
-                        DexProcess::new(
-                            cfg,
-                            me,
-                            FrequencyPair::new(cfg).expect("n > 6t required for DexFreq"),
-                            make_uc(spec, me),
-                        ),
-                        proposal,
-                    )),
-                    Algo::DexPrv { m } => DexNode::Prv(DexActor::new(
-                        DexProcess::new(
-                            cfg,
-                            me,
-                            PrivilegedPair::new(cfg, m).expect("n > 5t required for DexPrv"),
-                            make_uc(spec, me),
-                        ),
-                        proposal,
-                    )),
-                    _ => unreachable!(),
-                }
-            }
-        })
-        .collect();
-    if spec.aggregate {
-        for node in nodes.iter_mut() {
-            node.enable_aggregation();
-        }
-    }
-    nodes
-}
-
-/// Reads one DEX node's outcome after a run (any runtime).
-fn dex_node_outcome(node: &DexNode) -> Outcome {
-    match node {
-        DexNode::Byz(_) => Outcome::Faulty,
-        DexNode::Freq(a) => dex_outcome(a.decision()),
-        DexNode::Prv(a) => dex_outcome(a.decision()),
-    }
-}
-
-fn run_dex(spec: &RunInstance, trace: bool) -> (RunResult, Vec<ProcessTrace>) {
-    let mut nodes = dex_nodes(spec);
-    if trace {
-        for (i, node) in nodes.iter_mut().enumerate() {
-            node.enable_obs(i as u16);
-        }
-    }
-    let mut sim = Simulation::builder(nodes)
-        .seed(spec.seed)
-        .delay(spec.delay.clone())
-        .faults(spec.faults.clone())
-        .build();
-    let run = sim.run(spec.max_events);
-    let outcomes = sim.actors().iter().map(dex_node_outcome).collect();
-    let traces = collect_traces(sim.actors().iter(), DexNode::obs_trace);
-    (
-        RunResult {
-            outcomes,
-            quiescent: run.quiescent,
-            messages: sim.stats().delivered,
-            net: sim.stats().clone(),
-        },
-        traces,
-    )
-}
-
-fn dex_outcome(d: Option<&dex_core::DecisionRecord<u64>>) -> Outcome {
-    match d {
-        None => Outcome::Undecided,
-        Some(d) => Outcome::Decided(ProcessResult {
-            value: d.value,
-            path: d.path.label(),
-            steps: d.depth.get(),
-            latency: d.at.as_units(),
-        }),
-    }
-}
-
-/// Builds the Bosco actor vector for a run — shared by the simnet and
-/// threaded execution paths.
-fn bosco_nodes(spec: &RunInstance) -> Vec<BoscoNode> {
-    let cfg = spec.config;
-    let mut nodes: Vec<BoscoNode> = cfg
-        .processes()
-        .map(|me| {
-            if spec.fault_plan.is_faulty(me) {
-                BoscoNode::Byz(ByzantineActor::new(byz_strategy(spec)))
-            } else {
-                BoscoNode::Correct(BoscoActor::new(
-                    BoscoProcess::new(cfg, me, make_uc(spec, me)),
-                    *spec.input.get(me),
-                ))
-            }
-        })
-        .collect();
-    if spec.aggregate {
-        for node in nodes.iter_mut() {
-            node.enable_aggregation();
-        }
-    }
-    nodes
-}
-
-/// Reads one Bosco node's outcome after a run (any runtime).
-fn bosco_node_outcome(node: &BoscoNode) -> Outcome {
-    match node {
-        BoscoNode::Byz(_) => Outcome::Faulty,
-        BoscoNode::Correct(a) => match a.decision() {
-            None => Outcome::Undecided,
-            Some(d) => Outcome::Decided(ProcessResult {
-                value: d.value,
-                path: match d.path {
-                    BoscoPath::OneStep => DecisionPath::OneStep.label(),
-                    BoscoPath::Underlying => DecisionPath::Underlying.label(),
-                },
-                steps: d.depth.get(),
-                latency: d.at.as_units(),
-            }),
-        },
-    }
-}
-
-fn run_bosco(spec: &RunInstance, trace: bool) -> (RunResult, Vec<ProcessTrace>) {
-    let mut nodes = bosco_nodes(spec);
-    if trace {
-        for (i, node) in nodes.iter_mut().enumerate() {
-            node.enable_obs(i as u16);
-        }
-    }
-    let mut sim = Simulation::builder(nodes)
-        .seed(spec.seed)
-        .delay(spec.delay.clone())
-        .faults(spec.faults.clone())
-        .build();
-    let run = sim.run(spec.max_events);
-    let outcomes = sim.actors().iter().map(bosco_node_outcome).collect();
-    let traces = collect_traces(sim.actors().iter(), BoscoNode::obs_trace);
-    (
-        RunResult {
-            outcomes,
-            quiescent: run.quiescent,
-            messages: sim.stats().delivered,
-            net: sim.stats().clone(),
-        },
-        traces,
-    )
-}
-
-/// Builds the underlying-only actor vector for a run — shared by the
-/// simnet and threaded execution paths.
-fn plain_nodes(spec: &RunInstance) -> Vec<PlainNode> {
-    let cfg = spec.config;
-    cfg.processes()
-        .map(|me| {
-            if spec.fault_plan.is_faulty(me) {
-                PlainNode::Byz(ByzantineActor::new(byz_strategy(spec)))
-            } else {
-                PlainNode::Correct(UnderlyingOnlyActor::new(
-                    UnderlyingOnlyProcess::new(make_uc(spec, me)),
-                    *spec.input.get(me),
-                ))
-            }
-        })
-        .collect()
-}
-
-/// Reads one underlying-only node's outcome after a run (any runtime).
-fn plain_node_outcome(node: &PlainNode) -> Outcome {
-    match node {
-        PlainNode::Byz(_) => Outcome::Faulty,
-        PlainNode::Correct(a) => match a.decision() {
-            None => Outcome::Undecided,
-            Some(d) => Outcome::Decided(ProcessResult {
-                value: d.value,
-                path: DecisionPath::Underlying.label(),
-                steps: d.depth.get(),
-                latency: d.at.as_units(),
-            }),
-        },
-    }
-}
-
-fn run_plain(spec: &RunInstance, trace: bool) -> (RunResult, Vec<ProcessTrace>) {
-    let mut nodes = plain_nodes(spec);
-    if trace {
-        for (i, node) in nodes.iter_mut().enumerate() {
-            node.enable_obs(i as u16);
-        }
-    }
-    let mut sim = Simulation::builder(nodes)
-        .seed(spec.seed)
-        .delay(spec.delay.clone())
-        .faults(spec.faults.clone())
-        .build();
-    let run = sim.run(spec.max_events);
-    let outcomes = sim.actors().iter().map(plain_node_outcome).collect();
-    let traces = collect_traces(sim.actors().iter(), PlainNode::obs_trace);
-    (
-        RunResult {
-            outcomes,
-            quiescent: run.quiescent,
-            messages: sim.stats().delivered,
-            net: sim.stats().clone(),
-        },
-        traces,
-    )
-}
-
 /// How faulty processes are placed in batch runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Placement {
@@ -670,6 +530,65 @@ pub struct BatchSpec<'a> {
     pub max_events: u64,
 }
 
+impl<'a> BatchSpec<'a> {
+    /// The figure drivers' common batch — the batch counterpart of
+    /// [`RunInstance::base`]: oracle underlying consensus, `f = 0` silent
+    /// faults placed last, `uniform:1:10` delays, a clean network, no
+    /// aggregation, one run from seed 0, a 5 M delivery cap. Drivers
+    /// struct-update the fields their experiment varies.
+    pub fn base(
+        config: SystemConfig,
+        algo: Algo,
+        workload: &'a (dyn InputGenerator + Sync),
+    ) -> Self {
+        BatchSpec {
+            config,
+            algo,
+            underlying: UnderlyingKind::Oracle,
+            strategy: ByzantineStrategy::Silent,
+            f: 0,
+            placement: Placement::LastK,
+            workload,
+            delay: DelayModel::Uniform { min: 1, max: 10 },
+            chaos: ChaosSpec::None,
+            aggregate: false,
+            runs: 1,
+            seed0: 0,
+            max_events: 5_000_000,
+        }
+    }
+
+    /// Derives run `i` of the batch — the one place the per-run recipe
+    /// lives. The run's seed is `seed0 + i`; one rng derived from that
+    /// seed draws the input vector first and then (under
+    /// [`Placement::RandomK`]) the fault plan; the chaos schedule is
+    /// compiled against that plan. Batches, `--trace` replays, the
+    /// threaded runtime, campaign tasks and netd's consensus cells all
+    /// execute exactly the instance this returns.
+    pub fn instance(&self, i: usize) -> RunInstance {
+        let seed = self.seed0 + i as u64;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
+        let input = self.workload.generate(self.config.n(), &mut rng);
+        let fault_plan = match self.placement {
+            Placement::LastK => FaultPlan::last_k(self.config, self.f),
+            Placement::RandomK => FaultPlan::random_k(self.config, self.f, &mut rng),
+        };
+        RunInstance {
+            config: self.config,
+            algo: self.algo,
+            underlying: self.underlying,
+            strategy: self.strategy.clone(),
+            faults: self.chaos.build(self.config, &fault_plan),
+            fault_plan,
+            input,
+            delay: self.delay.clone(),
+            seed,
+            max_events: self.max_events,
+            aggregate: self.aggregate,
+        }
+    }
+}
+
 /// Aggregated results of a batch.
 #[derive(Clone, Debug, Default)]
 pub struct BatchStats {
@@ -709,283 +628,142 @@ impl BatchStats {
             && self.undecided == 0
             && self.non_quiescent == 0
     }
-}
 
-/// Folds one finished run into the batch aggregate, checking the safety
-/// and liveness predicates against that run's input and fault plan. Both
-/// the simnet and threaded batch runners fold through here, so every
-/// runtime is held to the same violation ledger.
-fn fold_run(stats: &mut BatchStats, run: &RunResult, input: &InputVector<u64>, plan: &FaultPlan) {
-    stats.runs += 1;
-    if !run.quiescent {
-        stats.non_quiescent += 1;
-    }
-    if !run.agreement_ok() {
-        stats.agreement_violations += 1;
-    }
-    if !run.unanimity_ok(input, plan) {
-        stats.unanimity_violations += 1;
-    }
-    for outcome in &run.outcomes {
-        match outcome {
-            Outcome::Faulty => {}
-            Outcome::Undecided => stats.undecided += 1,
-            Outcome::Decided(r) => {
-                stats.paths.add(r.path);
-                stats.steps.add(f64::from(r.steps));
-                stats.latency.add(r.latency as f64);
+    /// Folds one finished run into the aggregate, checking the safety and
+    /// liveness predicates against that run's input and fault plan — the
+    /// one violation ledger every runtime is held to.
+    fn fold(&mut self, inst: &RunInstance, run: &RunResult) {
+        self.runs += 1;
+        if !run.quiescent {
+            self.non_quiescent += 1;
+        }
+        if !run.agreement_ok() {
+            self.agreement_violations += 1;
+        }
+        if !run.unanimity_ok(&inst.input, &inst.fault_plan) {
+            self.unanimity_violations += 1;
+        }
+        for outcome in &run.outcomes {
+            match outcome {
+                Outcome::Faulty => {}
+                Outcome::Undecided => self.undecided += 1,
+                Outcome::Decided(r) => {
+                    self.paths.add(r.path);
+                    self.steps.add(f64::from(r.steps));
+                    self.latency.add(r.latency as f64);
+                }
             }
         }
+        self.messages.add(run.messages as f64);
+        self.net.merge(&run.net);
     }
-    stats.messages.add(run.messages as f64);
-    stats.net.merge(&run.net);
 }
 
-/// Executes one indexed run of a batch and folds it into `stats`.
-fn run_batch_index(spec: &BatchSpec<'_>, i: usize, stats: &mut BatchStats) {
-    let seed = spec.seed0 + i as u64;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-    let input = spec.workload.generate(spec.config.n(), &mut rng);
-    let fault_plan = match spec.placement {
-        Placement::LastK => FaultPlan::last_k(spec.config, spec.f),
-        Placement::RandomK => FaultPlan::random_k(spec.config, spec.f, &mut rng),
-    };
-    let faults = spec.chaos.build(spec.config, &fault_plan);
-    let run = run_instance(&RunInstance {
-        config: spec.config,
-        algo: spec.algo,
-        underlying: spec.underlying,
-        strategy: spec.strategy.clone(),
-        fault_plan: fault_plan.clone(),
-        input: input.clone(),
-        delay: spec.delay.clone(),
-        faults,
-        seed,
-        max_events: spec.max_events,
-        aggregate: spec.aggregate,
-    });
-    fold_run(stats, &run, &input, &fault_plan);
-}
-
-/// Reconstructs batch run `i`'s spec — the same seed, workload draw and
-/// fault placement [`run_batch`] would use — and executes it with event
-/// recording enabled. This is how `--trace` replays a batch member
+/// Executes batch run `i` — [`BatchSpec::instance`] — with event recording
+/// enabled. This is how `--trace` replays a batch member
 /// deterministically: same batch spec and index ⇒ identical trace.
 pub fn traced_batch_run(spec: &BatchSpec<'_>, i: usize) -> TracedRun {
-    let seed = spec.seed0 + i as u64;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-    let input = spec.workload.generate(spec.config.n(), &mut rng);
-    let fault_plan = match spec.placement {
-        Placement::LastK => FaultPlan::last_k(spec.config, spec.f),
-        Placement::RandomK => FaultPlan::random_k(spec.config, spec.f, &mut rng),
-    };
-    let faults = spec.chaos.build(spec.config, &fault_plan);
-    run_instance_traced(&RunInstance {
-        config: spec.config,
-        algo: spec.algo,
-        underlying: spec.underlying,
-        strategy: spec.strategy.clone(),
-        fault_plan,
-        input,
-        delay: spec.delay.clone(),
-        faults,
-        seed,
-        max_events: spec.max_events,
-        aggregate: spec.aggregate,
-    })
+    run_instance_traced(&spec.instance(i))
 }
 
-/// Derives the threaded runtime's [`NetworkOptions`] from a spec's delay
-/// model: virtual units map to microseconds, so `uniform:50:500` means a
-/// 50–500 µs jitter window. Models without a CLI spelling fall back to
-/// their nearest uniform envelope.
-fn thread_options(delay: &DelayModel, seed: u64) -> dex_threadnet::NetworkOptions {
-    let delay_us = match delay {
-        DelayModel::Constant(d) => (*d, *d),
-        DelayModel::Uniform { min, max } => (*min, *max),
-        DelayModel::Exponential { mean } => (1, (2 * mean).max(1)),
-        // Skewed/Targeted shape *which link* is slow, which the threaded
-        // dispatcher's single jitter window cannot express; keep the
-        // overall envelope.
-        _ => (1, 10),
-    };
-    dex_threadnet::NetworkOptions {
-        seed,
-        delay_us,
-        timeout: std::time::Duration::from_secs(30),
-    }
-}
-
-/// Executes one run of a batch on the threaded runtime and reads it back
-/// as the same [`RunResult`] the simulator path produces (latencies are
-/// wall-clock microseconds instead of virtual ticks).
-fn run_thread_instance(inst: &RunInstance) -> RunResult {
-    let options = thread_options(&inst.delay, inst.seed);
-    fn finish<N>(
-        res: dex_threadnet::NetworkResult<N>,
-        outcome: impl Fn(&N) -> Outcome,
-    ) -> RunResult {
-        RunResult {
-            outcomes: res.actors.iter().map(outcome).collect(),
-            quiescent: res.quiescent,
-            messages: res.delivered,
-            net: res.stats,
-        }
-    }
-    match inst.algo {
-        Algo::DexFreq | Algo::DexPrv { .. } => finish(
-            dex_threadnet::run_network(dex_nodes(inst), options),
-            dex_node_outcome,
-        ),
-        Algo::Bosco => finish(
-            dex_threadnet::run_network(bosco_nodes(inst), options),
-            bosco_node_outcome,
-        ),
-        Algo::UnderlyingOnly => finish(
-            dex_threadnet::run_network(plain_nodes(inst), options),
-            plain_node_outcome,
-        ),
-        Algo::Brasileiro => finish(
-            dex_threadnet::run_network(crash_nodes(inst, CrashRule::Brasileiro), options),
-            crash_node_outcome,
-        ),
-        Algo::CrashAdaptive => finish(
-            dex_threadnet::run_network(crash_nodes(inst, CrashRule::Adaptive), options),
-            crash_node_outcome,
-        ),
-    }
-}
-
-/// Executes a spec's batch on the threaded runtime (`--runtime
-/// threadnet`): the same actors, workload draws and fault placements as
-/// the simulator path — run `i` uses `seed + i`, the workload rng is
-/// `seed ^ 0x5EED_5EED` — but each process is an OS thread and messages
-/// cross a delay-jittered dispatcher, so latencies come back in
-/// wall-clock microseconds.
+/// Evaluates `f(0), …, f(total − 1)` on up to `jobs` scoped worker threads
+/// and returns the results in index order — the one worker pool behind
+/// batches and campaigns. Workers steal indices off a shared cursor, so
+/// which thread computes which index is scheduling-dependent; the returned
+/// vector is not.
 ///
-/// The threaded runtime has no fault injector, so chaos schedules are
-/// rejected rather than silently ignored.
-pub fn run_thread_batch(spec: &crate::spec::RunSpec) -> Result<BatchStats, String> {
-    let config = spec.config()?;
-    if !spec.chaos.is_none() {
-        return Err(format!(
-            "--runtime threadnet has no fault injector; --chaos {} requires simnet \
-             (netd owns the real kill -9 schedule)",
-            spec.chaos.flag()
-        ));
-    }
-    if !spec.pipeline.is_off() {
-        return Err("--pipeline runs on the simnet engine; drop --runtime threadnet".into());
-    }
-    let workload = spec.workload.generator();
-    let mut stats = BatchStats::default();
-    for i in 0..spec.runs {
-        let seed = spec.seed + i as u64;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-        let input = workload.generate(config.n(), &mut rng);
-        let fault_plan = match spec.placement {
-            Placement::LastK => FaultPlan::last_k(config, spec.f),
-            Placement::RandomK => FaultPlan::random_k(config, spec.f, &mut rng),
-        };
-        let run = run_thread_instance(&RunInstance {
-            config,
-            algo: spec.algo,
-            underlying: spec.underlying_kind(),
-            strategy: spec.adversary.strategy(),
-            fault_plan: fault_plan.clone(),
-            input: input.clone(),
-            delay: spec.delay.clone(),
-            faults: FaultSchedule::none(),
-            seed,
-            max_events: spec.max_events,
-            aggregate: spec.aggregate.is_on(),
-        });
-        fold_run(&mut stats, &run, &input, &fault_plan);
-    }
-    Ok(stats)
+/// # Panics
+///
+/// Re-raises a worker's panic.
+pub(crate) fn par_map<T: Send>(total: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let jobs = jobs.clamp(1, total.max(1));
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= total {
+                            break local;
+                        }
+                        local.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(local) => local.into_iter().for_each(|(i, v)| slots[i] = Some(v)),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index below `total` was claimed once"))
+        .collect()
 }
 
-/// Executes a batch of runs, aggregating statistics.
+/// Executes a batch of runs on the simulator, one worker per available
+/// core, and aggregates the statistics in run order (so they do not depend
+/// on the worker count).
 pub fn run_batch(spec: &BatchSpec<'_>) -> BatchStats {
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    batch_on(spec, Runtime::Simnet, jobs)
+}
+
+/// [`run_batch`] on either in-process runtime with an explicit worker
+/// count. The threaded runtime already owns every core per run, so its
+/// callers pass `jobs = 1`.
+pub(crate) fn batch_on(spec: &BatchSpec<'_>, runtime: Runtime, jobs: usize) -> BatchStats {
     let mut stats = BatchStats::default();
-    for i in 0..spec.runs {
-        run_batch_index(spec, i, &mut stats);
+    for (inst, run) in batch_runs(spec, runtime, jobs) {
+        stats.fold(&inst, &run);
     }
     stats
 }
 
-/// [`run_batch_parallel`] with one worker per available core — the default
-/// for the experiment modules (results are identical to the sequential
-/// runner's, just faster).
-pub fn run_batch_auto(spec: &BatchSpec<'_>) -> BatchStats {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    run_batch_parallel(spec, threads)
-}
-
-/// Like [`run_batch`], but fans the (independent, individually seeded)
-/// runs across `threads` OS threads. The aggregate statistics are
-/// identical to the sequential runner's: every per-run quantity is keyed
-/// by its seed, and [`BatchStats`] aggregation is order-insensitive
-/// (counters commute; [`Summary`] quantiles sort internally).
-pub fn run_batch_parallel(spec: &BatchSpec<'_>, threads: usize) -> BatchStats {
-    let threads = threads.clamp(1, spec.runs.max(1));
-    let mut partials: Vec<BatchStats> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let spec_ref = &*spec;
-            handles.push(scope.spawn(move || {
-                let mut stats = BatchStats::default();
-                let mut i = worker;
-                while i < spec_ref.runs {
-                    run_batch_index(spec_ref, i, &mut stats);
-                    i += threads;
-                }
-                stats
-            }));
-        }
-        for handle in handles {
-            partials.push(handle.join().expect("batch worker panicked"));
-        }
-    });
-    let mut merged = BatchStats::default();
-    for p in partials {
-        merged.runs += p.runs;
-        merged.undecided += p.undecided;
-        merged.agreement_violations += p.agreement_violations;
-        merged.unanimity_violations += p.unanimity_violations;
-        merged.non_quiescent += p.non_quiescent;
-        merged.steps.merge(&p.steps);
-        merged.latency.merge(&p.latency);
-        merged.messages.merge(&p.messages);
-        merged.net.merge(&p.net);
-        for (path, count) in p.paths.iter() {
-            merged.paths.add_n(path, count);
-        }
-    }
-    merged
+/// Every run of a batch with the instance it executed, in run order.
+pub(crate) fn batch_runs(
+    spec: &BatchSpec<'_>,
+    runtime: Runtime,
+    jobs: usize,
+) -> Vec<(RunInstance, RunResult)> {
+    par_map(spec.runs, jobs, |i| {
+        let inst = spec.instance(i);
+        let run = dispatch(&inst, runtime, false).0;
+        (inst, run)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_workloads::Unanimous;
+    use dex_workloads::{BernoulliMix, Unanimous};
 
     fn base_spec(n: usize, t: usize, algo: Algo, input: InputVector<u64>) -> RunInstance {
         RunInstance {
-            config: SystemConfig::new(n, t).unwrap(),
-            algo,
-            underlying: UnderlyingKind::Oracle,
-            strategy: ByzantineStrategy::Silent,
-            fault_plan: FaultPlan::none(),
-            input,
-            delay: DelayModel::Uniform { min: 1, max: 10 },
-            faults: FaultSchedule::none(),
             seed: 7,
-            max_events: 1_000_000,
-            aggregate: false,
+            ..RunInstance::base(SystemConfig::new(n, t).unwrap(), algo, input)
         }
     }
+
+    /// n = 7, t = 1, f = 1 equivocator placed at random, `bernoulli:0.8`.
+    fn bernoulli_batch(workload: &BernoulliMix, runs: usize, seed0: u64) -> BatchSpec<'_> {
+        BatchSpec {
+            strategy: ByzantineStrategy::Equivocate { values: vec![0, 1] },
+            f: 1,
+            placement: Placement::RandomK,
+            runs,
+            seed0,
+            ..BatchSpec::base(SystemConfig::new(7, 1).unwrap(), Algo::DexFreq, workload)
+        }
+    }
+
+    const BERNOULLI: BernoulliMix = BernoulliMix { p: 0.8, a: 1, b: 0 };
 
     #[test]
     fn dex_freq_unanimous_is_one_step() {
@@ -1053,23 +831,42 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "input vector must match system size")]
+    fn simnet_rejects_an_input_of_the_wrong_size() {
+        run_instance(&base_spec(
+            7,
+            1,
+            Algo::DexFreq,
+            InputVector::unanimous(6, 3),
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "input vector must match system size")]
+    fn threadnet_rejects_an_input_of_the_wrong_size() {
+        let spec = base_spec(7, 1, Algo::DexFreq, InputVector::unanimous(6, 3));
+        dispatch(&spec, Runtime::Thread, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an algorithm with an echo/vote flood")]
+    fn aggregating_an_algorithm_without_a_flood_panics() {
+        run_instance(&RunInstance {
+            aggregate: true,
+            ..base_spec(7, 1, Algo::UnderlyingOnly, InputVector::unanimous(7, 3))
+        });
+    }
+
+    #[test]
     fn batch_runner_aggregates_cleanly() {
         let cfg = SystemConfig::new(7, 1).unwrap();
         let workload = Unanimous { value: 5 };
         let stats = run_batch(&BatchSpec {
-            config: cfg,
-            algo: Algo::DexFreq,
-            underlying: UnderlyingKind::Oracle,
-            strategy: ByzantineStrategy::Silent,
             f: 1,
             placement: Placement::RandomK,
-            workload: &workload,
-            delay: DelayModel::Uniform { min: 1, max: 10 },
-            chaos: ChaosSpec::None,
-            aggregate: false,
             runs: 20,
             seed0: 100,
-            max_events: 1_000_000,
+            ..BatchSpec::base(cfg, Algo::DexFreq, &workload)
         });
         assert!(stats.clean(), "{stats:?}");
         assert_eq!(stats.runs, 20);
@@ -1078,54 +875,57 @@ mod tests {
     }
 
     #[test]
+    fn par_map_returns_results_in_index_order_for_any_job_count() {
+        let squares: Vec<usize> = (0..100).map(|i| i * i).collect();
+        for jobs in [0, 1, 3, 8, 200] {
+            assert_eq!(par_map(100, jobs, |i| i * i), squares, "jobs = {jobs}");
+        }
+        assert!(par_map(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
     fn parallel_batch_equals_sequential_batch() {
-        let cfg = SystemConfig::new(7, 1).unwrap();
-        let workload = dex_workloads::BernoulliMix { p: 0.8, a: 1, b: 0 };
-        let spec = BatchSpec {
-            config: cfg,
-            algo: Algo::DexFreq,
-            underlying: UnderlyingKind::Oracle,
-            strategy: ByzantineStrategy::Equivocate { values: vec![0, 1] },
-            f: 1,
-            placement: Placement::RandomK,
-            workload: &workload,
-            delay: DelayModel::Uniform { min: 1, max: 10 },
-            chaos: ChaosSpec::None,
-            aggregate: false,
-            runs: 24,
-            seed0: 9,
-            max_events: 5_000_000,
-        };
-        let seq = run_batch(&spec);
-        let par = run_batch_parallel(&spec, 4);
-        assert!(seq.clean() && par.clean());
-        assert_eq!(seq.runs, par.runs);
-        assert_eq!(seq.steps.mean(), par.steps.mean());
-        assert_eq!(seq.steps.quantile(0.99), par.steps.quantile(0.99));
-        assert_eq!(seq.messages.mean(), par.messages.mean());
-        assert_eq!(seq.paths.count(&"1-step"), par.paths.count(&"1-step"),);
+        let spec = bernoulli_batch(&BERNOULLI, 24, 9);
+        let seq = batch_on(&spec, Runtime::Simnet, 1);
+        for par in [run_batch(&spec), batch_on(&spec, Runtime::Simnet, 4)] {
+            assert!(seq.clean() && par.clean());
+            assert_eq!(seq.runs, par.runs);
+            assert_eq!(seq.steps, par.steps);
+            assert_eq!(seq.latency, par.latency);
+            assert_eq!(seq.messages, par.messages);
+            assert_eq!(seq.steps.quantile(0.99), par.steps.quantile(0.99));
+            assert_eq!(seq.paths.count(&"1-step"), par.paths.count(&"1-step"));
+            assert_eq!(seq.net, par.net);
+        }
+    }
+
+    #[test]
+    fn batch_instance_derivation_is_pinned() {
+        // Golden values: the input vector is drawn before the fault plan,
+        // from one rng per run. A change in draw order, salt or seed
+        // arithmetic moves every committed results/*.csv.
+        let spec = bernoulli_batch(&BERNOULLI, 2, 2010);
+        let golden = [
+            (2010, vec![1u64, 1, 1, 0, 1, 1, 1], vec![2usize]),
+            (2011, vec![1u64, 1, 1, 1, 1, 1, 1], vec![5usize]),
+        ];
+        for (i, (seed, input, faulty)) in golden.into_iter().enumerate() {
+            let inst = spec.instance(i);
+            assert_eq!(inst.seed, seed);
+            assert_eq!(inst.input, InputVector::new(input), "run {i}");
+            let plan = FaultPlan::from_ids(spec.config, faulty.into_iter().map(ProcessId::new));
+            assert_eq!(inst.fault_plan, plan, "run {i}");
+            assert!(inst.faults.is_empty());
+        }
     }
 
     #[test]
     fn chaos_batch_stays_safe_and_live() {
         // Partition + heal under an equivocating Byzantine process at f = t:
         // deliveries are deferred, never lost, so the batch must stay clean.
-        let cfg = SystemConfig::new(7, 1).unwrap();
-        let workload = dex_workloads::BernoulliMix { p: 0.8, a: 1, b: 0 };
         let stats = run_batch(&BatchSpec {
-            config: cfg,
-            algo: Algo::DexFreq,
-            underlying: UnderlyingKind::Oracle,
-            strategy: ByzantineStrategy::Equivocate { values: vec![0, 1] },
-            f: 1,
-            placement: Placement::RandomK,
-            workload: &workload,
-            delay: DelayModel::Uniform { min: 1, max: 10 },
             chaos: ChaosSpec::PartitionHeal { open: 5, heal: 120 },
-            aggregate: false,
-            runs: 12,
-            seed0: 40,
-            max_events: 5_000_000,
+            ..bernoulli_batch(&BERNOULLI, 12, 40)
         });
         assert!(stats.clean(), "{stats:?}");
         assert_eq!(stats.runs, 12);
@@ -1135,22 +935,13 @@ mod tests {
     fn aggregation_collapses_the_echo_flood_at_n31() {
         // Same seeds, same workload draws; only the `aggregate` bit differs:
         // 1025.0 sent messages per decision off, 223.7 on (4.58×).
-        let workload = dex_workloads::BernoulliMix { p: 0.8, a: 1, b: 0 };
         let batch = |aggregate| {
             let stats = run_batch(&BatchSpec {
-                config: SystemConfig::new(31, 5).unwrap(),
-                algo: Algo::DexFreq,
-                underlying: UnderlyingKind::Oracle,
-                strategy: ByzantineStrategy::Silent,
-                f: 0,
-                placement: Placement::LastK,
-                workload: &workload,
-                delay: DelayModel::Uniform { min: 1, max: 10 },
-                chaos: ChaosSpec::None,
                 aggregate,
                 runs: 8,
                 seed0: 42,
                 max_events: 50_000_000,
+                ..BatchSpec::base(SystemConfig::new(31, 5).unwrap(), Algo::DexFreq, &BERNOULLI)
             });
             assert!(stats.clean(), "aggregate = {aggregate}: {stats:?}");
             assert_eq!(stats.net.payload_clones, 0, "aggregate = {aggregate}");

@@ -4,10 +4,8 @@
 //! `4t`/`2t`). This experiment sweeps `n` at fixed `t` and fixed *relative*
 //! contention and reports fast-path fractions and message costs.
 
-use crate::runner::{run_batch_auto, Algo, BatchSpec, Placement, UnderlyingKind};
-use dex_adversary::ByzantineStrategy;
+use crate::runner::{run_batch, Algo, BatchSpec};
 use dex_metrics::Table;
-use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
 use dex_workloads::BernoulliMix;
 
@@ -22,17 +20,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 1,
-            p: 0.8,
-            runs: 50,
-            seed0: 0,
-        }
-    }
 }
 
 /// Runs E13 and renders the n-sweep table.
@@ -59,38 +46,18 @@ pub fn run(opts: Opts) -> Table {
         24 * opts.t + 1,
     ] {
         let cfg = SystemConfig::new(n, opts.t).expect("n > 6t by construction");
-        let dex = run_batch_auto(&BatchSpec {
-            chaos: crate::spec::ChaosSpec::None,
-            config: cfg,
-            algo: Algo::DexFreq,
-            underlying: UnderlyingKind::Oracle,
-            strategy: ByzantineStrategy::Silent,
-            f: 0,
-            placement: Placement::LastK,
-            workload: &workload,
-            delay: DelayModel::Uniform { min: 1, max: 10 },
-            runs: opts.runs,
-            seed0: opts.seed0,
-            max_events: 50_000_000,
-            aggregate: false,
-        });
-        assert!(dex.clean(), "{dex:?}");
-        let bosco = run_batch_auto(&BatchSpec {
-            chaos: crate::spec::ChaosSpec::None,
-            config: cfg,
-            algo: Algo::Bosco,
-            underlying: UnderlyingKind::Oracle,
-            strategy: ByzantineStrategy::Silent,
-            f: 0,
-            placement: Placement::LastK,
-            workload: &workload,
-            delay: DelayModel::Uniform { min: 1, max: 10 },
-            runs: opts.runs,
-            seed0: opts.seed0,
-            max_events: 50_000_000,
-            aggregate: false,
-        });
-        assert!(bosco.clean(), "{bosco:?}");
+        let batch = |algo| {
+            let stats = run_batch(&BatchSpec {
+                runs: opts.runs,
+                seed0: opts.seed0,
+                max_events: 50_000_000,
+                ..BatchSpec::base(cfg, algo, &workload)
+            });
+            assert!(stats.clean(), "{stats:?}");
+            stats
+        };
+        let dex = batch(Algo::DexFreq);
+        let bosco = batch(Algo::Bosco);
         let one = dex.path_fraction("1-step");
         let two = one + dex.path_fraction("2-step");
         table.row(vec![

@@ -7,9 +7,8 @@
 //! [`RunSpec::to_args`] renders a spec back into that flag vector, and
 //! [`RunSpec::to_json`] emits a deterministic JSON description for
 //! artifacts and logs. Experiment modules and tests construct a `RunSpec`
-//! and call [`run`](RunSpec::run) / [`run_auto`](RunSpec::run_auto) /
-//! [`traced`](RunSpec::traced); the lower-level [`RunInstance`] /
-//! [`BatchSpec`](crate::runner::BatchSpec) remain available for
+//! and call [`run`](RunSpec::run) / [`traced`](RunSpec::traced); the
+//! lower-level [`RunInstance`] / [`BatchSpec`] remain available for
 //! programmatic setups (custom generators, `Skewed`/`Targeted` delays,
 //! hand-built fault schedules) that have no CLI spelling.
 //!
@@ -20,8 +19,8 @@
 //! liveness assertable.
 
 use crate::runner::{
-    run_batch, run_batch_auto, traced_batch_run, Algo, BatchSpec, BatchStats, Placement, TracedRun,
-    UnderlyingKind,
+    batch_on, run_batch, traced_batch_run, Algo, BatchSpec, BatchStats, Placement, RunInstance,
+    Runtime, TracedRun, UnderlyingKind,
 };
 use dex_adversary::{ByzantineStrategy, FaultPlan};
 use dex_simnet::{DelayModel, FaultSchedule};
@@ -572,7 +571,8 @@ impl PipelineSpec {
 /// one batched multicast per causal depth (see
 /// [`dex_broadcast::EchoAggregator`]), cutting the IDB wire complexity
 /// from `n²` point-to-point echoes to `n` batches per tick. Algorithms
-/// without an echo/vote flood (`plain`, the crash rows) ignore the switch.
+/// without an echo/vote flood (`plain`, the crash rows) reject the switch
+/// (see [`RunSpec::config`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AggregationSpec {
     /// Unbatched echoes — the paper's literal message pattern.
@@ -922,7 +922,8 @@ fn placement_flag(placement: Placement) -> &'static str {
 }
 
 impl RunSpec {
-    /// Validates the configuration (`n > t` constraints, `f ≤ t`) and
+    /// Validates the configuration (`n > t` constraints, `f ≤ t`,
+    /// `--aggregate` only on algorithms that have an echo/vote flood) and
     /// returns the [`SystemConfig`].
     pub fn config(&self) -> Result<SystemConfig, String> {
         let config = SystemConfig::new(self.n, self.t).map_err(|e| e.to_string())?;
@@ -930,6 +931,12 @@ impl RunSpec {
             return Err(format!(
                 "f = {} exceeds the fault bound t = {}",
                 self.f, self.t
+            ));
+        }
+        if self.aggregate.is_on() && !self.algo.aggregates() {
+            return Err(format!(
+                "--aggregate coalesces an echo/vote flood and --algo {} has none",
+                algo_flag(self.algo)
             ));
         }
         Ok(config)
@@ -948,7 +955,10 @@ impl RunSpec {
 
     /// Lowers the spec to a [`BatchSpec`] and hands it to `body` (the
     /// borrowed workload generator lives for the duration of the call).
-    pub fn with_batch<R>(&self, body: impl FnOnce(&BatchSpec<'_>) -> R) -> Result<R, String> {
+    pub(crate) fn with_batch<R>(
+        &self,
+        body: impl FnOnce(&BatchSpec<'_>) -> R,
+    ) -> Result<R, String> {
         let config = self.config()?;
         let workload = self.workload.generator();
         let batch = BatchSpec {
@@ -969,31 +979,41 @@ impl RunSpec {
         Ok(body(&batch))
     }
 
-    /// Executes the batch sequentially on the spec's runtime.
+    /// Derives batch run `i` of this spec ([`BatchSpec::instance`]): its
+    /// seed, input vector, fault plan and compiled chaos schedule. The
+    /// netd cluster harness takes its children's proposals from here, so
+    /// a netd cell and a simnet batch run see the same input.
+    pub fn instance(&self, i: usize) -> Result<RunInstance, String> {
+        self.with_batch(|batch| batch.instance(i))
+    }
+
+    /// Executes the batch on the spec's runtime.
     ///
-    /// `Simnet` runs the deterministic simulator; `Thread` hands the same
-    /// actors to `dex-threadnet` (one OS thread per process, wall-clock
-    /// delays from the spec's delay model). `Netd` cannot run in-process
-    /// — the error points at the `dex-netd` cluster harness.
+    /// `Simnet` runs the deterministic simulator, one worker per core;
+    /// `Thread` hands the same actors, workload draws and fault placements
+    /// to `dex-threadnet` — one OS thread per process, runs one after the
+    /// other, delays from the spec's delay model, latencies in wall-clock
+    /// microseconds. The threaded runtime has no fault injector, so chaos
+    /// schedules are rejected rather than silently ignored. `Netd` cannot
+    /// run in-process — the error points at the `dex-netd` cluster
+    /// harness.
     pub fn run(&self) -> Result<BatchStats, String> {
         match &self.runtime {
             RuntimeSpec::Simnet => self.with_batch(run_batch),
-            RuntimeSpec::Thread => crate::runner::run_thread_batch(self),
+            RuntimeSpec::Thread if !self.chaos.is_none() => Err(format!(
+                "--runtime threadnet has no fault injector; --chaos {} requires simnet \
+                 (netd owns the real kill -9 schedule)",
+                self.chaos.flag()
+            )),
+            RuntimeSpec::Thread if !self.pipeline.is_off() => {
+                Err("--pipeline runs on the simnet engine; drop --runtime threadnet".into())
+            }
+            RuntimeSpec::Thread => self.with_batch(|batch| batch_on(batch, Runtime::Thread, 1)),
             RuntimeSpec::Netd { .. } => Err(
                 "--runtime netd spawns real OS processes and cannot run in-process; \
                  use the dex-netd cluster harness (dex-netd --cluster <flags>)"
                     .into(),
             ),
-        }
-    }
-
-    /// Executes the batch with one worker per core (same statistics). The
-    /// threaded runtime already owns all cores per run, so it stays
-    /// sequential across runs.
-    pub fn run_auto(&self) -> Result<BatchStats, String> {
-        match &self.runtime {
-            RuntimeSpec::Simnet => self.with_batch(run_batch_auto),
-            _ => self.run(),
         }
     }
 
@@ -1250,6 +1270,31 @@ mod tests {
         assert!(spec
             .to_json()
             .contains("\"aggregate\":\"on\",\"runtime\":\"simnet\",\"stats\":true"));
+    }
+
+    #[test]
+    fn aggregate_is_rejected_for_algorithms_without_a_flood() {
+        let with_aggregate = |algo: &str| {
+            RunSpec::from_args(&["--algo", algo, "--aggregate"])
+                .unwrap()
+                .config()
+        };
+        for algo in ["plain", "brasileiro", "crash-adaptive"] {
+            let err = with_aggregate(algo).unwrap_err();
+            assert!(err.contains("--aggregate") && err.contains(algo), "{err}");
+            // Rejected before anything runs, and only because of the flag.
+            let spec = RunSpec::from_args(&["--algo", algo]).unwrap();
+            assert!(spec.config().is_ok(), "{algo} without --aggregate");
+            assert!(RunSpec {
+                aggregate: AggregationSpec::On,
+                ..spec
+            }
+            .run()
+            .is_err());
+        }
+        for algo in ["dex-freq", "bosco"] {
+            assert!(with_aggregate(algo).is_ok(), "{algo} aggregates");
+        }
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //! Izumi–Masuzawa) are reported analytically in `EXPERIMENTS.md`; they do
 //! not run in a Byzantine system.
 
-use crate::runner::{run_batch_auto, Algo, BatchSpec, Placement, UnderlyingKind};
+use crate::runner::{run_batch, Algo, BatchSpec};
 use dex_adversary::ByzantineStrategy;
 use dex_metrics::Table;
-use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
 use dex_workloads::{SplitCount, Unanimous};
 
@@ -35,16 +34,6 @@ pub struct Opts {
     pub runs: usize,
     /// Base seed.
     pub seed0: u64,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            t: 1,
-            runs: 100,
-            seed0: 0,
-        }
-    }
 }
 
 /// Whether `algo` can be instantiated at configuration `cfg`.
@@ -68,20 +57,12 @@ fn batch(
     runs: usize,
     seed0: u64,
 ) -> crate::runner::BatchStats {
-    run_batch_auto(&BatchSpec {
-        chaos: crate::spec::ChaosSpec::None,
-        config: cfg,
-        algo,
-        underlying: UnderlyingKind::Oracle,
+    run_batch(&BatchSpec {
         strategy,
         f,
-        placement: Placement::LastK,
-        workload,
-        delay: DelayModel::Uniform { min: 1, max: 10 },
         runs,
         seed0,
-        max_events: 5_000_000,
-        aggregate: false,
+        ..BatchSpec::base(cfg, algo, workload)
     })
 }
 

@@ -1,10 +1,8 @@
 //! **E2 — Fig. 1 semantics**: annotated execution traces of Algorithm DEX
 //! and decision-path censuses per input class.
 
-use crate::nodes::DexNode;
-use crate::runner::{run_instance, Algo, RunInstance, UnderlyingKind};
+use crate::runner::{run_instance, Algo, RunInstance};
 use crate::ucwrap::AnyUc;
-use dex_adversary::{ByzantineStrategy, FaultPlan};
 use dex_conditions::FrequencyPair;
 use dex_core::{DexActor, DexProcess};
 use dex_metrics::{Counter, Table};
@@ -15,10 +13,12 @@ use dex_types::{InputVector, ProcessId, SystemConfig};
 /// decision summary — a direct illustration of which Fig. 1 lines fire.
 pub fn annotated_run(input: InputVector<u64>, t: usize, seed: u64) -> String {
     let cfg = SystemConfig::new(input.n(), t).expect("valid config");
-    let nodes: Vec<DexNode> = cfg
+    // No Byzantine process here, so the bare protocol actors are the
+    // whole system.
+    let nodes: Vec<_> = cfg
         .processes()
         .map(|me| {
-            DexNode::Freq(DexActor::new(
+            DexActor::new(
                 DexProcess::new(
                     cfg,
                     me,
@@ -26,7 +26,7 @@ pub fn annotated_run(input: InputVector<u64>, t: usize, seed: u64) -> String {
                     AnyUc::oracle(cfg, me, ProcessId::new(0)),
                 ),
                 *input.get(me),
-            ))
+            )
         })
         .collect();
     let mut sim = Simulation::builder(nodes)
@@ -39,18 +39,16 @@ pub fn annotated_run(input: InputVector<u64>, t: usize, seed: u64) -> String {
     rendered.push_str(&format!("input: {input:?}\n"));
     rendered.push_str(&sim.trace().expect("tracing enabled").render());
     rendered.push_str(&format!("quiescent: {}\n", out.quiescent));
-    for (i, node) in sim.actors().iter().enumerate() {
-        if let DexNode::Freq(a) = node {
-            match a.decision() {
-                Some(d) => rendered.push_str(&format!(
-                    "p{i} decided {} via {} at depth {} ({})\n",
-                    d.value,
-                    d.path.label(),
-                    d.depth.get(),
-                    d.at
-                )),
-                None => rendered.push_str(&format!("p{i} undecided\n")),
-            }
+    for (i, a) in sim.actors().iter().enumerate() {
+        match a.decision() {
+            Some(d) => rendered.push_str(&format!(
+                "p{i} decided {} via {} at depth {} ({})\n",
+                d.value,
+                d.path.label(),
+                d.depth.get(),
+                d.at
+            )),
+            None => rendered.push_str(&format!("p{i} undecided\n")),
         }
     }
     rendered
@@ -84,17 +82,8 @@ pub fn path_census(t: usize, runs: usize, seed0: u64) -> Table {
                 *e = 0;
             }
             let result = run_instance(&RunInstance {
-                faults: dex_simnet::FaultSchedule::none(),
-                config: cfg,
-                algo: Algo::DexFreq,
-                underlying: UnderlyingKind::Oracle,
-                strategy: ByzantineStrategy::Silent,
-                fault_plan: FaultPlan::none(),
-                input: InputVector::new(entries),
-                delay: DelayModel::Uniform { min: 1, max: 10 },
                 seed: seed0 + i as u64,
-                max_events: 5_000_000,
-                aggregate: false,
+                ..RunInstance::base(cfg, Algo::DexFreq, InputVector::new(entries))
             });
             assert!(result.agreement_ok() && result.all_decided());
             for r in result.decided() {

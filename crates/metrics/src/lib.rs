@@ -7,7 +7,7 @@
 //! * [`Counter`] — categorical frequency counts with fraction helpers, used
 //!   for decision-path histograms.
 //! * [`Table`] — plain-text table builder with aligned columns plus CSV
-//!   output, used by the `dex-bench` binaries that regenerate the paper's
+//!   output, used by the `dex-figures` binary that regenerates the paper's
 //!   tables and figures.
 //!
 //! # Examples

@@ -5,10 +5,10 @@
 //! that drives simnet and threadnet — it runs two phases on localhost
 //! TCP:
 //!
-//! 1. **Consensus cells** (the campaign MATRIX's fault-free cells): per
-//!    run, the workload draws an input vector with the *identical*
-//!    seeding discipline as `run_batch` (`seed + i`, workload RNG
-//!    `seed ^ 0x5EED_5EED`), `n` child processes are spawned — each a
+//! 1. **Consensus cells** (the campaign MATRIX's fault-free cells): run
+//!    `i` proposes the input vector of the spec's batch run `i`
+//!    ([`RunSpec::instance`] — the very derivation `run_batch` executes),
+//!    `n` child processes are spawned — each a
 //!    [`DexActor`] on an [`Endpoint`](crate::endpoint::Endpoint) — and
 //!    every correct process must report a decision; agreement is asserted
 //!    across the children's `DECIDED` reports.
@@ -40,7 +40,6 @@ use dex_replication::{Durability, FileWal, Replica, StateMachine, TotalOrder};
 use dex_simnet::NetStats;
 use dex_types::{ProcessId, StepDepth, SystemConfig};
 use dex_underlying::OracleConsensus;
-use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
@@ -593,9 +592,7 @@ pub struct CellRun {
 /// not awaited (mirroring the simulator's budget semantics).
 fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, String> {
     let spec = &opts.spec;
-    let seed = spec.seed + run_idx as u64;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-    let input = spec.workload.generator().generate(spec.n, &mut rng);
+    let dex_harness::runner::RunInstance { seed, input, .. } = spec.instance(run_idx)?;
     let peers = cluster_addrs(spec)?;
     let start = Instant::now();
     let deadline = start + opts.timeout;

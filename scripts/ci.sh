@@ -10,6 +10,8 @@
 #   build            warning-free release build of the workspace + examples
 #   test             full test suite (twice, default parallelism), example
 #                    smokes, trace determinism
+#   results          DEX_RUNS=100 dex-figures all: stdout equals the committed
+#                    results/logs transcripts, results/*.csv unchanged
 #   chaos-matrix     chaos schedules x seeds through the invariant checker
 #   recovery-matrix  crash-restart recovery: WAL + catch-up + resend
 #   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves;
@@ -77,6 +79,23 @@ stage_test() {
   rm -f results/trace_31.json results/trace_31.first.json
 }
 
+stage_results() {
+  # `all` is the 14 deterministic figures in --list order (fuzz_safety, the
+  # last name, prints wall-clock runs/s and stays out of the gate), so its
+  # stdout must equal their committed transcripts laid end to end.
+  echo "== results: DEX_RUNS=100 dex-figures all vs results/logs/*.log and results/*.csv"
+  cargo build --release -q --bin dex-figures
+  local names
+  names=$(./target/release/dex-figures --list | grep -vx fuzz_safety)
+  DEX_RUNS=100 ./target/release/dex-figures all \
+    | diff <(for n in $names; do cat "results/logs/results_$n.log"; done) -
+  if [ -n "$(git status --short results)" ]; then
+    echo "regenerated results differ from the committed ones:" >&2
+    git status --short results >&2
+    exit 1
+  fi
+}
+
 stage_chaos_matrix() {
   echo "== chaos matrix: 8 seeds x 4 schedules through the invariant checker"
   ./scripts/chaos_matrix.sh
@@ -126,6 +145,7 @@ case "$stage" in
   lint) stage_lint ;;
   build) stage_build ;;
   test) stage_test ;;
+  results) stage_results ;;
   chaos-matrix) stage_chaos_matrix ;;
   recovery-matrix) stage_recovery_matrix ;;
   campaign-smoke) stage_campaign_smoke ;;
@@ -136,6 +156,7 @@ case "$stage" in
     stage_lint
     stage_build
     stage_test
+    stage_results
     stage_chaos_matrix
     stage_recovery_matrix
     stage_campaign_smoke
