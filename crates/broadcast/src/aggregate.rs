@@ -11,7 +11,7 @@
 //! leaves as one `EchoBatch { entries }` multicast riding the same
 //! `Dest::All` zero-clone slab path the individual echoes would have used.
 //! Receivers unbatch in entry order, so the delivered-echo *multiset* — and
-//! therefore every witness map, threshold crossing, and decision — is
+//! therefore every witness table, threshold crossing, and decision — is
 //! exactly what the unbatched protocol produces.
 //!
 //! **Dedup.** The aggregator keeps a `seen` set of every instance key it

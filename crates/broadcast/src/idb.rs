@@ -1,9 +1,10 @@
 //! Algorithm IDB — Identical Broadcast (paper appendix, Fig. 3).
 
 use crate::key::InstanceKey;
+use crate::witness::{admissible, WitnessTable};
 use crate::Action;
 use dex_types::{ProcessId, SystemConfig, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A protocol message of the Identical Broadcast algorithm.
 ///
@@ -36,7 +37,7 @@ struct InstanceState<V> {
     /// `first-accept(j)`: set once `Id-Receive` has fired.
     accepted: bool,
     /// Distinct witnesses per value.
-    witnesses: HashMap<V, HashSet<ProcessId>>,
+    witnesses: WitnessTable<V>,
 }
 
 impl<V> Default for InstanceState<V> {
@@ -44,7 +45,7 @@ impl<V> Default for InstanceState<V> {
         InstanceState {
             echoed: false,
             accepted: false,
-            witnesses: HashMap::new(),
+            witnesses: WitnessTable::default(),
         }
     }
 }
@@ -109,13 +110,13 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         }
     }
 
-    /// Forgets all broadcast instances, keeping bounded witness-map
+    /// Forgets all broadcast instances, keeping bounded instance-map
     /// capacity.
     ///
     /// This is the recycling hook for pipelined replication: one IDB state
     /// machine is reused across many consecutive log slots, so the
-    /// per-instance witness maps are cleared in place instead of the whole
-    /// machine being reallocated per slot. Retained capacity is bounded by
+    /// instance map is cleared in place instead of the whole machine being
+    /// reallocated per slot. Retained capacity is bounded by
     /// [`RETAINED_CAPACITY`](crate::RETAINED_CAPACITY): a slot that opened
     /// unusually many instances (e.g. a long UC round tail) must not pin
     /// that high-water mark for the rest of a long pipelined campaign.
@@ -135,8 +136,7 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
     pub fn witness_count(&self, key: &K, value: &V) -> usize {
         self.instances
             .get(key)
-            .and_then(|s| s.witnesses.get(value))
-            .map_or(0, HashSet::len)
+            .map_or(0, |s| s.witnesses.count(value))
     }
 
     fn on_init(
@@ -167,19 +167,11 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         key: &K,
         value: &V,
     ) -> Vec<Action<K, IdbMessage<K, V>, V>> {
+        if !admissible(&self.config, from, key) {
+            return Vec::new();
+        }
         let state = self.instances.entry(key.clone()).or_default();
-        // Clone the value only for the first witness of a distinct value;
-        // the all-to-all echo flood then only inserts sender ids.
-        let num = match state.witnesses.get_mut(value) {
-            Some(set) => {
-                set.insert(from);
-                set.len()
-            }
-            None => {
-                state.witnesses.insert(value.clone(), HashSet::from([from]));
-                1
-            }
-        };
+        let num = state.witnesses.insert(value, from);
         let mut actions = Vec::new();
         if num >= self.config.echo_threshold() && !state.echoed {
             // Witness amplification: enough echoes convince us even without
@@ -308,6 +300,27 @@ mod tests {
                 assert!(!matches!(act, Act::Broadcast(_)), "unexpected re-echo");
             }
         }
+    }
+
+    #[test]
+    fn echoes_outside_the_configuration_leave_no_state() {
+        let mut idb: IdenticalBroadcast<(ProcessId, u64), u64> = IdenticalBroadcast::new(cfg(5, 1));
+        for tag in 0..1000 {
+            // A Byzantine member echoes for origins that do not exist…
+            let forged = IdbMessage::Echo {
+                key: (p(5 + tag as usize), tag),
+                value: 7,
+            };
+            assert!(idb.on_message(p(1), &forged).is_empty());
+            // …and a sender that is no member vouches for a real origin.
+            let alien = IdbMessage::Echo {
+                key: (p(0), tag),
+                value: 7,
+            };
+            assert!(idb.on_message(p(5), &alien).is_empty());
+            assert!(idb.on_message(p(usize::MAX), &alien).is_empty());
+        }
+        assert!(idb.instances.is_empty());
     }
 
     #[test]

@@ -57,6 +57,7 @@ mod aggregate;
 mod idb;
 mod key;
 mod reliable;
+mod witness;
 
 pub use aggregate::{EchoAggregator, RETAINED_CAPACITY};
 pub use idb::{IdbMessage, IdenticalBroadcast};

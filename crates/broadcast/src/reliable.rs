@@ -9,9 +9,10 @@
 //! eventually delivers, even for a faulty sender.
 
 use crate::key::InstanceKey;
+use crate::witness::{admissible, WitnessTable};
 use crate::Action;
 use dex_types::{ProcessId, SystemConfig, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A protocol message of Reliable Broadcast.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -45,28 +46,8 @@ struct InstanceState<V> {
     echoed: bool,
     readied: bool,
     delivered: bool,
-    echoes: HashMap<V, HashSet<ProcessId>>,
-    readies: HashMap<V, HashSet<ProcessId>>,
-}
-
-/// Records `from` as a witness for `value` and returns the resulting count.
-/// Clones the value only for the first witness of a distinct value, so the
-/// all-to-all flood only inserts sender ids.
-fn witness<V: Value>(
-    map: &mut HashMap<V, HashSet<ProcessId>>,
-    value: &V,
-    from: ProcessId,
-) -> usize {
-    match map.get_mut(value) {
-        Some(set) => {
-            set.insert(from);
-            set.len()
-        }
-        None => {
-            map.insert(value.clone(), HashSet::from([from]));
-            1
-        }
-    }
+    echoes: WitnessTable<V>,
+    readies: WitnessTable<V>,
 }
 
 impl<V> Default for InstanceState<V> {
@@ -75,8 +56,8 @@ impl<V> Default for InstanceState<V> {
             echoed: false,
             readied: false,
             delivered: false,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            echoes: WitnessTable::default(),
+            readies: WitnessTable::default(),
         }
     }
 }
@@ -166,10 +147,15 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
                     value: value.clone(),
                 })]
             }
+            RbMessage::Echo { key, .. } | RbMessage::Ready { key, .. }
+                if !admissible(&self.config, from, key) =>
+            {
+                Vec::new()
+            }
             RbMessage::Echo { key, value } => {
                 let echo_quorum = self.echo_quorum();
                 let state = self.instances.entry(key.clone()).or_default();
-                let num = witness(&mut state.echoes, value, from);
+                let num = state.echoes.insert(value, from);
                 if num >= echo_quorum && !state.readied {
                     state.readied = true;
                     return vec![Action::Broadcast(RbMessage::Ready {
@@ -181,7 +167,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
             }
             RbMessage::Ready { key, value } => {
                 let state = self.instances.entry(key.clone()).or_default();
-                let num = witness(&mut state.readies, value, from);
+                let num = state.readies.insert(value, from);
                 let mut actions = Vec::new();
                 // Thresholds written as in the literature (t + 1, 2t + 1).
                 #[allow(clippy::int_plus_one)]
@@ -306,6 +292,27 @@ mod tests {
         // Still fully usable after the bounded reset.
         let a = m.on_message(p(0), &ReliableBroadcast::rb_send((p(0), 0u64), 5));
         assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn echoes_and_readies_outside_the_configuration_leave_no_state() {
+        let mut m: ReliableBroadcast<(ProcessId, u64), u64> =
+            ReliableBroadcast::new(SystemConfig::new(4, 1).unwrap());
+        for tag in 0..1000 {
+            // A Byzantine member vouches for origins that do not exist, and
+            // a sender that is no member vouches for a real origin.
+            let forged = (p(4 + tag as usize), tag);
+            let real = (p(0), tag);
+            for (from, key) in [(p(1), forged), (p(4), real), (p(usize::MAX), real)] {
+                assert!(m
+                    .on_message(from, &RbMessage::Echo { key, value: 5 })
+                    .is_empty());
+                assert!(m
+                    .on_message(from, &RbMessage::Ready { key, value: 5 })
+                    .is_empty());
+            }
+        }
+        assert!(m.instances.is_empty());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property-based tests of the broadcast state machines: arbitrary
 //! (adversarial) message sequences can never forge deliveries, duplicate
-//! them, or make one machine emit unboundedly.
+//! them, or make one machine emit unboundedly — and the machines act, step
+//! for step, like a reference that counts witnesses in hash sets.
 
 use dex_broadcast::{Action, IdbMessage, IdenticalBroadcast, RbMessage, ReliableBroadcast};
 use dex_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 const N: usize = 9;
 const T: usize = 2;
@@ -48,8 +50,203 @@ fn input_strategy() -> impl Strategy<Value = Input> {
     })
 }
 
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    Init,
+    Echo,
+    Ready,
+}
+
+type Key = (ProcessId, u8);
+
+/// One step of the differential streams. Few origins and values, so that
+/// thresholds are crossed often; every sender may be Byzantine (repeat
+/// itself, vouch for several values, forge inits).
+#[derive(Clone, Debug)]
+enum Step {
+    /// `from` sends these messages on instance `key`: one, or — a value
+    /// flood — an echo and a ready for each of `k` further values.
+    Send {
+        from: ProcessId,
+        key: Key,
+        msgs: Vec<(Kind, u64)>,
+    },
+    /// The machine is recycled for the next slot.
+    Reset,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    (0usize..N, 0usize..2, 0u8..2, 0u64..2, 0u8..100).prop_map(
+        |(from, origin, tag, value, kind)| {
+            let msgs = match kind {
+                0..=9 => vec![(Kind::Init, value)],
+                10..=54 => vec![(Kind::Echo, value)],
+                55..=94 => vec![(Kind::Ready, value)],
+                95..=98 => (10..18 + 8 * value)
+                    .flat_map(|v| [(Kind::Echo, v), (Kind::Ready, v)])
+                    .collect(),
+                _ => return Step::Reset,
+            };
+            Step::Send {
+                from: ProcessId::new(from),
+                key: (ProcessId::new(origin), tag),
+                msgs,
+            }
+        },
+    )
+}
+
+/// Witness counting as both machines spelled it before `WitnessTable`.
+type Witnesses = HashMap<u64, HashSet<ProcessId>>;
+
+fn witness(map: &mut Witnesses, value: u64, from: ProcessId) -> usize {
+    let set = map.entry(value).or_default();
+    set.insert(from);
+    set.len()
+}
+
+#[derive(Default)]
+struct RefInstance {
+    echoed: bool,
+    readied: bool,
+    done: bool,
+    echoes: Witnesses,
+    readies: Witnesses,
+}
+
+/// The reference: Fig. 3 and Bracha's thresholds over hash-set witnesses.
+#[derive(Default)]
+struct Reference(HashMap<Key, RefInstance>);
+
+type IdbMsg = IdbMessage<Key, u64>;
+type RbMsg = RbMessage<Key, u64>;
+
+impl Reference {
+    fn idb(
+        &mut self,
+        cfg: SystemConfig,
+        from: ProcessId,
+        msg: &IdbMsg,
+    ) -> Vec<Action<Key, IdbMsg, u64>> {
+        let mut actions = Vec::new();
+        match *msg {
+            IdbMessage::Init { key, value } if from == key.0 => {
+                let s = self.0.entry(key).or_default();
+                if !std::mem::replace(&mut s.echoed, true) {
+                    actions.push(Action::Broadcast(IdbMessage::Echo { key, value }));
+                }
+            }
+            IdbMessage::Init { .. } => {}
+            IdbMessage::Echo { key, value } => {
+                let s = self.0.entry(key).or_default();
+                let num = witness(&mut s.echoes, value, from);
+                if num >= cfg.echo_threshold() && !std::mem::replace(&mut s.echoed, true) {
+                    actions.push(Action::Broadcast(IdbMessage::Echo { key, value }));
+                }
+                if num >= cfg.quorum() && !std::mem::replace(&mut s.done, true) {
+                    actions.push(Action::Deliver { key, value });
+                }
+            }
+        }
+        actions
+    }
+
+    fn rb(
+        &mut self,
+        cfg: SystemConfig,
+        from: ProcessId,
+        msg: &RbMsg,
+    ) -> Vec<Action<Key, RbMsg, u64>> {
+        let mut actions = Vec::new();
+        match *msg {
+            RbMessage::Init { key, value } if from == key.0 => {
+                let s = self.0.entry(key).or_default();
+                if !std::mem::replace(&mut s.echoed, true) {
+                    actions.push(Action::Broadcast(RbMessage::Echo { key, value }));
+                }
+            }
+            RbMessage::Init { .. } => {}
+            RbMessage::Echo { key, value } => {
+                let s = self.0.entry(key).or_default();
+                let num = witness(&mut s.echoes, value, from);
+                if num > (cfg.n() + cfg.t()) / 2 && !std::mem::replace(&mut s.readied, true) {
+                    actions.push(Action::Broadcast(RbMessage::Ready { key, value }));
+                }
+            }
+            RbMessage::Ready { key, value } => {
+                let s = self.0.entry(key).or_default();
+                let num = witness(&mut s.readies, value, from);
+                if num > cfg.t() && !std::mem::replace(&mut s.readied, true) {
+                    actions.push(Action::Broadcast(RbMessage::Ready { key, value }));
+                }
+                if num > 2 * cfg.t() && !std::mem::replace(&mut s.done, true) {
+                    actions.push(Action::Deliver { key, value });
+                }
+            }
+        }
+        actions
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Differential: IDB emits the reference's actions at every step and
+    /// ends with the reference's counts and acceptances. Readies are fed as
+    /// echoes, as in `idb_machine_invariants`.
+    #[test]
+    fn idb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..600)) {
+        let cfg = SystemConfig::new(N, T).unwrap();
+        let mut idb: IdenticalBroadcast<Key, u64> = IdenticalBroadcast::new(cfg);
+        let mut reference = Reference::default();
+        for step in &steps {
+            let Step::Send { from, key, msgs } = step else {
+                idb.reset();
+                reference = Reference::default();
+                continue;
+            };
+            for &(kind, value) in msgs {
+                let msg = match kind {
+                    Kind::Init => IdbMessage::Init { key: *key, value },
+                    Kind::Echo | Kind::Ready => IdbMessage::Echo { key: *key, value },
+                };
+                prop_assert_eq!(idb.on_message(*from, &msg), reference.idb(cfg, *from, &msg));
+            }
+        }
+        for (key, state) in &reference.0 {
+            prop_assert_eq!(idb.has_accepted(key), state.done);
+            for (value, senders) in &state.echoes {
+                prop_assert_eq!(idb.witness_count(key, value), senders.len());
+            }
+        }
+    }
+
+    /// Differential: RB emits the reference's actions at every step and
+    /// ends with the reference's deliveries.
+    #[test]
+    fn rb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..600)) {
+        let cfg = SystemConfig::new(N, T).unwrap();
+        let mut rb: ReliableBroadcast<Key, u64> = ReliableBroadcast::new(cfg);
+        let mut reference = Reference::default();
+        for step in &steps {
+            let Step::Send { from, key, msgs } = step else {
+                rb.reset();
+                reference = Reference::default();
+                continue;
+            };
+            for &(kind, value) in msgs {
+                let msg = match kind {
+                    Kind::Init => RbMessage::Init { key: *key, value },
+                    Kind::Echo => RbMessage::Echo { key: *key, value },
+                    Kind::Ready => RbMessage::Ready { key: *key, value },
+                };
+                prop_assert_eq!(rb.on_message(*from, &msg), reference.rb(cfg, *from, &msg));
+            }
+        }
+        for (key, state) in &reference.0 {
+            prop_assert_eq!(rb.has_delivered(key), state.done);
+        }
+    }
 
     /// Feed an arbitrary message soup into one IDB machine; invariants:
     /// at most one delivery per instance, every delivered value had at

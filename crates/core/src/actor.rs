@@ -179,7 +179,7 @@ where
             DexMsg::EchoBatch(entries) => {
                 // Unbatch deterministically in entry order: each entry is
                 // exactly the echo the sender would have multicast
-                // individually, so witness maps, thresholds, obs events
+                // individually, so witness tables, thresholds, obs events
                 // and decisions replay the unbatched protocol.
                 let mut out = Outbox::new();
                 let mut decision = None;

@@ -157,7 +157,7 @@ where
 
     /// Resets the machine in place for a fresh consensus instance, reusing
     /// every allocation the previous instance grew: the `J1`/`J2` view
-    /// buffers and their tally tables, the IDB witness maps, and the UC
+    /// buffers and their tally tables, the IDB instance map, and the UC
     /// forwarding outbox all keep their capacity. The caller supplies a
     /// fresh underlying-consensus machine (its state is tiny compared to
     /// the tallies) and takes back the old one.

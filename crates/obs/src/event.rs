@@ -209,7 +209,7 @@ pub enum EventKind {
         floor: u32,
     },
     /// A retired slot instance was recycled from the pool to serve `slot`
-    /// (pipelined replication only): its tallies, witness maps and gates
+    /// (pipelined replication only): its tallies, witness tables and gates
     /// were reset in place. `freed` is the committed slot it last served —
     /// the checker's `slot-reuse-isolation` invariant verifies no state
     /// bleeds across the reuse.

@@ -145,6 +145,15 @@ impl<V: Value> ReplicatedLog<V> {
         self.applied += 1;
     }
 
+    /// Whether some slot of the contiguous committed prefix holds `value`.
+    /// Borrows: the proposer asks this once per queued command, so it must
+    /// not copy the log the way [`prefix`](Self::prefix) does.
+    pub fn prefix_contains(&self, value: &V) -> bool {
+        self.slots[..self.prefix]
+            .iter()
+            .any(|s| s.as_ref() == Some(value))
+    }
+
     /// The contiguous committed prefix as a vector (for cross-replica
     /// comparison).
     pub fn prefix(&self) -> Vec<V> {
@@ -165,10 +174,12 @@ mod tests {
         let mut log: ReplicatedLog<u64> = ReplicatedLog::new();
         assert_eq!(log.commit(2, 30), CommitOutcome::Committed);
         assert_eq!(log.committed_prefix(), 0);
+        assert!(!log.prefix_contains(&30), "slot 2 is above the prefix");
         assert_eq!(log.next_applicable(), None);
         assert_eq!(log.commit(0, 10), CommitOutcome::Committed);
         assert_eq!(log.commit(1, 20), CommitOutcome::Committed);
         assert_eq!(log.committed_prefix(), 3);
+        assert!(log.prefix_contains(&30) && !log.prefix_contains(&40));
         assert_eq!(log.next_applicable(), Some(&10));
         log.mark_applied();
         assert_eq!(log.next_applicable(), Some(&20));

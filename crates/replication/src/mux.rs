@@ -14,7 +14,7 @@
 //! * **Recycle**: once the committed floor has slid a full window past a
 //!   decided slot, that slot's instance is retired into a free pool and its
 //!   allocations — the `J1`/`J2` [`View`](dex_types::View) tally buffers,
-//!   the IDB witness maps, the UC forwarding outbox — are reset in place
+//!   the IDB instance map, the UC forwarding outbox — are reset in place
 //!   (see [`DexProcess::recycle`]) and handed to the next slot that opens.
 //!   Decided slots keep participating until they retire: the lag of one
 //!   full window preserves the paper's "keep echoing after deciding"

@@ -392,13 +392,12 @@ impl<SM: StateMachine> Replica<SM> {
     /// back slots in flight — and the claim count advances past the entry
     /// handed out here.
     fn next_proposal(&mut self) -> SM::Command {
-        let prefix = self.log.prefix();
-        while let Some(cmd) = self.pending.front().cloned() {
-            if prefix.contains(&cmd) {
+        while let Some(cmd) = self.pending.front() {
+            if self.log.prefix_contains(cmd) {
                 self.pending.pop_front();
                 self.claimed = self.claimed.saturating_sub(1);
             } else if self.mux.window() == 1 {
-                return cmd;
+                return cmd.clone();
             } else {
                 break;
             }

@@ -10,7 +10,7 @@
 //!   link, so liveness is only guaranteed when every lossy link touches a
 //!   process already counted in the fault budget ("drops are modeled as
 //!   faulty links" — see DESIGN.md §11). Duplications are harmless to the
-//!   protocols under test (views and witness maps are first-write-wins).
+//!   protocols under test (views and witness tables are first-write-wins).
 //! * **Partitions** ([`Partition`]) — a timed cut between one side and the
 //!   rest. Messages crossing an open cut are **held, not lost**: they are
 //!   re-scheduled to arrive after the heal instant, which is exactly an

@@ -11,7 +11,9 @@
 #   test             full test suite (twice, default parallelism), example
 #                    smokes, trace determinism
 #   results          DEX_RUNS=100 dex-figures all: stdout equals the committed
-#                    results/logs transcripts, results/*.csv unchanged
+#                    results/logs transcripts, results/*.csv unchanged;
+#                    dex-sim --pipeline 8:4 --seed 5 --stats at n = 31 and
+#                    n = 63 equals results/logs/pipeline_n{31,63}_seed5.log
 #   chaos-matrix     chaos schedules x seeds through the invariant checker
 #   recovery-matrix  crash-restart recovery: WAL + catch-up + resend
 #   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves;
@@ -84,7 +86,7 @@ stage_results() {
   # last name, prints wall-clock runs/s and stays out of the gate), so its
   # stdout must equal their committed transcripts laid end to end.
   echo "== results: DEX_RUNS=100 dex-figures all vs results/logs/*.log and results/*.csv"
-  cargo build --release -q --bin dex-figures
+  cargo build --release -q --bin dex-figures --bin dex-sim
   local names
   names=$(./target/release/dex-figures --list | grep -vx fuzz_safety)
   DEX_RUNS=100 ./target/release/dex-figures all \
@@ -94,6 +96,15 @@ stage_results() {
     git status --short results >&2
     exit 1
   fi
+
+  # The pipelined log's --stats block has no wall-clock in it: values per
+  # ktick, wire bytes and per-class message counts pin the schedule of an
+  # n^2 echo flood that the figures above (n <= 31, single-shot) never run.
+  echo "== results: dex-sim --pipeline 8:4 --seed 5 --stats at n = 31, 63 vs results/logs/pipeline_n*_seed5.log"
+  ./target/release/dex-sim --n 31 --t 5 --pipeline 8:4 --seed 5 --stats \
+    | diff results/logs/pipeline_n31_seed5.log -
+  ./target/release/dex-sim --n 63 --t 10 --pipeline 8:4 --seed 5 --stats \
+    | diff results/logs/pipeline_n63_seed5.log -
 }
 
 stage_chaos_matrix() {
