@@ -1,7 +1,7 @@
 //! Algorithm IDB — Identical Broadcast (paper appendix, Fig. 3).
 
 use crate::key::InstanceKey;
-use crate::witness::{admissible, WitnessTable};
+use crate::witness::{admissible, Chain, WitnessTable};
 use crate::Action;
 use dex_types::{ProcessId, SystemConfig, Value};
 use std::collections::HashMap;
@@ -29,25 +29,15 @@ pub enum IdbMessage<K, V> {
     },
 }
 
-/// Per-instance state.
-#[derive(Clone, Debug)]
-struct InstanceState<V> {
+/// Per-instance state: with a `ProcessId` key, a 16-byte map bucket.
+#[derive(Clone, Copy, Default, Debug)]
+struct InstanceState {
     /// `first-echo(j)`: set once this process has sent its (single) echo.
     echoed: bool,
     /// `first-accept(j)`: set once `Id-Receive` has fired.
     accepted: bool,
-    /// Distinct witnesses per value.
-    witnesses: WitnessTable<V>,
-}
-
-impl<V> Default for InstanceState<V> {
-    fn default() -> Self {
-        InstanceState {
-            echoed: false,
-            accepted: false,
-            witnesses: WitnessTable::default(),
-        }
-    }
+    /// Distinct witnesses per value, in the machine's witness table.
+    witnesses: Chain,
 }
 
 /// The Identical Broadcast state machine of one process (Fig. 3).
@@ -68,7 +58,9 @@ impl<V> Default for InstanceState<V> {
 #[derive(Clone, Debug)]
 pub struct IdenticalBroadcast<K, V> {
     config: SystemConfig,
-    instances: HashMap<K, InstanceState<V>>,
+    instances: HashMap<K, InstanceState>,
+    /// Every instance's witnesses (see [`WitnessTable`]).
+    witnesses: WitnessTable<V>,
 }
 
 impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
@@ -86,6 +78,7 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         IdenticalBroadcast {
             config,
             instances: HashMap::new(),
+            witnesses: WitnessTable::new(config.n()),
         }
     }
 
@@ -110,21 +103,22 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         }
     }
 
-    /// Forgets all broadcast instances, keeping bounded instance-map
-    /// capacity.
+    /// Forgets all broadcast instances, keeping bounded capacity.
     ///
     /// This is the recycling hook for pipelined replication: one IDB state
     /// machine is reused across many consecutive log slots, so the
-    /// instance map is cleared in place instead of the whole machine being
-    /// reallocated per slot. Retained capacity is bounded by
+    /// instance map and the witness table are cleared in place — nothing
+    /// is freed or reallocated per slot. Retained capacity is bounded by
     /// [`RETAINED_CAPACITY`](crate::RETAINED_CAPACITY): a slot that opened
-    /// unusually many instances (e.g. a long UC round tail) must not pin
-    /// that high-water mark for the rest of a long pipelined campaign.
+    /// unusually many instances (e.g. a long UC round tail) or stored
+    /// unusually many witnessed values must not pin that high-water mark
+    /// for the rest of a long pipelined campaign.
     pub fn reset(&mut self) {
         self.instances.clear();
         if self.instances.capacity() > crate::RETAINED_CAPACITY {
             self.instances.shrink_to(crate::RETAINED_CAPACITY);
         }
+        self.witnesses.reset();
     }
 
     /// Whether this process has already accepted (Id-Received) for `key`.
@@ -132,11 +126,12 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         self.instances.get(key).is_some_and(|s| s.accepted)
     }
 
-    /// Number of distinct witnesses seen for `(key, value)`.
+    /// Number of distinct witnesses counted for `(key, value)`. Counting
+    /// stops once the instance has accepted: later echoes change nothing.
     pub fn witness_count(&self, key: &K, value: &V) -> usize {
         self.instances
             .get(key)
-            .map_or(0, |s| s.witnesses.count(value))
+            .map_or(0, |s| self.witnesses.count(s.witnesses, value))
     }
 
     fn on_init(
@@ -161,7 +156,11 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         })]
     }
 
-    fn on_echo(
+    /// Handles one received `(echo, value, key)` by reference — what
+    /// [`on_message`](Self::on_message) does for an [`IdbMessage::Echo`],
+    /// for callers that hold the key and value but no such message (the
+    /// entries of an echo batch).
+    pub fn on_echo(
         &mut self,
         from: ProcessId,
         key: &K,
@@ -171,7 +170,12 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
             return Vec::new();
         }
         let state = self.instances.entry(key.clone()).or_default();
-        let num = state.witnesses.insert(value, from);
+        if state.accepted {
+            // Accepted implies echoed (n − t ≥ n − 2t on the same count):
+            // no later echo can act, so none may cost time or memory.
+            return Vec::new();
+        }
+        let num = self.witnesses.insert(&mut state.witnesses, value, from);
         let mut actions = Vec::new();
         if num >= self.config.echo_threshold() && !state.echoed {
             // Witness amplification: enough echoes convince us even without
@@ -338,25 +342,27 @@ mod tests {
     #[test]
     fn reset_pins_retained_capacity() {
         // One pathological slot opens far more tagged instances than the
-        // retention bound (a long UC round tail); recycling must not pin
-        // that high-water mark.
+        // retention bound (a long UC round tail), each witnessing a value
+        // of its own; recycling must not pin that high-water mark.
         let mut idb: IdenticalBroadcast<(ProcessId, u64), u64> = IdenticalBroadcast::new(cfg(5, 1));
         for tag in 0..(8 * crate::RETAINED_CAPACITY as u64) {
             idb.on_message(
                 p(1),
                 &IdbMessage::Echo {
                     key: (p(0), tag),
-                    value: 7,
+                    value: tag,
                 },
             );
         }
         assert!(idb.instances.capacity() > crate::RETAINED_CAPACITY);
+        assert!(idb.witnesses.capacity() > crate::RETAINED_CAPACITY);
         idb.reset();
-        assert!(
-            idb.instances.capacity() <= 2 * crate::RETAINED_CAPACITY,
-            "reset must bound retained capacity, kept {}",
-            idb.instances.capacity()
-        );
+        for kept in [idb.instances.capacity(), idb.witnesses.capacity()] {
+            assert!(
+                kept <= 2 * crate::RETAINED_CAPACITY,
+                "reset must bound retained capacity, kept {kept}"
+            );
+        }
         assert!(idb.instances.is_empty());
         // Still fully usable after the bounded reset.
         for i in 1..=4 {

@@ -9,7 +9,7 @@
 //! eventually delivers, even for a faulty sender.
 
 use crate::key::InstanceKey;
-use crate::witness::{admissible, WitnessTable};
+use crate::witness::{admissible, Chain, WitnessTable};
 use crate::Action;
 use dex_types::{ProcessId, SystemConfig, Value};
 use std::collections::HashMap;
@@ -41,25 +41,15 @@ pub enum RbMessage<K, V> {
     },
 }
 
-#[derive(Clone, Debug)]
-struct InstanceState<V> {
+#[derive(Clone, Copy, Default, Debug)]
+struct InstanceState {
     echoed: bool,
     readied: bool,
     delivered: bool,
-    echoes: WitnessTable<V>,
-    readies: WitnessTable<V>,
-}
-
-impl<V> Default for InstanceState<V> {
-    fn default() -> Self {
-        InstanceState {
-            echoed: false,
-            readied: false,
-            delivered: false,
-            echoes: WitnessTable::default(),
-            readies: WitnessTable::default(),
-        }
-    }
+    /// Echo and ready witnesses per value: two chains in the machine's one
+    /// witness table.
+    echoes: Chain,
+    readies: Chain,
 }
 
 /// Bracha's reliable broadcast state machine (one per process).
@@ -75,7 +65,9 @@ impl<V> Default for InstanceState<V> {
 #[derive(Clone, Debug)]
 pub struct ReliableBroadcast<K, V> {
     config: SystemConfig,
-    instances: HashMap<K, InstanceState<V>>,
+    instances: HashMap<K, InstanceState>,
+    /// Every instance's echo and ready witnesses (see [`WitnessTable`]).
+    witnesses: WitnessTable<V>,
 }
 
 impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
@@ -94,6 +86,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
         ReliableBroadcast {
             config,
             instances: HashMap::new(),
+            witnesses: WitnessTable::new(config.n()),
         }
     }
 
@@ -111,6 +104,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
         if self.instances.capacity() > crate::RETAINED_CAPACITY {
             self.instances.shrink_to(crate::RETAINED_CAPACITY);
         }
+        self.witnesses.reset();
     }
 
     /// Whether `key` has been delivered locally.
@@ -155,7 +149,13 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
             RbMessage::Echo { key, value } => {
                 let echo_quorum = self.echo_quorum();
                 let state = self.instances.entry(key.clone()).or_default();
-                let num = state.echoes.insert(value, from);
+                if state.delivered {
+                    // Delivered implies readied (2t + 1 ≥ t + 1 on the same
+                    // count): no later echo or ready can act, so none may
+                    // cost time or memory.
+                    return Vec::new();
+                }
+                let num = self.witnesses.insert(&mut state.echoes, value, from);
                 if num >= echo_quorum && !state.readied {
                     state.readied = true;
                     return vec![Action::Broadcast(RbMessage::Ready {
@@ -167,7 +167,10 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
             }
             RbMessage::Ready { key, value } => {
                 let state = self.instances.entry(key.clone()).or_default();
-                let num = state.readies.insert(value, from);
+                if state.delivered {
+                    return Vec::new();
+                }
+                let num = self.witnesses.insert(&mut state.readies, value, from);
                 let mut actions = Vec::new();
                 // Thresholds written as in the literature (t + 1, 2t + 1).
                 #[allow(clippy::int_plus_one)]
@@ -277,17 +280,19 @@ mod tests {
                 p(1),
                 &RbMessage::Echo {
                     key: (p(0), tag),
-                    value: 5,
+                    value: tag,
                 },
             );
         }
         assert!(m.instances.capacity() > crate::RETAINED_CAPACITY);
+        assert!(m.witnesses.capacity() > crate::RETAINED_CAPACITY);
         m.reset();
-        assert!(
-            m.instances.capacity() <= 2 * crate::RETAINED_CAPACITY,
-            "reset must bound retained capacity, kept {}",
-            m.instances.capacity()
-        );
+        for kept in [m.instances.capacity(), m.witnesses.capacity()] {
+            assert!(
+                kept <= 2 * crate::RETAINED_CAPACITY,
+                "reset must bound retained capacity, kept {kept}"
+            );
+        }
         assert!(m.instances.is_empty());
         // Still fully usable after the bounded reset.
         let a = m.on_message(p(0), &ReliableBroadcast::rb_send((p(0), 0u64), 5));

@@ -59,39 +59,86 @@ enum Kind {
 
 type Key = (ProcessId, u8);
 
+/// The systems the differential streams run at: senders in one bitset
+/// word, just across a word boundary, and in three words.
+const SYSTEMS: [(usize, usize); 3] = [(9, 2), (65, 10), (130, 21)];
+
+/// A process of a system whose size the stream does not know yet: half the
+/// draws sit on the edges of the 64-bit words a sender bitset is made of.
+#[derive(Clone, Copy, Debug)]
+struct Pick {
+    edge: bool,
+    at: prop::sample::Index,
+}
+
+impl Pick {
+    fn of(self, n: usize) -> usize {
+        const EDGES: [usize; 9] = [0, 1, 62, 63, 64, 65, 127, 128, 129];
+        if self.edge {
+            EDGES[self.at.index(EDGES.iter().filter(|&&e| e < n).count())]
+        } else {
+            self.at.index(n)
+        }
+    }
+}
+
 /// One step of the differential streams. Few origins and values, so that
 /// thresholds are crossed often; every sender may be Byzantine (repeat
 /// itself, vouch for several values, forge inits).
 #[derive(Clone, Debug)]
 enum Step {
-    /// `from` sends these messages on instance `key`: one, or — a value
-    /// flood — an echo and a ready for each of `k` further values.
-    Send {
-        from: ProcessId,
-        key: Key,
-        msgs: Vec<(Kind, u64)>,
-    },
+    Send(Burst),
     /// The machine is recycled for the next slot.
     Reset,
 }
 
+/// `from` — and, in a sweep, the `sweep.index(n)` processes after it,
+/// wrapping — send these messages on instance `key`: one, or — a value
+/// flood — an echo and a ready for each of `k` further values.
+#[derive(Clone, Debug)]
+struct Burst {
+    from: Pick,
+    sweep: Option<prop::sample::Index>,
+    key: Key,
+    msgs: Vec<(Kind, u64)>,
+}
+
+impl Burst {
+    /// The `(sender, kind, value)` messages in a system of `n`.
+    fn sends(&self, n: usize) -> impl Iterator<Item = (ProcessId, Kind, u64)> + '_ {
+        let from = self.from.of(n);
+        (0..=self.sweep.map_or(0, |more| more.index(n))).flat_map(move |k| {
+            self.msgs
+                .iter()
+                .map(move |&(kind, value)| (ProcessId::new((from + k) % n), kind, value))
+        })
+    }
+}
+
 fn step_strategy() -> impl Strategy<Value = Step> {
-    (0usize..N, 0usize..2, 0u8..2, 0u64..2, 0u8..100).prop_map(
-        |(from, origin, tag, value, kind)| {
+    let from = (any::<bool>(), any::<prop::sample::Index>());
+    let sweep = (0u8..100, any::<prop::sample::Index>());
+    (from, sweep, 0usize..2, 0u8..2, 0u64..2, 0u8..100).prop_map(
+        |((edge, at), (swept, more), origin, tag, value, kind)| {
+            let mut sweep = (swept < 15).then_some(more);
             let msgs = match kind {
                 0..=9 => vec![(Kind::Init, value)],
                 10..=54 => vec![(Kind::Echo, value)],
                 55..=94 => vec![(Kind::Ready, value)],
-                95..=98 => (10..18 + 8 * value)
-                    .flat_map(|v| [(Kind::Echo, v), (Kind::Ready, v)])
-                    .collect(),
+                95..=98 => {
+                    sweep = None;
+                    (10..18 + 8 * value)
+                        .flat_map(|v| [(Kind::Echo, v), (Kind::Ready, v)])
+                        .collect()
+                }
                 _ => return Step::Reset,
             };
-            Step::Send {
-                from: ProcessId::new(from),
+            Step::Send(Burst {
+                from: Pick { edge, at },
+                sweep,
                 key: (ProcessId::new(origin), tag),
                 msgs,
-            }
+            })
         },
     )
 }
@@ -191,60 +238,75 @@ impl Reference {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Differential: IDB emits the reference's actions at every step and
-    /// ends with the reference's counts and acceptances. Readies are fed as
-    /// echoes, as in `idb_machine_invariants`.
+    /// Differential: at every system size IDB emits the reference's actions
+    /// at every step, and ends with the reference's acceptances and — where
+    /// it has not accepted, which is where counting stops — the reference's
+    /// counts. Readies are fed as echoes, as in `idb_machine_invariants`.
     #[test]
-    fn idb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..600)) {
-        let cfg = SystemConfig::new(N, T).unwrap();
-        let mut idb: IdenticalBroadcast<Key, u64> = IdenticalBroadcast::new(cfg);
-        let mut reference = Reference::default();
-        for step in &steps {
-            let Step::Send { from, key, msgs } = step else {
-                idb.reset();
-                reference = Reference::default();
-                continue;
-            };
-            for &(kind, value) in msgs {
-                let msg = match kind {
-                    Kind::Init => IdbMessage::Init { key: *key, value },
-                    Kind::Echo | Kind::Ready => IdbMessage::Echo { key: *key, value },
+    fn idb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..300)) {
+        for (n, t) in SYSTEMS {
+            let cfg = SystemConfig::new(n, t).unwrap();
+            let mut idb: IdenticalBroadcast<Key, u64> = IdenticalBroadcast::new(cfg);
+            let mut reference = Reference::default();
+            let mut accepted: HashMap<Key, u64> = HashMap::new();
+            for step in &steps {
+                let Step::Send(send) = step else {
+                    idb.reset();
+                    reference = Reference::default();
+                    accepted.clear();
+                    continue;
                 };
-                prop_assert_eq!(idb.on_message(*from, &msg), reference.idb(cfg, *from, &msg));
+                for (from, kind, value) in send.sends(n) {
+                    let msg = match kind {
+                        Kind::Init => IdbMessage::Init { key: send.key, value },
+                        Kind::Echo | Kind::Ready => IdbMessage::Echo { key: send.key, value },
+                    };
+                    let actions = idb.on_message(from, &msg);
+                    if let Some(Action::Deliver { value, .. }) = actions.last() {
+                        accepted.insert(send.key, *value);
+                    }
+                    prop_assert_eq!(actions, reference.idb(cfg, from, &msg));
+                }
             }
-        }
-        for (key, state) in &reference.0 {
-            prop_assert_eq!(idb.has_accepted(key), state.done);
-            for (value, senders) in &state.echoes {
-                prop_assert_eq!(idb.witness_count(key, value), senders.len());
+            for (key, state) in &reference.0 {
+                prop_assert_eq!(idb.has_accepted(key), state.done);
+                if let Some(value) = accepted.get(key) {
+                    prop_assert!(idb.witness_count(key, value) >= cfg.quorum());
+                    continue;
+                }
+                for (value, senders) in &state.echoes {
+                    prop_assert_eq!(idb.witness_count(key, value), senders.len());
+                }
             }
         }
     }
 
-    /// Differential: RB emits the reference's actions at every step and
-    /// ends with the reference's deliveries.
+    /// Differential: at every system size RB emits the reference's actions
+    /// at every step and ends with the reference's deliveries.
     #[test]
-    fn rb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..600)) {
-        let cfg = SystemConfig::new(N, T).unwrap();
-        let mut rb: ReliableBroadcast<Key, u64> = ReliableBroadcast::new(cfg);
-        let mut reference = Reference::default();
-        for step in &steps {
-            let Step::Send { from, key, msgs } = step else {
-                rb.reset();
-                reference = Reference::default();
-                continue;
-            };
-            for &(kind, value) in msgs {
-                let msg = match kind {
-                    Kind::Init => RbMessage::Init { key: *key, value },
-                    Kind::Echo => RbMessage::Echo { key: *key, value },
-                    Kind::Ready => RbMessage::Ready { key: *key, value },
+    fn rb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..300)) {
+        for (n, t) in SYSTEMS {
+            let cfg = SystemConfig::new(n, t).unwrap();
+            let mut rb: ReliableBroadcast<Key, u64> = ReliableBroadcast::new(cfg);
+            let mut reference = Reference::default();
+            for step in &steps {
+                let Step::Send(send) = step else {
+                    rb.reset();
+                    reference = Reference::default();
+                    continue;
                 };
-                prop_assert_eq!(rb.on_message(*from, &msg), reference.rb(cfg, *from, &msg));
+                for (from, kind, value) in send.sends(n) {
+                    let msg = match kind {
+                        Kind::Init => RbMessage::Init { key: send.key, value },
+                        Kind::Echo => RbMessage::Echo { key: send.key, value },
+                        Kind::Ready => RbMessage::Ready { key: send.key, value },
+                    };
+                    prop_assert_eq!(rb.on_message(from, &msg), reference.rb(cfg, from, &msg));
+                }
             }
-        }
-        for (key, state) in &reference.0 {
-            prop_assert_eq!(rb.has_delivered(key), state.done);
+            for (key, state) in &reference.0 {
+                prop_assert_eq!(rb.has_delivered(key), state.done);
+            }
         }
     }
 

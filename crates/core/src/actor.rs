@@ -184,11 +184,7 @@ where
                 let mut out = Outbox::new();
                 let mut decision = None;
                 for (key, value) in entries {
-                    let echo = DexMsg::Idb(IdbMessage::Echo {
-                        key: *key,
-                        value: value.clone(),
-                    });
-                    let d = self.process.on_message(from, &echo, ctx.rng(), &mut out);
+                    let d = self.process.on_echo(from, *key, value, ctx.rng(), &mut out);
                     decision = decision.or(d);
                 }
                 self.flush(&mut out, ctx);

@@ -157,8 +157,9 @@ where
 
     /// Resets the machine in place for a fresh consensus instance, reusing
     /// every allocation the previous instance grew: the `J1`/`J2` view
-    /// buffers and their tally tables, the IDB instance map, and the UC
-    /// forwarding outbox all keep their capacity. The caller supplies a
+    /// buffers and their tally tables, the IDB instance map and witness
+    /// table, and the UC forwarding outbox all keep their capacity — a
+    /// recycled slot frees and reallocates nothing. The caller supplies a
     /// fresh underlying-consensus machine (its state is tiny compared to
     /// the tallies) and takes back the old one.
     ///
@@ -264,7 +265,7 @@ where
             DexMsg::Idb(m) => self.on_idb(from, m, rng, out),
             DexMsg::Uc(m) => self.on_uc(from, m, rng, out),
             // Aggregation plumbing is handled one layer up: the actor
-            // demuxes a batch into per-entry `Idb(Echo)` calls and consumes
+            // demuxes a batch into per-entry `on_echo` calls and consumes
             // flush ticks locally, so the state machine never sees either.
             DexMsg::EchoBatch(_) | DexMsg::EchoFlushTick => None,
         }
@@ -314,8 +315,7 @@ where
         None
     }
 
-    /// Lines 10–18: route IDB traffic; on `Id-Receive` update `J2`, feed the
-    /// underlying consensus once, and try the two-step decision.
+    /// Lines 10–18: route IDB traffic.
     fn on_idb(
         &mut self,
         from: ProcessId,
@@ -323,20 +323,55 @@ where
         rng: &mut StdRng,
         out: &mut Outbox<DexMsg<V, U::Msg>>,
     ) -> Option<Decision<V>> {
-        if self.obs.is_active() {
-            match msg {
-                IdbMessage::Init { key, value } => self.obs.record(EventKind::IdbInit {
-                    origin: key.index() as u16,
-                    code: obs_code(value),
-                }),
-                IdbMessage::Echo { key, value } => self.obs.record(EventKind::IdbEcho {
-                    origin: key.index() as u16,
-                    code: obs_code(value),
-                }),
+        match msg {
+            IdbMessage::Init { key, value } => {
+                if self.obs.is_active() {
+                    self.obs.record(EventKind::IdbInit {
+                        origin: key.index() as u16,
+                        code: obs_code(value),
+                    });
+                }
+                let actions = self.idb.on_message(from, msg);
+                self.on_idb_actions(actions, rng, out)
             }
+            IdbMessage::Echo { key, value } => self.on_echo(from, *key, value, rng, out),
         }
+    }
+
+    /// Feeds one received IDB echo for `origin`'s instance by reference:
+    /// what [`on_message`](Self::on_message) does for a
+    /// `DexMsg::Idb(IdbMessage::Echo { .. })`, for callers that unbatch a
+    /// [`DexMsg::EchoBatch`] and hold each entry's value but no such
+    /// message.
+    pub fn on_echo(
+        &mut self,
+        from: ProcessId,
+        origin: ProcessId,
+        value: &V,
+        rng: &mut StdRng,
+        out: &mut Outbox<DexMsg<V, U::Msg>>,
+    ) -> Option<Decision<V>> {
+        if self.obs.is_active() {
+            self.obs.record(EventKind::IdbEcho {
+                origin: origin.index() as u16,
+                code: obs_code(value),
+            });
+        }
+        let actions = self.idb.on_echo(from, &origin, value);
+        self.on_idb_actions(actions, rng, out)
+    }
+
+    /// Lines 10–18, after IDB: send its echoes; on `Id-Receive` update
+    /// `J2`, feed the underlying consensus once, and try the two-step
+    /// decision.
+    fn on_idb_actions(
+        &mut self,
+        actions: Vec<Action<ProcessId, IdbMessage<ProcessId, V>, V>>,
+        rng: &mut StdRng,
+        out: &mut Outbox<DexMsg<V, U::Msg>>,
+    ) -> Option<Decision<V>> {
         let mut delivered = Vec::new();
-        for action in self.idb.on_message(from, msg) {
+        for action in actions {
             match action {
                 Action::Broadcast(m) => out.broadcast(DexMsg::Idb(m)),
                 Action::Deliver { key, value } => delivered.push((key, value)),

@@ -14,8 +14,10 @@
 //! * **Recycle**: once the committed floor has slid a full window past a
 //!   decided slot, that slot's instance is retired into a free pool and its
 //!   allocations — the `J1`/`J2` [`View`](dex_types::View) tally buffers,
-//!   the IDB instance map, the UC forwarding outbox — are reset in place
-//!   (see [`DexProcess::recycle`]) and handed to the next slot that opens.
+//!   the IDB instance map and its one witness table (three flat vectors
+//!   per machine, not a heap block per origin), the UC forwarding outbox —
+//!   are reset in place (see [`DexProcess::recycle`]), freeing and
+//!   reallocating nothing, and handed to the next slot that opens.
 //!   Decided slots keep participating until they retire: the lag of one
 //!   full window preserves the paper's "keep echoing after deciding"
 //!   obligation for every peer still inside the window.

@@ -20,6 +20,13 @@ use std::collections::{HashMap, VecDeque};
 /// Per-slot DEX wire messages for command type `C`.
 pub type SlotMsg<C> = DexMsg<C, OracleMsg<C>>;
 
+/// What one slot's instance is fed: a wire message, or one `(origin,
+/// value)` entry of a [`ReplicaMsg::EchoBatch`], borrowed from the batch.
+enum SlotInput<'a, C> {
+    Msg(&'a SlotMsg<C>),
+    Echo(ProcessId, &'a C),
+}
+
 /// Base retry timeout for catch-up requests, in virtual time units
 /// (doubles each attempt, capped — see [`Replica`]'s liveness notes).
 const CATCH_UP_RTO: u64 = 64;
@@ -482,7 +489,7 @@ impl<SM: StateMachine> Replica<SM> {
         &mut self,
         from: ProcessId,
         slot: u64,
-        inner: &SlotMsg<SM::Command>,
+        input: SlotInput<'_, SM::Command>,
         ctx: &mut Context<'_, ReplicaMsg<SM::Command>>,
     ) {
         if slot >= self.target_slots {
@@ -496,7 +503,7 @@ impl<SM: StateMachine> Replica<SM> {
             // other late traffic (echo obligations for every peer still
             // inside the window were discharged before retirement).
             if from != self.me {
-                if let DexMsg::Proposal(_) = inner {
+                if let SlotInput::Msg(DexMsg::Proposal(_)) = input {
                     let value = self
                         .log
                         .get(slot as usize)
@@ -515,7 +522,13 @@ impl<SM: StateMachine> Replica<SM> {
         let mut out = Outbox::new();
         let (decision, how) = {
             let (instance, how) = self.mux.checkout(slot);
-            (instance.on_message(from, inner, ctx.rng(), &mut out), how)
+            let decision = match input {
+                SlotInput::Msg(inner) => instance.on_message(from, inner, ctx.rng(), &mut out),
+                SlotInput::Echo(origin, value) => {
+                    instance.on_echo(from, origin, value, ctx.rng(), &mut out)
+                }
+            };
+            (decision, how)
         };
         self.note_checkout(slot, how);
         self.flush_slot(slot, out, ctx);
@@ -750,12 +763,9 @@ impl<SM: StateMachine> Replica<SM> {
     ) {
         for (slot, origin, value) in entries {
             // Per-slot guards (horizon, retirement, first-echo) all apply
-            // exactly as for un-batched echo traffic.
-            let inner = DexMsg::Idb(IdbMessage::Echo {
-                key: *origin,
-                value: value.clone(),
-            });
-            self.on_slot_msg(from, *slot, &inner, ctx);
+            // exactly as for un-batched echo traffic; the value stays in
+            // the batch.
+            self.on_slot_msg(from, *slot, SlotInput::Echo(*origin, value), ctx);
         }
     }
 
@@ -787,7 +797,7 @@ impl<SM: StateMachine> Replica<SM> {
         for (slot, m) in entries {
             // Per-slot guards (horizon, retirement, oracle authentication)
             // all apply exactly as for un-batched traffic.
-            self.on_slot_msg(from, *slot, &DexMsg::Uc(m.clone()), ctx);
+            self.on_slot_msg(from, *slot, SlotInput::Msg(&DexMsg::Uc(m.clone())), ctx);
         }
     }
 
@@ -839,7 +849,9 @@ impl<SM: StateMachine> Actor for Replica<SM> {
 
     fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
         match msg {
-            ReplicaMsg::Slot { slot, inner } => self.on_slot_msg(from, *slot, inner, ctx),
+            ReplicaMsg::Slot { slot, inner } => {
+                self.on_slot_msg(from, *slot, SlotInput::Msg(inner), ctx)
+            }
             ReplicaMsg::CatchUpRequest { from_slot } => {
                 self.on_catch_up_request(from, *from_slot, ctx)
             }

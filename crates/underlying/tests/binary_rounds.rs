@@ -145,6 +145,8 @@ fn silent_fault_does_not_block_rounds() {
         fn on_start(&mut self, _: &mut Context<'_, BinaryMsg>) {}
         fn on_message(&mut self, _: ProcessId, _: &BinaryMsg, _: &mut Context<'_, BinaryMsg>) {}
     }
+    // An actor slot: one per process, moved only at construction.
+    #[allow(clippy::large_enum_variant)]
     enum Node {
         Live(BinNode),
         Dead(Silent),

@@ -9,11 +9,12 @@
 #                    the workflow's stage matrix names only stages below
 #   build            warning-free release build of the workspace + examples
 #   test             full test suite (twice, default parallelism), example
-#                    smokes, trace determinism
+#                    smokes (window_scan at n = 7, 8 slots), trace determinism
 #   results          DEX_RUNS=100 dex-figures all: stdout equals the committed
 #                    results/logs transcripts, results/*.csv unchanged;
-#                    dex-sim --pipeline 8:4 --seed 5 --stats at n = 31 and
-#                    n = 63 equals results/logs/pipeline_n{31,63}_seed5.log
+#                    dex-sim --pipeline 8:4 --seed 5 --stats at n = 31, 63
+#                    and 127, and at n = 31 with --aggregate, equals
+#                    results/logs/pipeline_n{31,31_agg,63,127}_seed5.log
 #   chaos-matrix     chaos schedules x seeds through the invariant checker
 #   recovery-matrix  crash-restart recovery: WAL + catch-up + resend
 #   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves;
@@ -63,9 +64,10 @@ stage_test() {
   echo "== test (pass 2 of 2)"
   cargo test -q --workspace
 
-  echo "== example smoke: quickstart, equivocation_demo"
+  echo "== example smoke: quickstart, equivocation_demo, window_scan 7 1 8"
   cargo run --release -q --example quickstart > /dev/null
   cargo run --release -q --example equivocation_demo > /dev/null
+  cargo run --release -q --example window_scan -- 7 1 8 > /dev/null
 
   echo "== trace determinism: multicast fast path vs eager expansion"
   cargo test -q -p dex-simnet --test prop_multicast
@@ -99,12 +101,18 @@ stage_results() {
 
   # The pipelined log's --stats block has no wall-clock in it: values per
   # ktick, wire bytes and per-class message counts pin the schedule of an
-  # n^2 echo flood that the figures above (n <= 31, single-shot) never run.
-  echo "== results: dex-sim --pipeline 8:4 --seed 5 --stats at n = 31, 63 vs results/logs/pipeline_n*_seed5.log"
+  # n^2 echo flood that the figures above (n <= 31, single-shot) never run:
+  # one and two sender-bitset words (n = 31, 63 / n = 127, ~10 s), and the
+  # by-reference unbatching path (--aggregate).
+  echo "== results: dex-sim --pipeline 8:4 --seed 5 --stats at n = 31 (plain, --aggregate), 63, 127 vs results/logs/pipeline_n*_seed5.log"
   ./target/release/dex-sim --n 31 --t 5 --pipeline 8:4 --seed 5 --stats \
     | diff results/logs/pipeline_n31_seed5.log -
+  ./target/release/dex-sim --n 31 --t 5 --pipeline 8:4 --aggregate --seed 5 --stats \
+    | diff results/logs/pipeline_n31_agg_seed5.log -
   ./target/release/dex-sim --n 63 --t 10 --pipeline 8:4 --seed 5 --stats \
     | diff results/logs/pipeline_n63_seed5.log -
+  ./target/release/dex-sim --n 127 --t 21 --pipeline 8:4 --seed 5 --stats \
+    | diff results/logs/pipeline_n127_seed5.log -
 }
 
 stage_chaos_matrix() {
