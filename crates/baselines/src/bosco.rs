@@ -1,9 +1,8 @@
 //! The Bosco one-step Byzantine consensus baseline.
 
-use dex_broadcast::EchoAggregator;
-use dex_obs::{obs_code, EventKind, Recorder, Scheme, ViewTag};
-use dex_simnet::{Actor, Context, MsgClass, Time};
-use dex_types::{Dest, ProcessId, StepDepth, SystemConfig, Value, View};
+use crate::{decide, set_first};
+use dex_obs::Recorder;
+use dex_types::{Decision, DecisionPath, ProcessId, SystemConfig, Value, View};
 use dex_underlying::{Outbox, UnderlyingConsensus};
 use rand::rngs::StdRng;
 
@@ -14,53 +13,6 @@ pub enum BoscoMsg<V, U> {
     Vote(V),
     /// Underlying-consensus traffic.
     Uc(U),
-    /// Aggregated votes, batching identically to the DEX echo batches
-    /// (`DexMsg::EchoBatch`): every vote the sender coalesced in one
-    /// delivery tick, unbatched by receivers in entry order. Bosco emits
-    /// exactly one vote per process, so the compression is trivial — this
-    /// exists for structural parity so every algorithm behind `RunSpec`'s
-    /// aggregation switch batches the same way.
-    VoteBatch(Vec<V>),
-    /// Local flush timer for the vote aggregator (self-addressed, never
-    /// crosses a network link).
-    VoteFlushTick,
-}
-
-/// Classifies Bosco wire traffic for the per-class
-/// [`NetStats`](dex_simnet::NetStats) breakdown.
-pub fn bosco_msg_class<V, U>(msg: &BoscoMsg<V, U>) -> MsgClass {
-    match msg {
-        BoscoMsg::Vote(_) => MsgClass::Init,
-        BoscoMsg::VoteBatch(entries) => MsgClass::Batch(entries.len() as u32),
-        BoscoMsg::Uc(_) | BoscoMsg::VoteFlushTick => MsgClass::Other,
-    }
-}
-
-/// Wire size of Bosco traffic: shallow except for the heap-carried batch.
-pub fn bosco_msg_bytes<V, U>(msg: &BoscoMsg<V, U>) -> usize {
-    let shallow = core::mem::size_of_val(msg);
-    match msg {
-        BoscoMsg::VoteBatch(entries) => shallow + entries.len() * core::mem::size_of::<V>(),
-        _ => shallow,
-    }
-}
-
-/// Which mechanism decided.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum BoscoPath {
-    /// The `(n + 3t) / 2` supermajority rule fired on the vote round.
-    OneStep,
-    /// Adopted from the underlying consensus.
-    Underlying,
-}
-
-/// A decision with its mechanism.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BoscoDecision<V> {
-    /// The decided value.
-    pub value: V,
-    /// The mechanism that produced it.
-    pub path: BoscoPath,
 }
 
 /// One process's Bosco state machine.
@@ -80,9 +32,11 @@ where
     own: Option<V>,
     votes: View<V>,
     evaluated: bool,
-    decided: Option<BoscoDecision<V>>,
+    decided: Option<Decision<V>>,
     /// Reusable buffer for underlying-consensus output.
     uc_out: Outbox<U::Msg>,
+    /// Structured-event recorder (disabled by default; see `dex-obs`).
+    obs: Recorder,
 }
 
 impl<V, U> BoscoProcess<V, U>
@@ -101,11 +55,29 @@ where
             evaluated: false,
             decided: None,
             uc_out: Outbox::new(),
+            obs: Recorder::disabled(),
         }
     }
 
+    /// Turns on structured event recording for this process: fresh vote
+    /// entries and the decision (see `dex-obs`).
+    pub fn enable_obs(&mut self) {
+        self.obs = Recorder::new(self.me.index() as u16);
+    }
+
+    /// The structured-event recorder.
+    pub fn obs(&self) -> &Recorder {
+        &self.obs
+    }
+
+    /// Mutable access to the recorder, for the network runtime's clock
+    /// stamping and send/deliver recording.
+    pub fn obs_mut(&mut self) -> &mut Recorder {
+        &mut self.obs
+    }
+
     /// The local decision, if any.
-    pub fn decision(&self) -> Option<&BoscoDecision<V>> {
+    pub fn decision(&self) -> Option<&Decision<V>> {
         self.decided.as_ref()
     }
 
@@ -126,7 +98,7 @@ where
             return;
         }
         self.own = Some(value.clone());
-        self.votes.set(self.me, value.clone());
+        set_first(&mut self.votes, &mut self.obs, self.me, &value);
         out.broadcast(BoscoMsg::Vote(value));
     }
 
@@ -137,23 +109,16 @@ where
         msg: &BoscoMsg<V, U::Msg>,
         rng: &mut StdRng,
         out: &mut Outbox<BoscoMsg<V, U::Msg>>,
-    ) -> Option<BoscoDecision<V>> {
+    ) -> Option<Decision<V>> {
         match msg {
             BoscoMsg::Vote(v) => self.on_vote(from, v, rng, out),
-            // Aggregation plumbing is demuxed by the actor layer; the
-            // state machine never sees these variants.
-            BoscoMsg::VoteBatch(_) | BoscoMsg::VoteFlushTick => None,
             BoscoMsg::Uc(m) => {
                 self.uc.on_message(from, m, rng, &mut self.uc_out);
                 forward_uc(&mut self.uc_out, out);
                 if self.decided.is_none() {
-                    if let Some(v) = self.uc.decision() {
-                        let d = BoscoDecision {
-                            value: v.clone(),
-                            path: BoscoPath::Underlying,
-                        };
-                        self.decided = Some(d.clone());
-                        return Some(d);
+                    if let Some(v) = self.uc.decision().cloned() {
+                        self.decided = Some(decide(&mut self.obs, v, DecisionPath::Underlying));
+                        return self.decided.clone();
                     }
                 }
                 None
@@ -167,28 +132,22 @@ where
         v: &V,
         rng: &mut StdRng,
         out: &mut Outbox<BoscoMsg<V, U::Msg>>,
-    ) -> Option<BoscoDecision<V>> {
-        if self.votes.get(from).is_none() {
-            self.votes.set(from, v.clone());
-        }
+    ) -> Option<Decision<V>> {
+        set_first(&mut self.votes, &mut self.obs, from, v);
         // Single evaluation at exactly n − t votes — Bosco is not adaptive.
         if self.evaluated || self.votes.len_non_default() < self.config.quorum() {
             return None;
         }
         self.evaluated = true;
 
-        let mut decision = None;
         // The decide threshold exceeds n/2, so only the most frequent value
         // can reach it: one O(1) tally lookup replaces the histogram scan.
         let top = self.votes.first_with_count();
+        let mut decision = None;
         if let Some((winner, count)) = top {
             if count >= self.decide_threshold() {
-                let d = BoscoDecision {
-                    value: winner.clone(),
-                    path: BoscoPath::OneStep,
-                };
-                self.decided = Some(d.clone());
-                decision = Some(d);
+                decision = Some(decide(&mut self.obs, winner.clone(), DecisionPath::OneStep));
+                self.decided = decision.clone();
             }
         }
 
@@ -221,215 +180,6 @@ where
 
 fn forward_uc<V, U>(uc_out: &mut Outbox<U>, out: &mut Outbox<BoscoMsg<V, U>>) {
     uc_out.map_drain_into(out, BoscoMsg::Uc);
-}
-
-/// A decision as observed inside a simulation run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BoscoRecord<V> {
-    /// The decided value.
-    pub value: V,
-    /// The mechanism that produced it.
-    pub path: BoscoPath,
-    /// Causal step depth of the decision.
-    pub depth: StepDepth,
-    /// Virtual time of the decision.
-    pub at: Time,
-}
-
-/// Simulation adapter for [`BoscoProcess`].
-#[derive(Debug)]
-pub struct BoscoActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V>,
-{
-    process: BoscoProcess<V, U>,
-    proposal: V,
-    decision: Option<BoscoRecord<V>>,
-    obs: Recorder,
-    /// Vote aggregation state; `None` keeps the wire protocol
-    /// byte-identical to pre-aggregation builds.
-    agg: Option<EchoAggregator<ProcessId, V>>,
-}
-
-impl<V, U> BoscoActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V>,
-{
-    /// Creates the actor; it proposes `proposal` at simulation start.
-    pub fn new(process: BoscoProcess<V, U>, proposal: V) -> Self {
-        BoscoActor {
-            process,
-            proposal,
-            decision: None,
-            obs: Recorder::disabled(),
-            agg: None,
-        }
-    }
-
-    /// Turns on vote aggregation: outgoing votes are coalesced per
-    /// delivery tick into [`BoscoMsg::VoteBatch`] multicasts, exactly like
-    /// the DEX echo batches.
-    pub fn enable_aggregation(&mut self) {
-        self.agg = Some(EchoAggregator::new());
-    }
-
-    /// Drains the protocol outbox, diverting `Dest::All` votes into the
-    /// aggregator when aggregation is on (keyed by this process — each
-    /// process votes once, so the key only guards against re-offers).
-    fn flush_agg(
-        &mut self,
-        out: &mut Outbox<BoscoMsg<V, U::Msg>>,
-        ctx: &mut Context<'_, BoscoMsg<V, U::Msg>>,
-    ) {
-        let me = ctx.me();
-        for (dest, m) in out.drain_iter() {
-            match (self.agg.as_mut(), dest, m) {
-                (Some(agg), Dest::All, BoscoMsg::Vote(v)) => {
-                    agg.offer(me, v, ctx.depth().next());
-                }
-                (_, dest, m) => ctx.send_dest(dest, m),
-            }
-        }
-        if let Some(agg) = self.agg.as_mut() {
-            if agg.try_arm() {
-                ctx.send_self_after(1, BoscoMsg::VoteFlushTick);
-            }
-        }
-    }
-
-    /// Turns on structured event recording (see `dex-obs`) for process
-    /// index `me`.
-    pub fn enable_obs(&mut self, me: u16) {
-        self.obs = Recorder::new(me);
-    }
-
-    /// The structured-event recorder.
-    pub fn obs(&self) -> &Recorder {
-        &self.obs
-    }
-
-    /// The recorded decision, if any.
-    pub fn decision(&self) -> Option<&BoscoRecord<V>> {
-        self.decision.as_ref()
-    }
-}
-
-impl<V, U> Actor for BoscoActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V> + Send + 'static,
-{
-    type Msg = BoscoMsg<V, U::Msg>;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let mut out = Outbox::new();
-        let v = self.proposal.clone();
-        if self.obs.is_active() {
-            self.obs.record(EventKind::ViewSet {
-                view: ViewTag::J1,
-                origin: self.obs.me(),
-                code: obs_code(&v),
-            });
-        }
-        self.process.propose(v, ctx.rng(), &mut out);
-        self.flush_agg(&mut out, ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        let mut out = Outbox::new();
-        let d = match msg {
-            BoscoMsg::VoteFlushTick => {
-                // Only our own timer may flush; a forged tick from a peer
-                // must not drain the aggregator.
-                if from != ctx.me() {
-                    return;
-                }
-                // Aggregation off (or a restart raced the timer): nothing
-                // buffered, nothing to send.
-                let Some(agg) = self.agg.as_mut() else { return };
-                for (depth, entries) in agg.take_batches() {
-                    let values: Vec<V> = entries.into_iter().map(|(_, v)| v).collect();
-                    ctx.send_dest_at(Dest::All, BoscoMsg::VoteBatch(values), depth);
-                }
-                return;
-            }
-            BoscoMsg::VoteBatch(values) => {
-                // Unbatch in entry order, feeding each vote through the
-                // exact path an unbatched `Vote` would take (obs peek
-                // included).
-                let mut decision = None;
-                for v in values {
-                    if self.obs.is_active() && self.process.votes.get(from).is_none() {
-                        self.obs.record(EventKind::ViewSet {
-                            view: ViewTag::J1,
-                            origin: from.index() as u16,
-                            code: obs_code(v),
-                        });
-                    }
-                    let d = self.process.on_message(
-                        from,
-                        &BoscoMsg::Vote(v.clone()),
-                        ctx.rng(),
-                        &mut out,
-                    );
-                    decision = decision.or(d);
-                }
-                decision
-            }
-            _ => {
-                // First value wins in the vote view, so only a fresh entry
-                // is a mutation worth recording.
-                if self.obs.is_active() {
-                    if let BoscoMsg::Vote(v) = msg {
-                        if self.process.votes.get(from).is_none() {
-                            self.obs.record(EventKind::ViewSet {
-                                view: ViewTag::J1,
-                                origin: from.index() as u16,
-                                code: obs_code(v),
-                            });
-                        }
-                    }
-                }
-                self.process.on_message(from, msg, ctx.rng(), &mut out)
-            }
-        };
-        self.flush_agg(&mut out, ctx);
-        if let Some(d) = d {
-            self.obs.record(EventKind::Decide {
-                scheme: match d.path {
-                    BoscoPath::OneStep => Scheme::OneStep,
-                    BoscoPath::Underlying => Scheme::Fallback,
-                },
-                code: obs_code(&d.value),
-            });
-            self.decision = Some(BoscoRecord {
-                value: d.value,
-                path: d.path,
-                depth: ctx.depth(),
-                at: ctx.now(),
-            });
-        }
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.active_mut()
-    }
-
-    fn msg_bytes(msg: &Self::Msg) -> usize {
-        bosco_msg_bytes(msg)
-    }
-
-    fn msg_class(msg: &Self::Msg) -> MsgClass {
-        bosco_msg_class(msg)
-    }
-}
-
-pub(crate) fn flush<M: Clone>(out: &mut Outbox<M>, ctx: &mut Context<'_, M>) {
-    for (dest, m) in out.drain_iter() {
-        ctx.send_dest(dest, m);
-    }
 }
 
 #[cfg(test)]
@@ -472,7 +222,7 @@ mod tests {
         }
         let d = d.expect("6 unanimous votes ≥ decide threshold 6");
         assert_eq!(d.value, 5);
-        assert_eq!(d.path, BoscoPath::OneStep);
+        assert_eq!(d.path, DecisionPath::OneStep);
     }
 
     #[test]
@@ -546,7 +296,7 @@ mod tests {
             )
             .expect("adopt UC decision");
         assert_eq!(d.value, 8);
-        assert_eq!(d.path, BoscoPath::Underlying);
+        assert_eq!(d.path, DecisionPath::Underlying);
     }
 
     #[test]

@@ -36,10 +36,9 @@
 //! point — and the crash-row experiment only drives them with crash
 //! adversaries.
 
-use crate::bosco::flush;
-use dex_obs::{obs_code, EventKind, Recorder, Scheme, ViewTag};
-use dex_simnet::{Actor, Context, Time};
-use dex_types::{ProcessId, StepDepth, SystemConfig, Value, View};
+use crate::{decide, set_first};
+use dex_obs::Recorder;
+use dex_types::{Decision, DecisionPath, ProcessId, SystemConfig, Value, View};
 use dex_underlying::{Outbox, UnderlyingConsensus};
 use rand::rngs::StdRng;
 
@@ -73,24 +72,6 @@ impl CrashRule {
     }
 }
 
-/// How a crash-model decision was reached.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CrashPath {
-    /// The one-step rule fired.
-    OneStep,
-    /// Adopted from the underlying consensus.
-    Underlying,
-}
-
-/// A decision with its mechanism.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CrashDecision<V> {
-    /// The decided value.
-    pub value: V,
-    /// The mechanism that produced it.
-    pub path: CrashPath,
-}
-
 /// One process of a crash-model one-step consensus.
 #[derive(Debug)]
 pub struct CrashOneStep<V, U>
@@ -106,9 +87,11 @@ where
     view: View<V>,
     evaluated: bool,
     uc_proposed: bool,
-    decided: Option<CrashDecision<V>>,
+    decided: Option<Decision<V>>,
     /// Reusable buffer for underlying-consensus output.
     uc_out: Outbox<U::Msg>,
+    /// Structured-event recorder (disabled by default; see `dex-obs`).
+    obs: Recorder,
 }
 
 impl<V, U> CrashOneStep<V, U>
@@ -129,11 +112,29 @@ where
             uc_proposed: false,
             decided: None,
             uc_out: Outbox::new(),
+            obs: Recorder::disabled(),
         }
     }
 
+    /// Turns on structured event recording for this process: fresh receipt
+    /// entries and the decision (see `dex-obs`).
+    pub fn enable_obs(&mut self) {
+        self.obs = Recorder::new(self.me.index() as u16);
+    }
+
+    /// The structured-event recorder.
+    pub fn obs(&self) -> &Recorder {
+        &self.obs
+    }
+
+    /// Mutable access to the recorder, for the network runtime's clock
+    /// stamping and send/deliver recording.
+    pub fn obs_mut(&mut self) -> &mut Recorder {
+        &mut self.obs
+    }
+
     /// The local decision, if any.
-    pub fn decision(&self) -> Option<&CrashDecision<V>> {
+    pub fn decision(&self) -> Option<&Decision<V>> {
         self.decided.as_ref()
     }
 
@@ -148,7 +149,7 @@ where
             return;
         }
         self.own = Some(value.clone());
-        self.view.set(self.me, value.clone());
+        set_first(&mut self.view, &mut self.obs, self.me, &value);
         out.broadcast(CrashMsg::Value(value));
     }
 
@@ -159,20 +160,16 @@ where
         msg: &CrashMsg<V, U::Msg>,
         rng: &mut StdRng,
         out: &mut Outbox<CrashMsg<V, U::Msg>>,
-    ) -> Option<CrashDecision<V>> {
+    ) -> Option<Decision<V>> {
         match msg {
             CrashMsg::Value(v) => self.on_value(from, v, rng, out),
             CrashMsg::Uc(m) => {
                 self.uc.on_message(from, m, rng, &mut self.uc_out);
                 forward_uc(&mut self.uc_out, out);
                 if self.decided.is_none() {
-                    if let Some(v) = self.uc.decision() {
-                        let d = CrashDecision {
-                            value: v.clone(),
-                            path: CrashPath::Underlying,
-                        };
-                        self.decided = Some(d.clone());
-                        return Some(d);
+                    if let Some(v) = self.uc.decision().cloned() {
+                        self.decided = Some(decide(&mut self.obs, v, DecisionPath::Underlying));
+                        return self.decided.clone();
                     }
                 }
                 None
@@ -186,10 +183,8 @@ where
         v: &V,
         rng: &mut StdRng,
         out: &mut Outbox<CrashMsg<V, U::Msg>>,
-    ) -> Option<CrashDecision<V>> {
-        if self.view.get(from).is_none() {
-            self.view.set(from, v.clone());
-        }
+    ) -> Option<Decision<V>> {
+        set_first(&mut self.view, &mut self.obs, from, v);
         match self.rule {
             CrashRule::Brasileiro => self.brasileiro_step(rng, out),
             CrashRule::Adaptive => self.adaptive_step(rng, out),
@@ -201,7 +196,7 @@ where
         &mut self,
         rng: &mut StdRng,
         out: &mut Outbox<CrashMsg<V, U::Msg>>,
-    ) -> Option<CrashDecision<V>> {
+    ) -> Option<Decision<V>> {
         if self.evaluated || self.view.len_non_default() < self.config.quorum() {
             return None;
         }
@@ -211,12 +206,8 @@ where
         let (first, count) = (first.clone(), count);
         if count == self.view.len_non_default() && self.decided.is_none() {
             // All received values are equal: decide.
-            let d = CrashDecision {
-                value: first.clone(),
-                path: CrashPath::OneStep,
-            };
-            self.decided = Some(d.clone());
-            decision = Some(d);
+            decision = Some(decide(&mut self.obs, first.clone(), DecisionPath::OneStep));
+            self.decided = decision.clone();
         }
         // Proposal adoption: a value with ≥ n − 2t copies (unique whenever
         // some process decided, since 2(n − 2t) > n − t for n > 3t). Only
@@ -238,16 +229,13 @@ where
         &mut self,
         rng: &mut StdRng,
         out: &mut Outbox<CrashMsg<V, U::Msg>>,
-    ) -> Option<CrashDecision<V>> {
+    ) -> Option<Decision<V>> {
         let missing = self.config.n() - self.view.len_non_default();
         let mut decision = None;
         if self.decided.is_none() && self.view.frequency_margin() > 2 * missing {
-            let d = CrashDecision {
-                value: self.view.first().expect("non-empty view").clone(),
-                path: CrashPath::OneStep,
-            };
-            self.decided = Some(d.clone());
-            decision = Some(d);
+            let value = self.view.first().expect("non-empty view").clone();
+            decision = Some(decide(&mut self.obs, value, DecisionPath::OneStep));
+            self.decided = decision.clone();
         }
         if !self.uc_proposed && self.view.len_non_default() >= self.config.quorum() {
             self.uc_proposed = true;
@@ -273,123 +261,6 @@ where
 
 fn forward_uc<V, U>(uc_out: &mut Outbox<U>, out: &mut Outbox<CrashMsg<V, U>>) {
     uc_out.map_drain_into(out, CrashMsg::Uc);
-}
-
-/// A decision as observed inside a simulation run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CrashRecord<V> {
-    /// The decided value.
-    pub value: V,
-    /// The mechanism that produced it.
-    pub path: CrashPath,
-    /// Causal step depth of the decision.
-    pub depth: StepDepth,
-    /// Virtual time of the decision.
-    pub at: Time,
-}
-
-/// Simulation adapter for [`CrashOneStep`].
-#[derive(Debug)]
-pub struct CrashActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V>,
-{
-    process: CrashOneStep<V, U>,
-    proposal: V,
-    decision: Option<CrashRecord<V>>,
-    obs: Recorder,
-}
-
-impl<V, U> CrashActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V>,
-{
-    /// Creates the actor; it proposes `proposal` at simulation start.
-    pub fn new(process: CrashOneStep<V, U>, proposal: V) -> Self {
-        CrashActor {
-            process,
-            proposal,
-            decision: None,
-            obs: Recorder::disabled(),
-        }
-    }
-
-    /// Turns on structured event recording (see `dex-obs`) for process
-    /// index `me`.
-    pub fn enable_obs(&mut self, me: u16) {
-        self.obs = Recorder::new(me);
-    }
-
-    /// The structured-event recorder.
-    pub fn obs(&self) -> &Recorder {
-        &self.obs
-    }
-
-    /// The recorded decision, if any.
-    pub fn decision(&self) -> Option<&CrashRecord<V>> {
-        self.decision.as_ref()
-    }
-}
-
-impl<V, U> Actor for CrashActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V> + Send + 'static,
-{
-    type Msg = CrashMsg<V, U::Msg>;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let mut out = Outbox::new();
-        let v = self.proposal.clone();
-        if self.obs.is_active() {
-            self.obs.record(EventKind::ViewSet {
-                view: ViewTag::J1,
-                origin: self.obs.me(),
-                code: obs_code(&v),
-            });
-        }
-        self.process.propose(v, ctx.rng(), &mut out);
-        flush(&mut out, ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        // First value wins in the receipt view: record fresh entries only.
-        if self.obs.is_active() {
-            if let CrashMsg::Value(v) = msg {
-                if self.process.view.get(from).is_none() {
-                    self.obs.record(EventKind::ViewSet {
-                        view: ViewTag::J1,
-                        origin: from.index() as u16,
-                        code: obs_code(v),
-                    });
-                }
-            }
-        }
-        let mut out = Outbox::new();
-        let d = self.process.on_message(from, msg, ctx.rng(), &mut out);
-        flush(&mut out, ctx);
-        if let Some(d) = d {
-            self.obs.record(EventKind::Decide {
-                scheme: match d.path {
-                    CrashPath::OneStep => Scheme::OneStep,
-                    CrashPath::Underlying => Scheme::Fallback,
-                },
-                code: obs_code(&d.value),
-            });
-            self.decision = Some(CrashRecord {
-                value: d.value,
-                path: d.path,
-                depth: ctx.depth(),
-                at: ctx.now(),
-            });
-        }
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.active_mut()
-    }
 }
 
 #[cfg(test)]
@@ -426,7 +297,7 @@ mod tests {
             .on_message(p(2), &CrashMsg::Value(5), &mut rng(), &mut out)
             .expect("3 unanimous receipts at n - t = 3");
         assert_eq!(d.value, 5);
-        assert_eq!(d.path, CrashPath::OneStep);
+        assert_eq!(d.path, DecisionPath::OneStep);
     }
 
     #[test]
@@ -480,7 +351,7 @@ mod tests {
             .on_message(p(5), &CrashMsg::Value(5), &mut rng(), &mut out)
             .expect("6 entries, margin 5 - 1 = 4 > 2·1 = 2");
         assert_eq!(d.value, 5);
-        assert_eq!(d.path, CrashPath::OneStep);
+        assert_eq!(d.path, DecisionPath::OneStep);
     }
 
     #[test]
@@ -524,7 +395,7 @@ mod tests {
             )
             .expect("adopt UC decision");
         assert_eq!(d.value, 9);
-        assert_eq!(d.path, CrashPath::Underlying);
+        assert_eq!(d.path, DecisionPath::Underlying);
     }
 
     #[test]

@@ -20,8 +20,16 @@
 //!   oracle this decides in two steps always; it is the "plain consensus"
 //!   baseline for average-step comparisons.
 //!
-//! Both come with `dex-simnet` actor adapters ([`BoscoActor`],
-//! [`UnderlyingOnlyActor`]) mirroring `dex_core::DexActor`.
+//! * [`CrashOneStep`] — the crash-model rows of Table 1 (Brasileiro et
+//!   al. \[2\] and an adaptive condition-based rule in the spirit of \[8\]);
+//!   see [`crash`].
+//!
+//! The crate exports **state machines only**: transport-agnostic
+//! `propose` / `on_message -> Option<Decision>` machines that speak
+//! `dex_types`' [`Decision`] / [`DecisionPath`] vocabulary and own their
+//! `dex-obs` recorder (first-value-wins `ViewSet` entries and the
+//! `Decide`), exactly as `dex_core::DexProcess` does. What puts them on a
+//! runtime is the harness's one actor shell, `dex_harness::nodes::OneShotActor`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,11 +38,39 @@ mod bosco;
 pub mod crash;
 mod underlying_only;
 
-pub use bosco::{
-    bosco_msg_bytes, bosco_msg_class, BoscoActor, BoscoDecision, BoscoMsg, BoscoPath, BoscoProcess,
-    BoscoRecord,
-};
-pub use crash::{
-    CrashActor, CrashDecision, CrashMsg, CrashOneStep, CrashPath, CrashRecord, CrashRule,
-};
-pub use underlying_only::{UnderlyingOnlyActor, UnderlyingOnlyProcess, UnderlyingOnlyRecord};
+pub use bosco::{BoscoMsg, BoscoProcess};
+pub use crash::{CrashMsg, CrashOneStep, CrashRule};
+pub use underlying_only::UnderlyingOnlyProcess;
+
+use dex_obs::{obs_code, EventKind, Recorder, Scheme, ViewTag};
+use dex_types::{Decision, DecisionPath, ProcessId, Value, View};
+
+/// Writes `from`'s entry of a receipt view unless it is already set — first
+/// value wins, so a Byzantine sender cannot steer the view after it was
+/// evaluated — and records the fresh entry as a `ViewSet` event.
+fn set_first<V: Value>(view: &mut View<V>, obs: &mut Recorder, from: ProcessId, v: &V) {
+    if view.get(from).is_none() {
+        if obs.is_active() {
+            obs.record(EventKind::ViewSet {
+                view: ViewTag::J1,
+                origin: from.index() as u16,
+                code: obs_code(v),
+            });
+        }
+        view.set(from, v.clone());
+    }
+}
+
+/// Builds the decision of `value` via `path` and records its `Decide`
+/// event.
+fn decide<V: Value>(obs: &mut Recorder, value: V, path: DecisionPath) -> Decision<V> {
+    obs.record(EventKind::Decide {
+        scheme: match path {
+            DecisionPath::OneStep => Scheme::OneStep,
+            DecisionPath::TwoStep => Scheme::TwoStep,
+            DecisionPath::Underlying => Scheme::Fallback,
+        },
+        code: obs_code(&value),
+    });
+    Decision { value, path }
+}

@@ -1,9 +1,8 @@
 //! The non-expedited baseline: go straight to the underlying consensus.
 
-use crate::bosco::flush;
-use dex_obs::{obs_code, EventKind, Recorder, Scheme};
-use dex_simnet::{Actor, Context, Time};
-use dex_types::{ProcessId, StepDepth, Value};
+use crate::decide;
+use dex_obs::Recorder;
+use dex_types::{Decision, DecisionPath, ProcessId, Value};
 use dex_underlying::{Outbox, UnderlyingConsensus};
 use rand::rngs::StdRng;
 
@@ -17,7 +16,10 @@ where
     V: Value,
     U: UnderlyingConsensus<V>,
 {
+    me: ProcessId,
     uc: U,
+    /// Structured-event recorder (disabled by default; see `dex-obs`).
+    obs: Recorder,
     _marker: std::marker::PhantomData<V>,
 }
 
@@ -26,12 +28,31 @@ where
     V: Value,
     U: UnderlyingConsensus<V>,
 {
-    /// Wraps an underlying-consensus endpoint.
-    pub fn new(uc: U) -> Self {
+    /// Wraps process `me`'s underlying-consensus endpoint.
+    pub fn new(me: ProcessId, uc: U) -> Self {
         UnderlyingOnlyProcess {
+            me,
             uc,
+            obs: Recorder::disabled(),
             _marker: std::marker::PhantomData,
         }
+    }
+
+    /// Turns on structured event recording for this process: the decision
+    /// (see `dex-obs`).
+    pub fn enable_obs(&mut self) {
+        self.obs = Recorder::new(self.me.index() as u16);
+    }
+
+    /// The structured-event recorder.
+    pub fn obs(&self) -> &Recorder {
+        &self.obs
+    }
+
+    /// Mutable access to the recorder, for the network runtime's clock
+    /// stamping and send/deliver recording.
+    pub fn obs_mut(&mut self) -> &mut Recorder {
+        &mut self.obs
     }
 
     /// Proposes to the underlying consensus.
@@ -46,13 +67,14 @@ where
         msg: &U::Msg,
         rng: &mut StdRng,
         out: &mut Outbox<U::Msg>,
-    ) -> Option<V> {
+    ) -> Option<Decision<V>> {
         let before = self.uc.decision().is_some();
         self.uc.on_message(from, msg, rng, out);
-        if !before {
-            return self.uc.decision().cloned();
+        if before {
+            return None;
         }
-        None
+        let value = self.uc.decision()?.clone();
+        Some(decide(&mut self.obs, value, DecisionPath::Underlying))
     }
 
     /// The decided value, if any.
@@ -61,135 +83,18 @@ where
     }
 }
 
-/// A decision as observed inside a simulation run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct UnderlyingOnlyRecord<V> {
-    /// The decided value.
-    pub value: V,
-    /// Causal step depth of the decision (2 with the oracle primitive).
-    pub depth: StepDepth,
-    /// Virtual time of the decision.
-    pub at: Time,
-}
-
-/// Simulation adapter for [`UnderlyingOnlyProcess`].
-#[derive(Debug)]
-pub struct UnderlyingOnlyActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V>,
-{
-    process: UnderlyingOnlyProcess<V, U>,
-    proposal: V,
-    decision: Option<UnderlyingOnlyRecord<V>>,
-    obs: Recorder,
-}
-
-impl<V, U> UnderlyingOnlyActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V>,
-{
-    /// Creates the actor; it proposes `proposal` at simulation start.
-    pub fn new(process: UnderlyingOnlyProcess<V, U>, proposal: V) -> Self {
-        UnderlyingOnlyActor {
-            process,
-            proposal,
-            decision: None,
-            obs: Recorder::disabled(),
-        }
-    }
-
-    /// Turns on structured event recording (see `dex-obs`) for process
-    /// index `me`.
-    pub fn enable_obs(&mut self, me: u16) {
-        self.obs = Recorder::new(me);
-    }
-
-    /// The structured-event recorder.
-    pub fn obs(&self) -> &Recorder {
-        &self.obs
-    }
-
-    /// The recorded decision, if any.
-    pub fn decision(&self) -> Option<&UnderlyingOnlyRecord<V>> {
-        self.decision.as_ref()
-    }
-}
-
-impl<V, U> Actor for UnderlyingOnlyActor<V, U>
-where
-    V: Value,
-    U: UnderlyingConsensus<V> + Send + 'static,
-{
-    type Msg = U::Msg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let mut out = Outbox::new();
-        let v = self.proposal.clone();
-        self.process.propose(v, ctx.rng(), &mut out);
-        flush(&mut out, ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        let mut out = Outbox::new();
-        let d = self.process.on_message(from, msg, ctx.rng(), &mut out);
-        flush(&mut out, ctx);
-        if let Some(value) = d {
-            self.obs.record(EventKind::Decide {
-                scheme: Scheme::Fallback,
-                code: obs_code(&value),
-            });
-            self.decision = Some(UnderlyingOnlyRecord {
-                value,
-                depth: ctx.depth(),
-                at: ctx.now(),
-            });
-        }
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.active_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_simnet::{DelayModel, Simulation};
     use dex_types::SystemConfig;
     use dex_underlying::OracleConsensus;
-
-    #[test]
-    fn oracle_underlying_only_decides_in_two_steps() {
-        let cfg = SystemConfig::new(4, 1).unwrap();
-        let actors: Vec<_> = (0..4)
-            .map(|i| {
-                let me = ProcessId::new(i);
-                UnderlyingOnlyActor::new(
-                    UnderlyingOnlyProcess::new(OracleConsensus::new(cfg, me, ProcessId::new(0))),
-                    7u64,
-                )
-            })
-            .collect();
-        let mut sim = Simulation::builder(actors)
-            .seed(1)
-            .delay(DelayModel::Uniform { min: 1, max: 10 })
-            .build();
-        assert!(sim.run(100_000).quiescent);
-        for a in sim.actors() {
-            let d = a.decision().expect("decided");
-            assert_eq!(d.value, 7);
-            assert_eq!(d.depth, StepDepth::new(2), "two-step lower bound");
-        }
-    }
 
     #[test]
     fn state_machine_reports_decision_once() {
         let cfg = SystemConfig::new(4, 1).unwrap();
         let me = ProcessId::new(1);
         let mut proc: UnderlyingOnlyProcess<u64, OracleConsensus<u64>> =
-            UnderlyingOnlyProcess::new(OracleConsensus::new(cfg, me, ProcessId::new(0)));
+            UnderlyingOnlyProcess::new(me, OracleConsensus::new(cfg, me, ProcessId::new(0)));
         let mut rng = StdRng::seed_from_u64(0);
         let mut out = Outbox::new();
         proc.propose(3, &mut rng, &mut out);
@@ -199,7 +104,13 @@ mod tests {
             &mut rng,
             &mut out,
         );
-        assert_eq!(d, Some(3));
+        assert_eq!(
+            d,
+            Some(Decision {
+                value: 3,
+                path: DecisionPath::Underlying
+            })
+        );
         // Re-delivery does not re-report.
         let d2 = proc.on_message(
             ProcessId::new(0),

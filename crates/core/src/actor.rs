@@ -1,10 +1,10 @@
 //! Simulation adapter: `DexProcess` as a `dex-simnet` actor.
 
-use crate::process::{DecisionPath, DexMsg, DexProcess};
+use crate::process::{DexMsg, DexProcess};
 use dex_broadcast::{EchoAggregator, IdbMessage};
 use dex_conditions::LegalityPair;
 use dex_simnet::{Actor, Context, MsgClass, Time};
-use dex_types::{Dest, ProcessId, StepDepth, Value};
+use dex_types::{Decision, DecisionPath, Dest, ProcessId, StepDepth, Value};
 use dex_underlying::{Outbox, UnderlyingConsensus};
 
 /// Classifies DEX wire traffic for the per-class
@@ -129,11 +129,7 @@ where
         }
     }
 
-    fn record_decision(
-        &mut self,
-        d: crate::process::Decision<V>,
-        ctx: &Context<'_, DexMsg<V, U::Msg>>,
-    ) {
+    fn record_decision(&mut self, d: Decision<V>, ctx: &Context<'_, DexMsg<V, U::Msg>>) {
         self.decision = Some(DecisionRecord {
             value: d.value,
             path: d.path,

@@ -60,11 +60,14 @@
 #![warn(missing_docs)]
 
 mod actor;
+mod node;
 mod process;
 mod resend;
 
 pub use actor::{dex_msg_bytes, dex_msg_class, DecisionRecord, DexActor};
-pub use process::{Decision, DecisionPath, DexMsg, DexProcess};
+pub use dex_types::{Decision, DecisionPath};
+pub use node::Node;
+pub use process::{DexMsg, DexProcess};
 pub use resend::{Reliable, ReliableMsg, ResendPolicy};
 
 use dex_conditions::{FrequencyPair, PrivilegedPair};

@@ -3,7 +3,7 @@
 use dex_broadcast::{Action, IdbMessage, IdenticalBroadcast};
 use dex_conditions::{DecisionGate, LegalityPair};
 use dex_obs::{obs_code, EventKind, PredTag, Recorder, Scheme, ViewTag};
-use dex_types::{ProcessId, SystemConfig, Value, View};
+use dex_types::{Decision, DecisionPath, ProcessId, SystemConfig, Value, View};
 use dex_underlying::{Outbox, UnderlyingConsensus};
 use rand::rngs::StdRng;
 
@@ -26,37 +26,6 @@ pub enum DexMsg<V, U> {
     /// Local flush timer for the echo aggregator: not protocol traffic,
     /// never crosses a network link (self-addressed with delay 1).
     EchoFlushTick,
-}
-
-/// Which mechanism produced a decision.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum DecisionPath {
-    /// Line 8: `P1(J1)` fired — a **one-step** decision.
-    OneStep,
-    /// Line 17: `P2(J2)` fired — a **two-step** decision.
-    TwoStep,
-    /// Line 21: adopted from the underlying consensus.
-    Underlying,
-}
-
-impl DecisionPath {
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DecisionPath::OneStep => "1-step",
-            DecisionPath::TwoStep => "2-step",
-            DecisionPath::Underlying => "fallback",
-        }
-    }
-}
-
-/// A decision together with the mechanism that produced it.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Decision<V> {
-    /// The decided value.
-    pub value: V,
-    /// The mechanism that produced it.
-    pub path: DecisionPath,
 }
 
 /// One process's DEX state machine.
@@ -93,15 +62,6 @@ where
     /// Structured-event recorder (disabled by default: one branch per
     /// call site, no storage). See `dex-obs`.
     obs: Recorder,
-}
-
-/// Maps a decision path to its observability scheme tag.
-fn scheme_of(path: DecisionPath) -> Scheme {
-    match path {
-        DecisionPath::OneStep => Scheme::OneStep,
-        DecisionPath::TwoStep => Scheme::TwoStep,
-        DecisionPath::Underlying => Scheme::Fallback,
-    }
 }
 
 /// Builds a `Predicate` event carrying the tally snapshot the evaluation
@@ -452,7 +412,7 @@ where
                     path: DecisionPath::Underlying,
                 };
                 self.obs.record(EventKind::Decide {
-                    scheme: scheme_of(d.path),
+                    scheme: Scheme::Fallback,
                     code: obs_code(&d.value),
                 });
                 self.decided = Some(d.clone());

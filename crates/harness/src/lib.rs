@@ -6,11 +6,14 @@
 //! * [`AnyUc`] — a uniform wrapper over the underlying-consensus
 //!   implementations (idealized oracle vs the real randomized stack), so a
 //!   single node type serves every experiment.
-//! * [`nodes`] — the one system-node type, [`Node<A>`](nodes::Node): a
-//!   correct actor of algorithm `A` or a Byzantine actor on the same wire
-//!   type; and [`Protocol`](nodes::Protocol), the small trait (event
-//!   recording, aggregation switch, measured outcome) an algorithm
-//!   implements to run here.
+//! * [`nodes`] — what puts an algorithm on a runtime:
+//!   [`Protocol`](nodes::Protocol), the small trait (event recording,
+//!   measured outcome) the runner needs from a correct process's actor,
+//!   and [`OneShotActor`](nodes::OneShotActor), the one actor shell for
+//!   every sans-IO [`OneShot`](nodes::OneShot) state machine — Bosco, the
+//!   crash-model rules, underlying-only. A system node is
+//!   [`dex_core::Node`]: that actor, or a Byzantine one on the same wire
+//!   type.
 //! * [`spec`] — the unified, serializable [`RunSpec`](spec::RunSpec)
 //!   (system size, algorithm, workload, adversary, chaos schedule, seed…)
 //!   that maps 1:1 onto the `dex-sim` CLI flags and runs batches directly.

@@ -16,10 +16,17 @@
 
 use crate::spec::RunSpec;
 use dex_obs::{PipelineMeta, ProcessTrace, RunTrace, SchemeRules, TraceMeta};
-use dex_replication::{run_generic_cluster, GenericClusterOptions, Node, Replica, TotalOrder};
+use dex_replication::{
+    build_cluster, collect_outcome, run_generic_cluster, GenericClusterOptions,
+    GenericClusterOutcome, Node, TotalOrder,
+};
 use dex_simnet::{DelayModel, Simulation};
-use dex_types::{ProcessId, SystemConfig};
+use dex_types::SystemConfig;
 use dex_workloads::slot_batches;
+
+/// The replicated state machine of a pipelined run: total-order broadcast
+/// of client batches.
+type Log = TotalOrder<Vec<u64>>;
 
 /// Log slots a CLI `--pipeline` invocation commits.
 pub const DEFAULT_SLOTS: u64 = 16;
@@ -71,6 +78,28 @@ pub struct PipelineOutcome {
 }
 
 impl PipelineOutcome {
+    /// Projects a converged cluster run onto the throughput surface.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cluster drained with identical logs and digests.
+    fn of(outcome: GenericClusterOutcome<Vec<u64>>) -> Self {
+        assert!(outcome.converged(), "pipelined cluster must converge");
+        let log = outcome.logs[0].clone().expect("replica 0 is correct");
+        PipelineOutcome {
+            committed_values: log.iter().map(|batch| batch.len() as u64).sum(),
+            ticks: outcome.ticks,
+            bytes_on_wire: outcome.net.bytes_on_wire,
+            payload_clones: outcome.net.payload_clones,
+            multicasts: outcome.net.multicasts,
+            recycled: outcome.recycled.iter().sum(),
+            uc_coalesced: outcome.uc_coalesced.iter().sum(),
+            echoes_coalesced: outcome.echoes_coalesced.iter().sum(),
+            net: outcome.net,
+            log,
+        }
+    }
+
     /// Committed client values per 1000 ticks of virtual time — the
     /// deterministic throughput metric (`simnet.values_per_ktick`).
     pub fn values_per_ktick(&self) -> u64 {
@@ -115,6 +144,16 @@ impl PipelineRun {
         vec![slot_batches(self.seed, self.slots, self.batch); self.config.n()]
     }
 
+    /// The cluster this run describes: fault-free, `window` slots in
+    /// flight, every replica fed the same batch stream.
+    fn options(&self) -> GenericClusterOptions<Vec<u64>> {
+        GenericClusterOptions {
+            window: self.window,
+            aggregate: self.aggregate,
+            ..GenericClusterOptions::new(self.config, self.pending(), self.slots, self.seed)
+        }
+    }
+
     /// Executes the run on the measurement path (no event recording).
     ///
     /// # Panics
@@ -122,25 +161,7 @@ impl PipelineRun {
     /// Panics if a correct replica fails to commit the full prefix — a
     /// liveness bug, not a measurement.
     pub fn execute(&self) -> PipelineOutcome {
-        let outcome = run_generic_cluster::<TotalOrder<Vec<u64>>>(GenericClusterOptions {
-            window: self.window,
-            aggregate: self.aggregate,
-            ..GenericClusterOptions::new(self.config, self.pending(), self.slots, self.seed)
-        });
-        assert!(outcome.converged(), "pipelined cluster must converge");
-        let log = outcome.logs[0].clone().expect("replica 0 is correct");
-        PipelineOutcome {
-            committed_values: log.iter().map(|batch| batch.len() as u64).sum(),
-            ticks: outcome.ticks,
-            bytes_on_wire: outcome.net.bytes_on_wire,
-            payload_clones: outcome.net.payload_clones,
-            multicasts: outcome.net.multicasts,
-            recycled: outcome.recycled.iter().sum(),
-            uc_coalesced: outcome.uc_coalesced.iter().sum(),
-            echoes_coalesced: outcome.echoes_coalesced.iter().sum(),
-            net: outcome.net,
-            log,
-        }
+        PipelineOutcome::of(run_generic_cluster::<Log>(self.options()))
     }
 
     /// Executes the run with event recording and assembles the trace
@@ -148,72 +169,34 @@ impl PipelineRun {
     /// carries [`PipelineMeta`] — which is what switches the checker's
     /// `window-bound` and `slot-reuse-isolation` invariants on.
     pub fn traced(&self) -> (PipelineOutcome, RunTrace) {
-        let nodes: Vec<Node<TotalOrder<Vec<u64>>>> = self
-            .pending()
-            .into_iter()
-            .enumerate()
-            .map(|(i, queue)| {
-                let mut r = Replica::new(
-                    self.config,
-                    ProcessId::new(i),
-                    ProcessId::new(0),
-                    queue,
-                    self.slots,
-                );
+        let options = self.options();
+        let mut nodes = build_cluster::<Log>(&options);
+        for node in &mut nodes {
+            if let Node::Correct(r) = node {
                 r.enable_obs();
-                if self.window > 1 {
-                    r.enable_pipelining(self.window);
-                }
-                if self.aggregate {
-                    r.enable_echo_aggregation();
-                }
-                Node::Correct(r)
-            })
-            .collect();
+            }
+        }
         let mut sim = Simulation::builder(nodes)
             .seed(self.seed)
             .delay(DelayModel::Uniform { min: 1, max: 10 })
             .build();
         let run = sim.run(50_000_000);
-        assert!(run.quiescent, "pipelined cluster must drain");
-        let stats = sim.stats().clone();
-        let mut log = None;
-        let mut recycled = 0;
-        let mut uc_coalesced = 0;
-        let mut echoes_coalesced = 0;
+        let outcome = PipelineOutcome::of(collect_outcome(
+            sim.actors().iter(),
+            &options,
+            run.quiescent,
+            run.ended_at.as_units(),
+            sim.stats().clone(),
+        ));
         let processes: Vec<ProcessTrace> = sim
             .actors()
             .iter()
-            .map(|node| {
-                let Node::Correct(r) = node else {
-                    unreachable!("traced pipeline clusters are fault-free")
-                };
-                assert_eq!(
-                    r.log().committed_prefix(),
-                    self.slots as usize,
-                    "replica {} missed slots",
-                    r.me()
-                );
-                log.get_or_insert_with(|| r.log().prefix());
-                recycled += r.mux().recycled();
-                uc_coalesced += r.uc_coalesced();
-                echoes_coalesced += r.echoes_coalesced();
-                r.obs().trace()
+            .map(|node| match node {
+                Node::Correct(r) => r.obs().trace(),
+                Node::Byz(_) => unreachable!("traced pipeline clusters are fault-free"),
             })
             .collect();
-        let log = log.expect("at least one replica");
-        let outcome = PipelineOutcome {
-            committed_values: log.iter().map(|batch| batch.len() as u64).sum(),
-            ticks: run.ended_at.as_units(),
-            bytes_on_wire: stats.bytes_on_wire,
-            payload_clones: stats.payload_clones,
-            multicasts: stats.multicasts,
-            recycled,
-            uc_coalesced,
-            echoes_coalesced,
-            net: stats.clone(),
-            log,
-        };
+        let stats = &outcome.net;
         let trace = RunTrace {
             meta: TraceMeta {
                 seed: self.seed,

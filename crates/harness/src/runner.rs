@@ -1,15 +1,12 @@
 //! Single-run and batch experiment execution.
 
-use crate::nodes::{Node, Protocol};
+use crate::nodes::{OneShotActor, Protocol};
 use crate::spec::ChaosSpec;
 use crate::ucwrap::AnyUc;
 use dex_adversary::{ByzantineActor, ByzantineStrategy, FaultPlan, ProtocolForgery};
-use dex_baselines::{
-    BoscoActor, BoscoProcess, CrashActor, CrashOneStep, CrashRule, UnderlyingOnlyActor,
-    UnderlyingOnlyProcess,
-};
-use dex_conditions::{FrequencyPair, PrivilegedPair};
-use dex_core::{DecisionPath, DexActor, DexProcess};
+use dex_baselines::{BoscoProcess, CrashOneStep, CrashRule, UnderlyingOnlyProcess};
+use dex_conditions::{FrequencyPair, LegalityPair, PrivilegedPair};
+use dex_core::{DecisionPath, DexActor, DexProcess, Node};
 use dex_metrics::{Counter, Summary};
 use dex_obs::{obs_code, ChaosMeta, ProcessTrace, RunTrace, SchemeRules, TraceMeta};
 use dex_simnet::{DelayModel, FaultSchedule, Simulation, Time};
@@ -55,17 +52,11 @@ impl Algo {
         }
     }
 
-    /// Whether the algorithm has an echo/vote flood that `--aggregate` can
-    /// coalesce — read off its actor's [`Protocol`] impl.
+    /// Whether the algorithm has an echo flood that `--aggregate` can
+    /// coalesce: DEX's `n²` IDB echoes. The baselines send one value per
+    /// process and have nothing to batch.
     pub fn aggregates(self) -> bool {
-        match self {
-            Algo::DexFreq | Algo::DexPrv { .. } => {
-                DexActor::<u64, FrequencyPair, AnyUc>::AGGREGATE.is_some()
-            }
-            Algo::Bosco => BoscoActor::<u64, AnyUc>::AGGREGATE.is_some(),
-            Algo::UnderlyingOnly => UnderlyingOnlyActor::<u64, AnyUc>::AGGREGATE.is_some(),
-            Algo::Brasileiro | Algo::CrashAdaptive => CrashActor::<u64, AnyUc>::AGGREGATE.is_some(),
-        }
+        matches!(self, Algo::DexFreq | Algo::DexPrv { .. })
     }
 }
 
@@ -297,28 +288,45 @@ pub(crate) enum Runtime {
 /// Picks [`execute`]'s monomorphisation: each arm says only how the
 /// algorithm's correct-process actor is built.
 fn dispatch(spec: &RunInstance, runtime: Runtime, trace: bool) -> (RunResult, Vec<ProcessTrace>) {
+    assert!(
+        !spec.aggregate || spec.algo.aggregates(),
+        "`aggregate` needs an algorithm with an echo/vote flood"
+    );
     let cfg = spec.config;
     let crash = |rule| {
-        move |me, uc, proposal| CrashActor::new(CrashOneStep::new(cfg, me, rule, uc), proposal)
+        move |me, uc, proposal| OneShotActor::new(CrashOneStep::new(cfg, me, rule, uc), proposal)
     };
     match spec.algo {
         Algo::DexFreq => execute(spec, runtime, trace, |me, uc, proposal| {
             let pair = FrequencyPair::new(cfg).expect("n > 6t required for DexFreq");
-            DexActor::new(DexProcess::new(cfg, me, pair, uc), proposal)
+            dex_actor(DexProcess::new(cfg, me, pair, uc), proposal, spec.aggregate)
         }),
         Algo::DexPrv { m } => execute(spec, runtime, trace, |me, uc, proposal| {
             let pair = PrivilegedPair::new(cfg, m).expect("n > 5t required for DexPrv");
-            DexActor::new(DexProcess::new(cfg, me, pair, uc), proposal)
+            dex_actor(DexProcess::new(cfg, me, pair, uc), proposal, spec.aggregate)
         }),
         Algo::Bosco => execute(spec, runtime, trace, |me, uc, proposal| {
-            BoscoActor::new(BoscoProcess::new(cfg, me, uc), proposal)
+            OneShotActor::new(BoscoProcess::new(cfg, me, uc), proposal)
         }),
-        Algo::UnderlyingOnly => execute(spec, runtime, trace, |_, uc, proposal| {
-            UnderlyingOnlyActor::new(UnderlyingOnlyProcess::new(uc), proposal)
+        Algo::UnderlyingOnly => execute(spec, runtime, trace, |me, uc, proposal| {
+            OneShotActor::new(UnderlyingOnlyProcess::new(me, uc), proposal)
         }),
         Algo::Brasileiro => execute(spec, runtime, trace, crash(CrashRule::Brasileiro)),
         Algo::CrashAdaptive => execute(spec, runtime, trace, crash(CrashRule::Adaptive)),
     }
+}
+
+/// A DEX actor, with echo aggregation on when the run asks for it.
+fn dex_actor<P: LegalityPair<u64>>(
+    process: DexProcess<u64, P, AnyUc>,
+    proposal: u64,
+    aggregate: bool,
+) -> DexActor<u64, P, AnyUc> {
+    let mut actor = DexActor::new(process, proposal);
+    if aggregate {
+        actor.enable_aggregation();
+    }
+    actor
 }
 
 /// The one run body: builds the node vector (`correct` makes each correct
@@ -341,9 +349,6 @@ where
         spec.config.n(),
         "input vector must match system size"
     );
-    let aggregate = spec
-        .aggregate
-        .then(|| A::AGGREGATE.expect("`aggregate` needs an algorithm with an echo/vote flood"));
     let nodes: Vec<Node<A>> = spec
         .config
         .processes()
@@ -358,11 +363,8 @@ where
                 UnderlyingKind::Mvc { coin_seed } => AnyUc::mvc(spec.config, me, coin_seed),
             };
             let mut actor = correct(me, uc, *spec.input.get(me));
-            if let Some(enable) = aggregate {
-                enable(&mut actor);
-            }
             if trace {
-                actor.enable_obs(me.index() as u16);
+                actor.enable_obs();
             }
             Node::Correct(actor)
         })

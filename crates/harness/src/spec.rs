@@ -567,12 +567,12 @@ impl PipelineSpec {
 ///
 /// `Off` (the default) keeps the wire protocol byte-identical to
 /// pre-aggregation builds — the seed trace artifacts `cmp` equal. `On`
-/// coalesces each process's per-tick echo flood (votes, for Bosco) into
-/// one batched multicast per causal depth (see
-/// [`dex_broadcast::EchoAggregator`]), cutting the IDB wire complexity
-/// from `n²` point-to-point echoes to `n` batches per tick. Algorithms
-/// without an echo/vote flood (`plain`, the crash rows) reject the switch
-/// (see [`RunSpec::config`]).
+/// coalesces each process's per-tick echo flood into one batched
+/// multicast per causal depth (see [`dex_broadcast::EchoAggregator`]),
+/// cutting the IDB wire complexity from `n²` point-to-point echoes to `n`
+/// batches per tick. Algorithms without an echo/vote flood (`bosco`,
+/// `plain`, the crash rows: one value per process, nothing to batch)
+/// reject the switch (see [`RunSpec::config`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AggregationSpec {
     /// Unbatched echoes — the paper's literal message pattern.
@@ -1279,7 +1279,7 @@ mod tests {
                 .unwrap()
                 .config()
         };
-        for algo in ["plain", "brasileiro", "crash-adaptive"] {
+        for algo in ["bosco", "plain", "brasileiro", "crash-adaptive"] {
             let err = with_aggregate(algo).unwrap_err();
             assert!(err.contains("--aggregate") && err.contains(algo), "{err}");
             // Rejected before anything runs, and only because of the flag.
@@ -1292,7 +1292,7 @@ mod tests {
             .run()
             .is_err());
         }
-        for algo in ["dex-freq", "bosco"] {
+        for algo in ["dex-freq", "dex-prv"] {
             assert!(with_aggregate(algo).is_ok(), "{algo} aggregates");
         }
     }

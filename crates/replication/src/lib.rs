@@ -63,7 +63,7 @@ pub use log::{CommitOutcome, ReplicatedLog};
 pub use machine::{StateMachine, TotalOrder};
 pub use mux::{Checkout, SlotInstance, SlotMux};
 pub use replica::{
-    replica_msg_bytes, replica_msg_class, run_generic_cluster, GenericClusterOptions,
-    GenericClusterOutcome, Node, Replica, ReplicaMsg, SlotMsg, SlotPath,
+    build_cluster, collect_outcome, replica_msg_bytes, replica_msg_class, run_generic_cluster,
+    GenericClusterOptions, GenericClusterOutcome, Node, Replica, ReplicaMsg, SlotMsg, SlotPath,
 };
 pub use wal::{Durability, FileWal, MemWal, Snapshot, Wal, WalCodec, WalRecord};

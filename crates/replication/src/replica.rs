@@ -864,6 +864,10 @@ impl<SM: StateMachine> Actor for Replica<SM> {
         }
     }
 
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+        self.obs.active_mut()
+    }
+
     fn msg_bytes(msg: &Self::Msg) -> usize {
         replica_msg_bytes(msg)
     }
@@ -900,65 +904,10 @@ impl<SM: StateMachine> Recoverable for Replica<SM> {
     }
 }
 
-/// A cluster node: correct replica or Byzantine process.
-///
-/// The variants are deliberately unboxed: a `Node` is an actor slot — one
-/// per process for the lifetime of the run, moved only at construction —
-/// so the size asymmetry costs nothing, while boxing would add an
-/// indirection on every message delivery.
-#[allow(clippy::large_enum_variant)]
-pub enum Node<SM: StateMachine> {
-    /// Correct replica.
-    Correct(Replica<SM>),
-    /// Byzantine replica (equivocates on the first slots and poisons
-    /// whatever instances it observes).
-    Byz(ByzantineActor<ReplicaMsg<SM::Command>>),
-}
-
-impl<SM: StateMachine> Actor for Node<SM> {
-    type Msg = ReplicaMsg<SM::Command>;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            Node::Correct(r) => r.on_start(ctx),
-            Node::Byz(b) => b.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            Node::Correct(r) => r.on_message(from, msg, ctx),
-            Node::Byz(b) => b.on_message(from, msg, ctx),
-        }
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        match self {
-            Node::Correct(r) => r.obs.active_mut(),
-            Node::Byz(_) => None,
-        }
-    }
-
-    fn msg_bytes(msg: &Self::Msg) -> usize {
-        replica_msg_bytes(msg)
-    }
-
-    fn msg_class(msg: &Self::Msg) -> MsgClass {
-        replica_msg_class(msg)
-    }
-}
-
-impl<SM: StateMachine> Recoverable for Node<SM> {
-    /// Correct replicas rebuild from their durable store; Byzantine nodes
-    /// ignore restarts (the adversary needs no recovery story — its state
-    /// is its strategy).
-    fn restart(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        match self {
-            Node::Correct(r) => Recoverable::restart(r, ctx),
-            Node::Byz(_) => {}
-        }
-    }
-}
+/// A cluster node: a correct [`Replica`], or a Byzantine process that
+/// equivocates on the first slots and poisons whatever instances it
+/// observes (see [`dex_core::Node`]).
+pub type Node<SM> = dex_core::Node<Replica<SM>>;
 
 /// Options for [`run_generic_cluster`] (see also `run_cluster` in the
 /// crate root for the KV special case).
@@ -1089,18 +1038,21 @@ impl<C: Value> GenericClusterOutcome<C> {
     }
 }
 
-/// Builds and runs a cluster of `Replica<SM>` to quiescence (or the event
-/// budget) under the configured fault schedule.
+/// Builds the nodes of the cluster `options` describes: a [`Replica`] per
+/// correct process (durability, pipelining and echo aggregation switched
+/// on as the options say; event recording off — callers that trace call
+/// [`Replica::enable_obs`] on the result), an `EchoPoison` adversary per
+/// Byzantine one. Run them on any runtime and harvest with
+/// [`collect_outcome`].
 ///
 /// # Panics
 ///
 /// Panics if the options are inconsistent (pending queues vs `n`, more than
 /// `t` Byzantine replicas, replica 0 Byzantine, `n ≤ 6t`, or Byzantine
-/// replicas without `byz_values`) or if `require_convergence` is set and a
-/// correct replica fails to commit the full prefix (a liveness bug).
-pub fn run_generic_cluster<SM: StateMachine>(
-    options: GenericClusterOptions<SM::Command>,
-) -> GenericClusterOutcome<SM::Command> {
+/// replicas without `byz_values`).
+pub fn build_cluster<SM: StateMachine>(
+    options: &GenericClusterOptions<SM::Command>,
+) -> Vec<Node<SM>> {
     let cfg = options.config;
     assert!(
         cfg.supports_frequency_pair(),
@@ -1114,7 +1066,7 @@ pub fn run_generic_cluster<SM: StateMachine>(
         "byzantine replicas need values to push"
     );
 
-    let nodes: Vec<Node<SM>> = options
+    options
         .pending
         .iter()
         .enumerate()
@@ -1143,8 +1095,20 @@ pub fn run_generic_cluster<SM: StateMachine>(
                 Node::Correct(replica)
             }
         })
-        .collect();
+        .collect()
+}
 
+/// Builds ([`build_cluster`]) and runs a cluster of `Replica<SM>` to
+/// quiescence (or the event budget) under the configured fault schedule.
+///
+/// # Panics
+///
+/// Panics where [`build_cluster`] does, or if `require_convergence` is set
+/// and a correct replica fails to commit the full prefix (a liveness bug).
+pub fn run_generic_cluster<SM: StateMachine>(
+    options: GenericClusterOptions<SM::Command>,
+) -> GenericClusterOutcome<SM::Command> {
+    let nodes = build_cluster::<SM>(&options);
     if options.reliable {
         // The resend layer changes the wire type, so this arm builds its
         // own simulation; restart hooks are not threaded through the
@@ -1188,7 +1152,14 @@ pub fn run_generic_cluster<SM: StateMachine>(
 /// [`run_generic_cluster`] when `durable` is set.
 const DEFAULT_SNAPSHOT_EVERY: usize = 4;
 
-fn collect_outcome<'a, SM: StateMachine>(
+/// Harvests a finished run of [`build_cluster`]'s nodes: logs, digests,
+/// decision paths and per-replica counters, in process order.
+///
+/// # Panics
+///
+/// Panics if `require_convergence` is set and a correct replica stopped
+/// short of the target prefix.
+pub fn collect_outcome<'a, SM: StateMachine>(
     nodes: impl Iterator<Item = &'a Node<SM>>,
     options: &GenericClusterOptions<SM::Command>,
     quiescent: bool,
@@ -1304,29 +1275,28 @@ mod tests {
 
     #[test]
     fn traced_restart_run_passes_recovered_prefix_checks() {
-        // Manual build so recording is on: the victim's post-restart
+        // Recording on, snapshots every 2 slots: the victim's post-restart
         // CatchUp events must match what the cluster committed — the
         // checker's "recovered-prefix" invariant, driven end to end.
-        let cfg = cfg();
         let victim = 3usize;
-        let nodes: Vec<Node<crate::KvStore>> = (0..7)
-            .map(|i| {
-                let mut r = Replica::new(
-                    cfg,
-                    ProcessId::new(i),
-                    ProcessId::new(0),
-                    vec![
-                        Command::put(5, 50),
-                        Command::put(6, 60),
-                        Command::put(7, 70),
-                    ],
-                    3,
-                );
-                r.enable_durability(Durability::mem(2));
-                r.enable_obs();
-                Node::Correct(r)
-            })
-            .collect();
+        let queue = vec![
+            Command::put(5, 50),
+            Command::put(6, 60),
+            Command::put(7, 70),
+        ];
+        let mut nodes = build_cluster::<crate::KvStore>(&GenericClusterOptions::new(
+            cfg(),
+            vec![queue; 7],
+            3,
+            17,
+        ));
+        for node in &mut nodes {
+            let Node::Correct(r) = node else {
+                unreachable!()
+            };
+            r.enable_durability(Durability::mem(2));
+            r.enable_obs();
+        }
         let mut sim = Simulation::builder(nodes)
             .seed(17)
             .delay(DelayModel::Uniform { min: 1, max: 10 })
@@ -1437,22 +1407,19 @@ mod tests {
 
     #[test]
     fn traced_cluster_passes_log_agreement_checks() {
-        // Manual cluster build so we can switch on recording; the runner
-        // helpers keep recording off for the measurement paths.
-        let cfg = cfg();
-        let nodes: Vec<Node<crate::KvStore>> = (0..7)
-            .map(|i| {
-                let mut r = Replica::new(
-                    cfg,
-                    ProcessId::new(i),
-                    ProcessId::new(0),
-                    vec![Command::put(5, 50), Command::put(6, 60)],
-                    2,
-                );
+        // The runner keeps recording off for the measurement paths:
+        // build, switch it on, run.
+        let mut nodes = build_cluster::<crate::KvStore>(&GenericClusterOptions::new(
+            cfg(),
+            vec![vec![Command::put(5, 50), Command::put(6, 60)]; 7],
+            2,
+            11,
+        ));
+        for node in &mut nodes {
+            if let Node::Correct(r) = node {
                 r.enable_obs();
-                Node::Correct(r)
-            })
-            .collect();
+            }
+        }
         let mut sim = Simulation::builder(nodes)
             .seed(11)
             .delay(DelayModel::Uniform { min: 1, max: 10 })

@@ -1,6 +1,7 @@
 //! The replicated KV cluster under real OS concurrency: multi-slot DEX,
 //! seven threads, jittered channels — logs and digests must still converge.
 
+use dex_obs::{Event, EventKind};
 use dex_replication::{Command, KvStore, Replica};
 use dex_threadnet::{run_network, NetworkOptions};
 use dex_types::{ProcessId, SystemConfig};
@@ -12,13 +13,15 @@ fn threaded_cluster_converges() {
     let requests = vec![Command::put(1, 10), Command::add(1, 5), Command::put(2, 20)];
     let replicas: Vec<Replica<KvStore>> = (0..7)
         .map(|i| {
-            Replica::new(
+            let mut replica = Replica::new(
                 cfg,
                 ProcessId::new(i),
                 ProcessId::new(0),
                 requests.clone(),
                 3,
-            )
+            );
+            replica.enable_obs();
+            replica
         })
         .collect();
     let result = run_network(
@@ -35,6 +38,22 @@ fn threaded_cluster_converges() {
         assert_eq!(r.log().committed_prefix(), 3, "all slots committed");
         assert_eq!(r.log().prefix(), requests, "log matches the request order");
         assert_eq!(r.machine().digest(), first_digest, "state convergence");
+    }
+    // A bare replica hands the host its recorder: the host stamps the
+    // clock and records deliveries, so commits carry the time and causal
+    // depth of the message that decided the slot — not (0, 0).
+    for r in &result.actors {
+        let events = r.obs().trace().events;
+        let delivered = |e: &Event| matches!(e.kind, EventKind::Deliver { .. });
+        assert!(events.iter().any(delivered), "no Deliver events");
+        let commits: Vec<&Event> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Commit { .. }))
+            .collect();
+        assert_eq!(commits.len(), 3);
+        for c in commits {
+            assert!(c.at > 0 && c.depth >= 1, "unstamped commit: {c:?}");
+        }
     }
     // Uncontended: key 1 = 15, key 2 = 20.
     assert_eq!(result.actors[0].machine().get(1), Some(15));

@@ -16,6 +16,9 @@
 //!   `dist(J₁, J₂)`, containment `J₁ ≤ J₂` and the non-default count `|J|`.
 //! * [`StepDepth`] — causal communication-step accounting, the complexity
 //!   measure of the paper (one-step / two-step decisions).
+//! * [`Decision`] / [`DecisionPath`] — a decided value and the mechanism
+//!   (one-step, two-step, underlying consensus) that produced it: the one
+//!   vocabulary DEX and the Table-1 baselines report in.
 //!
 //! # Examples
 //!
@@ -37,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod decision;
 mod dest;
 mod error;
 mod step;
@@ -45,6 +49,7 @@ mod vector;
 mod view;
 
 pub use config::{ProcessId, SystemConfig};
+pub use decision::{Decision, DecisionPath};
 pub use dest::Dest;
 pub use error::ConfigError;
 pub use step::StepDepth;

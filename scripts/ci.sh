@@ -9,7 +9,10 @@
 #                    the workflow's stage matrix names only stages below
 #   build            warning-free release build of the workspace + examples
 #   test             full test suite (twice, default parallelism), example
-#                    smokes (window_scan at n = 7, 8 slots), trace determinism
+#                    smokes (window_scan at n = 7, 8 slots), trace determinism;
+#                    dex-sim --trace at n = 8, f = 1 equivocating, seed 31 for
+#                    bosco, plain, brasileiro and crash-adaptive equals the
+#                    committed results/logs/trace_31_<algo>.json
 #   results          DEX_RUNS=100 dex-figures all: stdout equals the committed
 #                    results/logs transcripts, results/*.csv unchanged;
 #                    dex-sim --pipeline 8:4 --seed 5 --stats at n = 31, 63
@@ -81,6 +84,17 @@ stage_test() {
   cargo run --release -q --bin dex-sim -- "${trace_args[@]}" > /dev/null
   cmp results/trace_31.json results/trace_31.first.json
   rm -f results/trace_31.json results/trace_31.first.json
+
+  # The baselines' event streams (ViewSet, Decide, send/deliver stamps) are
+  # in no CSV or transcript; the committed artifacts pin them byte for byte.
+  echo "== trace identity: baseline dex-sim --trace vs results/logs/trace_31_<algo>.json"
+  local algo
+  for algo in bosco plain brasileiro crash-adaptive; do
+    cargo run --release -q --bin dex-sim -- --n 8 --t 1 --algo "$algo" \
+      --workload bernoulli:0.8 --f 1 --adversary equivocate --runs 3 --seed 31 --trace > /dev/null
+    cmp results/trace_31.json "results/logs/trace_31_$algo.json"
+  done
+  rm -f results/trace_31.json
 }
 
 stage_results() {

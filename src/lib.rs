@@ -12,12 +12,12 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`types`] | `dex-types` | process ids, configs, input vectors, views, step depths |
+//! | [`types`] | `dex-types` | process ids, configs, input vectors, views, step depths, decisions |
 //! | [`conditions`] | `dex-conditions` | conditions, legality pairs, exhaustive verifier |
 //! | [`broadcast`] | `dex-broadcast` | Identical Broadcast (Fig. 3), reliable broadcast |
 //! | [`underlying`] | `dex-underlying` | oracle + randomized underlying consensus |
 //! | [`core`] | `dex-core` | **Algorithm DEX** (Fig. 1) |
-//! | [`baselines`] | `dex-baselines` | Bosco, underlying-only |
+//! | [`baselines`] | `dex-baselines` | Bosco, crash-model rules, underlying-only (state machines) |
 //! | [`adversary`] | `dex-adversary` | Byzantine strategies, fault plans |
 //! | [`simnet`] | `dex-simnet` | deterministic discrete-event simulator |
 //! | [`threadnet`] | `dex-threadnet` | threaded runtime over crossbeam channels |

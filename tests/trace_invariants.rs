@@ -96,8 +96,23 @@ fn adversarial_runs_check_clean() {
 
 #[test]
 fn baseline_runs_check_clean() {
-    for algo in [Algo::Bosco, Algo::UnderlyingOnly, Algo::Brasileiro] {
-        assert_clean(&base_spec(7, 1, algo, InputVector::unanimous(7, 3)));
+    for algo in [
+        Algo::Bosco,
+        Algo::UnderlyingOnly,
+        Algo::Brasileiro,
+        Algo::CrashAdaptive,
+    ] {
+        let clean = base_spec(7, 1, algo, InputVector::unanimous(7, 3));
+        assert_clean(&clean);
+        // f = 1: the last process tells some peers 3 and the others 9.
+        for seed in 0..5 {
+            assert_clean(&RunInstance {
+                fault_plan: FaultPlan::last_k(clean.config, 1),
+                strategy: ByzantineStrategy::Equivocate { values: vec![3, 9] },
+                seed,
+                ..clean.clone()
+            });
+        }
     }
 }
 
