@@ -14,12 +14,10 @@
 //! therefore every witness table, threshold crossing, and decision — is
 //! exactly what the unbatched protocol produces.
 //!
-//! **Dedup.** The aggregator keeps a `seen` set of every instance key it
-//! has ever batched an echo for, so a process never re-echoes an instance
-//! it already witnessed — the cross-recycling analogue of the `echoed` flag
-//! inside each [`IdenticalBroadcast`](crate::IdenticalBroadcast) instance.
-//! Pipelined replicas purge keys below the retirement floor via
-//! [`EchoAggregator::retain_seen`] as the window slides.
+//! **No dedup.** Each instance key is offered at most once: the first-echo
+//! guard of [`IdenticalBroadcast`](crate::IdenticalBroadcast) emits one
+//! echo per instance, retired slots never reopen, and a restart resets the
+//! instances and the aggregator together.
 //!
 //! **Depth buckets.** The paper measures cost in causal communication
 //! steps, and the trace checker pins the step scheme exactly (a two-step
@@ -37,12 +35,10 @@
 //! back `(depth, entries)` batches for the actor layer to multicast.
 
 use dex_types::StepDepth;
-use std::collections::HashSet;
-use std::hash::Hash;
 
-/// How many pooled entry buffers / seen-set slots a recycled aggregator may
-/// retain. Long pipelined campaigns recycle aggregator state with the slot
-/// instance pool; bounding retained capacity keeps memory from ratcheting
+/// How many pooled entry buffers a recycled aggregator may retain. Long
+/// pipelined campaigns recycle aggregator state with the slot instance
+/// pool; bounding retained capacity keeps memory from ratcheting
 /// monotonically with campaign length (same discipline as
 /// [`IdenticalBroadcast::reset`](crate::IdenticalBroadcast::reset)).
 pub const RETAINED_CAPACITY: usize = 1024;
@@ -57,35 +53,26 @@ pub struct EchoAggregator<K, V> {
     /// Pending entries, bucketed by would-be send depth. Tiny in practice:
     /// one delivery tick rarely spans more than two distinct depths.
     pending: Vec<(StepDepth, Vec<(K, V)>)>,
-    /// Every instance key this process has ever offered — the
-    /// cross-recycling dedup line.
-    seen: HashSet<K>,
     /// Whether a flush tick is already in flight.
     armed: bool,
 }
 
-impl<K: Eq + Hash + Clone, V> EchoAggregator<K, V> {
+impl<K, V> EchoAggregator<K, V> {
     /// Creates an empty aggregator.
     pub fn new() -> Self {
         EchoAggregator {
             pending: Vec::new(),
-            seen: HashSet::new(),
             armed: false,
         }
     }
 
     /// Offers an echo for batching at the depth it would have been sent
-    /// unbatched. Returns `true` if the entry was newly buffered, `false`
-    /// if this instance key was already witnessed (duplicate suppressed).
-    pub fn offer(&mut self, key: K, value: V, depth: StepDepth) -> bool {
-        if !self.seen.insert(key.clone()) {
-            return false;
-        }
+    /// unbatched.
+    pub fn offer(&mut self, key: K, value: V, depth: StepDepth) {
         match self.pending.iter_mut().find(|(d, _)| *d == depth) {
             Some((_, bucket)) => bucket.push((key, value)),
             None => self.pending.push((depth, vec![(key, value)])),
         }
-        true
     }
 
     /// Arms the flush tick. Returns `true` when the caller should schedule
@@ -113,24 +100,11 @@ impl<K: Eq + Hash + Clone, V> EchoAggregator<K, V> {
         batches
     }
 
-    /// Drops `seen` keys that fail the predicate — pipelined replicas purge
-    /// keys for retired slots here so the dedup set tracks the live window
-    /// instead of growing with the log.
-    pub fn retain_seen<F: FnMut(&K) -> bool>(&mut self, keep: F) {
-        self.seen.retain(keep);
-    }
-
     /// Clears all state for reuse, bounding retained capacity so recycling
     /// across many slots cannot ratchet memory (see [`RETAINED_CAPACITY`]).
     pub fn reset(&mut self) {
         self.pending.clear();
-        if self.pending.capacity() > RETAINED_CAPACITY {
-            self.pending.shrink_to(RETAINED_CAPACITY);
-        }
-        self.seen.clear();
-        if self.seen.capacity() > RETAINED_CAPACITY {
-            self.seen.shrink_to(RETAINED_CAPACITY);
-        }
+        self.pending.shrink_to(RETAINED_CAPACITY); // no-op at or below the bound
         self.armed = false;
     }
 }
@@ -141,28 +115,6 @@ mod tests {
 
     fn d(steps: u32) -> StepDepth {
         StepDepth::new(steps)
-    }
-
-    #[test]
-    fn offers_dedup_by_key() {
-        let mut agg: EchoAggregator<u32, u64> = EchoAggregator::new();
-        assert!(agg.offer(7, 700, d(2)));
-        assert!(!agg.offer(7, 701, d(2)), "same key must be suppressed");
-        assert!(agg.offer(8, 800, d(2)));
-        let batches = agg.take_batches();
-        assert_eq!(batches, vec![(d(2), vec![(7, 700), (8, 800)])]);
-    }
-
-    #[test]
-    fn dedup_survives_flushes() {
-        let mut agg: EchoAggregator<u32, u64> = EchoAggregator::new();
-        assert!(agg.offer(7, 700, d(2)));
-        let _ = agg.take_batches();
-        assert!(
-            !agg.offer(7, 700, d(4)),
-            "a flushed instance stays witnessed"
-        );
-        assert!(agg.take_batches().is_empty());
     }
 
     #[test]
@@ -197,33 +149,17 @@ mod tests {
     }
 
     #[test]
-    fn retain_seen_reopens_purged_keys() {
-        let mut agg: EchoAggregator<u32, u64> = EchoAggregator::new();
-        agg.offer(1, 10, d(2));
-        agg.offer(2, 20, d(2));
-        let _ = agg.take_batches();
-        agg.retain_seen(|k| *k != 1);
-        assert!(agg.offer(1, 11, d(3)), "purged key echoes again");
-        assert!(!agg.offer(2, 20, d(3)), "retained key stays witnessed");
-    }
-
-    #[test]
     fn reset_bounds_retained_capacity() {
         let mut agg: EchoAggregator<u64, u64> = EchoAggregator::new();
-        // Ratchet the seen set far past the retention bound, as a long
-        // pipelined campaign would across thousands of recycled slots.
-        for k in 0..(8 * RETAINED_CAPACITY as u64) {
-            agg.offer(k, k, d(2));
+        // Ratchet the depth buckets past the retention bound, then reset
+        // with a tick in flight (a restart racing the flush timer).
+        for k in 0..(2 * RETAINED_CAPACITY as u32) {
+            agg.offer(k.into(), 0, d(k));
         }
-        let _ = agg.take_batches();
-        assert!(agg.seen.capacity() > RETAINED_CAPACITY);
+        assert!(agg.try_arm());
+        assert!(agg.pending.capacity() > RETAINED_CAPACITY);
         agg.reset();
-        assert!(
-            agg.seen.capacity() <= 2 * RETAINED_CAPACITY,
-            "reset must bound seen-set capacity, kept {}",
-            agg.seen.capacity()
-        );
         assert!(agg.pending.capacity() <= RETAINED_CAPACITY);
-        assert!(!agg.armed && agg.pending.is_empty() && agg.seen.is_empty());
+        assert!(!agg.armed && agg.pending.is_empty());
     }
 }

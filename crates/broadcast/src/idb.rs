@@ -1,10 +1,9 @@
 //! Algorithm IDB — Identical Broadcast (paper appendix, Fig. 3).
 
-use crate::key::InstanceKey;
+use crate::key::{InstanceKey, InstanceTable};
 use crate::witness::{admissible, Chain, WitnessTable};
 use crate::Action;
 use dex_types::{ProcessId, SystemConfig, Value};
-use std::collections::HashMap;
 
 /// A protocol message of the Identical Broadcast algorithm.
 ///
@@ -29,7 +28,7 @@ pub enum IdbMessage<K, V> {
     },
 }
 
-/// Per-instance state: with a `ProcessId` key, a 16-byte map bucket.
+/// Per-instance state: 8 bytes, one per origin with a `ProcessId` key.
 #[derive(Clone, Copy, Default, Debug)]
 struct InstanceState {
     /// `first-echo(j)`: set once this process has sent its (single) echo.
@@ -54,11 +53,17 @@ struct InstanceState {
 /// * on `n − t` matching echoes → `Id-Receive(m)` (at most once per
 ///   instance).
 ///
+/// Instance state lives in the table the key type picks
+/// ([`InstanceKey::Table`]): dense by origin for `ProcessId` keys, a map
+/// for tagged ones. Every access to it sits behind the origin guard — a
+/// message whose sender or instance origin is not a process of the
+/// configuration is dropped before it can open state.
+///
 /// Requires `n > 4t` (Theorem 4).
 #[derive(Clone, Debug)]
-pub struct IdenticalBroadcast<K, V> {
+pub struct IdenticalBroadcast<K: InstanceKey, V> {
     config: SystemConfig,
-    instances: HashMap<K, InstanceState>,
+    instances: K::Table<InstanceState>,
     /// Every instance's witnesses (see [`WitnessTable`]).
     witnesses: WitnessTable<V>,
 }
@@ -77,7 +82,7 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         );
         IdenticalBroadcast {
             config,
-            instances: HashMap::new(),
+            instances: InstanceTable::with_origins(config.n()),
             witnesses: WitnessTable::new(config.n()),
         }
     }
@@ -107,30 +112,27 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
     ///
     /// This is the recycling hook for pipelined replication: one IDB state
     /// machine is reused across many consecutive log slots, so the
-    /// instance map and the witness table are cleared in place — nothing
+    /// instance table and the witness table are cleared in place — nothing
     /// is freed or reallocated per slot. Retained capacity is bounded by
     /// [`RETAINED_CAPACITY`](crate::RETAINED_CAPACITY): a slot that opened
-    /// unusually many instances (e.g. a long UC round tail) or stored
-    /// unusually many witnessed values must not pin that high-water mark
-    /// for the rest of a long pipelined campaign.
+    /// unusually many tagged instances (e.g. a long UC round tail) or
+    /// stored unusually many witnessed values must not pin that high-water
+    /// mark for the rest of a long pipelined campaign.
     pub fn reset(&mut self) {
-        self.instances.clear();
-        if self.instances.capacity() > crate::RETAINED_CAPACITY {
-            self.instances.shrink_to(crate::RETAINED_CAPACITY);
-        }
+        self.instances.reset();
         self.witnesses.reset();
     }
 
     /// Whether this process has already accepted (Id-Received) for `key`.
     pub fn has_accepted(&self, key: &K) -> bool {
-        self.instances.get(key).is_some_and(|s| s.accepted)
+        self.instances.lookup(key).is_some_and(|s| s.accepted)
     }
 
     /// Number of distinct witnesses counted for `(key, value)`. Counting
     /// stops once the instance has accepted: later echoes change nothing.
     pub fn witness_count(&self, key: &K, value: &V) -> usize {
         self.instances
-            .get(key)
+            .lookup(key)
             .map_or(0, |s| self.witnesses.count(s.witnesses, value))
     }
 
@@ -141,11 +143,12 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         value: &V,
     ) -> Vec<Action<K, IdbMessage<K, V>, V>> {
         // Only the instance's origin may open it; anything else is a forgery
-        // (possible only from Byzantine processes) and is ignored.
-        if from != key.origin() {
+        // (possible only from Byzantine processes) and is ignored, as is an
+        // origin outside the configuration.
+        if from != key.origin() || !admissible(&self.config, from, key) {
             return Vec::new();
         }
-        let state = self.instances.entry(key.clone()).or_default();
+        let state = self.instances.open(key);
         if state.echoed {
             return Vec::new(); // first-echo(j) guard
         }
@@ -169,7 +172,7 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
         if !admissible(&self.config, from, key) {
             return Vec::new();
         }
-        let state = self.instances.entry(key.clone()).or_default();
+        let state = self.instances.open(key);
         if state.accepted {
             // Accepted implies echoed (n − t ≥ n − 2t on the same count):
             // no later echo can act, so none may cost time or memory.
@@ -325,6 +328,53 @@ mod tests {
             assert!(idb.on_message(p(usize::MAX), &alien).is_empty());
         }
         assert!(idb.instances.is_empty());
+    }
+
+    #[test]
+    fn inits_from_origins_outside_the_configuration_leave_no_state() {
+        // The dense table holds one state per process of the configuration:
+        // an init (or echo) from beyond it is dropped, not an index past it.
+        let mut dense = Idb::new(cfg(5, 1));
+        let mut tagged: IdenticalBroadcast<(ProcessId, u64), u64> =
+            IdenticalBroadcast::new(cfg(5, 1));
+        for origin in [5, 6, 64, usize::MAX] {
+            assert!(dense
+                .on_message(p(origin), &Idb::id_send(p(origin), 7))
+                .is_empty());
+            assert!(dense.on_message(p(1), &echo(origin, 7)).is_empty());
+            let init = IdbMessage::Init {
+                key: (p(origin), 0),
+                value: 7,
+            };
+            assert!(tagged.on_message(p(origin), &init).is_empty());
+        }
+        assert_eq!(dense.instances.len(), 5);
+        assert!(dense.instances.iter().all(|s| !s.echoed && !s.accepted));
+        assert!(tagged.instances.is_empty());
+    }
+
+    #[test]
+    fn queries_for_origins_outside_the_configuration_answer_nothing() {
+        let mut dense = Idb::new(cfg(5, 1));
+        let mut tagged: IdenticalBroadcast<(ProcessId, u64), u64> =
+            IdenticalBroadcast::new(cfg(5, 1));
+        for i in 1..=4 {
+            dense.on_message(p(i), &echo(0, 7));
+            tagged.on_message(
+                p(i),
+                &IdbMessage::Echo {
+                    key: (p(0), 0),
+                    value: 7,
+                },
+            );
+        }
+        assert!(dense.has_accepted(&p(0)) && tagged.has_accepted(&(p(0), 0)));
+        for origin in [5, 64, usize::MAX] {
+            assert!(!dense.has_accepted(&p(origin)));
+            assert_eq!(dense.witness_count(&p(origin), &7), 0);
+            assert!(!tagged.has_accepted(&(p(origin), 0)));
+            assert_eq!(tagged.witness_count(&(p(origin), 0), &7), 0);
+        }
     }
 
     #[test]

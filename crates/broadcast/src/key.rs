@@ -1,8 +1,10 @@
-//! Broadcast instance keys.
+//! Broadcast instance keys, and the per-instance state table each key type
+//! picks.
 
 use core::fmt::Debug;
 use core::hash::Hash;
 use dex_types::ProcessId;
+use std::collections::HashMap;
 
 /// Identifies one broadcast instance and names its originating process.
 ///
@@ -17,6 +19,11 @@ use dex_types::ProcessId;
 /// message whose *network sender* equals the key's origin, so a Byzantine
 /// process cannot open a broadcast instance on someone else's behalf.
 ///
+/// The key type also picks, at compile time, where a machine keeps its
+/// instances' state ([`Table`](Self::Table)): a `ProcessId` key names one
+/// of `n` instances, so its table is a dense `Vec` indexed by origin; a
+/// tagged key's tags are unbounded (rounds), so its table is a `HashMap`.
+///
 /// # Examples
 ///
 /// ```
@@ -30,11 +37,78 @@ use dex_types::ProcessId;
 /// assert_eq!(tagged.origin(), ProcessId::new(2));
 /// ```
 pub trait InstanceKey: Clone + Eq + Hash + Debug + Send + 'static {
+    /// The per-instance state table of a machine keyed by `Self`.
+    type Table<S: Copy + Default + Debug + Send>: InstanceTable<Self, S>;
+
     /// The process this broadcast instance originates from.
     fn origin(&self) -> ProcessId;
 }
 
+/// Per-instance state of one broadcast machine, `S` per instance key `K`.
+///
+/// Every key handed to [`open`](Self::open) must have an origin `< n`:
+/// the machines check that first (the origin guard, `admissible`).
+pub trait InstanceTable<K, S>: Clone + Debug + Send {
+    /// An empty table for instances with origins `0..n`.
+    fn with_origins(n: usize) -> Self;
+
+    /// The state of `key`'s instance; `None` (or the default state) if it
+    /// was never opened.
+    fn lookup(&self, key: &K) -> Option<&S>;
+
+    /// The state of `key`'s instance, opened at `S::default()` on first
+    /// use.
+    fn open(&mut self, key: &K) -> &mut S;
+
+    /// Forgets every instance in place, keeping bounded capacity.
+    fn reset(&mut self);
+}
+
+/// One state per origin, reset in place.
+impl<S: Copy + Default + Debug + Send> InstanceTable<ProcessId, S> for Vec<S> {
+    fn with_origins(n: usize) -> Self {
+        vec![S::default(); n]
+    }
+
+    fn lookup(&self, key: &ProcessId) -> Option<&S> {
+        self.as_slice().get(key.index())
+    }
+
+    fn open(&mut self, key: &ProcessId) -> &mut S {
+        &mut self[key.index()]
+    }
+
+    fn reset(&mut self) {
+        self.fill(S::default());
+    }
+}
+
+/// Instances opened on demand; capacity past
+/// [`RETAINED_CAPACITY`](crate::RETAINED_CAPACITY) is released on reset,
+/// so a slot that opened unusually many instances (a long round tail) does
+/// not pin that high-water mark.
+impl<K: InstanceKey, S: Copy + Default + Debug + Send> InstanceTable<K, S> for HashMap<K, S> {
+    fn with_origins(_: usize) -> Self {
+        HashMap::new()
+    }
+
+    fn lookup(&self, key: &K) -> Option<&S> {
+        self.get(key)
+    }
+
+    fn open(&mut self, key: &K) -> &mut S {
+        self.entry(key.clone()).or_default()
+    }
+
+    fn reset(&mut self) {
+        self.clear();
+        self.shrink_to(crate::RETAINED_CAPACITY); // no-op at or below the bound
+    }
+}
+
 impl InstanceKey for ProcessId {
+    type Table<S: Copy + Default + Debug + Send> = Vec<S>;
+
     fn origin(&self) -> ProcessId {
         *self
     }
@@ -44,6 +118,8 @@ impl<T> InstanceKey for (ProcessId, T)
 where
     T: Clone + Eq + Hash + Debug + Send + 'static,
 {
+    type Table<S: Copy + Default + Debug + Send> = HashMap<Self, S>;
+
     fn origin(&self) -> ProcessId {
         self.0
     }
@@ -54,6 +130,8 @@ where
     T: Clone + Eq + Hash + Debug + Send + 'static,
     U: Clone + Eq + Hash + Debug + Send + 'static,
 {
+    type Table<S: Copy + Default + Debug + Send> = HashMap<Self, S>;
+
     fn origin(&self) -> ProcessId {
         self.0
     }

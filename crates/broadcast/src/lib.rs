@@ -26,7 +26,9 @@
 //! Broadcast instances are identified by an [`InstanceKey`] carrying the
 //! originating process: [`ProcessId`](dex_types::ProcessId) itself for
 //! single-shot use (as in Algorithm DEX), or `(ProcessId, tag)` for repeated
-//! use (as in the round-based underlying consensus).
+//! use (as in the round-based underlying consensus). The key type also
+//! picks where a machine keeps its instances: a dense table indexed by
+//! origin for `ProcessId`, a hash map for tagged keys.
 //!
 //! # Examples
 //!

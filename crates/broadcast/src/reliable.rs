@@ -8,11 +8,10 @@
 //! *totality*: if any correct process delivers, every correct process
 //! eventually delivers, even for a faulty sender.
 
-use crate::key::InstanceKey;
+use crate::key::{InstanceKey, InstanceTable};
 use crate::witness::{admissible, Chain, WitnessTable};
 use crate::Action;
 use dex_types::{ProcessId, SystemConfig, Value};
-use std::collections::HashMap;
 
 /// A protocol message of Reliable Broadcast.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -61,11 +60,14 @@ struct InstanceState {
 ///   readies (amplification);
 /// * deliver on `2t + 1` matching readies.
 ///
+/// Instance state lives in the table the key type picks, behind the same
+/// origin guard as [`crate::IdenticalBroadcast`]'s.
+///
 /// Requires `n > 3t`.
 #[derive(Clone, Debug)]
-pub struct ReliableBroadcast<K, V> {
+pub struct ReliableBroadcast<K: InstanceKey, V> {
     config: SystemConfig,
-    instances: HashMap<K, InstanceState>,
+    instances: K::Table<InstanceState>,
     /// Every instance's echo and ready witnesses (see [`WitnessTable`]).
     witnesses: WitnessTable<V>,
 }
@@ -85,7 +87,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
         );
         ReliableBroadcast {
             config,
-            instances: HashMap::new(),
+            instances: InstanceTable::with_origins(config.n()),
             witnesses: WitnessTable::new(config.n()),
         }
     }
@@ -100,16 +102,13 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
     /// counterpart of [`IdenticalBroadcast::reset`](crate::IdenticalBroadcast::reset)
     /// for machines recycled across many slots.
     pub fn reset(&mut self) {
-        self.instances.clear();
-        if self.instances.capacity() > crate::RETAINED_CAPACITY {
-            self.instances.shrink_to(crate::RETAINED_CAPACITY);
-        }
+        self.instances.reset();
         self.witnesses.reset();
     }
 
     /// Whether `key` has been delivered locally.
     pub fn has_delivered(&self, key: &K) -> bool {
-        self.instances.get(key).is_some_and(|s| s.delivered)
+        self.instances.lookup(key).is_some_and(|s| s.delivered)
     }
 
     fn echo_quorum(&self) -> usize {
@@ -128,10 +127,10 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
     ) -> Vec<Action<K, RbMessage<K, V>, V>> {
         match msg {
             RbMessage::Init { key, value } => {
-                if from != key.origin() {
+                if from != key.origin() || !admissible(&self.config, from, key) {
                     return Vec::new();
                 }
-                let state = self.instances.entry(key.clone()).or_default();
+                let state = self.instances.open(key);
                 if state.echoed {
                     return Vec::new();
                 }
@@ -148,7 +147,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
             }
             RbMessage::Echo { key, value } => {
                 let echo_quorum = self.echo_quorum();
-                let state = self.instances.entry(key.clone()).or_default();
+                let state = self.instances.open(key);
                 if state.delivered {
                     // Delivered implies readied (2t + 1 ≥ t + 1 on the same
                     // count): no later echo or ready can act, so none may
@@ -166,7 +165,7 @@ impl<K: InstanceKey, V: Value> ReliableBroadcast<K, V> {
                 Vec::new()
             }
             RbMessage::Ready { key, value } => {
-                let state = self.instances.entry(key.clone()).or_default();
+                let state = self.instances.open(key);
                 if state.delivered {
                     return Vec::new();
                 }
@@ -318,6 +317,35 @@ mod tests {
             }
         }
         assert!(m.instances.is_empty());
+    }
+
+    #[test]
+    fn messages_for_origins_outside_the_configuration_leave_no_state() {
+        // The dense table holds one state per process of the configuration:
+        // an init, echo or ready from beyond it is dropped, not an index
+        // past it, and a query for such an origin answers "not delivered".
+        let mut dense = rb(4, 1);
+        let mut tagged: ReliableBroadcast<(ProcessId, u64), u64> =
+            ReliableBroadcast::new(SystemConfig::new(4, 1).unwrap());
+        for origin in [4, 5, 64, usize::MAX] {
+            let key = p(origin);
+            assert!(dense.on_message(key, &Rb::rb_send(key, 5)).is_empty());
+            for from in [1, 2, 3] {
+                assert!(dense
+                    .on_message(p(from), &RbMessage::Echo { key, value: 5 })
+                    .is_empty());
+                assert!(dense
+                    .on_message(p(from), &RbMessage::Ready { key, value: 5 })
+                    .is_empty());
+            }
+            assert!(!dense.has_delivered(&key));
+            let init = ReliableBroadcast::rb_send((key, 0u64), 5);
+            assert!(tagged.on_message(key, &init).is_empty());
+            assert!(!tagged.has_delivered(&(key, 0)));
+        }
+        assert_eq!(dense.instances.len(), 4);
+        assert!(dense.instances.iter().all(|s| !s.echoed && !s.readied));
+        assert!(tagged.instances.is_empty());
     }
 
     #[test]

@@ -4,12 +4,13 @@ use crate::key::InstanceKey;
 use crate::RETAINED_CAPACITY;
 use dex_types::{ProcessId, SystemConfig, Value};
 
-/// Whether an echo or ready from `from` for instance `key` may touch state:
-/// both the sender and the instance's origin must be processes of the
-/// configuration. Anything else is Byzantine noise, and an instance with
-/// such an origin can never reach a threshold — correct processes vouch
-/// only after the origin's own init or after more than `t` others did — so
-/// it must not cost memory either.
+/// Whether a message from `from` for instance `key` may touch state — the
+/// origin guard in front of every instance-table access: both the sender
+/// and the instance's origin must be processes of the configuration.
+/// Anything else is Byzantine noise, and an instance with such an origin
+/// can never reach a threshold — correct processes vouch only after the
+/// origin's own init or after more than `t` others did — so it must not
+/// cost memory either (nor, with a dense table, index past it).
 pub(crate) fn admissible<K: InstanceKey>(config: &SystemConfig, from: ProcessId, key: &K) -> bool {
     from.index() < config.n() && key.origin().index() < config.n()
 }

@@ -3,7 +3,9 @@
 //! them, or make one machine emit unboundedly — and the machines act, step
 //! for step, like a reference that counts witnesses in hash sets.
 
-use dex_broadcast::{Action, IdbMessage, IdenticalBroadcast, RbMessage, ReliableBroadcast};
+use dex_broadcast::{
+    Action, IdbMessage, IdenticalBroadcast, InstanceKey, RbMessage, ReliableBroadcast,
+};
 use dex_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -59,22 +61,52 @@ enum Kind {
 
 type Key = (ProcessId, u8);
 
+/// The instance keys the differential streams run over: a tagged key, whose
+/// machines keep instances in a map, and a bare `ProcessId`, whose machines
+/// keep one dense entry per origin (the tag is dropped, so the stream's two
+/// tags share an instance).
+trait StreamKey: InstanceKey + Copy {
+    fn of(origin: ProcessId, tag: u8) -> Self;
+}
+
+impl StreamKey for Key {
+    fn of(origin: ProcessId, tag: u8) -> Self {
+        (origin, tag)
+    }
+}
+
+impl StreamKey for ProcessId {
+    fn of(origin: ProcessId, _: u8) -> Self {
+        origin
+    }
+}
+
 /// The systems the differential streams run at: senders in one bitset
 /// word, just across a word boundary, and in three words.
 const SYSTEMS: [(usize, usize); 3] = [(9, 2), (65, 10), (130, 21)];
 
+/// Processes outside a system of `n`: the first ones past it, one a word
+/// past it, and the largest id there is.
+fn outside(n: usize) -> [usize; 4] {
+    [n, n + 1, n + 64, usize::MAX]
+}
+
 /// A process of a system whose size the stream does not know yet: half the
-/// draws sit on the edges of the 64-bit words a sender bitset is made of.
+/// draws sit on the edges of the 64-bit words a sender bitset is made of,
+/// and a few are no process of the system at all.
 #[derive(Clone, Copy, Debug)]
 struct Pick {
     edge: bool,
+    alien: bool,
     at: prop::sample::Index,
 }
 
 impl Pick {
     fn of(self, n: usize) -> usize {
         const EDGES: [usize; 9] = [0, 1, 62, 63, 64, 65, 127, 128, 129];
-        if self.edge {
+        if self.alien {
+            *self.at.get(&outside(n))
+        } else if self.edge {
             EDGES[self.at.index(EDGES.iter().filter(|&&e| e < n).count())]
         } else {
             self.at.index(n)
@@ -92,34 +124,57 @@ enum Step {
     Reset,
 }
 
-/// `from` — and, in a sweep, the `sweep.index(n)` processes after it,
-/// wrapping — send these messages on instance `key`: one, or — a value
-/// flood — an echo and a ready for each of `k` further values.
+/// `from` — the instance's origin itself if `own` — and, in a sweep, the
+/// `sweep.index(n)` processes after it, wrapping — send these messages on
+/// instance `(origin, tag)`: one, or — a value flood — an echo and a ready
+/// for each of `k` further values. `origin` is process 0 or 1, or (`None`)
+/// one outside the system.
 #[derive(Clone, Debug)]
 struct Burst {
     from: Pick,
+    own: bool,
     sweep: Option<prop::sample::Index>,
-    key: Key,
+    origin: Option<usize>,
+    tag: u8,
     msgs: Vec<(Kind, u64)>,
 }
 
 impl Burst {
-    /// The `(sender, kind, value)` messages in a system of `n`.
+    fn origin(&self, n: usize) -> usize {
+        self.origin.unwrap_or(outside(n)[self.tag as usize])
+    }
+
+    /// The instance key in a system of `n`.
+    fn key<K: StreamKey>(&self, n: usize) -> K {
+        K::of(ProcessId::new(self.origin(n)), self.tag)
+    }
+
+    /// The `(sender, kind, value)` messages in a system of `n`. A sender
+    /// outside the system sends alone.
     fn sends(&self, n: usize) -> impl Iterator<Item = (ProcessId, Kind, u64)> + '_ {
-        let from = self.from.of(n);
-        (0..=self.sweep.map_or(0, |more| more.index(n))).flat_map(move |k| {
+        let from = if self.own {
+            self.origin(n)
+        } else {
+            self.from.of(n)
+        };
+        let more = match self.sweep {
+            Some(more) if from < n => more.index(n),
+            _ => 0,
+        };
+        (0..=more).flat_map(move |k| {
+            let sender = if k == 0 { from } else { (from + k) % n };
             self.msgs
                 .iter()
-                .map(move |&(kind, value)| (ProcessId::new((from + k) % n), kind, value))
+                .map(move |&(kind, value)| (ProcessId::new(sender), kind, value))
         })
     }
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
-    let from = (any::<bool>(), any::<prop::sample::Index>());
+    let from = (0u8..40, any::<prop::sample::Index>());
     let sweep = (0u8..100, any::<prop::sample::Index>());
-    (from, sweep, 0usize..2, 0u8..2, 0u64..2, 0u8..100).prop_map(
-        |((edge, at), (swept, more), origin, tag, value, kind)| {
+    (from, sweep, 0usize..40, 0u8..2, 0u64..2, 0u8..100).prop_map(
+        |((pick, at), (swept, more), origin, tag, value, kind)| {
             let mut sweep = (swept < 15).then_some(more);
             let msgs = match kind {
                 0..=9 => vec![(Kind::Init, value)],
@@ -134,9 +189,15 @@ fn step_strategy() -> impl Strategy<Value = Step> {
                 _ => return Step::Reset,
             };
             Step::Send(Burst {
-                from: Pick { edge, at },
+                from: Pick {
+                    edge: pick % 2 == 0,
+                    alien: pick == 1,
+                    at,
+                },
+                own: pick % 8 == 3,
                 sweep,
-                key: (ProcessId::new(origin), tag),
+                origin: (origin < 36).then_some(origin % 2),
+                tag,
                 msgs,
             })
         },
@@ -161,23 +222,33 @@ struct RefInstance {
     readies: Witnesses,
 }
 
-/// The reference: Fig. 3 and Bracha's thresholds over hash-set witnesses.
-#[derive(Default)]
-struct Reference(HashMap<Key, RefInstance>);
+/// The reference: Fig. 3 and Bracha's thresholds over hash-set witnesses,
+/// for messages whose sender and instance origin are both processes of the
+/// system; anything else is dropped.
+struct Reference<K>(HashMap<K, RefInstance>);
 
-type IdbMsg = IdbMessage<Key, u64>;
-type RbMsg = RbMessage<Key, u64>;
+impl<K> Default for Reference<K> {
+    fn default() -> Self {
+        Reference(HashMap::new())
+    }
+}
 
-impl Reference {
+fn admissible<K: InstanceKey>(cfg: SystemConfig, from: ProcessId, key: &K) -> bool {
+    from.index() < cfg.n() && key.origin().index() < cfg.n()
+}
+
+impl<K: StreamKey> Reference<K> {
     fn idb(
         &mut self,
         cfg: SystemConfig,
         from: ProcessId,
-        msg: &IdbMsg,
-    ) -> Vec<Action<Key, IdbMsg, u64>> {
+        msg: &IdbMessage<K, u64>,
+    ) -> Vec<Action<K, IdbMessage<K, u64>, u64>> {
         let mut actions = Vec::new();
         match *msg {
-            IdbMessage::Init { key, value } if from == key.0 => {
+            IdbMessage::Init { key, .. } | IdbMessage::Echo { key, .. }
+                if !admissible(cfg, from, &key) => {}
+            IdbMessage::Init { key, value } if from == key.origin() => {
                 let s = self.0.entry(key).or_default();
                 if !std::mem::replace(&mut s.echoed, true) {
                     actions.push(Action::Broadcast(IdbMessage::Echo { key, value }));
@@ -202,11 +273,15 @@ impl Reference {
         &mut self,
         cfg: SystemConfig,
         from: ProcessId,
-        msg: &RbMsg,
-    ) -> Vec<Action<Key, RbMsg, u64>> {
+        msg: &RbMessage<K, u64>,
+    ) -> Vec<Action<K, RbMessage<K, u64>, u64>> {
         let mut actions = Vec::new();
         match *msg {
-            RbMessage::Init { key, value } if from == key.0 => {
+            RbMessage::Init { key, .. }
+            | RbMessage::Echo { key, .. }
+            | RbMessage::Ready { key, .. }
+                if !admissible(cfg, from, &key) => {}
+            RbMessage::Init { key, value } if from == key.origin() => {
                 let s = self.0.entry(key).or_default();
                 if !std::mem::replace(&mut s.echoed, true) {
                     actions.push(Action::Broadcast(RbMessage::Echo { key, value }));
@@ -238,76 +313,25 @@ impl Reference {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Differential: at every system size IDB emits the reference's actions
-    /// at every step, and ends with the reference's acceptances and — where
-    /// it has not accepted, which is where counting stops — the reference's
-    /// counts. Readies are fed as echoes, as in `idb_machine_invariants`.
+    /// Differential: at every system size, over tagged keys (an instance
+    /// map) and bare `ProcessId` keys (a dense table), IDB emits the
+    /// reference's actions at every step, and ends with the reference's
+    /// acceptances and — where it has not accepted, which is where
+    /// counting stops — the reference's counts. Readies are fed as echoes,
+    /// as in `idb_machine_invariants`.
     #[test]
     fn idb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..300)) {
-        for (n, t) in SYSTEMS {
-            let cfg = SystemConfig::new(n, t).unwrap();
-            let mut idb: IdenticalBroadcast<Key, u64> = IdenticalBroadcast::new(cfg);
-            let mut reference = Reference::default();
-            let mut accepted: HashMap<Key, u64> = HashMap::new();
-            for step in &steps {
-                let Step::Send(send) = step else {
-                    idb.reset();
-                    reference = Reference::default();
-                    accepted.clear();
-                    continue;
-                };
-                for (from, kind, value) in send.sends(n) {
-                    let msg = match kind {
-                        Kind::Init => IdbMessage::Init { key: send.key, value },
-                        Kind::Echo | Kind::Ready => IdbMessage::Echo { key: send.key, value },
-                    };
-                    let actions = idb.on_message(from, &msg);
-                    if let Some(Action::Deliver { value, .. }) = actions.last() {
-                        accepted.insert(send.key, *value);
-                    }
-                    prop_assert_eq!(actions, reference.idb(cfg, from, &msg));
-                }
-            }
-            for (key, state) in &reference.0 {
-                prop_assert_eq!(idb.has_accepted(key), state.done);
-                if let Some(value) = accepted.get(key) {
-                    prop_assert!(idb.witness_count(key, value) >= cfg.quorum());
-                    continue;
-                }
-                for (value, senders) in &state.echoes {
-                    prop_assert_eq!(idb.witness_count(key, value), senders.len());
-                }
-            }
-        }
+        idb_differential::<Key>(&steps)?;
+        idb_differential::<ProcessId>(&steps)?;
     }
 
-    /// Differential: at every system size RB emits the reference's actions
-    /// at every step and ends with the reference's deliveries.
+    /// Differential: at every system size, over tagged and bare keys, RB
+    /// emits the reference's actions at every step and ends with the
+    /// reference's deliveries.
     #[test]
     fn rb_acts_like_the_hash_set_reference(steps in proptest::collection::vec(step_strategy(), 1..300)) {
-        for (n, t) in SYSTEMS {
-            let cfg = SystemConfig::new(n, t).unwrap();
-            let mut rb: ReliableBroadcast<Key, u64> = ReliableBroadcast::new(cfg);
-            let mut reference = Reference::default();
-            for step in &steps {
-                let Step::Send(send) = step else {
-                    rb.reset();
-                    reference = Reference::default();
-                    continue;
-                };
-                for (from, kind, value) in send.sends(n) {
-                    let msg = match kind {
-                        Kind::Init => RbMessage::Init { key: send.key, value },
-                        Kind::Echo => RbMessage::Echo { key: send.key, value },
-                        Kind::Ready => RbMessage::Ready { key: send.key, value },
-                    };
-                    prop_assert_eq!(rb.on_message(from, &msg), reference.rb(cfg, from, &msg));
-                }
-            }
-            for (key, state) in &reference.0 {
-                prop_assert_eq!(rb.has_delivered(key), state.done);
-            }
-        }
+        rb_differential::<Key>(&steps)?;
+        rb_differential::<ProcessId>(&steps)?;
     }
 
     /// Feed an arbitrary message soup into one IDB machine; invariants:
@@ -465,4 +489,87 @@ proptest! {
             }
         }
     }
+}
+
+fn idb_differential<K: StreamKey>(steps: &[Step]) -> Result<(), TestCaseError> {
+    for (n, t) in SYSTEMS {
+        let cfg = SystemConfig::new(n, t).unwrap();
+        let mut idb: IdenticalBroadcast<K, u64> = IdenticalBroadcast::new(cfg);
+        let mut reference = Reference::default();
+        let mut accepted: HashMap<K, u64> = HashMap::new();
+        let mut outsiders = HashSet::new();
+        for step in steps {
+            let Step::Send(send) = step else {
+                idb.reset();
+                reference = Reference::default();
+                accepted.clear();
+                continue;
+            };
+            let key: K = send.key(n);
+            if key.origin().index() >= n {
+                outsiders.insert(key);
+            }
+            for (from, kind, value) in send.sends(n) {
+                let msg = match kind {
+                    Kind::Init => IdbMessage::Init { key, value },
+                    Kind::Echo | Kind::Ready => IdbMessage::Echo { key, value },
+                };
+                let actions = idb.on_message(from, &msg);
+                if let Some(Action::Deliver { value, .. }) = actions.last() {
+                    accepted.insert(key, *value);
+                }
+                prop_assert_eq!(actions, reference.idb(cfg, from, &msg));
+            }
+        }
+        for (key, state) in &reference.0 {
+            prop_assert_eq!(idb.has_accepted(key), state.done);
+            if let Some(value) = accepted.get(key) {
+                prop_assert!(idb.witness_count(key, value) >= cfg.quorum());
+                continue;
+            }
+            for (value, senders) in &state.echoes {
+                prop_assert_eq!(idb.witness_count(key, value), senders.len());
+            }
+        }
+        for key in &outsiders {
+            prop_assert!(!idb.has_accepted(key));
+            prop_assert_eq!(idb.witness_count(key, &0), 0);
+        }
+    }
+    Ok(())
+}
+
+fn rb_differential<K: StreamKey>(steps: &[Step]) -> Result<(), TestCaseError> {
+    for (n, t) in SYSTEMS {
+        let cfg = SystemConfig::new(n, t).unwrap();
+        let mut rb: ReliableBroadcast<K, u64> = ReliableBroadcast::new(cfg);
+        let mut reference = Reference::default();
+        let mut outsiders = HashSet::new();
+        for step in steps {
+            let Step::Send(send) = step else {
+                rb.reset();
+                reference = Reference::default();
+                continue;
+            };
+            let key: K = send.key(n);
+            if key.origin().index() >= n {
+                outsiders.insert(key);
+            }
+            for (from, kind, value) in send.sends(n) {
+                let msg = match kind {
+                    Kind::Init => RbMessage::Init { key, value },
+                    Kind::Echo => RbMessage::Echo { key, value },
+                    Kind::Ready => RbMessage::Ready { key, value },
+                };
+                prop_assert_eq!(rb.on_message(from, &msg), reference.rb(cfg, from, &msg));
+            }
+        }
+        for (key, state) in &reference.0 {
+            prop_assert_eq!(rb.has_delivered(key), state.done);
+        }
+        for key in &outsiders {
+            prop_assert!(!rb.has_delivered(key));
+        }
+    }
+    Ok(())
 }

@@ -117,11 +117,11 @@ where
 
     /// Resets the machine in place for a fresh consensus instance, reusing
     /// every allocation the previous instance grew: the `J1`/`J2` view
-    /// buffers and their tally tables, the IDB instance map and witness
-    /// table, and the UC forwarding outbox all keep their capacity — a
-    /// recycled slot frees and reallocates nothing. The caller supplies a
-    /// fresh underlying-consensus machine (its state is tiny compared to
-    /// the tallies) and takes back the old one.
+    /// buffers and their tally tables, the IDB instance table (one entry
+    /// per origin) and witness table, and the UC forwarding outbox all keep
+    /// their capacity — a recycled slot frees and reallocates nothing. The
+    /// caller supplies a fresh underlying-consensus machine (its state is
+    /// tiny compared to the tallies) and takes back the old one.
     ///
     /// This is the slot-recycling hook for pipelined replication: instead
     /// of allocating one `DexProcess` per log slot, a replica keeps a small

@@ -2,35 +2,42 @@
 //! pipelined replica.
 //!
 //! A replica runs one DEX instance per log slot. Sequential replication
-//! (`window = 1`) only ever grows the instance map; the pipelined engine
-//! keeps a *window* of `W` in-flight slots and turns the map into a
+//! (`window = 1`) only ever grows the set of instances; the pipelined
+//! engine keeps a *window* of `W` in-flight slots and turns it into a
 //! recycling pool:
 //!
 //! * **Demux**: slot-tagged wire traffic (`ReplicaMsg::Slot { slot, .. }`)
-//!   is routed to the per-slot [`DexProcess`], created on demand. Routing
-//!   never touches the payload — messages arrive by reference from the
-//!   simulator's shared-payload slab, so the `Dest::All` zero-clone fast
-//!   path is preserved end to end.
+//!   is routed to the per-slot [`DexProcess`], created on demand. Live
+//!   instances sit in a ring indexed by `slot − retire_floor`, so routing
+//!   is an offset, not a hash probe; each ring entry is an 8-byte handle
+//!   (an `Option<Box<_>>`), so a message for a far slot costs a handle per
+//!   skipped slot, never an instance-sized hole. Routing never touches the
+//!   payload — messages arrive by reference from the simulator's
+//!   shared-payload slab, so the `Dest::All` zero-clone fast path is
+//!   preserved end to end.
 //! * **Recycle**: once the committed floor has slid a full window past a
 //!   decided slot, that slot's instance is retired into a free pool and its
 //!   allocations — the `J1`/`J2` [`View`](dex_types::View) tally buffers,
-//!   the IDB instance map and its one witness table (three flat vectors
-//!   per machine, not a heap block per origin), the UC forwarding outbox —
-//!   are reset in place (see [`DexProcess::recycle`]), freeing and
-//!   reallocating nothing, and handed to the next slot that opens.
-//!   Decided slots keep participating until they retire: the lag of one
-//!   full window preserves the paper's "keep echoing after deciding"
-//!   obligation for every peer still inside the window.
+//!   the IDB instance table (one entry per origin) and its one witness
+//!   table (three flat vectors per machine, not a heap block per origin),
+//!   the UC forwarding outbox — are reset in place (see
+//!   [`DexProcess::recycle`]), freeing and reallocating nothing, and handed
+//!   to the next slot that opens. Retiring pops the ring's front, which is
+//!   ascending slot order. Decided slots keep participating until they
+//!   retire: the lag of one full window preserves the paper's "keep
+//!   echoing after deciding" obligation for every peer still inside the
+//!   window.
 //! * **Retired traffic**: a message for a retired slot is, by construction,
 //!   a message for a slot in this replica's committed prefix. The mux
-//!   reports it as such so the replica can answer with a targeted
-//!   catch-up reply instead of resurrecting the instance.
+//!   reports it as such ([`SlotMux::is_retired`]) so the replica can answer
+//!   with a targeted catch-up reply; checking such a slot out is a bug, and
+//!   panics.
 
 use dex_conditions::FrequencyPair;
 use dex_core::DexProcess;
 use dex_types::{ProcessId, SystemConfig, Value};
 use dex_underlying::OracleConsensus;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// One slot's consensus machine: DEX over the frequency-based condition
 /// with the oracle underlying consensus.
@@ -55,10 +62,11 @@ pub struct SlotMux<C: Value> {
     /// Pipeline window `W`: how many slots may be in flight past the
     /// committed floor. `1` reproduces sequential replication exactly.
     window: u64,
-    /// Live instances, keyed by slot.
-    active: HashMap<u64, SlotInstance<C>>,
+    /// Live instances: entry `i` serves slot `retire_floor + i`, `None`
+    /// until that slot is checked out.
+    ring: VecDeque<Option<Box<SlotInstance<C>>>>,
     /// Reset instances ready for reuse, tagged with the slot they served.
-    pool: Vec<(u64, SlotInstance<C>)>,
+    pool: Vec<(u64, Box<SlotInstance<C>>)>,
     /// Slots below this line are retired: committed locally and no longer
     /// served by a live instance. Always `0` when `window == 1`.
     retire_floor: u64,
@@ -76,7 +84,7 @@ impl<C: Value> SlotMux<C> {
             me,
             coordinator,
             window: 1,
-            active: HashMap::new(),
+            ring: VecDeque::new(),
             pool: Vec::new(),
             retire_floor: 0,
             recycled: 0,
@@ -118,15 +126,31 @@ impl<C: Value> SlotMux<C> {
 
     /// Number of currently live instances.
     pub fn live(&self) -> usize {
-        self.active.len()
+        self.ring.iter().flatten().count()
     }
 
     /// Routes `slot` to its instance, creating one on demand — from the
     /// recycling pool when possible, freshly allocated otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is retired: retired slots are committed, the
+    /// replica drops their traffic ([`is_retired`](Self::is_retired)) and
+    /// never proposes a committed slot, so reopening one is a bug.
     pub fn checkout(&mut self, slot: u64) -> (&mut SlotInstance<C>, Checkout) {
+        assert!(
+            slot >= self.retire_floor,
+            "checkout of slot {slot} below the retirement line {}: retired slots are \
+             committed, their traffic is dropped and they are never proposed",
+            self.retire_floor
+        );
+        let at = (slot - self.retire_floor) as usize;
+        if at >= self.ring.len() {
+            self.ring.resize_with(at + 1, || None);
+        }
         let (config, me, coordinator) = (self.config, self.me, self.coordinator);
         let mut how = Checkout::Live;
-        let instance = self.active.entry(slot).or_insert_with(|| {
+        let instance = self.ring[at].get_or_insert_with(|| {
             if let Some((freed, mut instance)) = self.pool.pop() {
                 self.recycled += 1;
                 how = Checkout::Recycled(freed);
@@ -137,12 +161,12 @@ impl<C: Value> SlotMux<C> {
             } else {
                 self.allocated += 1;
                 how = Checkout::Allocated;
-                DexProcess::new(
+                Box::new(DexProcess::new(
                     config,
                     me,
                     FrequencyPair::new(config).expect("n > 6t checked by cluster builder"),
                     OracleConsensus::new(config, me, coordinator),
-                )
+                ))
             }
         });
         (instance, how)
@@ -155,22 +179,23 @@ impl<C: Value> SlotMux<C> {
         if self.window <= 1 || floor <= self.retire_floor {
             return;
         }
-        // Bounded scan: the live set holds at most a couple of windows.
-        // Ascending slot order, not the map's: the pool is a stack, so the
-        // order instances enter it decides which slot each later checkout
-        // reports as freed — and that reaches the trace.
-        let mut retiring: Vec<u64> = self.active.keys().copied().filter(|s| *s < floor).collect();
-        retiring.sort_unstable();
-        for slot in retiring {
-            let instance = self.active.remove(&slot).expect("listed above");
-            self.pool.push((slot, instance));
+        // The ring's front is the lowest slot, so instances enter the pool
+        // in ascending slot order. That order matters: the pool is a stack,
+        // so it decides which slot each later checkout reports as freed —
+        // and that reaches the trace. A floor past every live slot empties
+        // the ring.
+        let retiring = (floor - self.retire_floor).min(self.ring.len() as u64) as usize;
+        for (slot, entry) in (self.retire_floor..).zip(self.ring.drain(..retiring)) {
+            if let Some(instance) = entry {
+                self.pool.push((slot, instance));
+            }
         }
         self.retire_floor = floor;
     }
 
     /// Forgets all live and pooled instances (restart-with-amnesia).
     pub fn clear(&mut self) {
-        self.active.clear();
+        self.ring.clear();
         self.pool.clear();
         self.retire_floor = 0;
     }
@@ -181,7 +206,9 @@ mod tests {
     use super::*;
     use dex_types::Dest;
     use dex_underlying::Outbox;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use std::collections::HashMap;
 
     fn cfg() -> SystemConfig {
         SystemConfig::new(7, 1).unwrap()
@@ -215,9 +242,8 @@ mod tests {
         m.retire_below(2);
         assert!(m.is_retired(0) && m.is_retired(1));
         assert_eq!(m.live(), 2);
-        // The next two checkouts drain the pool before allocating, in an
-        // order that does not depend on the live map's hashing: retired in
-        // ascending slot order, handed out newest first.
+        // The next two checkouts drain the pool before allocating: retired
+        // in ascending slot order, handed out newest first.
         let (_, how) = m.checkout(4);
         assert_eq!(how, Checkout::Recycled(1));
         let (_, how) = m.checkout(5);
@@ -251,5 +277,146 @@ mod tests {
             sends.iter().any(|(d, _)| *d == Dest::All),
             "recycled instance must re-broadcast"
         );
+    }
+
+    #[test]
+    fn far_checkout_at_window_one_allocates_one_instance_and_handles_only() {
+        let mut m = mux();
+        let (_, how) = m.checkout(1000);
+        assert_eq!(how, Checkout::Allocated);
+        assert_eq!((m.allocated(), m.live()), (1, 1));
+        // The thousand slots skipped cost one 8-byte handle each.
+        assert_eq!(m.ring.len(), 1001);
+        assert!(std::mem::size_of_val(&m.ring[0]) <= 8);
+        assert!(std::mem::size_of::<SlotInstance<u64>>() > 8);
+        assert_eq!(m.checkout(1000).1, Checkout::Live);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the retirement line")]
+    fn checkout_below_the_retirement_line_panics() {
+        let mut m = mux();
+        m.set_window(2);
+        for slot in 0..3 {
+            m.checkout(slot);
+        }
+        m.retire_below(2);
+        m.checkout(1);
+    }
+
+    /// The mux as it was spelled over a `HashMap` keyed by slot, kept as
+    /// the reference: the map's values stand in for the instances.
+    struct Reference {
+        window: u64,
+        active: HashMap<u64, ()>,
+        pool: Vec<u64>,
+        retire_floor: u64,
+        recycled: u64,
+        allocated: u64,
+    }
+
+    impl Reference {
+        fn checkout(&mut self, slot: u64) -> Checkout {
+            let mut how = Checkout::Live;
+            self.active.entry(slot).or_insert_with(|| {
+                if let Some(freed) = self.pool.pop() {
+                    self.recycled += 1;
+                    how = Checkout::Recycled(freed);
+                } else {
+                    self.allocated += 1;
+                    how = Checkout::Allocated;
+                }
+            });
+            how
+        }
+
+        fn retire_below(&mut self, floor: u64) {
+            if self.window <= 1 || floor <= self.retire_floor {
+                return;
+            }
+            let mut below: Vec<u64> = self.active.keys().copied().filter(|s| *s < floor).collect();
+            below.sort_unstable();
+            for slot in below {
+                self.active.remove(&slot);
+                self.pool.push(slot);
+            }
+            self.retire_floor = floor;
+        }
+
+        fn clear(&mut self) {
+            self.active.clear();
+            self.pool.clear();
+            self.retire_floor = 0;
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Window(u64),
+        /// Checks out the slot this far above the retirement line.
+        Checkout(u64),
+        /// Retires below the retirement line moved up by this much (`0`
+        /// repeats the current floor).
+        Retire(u64),
+        Clear,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (0u8..100, 0u64..16, 0u64..400).prop_map(|(kind, near, far)| match kind {
+            0..=4 => Op::Window(1 + near % 8),
+            5..=54 => Op::Checkout(near),
+            55..=59 => Op::Checkout(far),
+            60..=84 => Op::Retire(near % 4),
+            85..=97 => Op::Retire(far),
+            _ => Op::Clear,
+        })
+    }
+
+    proptest! {
+        /// Differential: the ring and the `HashMap` mux it replaced, driven
+        /// by the same stream of window changes, checkouts near and far
+        /// above the retirement line, floors that repeat, creep and jump,
+        /// and restarts, hand out the same `Checkout` (the slot every
+        /// recycled instance last served included) and agree on every
+        /// counter and on the retirement line after every step.
+        #[test]
+        fn ring_acts_like_the_hash_map_reference(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+            let mut m = mux();
+            let mut reference = Reference {
+                window: 1,
+                active: HashMap::new(),
+                pool: Vec::new(),
+                retire_floor: 0,
+                recycled: 0,
+                allocated: 0,
+            };
+            for op in &ops {
+                match *op {
+                    Op::Window(w) => {
+                        m.set_window(w);
+                        reference.window = w;
+                    }
+                    Op::Checkout(above) => {
+                        let slot = reference.retire_floor + above;
+                        prop_assert_eq!(m.checkout(slot).1, reference.checkout(slot));
+                    }
+                    Op::Retire(by) => {
+                        m.retire_below(reference.retire_floor + by);
+                        reference.retire_below(reference.retire_floor + by);
+                    }
+                    Op::Clear => {
+                        m.clear();
+                        reference.clear();
+                    }
+                }
+                prop_assert_eq!(m.live(), reference.active.len());
+                prop_assert_eq!(m.recycled(), reference.recycled);
+                prop_assert_eq!(m.allocated(), reference.allocated);
+                prop_assert_eq!(m.retire_floor(), reference.retire_floor);
+                for slot in reference.retire_floor.saturating_sub(2)..reference.retire_floor + 2 {
+                    prop_assert_eq!(m.is_retired(slot), slot < reference.retire_floor);
+                }
+            }
+        }
     }
 }

@@ -182,7 +182,7 @@ pub struct SlotPath {
 }
 
 /// Pending quorum-validation state for the catch-up protocol: per missing
-/// slot, the candidate values seen in replies and the distinct replicas
+/// slot, the candidate values the replies carried and the distinct replicas
 /// vouching for each (small linear structures — no hash-order dependence).
 struct CatchUpState<C> {
     replies: HashMap<u64, Vec<(C, Vec<ProcessId>)>>,
@@ -461,18 +461,9 @@ impl<SM: StateMachine> Replica<SM> {
     /// Retires decided slots a full window behind the committed floor into
     /// the recycling pool. No-op in sequential mode.
     fn slide_window(&mut self) {
-        let window = self.mux.window();
-        if window > 1 {
-            let floor = self.log.committed_prefix() as u64;
-            let retire_floor = floor.saturating_sub(window);
-            self.mux.retire_below(retire_floor);
-            // The aggregator's first-echo memory only matters while a
-            // slot's instance is live; dropping retired keys bounds it to
-            // O(window × n) entries regardless of run length.
-            if let Some(agg) = self.agg.as_mut() {
-                agg.retain_seen(|(slot, _)| *slot >= retire_floor);
-            }
-        }
+        let floor = self.log.committed_prefix() as u64;
+        self.mux
+            .retire_below(floor.saturating_sub(self.mux.window()));
     }
 
     fn apply_ready(&mut self) {
@@ -810,8 +801,7 @@ impl<SM: StateMachine> Replica<SM> {
         self.uc_flush_armed = false;
         if let Some(agg) = self.agg.as_mut() {
             // Restart amnesia covers the aggregation buffer too: pending
-            // echoes die with the crash (resend/catch-up recovers), and the
-            // first-echo memory must not outlive the instances it guarded.
+            // echoes die with the crash (resend/catch-up recovers).
             agg.reset();
         }
         self.claimed = 0;

@@ -26,8 +26,9 @@
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
 #                    fault traces, divergent-state kill -9, campaign rates
 #   benchmark-smoke  benchmark/ builds and tests offline against this
-#                    checkout; both netlog workloads and one simlog run,
-#                    3 s each, exit 0
+#                    checkout; all six workloads (simlog-n31, -agg,
+#                    chaoslog-n13, campaign-std, both netlog), 3 s each,
+#                    exit 0
 #   all              everything above, in order (the default)
 #
 # The workspace builds fully offline: every external dependency is vendored
@@ -162,10 +163,13 @@ stage_benchmark_smoke() {
   echo "== benchmark smoke: build + test benchmark/ offline"
   (cd benchmark && cargo test --release --offline -q)
 
-  echo "== benchmark smoke: netlog-n7-w1, netlog-n7-w8 and simlog-n31, 3 s each, every output check"
-  bash benchmark/run.sh --workload netlog-n7-w1 --seconds 3 > /dev/null
-  bash benchmark/run.sh --workload netlog-n7-w8 --seconds 3 > /dev/null
-  bash benchmark/run.sh --workload simlog-n31 --seconds 3 > /dev/null
+  # simlog-n31-agg takes the aggregated unbatch path, chaoslog-n13 the
+  # W = 1 durable crash-restart path, campaign-std the per-run construction.
+  echo "== benchmark smoke: all six workloads, 3 s each, every output check"
+  local workload
+  for workload in netlog-n7-w1 netlog-n7-w8 simlog-n31 simlog-n31-agg chaoslog-n13 campaign-std; do
+    bash benchmark/run.sh --workload "$workload" --seconds 3 > /dev/null
+  done
 }
 
 usage() {
