@@ -91,8 +91,10 @@ pub struct RunOutcome {
 #[derive(Debug)]
 pub struct Simulation<A: Actor> {
     actors: Vec<A>,
-    /// Pending deliveries as payload-free `(slab slot, recipient)` entries,
-    /// one FIFO bucket per pending instant (see [`EventQueue`]). Pop order is
+    /// Pending deliveries as 8-byte `(slab slot, recipient)` entries, one
+    /// FIFO bucket per pending instant: instants within 64 ticks of the
+    /// latest delivery in a ring found through one occupancy word, later
+    /// ones in an ordered map (see [`EventQueue`]). Pop order is
     /// `(deliver_at, scheduling order)` — what a heap keyed by `deliver_at`
     /// and a monotone tie-breaking counter yields, at a cost that does not
     /// grow with the number of pending deliveries.

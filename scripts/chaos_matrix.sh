@@ -7,7 +7,9 @@
 # termination-after-heal violation, which fails this script.
 #
 # A final cmp-gated pass pins byte-determinism of a chaos trace artifact:
-# the same (spec, seed) must render the identical file twice.
+# the same (spec, seed) must render the identical file twice, and that file
+# must equal the committed results/logs/trace_chaos_partition_31.json (its
+# holds reach past the simulator's near ring into the far event map).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +35,7 @@ mv results/trace_chaos_partition_31.json results/trace_chaos_partition_31.first.
 cargo run --release -q --bin dex-sim -- \
   "${BASE[@]}" --chaos partition:5:120 --seed 31 > /dev/null
 cmp results/trace_chaos_partition_31.json results/trace_chaos_partition_31.first.json
+cmp results/trace_chaos_partition_31.json results/logs/trace_chaos_partition_31.json
 
 rm -f results/trace_chaos_*.json
 

@@ -10,9 +10,10 @@
 #   build            warning-free release build of the workspace + examples
 #   test             full test suite (twice, default parallelism), example
 #                    smokes (window_scan at n = 7, 8 slots), trace determinism;
-#                    dex-sim --trace at n = 8, f = 1 equivocating, seed 31 for
-#                    bosco, plain, brasileiro and crash-adaptive equals the
-#                    committed results/logs/trace_31_<algo>.json
+#                    dex-sim --trace at n = 7, dex-freq, seed 31 (twice), and at
+#                    n = 8, f = 1 equivocating, seed 31 for bosco, plain,
+#                    brasileiro and crash-adaptive, equals the committed
+#                    results/logs/trace_31_<algo>.json
 #   results          DEX_RUNS=100 dex-figures all: stdout equals the committed
 #                    results/logs transcripts, results/*.csv unchanged;
 #                    dex-sim --pipeline 8:4 --seed 5 --stats at n = 31, 63
@@ -76,7 +77,7 @@ stage_test() {
   echo "== trace determinism: multicast fast path vs eager expansion"
   cargo test -q -p dex-simnet --test prop_multicast
 
-  echo "== trace determinism: dex-sim --trace twice, byte-identical artifact"
+  echo "== trace determinism: dex-sim --trace twice, byte-identical to results/logs/trace_31_dex-freq.json"
   local trace_args=(--n 7 --t 1 --algo dex-freq --workload bernoulli:0.8 --f 1
                     --adversary equivocate --runs 3 --seed 31 --trace)
   rm -f results/trace_31.json results/trace_31.first.json
@@ -84,6 +85,7 @@ stage_test() {
   mv results/trace_31.json results/trace_31.first.json
   cargo run --release -q --bin dex-sim -- "${trace_args[@]}" > /dev/null
   cmp results/trace_31.json results/trace_31.first.json
+  cmp results/trace_31.json results/logs/trace_31_dex-freq.json
   rm -f results/trace_31.json results/trace_31.first.json
 
   # The baselines' event streams (ViewSet, Decide, send/deliver stamps) are
