@@ -171,13 +171,8 @@ impl CampaignSpec {
             return Err("campaign needs at least one seed".into());
         }
         for &(n, t) in &self.pairs {
-            SystemConfig::new(n, t).map_err(|e| e.to_string())?;
-            let legal = match self.algo {
-                Algo::DexFreq => n > 6 * t,
-                Algo::DexPrv { .. } | Algo::Bosco => n > 5 * t,
-                _ => true,
-            };
-            if !legal {
+            let config = SystemConfig::new(n, t).map_err(|e| e.to_string())?;
+            if !self.algo.supports(config) {
                 return Err(format!(
                     "pair ({n}, {t}) is illegal for {}",
                     self.algo.label()

@@ -32,10 +32,11 @@
 //!   workloads across seeds × adversaries × chaos schedules × legal
 //!   `(n, t)` pairs on a worker pool and folds the digests into a
 //!   byte-stable fast-decision-rate artifact (see `DESIGN.md` §14).
-//! * One module per paper experiment (see `DESIGN.md` §4): [`table1`],
-//!   [`crash_rows`], [`adaptive`], [`double_expedition`], [`average_case`],
-//!   [`pairs`], [`coverage`], [`idb`], [`trace`], [`messages`],
-//!   [`latency`], [`scaling`].
+//! * [`idb`] and [`trace`] — the two paper experiments that are not
+//!   consensus batches: IDB instances driven on their own (Figs. 2 & 3)
+//!   and an annotated DEX execution (Fig. 1). Every batch-shaped figure
+//!   is a grid of [`run_batch`](runner::run_batch) cells in the
+//!   `dex-figures` binary (see `DESIGN.md` §4).
 //!
 //! # Examples
 //!
@@ -85,23 +86,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod average_case;
 pub mod campaign;
-pub mod coverage;
-pub mod crash_rows;
-pub mod double_expedition;
 pub mod idb;
-pub mod latency;
-pub mod messages;
 pub mod nodes;
-pub mod pairs;
 pub mod pipeline;
 pub mod runner;
-pub mod scaling;
 pub mod spec;
 pub mod stats;
-pub mod table1;
 pub mod trace;
 mod ucwrap;
 

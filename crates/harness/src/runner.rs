@@ -58,6 +58,19 @@ impl Algo {
     pub fn aggregates(self) -> bool {
         matches!(self, Algo::DexFreq | Algo::DexPrv { .. })
     }
+
+    /// Whether the algorithm can run on `config` — the one legality
+    /// predicate the CLI, campaigns and Table 1 share. DEX-freq needs
+    /// `n > 6t` (Theorem 1), DEX-prv `n > 5t` (Theorem 2) and Bosco its
+    /// weak bound `n > 5t`; the others run on any valid configuration.
+    pub fn supports(self, config: SystemConfig) -> bool {
+        match self {
+            Algo::DexFreq => config.supports_frequency_pair(),
+            Algo::DexPrv { .. } => config.supports_privileged_pair(),
+            Algo::Bosco => config.supports_one_step(),
+            Algo::UnderlyingOnly | Algo::Brasileiro | Algo::CrashAdaptive => true,
+        }
+    }
 }
 
 /// Which underlying consensus a run uses.
@@ -212,11 +225,10 @@ impl RunResult {
 }
 
 impl RunInstance {
-    /// The figure drivers' common run: oracle underlying consensus, no
-    /// faults (silent, should a plan be struct-updated in), `uniform:1:10`
+    /// The common single run: oracle underlying consensus, no faults
+    /// (silent, should a plan be struct-updated in), `uniform:1:10`
     /// delays, a clean network, seed 0, a 5 M delivery cap, no
-    /// aggregation. Drivers struct-update the fields their experiment
-    /// varies.
+    /// aggregation. Callers struct-update the fields they vary.
     pub fn base(config: SystemConfig, algo: Algo, input: InputVector<u64>) -> Self {
         RunInstance {
             config,
@@ -533,10 +545,10 @@ pub struct BatchSpec<'a> {
 }
 
 impl<'a> BatchSpec<'a> {
-    /// The figure drivers' common batch — the batch counterpart of
+    /// The figures' common batch — the batch counterpart of
     /// [`RunInstance::base`]: oracle underlying consensus, `f = 0` silent
     /// faults placed last, `uniform:1:10` delays, a clean network, no
-    /// aggregation, one run from seed 0, a 5 M delivery cap. Drivers
+    /// aggregation, one run from seed 0, a 5 M delivery cap. Figures
     /// struct-update the fields their experiment varies.
     pub fn base(
         config: SystemConfig,
@@ -598,8 +610,15 @@ pub struct BatchStats {
     pub runs: usize,
     /// Decision-path histogram over all correct processes.
     pub paths: Counter<&'static str>,
+    /// Per run with a decision, the fraction of its correct-process
+    /// decisions taken on the 1-step path — averaged, every run weighs
+    /// the same however many processes decided in it.
+    pub one_step_per_run: Summary,
     /// Step counts over all correct processes.
     pub steps: Summary,
+    /// Histogram of those step counts. A path label does not fix the
+    /// depth: a 2-step decision can land at depth 3 under random delays.
+    pub depths: Counter<u32>,
     /// Virtual-time decision latencies.
     pub latency: Summary,
     /// Messages delivered per run.
@@ -645,16 +664,23 @@ impl BatchStats {
         if !run.unanimity_ok(&inst.input, &inst.fault_plan) {
             self.unanimity_violations += 1;
         }
+        let (mut decided, mut one_step) = (0usize, 0usize);
         for outcome in &run.outcomes {
             match outcome {
                 Outcome::Faulty => {}
                 Outcome::Undecided => self.undecided += 1,
                 Outcome::Decided(r) => {
+                    decided += 1;
+                    one_step += usize::from(r.path == "1-step");
                     self.paths.add(r.path);
                     self.steps.add(f64::from(r.steps));
+                    self.depths.add(r.steps);
                     self.latency.add(r.latency as f64);
                 }
             }
+        }
+        if decided > 0 {
+            self.one_step_per_run.add(one_step as f64 / decided as f64);
         }
         self.messages.add(run.messages as f64);
         self.net.merge(&run.net);
@@ -874,6 +900,9 @@ mod tests {
         assert_eq!(stats.runs, 20);
         assert_eq!(stats.path_fraction("1-step"), 1.0);
         assert_eq!(stats.steps.mean(), 1.0);
+        assert_eq!(stats.depths.fraction(&1), 1.0);
+        assert_eq!(stats.one_step_per_run.count(), 20);
+        assert_eq!(stats.one_step_per_run.mean(), 1.0);
     }
 
     #[test]
@@ -897,6 +926,8 @@ mod tests {
             assert_eq!(seq.messages, par.messages);
             assert_eq!(seq.steps.quantile(0.99), par.steps.quantile(0.99));
             assert_eq!(seq.paths.count(&"1-step"), par.paths.count(&"1-step"));
+            assert_eq!(seq.one_step_per_run, par.one_step_per_run);
+            assert_eq!(seq.depths, par.depths);
             assert_eq!(seq.net, par.net);
         }
     }
@@ -918,6 +949,40 @@ mod tests {
             let plan = FaultPlan::from_ids(spec.config, faulty.into_iter().map(ProcessId::new));
             assert_eq!(inst.fault_plan, plan, "run {i}");
             assert!(inst.faults.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_fixed_input_last_k_batch_is_the_hand_built_run() {
+        // The figures' fixed-split cells are batches over one input vector
+        // with the last f processes faulty. Each run must be the instance
+        // a hand-written `run_instance` loop over seed0 + i builds.
+        let cfg = SystemConfig::new(7, 1).unwrap();
+        let input = InputVector::new(vec![0, 0, 1, 1, 1, 1, 1]);
+        let lie = ByzantineStrategy::ConsistentLie { value: 0 };
+        let spec = BatchSpec {
+            strategy: lie.clone(),
+            f: 1,
+            runs: 3,
+            seed0: 2010,
+            ..BatchSpec::base(cfg, Algo::DexFreq, &input)
+        };
+        for i in 0..spec.runs {
+            let by_hand = RunInstance {
+                strategy: lie.clone(),
+                fault_plan: FaultPlan::from_ids(cfg, (6..7).map(ProcessId::new)),
+                seed: 2010 + i as u64,
+                ..RunInstance::base(cfg, Algo::DexFreq, input.clone())
+            };
+            let inst = spec.instance(i);
+            assert_eq!(inst.seed, by_hand.seed);
+            assert_eq!(inst.input, by_hand.input);
+            assert_eq!(inst.fault_plan, by_hand.fault_plan);
+            assert_eq!(inst.strategy, by_hand.strategy);
+            assert_eq!(inst.delay, by_hand.delay);
+            assert_eq!(inst.max_events, by_hand.max_events);
+            assert_eq!(inst.faults, FaultSchedule::none());
+            assert_eq!(run_instance(&inst), run_instance(&by_hand), "run {i}");
         }
     }
 

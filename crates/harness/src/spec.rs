@@ -922,11 +922,27 @@ fn placement_flag(placement: Placement) -> &'static str {
 }
 
 impl RunSpec {
-    /// Validates the configuration (`n > t` constraints, `f ≤ t`,
-    /// `--aggregate` only on algorithms that have an echo/vote flood) and
-    /// returns the [`SystemConfig`].
+    /// Validates the configuration (`n > 3t`, the algorithm's own bound
+    /// per [`Algo::supports`], `n > 5t` for the randomized underlying
+    /// consensus, `f ≤ t`, `--aggregate` only on algorithms that have an
+    /// echo/vote flood) and returns the [`SystemConfig`].
     pub fn config(&self) -> Result<SystemConfig, String> {
         let config = SystemConfig::new(self.n, self.t).map_err(|e| e.to_string())?;
+        if !self.algo.supports(config) {
+            return Err(format!(
+                "--algo {} cannot run at n = {}, t = {} (dex-freq needs n > 6t, \
+                 dex-prv and bosco n > 5t)",
+                algo_flag(self.algo),
+                self.n,
+                self.t
+            ));
+        }
+        if self.underlying == UnderlyingSpec::Mvc && !config.supports_one_step() {
+            return Err(format!(
+                "--underlying mvc needs n > 5t, got n = {}, t = {}",
+                self.n, self.t
+            ));
+        }
         if self.f > self.t {
             return Err(format!(
                 "f = {} exceeds the fault bound t = {}",
@@ -1294,6 +1310,40 @@ mod tests {
         }
         for algo in ["dex-freq", "dex-prv"] {
             assert!(with_aggregate(algo).is_ok(), "{algo} aggregates");
+        }
+    }
+
+    #[test]
+    fn algorithms_are_rejected_below_their_bound_and_accepted_at_it() {
+        let config = |flags: &str| {
+            let args: Vec<&str> = flags.split(' ').collect();
+            RunSpec::from_args(&args).unwrap().config()
+        };
+        for t in [1usize, 2] {
+            let at = |n: usize, rest: &str| format!("--n {n} --t {t} {rest}");
+            for (bound, rest) in [
+                (6 * t, "--algo dex-freq"),
+                (5 * t, "--algo dex-prv"),
+                (5 * t, "--algo bosco"),
+                (5 * t, "--algo plain --underlying mvc"),
+            ] {
+                let err = config(&at(bound, rest)).unwrap_err();
+                let flag = if rest.contains("mvc") {
+                    "mvc"
+                } else {
+                    "--algo"
+                };
+                assert!(err.contains(flag), "{rest} at n = {bound}: {err}");
+                assert!(
+                    config(&at(bound + 1, rest)).is_ok(),
+                    "{rest} at n = {bound} + 1"
+                );
+            }
+            // The rest run on any n > 3t.
+            for algo in ["plain", "brasileiro", "crash-adaptive"] {
+                let rest = format!("--algo {algo}");
+                assert!(config(&at(3 * t + 1, &rest)).is_ok(), "{algo}, t = {t}");
+            }
         }
     }
 

@@ -908,7 +908,8 @@ fn validate_cluster(opts: &ClusterOpts) -> Result<(), String> {
                 .into(),
         );
     }
-    SystemConfig::new(spec.n, spec.t).map_err(|e| e.to_string())?;
+    spec.config()
+        .map_err(|e| format!("bad configuration: {e}"))?;
     Ok(())
 }
 
@@ -1544,6 +1545,10 @@ mod tests {
         ))
         .expect_err("divergent needs t ≥ 1");
         assert!(err.contains("divergent"), "{err}");
+        // A system the children's DEX-freq cannot run fails before any spawn.
+        let err = validate_cluster(&cluster_opts("--cluster --n 6 --t 1 --phase cells"))
+            .expect_err("n = 6t");
+        assert!(err.starts_with("bad configuration"), "{err}");
         let opts = cluster_opts("--cluster --n 7 --t 1 --kill 2:divergent --phase kill9");
         assert_eq!(validate_cluster(&opts), Ok(()));
     }

@@ -81,6 +81,24 @@ impl InputGenerator for Unanimous {
     }
 }
 
+/// A fixed input vector: every run proposes exactly these entries (the rng
+/// is not drawn from). Experiments that pin positions — say, the last `f`
+/// processes faulty on a known split — batch over one vector this way.
+impl InputGenerator for InputVector<u64> {
+    fn generate(&self, n: usize, _rng: &mut StdRng) -> InputVector<u64> {
+        assert_eq!(
+            self.n(),
+            n,
+            "fixed input vector does not match the system size"
+        );
+        self.clone()
+    }
+
+    fn name(&self) -> String {
+        format!("fixed{:?}", self.as_slice())
+    }
+}
+
 /// `k` processes at random positions propose `dissent`, the rest `value`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct KDissent {
@@ -244,6 +262,14 @@ mod tests {
         let input = Unanimous { value: 4 }.generate(9, &mut rng(0));
         assert_eq!(input.count_of(&4), 9);
         assert_eq!(Unanimous { value: 4 }.name(), "unanimous(4)");
+    }
+
+    #[test]
+    fn a_fixed_vector_ignores_the_rng() {
+        let fixed = InputVector::new(vec![0, 0, 1, 1, 1]);
+        assert_eq!(fixed.generate(5, &mut rng(1)), fixed);
+        assert_eq!(fixed.generate(5, &mut rng(2)), fixed);
+        assert_eq!(fixed.name(), "fixed[0, 0, 1, 1, 1]");
     }
 
     #[test]

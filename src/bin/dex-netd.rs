@@ -25,6 +25,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(err) = dex_netd::cluster::main(args) {
         eprintln!("dex-netd: {err}");
-        std::process::exit(1);
+        // A system the protocol cannot run is a usage error, as in dex-sim.
+        std::process::exit(if err.starts_with("bad configuration") {
+            2
+        } else {
+            1
+        });
     }
 }

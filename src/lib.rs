@@ -26,7 +26,7 @@
 //! | [`metrics`] | `dex-metrics` | summaries, counters, tables |
 //! | [`obs`] | `dex-obs` | structured event traces + trace-driven invariant checker |
 //! | [`replication`] | `dex-replication` | replicated KV state machine on multi-slot DEX |
-//! | [`harness`] | `dex-harness` | per-experiment drivers (E1–E13) |
+//! | [`harness`] | `dex-harness` | single runs, batches, run specs, campaigns (the `dex-figures` grids run on it) |
 //!
 //! # Quickstart
 //!
