@@ -57,7 +57,7 @@ fn set_first<V: Value>(view: &mut View<V>, obs: &mut Recorder, from: ProcessId, 
                 code: obs_code(v),
             });
         }
-        view.set(from, v.clone());
+        view.set(from, v);
     }
 }
 

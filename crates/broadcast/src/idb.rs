@@ -39,6 +39,17 @@ struct InstanceState {
     witnesses: Chain,
 }
 
+/// What one reception asks of the caller, about the received key and
+/// value: `Copy` and value-free, so reporting it clones nothing.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct IdbVerdict {
+    /// Broadcast `(echo, m, j)` to every process: `first-echo(j)` was just
+    /// set.
+    pub echo: bool,
+    /// `Id-Receive(m)` for the instance: `first-accept(j)` was just set.
+    pub accept: bool,
+}
+
 /// The Identical Broadcast state machine of one process (Fig. 3).
 ///
 /// To broadcast, call [`id_send`](Self::id_send) and transmit the returned
@@ -52,6 +63,12 @@ struct InstanceState {
 ///   to only part of the system),
 /// * on `n − t` matching echoes → `Id-Receive(m)` (at most once per
 ///   instance).
+///
+/// Callers that send the echo and consume the `Id-Receive` themselves
+/// (Algorithm DEX, on every delivery of the n² echo flood) call
+/// [`on_init`](Self::on_init) / [`on_echo`](Self::on_echo) instead: the
+/// same decisions on a borrowed key and value, as an [`IdbVerdict`], with
+/// no allocation. `on_message` is the one adapter from verdicts to actions.
 ///
 /// Instance state lives in the table the key type picks
 /// ([`InstanceKey::Table`]): dense by origin for `ProcessId` keys, a map
@@ -96,16 +113,30 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
     /// Handles one received protocol message, returning the actions to
     /// perform. `from` must be the authenticated network-level sender. The
     /// message is borrowed (multicast payloads are shared by the network
-    /// layer); the machine clones only what it stores.
+    /// layer); each action clones the key and value it carries.
     pub fn on_message(
         &mut self,
         from: ProcessId,
         msg: &IdbMessage<K, V>,
     ) -> Vec<Action<K, IdbMessage<K, V>, V>> {
-        match msg {
-            IdbMessage::Init { key, value } => self.on_init(from, key, value),
-            IdbMessage::Echo { key, value } => self.on_echo(from, key, value),
+        let (key, value, verdict) = match msg {
+            IdbMessage::Init { key, value } => (key, value, self.on_init(from, key)),
+            IdbMessage::Echo { key, value } => (key, value, self.on_echo(from, key, value)),
+        };
+        let mut actions = Vec::new();
+        if verdict.echo {
+            actions.push(Action::Broadcast(IdbMessage::Echo {
+                key: key.clone(),
+                value: value.clone(),
+            }));
         }
+        if verdict.accept {
+            actions.push(Action::Deliver {
+                key: key.clone(),
+                value: value.clone(),
+            });
+        }
+        actions
     }
 
     /// Forgets all broadcast instances, keeping bounded capacity.
@@ -136,68 +167,55 @@ impl<K: InstanceKey, V: Value> IdenticalBroadcast<K, V> {
             .map_or(0, |s| self.witnesses.count(s.witnesses, value))
     }
 
-    fn on_init(
-        &mut self,
-        from: ProcessId,
-        key: &K,
-        value: &V,
-    ) -> Vec<Action<K, IdbMessage<K, V>, V>> {
+    /// Handles one received `(init, m)` for `key`: what
+    /// [`on_message`](Self::on_message) does for an [`IdbMessage::Init`].
+    /// The verdict's `echo` asks the caller to broadcast `(echo, m, j)`
+    /// with the init's key and value; an init never accepts.
+    pub fn on_init(&mut self, from: ProcessId, key: &K) -> IdbVerdict {
         // Only the instance's origin may open it; anything else is a forgery
         // (possible only from Byzantine processes) and is ignored, as is an
         // origin outside the configuration.
         if from != key.origin() || !admissible(&self.config, from, key) {
-            return Vec::new();
+            return IdbVerdict::default();
         }
         let state = self.instances.open(key);
-        if state.echoed {
-            return Vec::new(); // first-echo(j) guard
-        }
+        // first-echo(j) guard.
+        let echo = !state.echoed;
         state.echoed = true;
-        vec![Action::Broadcast(IdbMessage::Echo {
-            key: key.clone(),
-            value: value.clone(),
-        })]
+        IdbVerdict {
+            echo,
+            accept: false,
+        }
     }
 
-    /// Handles one received `(echo, value, key)` by reference — what
-    /// [`on_message`](Self::on_message) does for an [`IdbMessage::Echo`],
-    /// for callers that hold the key and value but no such message (the
-    /// entries of an echo batch).
-    pub fn on_echo(
-        &mut self,
-        from: ProcessId,
-        key: &K,
-        value: &V,
-    ) -> Vec<Action<K, IdbMessage<K, V>, V>> {
+    /// Handles one received `(echo, value, key)` by reference: what
+    /// [`on_message`](Self::on_message) does for an [`IdbMessage::Echo`].
+    /// The verdict refers to this key and value; the machine clones the
+    /// value only if its witness table has never stored it.
+    pub fn on_echo(&mut self, from: ProcessId, key: &K, value: &V) -> IdbVerdict {
+        let mut verdict = IdbVerdict::default();
         if !admissible(&self.config, from, key) {
-            return Vec::new();
+            return verdict;
         }
         let state = self.instances.open(key);
         if state.accepted {
             // Accepted implies echoed (n − t ≥ n − 2t on the same count):
             // no later echo can act, so none may cost time or memory.
-            return Vec::new();
+            return verdict;
         }
         let num = self.witnesses.insert(&mut state.witnesses, value, from);
-        let mut actions = Vec::new();
         if num >= self.config.echo_threshold() && !state.echoed {
             // Witness amplification: enough echoes convince us even without
             // having seen the init directly.
             state.echoed = true;
-            actions.push(Action::Broadcast(IdbMessage::Echo {
-                key: key.clone(),
-                value: value.clone(),
-            }));
+            verdict.echo = true;
         }
         if num >= self.config.quorum() && !state.accepted {
             // first-accept(j) guard.
             state.accepted = true;
-            actions.push(Action::Deliver {
-                key: key.clone(),
-                value: value.clone(),
-            });
+            verdict.accept = true;
         }
-        actions
+        verdict
     }
 }
 

@@ -62,7 +62,7 @@ mod reliable;
 mod witness;
 
 pub use aggregate::{EchoAggregator, RETAINED_CAPACITY};
-pub use idb::{IdbMessage, IdenticalBroadcast};
+pub use idb::{IdbMessage, IdbVerdict, IdenticalBroadcast};
 pub use key::InstanceKey;
 pub use reliable::{RbMessage, ReliableBroadcast};
 

@@ -241,10 +241,9 @@ pub fn check_lt2<V: Value, P: LegalityPair<V>>(
 /// Whether completions `I ≥ J`, `I' ≥ J'` with `dist(I, I') ≤ t` exist:
 /// true iff at most `t` positions have both views non-`⊥` and different.
 fn linkable<V: Value>(j1: &View<V>, j2: &View<V>, t: usize) -> bool {
-    j1.as_options()
-        .iter()
-        .zip(j2.as_options())
-        .filter(|(a, b)| a.is_some() && b.is_some() && a != b)
+    j1.iter()
+        .zip(j2.iter())
+        .filter(|((_, a), (_, b))| a.is_some() && b.is_some() && a != b)
         .count()
         <= t
 }

@@ -37,10 +37,9 @@ fn prv() -> PrivilegedPair<u64> {
 
 /// `∃I, I' : J ≤ I ∧ J' ≤ I' ∧ dist(I, I') ≤ t` in closed form.
 fn linkable(a: &View<u64>, b: &View<u64>) -> bool {
-    a.as_options()
-        .iter()
-        .zip(b.as_options())
-        .filter(|(x, y)| x.is_some() && y.is_some() && x != y)
+    a.iter()
+        .zip(b.iter())
+        .filter(|((_, x), (_, y))| x.is_some() && y.is_some() && x != y)
         .count()
         <= T
 }

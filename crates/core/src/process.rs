@@ -1,6 +1,6 @@
 //! The DEX state machine (Fig. 1), transport-agnostic.
 
-use dex_broadcast::{Action, IdbMessage, IdenticalBroadcast};
+use dex_broadcast::{IdbMessage, IdenticalBroadcast};
 use dex_conditions::{DecisionGate, LegalityPair};
 use dex_obs::{obs_code, EventKind, PredTag, Recorder, Scheme, ViewTag};
 use dex_types::{Decision, DecisionPath, ProcessId, SystemConfig, Value, View};
@@ -117,7 +117,7 @@ where
 
     /// Resets the machine in place for a fresh consensus instance, reusing
     /// every allocation the previous instance grew: the `J1`/`J2` view
-    /// buffers and their tally tables, the IDB instance table (one entry
+    /// buffers and their value tables, the IDB instance table (one entry
     /// per origin) and witness table, and the UC forwarding outbox all keep
     /// their capacity — a recycled slot frees and reallocates nothing. The
     /// caller supplies a fresh underlying-consensus machine (its state is
@@ -189,8 +189,8 @@ where
             return;
         }
         self.proposed = true;
-        self.j1.set(self.me, value.clone()); // line 2
-        self.j2.set(self.me, value.clone());
+        self.j1.set(self.me, &value); // line 2
+        self.j2.set(self.me, &value);
         if self.obs.is_active() {
             let me = self.me.index() as u16;
             let code = obs_code(&value);
@@ -244,7 +244,7 @@ where
                     code: obs_code(v),
                 });
             }
-            self.j1.set(from, v.clone());
+            self.j1.set(from, v);
         }
         // Line 7's adaptive re-check, gated: the gate skips the predicate
         // until |J1| ≥ n − t and, after each failed test, until the tally
@@ -291,8 +291,10 @@ where
                         code: obs_code(value),
                     });
                 }
-                let actions = self.idb.on_message(from, msg);
-                self.on_idb_actions(actions, rng, out)
+                if self.idb.on_init(from, key).echo {
+                    send_echo(out, *key, value);
+                }
+                None
             }
             IdbMessage::Echo { key, value } => self.on_echo(from, *key, value, rng, out),
         }
@@ -302,7 +304,8 @@ where
     /// what [`on_message`](Self::on_message) does for a
     /// `DexMsg::Idb(IdbMessage::Echo { .. })`, for callers that unbatch a
     /// [`DexMsg::EchoBatch`] and hold each entry's value but no such
-    /// message.
+    /// message. Allocates nothing; clones the value only to send an echo
+    /// or to store a value a view has not seen.
     pub fn on_echo(
         &mut self,
         from: ProcessId,
@@ -317,82 +320,77 @@ where
                 code: obs_code(value),
             });
         }
-        let actions = self.idb.on_echo(from, &origin, value);
-        self.on_idb_actions(actions, rng, out)
+        let verdict = self.idb.on_echo(from, &origin, value);
+        if verdict.echo {
+            send_echo(out, origin, value);
+        }
+        if verdict.accept {
+            self.on_id_receive(origin, value, rng, out)
+        } else {
+            None
+        }
     }
 
-    /// Lines 10–18, after IDB: send its echoes; on `Id-Receive` update
-    /// `J2`, feed the underlying consensus once, and try the two-step
-    /// decision.
-    fn on_idb_actions(
+    /// Lines 11–18, on `Id-Receive(value)` for `origin`: update `J2`, feed
+    /// the underlying consensus once, and try the two-step decision.
+    fn on_id_receive(
         &mut self,
-        actions: Vec<Action<ProcessId, IdbMessage<ProcessId, V>, V>>,
+        origin: ProcessId,
+        value: &V,
         rng: &mut StdRng,
         out: &mut Outbox<DexMsg<V, U::Msg>>,
     ) -> Option<Decision<V>> {
-        let mut delivered = Vec::new();
-        for action in actions {
-            match action {
-                Action::Broadcast(m) => out.broadcast(DexMsg::Idb(m)),
-                Action::Deliver { key, value } => delivered.push((key, value)),
-            }
+        if self.obs.is_active() {
+            let origin = origin.index() as u16;
+            let code = obs_code(value);
+            self.obs.record(EventKind::IdbAccept { origin, code });
+            self.obs.record(EventKind::ViewSet {
+                view: ViewTag::J2,
+                origin,
+                code,
+            });
         }
-        let mut decision = None;
-        for (origin, value) in delivered {
-            if self.obs.is_active() {
-                let origin_idx = origin.index() as u16;
-                let code = obs_code(&value);
-                self.obs.record(EventKind::IdbAccept {
-                    origin: origin_idx,
-                    code,
-                });
-                self.obs.record(EventKind::ViewSet {
-                    view: ViewTag::J2,
-                    origin: origin_idx,
-                    code,
-                });
-            }
-            self.j2.set(origin, value); // line 11 (IDB agreement makes overwrites impossible)
-            if self.j2.len_non_default() >= self.config.quorum() && !self.uc_proposed {
-                // Lines 12–15: activate the underlying consensus. This runs
-                // even if we already decided — other processes may need it.
-                self.uc_proposed = true;
-                let proposal = self
-                    .pair
-                    .decide(&self.j2)
-                    .expect("J2 has at least n - t entries");
-                self.obs.record(EventKind::Fallback {
-                    code: obs_code(&proposal),
-                });
-                self.uc.propose(proposal, rng, &mut self.uc_out);
-                forward_uc(&mut self.uc_out, out);
-            }
-            if self.decided.is_none() {
-                let fired = self.p2_gate.try_p2(&self.pair, &self.j2);
-                if self.obs.is_active() && self.j2.len_non_default() >= self.config.quorum() {
-                    self.obs
-                        .record(predicate_snapshot(PredTag::P2, fired, &self.j2));
-                }
-                if fired {
-                    // Lines 16–18.
-                    let value = self
-                        .pair
-                        .decide(&self.j2)
-                        .expect("J2 has at least n - t entries");
-                    self.obs.record(EventKind::Decide {
-                        scheme: Scheme::TwoStep,
-                        code: obs_code(&value),
-                    });
-                    let d = Decision {
-                        value,
-                        path: DecisionPath::TwoStep,
-                    };
-                    self.decided = Some(d.clone());
-                    decision = Some(d);
-                }
-            }
+        self.j2.set(origin, value); // line 11 (IDB agreement makes overwrites impossible)
+        if self.j2.len_non_default() >= self.config.quorum() && !self.uc_proposed {
+            // Lines 12–15: activate the underlying consensus. This runs
+            // even if we already decided — other processes may need it.
+            self.uc_proposed = true;
+            let proposal = self
+                .pair
+                .decide(&self.j2)
+                .expect("J2 has at least n - t entries");
+            self.obs.record(EventKind::Fallback {
+                code: obs_code(&proposal),
+            });
+            self.uc.propose(proposal, rng, &mut self.uc_out);
+            forward_uc(&mut self.uc_out, out);
         }
-        decision
+        if self.decided.is_some() {
+            return None;
+        }
+        let fired = self.p2_gate.try_p2(&self.pair, &self.j2);
+        if self.obs.is_active() && self.j2.len_non_default() >= self.config.quorum() {
+            self.obs
+                .record(predicate_snapshot(PredTag::P2, fired, &self.j2));
+        }
+        if !fired {
+            return None;
+        }
+        // Lines 16–18.
+        let value = self
+            .pair
+            .decide(&self.j2)
+            .expect("J2 has at least n - t entries");
+        self.obs.record(EventKind::Decide {
+            scheme: Scheme::TwoStep,
+            code: obs_code(&value),
+        });
+        let d = Decision {
+            value,
+            path: DecisionPath::TwoStep,
+        };
+        self.decided = Some(d.clone());
+        Some(d)
     }
 
     /// Lines 19–22: run the underlying consensus; adopt its decision.
@@ -449,6 +447,14 @@ where
             _ => Vec::new(),
         }
     }
+}
+
+/// Broadcasts this process's IDB echo `(echo, value, origin)`.
+fn send_echo<V: Value, U>(out: &mut Outbox<DexMsg<V, U>>, origin: ProcessId, value: &V) {
+    out.broadcast(DexMsg::Idb(IdbMessage::Echo {
+        key: origin,
+        value: value.clone(),
+    }));
 }
 
 /// Wraps underlying-consensus outbox messages into `DexMsg::Uc`, draining
@@ -613,6 +619,76 @@ mod tests {
             sent.iter()
                 .any(|(_, m)| matches!(m, DexMsg::Uc(OracleMsg::Propose(5)))),
             "UC proposal must be emitted: {sent:?}"
+        );
+    }
+
+    #[test]
+    fn echo_path_echoes_once_accepts_once_then_changes_nothing() {
+        // n = 7, t = 1: amplification at n − 2t = 5 matching echoes,
+        // Id-Receive at n − t = 6. p6 is Byzantine and, like `EchoPoison`,
+        // echoes a second value for origin p3's instance.
+        let mut proc = freq_process(7, 1, 0);
+        proc.enable_obs();
+        let mut out: Out = Outbox::new();
+        let (origin, majority, poison) = (p(3), 5u64, 9u64);
+        let feed = |proc: &mut Freq, from: usize, v: u64, out: &mut Out| {
+            proc.on_echo(p(from), origin, &v, &mut rng(), out)
+        };
+        let accepts = |proc: &Freq| {
+            let events = proc.obs().trace().events;
+            events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::IdbAccept { .. }))
+                .count()
+        };
+
+        assert!(feed(&mut proc, 6, poison, &mut out).is_none());
+        for from in 1..=4 {
+            assert!(feed(&mut proc, from, majority, &mut out).is_none());
+            assert!(out.is_empty(), "no echo below n − 2t");
+        }
+        assert!(feed(&mut proc, 5, majority, &mut out).is_none());
+        let sent = out.drain();
+        let echo = DexMsg::Idb(IdbMessage::Echo {
+            key: origin,
+            value: majority,
+        });
+        assert_eq!(sent.len(), 1, "one echo at n − 2t: {sent:?}");
+        assert_eq!(sent[0].1, echo);
+        assert_eq!((accepts(&proc), proc.j2().get(origin)), (0, None));
+
+        // |J2| = 1 after the Id-Receive: no quorum, so no UC and no decision.
+        assert!(feed(&mut proc, 0, majority, &mut out).is_none());
+        assert!(out.is_empty(), "first-echo(j) already set");
+        assert_eq!(accepts(&proc), 1, "one Id-Receive at n − t");
+        assert_eq!(proc.j2().get(origin), Some(&majority));
+
+        let j2 = proc.j2().clone();
+        let gates = |proc: &Freq| {
+            let (g1, g2) = (proc.p1_gate, proc.p2_gate);
+            [g1.evals(), g1.skips(), g2.evals(), g2.skips()]
+        };
+        let witnesses =
+            |proc: &Freq| [majority, poison, 7].map(|v| proc.idb.witness_count(&origin, &v));
+        let (gated, counted) = (gates(&proc), witnesses(&proc));
+        assert_eq!(counted, [6, 1, 0]);
+        for (from, v) in [
+            (6, majority),
+            (6, poison),
+            (6, 7),
+            (1, majority),
+            (2, poison),
+        ] {
+            assert!(feed(&mut proc, from, v, &mut out).is_none());
+        }
+        assert!(out.is_empty(), "no echo after acceptance");
+        assert_eq!(accepts(&proc), 1, "no second Id-Receive");
+        assert_eq!(proc.j2(), &j2);
+        assert_eq!(gates(&proc), gated);
+        assert_eq!(
+            witnesses(&proc),
+            counted,
+            "echoes after acceptance are not counted"
         );
     }
 

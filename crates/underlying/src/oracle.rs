@@ -98,7 +98,7 @@ impl<V: Value> UnderlyingConsensus<V> for OracleConsensus<V> {
                 if self.me != self.coordinator {
                     return; // not addressed to us; ignore strays
                 }
-                self.proposals.set(from, v.clone());
+                self.proposals.set(from, v);
                 if !self.announced && self.proposals.len_non_default() >= self.config.quorum() {
                     self.announced = true;
                     let winner = self

@@ -29,7 +29,8 @@
 #   benchmark-smoke  benchmark/ builds and tests offline against this
 #                    checkout; all six workloads (simlog-n31, -agg,
 #                    chaoslog-n13, campaign-std, both netlog), 3 s each,
-#                    exit 0
+#                    exit 0; scripts/profile.sh simlog-n31 for 2 s names
+#                    at least one dex_ function
 #   all              everything above, in order (the default)
 #
 # The workspace builds fully offline: every external dependency is vendored
@@ -172,6 +173,17 @@ stage_benchmark_smoke() {
   for workload in netlog-n7-w1 netlog-n7-w8 simlog-n31 simlog-n31-agg chaoslog-n13 campaign-std; do
     bash benchmark/run.sh --workload "$workload" --seconds 3 > /dev/null
   done
+
+  # A profile without one dex_ function means the frame-pointer build, the
+  # sampler or the symbolisation broke.
+  echo "== benchmark smoke: scripts/profile.sh simlog-n31, 2 s, names dex_ functions"
+  local profile
+  profile=$(./scripts/profile.sh simlog-n31 --seconds 2)
+  if ! grep -q 'dex_' <<< "$profile"; then
+    echo "no dex_ function in the profile:" >&2
+    echo "$profile" >&2
+    exit 1
+  fi
 }
 
 usage() {
