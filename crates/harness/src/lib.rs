@@ -32,11 +32,12 @@
 //!   workloads across seeds × adversaries × chaos schedules × legal
 //!   `(n, t)` pairs on a worker pool and folds the digests into a
 //!   byte-stable fast-decision-rate artifact (see `DESIGN.md` §14).
-//! * [`idb`] and [`trace`] — the two paper experiments that are not
-//!   consensus batches: IDB instances driven on their own (Figs. 2 & 3)
-//!   and an annotated DEX execution (Fig. 1). Every batch-shaped figure
-//!   is a grid of [`run_batch`](runner::run_batch) cells in the
-//!   `dex-figures` binary (see `DESIGN.md` §4).
+//! * [`idb`] — the one paper experiment that is not a consensus run: IDB
+//!   instances driven on their own (Figs. 2 & 3). Every batch-shaped
+//!   figure is a grid of [`run_batch`](runner::run_batch) cells in the
+//!   `dex-figures` binary, and Fig. 1's annotated executions are checked
+//!   [`run_instance_traced`](runner::run_instance_traced) runs there (see
+//!   `DESIGN.md` §4).
 //!
 //! # Examples
 //!
@@ -93,7 +94,6 @@ pub mod pipeline;
 pub mod runner;
 pub mod spec;
 pub mod stats;
-pub mod trace;
 mod ucwrap;
 
 pub use ucwrap::{AnyUc, AnyUcMsg};

@@ -26,20 +26,18 @@ use crate::actor::{Actor, Recoverable};
 use crate::delay::DelayModel;
 use crate::faults::FaultSchedule;
 use crate::sim::{RestartHook, Simulation};
-use crate::trace::TraceDetail;
 
 /// Builder for a [`Simulation`]; start one with
 /// [`Simulation::builder`](Simulation::builder).
 ///
 /// Defaults: seed `0`, the default [`DelayModel`] (uniform `[1, 10]`), no
-/// fault schedule, no trace recording.
+/// fault schedule.
 #[derive(Debug)]
 pub struct SimulationBuilder<A: Actor> {
     actors: Vec<A>,
     seed: u64,
     delay: DelayModel,
     faults: FaultSchedule,
-    trace: Option<TraceDetail>,
     depth_hint: usize,
     restart_hook: Option<RestartHook<A>>,
 }
@@ -51,7 +49,6 @@ impl<A: Actor> SimulationBuilder<A> {
             seed: 0,
             delay: DelayModel::default(),
             faults: FaultSchedule::none(),
-            trace: None,
             depth_hint: 0,
             restart_hook: None,
         }
@@ -93,13 +90,6 @@ impl<A: Actor> SimulationBuilder<A> {
         self
     }
 
-    /// Enables network trace recording at the given detail level
-    /// (equivalent to calling `enable_trace_detail` after construction).
-    pub fn trace(mut self, detail: TraceDetail) -> Self {
-        self.trace = Some(detail);
-        self
-    }
-
     /// Pre-reserves the per-depth statistics vector for runs expected to
     /// reach `depth_hint` causal steps (a capacity hint only — it never
     /// changes observable statistics).
@@ -120,7 +110,6 @@ impl<A: Actor> SimulationBuilder<A> {
             self.seed,
             self.delay,
             self.faults,
-            self.trace,
             self.depth_hint,
             self.restart_hook,
         )

@@ -71,7 +71,6 @@ mod sim;
 mod slab;
 mod stats;
 mod time;
-mod trace;
 
 pub use actor::{Actor, Context, MsgClass, Recoverable};
 pub use builder::SimulationBuilder;
@@ -82,4 +81,3 @@ pub use host::ActorHost;
 pub use sim::{RunOutcome, Simulation, CHAOS_SALT};
 pub use stats::NetStats;
 pub use time::Time;
-pub use trace::{Trace, TraceDetail, TraceEvent};

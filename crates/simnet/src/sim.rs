@@ -8,7 +8,6 @@ use crate::queue::EventQueue;
 use crate::slab::PayloadSlab;
 use crate::stats::NetStats;
 use crate::time::Time;
-use crate::trace::{Trace, TraceDetail, TraceEvent};
 use dex_types::{Dest, ProcessId, StepDepth};
 use rand::rngs::StdRng;
 
@@ -106,7 +105,6 @@ pub struct Simulation<A: Actor> {
     rng: StdRng,
     delay: DelayModel,
     stats: NetStats,
-    trace: Option<Trace>,
     /// Fault-injection state; `None` for an empty schedule, keeping the
     /// chaos-free hot path branch-cheap and byte-identical to older builds.
     chaos: Option<ChaosState>,
@@ -138,7 +136,7 @@ impl<A: Actor> Simulation<A> {
     /// Starts a [`SimulationBuilder`] over the given actors (actor `i` is
     /// process `p_i`). This is the construction entry point; see the
     /// builder for the available knobs (seed, delay model, fault schedule,
-    /// tracing).
+    /// crash recovery, statistics capacity).
     pub fn builder(actors: Vec<A>) -> SimulationBuilder<A> {
         SimulationBuilder::new(actors)
     }
@@ -154,7 +152,6 @@ impl<A: Actor> Simulation<A> {
         seed: u64,
         delay: DelayModel,
         faults: FaultSchedule,
-        trace: Option<TraceDetail>,
         depth_hint: usize,
         restart_hook: Option<RestartHook<A>>,
     ) -> Self {
@@ -171,7 +168,6 @@ impl<A: Actor> Simulation<A> {
             rng: StdRng::seed_from_u64(seed),
             delay,
             stats,
-            trace: trace.map(Trace::with_detail),
             chaos,
             started: false,
             scratch: Vec::new(),
@@ -182,26 +178,6 @@ impl<A: Actor> Simulation<A> {
     /// The fault schedule driving this simulation, when one was installed.
     pub fn faults(&self) -> Option<&FaultSchedule> {
         self.chaos.as_ref().map(|c| &c.schedule)
-    }
-
-    /// Enables trace recording **with payload rendering** — one string
-    /// allocation per network event. Equivalent to
-    /// [`enable_trace_detail`](Self::enable_trace_detail) with
-    /// [`TraceDetail::Payloads`].
-    pub fn enable_trace(&mut self) {
-        self.enable_trace_detail(TraceDetail::Payloads);
-    }
-
-    /// Enables trace recording at an explicit detail level.
-    /// [`TraceDetail::Events`] records endpoints/depth/timing only and
-    /// allocates no strings.
-    pub fn enable_trace_detail(&mut self, detail: TraceDetail) {
-        self.trace = Some(Trace::with_detail(detail));
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Number of processes.
@@ -227,12 +203,6 @@ impl<A: Actor> Simulation<A> {
     /// Borrows all actors.
     pub fn actors(&self) -> &[A] {
         &self.actors
-    }
-
-    /// Mutably borrows an actor (for test setups that need to tweak state
-    /// between steps).
-    pub fn actor_mut(&mut self, id: ProcessId) -> &mut A {
-        &mut self.actors[id.index()]
     }
 
     /// Enqueues one delivery of the payload in `slot`, sampling its link
@@ -265,19 +235,6 @@ impl<A: Actor> Simulation<A> {
                     to: to.index() as u16,
                 },
             );
-        }
-        if let Some(trace) = &mut self.trace {
-            let payload = match trace.detail() {
-                TraceDetail::Payloads => format!("{:?}", self.slab.payload(slot)),
-                TraceDetail::Events => String::new(),
-            };
-            trace.push(TraceEvent::Send {
-                from,
-                to,
-                depth,
-                at: self.now,
-                payload,
-            });
         }
         // Route the delivery through the fault schedule; the decision
         // order and its draws live in `FaultSchedule::verdict`.
@@ -490,19 +447,6 @@ impl<A: Actor> Simulation<A> {
                     },
                 );
             }
-            if let Some(trace) = &mut self.trace {
-                let payload = match trace.detail() {
-                    TraceDetail::Payloads => format!("{:?}", self.slab.payload(slot)),
-                    TraceDetail::Events => String::new(),
-                };
-                trace.push(TraceEvent::Send {
-                    from: me,
-                    to: me,
-                    depth,
-                    at: self.now,
-                    payload,
-                });
-            }
             if let Some(chaos) = self.chaos.as_mut() {
                 match chaos.schedule.crash_hold(me, deliver_at.as_units()) {
                     Some(Some(recovery)) => {
@@ -609,19 +553,6 @@ impl<A: Actor> Simulation<A> {
         self.now = deliver_at;
         let (from, depth) = self.slab.meta(slot);
         self.stats.record_delivery(depth);
-        if let Some(trace) = &mut self.trace {
-            let payload = match trace.detail() {
-                TraceDetail::Payloads => format!("{:?}", self.slab.payload(slot)),
-                TraceDetail::Events => String::new(),
-            };
-            trace.push(TraceEvent::Deliver {
-                from,
-                to,
-                depth,
-                at: self.now,
-                payload,
-            });
-        }
         if let Some(rec) = self.actors[to.index()].recorder_mut() {
             // Stamp the recipient's clock so protocol events recorded inside
             // the handler carry the delivery's virtual time and causal depth.
@@ -686,9 +617,13 @@ impl<A: Actor> Simulation<A> {
 mod tests {
     use super::*;
 
-    /// Echoes every received message back `count` times, decrementing.
+    /// One delivery as its recipient saw it: `(now, from, depth, payload)`.
+    type Delivery = (Time, ProcessId, StepDepth, u32);
+
+    /// Echoes every received message back `count` times, decrementing, and
+    /// logs every delivery.
     struct Echo {
-        received: Vec<(ProcessId, u32, StepDepth)>,
+        received: Vec<Delivery>,
     }
 
     impl Actor for Echo {
@@ -701,7 +636,7 @@ mod tests {
         }
 
         fn on_message(&mut self, from: ProcessId, msg: &u32, ctx: &mut Context<'_, u32>) {
-            self.received.push((from, *msg, ctx.depth()));
+            self.received.push((ctx.now(), from, ctx.depth(), *msg));
             if *msg > 0 {
                 ctx.send(from, msg - 1);
             }
@@ -768,69 +703,21 @@ mod tests {
         assert!(!out.quiescent);
     }
 
-    #[test]
-    fn identical_seeds_produce_identical_traces() {
-        let render = |seed: u64| {
-            let mut sim = echo_sim(4, seed);
-            sim.enable_trace();
-            sim.run(10_000);
-            sim.trace().unwrap().render()
-        };
-        assert_eq!(render(77), render(77));
-        assert_ne!(render(77), render(78));
+    /// Every actor's delivery log, by recipient: the whole schedule as the
+    /// processes observed it.
+    fn delivery_log(sim: &Simulation<Echo>) -> Vec<Vec<Delivery>> {
+        sim.actors().iter().map(|a| a.received.clone()).collect()
     }
 
     #[test]
-    fn events_only_trace_matches_payload_trace_shape() {
-        let run = |detail: TraceDetail| {
-            let mut sim = echo_sim(4, 21);
-            sim.enable_trace_detail(detail);
+    fn identical_seeds_produce_identical_delivery_logs() {
+        let log = |seed: u64| {
+            let mut sim = echo_sim(4, seed);
             sim.run(10_000);
-            sim.trace().unwrap().clone()
+            delivery_log(&sim)
         };
-        let full = run(TraceDetail::Payloads);
-        let lean = run(TraceDetail::Events);
-        assert_eq!(full.len(), lean.len());
-        for (f, l) in full.events().iter().zip(lean.events()) {
-            match (f, l) {
-                (
-                    TraceEvent::Send {
-                        from: f1,
-                        to: t1,
-                        at: a1,
-                        payload: p1,
-                        ..
-                    },
-                    TraceEvent::Send {
-                        from: f2,
-                        to: t2,
-                        at: a2,
-                        payload: p2,
-                        ..
-                    },
-                )
-                | (
-                    TraceEvent::Deliver {
-                        from: f1,
-                        to: t1,
-                        at: a1,
-                        payload: p1,
-                        ..
-                    },
-                    TraceEvent::Deliver {
-                        from: f2,
-                        to: t2,
-                        at: a2,
-                        payload: p2,
-                        ..
-                    },
-                ) => {
-                    assert_eq!((f1, t1, a1), (f2, t2, a2));
-                    assert!(!p1.is_empty() && p2.is_empty());
-                }
-                _ => panic!("event kinds diverged"),
-            }
-        }
+        assert_eq!(log(77), log(77));
+        assert_ne!(log(77), log(78));
     }
 
     #[test]
@@ -955,16 +842,15 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_bit_identical_to_no_schedule() {
-        let render = |faults: Option<FaultSchedule>| {
+        let log = |faults: Option<FaultSchedule>| {
             let mut sim = match faults {
                 Some(f) => echo_sim_with(4, 77, f),
                 None => echo_sim(4, 77),
             };
-            sim.enable_trace();
             sim.run(10_000);
-            sim.trace().unwrap().render()
+            (delivery_log(&sim), sim.stats().clone())
         };
-        assert_eq!(render(None), render(Some(FaultSchedule::none())));
+        assert_eq!(log(None), log(Some(FaultSchedule::none())));
     }
 
     #[test]
@@ -976,16 +862,15 @@ mod tests {
             .partition([ProcessId::new(0)], 1_000_000, 2_000_000)
             .crash(ProcessId::new(1), 1_000_000, 1_500_000)
             .lossy_link_during(None, None, 0.9, 0.9, 1_000_000, 2_000_000);
-        let render = |faults: Option<FaultSchedule>| {
+        let log = |faults: Option<FaultSchedule>| {
             let mut sim = match faults {
                 Some(f) => echo_sim_with(4, 99, f),
                 None => echo_sim(4, 99),
             };
-            sim.enable_trace();
             sim.run(10_000);
-            sim.trace().unwrap().render()
+            delivery_log(&sim)
         };
-        assert_eq!(render(None), render(Some(chaos)));
+        assert_eq!(log(None), log(Some(chaos)));
     }
 
     #[test]
@@ -1068,14 +953,13 @@ mod tests {
                 .crash(ProcessId::new(2), 2, 30)
                 .lossy_link(None, None, 0.3, 0.3)
         };
-        let render = |seed: u64| {
+        let log = |seed: u64| {
             let mut sim = echo_sim_with(5, seed, chaos());
-            sim.enable_trace();
             sim.run(100_000);
-            (sim.trace().unwrap().render(), sim.stats().clone())
+            (delivery_log(&sim), sim.stats().clone())
         };
-        assert_eq!(render(11), render(11));
-        assert_ne!(render(11).0, render(12).0);
+        assert_eq!(log(11), log(11));
+        assert_ne!(log(11).0, log(12).0);
     }
 
     #[test]

@@ -19,20 +19,24 @@
 //! partitioned/crashed deliveries are pinned by the unit tests in
 //! `sim.rs`; here the schedules are random compositions.)
 
-use dex_simnet::{Actor, Context, DelayModel, FaultSchedule, Simulation, Trace, TraceEvent};
-use dex_types::ProcessId;
+use dex_simnet::{Actor, Context, DelayModel, FaultSchedule, Simulation, Time};
+use dex_types::{ProcessId, StepDepth};
 use proptest::prelude::*;
+
+/// One delivery as its recipient saw it: `(now, from, depth, payload)`.
+type Delivery = (Time, ProcessId, StepDepth, (usize, u64));
 
 /// Gossiping census: broadcast own `(origin, value)` fact, forward each
 /// fact the first time it arrives (so traffic spans many time units, not
 /// just the t = 0 start-up burst), decide on a digest of the full census
 /// once all `n` facts are known. First-write-wins per origin makes
 /// duplicated deliveries harmless — exactly the idempotence the protocols
-/// under test rely on.
+/// under test rely on. Every delivery is logged.
 struct Census {
     n: usize,
     seen: Vec<Option<u64>>,
     decided: Option<u64>,
+    log: Vec<Delivery>,
 }
 
 impl Census {
@@ -41,6 +45,7 @@ impl Census {
             n,
             seen: vec![None; n],
             decided: None,
+            log: Vec::new(),
         }
     }
 
@@ -72,7 +77,8 @@ impl Actor for Census {
         ctx.broadcast(fact);
     }
 
-    fn on_message(&mut self, _from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
+    fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
+        self.log.push((ctx.now(), from, ctx.depth(), *msg));
         if self.record(msg.0, msg.1) {
             ctx.broadcast(*msg);
         }
@@ -113,33 +119,35 @@ fn build_healing(
     (schedule, windows)
 }
 
-fn run_census(n: usize, seed: u64, schedule: FaultSchedule) -> (Simulation<Census>, Trace, bool) {
+fn run_census(n: usize, seed: u64, schedule: FaultSchedule) -> (Simulation<Census>, bool) {
     let mut sim = Simulation::builder((0..n).map(|_| Census::new(n)).collect())
         .seed(seed)
         .delay(DelayModel::Uniform { min: 1, max: 10 })
         .faults(schedule)
         .build();
-    sim.enable_trace();
     let quiescent = sim.run(1_000_000).quiescent;
-    let trace = sim.trace().unwrap().clone();
-    (sim, trace, quiescent)
+    (sim, quiescent)
 }
 
-/// Checks crash silence against a recorded trace: no delivery may land
+/// Every process's delivery log, by recipient.
+fn delivery_logs(sim: &Simulation<Census>) -> Vec<Vec<Delivery>> {
+    sim.actors().iter().map(|a| a.log.clone()).collect()
+}
+
+/// Checks crash silence against the delivery logs: no delivery may land
 /// inside any of the victim's windows (the simulator's hold is a fixpoint
 /// over chained windows, so each window can be checked independently).
-fn assert_crash_silence(trace: &Trace, crashes: &[(usize, u64, u64)]) -> Result<(), TestCaseError> {
-    for ev in trace.events() {
-        if let TraceEvent::Deliver { to, at, .. } = ev {
+fn assert_crash_silence(
+    sim: &Simulation<Census>,
+    crashes: &[(usize, u64, u64)],
+) -> Result<(), TestCaseError> {
+    for &(victim, start, until) in crashes {
+        for &(at, ..) in &sim.actors()[victim].log {
             let at = at.as_units();
-            for &(victim, start, until) in crashes {
-                if to.index() == victim {
-                    prop_assert!(
-                        at < start || at >= until,
-                        "delivery to p{victim} at t={at} inside crash window [{start}, {until})"
-                    );
-                }
-            }
+            prop_assert!(
+                at < start || at >= until,
+                "delivery to p{victim} at t={at} inside crash window [{start}, {until})"
+            );
         }
     }
     Ok(())
@@ -161,7 +169,7 @@ proptest! {
         dup in proptest::option::of(0.05f64..0.5),
     ) {
         let (schedule, crashes) = build_healing(n, partition, &raw_crashes, dup);
-        let (sim, trace, quiescent) = run_census(n, seed, schedule);
+        let (sim, quiescent) = run_census(n, seed, schedule);
         prop_assert!(quiescent, "healing schedules must drain");
 
         let decisions: Vec<Option<u64>> = sim.actors().iter().map(|a| a.decided).collect();
@@ -169,11 +177,11 @@ proptest! {
             prop_assert!(d.is_some(), "every process must decide after the last heal");
             prop_assert_eq!(*d, decisions[0], "agreement under chaos");
         }
-        assert_crash_silence(&trace, &crashes)?;
+        assert_crash_silence(&sim, &crashes)?;
     }
 
-    // The same (seed, schedule) replays bit-for-bit: identical trace,
-    // identical statistics, identical decisions.
+    // The same (seed, schedule) replays bit-for-bit: identical delivery
+    // logs, identical statistics, identical decisions.
     #[test]
     fn chaos_runs_are_deterministic_per_seed_and_schedule(
         n in 3usize..7,
@@ -185,10 +193,10 @@ proptest! {
             .lossy_link(Some(ProcessId::new(0)), None, drop, dup)
             .partition([ProcessId::new(1)], 5, 60)
             .crash(ProcessId::new(2.min(n - 1)), 3, 50);
-        let (sim_a, trace_a, qa) = run_census(n, seed, schedule.clone());
-        let (sim_b, trace_b, qb) = run_census(n, seed, schedule);
+        let (sim_a, qa) = run_census(n, seed, schedule.clone());
+        let (sim_b, qb) = run_census(n, seed, schedule);
         prop_assert_eq!(qa, qb);
-        prop_assert_eq!(trace_a.render(), trace_b.render());
+        prop_assert_eq!(delivery_logs(&sim_a), delivery_logs(&sim_b));
         prop_assert_eq!(sim_a.stats(), sim_b.stats());
         let da: Vec<_> = sim_a.actors().iter().map(|a| a.decided).collect();
         let db: Vec<_> = sim_b.actors().iter().map(|a| a.decided).collect();
@@ -206,7 +214,7 @@ proptest! {
     ) {
         // Process 0 is the lossy one, in both directions.
         let schedule = FaultSchedule::new().lossy_processes([ProcessId::new(0)], drop, 0.0);
-        let (sim, _, quiescent) = run_census(n, seed, schedule);
+        let (sim, quiescent) = run_census(n, seed, schedule);
         prop_assert!(quiescent, "drops must never livelock the network");
         for (i, actor) in sim.actors().iter().enumerate().skip(1) {
             for j in 1..n {
@@ -230,10 +238,10 @@ fn fixed_seed_chaos_run_is_byte_stable() {
         .crash(ProcessId::new(2), 2, 40)
         .lossy_link(Some(ProcessId::new(3)), None, 0.25, 0.0)
         .dup_all(0.2);
-    let (sim, trace, quiescent) = run_census(5, 31, schedule.clone());
+    let (sim, quiescent) = run_census(5, 31, schedule.clone());
     assert!(quiescent);
-    let (_, trace_again, _) = run_census(5, 31, schedule);
-    assert_eq!(trace.render(), trace_again.render());
+    let (again, _) = run_census(5, 31, schedule);
+    assert_eq!(delivery_logs(&sim), delivery_logs(&again));
     // Conservation: every sent message is delivered or dropped, and every
     // duplication adds exactly one extra delivery.
     let stats = sim.stats();

@@ -2,18 +2,22 @@
 //! eager per-recipient expansion: a `Dest::All` broadcast and `n` explicit
 //! `send`s (in ascending recipient order) consume the same RNG stream,
 //! produce the same sequence numbers and therefore the same virtual-time
-//! schedule, trace, and statistics — the slab only changes who owns the
-//! payload bytes.
+//! schedule, delivery logs, and statistics — the slab only changes who owns
+//! the payload bytes.
 
-use dex_simnet::{Actor, Context, DelayModel, NetStats, Simulation, Trace};
-use dex_types::ProcessId;
+use dex_simnet::{Actor, Context, DelayModel, NetStats, Simulation, Time};
+use dex_types::{ProcessId, StepDepth};
 use proptest::prelude::*;
 
+/// One delivery as its recipient saw it: `(now, from, depth, payload)`.
+type Delivery = (Time, ProcessId, StepDepth, u64);
+
 /// Gossip over shared payloads: broadcast on start, rebroadcast each
-/// received value while a per-process budget lasts.
+/// received value while a per-process budget lasts; log every delivery.
 struct Fast {
     budget: u32,
     sum: u64,
+    log: Vec<Delivery>,
 }
 
 /// The same protocol, but every multicast is hand-expanded into `n`
@@ -21,6 +25,7 @@ struct Fast {
 struct Expanded {
     budget: u32,
     sum: u64,
+    log: Vec<Delivery>,
 }
 
 fn react(budget: &mut u32, sum: &mut u64, msg: u64) -> Option<u64> {
@@ -40,7 +45,8 @@ impl Actor for Fast {
         ctx.broadcast(ctx.me().index() as u64 + 1);
     }
 
-    fn on_message(&mut self, _from: ProcessId, msg: &u64, ctx: &mut Context<'_, u64>) {
+    fn on_message(&mut self, from: ProcessId, msg: &u64, ctx: &mut Context<'_, u64>) {
+        self.log.push((ctx.now(), from, ctx.depth(), *msg));
         if let Some(reply) = react(&mut self.budget, &mut self.sum, *msg) {
             ctx.broadcast(reply);
         }
@@ -60,53 +66,62 @@ impl Actor for Expanded {
         send_to_all(ctx, ctx.me().index() as u64 + 1);
     }
 
-    fn on_message(&mut self, _from: ProcessId, msg: &u64, ctx: &mut Context<'_, u64>) {
+    fn on_message(&mut self, from: ProcessId, msg: &u64, ctx: &mut Context<'_, u64>) {
+        self.log.push((ctx.now(), from, ctx.depth(), *msg));
         if let Some(reply) = react(&mut self.budget, &mut self.sum, *msg) {
             send_to_all(ctx, reply);
         }
     }
 }
 
-fn run_fast(n: usize, budget: u32, seed: u64, delay: DelayModel) -> (Trace, NetStats, Vec<u64>) {
-    let mut sim = Simulation::builder((0..n).map(|_| Fast { budget, sum: 0 }).collect())
+/// Every process's delivery log and final sum, plus the network statistics.
+type Run = (Vec<Vec<Delivery>>, NetStats, Vec<u64>);
+
+fn run_fast(n: usize, budget: u32, seed: u64, delay: DelayModel) -> Run {
+    let actors = (0..n).map(|_| Fast {
+        budget,
+        sum: 0,
+        log: Vec::new(),
+    });
+    let mut sim = Simulation::builder(actors.collect())
         .seed(seed)
         .delay(delay)
         .build();
-    sim.enable_trace();
     let out = sim.run(u64::MAX);
     assert!(out.quiescent);
+    let logs = sim.actors().iter().map(|a| a.log.clone()).collect();
     let sums = sim.actors().iter().map(|a| a.sum).collect();
-    (sim.trace().unwrap().clone(), sim.stats().clone(), sums)
+    (logs, sim.stats().clone(), sums)
 }
 
-fn run_expanded(
-    n: usize,
-    budget: u32,
-    seed: u64,
-    delay: DelayModel,
-) -> (Trace, NetStats, Vec<u64>) {
-    let mut sim = Simulation::builder((0..n).map(|_| Expanded { budget, sum: 0 }).collect())
+fn run_expanded(n: usize, budget: u32, seed: u64, delay: DelayModel) -> Run {
+    let actors = (0..n).map(|_| Expanded {
+        budget,
+        sum: 0,
+        log: Vec::new(),
+    });
+    let mut sim = Simulation::builder(actors.collect())
         .seed(seed)
         .delay(delay)
         .build();
-    sim.enable_trace();
     let out = sim.run(u64::MAX);
     assert!(out.quiescent);
+    let logs = sim.actors().iter().map(|a| a.log.clone()).collect();
     let sums = sim.actors().iter().map(|a| a.sum).collect();
-    (sim.trace().unwrap().clone(), sim.stats().clone(), sums)
+    (logs, sim.stats().clone(), sums)
 }
 
-/// Fixed-scenario regression: the rendered trace (every send, delivery,
-/// timestamp, depth, and payload) is byte-identical between the two
-/// semantics, and so is the statistics block apart from the multicast
+/// Fixed-scenario regression: every process's delivery log (instant,
+/// sender, depth and payload of each delivery) is identical between the
+/// two semantics, and so is the statistics block apart from the multicast
 /// accounting itself.
 #[test]
-fn broadcast_trace_is_byte_identical_to_eager_expansion() {
+fn broadcast_delivery_logs_are_identical_to_eager_expansion() {
     for seed in [0, 7, 31, 99] {
         let delay = DelayModel::Uniform { min: 1, max: 20 };
-        let (ft, fs, fsums) = run_fast(5, 3, seed, delay.clone());
-        let (et, es, esums) = run_expanded(5, 3, seed, delay);
-        assert_eq!(ft.render(), et.render(), "seed {seed}");
+        let (flogs, fs, fsums) = run_fast(5, 3, seed, delay.clone());
+        let (elogs, es, esums) = run_expanded(5, 3, seed, delay);
+        assert_eq!(flogs, elogs, "seed {seed}");
         assert_eq!(fsums, esums, "seed {seed}");
         assert_eq!(fs.sent, es.sent, "seed {seed}");
         assert_eq!(fs.delivered, es.delivered, "seed {seed}");
@@ -130,7 +145,7 @@ proptest! {
 
     /// `Dest::All` ≡ `n` explicit sends under arbitrary system sizes,
     /// budgets, seeds, and delay jitter: same RNG consumption, same
-    /// schedule, same trace, same end state.
+    /// schedule, same delivery logs, same end state.
     #[test]
     fn multicast_equals_explicit_sends(
         n in 1usize..8,
@@ -139,9 +154,9 @@ proptest! {
         max_delay in 1u64..30,
     ) {
         let delay = DelayModel::Uniform { min: 1, max: max_delay };
-        let (ft, fs, fsums) = run_fast(n, budget, seed, delay.clone());
-        let (et, es, esums) = run_expanded(n, budget, seed, delay);
-        prop_assert_eq!(ft.render(), et.render());
+        let (flogs, fs, fsums) = run_fast(n, budget, seed, delay.clone());
+        let (elogs, es, esums) = run_expanded(n, budget, seed, delay);
+        prop_assert_eq!(flogs, elogs);
         prop_assert_eq!(fsums, esums);
         prop_assert_eq!(fs.sent, es.sent);
         prop_assert_eq!(fs.delivered, es.delivered);

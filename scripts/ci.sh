@@ -8,8 +8,9 @@
 #   lint             cargo fmt --check + clippy -D warnings (first-party);
 #                    the workflow's stage matrix names only stages below
 #   build            warning-free release build of the workspace + examples
-#   test             full test suite (twice, default parallelism), example
-#                    smokes (window_scan at n = 7, 8 slots), trace determinism;
+#   test             full test suite (twice, default parallelism; includes the
+#                    simnet multicast/chaos delivery-log properties), example
+#                    smokes (window_scan at n = 7, 8 slots), trace determinism:
 #                    dex-sim --trace at n = 7, dex-freq, seed 31 (twice), and at
 #                    n = 8, f = 1 equivocating, seed 31 for bosco, plain,
 #                    brasileiro and crash-adaptive, equals the committed
@@ -74,9 +75,6 @@ stage_test() {
   cargo run --release -q --example quickstart > /dev/null
   cargo run --release -q --example equivocation_demo > /dev/null
   cargo run --release -q --example window_scan -- 7 1 8 > /dev/null
-
-  echo "== trace determinism: multicast fast path vs eager expansion"
-  cargo test -q -p dex-simnet --test prop_multicast
 
   echo "== trace determinism: dex-sim --trace twice, byte-identical to results/logs/trace_31_dex-freq.json"
   local trace_args=(--n 7 --t 1 --algo dex-freq --workload bernoulli:0.8 --f 1

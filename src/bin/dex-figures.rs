@@ -18,8 +18,8 @@
 //! A batch-shaped figure is a grid of cells, each one [`run_batch`] over a
 //! [`BatchSpec`], asserted safe and live by [`clean`]. A cell's seeds are
 //! literals where it is built: base 2010, plus one offset per column where
-//! columns must not share runs. `fig1_trace`'s annotated runs, `fig_idb`
-//! and `legality_check` drive their own machinery; `fig_hist` and
+//! columns must not share runs. `fig_idb` and `legality_check` drive their
+//! own machinery; `fig1_trace`'s annotated runs, `fig_hist` and
 //! `fuzz_safety` build single runs.
 //!
 //! `DEX_RUNS=<n>` (`n ≥ 1`) overrides every figure's batch size;
@@ -29,11 +29,12 @@
 
 use dex::adversary::{ByzantineStrategy, FaultPlan};
 use dex::conditions::{verify, FrequencyPair, PrivilegedPair};
+use dex::harness::idb;
 use dex::harness::runner::{
-    run_batch, run_instance, Algo, BatchSpec, BatchStats, Placement, RunInstance,
+    run_batch, run_instance, run_instance_traced, Algo, BatchSpec, BatchStats, Outcome, Placement,
+    RunInstance,
 };
 use dex::harness::spec::ChaosSpec;
-use dex::harness::{idb, trace};
 use dex::metrics::{Histogram, Table};
 use dex::simnet::DelayModel;
 use dex::types::{InputVector, SystemConfig};
@@ -315,30 +316,78 @@ fn crash_rows(t: usize, runs: usize) -> Table {
 /// per input class, plus a decision-path census.
 fn fig1_trace() {
     let runs = runs_from_env(200);
-
-    println!("== One-step run (unanimous input)\n");
-    println!(
-        "{}",
-        trace::annotated_run(InputVector::unanimous(7, 5), 1, 1)
-    );
-
-    println!("== Two-step run (margin 3: in C2 \\ C1)\n");
-    println!(
-        "{}",
-        trace::annotated_run(InputVector::new(vec![5, 5, 5, 5, 5, 9, 9]), 1, 2)
-    );
-
-    println!("== Fallback run (margin 1: outside both conditions)\n");
-    println!(
-        "{}",
-        trace::annotated_run(InputVector::new(vec![5, 5, 5, 5, 9, 9, 9]), 1, 3)
-    );
-
+    for (heading, input, seed, path) in fig1_runs() {
+        println!("== {heading}\n");
+        println!("{}", fig1_run(input, seed, path));
+    }
     emit(
         "fig1_census",
         &format!("Decision-path census per input class ({runs} runs each)"),
         &census(runs),
     );
+}
+
+/// E2's annotated runs at `n = 7`, `t = 1`: heading, input, seed, and the
+/// path every process must decide on.
+fn fig1_runs() -> [(&'static str, InputVector<u64>, u64, &'static str); 3] {
+    [
+        (
+            "One-step run (unanimous input)",
+            InputVector::unanimous(7, 5),
+            1,
+            "1-step",
+        ),
+        (
+            "Two-step run (margin 3: in C2 \\ C1)",
+            InputVector::new(vec![5, 5, 5, 5, 5, 9, 9]),
+            2,
+            "2-step",
+        ),
+        (
+            "Fallback run (margin 1: outside both conditions)",
+            InputVector::new(vec![5, 5, 5, 5, 9, 9, 9]),
+            3,
+            "fallback",
+        ),
+    ]
+}
+
+/// One annotated DEX-freq run: the input, the run's `dex-obs` trace
+/// artifact (view sets, predicate evaluations, IDB steps — which Fig. 1
+/// lines fire), and every process's decision.
+///
+/// # Panics
+///
+/// Panics, naming the seed, unless the run drained, passed the invariant
+/// checker, and every process decided via `path`.
+fn fig1_run(input: InputVector<u64>, seed: u64, path: &str) -> String {
+    let cfg = SystemConfig::new(input.n(), 1).expect("n > 3t");
+    let mut out = format!("input: {input:?}\n");
+    let traced = run_instance_traced(&RunInstance {
+        seed,
+        ..RunInstance::base(cfg, Algo::DexFreq, input)
+    });
+    let report = dex::obs::check(&traced.trace);
+    let result = &traced.result;
+    assert!(result.quiescent, "fig1 run, seed {seed}: not quiescent");
+    assert!(
+        report.is_ok(),
+        "fig1 run, seed {seed}: invariant violations {:?}",
+        report.violations
+    );
+    out.push_str(&dex::obs::json::render(&traced.trace, &report));
+    out.push_str(&format!("quiescent: {}\n", result.quiescent));
+    for (i, outcome) in result.outcomes.iter().enumerate() {
+        let Outcome::Decided(d) = outcome else {
+            panic!("fig1 run, seed {seed}: p{i} {outcome:?}");
+        };
+        assert_eq!(d.path, path, "fig1 run, seed {seed}: p{i}'s path");
+        out.push_str(&format!(
+            "p{i} decided {} via {} at depth {} (t={})\n",
+            d.value, d.path, d.steps, d.latency
+        ));
+    }
+    out
 }
 
 /// Decision paths of DEX-freq at `n = 6t + 1`, `t = 1`, on one fixed split
@@ -1201,6 +1250,17 @@ mod tests {
         assert!(frac > 0.9, "adaptive one-step fraction {frac}");
         let bfrac = cell(&table, "brasileiro,4,margin-2 split,0", 4);
         assert!(bfrac < frac, "brasileiro {bfrac} vs adaptive {frac}");
+    }
+
+    #[test]
+    fn fig1_runs_decide_on_their_class_paths() {
+        // `fig1_run` asserts the path, quiescence and a clean check itself.
+        for (_, input, seed, path) in fig1_runs() {
+            let rendered = fig1_run(input, seed, path);
+            assert!(rendered.contains("\"ok\":true"), "seed {seed}");
+            let decided = format!("decided 5 via {path}");
+            assert_eq!(rendered.matches(&decided).count(), 7, "seed {seed}");
+        }
     }
 
     #[test]

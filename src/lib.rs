@@ -99,7 +99,7 @@ pub mod prelude {
     };
     pub use dex_obs::{check, CheckReport, Recorder, RunTrace};
     pub use dex_simnet::{
-        Actor, Context, DelayModel, FaultSchedule, Simulation, SimulationBuilder, TraceDetail,
+        Actor, Context, DelayModel, FaultSchedule, Simulation, SimulationBuilder,
     };
     pub use dex_types::{InputVector, ProcessId, StepDepth, SystemConfig, View};
     pub use dex_underlying::{OracleConsensus, Outbox, ReducedMvc, UnderlyingConsensus};
