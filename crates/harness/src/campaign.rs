@@ -237,32 +237,6 @@ impl CampaignSpec {
             trace: false,
         }
     }
-
-    /// The netd spelling of the same `(cell, run)` task: identical spec,
-    /// but executed as real processes over TCP by the `dex-netd` cluster
-    /// harness. Only fault-free cells are eligible — the netd consensus
-    /// cell spawns one child per process and a Byzantine child would need
-    /// its own adversarial binary. Used to record wall-clock fast-decision
-    /// rates next to the simnet rates in the campaign artifact.
-    pub fn runspec_for_netd(&self, cell: &CampaignCell, run: usize) -> Result<RunSpec, String> {
-        if cell.f != 0 {
-            return Err(format!(
-                "campaign cell has f = {} but netd consensus children all run correct \
-                 code; pick an f = 0 cell",
-                cell.f
-            ));
-        }
-        if !cell.chaos.is_none() {
-            return Err(
-                "campaign-over-netd compares fast-decision rates on clean networks; \
-                 pick a chaos-free cell (netd chaos cells run via --cluster --chaos)"
-                    .into(),
-            );
-        }
-        let mut spec = self.runspec_for(cell, run);
-        spec.runtime = crate::spec::RuntimeSpec::Netd { peers: None };
-        Ok(spec)
-    }
 }
 
 /// The compact per-run record a campaign worker keeps — decide-path

@@ -16,17 +16,17 @@
 //!   type.
 //! * [`spec`] — the unified, serializable [`RunSpec`](spec::RunSpec)
 //!   (system size, algorithm, workload, adversary, chaos schedule, seed…)
-//!   that maps 1:1 onto the `dex-sim` CLI flags and runs batches directly.
-//! * [`stats`] — the shared [`RunStats`](stats::RunStats) carrier every
-//!   runtime's result surface projects into, so `--stats` prints the same
-//!   per-class wire breakdown on simnet, threadnet and netd alike.
+//!   that maps 1:1 onto the `dex-sim` CLI flags and runs batches directly;
+//!   `dex-netd` children parse their run's spec from the same flags.
 //! * [`runner`] — one generic run body for every algorithm on simnet or
 //!   threadnet ([`run_instance`](runner::run_instance)), the one per-run
 //!   derivation ([`BatchSpec::instance`](runner::BatchSpec::instance)),
-//!   the one worker pool (`par_map`, shared with [`campaign`]) and batch
-//!   execution with safety checking (agreement / unanimity / termination
-//!   violations are *counted*, the experiment asserts they stay zero) and
-//!   step/latency statistics.
+//!   the one worker pool (`par_map`, shared with [`campaign`]) and the one
+//!   outcome ledger, [`BatchStats::fold`](runner::BatchStats::fold):
+//!   agreement / unanimity / termination violations are *counted* (the
+//!   experiment asserts they stay zero) next to step/latency statistics
+//!   and the wire ledger, for simnet and threadnet batches and netd
+//!   cluster cells alike.
 //! * [`campaign`] — the million-client testbed sweep: a
 //!   [`CampaignSpec`](campaign::CampaignSpec) fans contention-phase
 //!   workloads across seeds × adversaries × chaos schedules × legal
@@ -93,7 +93,6 @@ pub mod nodes;
 pub mod pipeline;
 pub mod runner;
 pub mod spec;
-pub mod stats;
 mod ucwrap;
 
 pub use ucwrap::{AnyUc, AnyUcMsg};

@@ -577,8 +577,9 @@ impl<'a> BatchSpec<'a> {
     /// seed draws the input vector first and then (under
     /// [`Placement::RandomK`]) the fault plan; the chaos schedule is
     /// compiled against that plan. Batches, `--trace` replays, the
-    /// threaded runtime, campaign tasks and netd's consensus cells all
-    /// execute exactly the instance this returns.
+    /// threaded runtime, campaign tasks and netd's consensus cells (with
+    /// [`Placement::LastK`], netd's fault budget) all execute exactly the
+    /// instance this returns.
     pub fn instance(&self, i: usize) -> RunInstance {
         let seed = self.seed0 + i as u64;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
@@ -652,8 +653,9 @@ impl BatchStats {
 
     /// Folds one finished run into the aggregate, checking the safety and
     /// liveness predicates against that run's input and fault plan — the
-    /// one violation ledger every runtime is held to.
-    fn fold(&mut self, inst: &RunInstance, run: &RunResult) {
+    /// one violation ledger every runtime is held to (the `dex-netd`
+    /// cluster folds its cells here too).
+    pub fn fold(&mut self, inst: &RunInstance, run: &RunResult) {
         self.runs += 1;
         if !run.quiescent {
             self.non_quiescent += 1;

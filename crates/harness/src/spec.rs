@@ -806,7 +806,8 @@ pub struct RunSpec {
     /// Network chaos schedule (`--chaos`).
     pub chaos: ChaosSpec,
     /// Pipelined replication (`--pipeline <window>:<batch>`; `1:1` keeps
-    /// the single-shot consensus path).
+    /// the single-shot consensus path). On netd the window is the kill9
+    /// replicas' window.
     pub pipeline: PipelineSpec,
     /// Echo/vote aggregation (the valueless `--aggregate` flag; off keeps
     /// the wire byte-identical to pre-aggregation builds).

@@ -73,18 +73,33 @@ pub struct TearPoint {
     pub offset: usize,
 }
 
-/// Per-destination-link mutable state: the dedicated RNG stream plus
-/// realized counters for the trace report.
+/// One outbound link's fault trace: the seed-deterministic schedule
+/// digest plus realized counters. Only the digest is compared across runs
+/// — counters are informational (wall-clock runs legitimately differ in
+/// how many frames each connection carries).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ChaosReport {
+    /// Destination process of the reported link.
+    pub to: usize,
+    /// [`ChaosRuntime::sched_digest`] for the link.
+    pub sched: u64,
+    /// Logical frames offered to the link.
+    pub frames: u64,
+    /// Frames the schedule dropped.
+    pub drops: u64,
+    /// Frames the schedule duplicated.
+    pub dups: u64,
+    /// Frames held by a partition or crash window.
+    pub held: u64,
+    /// Mid-frame connection tears (test schedules only).
+    pub torn: u64,
+}
+
+/// Per-destination-link mutable state: the dedicated RNG stream plus the
+/// link's report (digest fixed at construction, counters realized).
 struct LinkChaos {
     rng: StdRng,
-    /// Digest of the RNG stream + schedule, fixed at construction.
-    sched_digest: u64,
-    /// Logical frames offered to this link.
-    frames: u64,
-    drops: u64,
-    dups: u64,
-    held: u64,
-    torn: u64,
+    report: ChaosReport,
     /// Frames offered to the socket so far (tear schedule index).
     write_attempts: u64,
 }
@@ -149,12 +164,15 @@ impl ChaosRuntime {
                 digest = fnv1a(digest, schedule.crash_windows().len() as u64);
                 Some(Mutex::new(LinkChaos {
                     rng,
-                    sched_digest: digest,
-                    frames: 0,
-                    drops: 0,
-                    dups: 0,
-                    held: 0,
-                    torn: 0,
+                    report: ChaosReport {
+                        to,
+                        sched: digest,
+                        frames: 0,
+                        drops: 0,
+                        dups: 0,
+                        held: 0,
+                        torn: 0,
+                    },
                     write_attempts: 0,
                 }))
             })
@@ -204,12 +222,12 @@ impl ChaosRuntime {
             };
         };
         let mut link = link.lock().expect("chaos link lock");
-        link.frames += 1;
+        link.report.frames += 1;
         let verdict = self.schedule.verdict(&mut link.rng, self.me, to, at, 0);
         match verdict {
             Verdict::Drop { held_partition } => {
-                link.held += u64::from(held_partition);
-                link.drops += 1;
+                link.report.held += u64::from(held_partition);
+                link.report.drops += 1;
             }
             Verdict::Deliver {
                 held_partition,
@@ -217,8 +235,8 @@ impl ChaosRuntime {
                 dup_at,
                 ..
             } => {
-                link.held += u64::from(held_partition) + u64::from(held_crash);
-                link.dups += u64::from(dup_at.is_some());
+                link.report.held += u64::from(held_partition) + u64::from(held_crash);
+                link.report.dups += u64::from(dup_at.is_some());
             }
         }
         verdict
@@ -237,7 +255,7 @@ impl ChaosRuntime {
             .tears
             .iter()
             .find(|t| t.to == to.index() && t.attempt == attempt)?;
-        link.torn += 1;
+        link.report.torn += 1;
         Some(hit.offset.clamp(1, frame_len.saturating_sub(1).max(1)))
     }
 
@@ -266,24 +284,17 @@ impl ChaosRuntime {
     pub fn sched_digest(&self, to: ProcessId) -> Option<u64> {
         self.links[to.index()]
             .as_ref()
-            .map(|l| l.lock().expect("chaos link lock").sched_digest)
+            .map(|l| l.lock().expect("chaos link lock").report.sched)
     }
 
-    /// One `CHAOS` report line per outbound link, in destination order:
-    /// the digest (compared across runs) plus realized counters
-    /// (informational). Parsed by the cluster harness via
-    /// [`crate::cluster::parse_chaos_line`].
-    pub fn trace_lines(&self) -> Vec<String> {
+    /// One report per outbound link, in destination order: the digest
+    /// (compared across runs) plus realized counters (informational). The
+    /// cluster harness owns their `CHAOS` line spelling.
+    pub fn reports(&self) -> Vec<ChaosReport> {
         self.links
             .iter()
-            .enumerate()
-            .filter_map(|(to, link)| {
-                let link = link.as_ref()?.lock().expect("chaos link lock");
-                Some(format!(
-                    "CHAOS to={} sched={:#018x} frames={} drops={} dups={} held={} torn={}",
-                    to, link.sched_digest, link.frames, link.drops, link.dups, link.held, link.torn
-                ))
-            })
+            .flatten()
+            .map(|link| link.lock().expect("chaos link lock").report)
             .collect()
     }
 }
@@ -467,24 +478,21 @@ mod tests {
         assert_eq!(rt.tear_len(to, 20), None);
         // Other links are untouched, and the trace reports the tears.
         assert_eq!(rt.tear_len(ProcessId::new(2), 20), None);
-        let lines = rt.trace_lines();
-        assert_eq!(lines.len(), 2);
-        assert!(
-            lines[0].contains("to=1") && lines[0].contains("torn=2"),
-            "{lines:?}"
-        );
+        let reports = rt.reports();
+        assert_eq!(reports.len(), 2);
+        assert_eq!((reports[0].to, reports[0].torn), (1, 2), "{reports:?}");
     }
 
     #[test]
-    fn trace_lines_carry_digests_and_realized_counters() {
+    fn reports_carry_digests_and_realized_counters() {
         let spec = ChaosSpec::DropHeavy { p: 1.0 };
         let rt = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(0), 11, 1000);
         let _ = rt.outbound(ProcessId::new(6)); // dropped (budget link)
         let _ = rt.outbound(ProcessId::new(1)); // delivered
-        let lines = rt.trace_lines();
-        assert_eq!(lines.len(), 6, "one line per outbound link");
-        let l6 = lines.iter().find(|l| l.contains("to=6 ")).expect("p6 line");
-        assert!(l6.contains("frames=1") && l6.contains("drops=1"), "{l6}");
-        assert!(l6.contains("sched=0x"), "{l6}");
+        let reports = rt.reports();
+        assert_eq!(reports.len(), 6, "one report per outbound link");
+        let r6 = reports.iter().find(|r| r.to == 6).expect("p6 report");
+        assert_eq!((r6.frames, r6.drops), (1, 1), "{r6:?}");
+        assert_eq!(Some(r6.sched), rt.sched_digest(ProcessId::new(6)));
     }
 }

@@ -6,12 +6,13 @@
 //! TCP:
 //!
 //! 1. **Consensus cells** (the campaign MATRIX's fault-free cells): run
-//!    `i` proposes the input vector of the spec's batch run `i`
-//!    ([`RunSpec::instance`] — the very derivation `run_batch` executes),
-//!    `n` child processes are spawned — each a
-//!    [`DexActor`] on an [`Endpoint`](crate::endpoint::Endpoint) — and
-//!    every correct process must report a decision; agreement is asserted
-//!    across the children's `DECIDED` reports.
+//!    `i` is the spec's batch run `i` ([`RunSpec::instance`] — the very
+//!    derivation `run_batch` executes, with netd's last-`f` fault
+//!    budget), `n` child processes are spawned — each a [`DexActor`] on an
+//!    [`Endpoint`](crate::endpoint::Endpoint) — and every awaited child's
+//!    `DECIDED` report becomes that process's [`Outcome`]. The cell is one
+//!    [`RunResult`], judged for agreement and unanimity and folded into
+//!    the [`BatchStats`] ledger every runtime shares.
 //! 2. **kill -9 + respawn**: `n` replica children run multi-slot DEX
 //!    against per-process [`FileWal`]s. One non-coordinator victim is
 //!    killed with a literal `SIGKILL` mid-run, then respawned with
@@ -20,25 +21,29 @@
 //!    The phase converges when every replica reports the full committed
 //!    prefix and a single state-machine digest.
 //!
-//! Children report on stdout with a line protocol (`DECIDED …`,
-//! `PROGRESS …`, `DONE …`, `STATS …`); the parent folds the per-child
-//! wire ledgers into one [`NetStats`] and emits wall-clock artifacts
-//! (`BENCH_netd.json`, `results/netd_<seed>.json`) shape-compatible with
-//! the simnet artifacts. Each child also watches its stdin and
-//! exits when the parent goes away, so an aborted harness never leaks
-//! orphan processes.
+//! A child's argv is its run's own [`RunSpec::to_args`] (the run seed,
+//! `--runtime netd --peers <table>`) plus role flags; children report on
+//! stdout in the [`Report`] line grammar. The parent emits wall-clock
+//! artifacts (`BENCH_netd.json`, `results/netd_<seed>.json`)
+//! shape-compatible with the simnet artifacts. Each child also watches its
+//! stdin and exits when the parent goes away, so an aborted harness never
+//! leaks orphan processes.
 
-use crate::chaos::{splitmix64, ChaosRuntime, DEFAULT_SCALE_US};
+use crate::chaos::{splitmix64, ChaosReport, ChaosRuntime, DEFAULT_SCALE_US};
 use crate::endpoint::Endpoint;
 use crate::listener::free_loopback_addrs;
 use dex_conditions::FrequencyPair;
 use dex_core::{DexActor, DexProcess};
 use dex_harness::campaign::{CampaignCell, CampaignSpec};
-use dex_harness::spec::{AddressTable, ChaosSpec, RunSpec};
-use dex_harness::stats::RunStats;
+use dex_harness::runner::{
+    run_instance, Algo, BatchStats, Outcome, Placement, RunInstance, RunResult,
+};
+use dex_harness::spec::{
+    AddressTable, AdversarySpec, ChaosSpec, RunSpec, RuntimeSpec, UnderlyingSpec,
+};
 use dex_replication::{Durability, FileWal, Replica, StateMachine, TotalOrder};
-use dex_simnet::NetStats;
-use dex_types::{ProcessId, StepDepth, SystemConfig};
+use dex_simnet::{NetStats, Time};
+use dex_types::{DecisionPath, ProcessId, StepDepth, SystemConfig};
 use dex_underlying::OracleConsensus;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -64,12 +69,11 @@ pub enum Phase {
 /// knobs.
 #[derive(Clone, Debug)]
 pub struct ClusterOpts {
-    /// The spec driving workload, `n`/`t`, seeding and `--stats`.
+    /// The spec driving workload, `n`/`t`, seeding, `--stats`, the kill9
+    /// window (`--pipeline <W>`) and kill schedule (`--kill`).
     pub spec: RunSpec,
     /// Committed slots the kill-9 phase must reach.
     pub slots: u64,
-    /// Pipeline window for the kill-9 replicas.
-    pub window: u64,
     /// Phase selection.
     pub phase: Phase,
     /// Per-phase wall-clock budget before the harness gives up.
@@ -84,23 +88,12 @@ pub struct ClusterOpts {
 pub struct NodeOpts {
     /// This process's id.
     pub me: ProcessId,
-    /// Cluster size.
-    pub n: usize,
-    /// Fault bound.
-    pub t: usize,
-    /// Run seed (shared by the whole cluster; per-process RNGs derive).
-    pub seed: u64,
-    /// Chaos schedule this child compiles into its [`ChaosRuntime`]
-    /// (`ChaosSpec::None` runs clean).
-    pub chaos: ChaosSpec,
-    /// Fault budget the chaos schedule is compiled against (last-`f`
-    /// placement; the budget children are real processes running correct
-    /// code whose liveness the parent does not await).
-    pub f: usize,
+    /// The run's spec: system size, run seed, chaos schedule and fault
+    /// budget, aggregation, kill9 window and divergence, and the `--peers`
+    /// table this child binds entry `me` of.
+    pub spec: RunSpec,
     /// Wall microseconds per virtual chaos-schedule unit.
     pub scale_us: u64,
-    /// Where every process listens (`--peers`); this one binds entry `me`.
-    pub peers: AddressTable,
     /// What this child runs.
     pub role: Role,
 }
@@ -112,8 +105,6 @@ pub enum Role {
     Consensus {
         /// This process's input value.
         propose: u64,
-        /// Echo aggregation on the actor.
-        aggregate: bool,
     },
     /// Multi-slot replication against a WAL.
     Replica {
@@ -121,19 +112,47 @@ pub enum Role {
         wal: PathBuf,
         /// Target committed slots.
         slots: u64,
-        /// Pipeline window.
-        window: u64,
         /// Boot through crash recovery instead of `on_start`.
         respawn: bool,
-        /// Draw per-process *divergent* pending commands instead of the
-        /// identical stream (the divergent-state kill -9 schedule).
-        divergent: bool,
     },
 }
 
 // ---------------------------------------------------------------------
-// The stdout line protocol.
+// The stdout report grammar.
 // ---------------------------------------------------------------------
+
+/// One line a child reports on stdout — the one owner of the
+/// `KEYWORD k1=v1 k2=v2 …` grammar, both its spelling (child side) and
+/// its parsing (parent side).
+#[derive(Clone, PartialEq, Debug)]
+pub enum Report {
+    /// A consensus child decided.
+    Decided {
+        /// The decided value.
+        value: u64,
+        /// Which mechanism decided.
+        path: DecisionPath,
+        /// Causal step depth of the decision.
+        depth: StepDepth,
+        /// Wall µs from boot to the report.
+        elapsed_us: u64,
+    },
+    /// A replica's committed prefix moved to this length.
+    Progress(u64),
+    /// A replica committed the target prefix.
+    Done {
+        /// Its state-machine digest.
+        digest: u64,
+        /// Its committed prefix.
+        prefix: u64,
+        /// Incarnations it was restarted through.
+        restarts: u64,
+    },
+    /// The child's wire ledger; the last line of its report.
+    Stats(NetStats),
+    /// One outbound link's fault trace (chaos cells only).
+    Chaos(ChaosReport),
+}
 
 /// Extracts `key=` from a `KEY k1=v1 k2=v2 …` report line.
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -143,87 +162,119 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     })
 }
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field(line, key)?.parse().ok()
-}
-
-/// Renders a child's wire ledger as its `STATS` report line.
-pub fn format_stats_line(net: &NetStats) -> String {
-    format!(
-        "STATS sent={} delivered={} multicasts={} clones={} bytes={} init={} echo={} batch={} other={} batched={} max_depth={}",
-        net.sent,
-        net.delivered,
-        net.multicasts,
-        net.payload_clones,
-        net.bytes_on_wire,
-        net.sent_init,
-        net.sent_echo,
-        net.sent_batch,
-        net.sent_other,
-        net.echoes_batched,
-        net.max_depth.get(),
-    )
-}
-
-/// One `CHAOS` line a child printed for one outbound link: the
-/// seed-deterministic fault-trace digest plus realized counters. Only the
-/// digest is compared across runs — counters are informational (wall-clock
-/// runs legitimately differ in how many frames each connection carries).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ChaosReport {
-    /// Destination process of the reported link.
-    pub to: usize,
-    /// [`ChaosRuntime::sched_digest`] for the link.
-    pub sched: u64,
-    /// Logical frames offered to the link.
-    pub frames: u64,
-    /// Frames the schedule dropped.
-    pub drops: u64,
-    /// Frames the schedule duplicated.
-    pub dups: u64,
-    /// Frames held by a partition or crash window.
-    pub held: u64,
-    /// Mid-frame connection tears (test schedules only).
-    pub torn: u64,
-}
-
-/// Parses a child's `CHAOS to=… sched=0x… frames=…` report line.
-pub fn parse_chaos_line(line: &str) -> Option<ChaosReport> {
-    if !line.starts_with("CHAOS ") {
-        return None;
+impl Report {
+    /// The report as the line a child prints.
+    pub fn line(&self) -> String {
+        match self {
+            Report::Decided {
+                value,
+                path,
+                depth,
+                elapsed_us,
+            } => format!(
+                "DECIDED value={value} path={} depth={} elapsed_us={elapsed_us}",
+                path.label(),
+                depth.get()
+            ),
+            Report::Progress(prefix) => format!("PROGRESS prefix={prefix}"),
+            Report::Done {
+                digest,
+                prefix,
+                restarts,
+            } => format!("DONE digest={digest:#018x} prefix={prefix} restarts={restarts}"),
+            Report::Stats(net) => format!(
+                "STATS sent={} delivered={} multicasts={} clones={} bytes={} init={} echo={} batch={} other={} batched={} max_depth={}",
+                net.sent,
+                net.delivered,
+                net.multicasts,
+                net.payload_clones,
+                net.bytes_on_wire,
+                net.sent_init,
+                net.sent_echo,
+                net.sent_batch,
+                net.sent_other,
+                net.echoes_batched,
+                net.max_depth.get(),
+            ),
+            Report::Chaos(c) => format!(
+                "CHAOS to={} sched={:#018x} frames={} drops={} dups={} held={} torn={}",
+                c.to, c.sched, c.frames, c.drops, c.dups, c.held, c.torn
+            ),
+        }
     }
-    let sched = field(line, "sched")?;
-    let sched = u64::from_str_radix(sched.trim_start_matches("0x"), 16).ok()?;
-    Some(ChaosReport {
-        to: field_u64(line, "to")? as usize,
-        sched,
-        frames: field_u64(line, "frames")?,
-        drops: field_u64(line, "drops")?,
-        dups: field_u64(line, "dups")?,
-        held: field_u64(line, "held")?,
-        torn: field_u64(line, "torn")?,
-    })
+
+    /// Parses one stdout line: `Ok(None)` when it starts with no report
+    /// keyword, an error when it does but does not parse.
+    pub fn parse(line: &str) -> Result<Option<Report>, String> {
+        let keyword = line.split_whitespace().next().unwrap_or_default();
+        let bad = || format!("malformed {keyword} report {line:?}");
+        let raw = |key: &str| field(line, key).ok_or_else(bad);
+        let num = |key: &str| raw(key)?.parse::<u64>().map_err(|_| bad());
+        let hex = |key: &str| {
+            raw(key)?
+                .strip_prefix("0x")
+                .and_then(|h| u64::from_str_radix(h, 16).ok())
+                .ok_or_else(bad)
+        };
+        let report = match keyword {
+            "DECIDED" => {
+                let path = raw("path")?;
+                Report::Decided {
+                    value: num("value")?,
+                    path: [
+                        DecisionPath::OneStep,
+                        DecisionPath::TwoStep,
+                        DecisionPath::Underlying,
+                    ]
+                    .into_iter()
+                    .find(|p| p.label() == path)
+                    .ok_or_else(bad)?,
+                    depth: StepDepth::new(num("depth")? as u32),
+                    elapsed_us: num("elapsed_us")?,
+                }
+            }
+            "PROGRESS" => Report::Progress(num("prefix")?),
+            "DONE" => Report::Done {
+                digest: hex("digest")?,
+                prefix: num("prefix")?,
+                restarts: num("restarts")?,
+            },
+            "STATS" => Report::Stats(NetStats {
+                sent: num("sent")?,
+                delivered: num("delivered")?,
+                multicasts: num("multicasts")?,
+                payload_clones: num("clones")?,
+                bytes_on_wire: num("bytes")?,
+                sent_init: num("init")?,
+                sent_echo: num("echo")?,
+                sent_batch: num("batch")?,
+                sent_other: num("other")?,
+                echoes_batched: num("batched")?,
+                max_depth: StepDepth::new(num("max_depth")? as u32),
+                ..NetStats::default()
+            }),
+            "CHAOS" => Report::Chaos(ChaosReport {
+                to: num("to")? as usize,
+                sched: hex("sched")?,
+                frames: num("frames")?,
+                drops: num("drops")?,
+                dups: num("dups")?,
+                held: num("held")?,
+                torn: num("torn")?,
+            }),
+            _ => return Ok(None),
+        };
+        Ok(Some(report))
+    }
 }
 
-/// Parses a `STATS` line back into a ledger (parent side).
-pub fn parse_stats_line(line: &str) -> Option<NetStats> {
-    if !line.starts_with("STATS ") {
-        return None;
+/// Prints `reports` on stdout as one flushed block.
+fn report(reports: &[Report]) {
+    let mut out = std::io::stdout().lock();
+    for r in reports {
+        let _ = writeln!(out, "{}", r.line());
     }
-    Some(NetStats {
-        sent: field_u64(line, "sent")?,
-        delivered: field_u64(line, "delivered")?,
-        multicasts: field_u64(line, "multicasts")?,
-        payload_clones: field_u64(line, "clones")?,
-        bytes_on_wire: field_u64(line, "bytes")?,
-        sent_init: field_u64(line, "init")?,
-        sent_echo: field_u64(line, "echo")?,
-        sent_batch: field_u64(line, "batch")?,
-        sent_other: field_u64(line, "other")?,
-        echoes_batched: field_u64(line, "batched")?,
-        max_depth: StepDepth::new(field_u64(line, "max_depth")? as u32),
-        ..NetStats::default()
-    })
+    let _ = out.flush();
 }
 
 // ---------------------------------------------------------------------
@@ -249,44 +300,44 @@ fn exit_with_parent() {
 /// the happy path.
 pub fn run_node(opts: NodeOpts) -> Result<(), String> {
     exit_with_parent();
-    let cfg = SystemConfig::new(opts.n, opts.t).map_err(|e| e.to_string())?;
-    match opts.role.clone() {
-        Role::Consensus { propose, aggregate } => consensus_node(opts, cfg, propose, aggregate),
+    let cfg = opts.spec.config()?;
+    let peers = opts.spec.runtime.peers().ok_or("--peers required")?.clone();
+    match &opts.role {
+        Role::Consensus { propose } => consensus_node(&opts, cfg, peers, *propose),
         Role::Replica {
             wal,
             slots,
-            window,
             respawn,
-            divergent,
-        } => replica_node(opts, cfg, wal, slots, window, respawn, divergent),
+        } => replica_node(&opts, cfg, peers, wal, *slots, *respawn),
     }
 }
 
 fn consensus_node(
-    opts: NodeOpts,
+    opts: &NodeOpts,
     cfg: SystemConfig,
+    peers: AddressTable,
     propose: u64,
-    aggregate: bool,
 ) -> Result<(), String> {
+    let spec = &opts.spec;
     let pair = FrequencyPair::new(cfg).map_err(|e| e.to_string())?;
     let uc = OracleConsensus::new(cfg, opts.me, ProcessId::new(0));
     let mut actor = DexActor::new(DexProcess::new(cfg, opts.me, pair, uc), propose);
-    if aggregate {
+    if spec.aggregate.is_on() {
         actor.enable_aggregation();
     }
-    let chaos = if opts.chaos.is_none() {
-        None
-    } else {
-        Some(Arc::new(ChaosRuntime::new(
-            &opts.chaos,
+    // The last `f` processes are the fault budget the schedule compiles
+    // against: real processes running correct code, never awaited.
+    let chaos = (!spec.chaos.is_none()).then(|| {
+        Arc::new(ChaosRuntime::new(
+            &spec.chaos,
             cfg,
-            opts.f,
+            spec.f,
             opts.me,
-            opts.seed,
+            spec.seed,
             opts.scale_us,
-        )))
-    };
-    let mut ep = Endpoint::with_net(actor, opts.me, opts.peers, opts.seed, chaos.clone())
+        ))
+    });
+    let mut ep = Endpoint::with_net(actor, opts.me, peers, spec.seed, chaos.clone())
         .map_err(|e| format!("bind: {e}"))?;
     ep.boot();
     let mut announced = false;
@@ -294,22 +345,19 @@ fn consensus_node(
         ep.pump(Duration::from_millis(10));
         if !announced {
             if let Some(d) = ep.actor().decision() {
-                let mut out = std::io::stdout().lock();
-                if let Some(chaos) = &chaos {
-                    for line in chaos.trace_lines() {
-                        let _ = writeln!(out, "{line}");
-                    }
-                }
-                let _ = writeln!(
-                    out,
-                    "DECIDED value={} path={} depth={} elapsed_us={}",
-                    d.value,
-                    d.path.label(),
-                    d.depth.get(),
-                    ep.elapsed_us(),
-                );
-                let _ = writeln!(out, "{}", format_stats_line(ep.stats()));
-                let _ = out.flush();
+                let mut reports: Vec<Report> = chaos
+                    .iter()
+                    .flat_map(|c| c.reports())
+                    .map(Report::Chaos)
+                    .collect();
+                reports.push(Report::Decided {
+                    value: d.value,
+                    path: d.path,
+                    depth: d.depth,
+                    elapsed_us: ep.elapsed_us(),
+                });
+                reports.push(Report::Stats(ep.stats().clone()));
+                report(&reports);
                 announced = true;
             }
         }
@@ -318,41 +366,42 @@ fn consensus_node(
 }
 
 fn replica_node(
-    opts: NodeOpts,
+    opts: &NodeOpts,
     cfg: SystemConfig,
-    wal: PathBuf,
+    peers: AddressTable,
+    wal: &std::path::Path,
     slots: u64,
-    window: u64,
     respawn: bool,
-    divergent: bool,
 ) -> Result<(), String> {
+    let spec = &opts.spec;
     // Identical pending client commands at every replica — the
     // replicated-log setting: all replicas order the same request
     // stream, so every slot's consensus instance is unanimous. Under
-    // `--divergent` every process instead derives its *own* pending
-    // stream from `(seed, me, slot)`: slots are contested, decisions ride
-    // the coordinator fallback, and the kill -9 victim dies holding state
-    // no other process can reconstruct locally — convergence then proves
-    // WAL replay plus `t + 1` catch-up, not lockstep recomputation.
-    let pending: Vec<u64> = if divergent {
+    // `--kill N:divergent` every process instead derives its *own*
+    // pending stream from `(seed, me, slot)`: slots are contested,
+    // decisions ride the coordinator fallback, and the kill -9 victim
+    // dies holding state no other process can reconstruct locally —
+    // convergence then proves WAL replay plus `t + 1` catch-up, not
+    // lockstep recomputation.
+    let pending: Vec<u64> = if spec.kill.divergent {
         (0..slots)
-            .map(|s| splitmix64(opts.seed ^ ((opts.me.index() as u64) << 32) ^ s))
+            .map(|s| splitmix64(spec.seed ^ ((opts.me.index() as u64) << 32) ^ s))
             .collect()
     } else {
         (0..slots)
-            .map(|s| opts.seed.wrapping_mul(1000).wrapping_add(s))
+            .map(|s| spec.seed.wrapping_mul(1000).wrapping_add(s))
             .collect()
     };
     let mut replica: Replica<TotalOrder<u64>> =
         Replica::new(cfg, opts.me, ProcessId::new(0), pending, slots);
-    if window > 1 {
-        replica.enable_pipelining(window);
+    if spec.pipeline.window > 1 {
+        replica.enable_pipelining(spec.pipeline.window);
     }
     // `snapshot_every = 0`: never compact, recovery replays the full WAL.
     // In-memory snapshots would not survive a kill -9 anyway.
-    let file_wal = FileWal::open(&wal).map_err(|e| format!("wal {}: {e}", wal.display()))?;
+    let file_wal = FileWal::open(wal).map_err(|e| format!("wal {}: {e}", wal.display()))?;
     replica.enable_durability(Durability::new(Box::new(file_wal), 0));
-    let mut ep = Endpoint::with_net(replica, opts.me, opts.peers, opts.seed, None)
+    let mut ep = Endpoint::with_net(replica, opts.me, peers, spec.seed, None)
         .map_err(|e| format!("bind: {e}"))?;
     if respawn {
         ep.boot_restart();
@@ -365,22 +414,18 @@ fn replica_node(
         ep.pump(Duration::from_millis(5));
         let prefix = ep.actor().log().committed_prefix();
         if prefix != last_prefix {
-            println!("PROGRESS prefix={prefix}");
-            let _ = std::io::stdout().flush();
+            report(&[Report::Progress(prefix as u64)]);
             last_prefix = prefix;
         }
         if !done && prefix as u64 >= slots {
-            let mut out = std::io::stdout().lock();
-            let _ = writeln!(
-                out,
-                "DONE digest={:#018x} prefix={} restarts={} elapsed_us={}",
-                ep.actor().machine().digest(),
-                prefix,
-                ep.actor().restarts(),
-                ep.elapsed_us(),
-            );
-            let _ = writeln!(out, "{}", format_stats_line(ep.stats()));
-            let _ = out.flush();
+            report(&[
+                Report::Done {
+                    digest: ep.actor().machine().digest(),
+                    prefix: prefix as u64,
+                    restarts: u64::from(ep.actor().restarts()),
+                },
+                Report::Stats(ep.stats().clone()),
+            ]);
             done = true;
         }
         // Finished replicas keep serving catch-up requests until killed.
@@ -472,27 +517,37 @@ fn next_line(children: &mut [ChildHandle], i: usize, deadline: Instant) -> Resul
     }
 }
 
-/// Spawns child `id` in `mode` with the argv every role shares, then
-/// `role_args`.
-fn spawn_node_process(
-    id: usize,
-    mode: &str,
-    spec: &RunSpec,
-    seed: u64,
-    peers: &AddressTable,
-    role_args: Vec<String>,
-) -> Result<ChildHandle, String> {
-    let mut argv: Vec<String> = vec!["--node".into(), id.to_string()];
-    for (flag, value) in [
-        ("--mode", mode.to_string()),
-        ("--n", spec.n.to_string()),
-        ("--t", spec.t.to_string()),
-        ("--seed", seed.to_string()),
-        ("--peers", peers.flag()),
-    ] {
-        argv.extend([flag.to_string(), value]);
+/// Next [`Report`] of `children[i]` before `deadline`, skipping lines that
+/// carry none. A line that starts with a report keyword but does not
+/// parse fails at once, naming the child and the line.
+fn next_report(
+    children: &mut [ChildHandle],
+    i: usize,
+    deadline: Instant,
+) -> Result<Report, String> {
+    loop {
+        let line = next_line(children, i, deadline)?;
+        if let Some(report) = Report::parse(&line).map_err(|e| format!("process {i}: {e}"))? {
+            return Ok(report);
+        }
     }
-    argv.extend(role_args);
+}
+
+/// The spec a phase's children run: `spec` at the run seed, on netd with
+/// the phase's address table.
+fn child_spec(spec: &RunSpec, seed: u64, peers: AddressTable) -> RunSpec {
+    RunSpec {
+        seed,
+        runtime: RuntimeSpec::Netd { peers: Some(peers) },
+        ..spec.clone()
+    }
+}
+
+/// Spawns child `id`: its role flags, then the run's own spec flags.
+fn spawn_node_process(id: usize, run: &RunSpec, role: &[&str]) -> Result<ChildHandle, String> {
+    let mut argv: Vec<String> = vec!["--node".into(), id.to_string()];
+    argv.extend(role.iter().map(|a| a.to_string()));
+    argv.extend(run.to_args());
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut child = Command::new(exe)
         .args(&argv)
@@ -541,15 +596,6 @@ fn cluster_addrs(spec: &RunSpec) -> Result<AddressTable, String> {
     }
 }
 
-/// One child's `DECIDED` report.
-#[derive(Clone, Debug)]
-struct Decision {
-    value: u64,
-    path: String,
-    depth: u64,
-    elapsed_us: u64,
-}
-
 /// One directed link's entry in a run's fault trace: the digest is a pure
 /// function of `(seed, from, to, schedule)`, so sorted lists of these are
 /// byte-comparable across repeated runs of one seed.
@@ -566,18 +612,11 @@ pub struct LinkTrace {
 /// Outcome of one consensus-cell run.
 #[derive(Clone, Debug)]
 pub struct CellRun {
-    /// Decided value (agreement-checked across all awaited processes).
-    pub value: u64,
-    /// Per-process decision latencies, µs of wall clock.
-    pub latencies_us: Vec<u64>,
-    /// Processes that decided on the one-step path.
-    pub one_step: u64,
-    /// Processes that decided on the two-step path.
-    pub two_step: u64,
-    /// Deepest causal step depth any decision reported.
-    pub depth_max: u64,
-    /// Summed per-child wire ledgers.
-    pub net: NetStats,
+    /// The run the cell executed: its seed, input and last-`f` fault plan.
+    pub inst: RunInstance,
+    /// The cell as a harness run: one outcome per process, the summed
+    /// per-child wire ledgers. Judged before it is returned.
+    pub result: RunResult,
     /// Whole-run wall clock, µs (spawn to last decision).
     pub wall_us: u64,
     /// Per-link fault-trace digests reported by the awaited survivors,
@@ -585,89 +624,128 @@ pub struct CellRun {
     pub links: Vec<LinkTrace>,
 }
 
-/// Runs one consensus cell: spawn `n`, wait for the `n - f` survivors'
-/// decisions, assert agreement, reap. Under a chaos schedule the last `f`
-/// children are the fault budget — real processes running correct code
-/// whose links the schedule degrades and whose liveness is deliberately
-/// not awaited (mirroring the simulator's budget semantics).
+/// Judges one cell's outcomes as a harness run: agreement among the
+/// deciders and, on a unanimous correct input, unanimity. Real sockets
+/// have no delivery cap — a cell that does not finish fails on the
+/// deadline instead — so the run counts as quiescent.
+fn judge_cell(
+    run_idx: usize,
+    inst: &RunInstance,
+    outcomes: Vec<Outcome>,
+    net: NetStats,
+) -> Result<RunResult, String> {
+    let result = RunResult {
+        outcomes,
+        quiescent: true,
+        messages: net.delivered,
+        net,
+    };
+    let decided: Vec<u64> = result.decided().map(|r| r.value).collect();
+    if !result.agreement_ok() {
+        return Err(format!(
+            "run {run_idx}: AGREEMENT VIOLATION across processes: {decided:?}"
+        ));
+    }
+    if !result.unanimity_ok(&inst.input, &inst.fault_plan) {
+        return Err(format!(
+            "run {run_idx}: UNANIMITY VIOLATION: input {:?}, decided {decided:?}",
+            inst.input.as_slice()
+        ));
+    }
+    Ok(result)
+}
+
+/// Folds cells into the batch ledger every runtime shares.
+fn ledger<'a>(cells: impl IntoIterator<Item = &'a CellRun>) -> BatchStats {
+    let mut stats = BatchStats::default();
+    for cell in cells {
+        stats.fold(&cell.inst, &cell.result);
+    }
+    stats
+}
+
+/// Runs one consensus cell: spawn `n`, collect the awaited children's
+/// reports into a judged [`RunResult`], reap. The cell's fault plan is
+/// netd's budget — the last `f` processes, against which
+/// [`ChaosSpec::build_with_budget`] compiles the schedule: real processes
+/// running correct code whose links the schedule degrades and whose
+/// liveness is deliberately not awaited (each is [`Outcome::Faulty`],
+/// mirroring the simulator's budget semantics).
 fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, String> {
-    let spec = &opts.spec;
-    let dex_harness::runner::RunInstance { seed, input, .. } = spec.instance(run_idx)?;
-    let peers = cluster_addrs(spec)?;
+    // The input is drawn before the plan, so the placement changes no
+    // proposal.
+    let spec = RunSpec {
+        placement: Placement::LastK,
+        ..opts.spec.clone()
+    };
+    let inst = spec.instance(run_idx)?;
+    let run = child_spec(&spec, inst.seed, cluster_addrs(&spec)?);
     let start = Instant::now();
     let deadline = start + opts.timeout;
-    let mut children = Vec::with_capacity(spec.n);
-    for i in 0..spec.n {
-        let mut argv = vec!["--propose".into(), input[ProcessId::new(i)].to_string()];
-        if !spec.aggregate.is_off() {
-            argv.push("--aggregate".into());
-        }
-        if !spec.chaos.is_none() {
-            argv.extend(["--chaos".into(), spec.chaos.flag()]);
-            argv.extend(["--f".into(), spec.f.to_string()]);
-            argv.extend(["--chaos-scale-us".into(), opts.scale_us.to_string()]);
-        }
-        children.push(spawn_node_process(
-            i,
-            "consensus",
-            spec,
-            seed,
-            &peers,
-            argv,
-        )?);
-    }
-    // Under chaos the last `f` children are the fault budget: spawned (so
-    // the survivors' quorums are honest) but never awaited.
-    let survivors = spec.n - spec.f;
-    let mut decisions: Vec<Decision> = Vec::with_capacity(survivors);
-    let mut links: Vec<LinkTrace> = Vec::new();
+    let scale = opts.scale_us.to_string();
+    let mut children = inst
+        .config
+        .processes()
+        .map(|p| {
+            let propose = inst.input[p].to_string();
+            let role = [
+                "--mode",
+                "consensus",
+                "--propose",
+                &propose,
+                "--chaos-scale-us",
+                &scale,
+            ];
+            spawn_node_process(p.index(), &run, &role)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut outcomes = Vec::with_capacity(spec.n);
     let mut net = NetStats::default();
-    'collect: for i in 0..survivors {
+    let mut links: Vec<LinkTrace> = Vec::new();
+    for p in inst.config.processes() {
+        if inst.fault_plan.is_faulty(p) {
+            outcomes.push(Outcome::Faulty);
+            continue;
+        }
+        let i = p.index();
         let mut decided = None;
         loop {
-            let line = next_line(&mut children, i, deadline).map_err(|cause| {
+            let report = next_report(&mut children, i, deadline).map_err(|cause| {
                 format!(
                     "run {run_idx}: no decision ({:?} budget): {cause}",
                     opts.timeout
                 )
             })?;
-            if line.starts_with("DECIDED ") {
-                decided = Some(Decision {
-                    value: field_u64(&line, "value").ok_or("bad DECIDED line")?,
-                    path: field(&line, "path").ok_or("bad DECIDED line")?.to_string(),
-                    depth: field_u64(&line, "depth").ok_or("bad DECIDED line")?,
-                    elapsed_us: field_u64(&line, "elapsed_us").ok_or("bad DECIDED line")?,
-                });
-            } else if let Some(report) = parse_chaos_line(&line) {
-                links.push(LinkTrace {
+            match report {
+                Report::Decided {
+                    value,
+                    path,
+                    depth,
+                    elapsed_us,
+                } => decided = Some(Outcome::decided(value, path, depth, Time::new(elapsed_us))),
+                Report::Chaos(c) => links.push(LinkTrace {
                     from: i,
-                    to: report.to,
-                    sched: report.sched,
-                });
-            } else if let Some(stats) = parse_stats_line(&line) {
-                net.merge(&stats);
-                decisions.push(decided.take().ok_or("STATS before DECIDED")?);
-                continue 'collect;
+                    to: c.to,
+                    sched: c.sched,
+                }),
+                Report::Stats(stats) => {
+                    net.merge(&stats);
+                    outcomes.push(decided.take().ok_or_else(|| {
+                        format!("run {run_idx}: process {i} sent STATS before DECIDED")
+                    })?);
+                    break;
+                }
+                _ => {}
             }
         }
     }
     let wall_us = start.elapsed().as_micros() as u64;
     drop(children);
-    let first = decisions[0].value;
-    if decisions.iter().any(|d| d.value != first) {
-        return Err(format!(
-            "run {run_idx}: AGREEMENT VIOLATION across processes: {:?}",
-            decisions.iter().map(|d| d.value).collect::<Vec<_>>()
-        ));
-    }
     links.sort_by_key(|l| (l.from, l.to));
+    let result = judge_cell(run_idx, &inst, outcomes, net)?;
     Ok(CellRun {
-        value: first,
-        latencies_us: decisions.iter().map(|d| d.elapsed_us).collect(),
-        one_step: decisions.iter().filter(|d| d.path == "1-step").count() as u64,
-        two_step: decisions.iter().filter(|d| d.path == "2-step").count() as u64,
-        depth_max: decisions.iter().map(|d| d.depth).max().unwrap_or(0),
-        net,
+        inst,
+        result,
         wall_us,
         links,
     })
@@ -676,14 +754,10 @@ fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, Str
 /// Outcome of the kill -9 + respawn phase.
 #[derive(Clone, Debug)]
 pub struct Kill9Run {
-    /// Slots every replica committed (== the target on success).
-    pub prefix: usize,
     /// The single state-machine digest all replicas agreed on.
-    pub digest: String,
+    pub digest: u64,
     /// Restart counter reported by the respawned victim (expect 1).
     pub restarts: u64,
-    /// Whether the divergent-state schedule ran.
-    pub divergent: bool,
     /// The victim's committed prefix when the SIGKILL landed.
     pub killed_at: u64,
     /// The prefix every survivor was proven past before the respawn
@@ -719,21 +793,17 @@ fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
 fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Run, String> {
     let spec = &opts.spec;
     let divergent = spec.kill.divergent;
-    let peers = cluster_addrs(spec)?;
+    let run = child_spec(spec, spec.seed, cluster_addrs(spec)?);
     let start = Instant::now();
     let deadline = start + opts.timeout;
+    let slots = opts.slots.to_string();
     let spawn = |i: usize, respawn: bool| {
-        let mut argv = vec!["--slots".into(), opts.slots.to_string()];
-        argv.extend(["--window".into(), opts.window.to_string()]);
-        let wal = wal_dir.join(format!("wal_{i}.log"));
-        argv.extend(["--wal".into(), wal.display().to_string()]);
+        let wal = wal_dir.join(format!("wal_{i}.log")).display().to_string();
+        let mut role = vec!["--mode", "replica", "--slots", &slots, "--wal", &wal];
         if respawn {
-            argv.push("--respawn".into());
+            role.push("--respawn");
         }
-        if divergent {
-            argv.push("--divergent".into());
-        }
-        spawn_node_process(i, "replica", spec, spec.seed, &peers, argv)
+        spawn_node_process(i, &run, &role)
     };
     let mut children = (0..spec.n)
         .map(|i| spawn(i, false))
@@ -745,13 +815,13 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
     let victim = 1usize;
     let mut killed_at = 0u64;
     while killed_at < spec.kill.after {
-        let line = next_line(&mut children, victim, deadline).map_err(|cause| {
+        let report = next_report(&mut children, victim, deadline).map_err(|cause| {
             format!(
                 "kill9: victim never committed {} slots: {cause}",
                 spec.kill.after
             )
         })?;
-        if let Some(prefix) = field_u64(&line, "prefix") {
+        if let Report::Progress(prefix) | Report::Done { prefix, .. } = report {
             killed_at = killed_at.max(prefix);
         }
     }
@@ -760,9 +830,9 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
     // Divergent schedule: before the respawn exists, every survivor must
     // demonstrably outrun the dead victim — the cluster keeps committing
     // with one replica's state gone and n - 1 divergent pending streams.
-    // Non-PROGRESS lines (an early DONE and its STATS) are stashed for
-    // the convergence pass rather than dropped.
-    let mut stash: Vec<VecDeque<String>> = (0..spec.n).map(|_| VecDeque::new()).collect();
+    // Other reports (an early DONE and its STATS) are stashed for the
+    // convergence pass rather than dropped.
+    let mut stash: Vec<VecDeque<Report>> = (0..spec.n).map(|_| VecDeque::new()).collect();
     let survivor_floor = if divergent {
         opts.slots.min(killed_at + 2)
     } else {
@@ -771,19 +841,19 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
     if divergent {
         for i in (0..spec.n).filter(|i| *i != victim) {
             loop {
-                let line = next_line(&mut children, i, deadline).map_err(|cause| {
+                let report = next_report(&mut children, i, deadline).map_err(|cause| {
                     format!(
                         "kill9: survivor {i} stalled below prefix {survivor_floor} \
                          while the victim was down: {cause}"
                     )
                 })?;
-                if line.starts_with("PROGRESS ") {
-                    if field_u64(&line, "prefix").is_some_and(|p| p >= survivor_floor) {
+                if let Report::Progress(prefix) = report {
+                    if prefix >= survivor_floor {
                         break;
                     }
                 } else {
-                    let finished = line.starts_with("DONE ");
-                    stash[i].push_back(line);
+                    let finished = matches!(report, Report::Done { .. });
+                    stash[i].push_back(report);
                     if finished {
                         break; // DONE ⇒ the full prefix, ≥ any floor
                     }
@@ -801,57 +871,47 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
         "kill9: SIGKILLed process {victim} at prefix {killed_at}, respawned as `{}`",
         children[victim].argv.join(" ")
     );
-    // Convergence: every live child reports DONE with one digest.
-    let mut digests = Vec::with_capacity(spec.n);
-    let mut prefixes = Vec::with_capacity(spec.n);
-    let mut restarts = 0u64;
+    // Convergence: every live child reports DONE, then its STATS.
+    let mut dones = Vec::with_capacity(spec.n);
     let mut net = NetStats::default();
-    'collect: for (i, stashed) in stash.iter_mut().enumerate() {
-        let mut done = false;
+    for (i, stashed) in stash.iter_mut().enumerate() {
+        let mut done = None;
         loop {
-            let line = match stashed.pop_front() {
-                Some(line) => line,
-                None => next_line(&mut children, i, deadline).map_err(|cause| {
+            let report = match stashed.pop_front() {
+                Some(report) => report,
+                None => next_report(&mut children, i, deadline).map_err(|cause| {
                     format!("kill9: no convergence ({:?} budget): {cause}", opts.timeout)
                 })?,
             };
-            if line.starts_with("DONE ") {
-                digests.push(field(&line, "digest").ok_or("bad DONE line")?.to_string());
-                prefixes.push(field_u64(&line, "prefix").ok_or("bad DONE line")? as usize);
-                if i == victim {
-                    restarts = field_u64(&line, "restarts").ok_or("bad DONE line")?;
-                }
-                done = true;
-            } else if done {
-                if let Some(stats) = parse_stats_line(&line) {
+            match report {
+                Report::Done {
+                    digest,
+                    prefix,
+                    restarts,
+                } => done = Some((digest, prefix, restarts)),
+                Report::Stats(stats) if done.is_some() => {
                     net.merge(&stats);
-                    continue 'collect;
+                    break;
                 }
+                _ => {}
             }
         }
+        dones.extend(done);
     }
     let wall_us = start.elapsed().as_micros() as u64;
     drop(children);
-    let digest = digests[0].clone();
-    if digests.iter().any(|d| *d != digest) {
-        return Err(format!("kill9: digest divergence: {digests:?}"));
-    }
-    if prefixes.iter().any(|p| *p as u64 != opts.slots) {
+    // One digest at the full prefix everywhere; one restart, the victim's.
+    let (digest, restarts) = (dones[0].0, dones[victim].2);
+    if restarts != 1 || dones.iter().any(|d| d.0 != digest || d.1 != opts.slots) {
         return Err(format!(
-            "kill9: incomplete prefixes {prefixes:?} (target {})",
+            "kill9: no convergence on prefix {} with 1 restart of process {victim}: \
+             (digest, prefix, restarts) per replica {dones:x?}",
             opts.slots
         ));
     }
-    if restarts != 1 {
-        return Err(format!(
-            "kill9: victim reported {restarts} restarts, expected 1"
-        ));
-    }
     Ok(Kill9Run {
-        prefix: opts.slots as usize,
         digest,
         restarts,
-        divergent,
         killed_at,
         survivor_floor,
         wall_us,
@@ -859,54 +919,68 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
     })
 }
 
-fn mean(xs: &[u64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<u64>() as f64 / xs.len() as f64
-    }
-}
-
 /// Validates a parsed cluster invocation before any process spawns — the
-/// rules that make chaos, fault budgets and the kill schedule compose.
+/// rules that make chaos, fault budgets and the kill schedule compose, and
+/// the spec flags netd children cannot honour: they run DEX-freq over the
+/// oracle coordinator, correct code in every process, untraced, one value
+/// per slot.
 fn validate_cluster(opts: &ClusterOpts) -> Result<(), String> {
     let spec = &opts.spec;
-    if !spec.runtime.is_netd() {
-        return Err("cluster specs must carry --runtime netd".into());
-    }
-    if matches!(spec.chaos, ChaosSpec::CrashRestart { .. }) {
-        return Err(
+    let kill9 = opts.phase != Phase::Cells;
+    let rules = [
+        (
+            !spec.runtime.is_netd(),
+            "cluster specs must carry --runtime netd",
+        ),
+        (
+            spec.algo != Algo::DexFreq,
+            "netd children run dex-freq: drop --algo",
+        ),
+        (
+            spec.underlying != UnderlyingSpec::Oracle,
+            "netd children fall back to the oracle coordinator: drop --underlying mvc",
+        ),
+        (
+            spec.f != 0 && spec.adversary != AdversarySpec::Silent,
+            "netd budget children run correct code: a Byzantine --adversary needs simnet",
+        ),
+        (
+            spec.trace,
+            "--trace replays a simnet schedule; netd runs are wall-clock",
+        ),
+        (
+            spec.pipeline.batch != 1,
+            "--pipeline <W> sets the kill9 window; netd slots carry one value (no batch)",
+        ),
+        (
+            matches!(spec.chaos, ChaosSpec::CrashRestart { .. }),
             "amnesiac crash-restart is a real process death on this runtime: \
-             use --phase kill9 (the kill -9 + respawn schedule) instead of --chaos crash-restart"
-                .into(),
-        );
-    }
-    if !spec.chaos.is_none() && opts.phase != Phase::Cells {
-        return Err(
+             use --phase kill9 (the kill -9 + respawn schedule) instead of --chaos crash-restart",
+        ),
+        (
+            !spec.chaos.is_none() && kill9,
             "chaos schedules drive the consensus-cell phase only: add --phase cells \
-             (the kill -9 phase's fault is the SIGKILL itself)"
-                .into(),
-        );
-    }
-    if spec.f != 0 && spec.chaos.is_none() {
-        return Err(
+             (the kill -9 phase's fault is the SIGKILL itself)",
+        ),
+        (
+            spec.f != 0 && spec.chaos.is_none(),
             "netd children all run correct code: --f marks the chaos fault budget \
-             and needs --chaos"
-                .into(),
-        );
+             and needs --chaos",
+        ),
+        (
+            spec.kill.divergent && spec.t == 0,
+            "--kill N:divergent needs t ≥ 1: divergent pending commands make slots \
+             contested, and recovery must close the gap through the t + 1-vouched catch-up",
+        ),
+    ];
+    if let Some((_, why)) = rules.iter().find(|(broken, _)| *broken) {
+        return Err(why.to_string());
     }
-    if opts.phase != Phase::Cells && spec.kill.after >= opts.slots {
+    if kill9 && spec.kill.after >= opts.slots {
         return Err(format!(
             "--kill {} must land mid-run: it needs to be < --slots {}",
             spec.kill.after, opts.slots
         ));
-    }
-    if spec.kill.divergent && spec.t == 0 {
-        return Err(
-            "--kill N:divergent needs t ≥ 1: divergent pending commands make slots \
-             contested, and recovery must close the gap through the t + 1-vouched catch-up"
-                .into(),
-        );
     }
     spec.config()
         .map_err(|e| format!("bad configuration: {e}"))?;
@@ -918,24 +992,25 @@ fn validate_cluster(opts: &ClusterOpts) -> Result<(), String> {
 pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
     let spec = &opts.spec;
     validate_cluster(opts)?;
-    let workload_flag = spec.workload.flag();
-    let mut cell_runs: Vec<CellRun> = Vec::new();
+    let mut cells: Vec<CellRun> = Vec::new();
     let mut kill9: Option<Kill9Run> = None;
     if opts.phase != Phase::Kill9 {
         for i in 0..spec.runs {
-            let run = run_consensus_cell(opts, i)?;
+            let cell = run_consensus_cell(opts, i)?;
+            let one = ledger([&cell]);
             println!(
-                "cell {workload_flag} run {i}: decided {} ({} of {} one-step, chaos {}) in {:.1} ms",
-                run.value,
-                run.one_step,
-                spec.n - spec.f,
+                "cell {} run {i}: decided {} ({} of {} one-step, chaos {}) in {:.1} ms",
+                spec.workload.flag(),
+                cell.result.decided().next().map_or(0, |r| r.value),
+                one.paths.count(&"1-step"),
+                one.paths.total(),
                 spec.chaos.label(),
-                run.wall_us as f64 / 1000.0,
+                cell.wall_us as f64 / 1000.0,
             );
-            cell_runs.push(run);
+            cells.push(cell);
         }
         if !spec.chaos.is_none() {
-            write_chaos_artifact(opts, &cell_runs).map_err(|e| format!("chaos artifact: {e}"))?;
+            write_chaos_artifact(opts, &cells).map_err(|e| format!("chaos artifact: {e}"))?;
             println!(
                 "chaos {}: per-link fault traces → results/netd_chaos_{}.json",
                 spec.chaos.flag(),
@@ -946,36 +1021,15 @@ pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
     if opts.phase != Phase::Cells {
         let run = run_kill9(opts)?;
         println!(
-            "kill9: converged at prefix {} digest {} after {} restart in {:.1} ms",
-            run.prefix,
+            "kill9: converged at prefix {} digest {:#018x} after {} restart in {:.1} ms",
+            opts.slots,
             run.digest,
             run.restarts,
             run.wall_us as f64 / 1000.0,
         );
         kill9 = Some(run);
     }
-    // The unified result surface: same carrier, same breakdown line as
-    // `dex-sim --stats` on the other runtimes.
-    let mut net = NetStats::default();
-    let mut decisions = 0u64;
-    let mut wall = Duration::ZERO;
-    for run in &cell_runs {
-        net.merge(&run.net);
-        decisions += run.latencies_us.len() as u64;
-        wall += Duration::from_micros(run.wall_us);
-    }
-    if let Some(k) = &kill9 {
-        net.merge(&k.net);
-        decisions += (k.prefix * spec.n) as u64;
-        wall += Duration::from_micros(k.wall_us);
-    }
-    let stats = RunStats::of_net(net, decisions, wall);
-    if spec.stats {
-        println!("{}", stats.breakdown_line());
-    }
-    write_artifacts(opts, &workload_flag, &cell_runs, kill9.as_ref(), &stats)
-        .map_err(|e| format!("artifacts: {e}"))?;
-    Ok(())
+    write_artifacts(opts, &cells, kill9.as_ref()).map_err(|e| format!("artifacts: {e}"))
 }
 
 /// Emits `results/netd_chaos_<seed>.json`: per run, the sorted list of
@@ -1019,54 +1073,62 @@ fn write_chaos_artifact(opts: &ClusterOpts, cells: &[CellRun]) -> std::io::Resul
     )
 }
 
-/// Emits `BENCH_netd.json` and `results/netd_<seed>.json`.
+/// Emits `BENCH_netd.json` and `results/netd_<seed>.json`, and prints the
+/// `--stats` breakdown line. Cell rows read each cell's one-run ledger;
+/// the totals read the cells' batch ledger plus the kill9 phase.
 fn write_artifacts(
     opts: &ClusterOpts,
-    workload_flag: &str,
     cells: &[CellRun],
     kill9: Option<&Kill9Run>,
-    stats: &RunStats,
 ) -> std::io::Result<()> {
     let spec = &opts.spec;
     let mut rows = Vec::new();
-    for (i, run) in cells.iter().enumerate() {
+    for (i, cell) in cells.iter().enumerate() {
+        let one = ledger([cell]);
         rows.push(format!(
             concat!(
                 "{{\"cell\":\"consensus\",\"workload\":\"{}\",\"chaos\":\"{}\",\"run\":{},\"seed\":{},",
-                "\"decided\":{},\"one_step\":{},\"two_step\":{},\"depth_max\":{},\"latency_mean_us\":{:.1},",
-                "\"latency_max_us\":{},\"bytes_on_wire\":{},\"wall_us\":{}}}"
+                "\"decided\":{},\"one_step\":{},\"two_step\":{},\"depth_max\":{:.0},\"latency_mean_us\":{:.1},",
+                "\"latency_max_us\":{:.0},\"bytes_on_wire\":{},\"wall_us\":{}}}"
             ),
-            workload_flag,
+            spec.workload.flag(),
             spec.chaos.flag(),
             i,
-            spec.seed + i as u64,
-            run.latencies_us.len(),
-            run.one_step,
-            run.two_step,
-            run.depth_max,
-            mean(&run.latencies_us),
-            run.latencies_us.iter().max().copied().unwrap_or(0),
-            run.net.bytes_on_wire,
-            run.wall_us,
+            cell.inst.seed,
+            one.paths.total(),
+            one.paths.count(&"1-step"),
+            one.paths.count(&"2-step"),
+            one.steps.max().unwrap_or(0.0),
+            one.latency.mean(),
+            one.latency.max().unwrap_or(0.0),
+            one.net.bytes_on_wire,
+            cell.wall_us,
         ));
     }
+    let all = ledger(cells);
+    let (mut decisions, mut net) = (all.paths.total(), all.net);
     if let Some(k) = kill9 {
         rows.push(format!(
             concat!(
                 "{{\"cell\":\"kill9\",\"slots\":{},\"window\":{},\"restarts\":{},",
                 "\"divergent\":{},\"killed_at_prefix\":{},\"survivor_floor\":{},",
-                "\"converged\":true,\"digest\":\"{}\",\"bytes_on_wire\":{},\"wall_us\":{}}}"
+                "\"converged\":true,\"digest\":\"{:#018x}\",\"bytes_on_wire\":{},\"wall_us\":{}}}"
             ),
             opts.slots,
-            opts.window,
+            spec.pipeline.window,
             k.restarts,
-            k.divergent,
+            spec.kill.divergent,
             k.killed_at,
             k.survivor_floor,
             k.digest,
             k.net.bytes_on_wire,
             k.wall_us,
         ));
+        decisions += opts.slots * spec.n as u64;
+        net.merge(&k.net);
+    }
+    if spec.stats {
+        println!("{}", net.breakdown_line());
     }
     let body = format!(
         concat!(
@@ -1077,8 +1139,8 @@ fn write_artifacts(
         spec.n,
         spec.t,
         spec.runs,
-        stats.decisions,
-        stats.net.bytes_on_wire,
+        decisions,
+        net.bytes_on_wire,
         rows.join(","),
     );
     std::fs::write("BENCH_netd.json", &body)?;
@@ -1121,39 +1183,30 @@ fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| format!("bad {flag} value `{raw}`"))
 }
 
-/// Parses a `--node` child argv (everything after the program name).
+/// `flag`'s value parsed, or `default` when the flag is absent.
+fn take_num<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    match take_value(args, flag)? {
+        Some(raw) => parse_num(flag, &raw),
+        None => Ok(default),
+    }
+}
+
+/// Parses a `--node` child argv (everything after the program name): the
+/// role flags, then the run's [`RunSpec`] flags.
 pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
     let me = take_value(&mut args, "--node")?.ok_or("--node <id> required")?;
     let mode = take_value(&mut args, "--mode")?.ok_or("--mode required")?;
-    let n: usize = parse_num("--n", &take_value(&mut args, "--n")?.ok_or("--n required")?)?;
-    let t: usize = parse_num("--t", &take_value(&mut args, "--t")?.ok_or("--t required")?)?;
-    let seed: u64 = parse_num(
-        "--seed",
-        &take_value(&mut args, "--seed")?.ok_or("--seed required")?,
-    )?;
-    let peers = AddressTable::parse(&take_value(&mut args, "--peers")?.ok_or("--peers required")?)?;
-    if peers.len() != n {
-        return Err(format!("--peers names {} processes, --n {n}", peers.len()));
-    }
-    let chaos = match take_value(&mut args, "--chaos")? {
-        Some(raw) => ChaosSpec::parse(&raw)?,
-        None => ChaosSpec::None,
-    };
-    let f: usize = match take_value(&mut args, "--f")? {
-        Some(raw) => parse_num("--f", &raw)?,
-        None => 0,
-    };
-    let scale_us: u64 = match take_value(&mut args, "--chaos-scale-us")? {
-        Some(raw) => parse_num("--chaos-scale-us", &raw)?,
-        None => DEFAULT_SCALE_US,
-    };
+    let scale_us = take_num(&mut args, "--chaos-scale-us", DEFAULT_SCALE_US)?;
     let role = match mode.as_str() {
         "consensus" => Role::Consensus {
             propose: parse_num(
                 "--propose",
                 &take_value(&mut args, "--propose")?.ok_or("--propose required")?,
             )?,
-            aggregate: take_flag(&mut args, "--aggregate"),
         },
         "replica" => Role::Replica {
             wal: PathBuf::from(take_value(&mut args, "--wal")?.ok_or("--wal required")?),
@@ -1161,27 +1214,23 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
                 "--slots",
                 &take_value(&mut args, "--slots")?.ok_or("--slots required")?,
             )?,
-            window: parse_num(
-                "--window",
-                &take_value(&mut args, "--window")?.unwrap_or_else(|| "1".into()),
-            )?,
             respawn: take_flag(&mut args, "--respawn"),
-            divergent: take_flag(&mut args, "--divergent"),
         },
         other => return Err(format!("unknown --mode `{other}`")),
     };
-    if !args.is_empty() {
-        return Err(format!("unknown node flags: {args:?}"));
+    let spec = RunSpec::from_args(&args)?;
+    let peers = spec.runtime.peers().ok_or("--peers required")?;
+    if peers.len() != spec.n {
+        return Err(format!(
+            "--peers names {} processes, --n {}",
+            peers.len(),
+            spec.n
+        ));
     }
     Ok(NodeOpts {
         me: ProcessId::new(parse_num("--node", &me)?),
-        n,
-        t,
-        seed,
-        chaos,
-        f,
+        spec,
         scale_us,
-        peers,
         role,
     })
 }
@@ -1190,28 +1239,15 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
 /// valid [`RunSpec`] flag set (with `--runtime netd` implied).
 pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> {
     take_flag(&mut args, "--cluster");
-    let slots: u64 = match take_value(&mut args, "--slots")? {
-        Some(raw) => parse_num("--slots", &raw)?,
-        None => 8,
-    };
-    let window: u64 = match take_value(&mut args, "--window")? {
-        Some(raw) => parse_num("--window", &raw)?,
-        None => 4,
-    };
+    let slots = take_num(&mut args, "--slots", 8)?;
     let phase = match take_value(&mut args, "--phase")?.as_deref() {
         None | Some("both") => Phase::Both,
         Some("cells") => Phase::Cells,
         Some("kill9") => Phase::Kill9,
         Some(other) => return Err(format!("unknown --phase `{other}` (cells|kill9|both)")),
     };
-    let timeout = match take_value(&mut args, "--timeout-secs")? {
-        Some(raw) => Duration::from_secs(parse_num("--timeout-secs", &raw)?),
-        None => Duration::from_secs(60),
-    };
-    let scale_us: u64 = match take_value(&mut args, "--chaos-scale-us")? {
-        Some(raw) => parse_num("--chaos-scale-us", &raw)?,
-        None => DEFAULT_SCALE_US,
-    };
+    let timeout = Duration::from_secs(take_num(&mut args, "--timeout-secs", 60)?);
+    let scale_us = take_num(&mut args, "--chaos-scale-us", DEFAULT_SCALE_US)?;
     if !args.iter().any(|a| a == "--runtime") {
         args.push("--runtime".into());
         args.push("netd".into());
@@ -1220,7 +1256,6 @@ pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> 
     Ok(ClusterOpts {
         spec,
         slots,
-        window,
         phase,
         timeout,
         scale_us,
@@ -1244,10 +1279,7 @@ fn run_campaign_args(mut args: Vec<String>) -> Result<(), String> {
     let runs: Option<usize> = take_value(&mut args, "--runs")?
         .map(|raw| parse_num("--runs", &raw))
         .transpose()?;
-    let timeout = match take_value(&mut args, "--timeout-secs")? {
-        Some(raw) => Duration::from_secs(parse_num("--timeout-secs", &raw)?),
-        None => Duration::from_secs(60),
-    };
+    let timeout = Duration::from_secs(take_num(&mut args, "--timeout-secs", 60)?);
     if !args.is_empty() {
         return Err(format!("unknown campaign flags: {args:?}"));
     }
@@ -1265,9 +1297,10 @@ fn run_campaign_args(mut args: Vec<String>) -> Result<(), String> {
 }
 
 /// Runs one campaign cell `runs` times on netd (real processes, wall
-/// clock) and on simnet (in-process, virtual time), then writes the
-/// side-by-side fast-decision-rate artifact. "Fast" is the paper's
-/// expedited set: one-step plus two-step decisions.
+/// clock) and on simnet (in-process, virtual time), folding each side
+/// into its own batch ledger, then writes the side-by-side
+/// fast-decision-rate artifact. "Fast" is the paper's expedited set:
+/// one-step plus two-step decisions.
 fn run_campaign_cell(
     campaign: &CampaignSpec,
     cell: &CampaignCell,
@@ -1276,45 +1309,45 @@ fn run_campaign_cell(
     timeout: Duration,
 ) -> Result<(), String> {
     let name = &campaign.name;
-    let (mut netd_fast, mut netd_total) = (0u64, 0u64);
-    let (mut sim_fast, mut sim_total) = (0u64, 0u64);
-    let mut latencies: Vec<u64> = Vec::new();
+    if !cell.chaos.is_none() {
+        return Err(
+            "campaign-over-netd compares fast-decision rates on clean networks; \
+                    pick a chaos-free cell (netd chaos cells run via --cluster --chaos)"
+                .into(),
+        );
+    }
+    let (mut netd, mut sim) = (BatchStats::default(), BatchStats::default());
     let mut wall_us = 0u64;
     for run in 0..runs {
-        let spec = campaign.runspec_for_netd(cell, run)?;
+        // The simnet task's own spec, on netd; `validate_cluster` refuses
+        // cells the children cannot run (a Byzantine budget, say).
         let opts = ClusterOpts {
-            spec,
+            spec: RunSpec {
+                runtime: RuntimeSpec::Netd { peers: None },
+                ..campaign.runspec_for(cell, run)
+            },
             slots: 8,
-            window: 1,
             phase: Phase::Cells,
             timeout,
             scale_us: DEFAULT_SCALE_US,
         };
+        validate_cluster(&opts)?;
         let r = run_consensus_cell(&opts, 0)?;
-        netd_fast += r.one_step + r.two_step;
-        netd_total += r.latencies_us.len() as u64;
-        latencies.extend(r.latencies_us.iter().copied());
+        netd.fold(&r.inst, &r.result);
         wall_us += r.wall_us;
-        let sim = campaign.runspec_for(cell, run).run()?;
-        sim_fast += sim.paths.count(&"1-step") + sim.paths.count(&"2-step");
-        sim_total += sim.paths.total();
+        let inst = campaign.runspec_for(cell, run).instance(0)?;
+        sim.fold(&inst, &run_instance(&inst));
         println!(
             "campaign {name}:{idx} run {run}: netd {}/{} fast in {:.1} ms, simnet {}/{} fast",
-            r.one_step + r.two_step,
-            r.latencies_us.len(),
+            fast(&netd),
+            netd.paths.total(),
             r.wall_us as f64 / 1000.0,
-            sim_fast,
-            sim_total,
+            fast(&sim),
+            sim.paths.total(),
         );
     }
-    let rate = |fast: u64, total: u64| {
-        if total == 0 {
-            0.0
-        } else {
-            fast as f64 / total as f64
-        }
-    };
-    let (netd_rate, sim_rate) = (rate(netd_fast, netd_total), rate(sim_fast, sim_total));
+    let rate = |s: &BatchStats| s.path_fraction("1-step") + s.path_fraction("2-step");
+    let (netd_rate, sim_rate) = (rate(&netd), rate(&sim));
     let body = format!(
         concat!(
             "{{\"campaign\":\"{}\",\"cell\":{},\"n\":{},\"t\":{},\"f\":{},",
@@ -1331,13 +1364,13 @@ fn run_campaign_cell(
         cell.adversary.flag(),
         cell.chaos.flag(),
         runs,
-        netd_fast,
-        netd_total,
+        fast(&netd),
+        netd.paths.total(),
         netd_rate,
-        mean(&latencies),
+        netd.latency.mean(),
         wall_us,
-        sim_fast,
-        sim_total,
+        fast(&sim),
+        sim.paths.total(),
         sim_rate,
     );
     std::fs::create_dir_all("results").map_err(|e| format!("results dir: {e}"))?;
@@ -1347,6 +1380,11 @@ fn run_campaign_cell(
         "campaign {name}:{idx}: wall-clock fast-decision rate {netd_rate:.3} (netd) vs {sim_rate:.3} (simnet) over {runs} runs → {path}"
     );
     Ok(())
+}
+
+/// Expedited (one- or two-step) decisions in a ledger.
+fn fast(stats: &BatchStats) -> u64 {
+    stats.paths.count(&"1-step") + stats.paths.count(&"2-step")
 }
 
 /// `dex-netd` entry: dispatches `--cluster`, `--campaign` and `--node`
@@ -1361,7 +1399,7 @@ pub fn main(args: Vec<String>) -> Result<(), String> {
     } else {
         Err(concat!(
             "usage: dex-netd --cluster [spec flags] [--slots K] ",
-            "[--window W] [--phase cells|kill9|both] [--timeout-secs S] [--chaos-scale-us U]\n",
+            "[--phase cells|kill9|both] [--timeout-secs S] [--chaos-scale-us U]\n",
             "       dex-netd --campaign <name>:<cell> [--runs R] [--timeout-secs S]\n",
             "       (children are spawned internally via --node)"
         )
@@ -1373,8 +1411,67 @@ pub fn main(args: Vec<String>) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn args(flags: &str) -> Vec<String> {
+        flags.split_whitespace().map(String::from).collect()
+    }
+
+    /// A child argv as the parent spawns it: role flags, then the run's
+    /// spec flags.
+    fn node_argv(role: &str, spec: &str) -> (Vec<String>, RunSpec) {
+        let spec = RunSpec::from_args(&args(spec)).expect("spec flags");
+        (args(role).into_iter().chain(spec.to_args()).collect(), spec)
+    }
+
+    /// `report` spells the line `line` and parses back from it; `bad`
+    /// starts with the same keyword but fails, naming the line.
+    fn check_report(report: Report, line: &str, bad: &str) {
+        assert_eq!(report.line(), line);
+        assert_eq!(Report::parse(line), Ok(Some(report)));
+        let err = Report::parse(bad).expect_err("malformed line");
+        assert!(err.contains(&format!("{bad:?}")), "{err}");
+    }
+
     #[test]
-    fn stats_line_round_trips_the_ledger() {
+    fn decided_report_round_trips() {
+        check_report(
+            Report::Decided {
+                value: 7,
+                path: DecisionPath::TwoStep,
+                depth: StepDepth::new(2),
+                elapsed_us: 1800,
+            },
+            "DECIDED value=7 path=2-step depth=2 elapsed_us=1800",
+            "DECIDED value=7 path=3-step depth=2 elapsed_us=1800",
+        );
+        // Lines without a report keyword are not reports.
+        assert_eq!(Report::parse("listening on 127.0.0.1:9000"), Ok(None));
+        assert_eq!(Report::parse(""), Ok(None));
+    }
+
+    #[test]
+    fn progress_report_round_trips() {
+        check_report(
+            Report::Progress(5),
+            "PROGRESS prefix=5",
+            "PROGRESS prefix=-1",
+        );
+    }
+
+    #[test]
+    fn done_report_round_trips() {
+        check_report(
+            Report::Done {
+                digest: 0x00ab_54a9_8ceb_1f0a,
+                prefix: 8,
+                restarts: 1,
+            },
+            "DONE digest=0x00ab54a98ceb1f0a prefix=8 restarts=1",
+            "DONE digest=00ab54a98ceb1f0a prefix=8 restarts=1",
+        );
+    }
+
+    #[test]
+    fn stats_report_round_trips_the_ledger() {
         let net = NetStats {
             sent: 10,
             delivered: 9,
@@ -1389,124 +1486,104 @@ mod tests {
             max_depth: StepDepth::new(3),
             ..NetStats::default()
         };
-        let line = format_stats_line(&net);
-        let back = parse_stats_line(&line).expect("parses");
-        assert_eq!(back, net);
-        assert_eq!(parse_stats_line("STATS sent=oops"), None);
-        assert_eq!(parse_stats_line("DECIDED value=1"), None);
+        check_report(
+            Report::Stats(net),
+            "STATS sent=10 delivered=9 multicasts=2 clones=0 bytes=512 init=3 echo=4 batch=1 other=2 batched=6 max_depth=3",
+            "STATS sent=oops",
+        );
     }
 
     #[test]
-    fn node_argv_round_trips_both_roles() {
-        let opts = parse_node_args(
-            "--node 2 --mode consensus --n 2 --t 0 --seed 9 --peers h:1,h:2 --propose 7"
-                .split_whitespace()
-                .map(String::from)
-                .collect(),
-        )
-        .expect("consensus argv");
+    fn chaos_report_round_trips() {
+        check_report(
+            Report::Chaos(ChaosReport {
+                to: 6,
+                sched: 0x00ab_54a9_8ceb_1f0a,
+                frames: 12,
+                drops: 3,
+                dups: 0,
+                held: 2,
+                torn: 1,
+            }),
+            "CHAOS to=6 sched=0x00ab54a98ceb1f0a frames=12 drops=3 dups=0 held=2 torn=1",
+            "CHAOS to=6 sched=zzz frames=1",
+        );
+    }
+
+    #[test]
+    fn node_argv_is_role_flags_plus_the_run_spec() {
+        let (argv, spec) = node_argv(
+            "--node 2 --mode consensus --propose 7",
+            "--n 3 --t 0 --seed 9 --aggregate --runtime netd --peers h:1,h:2,h:3",
+        );
+        let opts = parse_node_args(argv).expect("consensus argv");
         assert_eq!(opts.me, ProcessId::new(2));
-        assert!(matches!(
-            opts.role,
-            Role::Consensus {
-                propose: 7,
-                aggregate: false
-            }
-        ));
-        let opts = parse_node_args(
-            "--node 1 --mode replica --n 2 --t 0 --seed 9 --peers h:1,h:2 --wal /tmp/w.log --slots 8 --window 4 --respawn --divergent"
-                .split_whitespace()
-                .map(String::from)
-                .collect(),
-        )
-        .expect("replica argv");
+        assert!(matches!(opts.role, Role::Consensus { propose: 7 }));
+        assert_eq!(opts.spec, spec);
+        assert!(opts.spec.aggregate.is_on());
+        let (argv, spec) = node_argv(
+            "--node 1 --mode replica --wal /tmp/w.log --slots 8 --respawn",
+            "--n 7 --t 1 --pipeline 4 --kill 2:divergent --runtime netd \
+             --peers h:1,h:2,h:3,h:4,h:5,h:6,h:7",
+        );
+        let opts = parse_node_args(argv).expect("replica argv");
         match opts.role {
-            Role::Replica {
-                slots,
-                window,
-                respawn,
-                divergent,
-                ..
-            } => {
-                assert_eq!((slots, window), (8, 4));
-                assert!(respawn);
-                assert!(divergent);
-            }
+            Role::Replica { slots, respawn, .. } => assert_eq!((slots, respawn), (8, true)),
             other => panic!("wrong role {other:?}"),
         }
+        assert_eq!(opts.spec, spec);
+        assert_eq!(opts.spec.pipeline.window, 4);
+        assert!(opts.spec.kill.divergent);
     }
 
     #[test]
     fn node_argv_carries_chaos_and_peers() {
-        let opts = parse_node_args(
-            "--node 2 --mode consensus --n 3 --t 0 --seed 9 --propose 7 \
-             --chaos drop:0.4 --f 1 --chaos-scale-us 500 --peers 10.0.0.1:9000,10.0.0.2:9001,10.0.0.3:9002"
-                .split_whitespace()
-                .map(String::from)
-                .collect(),
-        )
-        .expect("chaos argv");
-        assert_eq!(opts.chaos, ChaosSpec::DropHeavy { p: 0.4 });
-        assert_eq!((opts.f, opts.scale_us), (1, 500));
-        assert_eq!(opts.peers.len(), 3);
-        assert_eq!((opts.peers.host(1), opts.peers.port(1)), ("10.0.0.2", 9001));
+        let role = "--node 2 --mode consensus --propose 7";
+        let (argv, _) = node_argv(
+            &format!("{role} --chaos-scale-us 500"),
+            "--n 7 --t 1 --f 1 --chaos drop:0.4 --runtime netd \
+             --peers 10.0.0.1:9000,10.0.0.2:9001,h:3,h:4,h:5,h:6,h:7",
+        );
+        let opts = parse_node_args(argv).expect("chaos argv");
+        assert_eq!(opts.spec.chaos, ChaosSpec::DropHeavy { p: 0.4 });
+        assert_eq!((opts.spec.f, opts.scale_us), (1, 500));
+        let peers = opts.spec.runtime.peers().expect("table");
+        assert_eq!((peers.host(1), peers.port(1)), ("10.0.0.2", 9001));
         // Defaults: clean, no budget, canonical scale.
-        let argv = |tail: &str| -> Vec<String> {
-            format!("--node 0 --mode consensus --n 2 --t 0 --seed 9 --propose 7 {tail}")
-                .split_whitespace()
-                .map(String::from)
-                .collect()
-        };
-        let opts = parse_node_args(argv("--peers h:1,h:2")).expect("clean argv");
-        assert!(opts.chaos.is_none());
-        assert_eq!((opts.f, opts.scale_us), (0, DEFAULT_SCALE_US));
+        let (argv, _) = node_argv(role, "--n 2 --t 0 --runtime netd --peers h:1,h:2");
+        let opts = parse_node_args(argv).expect("clean argv");
+        assert!(opts.spec.chaos.is_none());
+        assert_eq!((opts.spec.f, opts.scale_us), (0, DEFAULT_SCALE_US));
         // The table is the only addressing path: it is required, and it
         // must name exactly `n` processes.
-        let err = parse_node_args(argv("")).expect_err("no table");
+        let (argv, _) = node_argv(role, "--n 2 --t 0 --runtime netd");
+        let err = parse_node_args(argv).expect_err("no table");
         assert!(err.contains("--peers required"), "{err}");
-        let err = parse_node_args(argv("--peers h:1,h:2,h:3")).expect_err("wrong size");
+        let (argv, _) = node_argv(role, "--n 2 --t 0 --runtime netd --peers h:1,h:2,h:3");
+        let err = parse_node_args(argv).expect_err("wrong size");
         assert!(err.contains("names 3 processes"), "{err}");
     }
 
     #[test]
-    fn chaos_line_round_trips_the_report() {
-        let line = "CHAOS to=6 sched=0x00ab54a98ceb1f0a frames=12 drops=3 dups=0 held=2 torn=1";
-        let report = parse_chaos_line(line).expect("parses");
-        assert_eq!(report.to, 6);
-        assert_eq!(report.sched, 0x00ab_54a9_8ceb_1f0a);
-        assert_eq!(
-            (
-                report.frames,
-                report.drops,
-                report.dups,
-                report.held,
-                report.torn
-            ),
-            (12, 3, 0, 2, 1)
-        );
-        assert_eq!(parse_chaos_line("STATS sent=1"), None);
-        assert_eq!(parse_chaos_line("CHAOS to=6 sched=zzz frames=1"), None);
-    }
-
-    #[test]
     fn cluster_argv_carries_spec_and_netd_knobs() {
-        let opts = parse_cluster_args(
-            "--cluster --n 5 --t 0 --workload unanimous:7 --runs 2 --seed 31 --slots 6 --phase cells --chaos-scale-us 250"
-                .split_whitespace()
-                .map(String::from)
-                .collect(),
-        )
+        let opts = parse_cluster_args(args(
+            "--cluster --n 5 --t 0 --workload unanimous:7 --runs 2 --seed 31 --slots 6 \
+             --pipeline 4 --phase cells --chaos-scale-us 250",
+        ))
         .expect("cluster argv");
         assert_eq!(opts.spec.n, 5);
         assert!(opts.spec.runtime.is_netd());
-        assert_eq!(opts.slots, 6);
+        assert_eq!((opts.slots, opts.spec.pipeline.window), (6, 4));
         assert_eq!(opts.phase, Phase::Cells);
         assert_eq!(opts.scale_us, 250);
+        // The kill9 window is `--pipeline`; there is no second spelling.
+        let err = parse_cluster_args(args("--cluster --n 5 --t 0 --window 4"))
+            .expect_err("--window is not a flag");
+        assert!(err.contains("--window"), "{err}");
     }
 
     fn cluster_opts(argv: &str) -> ClusterOpts {
-        parse_cluster_args(argv.split_whitespace().map(String::from).collect())
-            .expect("cluster argv parses")
+        parse_cluster_args(args(argv)).expect("cluster argv parses")
     }
 
     #[test]
@@ -1549,7 +1626,67 @@ mod tests {
         let err = validate_cluster(&cluster_opts("--cluster --n 6 --t 1 --phase cells"))
             .expect_err("n = 6t");
         assert!(err.starts_with("bad configuration"), "{err}");
-        let opts = cluster_opts("--cluster --n 7 --t 1 --kill 2:divergent --phase kill9");
+        // Spec flags the children cannot honour are refused, not ignored.
+        for (argv, needle) in [
+            ("--algo bosco --phase cells", "--algo"),
+            ("--underlying mvc --phase cells", "mvc"),
+            (
+                "--f 1 --chaos drop:0.4 --adversary equivocate --phase cells",
+                "--adversary",
+            ),
+            ("--trace --phase cells", "--trace"),
+            ("--pipeline 4:2 --phase kill9", "batch"),
+        ] {
+            let err = validate_cluster(&cluster_opts(&format!("--cluster --n 7 --t 1 {argv}")))
+                .expect_err(argv);
+            assert!(err.contains(needle), "{argv}: {err}");
+        }
+        let opts =
+            cluster_opts("--cluster --n 7 --t 1 --kill 2:divergent --pipeline 4 --phase kill9");
         assert_eq!(validate_cluster(&opts), Ok(()));
+    }
+
+    /// Run `i` of a 7-process last-k batch on `workload`.
+    fn cell_instance(workload: &str, i: usize) -> RunInstance {
+        RunSpec::from_args(&args(&format!(
+            "--n 7 --t 1 --workload {workload} --placement last-k"
+        )))
+        .and_then(|spec| spec.instance(i))
+        .expect("cell instance")
+    }
+
+    fn decided(value: u64) -> Outcome {
+        Outcome::decided(
+            value,
+            DecisionPath::OneStep,
+            StepDepth::new(1),
+            Time::new(40),
+        )
+    }
+
+    #[test]
+    fn a_cell_whose_reports_disagree_fails_with_an_agreement_error() {
+        // A split input: unanimity has no premise, only agreement can fail.
+        let inst = cell_instance("split:3", 3);
+        let mut outcomes: Vec<Outcome> = (0..7).map(|_| decided(1)).collect();
+        outcomes[4] = decided(0);
+        let err = judge_cell(3, &inst, outcomes, NetStats::default()).expect_err("two values");
+        assert!(err.starts_with("run 3: AGREEMENT VIOLATION"), "{err}");
+    }
+
+    #[test]
+    fn a_unanimous_cell_deciding_another_value_fails_with_a_unanimity_error() {
+        let inst = cell_instance("unanimous:7", 5);
+        let outcomes = (0..7).map(|_| decided(9)).collect();
+        let err = judge_cell(5, &inst, outcomes, NetStats::default()).expect_err("not the input");
+        assert!(err.starts_with("run 5: UNANIMITY VIOLATION"), "{err}");
+        // The honest cell passes and folds clean into the ledger.
+        let mut outcomes: Vec<Outcome> = (0..7).map(|_| decided(7)).collect();
+        outcomes[6] = Outcome::Faulty;
+        let run = judge_cell(5, &inst, outcomes, NetStats::default()).expect("unanimous");
+        let mut stats = BatchStats::default();
+        stats.fold(&inst, &run);
+        assert!(stats.clean(), "{stats:?}");
+        assert_eq!(stats.paths.count(&"1-step"), 6);
     }
 }

@@ -23,7 +23,6 @@ mod recorder;
 
 pub mod checker;
 pub mod json;
-pub mod summary;
 
 pub use checker::{
     check, ChaosMeta, CheckReport, PipelineMeta, ProcessTrace, RunTrace, SchemeRules, TraceMeta,
@@ -32,4 +31,3 @@ pub use checker::{
 pub use event::{obs_code, Event, EventKind, PredTag, Scheme, ViewTag};
 pub use log::{EventLog, CHUNK_EVENTS};
 pub use recorder::Recorder;
-pub use summary::{DecideRecord, DecideSummary};

@@ -186,6 +186,22 @@ impl NetStats {
             *mine += theirs;
         }
     }
+
+    /// The `--stats` breakdown line, printed by `dex-sim` and `dex-netd`
+    /// alike, so a diff between runtimes is a wire difference, never a
+    /// formatting one: the four class counters partition `sent` exactly,
+    /// `echoes batched` is what the aggregation layer absorbed.
+    pub fn breakdown_line(&self) -> String {
+        format!(
+            "wire classes: init {}  echo {}  batch {}  other {}  | echoes batched {}  bytes {}",
+            self.sent_init,
+            self.sent_echo,
+            self.sent_batch,
+            self.sent_other,
+            self.echoes_batched,
+            self.bytes_on_wire,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +259,23 @@ mod tests {
             s.sent_init + s.sent_echo + s.sent_batch + s.sent_other,
             s.sent,
             "class counters must partition sent exactly"
+        );
+    }
+
+    #[test]
+    fn breakdown_line_spells_the_class_counters() {
+        let net = NetStats {
+            sent_init: 7,
+            sent_echo: 42,
+            sent_batch: 6,
+            sent_other: 14,
+            echoes_batched: 36,
+            bytes_on_wire: 1234,
+            ..NetStats::default()
+        };
+        assert_eq!(
+            net.breakdown_line(),
+            "wire classes: init 7  echo 42  batch 6  other 14  | echoes batched 36  bytes 1234"
         );
     }
 }

@@ -44,7 +44,7 @@ cp "$trace_a/results/netd_chaos_42.json" results/netd_chaos_42.json
 
 echo "== divergent kill -9: survivor progress, then WAL replay + catch-up"
 "$NETD" --cluster --n 7 --t 1 --phase kill9 --kill 2:divergent \
-  --slots 8 --window 4 --seed 99 --timeout-secs 120
+  --slots 8 --pipeline 4 --seed 99 --timeout-secs 120
 grep -q '"divergent":true' BENCH_netd.json
 grep -q '"converged":true' BENCH_netd.json
 grep -q '"survivor_floor":' BENCH_netd.json

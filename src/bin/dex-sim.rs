@@ -47,9 +47,7 @@
 
 use dex::harness::pipeline::{PipelineRun, DEFAULT_SLOTS};
 use dex::harness::spec::RunSpec;
-use dex::harness::stats::RunStats;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn run_pipeline(spec: &RunSpec) -> ExitCode {
     let run = match PipelineRun::from_spec(spec, DEFAULT_SLOTS) {
@@ -80,7 +78,7 @@ fn run_pipeline(spec: &RunSpec) -> ExitCode {
         outcome.echoes_coalesced,
     );
     if spec.stats {
-        println!("{}", RunStats::of_pipeline(&outcome).breakdown_line());
+        println!("{}", outcome.net.breakdown_line());
     }
     if !spec.trace {
         return ExitCode::SUCCESS;
@@ -140,7 +138,6 @@ fn main() -> ExitCode {
         return run_pipeline(&spec);
     }
 
-    let started = Instant::now();
     let stats = match spec.run() {
         Ok(stats) => stats,
         Err(e) => {
@@ -148,7 +145,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let wall = started.elapsed();
 
     println!(
         "{} on {} | workload {} | adversary {} (f = {}) | chaos {} | {} runs",
@@ -183,10 +179,7 @@ fn main() -> ExitCode {
         stats.non_quiescent,
     );
     if spec.stats {
-        println!(
-            "{}",
-            RunStats::of_batch(&stats, spec.runtime.clone(), wall).breakdown_line()
-        );
+        println!("{}", stats.net.breakdown_line());
     }
     let mut trace_ok = true;
     if spec.trace {

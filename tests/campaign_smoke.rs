@@ -2,11 +2,12 @@
 //! byte-stable across worker counts and digest orderings, its
 //! fast-decision rates are monotone non-increasing in `f` with strict
 //! adaptivity below the fault bound, and its per-run digests agree with
-//! both the compiled single-run `RunSpec`s and the structured trace
-//! summaries — three independent execution paths, one answer.
+//! both the compiled single-run `RunSpec`s and the first `Decide` event
+//! of each correct process in the traced replay — three independent
+//! execution paths, one answer.
 
 use dex::harness::campaign::{aggregate, run_campaign, run_digests, CampaignSpec};
-use dex::obs::DecideSummary;
+use dex::obs::{EventKind, Scheme};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -74,16 +75,29 @@ fn digests_agree_with_compiled_runspecs_and_trace_summaries() {
         assert_eq!(u64::from(digest.two_step), stats.paths.count(&"2-step"));
         assert_eq!(u64::from(digest.fallback), stats.paths.count(&"fallback"));
         assert_eq!(digest.undecided as usize, stats.undecided);
-        // Path 3: the traced replay, folded by the obs-layer summary.
+        // Path 3: the traced replay — each correct process's first
+        // `Decide` event, counted per scheme.
         let traced = replay.traced(0).expect("replay traces");
-        let summary = DecideSummary::from_trace(&traced.trace);
-        assert_eq!(digest.one_step, summary.one_step);
-        assert_eq!(digest.two_step, summary.two_step);
-        assert_eq!(digest.fallback, summary.fallback);
+        let (mut one, mut two, mut fallback) = (0u32, 0u32, 0u32);
+        for p in &traced.trace.processes {
+            if traced.trace.meta.faulty.contains(&p.id) {
+                continue;
+            }
+            let first = p.events.iter().find_map(|ev| match ev.kind {
+                EventKind::Decide { scheme, .. } => Some(scheme),
+                _ => None,
+            });
+            match first {
+                Some(Scheme::OneStep) => one += 1,
+                Some(Scheme::TwoStep) => two += 1,
+                Some(Scheme::Fallback) => fallback += 1,
+                None => {}
+            }
+        }
         assert_eq!(
-            digest.one_step + digest.two_step,
-            summary.fast(),
-            "cell {cell_idx} run {run}: fast-decision numerators disagree"
+            (digest.one_step, digest.two_step, digest.fallback),
+            (one, two, fallback),
+            "cell {cell_idx} run {run}: decide-path counts disagree with the trace"
         );
     }
 }

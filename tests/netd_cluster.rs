@@ -59,6 +59,8 @@ fn five_process_cluster_decides_and_survives_kill9() {
             "31",
             "--slots",
             "6",
+            "--pipeline",
+            "4",
             "--timeout-secs",
             "120",
         ])
@@ -182,7 +184,7 @@ fn divergent_kill9_proves_survivor_progress_before_the_respawn_converges() {
             "2:divergent",
             "--slots",
             "8",
-            "--window",
+            "--pipeline",
             "4",
             "--seed",
             "99",
