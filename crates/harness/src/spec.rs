@@ -159,10 +159,15 @@ impl WorkloadSpec {
                 if clients == 0 {
                     return Err(format!("empty client population in workload {raw:?}"));
                 }
+                let s: f64 = s
+                    .parse()
+                    .map_err(|_| format!("bad skew in workload {raw:?}"))?;
+                if !s.is_finite() {
+                    return Err(format!("skew {s} is not finite in workload {raw:?}"));
+                }
                 Ok(WorkloadSpec::HotKey {
                     clients,
-                    s: s.parse()
-                        .map_err(|_| format!("bad skew in workload {raw:?}"))?,
+                    s,
                     hot: prob(hot, "hot probability")?,
                     bias: prob(bias, "bias probability")?,
                 })
@@ -1403,6 +1408,8 @@ mod tests {
         assert!(WorkloadSpec::parse("hotkey:0:1:0.5:0.5").is_err());
         assert!(WorkloadSpec::parse("hotkey:10:1:1.5:0").is_err());
         assert!(WorkloadSpec::parse("hotkey:10:1:0.5").is_err());
+        assert!(WorkloadSpec::parse("hotkey:10:nan:0.5:0.5").is_err());
+        assert!(WorkloadSpec::parse("hotkey:10:inf:0.5:0.5").is_err());
     }
 
     #[test]

@@ -416,9 +416,17 @@ impl<A: Actor> Simulation<A> {
         if let Some(slot) = delivered {
             self.slab.release(slot);
         }
-        self.dispatch(me, &mut outbox, depth.next());
-        self.dispatch_at(me, &mut outbox_at);
-        self.dispatch_timers(me, &mut timers, depth.next());
+        // Most handlers fill one buffer or none; an empty one would only
+        // cost a drain, since dispatching nothing draws and records nothing.
+        if !outbox.is_empty() {
+            self.dispatch(me, &mut outbox, depth.next());
+        }
+        if !outbox_at.is_empty() {
+            self.dispatch_at(me, &mut outbox_at);
+        }
+        if !timers.is_empty() {
+            self.dispatch_timers(me, &mut timers, depth.next());
+        }
         self.scratch = outbox;
     }
 

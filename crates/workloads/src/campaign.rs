@@ -13,24 +13,30 @@
 //!
 //! * [`PopulationModel`] — the symbolic description: client count, Zipf
 //!   popularity skew, extra hot-key mass, per-process proposal bias.
-//! * [`ClientPopulation`] — the *compiled* sampler: the Zipf cumulative
-//!   table over all clients is precomputed **once** (O(clients)) and every
-//!   per-proposal draw is then a binary search (O(log clients)). A million
-//!   clients costs one 8 MB table per phase, not per run.
+//! * [`ClientPopulation`] — the *compiled* sampler: the Zipf popularity
+//!   mass is summed once over all clients (O(clients)), keeping the
+//!   running sum at every 64th rank. A draw binary-searches those
+//!   checkpoints (O(log clients)) and re-adds at most 64 terms. The
+//!   checkpoint table depends only on `(clients, skew)`, costs 125 KB per
+//!   million clients, and is compiled once per process and shared by
+//!   every population with that pair.
 //! * [`ContentionPhase`] / [`PhaseSchedule`] — time-varying contention: a
 //!   campaign's run sequence walks through phases (e.g. calm → flash crowd
 //!   → dispersed), each with its own population model; the phase of run
 //!   `i` is a pure function of `i`.
 //!
 //! Determinism: a compiled population draws only from the `StdRng` handed
-//! to [`generate`](InputGenerator::generate); the cumulative table is a
-//! pure function of the model. Same seed ⇒ same input vector, regardless
-//! of which worker thread runs the sample (pinned by the proptest suite in
-//! `tests/prop_campaign.rs`).
+//! to [`generate`](InputGenerator::generate); the checkpoint table is a
+//! pure function of the model, and every sum a draw compares against is
+//! bit-identical to the entry a full cumulative table would hold. Same
+//! seed ⇒ same input vector, regardless of which worker thread runs the
+//! sample (pinned by the proptest suite in `tests/prop_campaign.rs`).
 
 use crate::InputGenerator;
 use dex_types::InputVector;
 use rand::rngs::StdRng;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Symbolic description of a client population: who proposes what, how
 /// often, and how contended it is.
@@ -78,13 +84,16 @@ impl PopulationModel {
         bias: 0.5,
     };
 
-    /// Compiles the model into a sampler, precomputing the Zipf cumulative
-    /// table. Do this once per phase, not per run.
+    /// Compiles the model into a sampler. The Zipf checkpoint table is
+    /// built on the first compile of a `(clients, skew)` pair in this
+    /// process and shared by every later one, so compiling per phase, per
+    /// campaign or per run costs one table lookup after the first.
     ///
     /// # Panics
     ///
-    /// Panics on an empty client population or probabilities outside
-    /// `[0, 1]`.
+    /// Panics on an empty client population, probabilities outside
+    /// `[0, 1]`, or a skew whose total Zipf mass is not finite and positive
+    /// (a NaN skew, or a negative one large enough to overflow).
     pub fn compile(&self) -> ClientPopulation {
         assert!(self.clients > 0, "population must be non-empty");
         assert!(
@@ -95,18 +104,96 @@ impl PopulationModel {
             (0.0..=1.0).contains(&self.bias),
             "bias probability out of [0, 1]"
         );
-        // Cumulative (unnormalized) Zipf mass over ranks 1..=clients, in a
-        // fixed summation order so the table is bit-reproducible.
-        let mut cumulative = Vec::with_capacity(self.clients as usize);
-        let mut total = 0.0;
-        for rank in 1..=self.clients {
-            total += 1.0 / (rank as f64).powf(self.skew);
-            cumulative.push(total);
-        }
         ClientPopulation {
             model: *self,
-            cumulative,
+            zipf: ZipfTable::shared(self.clients, self.skew),
         }
+    }
+}
+
+/// Ranks per checkpoint of a [`ZipfTable`].
+const BLOCK: u64 = 64;
+
+/// The unnormalized Zipf mass of one rank (1-based). Compiling and drawing
+/// both add exactly these terms in rank order, which is what makes every
+/// running sum a draw recomputes bit-identical to the compiled one.
+fn zipf_term(rank: u64, skew: f64) -> f64 {
+    1.0 / (rank as f64).powf(skew)
+}
+
+/// The compiled Zipf popularity of one `(clients, skew)` pair: the running
+/// mass at every [`BLOCK`]th rank instead of a full cumulative table.
+#[derive(Debug)]
+struct ZipfTable {
+    clients: u64,
+    skew: f64,
+    /// `checkpoints[b]` = unnormalized mass of ranks `1..=64·b`
+    /// (`checkpoints[0] = 0.0`), one entry per block of 64 ranks.
+    checkpoints: Vec<f64>,
+    /// Unnormalized mass of all ranks.
+    total: f64,
+}
+
+impl ZipfTable {
+    /// The process-wide table of `(clients, skew)`, built on first use.
+    /// The cache lock is not held while building, so two threads may
+    /// build the same table at once; the first one stored is the one
+    /// every caller gets.
+    fn shared(clients: u64, skew: f64) -> Arc<ZipfTable> {
+        static CACHE: Mutex<BTreeMap<(u64, u64), Arc<ZipfTable>>> = Mutex::new(BTreeMap::new());
+        let key = (clients, skew.to_bits());
+        let lock = || {
+            CACHE
+                .lock()
+                .expect("no code panics holding the Zipf cache lock")
+        };
+        if let Some(table) = lock().get(&key) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(ZipfTable::build(clients, skew));
+        Arc::clone(lock().entry(key).or_insert(table))
+    }
+
+    fn build(clients: u64, skew: f64) -> ZipfTable {
+        let mut checkpoints = Vec::with_capacity(clients.div_ceil(BLOCK) as usize);
+        let mut total = 0.0;
+        for rank in 1..=clients {
+            if (rank - 1) % BLOCK == 0 {
+                checkpoints.push(total);
+            }
+            total += zipf_term(rank, skew);
+        }
+        assert!(
+            total.is_finite() && total > 0.0,
+            "Zipf mass of {clients} clients at skew {skew} is {total}, not finite and positive"
+        );
+        ZipfTable {
+            clients,
+            skew,
+            checkpoints,
+            total,
+        }
+    }
+
+    /// The 0-based rank a draw `x` lands on: the first rank whose running
+    /// mass exceeds `x` — `partition_point(|c| c <= x)` over the full
+    /// cumulative table, so `clients` for an `x` at or above the total.
+    /// Binary-searches the checkpoints for the last one `<= x`, then
+    /// re-adds at most [`BLOCK`] terms from it in compile order.
+    fn rank(&self, x: f64) -> u64 {
+        let block = self
+            .checkpoints
+            .partition_point(|&c| c <= x)
+            .saturating_sub(1);
+        let first = block as u64 * BLOCK;
+        let mut sum = self.checkpoints[block];
+        for rank in first..(first + BLOCK).min(self.clients) {
+            sum += zipf_term(rank + 1, self.skew);
+            if sum > x {
+                return rank;
+            }
+        }
+        self.clients
     }
 }
 
@@ -115,9 +202,7 @@ impl PopulationModel {
 #[derive(Clone, Debug)]
 pub struct ClientPopulation {
     model: PopulationModel,
-    /// `cumulative[k]` = unnormalized Zipf mass of ranks `1..=k+1`; the
-    /// last entry is the total mass.
-    cumulative: Vec<f64>,
+    zipf: Arc<ZipfTable>,
 }
 
 impl ClientPopulation {
@@ -136,27 +221,21 @@ impl ClientPopulation {
             % self.model.clients
     }
 
-    /// One popularity draw: client id in `0..clients`, id 0 being the
-    /// hottest rank.
-    fn draw_popular(&self, rng: &mut StdRng) -> u64 {
-        let total = *self.cumulative.last().expect("non-empty population");
-        let x = rng.next_f64() * total;
-        self.cumulative.partition_point(|&c| c <= x) as u64
-    }
-
     /// One proposal of process `i`: bias draw, then hot-key draw, then the
     /// Zipf tail. Exactly three RNG decisions per proposal, in a fixed
-    /// order, so replay is trivially stable.
+    /// order, so replay is trivially stable. The Zipf draw (client id in
+    /// `0..clients`, id 0 being the hottest rank) is always taken but only
+    /// searched for when it is the one proposed.
     pub fn propose(&self, process: usize, rng: &mut StdRng) -> u64 {
         let biased = rng.random_bool(self.model.bias);
         let hot = rng.random_bool(self.model.hot);
-        let zipf = self.draw_popular(rng);
+        let x = rng.next_f64() * self.zipf.total;
         if biased {
             self.home(process)
         } else if hot {
             0
         } else {
-            zipf
+            self.zipf.rank(x)
         }
     }
 }
@@ -271,9 +350,173 @@ impl PhaseSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// The reference sampler: the full cumulative table (`table[k]` = mass
+    /// of ranks `1..=k+1`, summed in rank order) and its `partition_point`.
+    fn full_table(clients: u64, skew: f64) -> Vec<f64> {
+        let mut total = 0.0;
+        (1..=clients)
+            .map(|rank| {
+                total += 1.0 / (rank as f64).powf(skew);
+                total
+            })
+            .collect()
+    }
+
+    fn full_rank(table: &[f64], x: f64) -> u64 {
+        table.partition_point(|&c| c <= x) as u64
+    }
+
+    /// Asserts the checkpoint search agrees with the full table on `x`
+    /// and on each exact cumulative value the `probe` filter keeps, ± 1
+    /// ulp.
+    fn assert_ranks_match(
+        zipf: &ZipfTable,
+        table: &[f64],
+        xs: impl IntoIterator<Item = f64>,
+        probe: impl Fn(usize) -> bool,
+    ) {
+        assert_eq!(zipf.total.to_bits(), table.last().unwrap().to_bits());
+        let exact = table
+            .iter()
+            .enumerate()
+            .filter(|(k, _)| probe(*k))
+            .flat_map(|(_, &c)| [c.next_down(), c, c.next_up()]);
+        for x in xs.into_iter().chain(exact) {
+            assert_eq!(
+                zipf.rank(x),
+                full_rank(table, x),
+                "clients {} skew {} x {x:e}",
+                zipf.clients,
+                zipf.skew
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 48,
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn checkpoint_rank_matches_the_full_table(
+            clients in prop_oneof![
+                1u64..=3_000,
+                (1u64..=46).prop_map(|b| b * BLOCK),
+                (1u64..=46).prop_map(|b| b * BLOCK + 1),
+                (1u64..=46).prop_map(|b| b * BLOCK - 1),
+            ],
+            skew in prop_oneof![Just(0.2), Just(0.8), Just(1.0), Just(1.2)],
+            unit in proptest::collection::vec(0.0f64..1.0, 256),
+        ) {
+            let zipf = ZipfTable::build(clients, skew);
+            let table = full_table(clients, skew);
+            assert_ranks_match(&zipf, &table, unit.iter().map(|u| u * zipf.total), |_| true);
+        }
+    }
+
+    #[test]
+    fn checkpoint_rank_matches_the_full_table_on_the_presets() {
+        for model in [
+            PopulationModel::CALM,
+            PopulationModel::CONTENDED,
+            PopulationModel::DISPERSED,
+        ] {
+            let pop = model.compile();
+            let table = full_table(model.clients, model.skew);
+            let mut draws = rng(11);
+            let xs: Vec<f64> = (0..20_000)
+                .map(|_| draws.next_f64() * pop.zipf.total)
+                .collect();
+            // Every exact value in the first blocks, where the mass is;
+            // a prime stride, off every block boundary, beyond them.
+            assert_ranks_match(&pop.zipf, &table, xs, |k| k < 1_024 || k % 997 == 0);
+        }
+    }
+
+    #[test]
+    fn presets_draw_what_the_full_table_drew() {
+        let expect: [(PopulationModel, [[u64; 13]; 3]); 3] = [
+            (
+                PopulationModel::CALM,
+                [
+                    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                    [0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0],
+                    [0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                ],
+            ),
+            (
+                PopulationModel::CONTENDED,
+                [
+                    [
+                        9673, 198486, 4179, 43840, 690709, 118, 3224, 182932, 211, 8, 8892, 944, 0,
+                    ],
+                    [
+                        76, 0, 68, 43840, 690709, 337578, 2647, 0, 641, 229824, 43788, 6128, 520509,
+                    ],
+                    [
+                        1, 29905, 919301, 43840, 0, 337578, 536063, 53679, 0, 28286, 0, 106413,
+                        434813,
+                    ],
+                ],
+            ),
+            (
+                PopulationModel::DISPERSED,
+                [
+                    [
+                        1, 198486, 217309, 43840, 690709, 337578, 536063, 182932, 381417, 20215,
+                        675155, 136934, 653765,
+                    ],
+                    [
+                        56345, 517617, 53861, 43840, 690709, 337578, 189221, 331555, 381417,
+                        674881, 428150, 243567, 520509,
+                    ],
+                    [
+                        1, 198486, 977952, 43840, 414821, 337578, 536063, 182932, 1472, 28286,
+                        428440, 547312, 520509,
+                    ],
+                ],
+            ),
+        ];
+        for (model, rows) in expect {
+            let pop = model.compile();
+            for (seed, row) in [0, 1, 7].into_iter().zip(rows) {
+                let input = pop.generate(13, &mut rng(seed));
+                assert_eq!(input.as_slice(), row, "{} seed {seed}", pop.name());
+            }
+        }
+    }
+
+    #[test]
+    fn one_table_per_clients_and_skew() {
+        let a = PopulationModel::CONTENDED.compile();
+        let b = PopulationModel {
+            hot: 0.0,
+            bias: 1.0,
+            ..PopulationModel::CONTENDED
+        }
+        .compile();
+        assert!(Arc::ptr_eq(&a.zipf, &b.zipf));
+        assert_eq!(a.zipf.checkpoints.len(), 15_625);
+        assert!(!Arc::ptr_eq(&a.zipf, &PopulationModel::CALM.compile().zipf));
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite and positive")]
+    fn overflowing_zipf_mass_is_rejected() {
+        let _ = PopulationModel {
+            clients: 10,
+            skew: -1000.0,
+            hot: 0.0,
+            bias: 0.0,
+        }
+        .compile();
     }
 
     #[test]

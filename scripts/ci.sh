@@ -30,8 +30,9 @@
 #   benchmark-smoke  benchmark/ builds and tests offline against this
 #                    checkout; all six workloads (simlog-n31, -agg,
 #                    chaoslog-n13, campaign-std, both netlog), 3 s each,
-#                    exit 0; scripts/profile.sh simlog-n31 for 2 s names
-#                    at least one dex_ function
+#                    exit 0; scripts/profile.sh simlog-n31 for 2 s prints
+#                    a self and an inclusive table, each naming at least
+#                    one dex_ function
 #   all              everything above, in order (the default)
 #
 # The workspace builds fully offline: every external dependency is vendored
@@ -172,16 +173,19 @@ stage_benchmark_smoke() {
     bash benchmark/run.sh --workload "$workload" --seconds 3 > /dev/null
   done
 
-  # A profile without one dex_ function means the frame-pointer build, the
+  # A table without one dex_ function means the frame-pointer build, the
   # sampler or the symbolisation broke.
-  echo "== benchmark smoke: scripts/profile.sh simlog-n31, 2 s, names dex_ functions"
-  local profile
+  echo "== benchmark smoke: scripts/profile.sh simlog-n31, 2 s, both tables name dex_ functions"
+  local profile table
   profile=$(./scripts/profile.sh simlog-n31 --seconds 2)
-  if ! grep -q 'dex_' <<< "$profile"; then
-    echo "no dex_ function in the profile:" >&2
-    echo "$profile" >&2
-    exit 1
-  fi
+  for table in self inclusive; do
+    if ! awk -v head="== $table " 'index($0, "== ") == 1 { on = index($0, head) == 1; next }
+        on && /dex_/ { found = 1 } END { exit !found }' <<< "$profile"; then
+      echo "no $table table naming a dex_ function in the profile:" >&2
+      echo "$profile" >&2
+      exit 1
+    fi
+  done
 }
 
 usage() {

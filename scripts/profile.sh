@@ -163,9 +163,15 @@ fi
 tr ' ' '\n' < "$samples" | awk 'NF' | sort -u > "$dir/frames.txt"
 {
   awk '$0 == "?" { print "?\t?" }' "$dir/frames.txt"
-  # Library frames: the nearest `nm -D` symbol at or below the offset.
+  # Library frames: the nearest `nm -D` symbol at or below the offset. A
+  # library nm cannot read (the kernel's linux-vdso.so.1 is no file on
+  # disk) names its frames `[<library>]`.
   awk -F'[+]0x' 'NF == 2 { print $1 }' "$dir/frames.txt" | sort -u | while read -r lib; do
-    nm -D --defined-only "$lib" | awk 'NF == 3 { sub(/@.*/, "", $3); print $1, $3 }' > "$dir/nm.txt"
+    if ! nm -D --defined-only "$lib" 2> /dev/null \
+      | awk 'NF == 3 { sub(/@.*/, "", $3); print $1, $3 }' > "$dir/nm.txt"; then
+      awk -F'[+]0x' -v lib="$lib" -v name="[${lib##*/}]" '$1 == lib { print $0 "\t" name }' "$dir/frames.txt"
+      continue
+    fi
     awk -F'[+]0x' -v lib="$lib" '$1 == lib' "$dir/frames.txt" | awk -v name="${lib##*/}" '
       function hex(s,   v, i) {
         for (i = 1; i <= length(s); i++) v = 16 * v + index("0123456789abcdef", substr(s, i, 1)) - 1
