@@ -413,32 +413,14 @@ where
             harvest(sim.actors(), run.quiescent, sim.stats().clone())
         }
         Runtime::Thread => {
-            let res = dex_threadnet::run_network(nodes, thread_options(&spec.delay, spec.seed));
+            let options = dex_threadnet::NetworkOptions {
+                seed: spec.seed,
+                delay: spec.delay.clone(),
+                timeout: std::time::Duration::from_secs(30),
+            };
+            let res = dex_threadnet::run_network(nodes, options);
             harvest(&res.actors, res.quiescent, res.stats)
         }
-    }
-}
-
-/// Derives the threaded runtime's [`NetworkOptions`] from a spec's delay
-/// model: virtual units map to microseconds, so `uniform:50:500` means a
-/// 50–500 µs jitter window. Models without a CLI spelling fall back to
-/// their nearest uniform envelope.
-///
-/// [`NetworkOptions`]: dex_threadnet::NetworkOptions
-fn thread_options(delay: &DelayModel, seed: u64) -> dex_threadnet::NetworkOptions {
-    let delay_us = match delay {
-        DelayModel::Constant(d) => (*d, *d),
-        DelayModel::Uniform { min, max } => (*min, *max),
-        DelayModel::Exponential { mean } => (1, (2 * mean).max(1)),
-        // Skewed/Targeted shape *which link* is slow, which the threaded
-        // dispatcher's single jitter window cannot express; keep the
-        // overall envelope.
-        _ => (1, 10),
-    };
-    dex_threadnet::NetworkOptions {
-        seed,
-        delay_us,
-        timeout: std::time::Duration::from_secs(30),
     }
 }
 

@@ -931,7 +931,8 @@ impl RunSpec {
     /// Validates the configuration (`n > 3t`, the algorithm's own bound
     /// per [`Algo::supports`], `n > 5t` for the randomized underlying
     /// consensus, `f ≤ t`, `--aggregate` only on algorithms that have an
-    /// echo/vote flood) and returns the [`SystemConfig`].
+    /// echo/vote flood, a non-default `--kill` only on netd) and returns
+    /// the [`SystemConfig`].
     pub fn config(&self) -> Result<SystemConfig, String> {
         let config = SystemConfig::new(self.n, self.t).map_err(|e| e.to_string())?;
         if !self.algo.supports(config) {
@@ -959,6 +960,13 @@ impl RunSpec {
             return Err(format!(
                 "--aggregate coalesces an echo/vote flood and --algo {} has none",
                 algo_flag(self.algo)
+            ));
+        }
+        if self.kill != KillSpec::default() && !self.runtime.is_netd() {
+            return Err(format!(
+                "--kill {} schedules a real kill -9 and requires --runtime netd \
+                 (run it with dex-netd --cluster)",
+                self.kill.flag()
             ));
         }
         Ok(config)
@@ -1607,6 +1615,22 @@ mod tests {
         assert!(RunSpec::default()
             .to_json()
             .contains("\"peers\":\"\",\"kill\":\"1\""));
+        // Only netd can honour a kill schedule; the in-process runtimes
+        // refuse it instead of running without it.
+        for runtime in [RuntimeSpec::Simnet, RuntimeSpec::Thread] {
+            let err = RunSpec {
+                runtime,
+                ..spec.clone()
+            }
+            .config()
+            .unwrap_err();
+            assert!(err.contains("--runtime netd"), "{err}");
+        }
+        let netd = RunSpec {
+            runtime: RuntimeSpec::Netd { peers: None },
+            ..spec
+        };
+        assert!(netd.config().is_ok());
     }
 
     #[test]

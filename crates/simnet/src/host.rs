@@ -20,9 +20,8 @@
 //!   order per process is what the checker consumes) and gets a `Deliver`
 //!   event per delivery and a `Send` event per recipient.
 //!
-//! The host does not own the actor: a kill destroys the actor value and,
-//! through [`ActorHost::drop_timers`], what it had armed; RNG stream,
-//! ledger and clock live on for the respawn.
+//! The host does not own the actor: every call that runs a handler
+//! borrows it from the runtime.
 //!
 //! [`Simulation`](crate::Simulation) deliberately does not sit on this
 //! type: one RNG feeds all its actors *and* its delay draws, payloads live
@@ -137,14 +136,6 @@ impl<A: Actor> ActorHost<A> {
             .map(|t| t.due.saturating_duration_since(now))
             .min()
             .map_or(idle, |next| next.min(idle))
-    }
-
-    /// Destroys every armed timer — a killed process has none — and
-    /// returns how many died.
-    pub fn drop_timers(&mut self) -> usize {
-        let lost = self.timers.len();
-        self.timers.clear();
-        lost
     }
 
     /// Timers armed and not yet fired.
@@ -422,22 +413,5 @@ mod tests {
                 kind: EventKind::Deliver { from: 2 }
             }
         );
-    }
-
-    #[test]
-    fn drop_timers_returns_what_a_kill_destroys() {
-        let (mut host, mut probe, _) = booted(0);
-        assert_eq!(host.drop_timers(), 2);
-        assert_eq!(host.pending_timers(), 0);
-        std::thread::sleep(Duration::from_micros(600));
-        assert!(
-            !host.fire_due(&mut probe, |_, _, _| {}),
-            "a dead process's timers never fire"
-        );
-        // The process identity survives for the respawn: the ledger keeps
-        // counting where the first incarnation left off.
-        let before = host.stats().sent;
-        host.boot(&mut probe, |a, ctx| a.on_start(ctx), |_, _, _| {});
-        assert_eq!(host.stats().sent, 2 * before);
     }
 }

@@ -13,10 +13,15 @@
 //! depth rules, the wire ledger, recorder events — is the shared
 //! [`ActorHost`] (see [`dex_simnet::host`]), the same one `dex-netd` runs
 //! on. This crate is the transport under it: the delay-injecting
-//! dispatcher, the clone-per-peer multicast fan-out, quiescence detection,
-//! and kill/respawn of the actor value. An armed timer counts as in-flight
-//! traffic — quiescence waits for it, exactly as the simulator's event
-//! queue would.
+//! dispatcher, the clone-per-peer multicast fan-out and quiescence
+//! detection. An armed timer counts as in-flight traffic — quiescence waits
+//! for it, exactly as the simulator's event queue would.
+//!
+//! Delays come from the simulator's own [`DelayModel`], one unit per
+//! microsecond, sampled per envelope and link: a `Skewed` slow sender or a
+//! `Targeted` starved link slows the same processes and links on threads
+//! as in the simulator (the draws themselves come from this runtime's own
+//! seeded stream).
 //!
 //! Quiescence is detected with an in-flight message counter: the network
 //! has drained when no message is queued, delayed, being handled, or
@@ -25,13 +30,8 @@
 //! per-process undrained inbox depths it left behind, so a stuck run is
 //! diagnosable instead of just `quiescent: false`.
 //!
-//! [`run_network_with_kill`] adds the thread-level analogue of the netd
-//! cluster's `kill -9` phase: one worker's actor is destroyed mid-run
-//! (volatile state and armed timers gone, envelopes arriving while dead
-//! are lost), then rebuilt from durable state via
-//! [`Recoverable::restart`] after a configurable down window — the same
-//! WAL-replay recovery story as the process-level runtime, exercised
-//! under OS threads where the survivors keep running throughout.
+//! This runtime has no kill or restart: the simulator's crash-restart
+//! schedules and the netd cluster's `kill -9` phase cover recovery.
 //!
 //! # Examples
 //!
@@ -61,12 +61,12 @@
 #![warn(missing_docs)]
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dex_simnet::{Actor, ActorHost, Context, Dest, NetStats, Recoverable};
+use dex_simnet::{Actor, ActorHost, DelayModel, Dest, NetStats};
 use dex_types::{ProcessId, StepDepth};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -74,10 +74,10 @@ use std::time::{Duration, Instant};
 /// Options for a threaded network run.
 #[derive(Clone, Debug)]
 pub struct NetworkOptions {
-    /// Seed for per-thread actor RNGs and delay jitter.
+    /// Seed for per-thread actor RNGs and delay draws.
     pub seed: u64,
-    /// Artificial per-message delay range, in microseconds.
-    pub delay_us: (u64, u64),
+    /// Per-message delay, one unit per microsecond.
+    pub delay: DelayModel,
     /// Wall-clock budget; the run is cut off (non-quiescent) beyond it.
     pub timeout: Duration,
 }
@@ -86,7 +86,7 @@ impl Default for NetworkOptions {
     fn default() -> Self {
         NetworkOptions {
             seed: 0,
-            delay_us: (50, 500),
+            delay: DelayModel::Uniform { min: 50, max: 500 },
             timeout: Duration::from_secs(30),
         }
     }
@@ -99,8 +99,6 @@ pub struct NetworkResult<A> {
     pub actors: Vec<A>,
     /// Whether the network drained before the timeout.
     pub quiescent: bool,
-    /// Total messages delivered (timer firings included).
-    pub delivered: u64,
     /// In-flight messages (queued, delayed, being handled, or pending on
     /// a timer) at the moment a non-quiescent run was cut off. `0` for
     /// quiescent runs. A best-effort snapshot — the network is racing the
@@ -118,44 +116,9 @@ pub struct NetworkResult<A> {
     /// the thread boundary clones `n − 1` times, so `payload_clones` is
     /// honest here where the simulator reports zero), every recipient
     /// copy counted in `sent` and `bytes_on_wire`, armed timers counted
-    /// as byte-free sends.
+    /// as byte-free sends. `stats.delivered` counts timer firings too.
     pub stats: NetStats,
-    /// Wall-clock time from network start to supervisor teardown.
-    pub elapsed: Duration,
-    /// Completed kill/respawn cycles. Always `0` for [`run_network`];
-    /// `1` when [`run_network_with_kill`]'s victim died and its rebuilt
-    /// incarnation booted through [`Recoverable::restart`], `0` if the
-    /// run was cut off before the kill fired.
-    pub restarts: u64,
 }
-
-/// A thread-level `kill -9` plan for [`run_network_with_kill`].
-///
-/// At `after` into the run the victim's worker thread destroys its actor:
-/// in-memory state is gone, armed timers are lost, and every envelope
-/// arriving during the `down` window is discarded — a dead process loses
-/// its inbox. When the window closes, `rebuild` constructs the fresh
-/// incarnation (typically re-opening the same WAL the first incarnation
-/// wrote) and the worker boots it through [`Recoverable::restart`], whose
-/// recovery sends enter the network at causal depth 1 like `on_start`
-/// traffic. The worker thread itself survives — threads cannot be killed
-/// from outside — so the kill is simulated at the actor boundary, which
-/// is exactly the state a real `kill -9` destroys.
-pub struct ThreadKillPlan<A> {
-    /// The process to kill. Must not be the only process.
-    pub victim: ProcessId,
-    /// Wall-clock delay from network start to the kill.
-    pub after: Duration,
-    /// How long the victim stays dead before the respawn boots.
-    pub down: Duration,
-    /// Builds the respawned incarnation; its durable state (e.g. a
-    /// `FileWal` path) must match what the first incarnation persisted.
-    pub rebuild: Box<dyn FnOnce() -> A + Send>,
-}
-
-/// [`Recoverable::restart`] as a plain fn pointer, captured where the
-/// `Recoverable` bound is available so `run_inner` needs only `Actor`.
-type RestartHook<A> = fn(&mut A, &mut Context<'_, <A as Actor>::Msg>);
 
 struct Envelope<M> {
     from: ProcessId,
@@ -233,9 +196,8 @@ impl<M: Clone> Outlet<M> {
     }
 }
 
-/// Per-thread worker machinery: the [`ActorHost`] — which, like the
-/// inbox, survives a kill, so a kill/respawn run drives two actor
-/// incarnations through one worker — plus this runtime's plumbing.
+/// Per-thread worker machinery: the [`ActorHost`] plus this runtime's
+/// plumbing.
 struct Worker<A: Actor> {
     host: ActorHost<A>,
     out: Outlet<A::Msg>,
@@ -257,12 +219,11 @@ impl<A: Actor> Worker<A> {
             .fetch_add(now - tokens as i64, Ordering::AcqRel);
     }
 
-    /// Runs a boot hook (`on_start`, or [`Recoverable::restart`] on a
-    /// respawn) through the host.
-    fn boot(&mut self, actor: &mut A, hook: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
-        let tokens = self.host.pending_timers();
-        self.host.boot(actor, hook, self.out.sink());
-        self.settle(tokens);
+    /// Boots the actor (`on_start`) through the host.
+    fn boot(&mut self, actor: &mut A) {
+        self.host
+            .boot(actor, |a, ctx| a.on_start(ctx), self.out.sink());
+        self.settle(0);
     }
 
     /// Handles one network envelope through the host.
@@ -275,13 +236,9 @@ impl<A: Actor> Worker<A> {
     }
 
     /// Delivery loop: fires due timers and handles inbox envelopes until
-    /// the network shuts down (returns `false`) or `die_at` passes
-    /// (returns `true` — the caller owns what happens to the corpse).
-    fn run(&mut self, actor: &mut A, die_at: Option<Instant>) -> bool {
+    /// the network shuts down.
+    fn run(&mut self, actor: &mut A) {
         loop {
-            if die_at.is_some_and(|at| Instant::now() >= at) {
-                return true;
-            }
             // Catch up on due timers before waiting on the inbox again.
             loop {
                 let tokens = self.host.pending_timers();
@@ -290,51 +247,17 @@ impl<A: Actor> Worker<A> {
                 }
                 self.settle(tokens);
             }
-            let mut wait = self.host.next_wait(IDLE);
-            if let Some(at) = die_at {
-                wait = wait.min(at.saturating_duration_since(Instant::now()));
-            }
-            match self.rx.recv_timeout(wait) {
+            match self.rx.recv_timeout(self.host.next_wait(IDLE)) {
                 Ok(env) => {
                     self.queue_depths[self.out.me.index()].fetch_sub(1, Ordering::AcqRel);
-                    if die_at.is_some_and(|at| Instant::now() >= at) {
-                        // The kill lands before this envelope is
-                        // handled: it dies with the process.
-                        self.out.inflight.fetch_sub(1, Ordering::AcqRel);
-                        return true;
-                    }
                     self.handle(actor, env);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if self.shutdown.load(Ordering::Acquire) {
-                        return false;
+                        return;
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => return false,
-            }
-        }
-    }
-
-    /// Destroys what a `kill -9` destroys, then sits dead for `down`:
-    /// armed timers are dropped (each was counted in flight), and every
-    /// envelope forwarded to the corpse during the window is discarded —
-    /// messages to a dead process are lost, not queued for the respawn.
-    fn crash(&mut self, down: Duration) {
-        let lost_timers = self.host.drop_timers() as i64;
-        self.out.inflight.fetch_sub(lost_timers, Ordering::AcqRel);
-        let until = Instant::now() + down;
-        loop {
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() || self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            match self.rx.recv_timeout(left.min(IDLE)) {
-                Ok(_) => {
-                    self.queue_depths[self.out.me.index()].fetch_sub(1, Ordering::AcqRel);
-                    self.out.inflight.fetch_sub(1, Ordering::AcqRel);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Disconnected) => return,
             }
         }
     }
@@ -349,50 +272,6 @@ impl<A: Actor> Worker<A> {
 ///
 /// Panics if `actors` is empty or a worker thread panics.
 pub fn run_network<A>(actors: Vec<A>, options: NetworkOptions) -> NetworkResult<A>
-where
-    A: Actor + Send + 'static,
-    A::Msg: Send,
-{
-    run_inner(actors, options, None)
-}
-
-/// Runs the actors like [`run_network`], killing and respawning one of
-/// them mid-run per `plan` — the thread-level analogue of the netd
-/// cluster's `kill -9` phase.
-///
-/// A respawn-pending in-flight token is held from network start until
-/// the rebuilt incarnation's [`Recoverable::restart`] sends are queued,
-/// so the supervisor cannot declare quiescence while the victim is dead
-/// or the kill has yet to fire: the run drains only once recovery
-/// traffic has itself drained.
-///
-/// # Panics
-///
-/// Panics if `actors` is empty, `plan.victim` is out of range, or a
-/// worker thread panics.
-pub fn run_network_with_kill<A>(
-    actors: Vec<A>,
-    options: NetworkOptions,
-    plan: ThreadKillPlan<A>,
-) -> NetworkResult<A>
-where
-    A: Actor + Recoverable + Send + 'static,
-    A::Msg: Send,
-{
-    assert!(
-        plan.victim.index() < actors.len(),
-        "victim {} out of range for {} actors",
-        plan.victim.index(),
-        actors.len()
-    );
-    run_inner(actors, options, Some((plan, |a, ctx| a.restart(ctx))))
-}
-
-fn run_inner<A>(
-    actors: Vec<A>,
-    options: NetworkOptions,
-    mut kill: Option<(ThreadKillPlan<A>, RestartHook<A>)>,
-) -> NetworkResult<A>
 where
     A: Actor + Send + 'static,
     A::Msg: Send,
@@ -419,13 +298,6 @@ where
     // delivery (including queueing its reactions). Zero ⇒ quiescent.
     let inflight = Arc::new(AtomicI64::new(0));
     let shutdown = Arc::new(AtomicBool::new(false));
-    let restarts = Arc::new(AtomicU64::new(0));
-    // Respawn-pending token: held from network start until the respawned
-    // incarnation's restart sends are queued, so the network cannot drain
-    // while the kill is pending or the victim is down.
-    if kill.is_some() {
-        inflight.fetch_add(1, Ordering::AcqRel);
-    }
     // Per-process inbox depth: +1 when the dispatcher forwards to a worker
     // queue, −1 when the worker dequeues. The vendored channel has no
     // `len()`, so depth is tracked at the endpoints.
@@ -436,7 +308,7 @@ where
         let worker_txs = worker_txs.clone();
         let shutdown = Arc::clone(&shutdown);
         let queue_depths = Arc::clone(&queue_depths);
-        let (lo, hi) = options.delay_us;
+        let delay = options.delay;
         let mut rng = StdRng::seed_from_u64(options.seed ^ 0xD15_0A7C);
         thread::spawn(move || {
             let mut heap: BinaryHeap<Reverse<Delayed<A::Msg>>> = BinaryHeap::new();
@@ -448,10 +320,10 @@ where
                     .unwrap_or(IDLE);
                 match dispatch_rx.recv_timeout(wait.min(IDLE)) {
                     Ok((to, env)) => {
-                        let delay = Duration::from_micros(rng.random_range(lo..=hi.max(lo)));
+                        let us = delay.sample(&mut rng, env.from, ProcessId::new(to));
                         seq += 1;
                         heap.push(Reverse(Delayed {
-                            due: Instant::now() + delay,
+                            due: Instant::now() + Duration::from_micros(us),
                             seq,
                             to,
                             env,
@@ -487,9 +359,7 @@ where
         let inflight = Arc::clone(&inflight);
         let shutdown = Arc::clone(&shutdown);
         let queue_depths = Arc::clone(&queue_depths);
-        let restarts = Arc::clone(&restarts);
         let seed = options.seed;
-        let task = kill.take_if(|(plan, _)| plan.victim.index() == i);
         handles.push(thread::spawn(move || {
             let me = ProcessId::new(i);
             let mut w = Worker {
@@ -506,31 +376,8 @@ where
                 shutdown,
                 queue_depths,
             };
-            w.boot(&mut actor, |a, ctx| a.on_start(ctx));
-            match task {
-                None => {
-                    w.run(&mut actor, None);
-                }
-                Some((plan, restart)) => {
-                    if w.run(&mut actor, Some(start + plan.after)) {
-                        // kill -9: the first incarnation's volatile state
-                        // dies here; only what it persisted survives.
-                        drop(actor);
-                        w.crash(plan.down);
-                        actor = (plan.rebuild)();
-                        w.boot(&mut actor, restart);
-                        restarts.fetch_add(1, Ordering::AcqRel);
-                        // Recovery traffic is queued: release the
-                        // respawn-pending token.
-                        w.out.inflight.fetch_sub(1, Ordering::AcqRel);
-                        w.run(&mut actor, None);
-                    } else {
-                        // Cut off before the kill fired; release the
-                        // token so teardown accounting stays balanced.
-                        w.out.inflight.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
+            w.boot(&mut actor);
+            w.run(&mut actor);
             (actor, w.host.stats().clone())
         }));
     }
@@ -577,18 +424,16 @@ where
     NetworkResult {
         actors,
         quiescent,
-        delivered: stats.delivered,
         residual_inflight,
         undrained,
         stats,
-        elapsed: start.elapsed(),
-        restarts: restarts.load(Ordering::Acquire),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_simnet::Context;
 
     struct Echo {
         got: Vec<(ProcessId, u32, StepDepth)>,
@@ -618,13 +463,13 @@ mod tests {
             actors,
             NetworkOptions {
                 seed: 1,
-                delay_us: (10, 100),
+                delay: DelayModel::Uniform { min: 10, max: 100 },
                 timeout: Duration::from_secs(10),
             },
         );
         assert!(result.quiescent);
         // p0 broadcast `1` to 3 peers; each replied `0`: 6 deliveries.
-        assert_eq!(result.delivered, 6);
+        assert_eq!(result.stats.delivered, 6);
         // Depths travel on the wire: replies to p0 arrive at depth 2.
         assert_eq!(result.actors[0].got.len(), 3);
         assert!(result.actors[0]
@@ -643,12 +488,10 @@ mod tests {
         // no multicasts (`broadcast_others` expands to unicasts), and
         // the deepest causal step is the reply depth.
         assert_eq!(result.stats.sent, 6);
-        assert_eq!(result.stats.delivered, result.delivered);
         assert_eq!(result.stats.sent_other, 6);
         assert_eq!(result.stats.multicasts, 0);
         assert_eq!(result.stats.max_depth, StepDepth::new(2));
         assert_eq!(result.stats.delivered_at_depth(StepDepth::new(2)), 3);
-        assert!(result.elapsed > Duration::ZERO);
     }
 
     #[test]
@@ -661,7 +504,7 @@ mod tests {
         }
         let result = run_network(vec![Quiet, Quiet], NetworkOptions::default());
         assert!(result.quiescent);
-        assert_eq!(result.delivered, 0);
+        assert_eq!(result.stats.delivered, 0);
     }
 
     #[test]
@@ -680,7 +523,7 @@ mod tests {
             vec![Forever, Forever],
             NetworkOptions {
                 seed: 0,
-                delay_us: (1, 10),
+                delay: DelayModel::Uniform { min: 1, max: 10 },
                 timeout: Duration::from_millis(300),
             },
         );
@@ -721,14 +564,14 @@ mod tests {
             actors,
             NetworkOptions {
                 seed: 4,
-                delay_us: (10, 100),
+                delay: DelayModel::Uniform { min: 10, max: 100 },
                 timeout: Duration::from_secs(10),
             },
         );
         // Quiescence had to wait for the 500 ms timer: the run is only
         // quiescent because every pending timer fired.
         assert!(result.quiescent);
-        assert_eq!(result.delivered, 3);
+        assert_eq!(result.stats.delivered, 3);
         let fired = &result.actors[0].fired;
         assert_eq!(
             fired.iter().map(|(m, _)| *m).collect::<Vec<_>>(),
@@ -742,136 +585,37 @@ mod tests {
         assert!(result.actors[1].fired.is_empty());
     }
 
-    #[derive(Clone, Debug)]
-    enum PingMsg {
-        Tick,
-        Ping,
-        Pong,
-    }
-
-    /// p0 pings p1 on a repeating timer until it has collected `want`
-    /// pongs; p1 counts handled pings into a shared cell that plays the
-    /// role of a WAL (it survives the kill; the struct does not).
-    struct PingNode {
-        durable_pongs: Arc<AtomicU64>,
-        restored: u64,
-        pongs_seen: u64,
-        want: u64,
-    }
-
-    impl Actor for PingNode {
-        type Msg = PingMsg;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, PingMsg>) {
-            if ctx.me() == ProcessId::new(0) {
-                ctx.send_self_after(20_000, PingMsg::Tick);
-            }
-        }
-
-        fn on_message(&mut self, from: ProcessId, msg: &PingMsg, ctx: &mut Context<'_, PingMsg>) {
-            match msg {
-                PingMsg::Tick => {
-                    if self.pongs_seen < self.want {
-                        ctx.send(ProcessId::new(1), PingMsg::Ping);
-                        ctx.send_self_after(20_000, PingMsg::Tick);
-                    }
-                }
-                PingMsg::Ping => {
-                    self.durable_pongs.fetch_add(1, Ordering::AcqRel);
-                    ctx.send(from, PingMsg::Pong);
-                }
-                PingMsg::Pong => self.pongs_seen += 1,
-            }
-        }
-    }
-
-    impl Recoverable for PingNode {
-        fn restart(&mut self, _ctx: &mut Context<'_, PingMsg>) {
-            self.restored = self.durable_pongs.load(Ordering::Acquire);
-        }
-    }
-
     #[test]
-    fn kill_respawn_loses_down_window_traffic_and_restores_durable_state() {
-        let durable = Arc::new(AtomicU64::new(0));
-        let actors = vec![
-            PingNode {
-                durable_pongs: Arc::new(AtomicU64::new(0)),
-                restored: 0,
-                pongs_seen: 0,
-                want: 5,
-            },
-            PingNode {
-                durable_pongs: Arc::clone(&durable),
-                restored: 0,
-                pongs_seen: 0,
-                want: 5,
-            },
-        ];
-        let rebuild_cell = Arc::clone(&durable);
-        let result = run_network_with_kill(
-            actors,
-            NetworkOptions {
-                seed: 9,
-                delay_us: (10, 100),
-                timeout: Duration::from_secs(20),
-            },
-            ThreadKillPlan {
-                victim: ProcessId::new(1),
-                after: Duration::from_millis(50),
-                down: Duration::from_millis(120),
-                // The sentinel `restored` proves restart() ran: only the
-                // recovery hook overwrites it with the durable count.
-                rebuild: Box::new(move || PingNode {
-                    durable_pongs: rebuild_cell,
-                    restored: u64::MAX,
-                    pongs_seen: 0,
-                    want: 5,
-                }),
-            },
-        );
-        assert_eq!(result.restarts, 1, "the kill fired and the respawn booted");
-        assert!(result.quiescent, "the conversation must finish and drain");
-        // Pings swallowed by the down window were re-sent by the ticker
-        // until five of them found a live echoer.
-        assert!(result.actors[0].pongs_seen >= 5);
-        assert!(durable.load(Ordering::Acquire) >= result.actors[0].pongs_seen);
-        // The respawned incarnation rebooted through restart(), replacing
-        // its sentinel with the state the first incarnation persisted.
-        assert_ne!(result.actors[1].restored, u64::MAX);
-    }
-
-    #[test]
-    fn a_run_cut_off_before_the_kill_reports_zero_restarts() {
-        struct Quiet;
-        impl Actor for Quiet {
+    fn per_link_delays_follow_the_targeted_model() {
+        /// Broadcasts once at start and stamps its first delivery.
+        struct Stamp {
+            first: Option<u64>,
+        }
+        impl Actor for Stamp {
             type Msg = ();
-            fn on_start(&mut self, _: &mut Context<'_, ()>) {}
-            fn on_message(&mut self, _: ProcessId, _: &(), _: &mut Context<'_, ()>) {}
+            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+                ctx.broadcast_others(());
+            }
+            fn on_message(&mut self, _: ProcessId, _: &(), ctx: &mut Context<'_, ()>) {
+                self.first.get_or_insert(ctx.now().as_units());
+            }
         }
-        impl Recoverable for Quiet {
-            fn restart(&mut self, _: &mut Context<'_, ()>) {}
-        }
-        // The kill is scheduled far beyond the timeout: the run is cut
-        // off first, the victim worker releases the respawn-pending token
-        // on shutdown, and the teardown must not hang or respawn.
-        let result = run_network_with_kill(
-            vec![Quiet, Quiet],
+        // Only the p0 → p1 link is slow: 200 ms, against 1 µs elsewhere.
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let result = run_network(
+            vec![Stamp { first: None }, Stamp { first: None }],
             NetworkOptions {
-                seed: 0,
-                delay_us: (1, 10),
-                timeout: Duration::from_millis(200),
-            },
-            ThreadKillPlan {
-                victim: ProcessId::new(1),
-                after: Duration::from_secs(3600),
-                down: Duration::from_millis(1),
-                rebuild: Box::new(|| Quiet),
+                seed: 3,
+                delay: DelayModel::Targeted {
+                    base: Box::new(DelayModel::Constant(1)),
+                    links: vec![(p0, p1, 200_000)],
+                },
+                timeout: Duration::from_secs(10),
             },
         );
-        assert_eq!(result.restarts, 0);
-        // The pending kill holds the in-flight token, so an otherwise
-        // silent network is (correctly) reported non-quiescent.
-        assert!(!result.quiescent);
+        assert!(result.quiescent);
+        let stamp = |p: ProcessId| result.actors[p.index()].first.expect("delivered");
+        assert!(stamp(p1) >= 200_000, "p1 heard p0 at {} µs", stamp(p1));
+        assert!(stamp(p0) < stamp(p1), "the p1 → p0 link is not slowed");
     }
 }

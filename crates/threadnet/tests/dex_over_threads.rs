@@ -4,6 +4,7 @@
 
 use dex_conditions::FrequencyPair;
 use dex_core::{DecisionPath, DexActor, DexProcess};
+use dex_simnet::DelayModel;
 use dex_threadnet::{run_network, NetworkOptions};
 use dex_types::{ProcessId, StepDepth, SystemConfig};
 use dex_underlying::OracleConsensus;
@@ -34,7 +35,7 @@ fn build(n: usize, t: usize, proposals: &[u64]) -> Vec<Node> {
 fn options(seed: u64) -> NetworkOptions {
     NetworkOptions {
         seed,
-        delay_us: (20, 400),
+        delay: DelayModel::Uniform { min: 20, max: 400 },
         timeout: Duration::from_secs(20),
     }
 }

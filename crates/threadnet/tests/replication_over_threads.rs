@@ -3,6 +3,7 @@
 
 use dex_obs::{Event, EventKind};
 use dex_replication::{Command, KvStore, Replica};
+use dex_simnet::DelayModel;
 use dex_threadnet::{run_network, NetworkOptions};
 use dex_types::{ProcessId, SystemConfig};
 use std::time::Duration;
@@ -28,7 +29,7 @@ fn threaded_cluster_converges() {
         replicas,
         NetworkOptions {
             seed: 5,
-            delay_us: (20, 300),
+            delay: DelayModel::Uniform { min: 20, max: 300 },
             timeout: Duration::from_secs(30),
         },
     );

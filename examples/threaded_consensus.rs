@@ -46,7 +46,7 @@ fn main() {
             build(cfg, &proposals),
             NetworkOptions {
                 seed: 11,
-                delay_us: (20, 400),
+                delay: DelayModel::Uniform { min: 20, max: 400 },
                 timeout: Duration::from_secs(20),
             },
         );

@@ -10,7 +10,8 @@
 #   build            warning-free release build of the workspace + examples
 #   test             full test suite (twice, default parallelism; includes the
 #                    simnet multicast/chaos delivery-log properties), example
-#                    smokes (window_scan at n = 7, 8 slots), trace determinism:
+#                    smokes (window_scan at n = 7, 8 slots; threaded_consensus:
+#                    agreement and quiescence on OS threads), trace determinism:
 #                    dex-sim --trace at n = 7, dex-freq, seed 31 (twice), and at
 #                    n = 8, f = 1 equivocating, seed 31 for bosco, plain,
 #                    brasileiro and crash-adaptive, equals the committed
@@ -72,10 +73,11 @@ stage_test() {
   echo "== test (pass 2 of 2)"
   cargo test -q --workspace
 
-  echo "== example smoke: quickstart, equivocation_demo, window_scan 7 1 8"
+  echo "== example smoke: quickstart, equivocation_demo, window_scan 7 1 8, threaded_consensus"
   cargo run --release -q --example quickstart > /dev/null
   cargo run --release -q --example equivocation_demo > /dev/null
   cargo run --release -q --example window_scan -- 7 1 8 > /dev/null
+  cargo run --release -q --example threaded_consensus > /dev/null
 
   echo "== trace determinism: dex-sim --trace twice, byte-identical to results/logs/trace_31_dex-freq.json"
   local trace_args=(--n 7 --t 1 --algo dex-freq --workload bernoulli:0.8 --f 1

@@ -26,7 +26,8 @@
 //! | `--chaos` | `none`, `drop:<p>`, `dup:<p>`, `partition:<open>:<heal>`, `crash:<down>:<up>`, `crash-restart:<down>:<up>` | `none` |
 //! | `--pipeline` | `<window>` or `<window>:<batch>` — run the pipelined replication engine instead of single-shot batches | `1:1` (off) |
 //! | `--aggregate` | (no value) coalesce each correct process's per-tick echo fan-out into one batched multicast (`dex-freq`, `dex-prv` only: the baselines have no flood to batch) | off |
-//! | `--runtime` | `simnet` (deterministic simulation), `threadnet` (one OS thread per process), `netd` (one OS *process* per process — use the `dex-netd` binary) | `simnet` |
+//! | `--runtime` | `simnet` (deterministic simulation), `threadnet` (one OS thread per process, `--delay` units read as microseconds), `netd` (one OS *process* per process — use the `dex-netd` binary) | `simnet` |
+//! | `--kill` | `<after>` or `<after>:divergent` — netd's kill -9 schedule; netd-only (`dex-netd --cluster`): simnet and threadnet refuse a non-default value | `1` |
 //! | `--stats` | (no value) print the per-class wire breakdown (init/echo/batch/other sends, batched echoes, bytes) — same line on every runtime | off |
 //! | `--runs` | batch size | `20` |
 //! | `--seed` | base seed | `0` |

@@ -169,52 +169,55 @@ fn matrix_chaos_schedules_decide_with_reproducible_fault_traces() {
 
 #[test]
 fn divergent_kill9_proves_survivor_progress_before_the_respawn_converges() {
-    let dir = scratch_dir("divergent");
-    let stdout = netd(
-        &dir,
-        &[
-            "--cluster",
-            "--n",
-            "7",
-            "--t",
-            "1",
-            "--phase",
-            "kill9",
-            "--kill",
-            "2:divergent",
-            "--slots",
-            "8",
-            "--pipeline",
-            "4",
-            "--seed",
-            "99",
-            "--timeout-secs",
-            "120",
-        ],
-    );
-    // Survivor progress is proven while the victim is down, before the
-    // respawn exists; then the respawned victim replays its WAL and the
-    // whole cluster converges on one digest at the full prefix.
-    assert!(
-        stdout.contains("survivors progressed to ≥"),
-        "no survivor-progress proof:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("converged at prefix 8") && stdout.contains("after 1 restart"),
-        "divergent kill9 did not converge:\n{stdout}"
-    );
-    let bench = std::fs::read_to_string(dir.join("BENCH_netd.json")).expect("BENCH_netd.json");
-    // The kill landed at (at least) the configured prefix 2 — with a
-    // pipelining window the victim may overshoot between observations,
-    // so the exact landing prefix is wall-clock dependent.
-    assert!(
-        bench.contains("\"divergent\":true")
-            && bench.contains("\"killed_at_prefix\":")
-            && bench.contains("\"survivor_floor\":")
-            && bench.contains("\"converged\":true"),
-        "bench: {bench}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    // W = 1 is the sequential log; W = 4 keeps slots in flight across the
+    // kill, so the victim may overshoot the threshold between observations.
+    for window in ["1", "4"] {
+        let dir = scratch_dir(&format!("divergent-w{window}"));
+        let stdout = netd(
+            &dir,
+            &[
+                "--cluster",
+                "--n",
+                "7",
+                "--t",
+                "1",
+                "--phase",
+                "kill9",
+                "--kill",
+                "2:divergent",
+                "--slots",
+                "8",
+                "--pipeline",
+                window,
+                "--seed",
+                "99",
+                "--timeout-secs",
+                "120",
+            ],
+        );
+        // Survivor progress is proven while the victim is down, before the
+        // respawn exists; then the respawned victim replays its WAL and the
+        // whole cluster converges on one digest at the full prefix.
+        assert!(
+            stdout.contains("survivors progressed to ≥"),
+            "W = {window}: no survivor-progress proof:\n{stdout}"
+        );
+        assert!(
+            stdout.contains("converged at prefix 8") && stdout.contains("after 1 restart"),
+            "W = {window}: divergent kill9 did not converge:\n{stdout}"
+        );
+        let bench = std::fs::read_to_string(dir.join("BENCH_netd.json")).expect("BENCH_netd.json");
+        // The kill landed at (at least) the configured prefix 2; the exact
+        // landing prefix is wall-clock dependent.
+        assert!(
+            bench.contains("\"divergent\":true")
+                && bench.contains("\"killed_at_prefix\":")
+                && bench.contains("\"survivor_floor\":")
+                && bench.contains("\"converged\":true"),
+            "W = {window}: bench: {bench}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
