@@ -19,6 +19,13 @@
 //!   the head of the queue in one coalesced write. Frames share one
 //!   allocation across the fan-out (`Arc<[u8]>`), so a multicast clones
 //!   nothing.
+//! * **One wake per batch, and only for a parked writer** — the writer
+//!   marks itself `parked` (under the peer lock) around its condvar
+//!   waits, and only an enqueue that finds it parked signals it; a busy
+//!   writer finds the new frames on its next pass. [`Mesh::send_all`]
+//!   appends a whole batch (one event-loop turn's sends) to each peer
+//!   under one lock, so a turn costs each peer at most one wake however
+//!   many frames it carries. [`Mesh::send`] is the one-frame batch.
 //!
 //! Frames that were handed to a connection that later died are *lost*,
 //! not retried: netd offers the same at-most-once delivery the simulator
@@ -35,7 +42,7 @@ use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -61,6 +68,8 @@ pub struct MeshCounters {
     pub frames_written: u64,
     /// Frames dropped, oldest first, from a peer queue past [`MAX_QUEUE`].
     pub queue_dropped: u64,
+    /// Condvar signals sent to a parked writer (each one a futex wake).
+    pub writer_wakes: u64,
 }
 
 /// The live form of [`MeshCounters`]: statistics only, so relaxed.
@@ -69,6 +78,7 @@ struct Counters {
     socket_writes: AtomicU64,
     frames_written: AtomicU64,
     queue_dropped: AtomicU64,
+    writer_wakes: AtomicU64,
 }
 
 /// One message received from a peer, as the event loop consumes it.
@@ -113,6 +123,9 @@ struct PeerState {
     /// are sequential in one thread and never need it.
     accept_seq: u64,
     shutdown: bool,
+    /// The writer is waiting on the condvar: the next state change must
+    /// signal it. Cleared by whoever signals, so a burst wakes it once.
+    parked: bool,
 }
 
 struct Peer {
@@ -131,6 +144,7 @@ impl Peer {
                 generation: 0,
                 accept_seq: 0,
                 shutdown: false,
+                parked: false,
             }),
             cv: Condvar::new(),
         })
@@ -141,8 +155,9 @@ impl Peer {
         let mut st = self.state.lock().expect("peer lock");
         st.generation += 1;
         st.stream = Some(stream);
-        self.cv.notify_all();
-        st.generation
+        let generation = st.generation;
+        self.wake(st);
+        generation
     }
 
     /// Installs an *accepted* connection, but only if it is newer (in
@@ -162,24 +177,29 @@ impl Peer {
         st.accept_seq = accept_seq;
         st.generation += 1;
         st.stream = Some(stream);
-        self.cv.notify_all();
-        Some(st.generation)
+        let generation = st.generation;
+        self.wake(st);
+        Some(generation)
     }
 
     /// Clears the stream if `generation` still names the live connection,
     /// and wakes the writer so it lets go of its handle on that stream —
     /// the socket closes, and the remote end learns the link is dead, only
-    /// when the last handle drops.
+    /// when the last handle drops. After shutdown the stream stays: a
+    /// reader stops at the shutdown, and clearing the stream then would
+    /// make the writer drop the frames it is still draining. A connection
+    /// that really died fails the writer's next write instead.
     fn uninstall(&self, generation: u64) {
         let mut st = self.state.lock().expect("peer lock");
-        if st.generation == generation {
+        if st.generation == generation && !st.shutdown {
             st.stream = None;
-            self.cv.notify_all();
+            self.wake(st);
         }
     }
 
-    fn enqueue(&self, frame: Arc<[u8]>, not_before: Option<Instant>) {
-        let mut st = self.state.lock().expect("peer lock");
+    /// Appends one frame to a queue the caller has locked; the caller
+    /// wakes the writer once its whole batch is in.
+    fn push(&self, st: &mut PeerState, frame: Arc<[u8]>, not_before: Option<Instant>) {
         // `while`: a failed batch requeued at the head can leave the queue
         // over the cap by more than one.
         while st.queue.len() >= MAX_QUEUE {
@@ -190,7 +210,22 @@ impl Peer {
             bytes: frame,
             not_before,
         });
-        self.cv.notify_all();
+    }
+
+    /// Releases the lock after a state change and signals the writer if
+    /// it is parked. A writer that is not parked re-reads the state under
+    /// the lock before it next waits, so skipping the signal loses
+    /// nothing; clearing `parked` here makes a burst of changes cost one
+    /// signal. The signal goes out after the unlock, so the woken writer
+    /// does not block straight away on the lock the waker still holds.
+    fn wake(&self, mut st: MutexGuard<'_, PeerState>) {
+        let parked = std::mem::replace(&mut st.parked, false);
+        drop(st);
+        if parked {
+            self.counters.writer_wakes.fetch_add(1, Ordering::Relaxed);
+            // The writer is the condvar's only waiter.
+            self.cv.notify_one();
+        }
     }
 
     /// Begins teardown. The stream is left installed so the writer can
@@ -199,7 +234,7 @@ impl Peer {
     fn shutdown(&self) {
         let mut st = self.state.lock().expect("peer lock");
         st.shutdown = true;
-        self.cv.notify_all();
+        self.wake(st);
     }
 }
 
@@ -269,31 +304,60 @@ impl Mesh {
         })
     }
 
-    /// Queues an encoded frame for `to`. Sending to a downed peer buffers
-    /// (bounded); sending to self is a caller bug — the event loop keeps
-    /// self-traffic local and never encodes it. With a chaos runtime
-    /// installed the frame is routed through its verdict first: it may be
-    /// dropped outright, held until a partition heals or the recipient's
-    /// crash window ends, or duplicated with forward jitter.
+    /// Queues an encoded frame for `to`: a one-frame [`Self::send_all`].
     pub fn send(&self, to: ProcessId, frame: Arc<[u8]>) {
-        assert_ne!(to, self.me, "self-sends never reach the mesh");
-        let Some(peer) = &self.peers[to.index()] else {
-            return;
-        };
-        let Some(chaos) = &self.chaos else {
-            return peer.enqueue(frame, None);
-        };
-        if let Verdict::Deliver {
-            at,
-            held_partition,
-            held_crash,
-            dup_at,
-        } = chaos.outbound(to)
-        {
-            let not_before = (held_partition || held_crash).then(|| chaos.instant_of(at));
-            peer.enqueue(Arc::clone(&frame), not_before);
-            if let Some(dup) = dup_at {
-                peer.enqueue(frame, Some(chaos.instant_of(dup)));
+        self.send_all([(to, frame)]);
+    }
+
+    /// Queues a batch of encoded frames, each for its own peer. Sending to
+    /// a downed peer buffers (bounded); sending to self is a caller bug —
+    /// the event loop keeps self-traffic local and never encodes it. With
+    /// a chaos runtime installed each frame is routed through its verdict
+    /// first, drawn in batch order (so each link's stream sees the same
+    /// sequence as one-by-one sends): it may be dropped outright, held
+    /// until a partition heals or the recipient's crash window ends, or
+    /// duplicated with forward jitter. Each peer's share of the batch is
+    /// appended under one lock, taken at its first frame and held to the
+    /// end of the batch, and its writer is woken at most once, after.
+    pub fn send_all(&self, frames: impl IntoIterator<Item = (ProcessId, Arc<[u8]>)>) {
+        // The mesh is not `Sync`, so no other batch can take these locks
+        // in another order; writers and connection threads hold one at a
+        // time.
+        let mut locked: Vec<Option<MutexGuard<'_, PeerState>>> =
+            self.peers.iter().map(|_| None).collect();
+        for (to, frame) in frames {
+            assert_ne!(to, self.me, "self-sends never reach the mesh");
+            let Some(peer) = &self.peers[to.index()] else {
+                continue;
+            };
+            let (not_before, dup) = match &self.chaos {
+                None => (None, None),
+                Some(chaos) => match chaos.outbound(to) {
+                    Verdict::Drop { .. } => continue,
+                    Verdict::Deliver {
+                        at,
+                        held_partition,
+                        held_crash,
+                        dup_at,
+                    } => (
+                        (held_partition || held_crash).then(|| chaos.instant_of(at)),
+                        dup_at.map(|dup| chaos.instant_of(dup)),
+                    ),
+                },
+            };
+            let st =
+                locked[to.index()].get_or_insert_with(|| peer.state.lock().expect("peer lock"));
+            match dup {
+                None => peer.push(st, frame, not_before),
+                Some(dup) => {
+                    peer.push(st, Arc::clone(&frame), not_before);
+                    peer.push(st, frame, Some(dup));
+                }
+            }
+        }
+        for (peer, st) in self.peers.iter().zip(locked) {
+            if let (Some(peer), Some(st)) = (peer, st) {
+                peer.wake(st);
             }
         }
     }
@@ -301,6 +365,11 @@ impl Mesh {
     /// Waits up to `timeout` for the next delivery.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Delivery> {
         self.rx.recv_timeout(timeout).ok()
+    }
+
+    /// The next delivery if one is already waiting.
+    pub fn try_recv(&self) -> Option<Delivery> {
+        self.rx.try_recv().ok()
     }
 
     /// How many peers currently have a live connection installed.
@@ -318,15 +387,27 @@ impl Mesh {
             socket_writes: self.counters.socket_writes.load(Ordering::Relaxed),
             frames_written: self.counters.frames_written.load(Ordering::Relaxed),
             queue_dropped: self.counters.queue_dropped.load(Ordering::Relaxed),
+            writer_wakes: self.counters.writer_wakes.load(Ordering::Relaxed),
         }
     }
 
-    /// Signals every mesh thread to wind down. Threads are detached and
-    /// exit within one poll interval; sockets close with the process.
+    /// Signals every mesh thread to wind down. Threads are detached: the
+    /// readers stop at once, writers once they have drained their queue,
+    /// the rest within one poll interval; sockets close with the process.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        // Peers first: a reader that stops at the flag must find its peer
+        // shut down, or its `uninstall` would cut off the writer's drain.
         for peer in self.peers.iter().flatten() {
             peer.shutdown();
+        }
+        self.shutdown.store(true, Ordering::Release);
+        // Then wake the readers blocked in `read`, which would otherwise
+        // linger for their poll timeout; the flag is up, so none redials.
+        // Writes are unaffected, so the drain goes on.
+        for peer in self.peers.iter().flatten() {
+            if let Some(stream) = &peer.state.lock().expect("peer lock").stream {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
         }
     }
 }
@@ -362,6 +443,11 @@ impl Drop for Mesh {
 /// * **Generations.** The handle is dropped when the peer's generation
 ///   moves, when the slot is cleared, or when a write fails; a stale
 ///   writer error cannot clear a newer connection.
+/// * **No lost wake-up.** Every condition the writer waits on is read
+///   under the peer lock, and it sets `parked` under that lock before it
+///   waits; whoever changes the state under the lock and finds `parked`
+///   signals it ([`Peer::wake`]). A writer that is not parked sees the
+///   change on its next pass.
 fn spawn_writer(to: ProcessId, peer: Arc<Peer>, chaos: Option<Arc<ChaosRuntime>>) {
     thread::spawn(move || {
         // All three grow on demand: most links never see a large batch.
@@ -386,11 +472,15 @@ fn spawn_writer(to: ProcessId, peer: Arc<Peer>, chaos: Option<Arc<ChaosRuntime>>
                         let Some(wait) = st.queue.front().and_then(QueuedFrame::held_for) else {
                             break;
                         };
+                        st.parked = true;
                         let (next, _) = peer.cv.wait_timeout(st, wait).expect("peer lock");
                         st = next;
+                        st.parked = false;
                         continue;
                     }
+                    st.parked = true;
                     st = peer.cv.wait(st).expect("peer lock");
+                    st.parked = false;
                 }
                 if handle.is_none() {
                     match st.stream.as_ref().expect("checked some").try_clone() {
@@ -825,13 +915,176 @@ mod tests {
         // long enough that a loaded machine still delivers 0 and 1 inside it.
         let release = Instant::now() + Duration::from_millis(200);
         let peer = m1.peers[0].as_ref().expect("peer slot");
+        let mut st = peer.state.lock().expect("peer lock");
         for i in 0..5 {
             let frame = encode_frame(1, i, b"x").into();
-            peer.enqueue(frame, (i == 2).then_some(release));
+            peer.push(&mut st, frame, (i == 2).then_some(release));
         }
+        peer.wake(st);
         let at = recv_in_order(&m0, 5);
         assert!(at[1] < release, "frames ahead of the hold are not delayed");
         assert!(at[2] >= release, "the held frame waits for its instant");
+    }
+
+    #[test]
+    fn shutdown_drains_a_queued_frame_after_the_readers_stop() {
+        // Once for the dialing side's reader, once for the accepting side's.
+        for sender in [1, 0] {
+            let (m0, m1) = parked_pair();
+            let (from, to) = if sender == 1 { (&m1, &m0) } else { (&m0, &m1) };
+            // Held past the readers' 200 ms poll, so they see the shutdown
+            // and stop while the frame still waits in the queue.
+            let release = Instant::now() + Duration::from_millis(500);
+            let peer = from.peers[1 - sender].as_ref().expect("peer slot");
+            let mut st = peer.state.lock().expect("peer lock");
+            peer.push(&mut st, encode_frame(1, 7, b"last").into(), Some(release));
+            peer.wake(st);
+            from.shutdown();
+            let d = to
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|| panic!("process {sender}'s frame died with its readers"));
+            assert_eq!((d.depth, &d.payload[..]), (StepDepth::new(7), &b"last"[..]));
+        }
+    }
+
+    /// Builds a connected pair (process 1 dials process 0) and waits
+    /// until `m1`'s writer for process 0 has parked on an empty queue.
+    fn parked_pair() -> (Mesh, Mesh) {
+        let addrs = free_loopback_addrs(2).expect("free ports");
+        let m1 = Mesh::with_net(ProcessId::new(1), addrs.clone(), None).expect("bind 1");
+        let m0 = Mesh::with_net(ProcessId::new(0), addrs, None).expect("bind 0");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let peer = m1.peers[0].as_ref().expect("peer slot");
+        loop {
+            let parked = {
+                let st = peer.state.lock().expect("peer lock");
+                st.parked && st.stream.is_some() && st.queue.is_empty()
+            };
+            if parked && m0.connected() == 1 {
+                return (m0, m1);
+            }
+            assert!(Instant::now() < deadline, "the link never came up");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn one_batch_to_a_parked_writer_is_one_wake_and_a_few_writes() {
+        let (m0, m1) = parked_pair();
+        let before = m1.counters();
+        let frames = (0..500).map(|i| (ProcessId::new(0), encode_frame(1, i, &[7; 20]).into()));
+        m1.send_all(frames);
+        recv_in_order(&m0, 500);
+        let after = counters_at(&m1, before.frames_written + 500);
+        assert_eq!(after.frames_written - before.frames_written, 500);
+        assert_eq!(after.writer_wakes - before.writer_wakes, 1, "{after:?}");
+        // 500 × 29 bytes fit one MAX_BATCH_BYTES batch; short writes may
+        // split it, but not per frame.
+        let writes = after.socket_writes - before.socket_writes;
+        assert!((1..=4).contains(&writes), "{writes} writes: {after:?}");
+    }
+
+    #[test]
+    fn bursts_against_a_parking_writer_lose_no_wake_up() {
+        const FRAMES: u32 = 20_000;
+        let (m0, m1) = parked_pair();
+        let before = m1.counters();
+        // Bursts of 1–64 frames; after each, at random, no pause, a pause
+        // of up to 255 µs, or a wait until everything sent so far has
+        // arrived. The writer is caught parked, mid-write and about to
+        // park, in every order; a wake-up lost behind a wait is a hang,
+        // since nothing else would wake the writer.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut received = 0;
+        let mut receive_to = |target: u32| {
+            while received < target {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let d = m0.recv_timeout(left).unwrap_or_else(|| {
+                    panic!("frame {received} of {target} sent never arrived: lost wake-up")
+                });
+                assert_eq!(d.depth, StepDepth::new(received), "frames arrive in order");
+                assert_eq!(d.payload, received.to_le_bytes());
+                received += 1;
+            }
+        };
+        let mut rng = 0x5EED_u64;
+        let (mut sent, mut bursts) = (0, 0u64);
+        while sent < FRAMES {
+            rng = crate::chaos::splitmix64(rng);
+            let burst = (1 + rng % 64).min(u64::from(FRAMES - sent)) as u32;
+            let frames = (sent..sent + burst).map(|i| {
+                (
+                    ProcessId::new(0),
+                    encode_frame(1, i, &i.to_le_bytes()).into(),
+                )
+            });
+            m1.send_all(frames);
+            sent += burst;
+            bursts += 1;
+            match (rng >> 32) % 3 {
+                0 => {}
+                1 => thread::sleep(Duration::from_micros((rng >> 40) % 256)),
+                _ => receive_to(sent),
+            }
+        }
+        receive_to(FRAMES);
+        let wakes = counters_at(&m1, before.frames_written + u64::from(FRAMES)).writer_wakes
+            - before.writer_wakes;
+        assert!(wakes <= bursts, "{wakes} wakes for {bursts} bursts");
+        assert!(
+            wakes * 10 < u64::from(FRAMES),
+            "{wakes} wakes for {FRAMES} frames"
+        );
+    }
+
+    /// Each peer's queued frame bytes, in queue order.
+    fn queued_bytes(mesh: &Mesh) -> Vec<Vec<Arc<[u8]>>> {
+        mesh.peers
+            .iter()
+            .flatten()
+            .map(|peer| {
+                let st = peer.state.lock().expect("peer lock");
+                st.queue.iter().map(|f| Arc::clone(&f.bytes)).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_draws_the_same_chaos_verdicts_as_one_by_one_sends() {
+        use dex_harness::spec::ChaosSpec;
+        use dex_types::SystemConfig;
+        let config = SystemConfig::new(7, 1).expect("n > 6t");
+        // Process 6 is the f = 1 budget process, so its links drop; every
+        // link duplicates. No peer is up, so the queues keep everything.
+        let me = ProcessId::new(6);
+        for spec in [
+            ChaosSpec::DropHeavy { p: 0.4 },
+            ChaosSpec::DupHeavy { p: 0.5 },
+        ] {
+            let mesh = || {
+                let chaos = ChaosRuntime::new(&spec, config, 1, me, 42, 1000);
+                let addrs = free_loopback_addrs(7).expect("free ports");
+                Mesh::with_net(me, addrs, Some(Arc::new(chaos))).expect("bind")
+            };
+            let (batched, single) = (mesh(), mesh());
+            let mut rng = 0xC4A05_u64;
+            let frames: Vec<(ProcessId, Arc<[u8]>)> = (0..300)
+                .map(|i| {
+                    rng = crate::chaos::splitmix64(rng);
+                    let to = ProcessId::new((rng % 6) as usize);
+                    (to, encode_frame(1, i, b"v").into())
+                })
+                .collect();
+            batched.send_all(frames.iter().cloned());
+            for (to, frame) in frames {
+                single.send(to, frame);
+            }
+            let reports = |m: &Mesh| m.chaos.as_ref().expect("chaos").reports();
+            let drawn = reports(&batched);
+            assert!(drawn.iter().any(|r| r.drops + r.dups > 0), "{drawn:?}");
+            assert_eq!(drawn, reports(&single), "{spec:?}");
+            assert_eq!(queued_bytes(&batched), queued_bytes(&single), "{spec:?}");
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * a `Dest::All` multicast is encoded **once** and the frame allocation
 //!   is shared across peer sockets, so the host is told `0` fan-out
 //!   clones and `payload_clones` honestly reports zero on this runtime;
+//! * outbound frames are staged for a whole [`Endpoint::pump`] turn and
+//!   handed to the mesh in one [`Mesh::send_all`], so each peer's writer
+//!   is woken at most once per turn;
 //! * self-addressed traffic (a multicast's own copy, explicit self-sends)
 //!   never touches a socket: it loops through a local queue, preserving
 //!   the simulator's semantics that a process always hears itself;
@@ -30,6 +33,13 @@ use std::time::{Duration, Instant};
 /// Self-addressed messages waiting for their turn in the event loop.
 type LocalQueue<M> = VecDeque<(StepDepth, M)>;
 
+/// Encoded frames a turn has sent, in send order, waiting for the mesh.
+type Staged = Vec<(ProcessId, Arc<[u8]>)>;
+
+/// Most deliveries one [`Endpoint::pump`] turn handles before it flushes
+/// its sends, so a busy loop still hands frames to the writers often.
+const MAX_TURN: usize = 64;
+
 /// One consensus process: actor + host + mesh.
 pub struct Endpoint<A: Actor>
 where
@@ -39,6 +49,8 @@ where
     host: ActorHost<A>,
     mesh: Mesh,
     local: LocalQueue<A::Msg>,
+    /// This turn's outbound frames; empty between calls.
+    staged: Staged,
     /// Encode buffer, reused across sends.
     scratch: Vec<u8>,
     chaos: Option<Arc<ChaosRuntime>>,
@@ -48,9 +60,10 @@ where
 
 /// The host's send sink on this runtime: encode once — header and payload
 /// straight into `scratch`, one allocation for the shared frame — share
-/// that allocation across the fan-out, keep self-addressed copies local.
+/// that allocation across the fan-out, stage it for the mesh, keep
+/// self-addressed copies local.
 fn wire_sink<'a, A: Actor>(
-    mesh: &'a Mesh,
+    staged: &'a mut Staged,
     local: &'a mut LocalQueue<A::Msg>,
     scratch: &'a mut Vec<u8>,
     me: ProcessId,
@@ -69,10 +82,10 @@ where
         write_frame(scratch, class, depth.get(), |out| payload.encode(out));
         let frame: Arc<[u8]> = Arc::from(&scratch[..]);
         match dest {
-            Dest::To(to) => mesh.send(to, frame),
+            Dest::To(to) => staged.push((to, frame)),
             Dest::All => {
                 for to in (0..n).map(ProcessId::new).filter(|to| *to != me) {
-                    mesh.send(to, Arc::clone(&frame));
+                    staged.push((to, Arc::clone(&frame)));
                 }
                 local.push_back((depth, payload));
             }
@@ -105,6 +118,7 @@ where
             mesh: Mesh::with_net(me, addrs, chaos.clone())?,
             host: ActorHost::new(me, n, seed, Instant::now(), 0),
             local: VecDeque::new(),
+            staged: Vec::new(),
             scratch: Vec::new(),
             chaos,
             decode_failures: 0,
@@ -129,19 +143,56 @@ where
 
     fn boot_with(&mut self, hook: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
         let (me, n) = (self.host.me(), self.host.n());
-        let sink = wire_sink::<A>(&self.mesh, &mut self.local, &mut self.scratch, me, n);
+        let sink = wire_sink::<A>(&mut self.staged, &mut self.local, &mut self.scratch, me, n);
         self.host.boot(&mut self.actor, hook, sink);
+        self.flush();
+    }
+
+    /// Hands the staged frames to the mesh, one batch for the turn.
+    fn flush(&mut self) {
+        if !self.staged.is_empty() {
+            self.mesh.send_all(self.staged.drain(..));
+        }
     }
 
     fn deliver(&mut self, from: ProcessId, depth: StepDepth, msg: &A::Msg) {
         let (me, n) = (self.host.me(), self.host.n());
-        let sink = wire_sink::<A>(&self.mesh, &mut self.local, &mut self.scratch, me, n);
+        let sink = wire_sink::<A>(&mut self.staged, &mut self.local, &mut self.scratch, me, n);
         self.host.deliver(&mut self.actor, from, depth, msg, sink);
     }
 
-    /// Processes one unit of work — a due timer, a queued self-delivery,
-    /// or (waiting up to `idle`) one frame from the mesh. Returns whether
-    /// anything was handled.
+    /// Decodes and handles one frame from the mesh.
+    fn receive(&mut self, delivery: Delivery) {
+        match A::Msg::from_bytes(&delivery.payload) {
+            Some(msg) => self.deliver(delivery.from, delivery.depth, &msg),
+            None => self.decode_failures += 1,
+        }
+    }
+
+    /// Handles one unit of work without blocking — a due timer (earliest
+    /// first), else a queued self-delivery, else a frame already in the
+    /// mesh channel. Returns whether there was one.
+    fn step(&mut self) -> bool {
+        let (me, n) = (self.host.me(), self.host.n());
+        let sink = wire_sink::<A>(&mut self.staged, &mut self.local, &mut self.scratch, me, n);
+        if self.host.fire_due(&mut self.actor, sink) {
+            return true;
+        }
+        if let Some((depth, msg)) = self.local.pop_front() {
+            self.deliver(me, depth, &msg);
+            return true;
+        }
+        self.mesh.try_recv().map(|d| self.receive(d)).is_some()
+    }
+
+    /// Runs one turn of the event loop and returns whether it handled
+    /// anything. A turn takes units of work ([`Self::step`]) until none
+    /// is left or [`MAX_TURN`] are done, then hands every frame they sent
+    /// to the mesh in one [`Mesh::send_all`], so each peer's writer is
+    /// woken at most once per turn, not once per frame. Only a turn that
+    /// found nothing blocks, up to `idle` but never past the next timer,
+    /// for one frame, which it handles and flushes. Nothing stays staged
+    /// between calls.
     pub fn pump(&mut self, idle: Duration) -> bool {
         // A process inside its own crash-silence window is not scheduled:
         // stall (bounded by `idle`) without handling timers, local
@@ -156,33 +207,18 @@ where
             thread::sleep(nap);
             return false;
         }
-        // Due timers first, earliest first.
-        let (me, n) = (self.host.me(), self.host.n());
-        let sink = wire_sink::<A>(&self.mesh, &mut self.local, &mut self.scratch, me, n);
-        if self.host.fire_due(&mut self.actor, sink) {
-            return true;
+        let mut handled = 0;
+        while handled < MAX_TURN && self.step() {
+            handled += 1;
         }
-        // Local (self-addressed) traffic next.
-        if let Some((depth, msg)) = self.local.pop_front() {
-            self.deliver(me, depth, &msg);
-            return true;
-        }
-        // Then the sockets, but never sleep past the next timer.
-        match self.mesh.recv_timeout(self.host.next_wait(idle)) {
-            Some(Delivery {
-                from,
-                depth,
-                payload,
-                ..
-            }) => {
-                match A::Msg::from_bytes(&payload) {
-                    Some(msg) => self.deliver(from, depth, &msg),
-                    None => self.decode_failures += 1,
-                }
-                true
+        if handled == 0 {
+            match self.mesh.recv_timeout(self.host.next_wait(idle)) {
+                Some(delivery) => self.receive(delivery),
+                None => return false,
             }
-            None => false,
         }
+        self.flush();
+        true
     }
 
     /// The wrapped actor.
