@@ -29,6 +29,7 @@ use crate::runner::{
     par_map, run_instance, Algo, BatchSpec, Outcome, Placement, RunInstance, UnderlyingKind,
 };
 use crate::spec::{AdversarySpec, ChaosSpec, PipelineSpec, RunSpec, UnderlyingSpec, WorkloadSpec};
+use dex_obs::json;
 use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
 use dex_workloads::{ClientPopulation, ContentionPhase, PhaseSchedule, PopulationModel};
@@ -685,29 +686,30 @@ impl CampaignReport {
             self.spec.seed0,
         );
         out.push_str("  \"phases\": [");
-        for (i, ph) in self.spec.phases.phases().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
+        json::list(&mut out, ", ", self.spec.phases.phases(), |out, ph| {
             let m = &ph.model;
             let _ = write!(
                 out,
                 "{{\"label\": \"{}\", \"runs\": {}, \"clients\": {}, \"skew\": {:.3}, \"hot\": {:.3}, \"bias\": {:.3}}}",
                 ph.label, ph.runs, m.clients, m.skew, m.hot, m.bias
             );
-        }
-        out.push_str("],\n  \"cells\": [\n");
-        for (i, (cell, s)) in self.cells.iter().zip(&self.stats).enumerate() {
-            let fast = RatePoint {
-                fast: s.fast(),
-                total: s.total(),
-            };
-            let _ = writeln!(
+        });
+        out.push_str("],\n  \"cells\": [");
+        json::list(
+            &mut out,
+            ",",
+            self.cells.iter().zip(&self.stats),
+            |out, (cell, s)| {
+                let fast = RatePoint {
+                    fast: s.fast(),
+                    total: s.total(),
+                };
+                let _ = write!(
                 out,
-                "    {{\"pair\": [{}, {}], \"f\": {}, \"adversary\": \"{}\", \"chaos\": \"{}\", \
+                "\n    {{\"pair\": [{}, {}], \"f\": {}, \"adversary\": \"{}\", \"chaos\": \"{}\", \
                  \"runs\": {}, \"one_step\": {}, \"two_step\": {}, \"fallback\": {}, \"undecided\": {}, \
                  \"fast_rate\": {}, \"messages\": {}, \"agreement_violations\": {}, \"non_quiescent\": {}, \
-                 \"latency\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}}}{}",
+                 \"latency\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}}}",
                 cell.n,
                 cell.t,
                 cell.f,
@@ -726,102 +728,70 @@ impl CampaignReport {
                 quantile_sorted(&s.latencies, 0.90),
                 quantile_sorted(&s.latencies, 0.99),
                 s.latencies.last().copied().unwrap_or(0),
-                if i + 1 == self.cells.len() { "" } else { "," },
             );
-        }
-        out.push_str("  ],\n  \"curves\": {\n    \"fast_by_f\": [\n");
-        for (i, curve) in self.by_f.iter().enumerate() {
+            },
+        );
+        out.push_str("\n  ],\n  \"curves\": {\n    \"fast_by_f\": [");
+        json::list(&mut out, ",", &self.by_f, |out, curve| {
             let _ = write!(
                 out,
-                "      {{\"pair\": [{}, {}], \"adversary\": \"{}\", \"chaos\": \"{}\", \"points\": [",
+                "\n      {{\"pair\": [{}, {}], \"adversary\": \"{}\", \"chaos\": \"{}\", \"points\": [",
                 curve.n,
                 curve.t,
                 curve.adversary.flag(),
                 curve.chaos.flag(),
             );
-            for (j, (f, p)) in curve.points.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
+            json::list(out, ", ", &curve.points, |out, (f, p)| {
                 let _ = write!(
                     out,
-                    "{{\"f\": {}, \"fast\": {}, \"total\": {}, \"rate\": {}}}",
-                    f,
+                    "{{\"f\": {f}, \"fast\": {}, \"total\": {}, \"rate\": {}}}",
                     p.fast,
                     p.total,
                     rate_json(p)
                 );
-            }
-            let _ = writeln!(
-                out,
-                "]}}{}",
-                if i + 1 == self.by_f.len() { "" } else { "," }
-            );
-        }
-        out.push_str("    ],\n    \"fast_by_margin\": [\n");
-        for (i, curve) in self.by_margin.iter().enumerate() {
+            });
+            out.push_str("]}");
+        });
+        out.push_str("\n    ],\n    \"fast_by_margin\": [");
+        json::list(&mut out, ",", &self.by_margin, |out, curve| {
             let _ = write!(
                 out,
-                "      {{\"pair\": [{}, {}], \"points\": [",
+                "\n      {{\"pair\": [{}, {}], \"points\": [",
                 curve.n, curve.t
             );
-            for (j, (m, p)) in curve.points.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
+            json::list(out, ", ", &curve.points, |out, (m, p)| {
                 let _ = write!(
                     out,
-                    "{{\"margin\": {}, \"fast\": {}, \"total\": {}, \"rate\": {}}}",
-                    m,
+                    "{{\"margin\": {m}, \"fast\": {}, \"total\": {}, \"rate\": {}}}",
                     p.fast,
                     p.total,
                     rate_json(p)
                 );
-            }
-            let _ = writeln!(
-                out,
-                "]}}{}",
-                if i + 1 == self.by_margin.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
-        out.push_str("    ],\n    \"fast_by_phase\": [\n");
-        for (i, curve) in self.by_phase.iter().enumerate() {
+            });
+            out.push_str("]}");
+        });
+        out.push_str("\n    ],\n    \"fast_by_phase\": [");
+        json::list(&mut out, ",", &self.by_phase, |out, curve| {
             let _ = write!(
                 out,
-                "      {{\"pair\": [{}, {}], \"points\": [",
+                "\n      {{\"pair\": [{}, {}], \"points\": [",
                 curve.n, curve.t
             );
-            for (j, (ph, p)) in curve.points.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
+            json::list(out, ", ", &curve.points, |out, (ph, p)| {
                 let _ = write!(
                     out,
-                    "{{\"phase\": {}, \"label\": \"{}\", \"fast\": {}, \"total\": {}, \"rate\": {}}}",
-                    ph,
+                    "{{\"phase\": {ph}, \"label\": \"{}\", \"fast\": {}, \"total\": {}, \"rate\": {}}}",
                     self.spec.phases.phases()[*ph].label,
                     p.fast,
                     p.total,
                     rate_json(p)
                 );
-            }
-            let _ = writeln!(
-                out,
-                "]}}{}",
-                if i + 1 == self.by_phase.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
+            });
+            out.push_str("]}");
+        });
         let _ = write!(
             out,
-            "    ]\n  }},\n  \"totals\": {{\"runs\": {}, \"agreement_violations\": {}}}\n}}\n",
+            "\n    ]\n  }},\n  \"totals\": {{\"runs\": {}, \"agreement_violations\": {}}}\n}}\n",
             self.runs(),
             self.agreement_violations(),
         );

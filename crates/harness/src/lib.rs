@@ -95,4 +95,7 @@ pub mod runner;
 pub mod spec;
 mod ucwrap;
 
+/// The one JSON writer every artifact goes through, re-exported so crates
+/// that reach `dex-obs` only through the harness (netd) share it.
+pub use dex_obs::json;
 pub use ucwrap::{AnyUc, AnyUcMsg};

@@ -4,9 +4,9 @@
 //! algorithm, workload, adversary, underlying consensus, delay model, chaos
 //! schedule, pipeline window/batch, batch size and seed. It maps **1:1 onto the `dex-sim` CLI
 //! flags** — [`RunSpec::from_args`] parses exactly what the binary accepts,
-//! [`RunSpec::to_args`] renders a spec back into that flag vector, and
-//! [`RunSpec::to_json`] emits a deterministic JSON description for
-//! artifacts and logs. Experiment modules and tests construct a `RunSpec`
+//! and [`RunSpec::to_args`] renders a spec back into that flag vector —
+//! the one serialisation, which artifacts and logs carry so that each
+//! names a replayable run. Experiment modules and tests construct a `RunSpec`
 //! and call [`run`](RunSpec::run) / [`traced`](RunSpec::traced); the
 //! lower-level [`RunInstance`] / [`BatchSpec`] remain available for
 //! programmatic setups (custom generators, `Skewed`/`Targeted` delays,
@@ -29,7 +29,6 @@ use dex_workloads::{
     BernoulliMix, InputGenerator, PopulationModel, SplitCount, Unanimous, UniformRandom,
     ZipfRequests,
 };
-use std::fmt::Write as _;
 
 /// Input-vector generator selection, mirroring `--workload`.
 #[derive(Clone, PartialEq, Debug)]
@@ -596,14 +595,6 @@ impl AggregationSpec {
     /// `true` for [`AggregationSpec::On`].
     pub fn is_on(&self) -> bool {
         *self == AggregationSpec::On
-    }
-
-    /// Short label for JSON and reports.
-    pub fn flag(&self) -> &'static str {
-        match self {
-            AggregationSpec::Off => "off",
-            AggregationSpec::On => "on",
-        }
     }
 }
 
@@ -1199,46 +1190,6 @@ impl RunSpec {
         }
         Ok(spec)
     }
-
-    /// Deterministic one-line JSON description of the spec (fixed key
-    /// order, no floats beyond their shortest display form) — for logs and
-    /// artifact headers.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"n\":{},\"t\":{},\"f\":{},\"algo\":\"{}\",\"workload\":\"{}\",\
-             \"adversary\":\"{}\",\"underlying\":\"{}\",\"placement\":\"{}\",\
-             \"delay\":\"{}\",\"chaos\":\"{}\",\"pipeline\":\"{}\",\"peers\":\"{}\",\
-             \"kill\":\"{}\",\"aggregate\":\"{}\",\
-             \"runtime\":\"{}\",\"stats\":{},\"runs\":{},\"seed\":{},\
-             \"max_events\":{},\"trace\":{}}}",
-            self.n,
-            self.t,
-            self.f,
-            algo_flag(self.algo),
-            self.workload.flag(),
-            self.adversary.flag(),
-            self.underlying.flag(),
-            placement_flag(self.placement),
-            delay_flag(&self.delay),
-            self.chaos.flag(),
-            self.pipeline.flag(),
-            self.runtime
-                .peers()
-                .map(AddressTable::flag)
-                .unwrap_or_default(),
-            self.kill.flag(),
-            self.aggregate.flag(),
-            self.runtime.flag(),
-            self.stats,
-            self.runs,
-            self.seed,
-            self.max_events,
-            self.trace,
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1293,13 +1244,14 @@ mod tests {
         );
         let off = RunSpec::default();
         assert!(off.aggregate.is_off());
-        assert!(!off.to_args().iter().any(|a| a == "--aggregate"));
-        assert!(off
-            .to_json()
-            .contains("\"aggregate\":\"off\",\"runtime\":\"simnet\",\"stats\":false"));
+        assert!(!off
+            .to_args()
+            .iter()
+            .any(|a| a == "--aggregate" || a == "--stats"));
         assert!(spec
-            .to_json()
-            .contains("\"aggregate\":\"on\",\"runtime\":\"simnet\",\"stats\":true"));
+            .to_args()
+            .ends_with(&["--aggregate".into(), "--stats".into()]));
+        assert_eq!(RunSpec::from_args(&spec.to_args()).unwrap(), spec);
     }
 
     #[test]
@@ -1507,14 +1459,17 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_fixed_order() {
+    fn args_are_deterministic_and_fixed_order() {
         let spec = RunSpec::default();
-        let s = spec.to_json();
-        assert_eq!(s, spec.to_json());
-        assert!(s.starts_with("{\"n\":7,\"t\":1,\"f\":0,\"algo\":\"dex-freq\""));
-        assert!(s.contains("\"chaos\":\"none\""));
-        assert!(s.contains("\"runtime\":\"simnet\""));
-        assert!(s.ends_with("\"trace\":false}"));
+        let args = spec.to_args();
+        assert_eq!(args, spec.to_args());
+        assert_eq!(
+            args[..8],
+            ["--n", "7", "--t", "1", "--f", "0", "--algo", "dex-freq"]
+        );
+        assert!(args.windows(2).any(|w| w == ["--chaos", "none"]));
+        assert!(args.windows(2).any(|w| w == ["--runtime", "simnet"]));
+        assert!(!args.iter().any(|a| a == "--trace"));
     }
 
     #[test]
@@ -1567,8 +1522,9 @@ mod tests {
         assert_eq!(table.len(), 3);
         assert_eq!(RunSpec::from_args(&spec.to_args()).unwrap(), spec);
         assert!(spec
-            .to_json()
-            .contains("\"peers\":\"127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002\""));
+            .to_args()
+            .windows(2)
+            .any(|w| w == ["--peers", "127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002"]));
         // Order must not matter: --peers before --runtime still applies.
         let swapped =
             RunSpec::from_args(&["--peers", "127.0.0.1:9000", "--runtime", "netd"]).unwrap();
@@ -1611,10 +1567,13 @@ mod tests {
             ..RunSpec::default()
         };
         assert_eq!(RunSpec::from_args(&spec.to_args()).unwrap(), spec);
-        assert!(spec.to_json().contains("\"kill\":\"2:divergent\""));
-        assert!(RunSpec::default()
-            .to_json()
-            .contains("\"peers\":\"\",\"kill\":\"1\""));
+        assert!(spec
+            .to_args()
+            .windows(2)
+            .any(|w| w == ["--kill", "2:divergent"]));
+        let default = RunSpec::default().to_args();
+        assert!(default.windows(2).any(|w| w == ["--kill", "1"]));
+        assert!(!default.iter().any(|a| a == "--peers"));
         // Only netd can honour a kill schedule; the in-process runtimes
         // refuse it instead of running without it.
         for runtime in [RuntimeSpec::Simnet, RuntimeSpec::Thread] {

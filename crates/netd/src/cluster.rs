@@ -23,11 +23,11 @@
 //!
 //! A child's argv is its run's own [`RunSpec::to_args`] (the run seed,
 //! `--runtime netd --peers <table>`) plus role flags; children report on
-//! stdout in the [`Report`] line grammar. The parent emits wall-clock
-//! artifacts (`BENCH_netd.json`, `results/netd_<seed>.json`)
-//! shape-compatible with the simnet artifacts. Each child also watches its
-//! stdin and exits when the parent goes away, so an aborted harness never
-//! leaks orphan processes.
+//! stdout in the [`Report`] line grammar. The parent writes the wall-clock
+//! artifact `results/netd_<seed>.json`: the spec as the `dex-sim` flags
+//! that replay it, next to a `"bench"` object of per-cell rows. Each
+//! child also watches its stdin and exits when the parent goes away, so an
+//! aborted harness never leaks orphan processes.
 
 use crate::chaos::{splitmix64, ChaosReport, ChaosRuntime, DEFAULT_SCALE_US};
 use crate::endpoint::Endpoint;
@@ -35,6 +35,7 @@ use crate::listener::free_loopback_addrs;
 use dex_conditions::FrequencyPair;
 use dex_core::{DexActor, DexProcess};
 use dex_harness::campaign::{CampaignCell, CampaignSpec};
+use dex_harness::json;
 use dex_harness::runner::{
     run_instance, Algo, BatchStats, Outcome, Placement, RunInstance, RunResult,
 };
@@ -46,6 +47,7 @@ use dex_simnet::{NetStats, Time};
 use dex_types::{DecisionPath, ProcessId, StepDepth, SystemConfig};
 use dex_underlying::OracleConsensus;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -1029,129 +1031,133 @@ pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
         );
         kill9 = Some(run);
     }
-    write_artifacts(opts, &cells, kill9.as_ref()).map_err(|e| format!("artifacts: {e}"))
+    write_artifact(opts, &cells, kill9.as_ref()).map_err(|e| format!("artifact: {e}"))
 }
 
-/// Emits `results/netd_chaos_<seed>.json`: per run, the sorted list of
+/// Writes `"spec":[...]`: the run's `dex-sim` flags ([`RunSpec::to_args`]),
+/// which [`RunSpec::from_args`] reads back, so an artifact names a
+/// replayable run.
+fn spec_json(out: &mut String, spec: &RunSpec) {
+    out.push_str("\"spec\":[");
+    json::list(out, ",", spec.to_args(), |out, arg| json::string(out, &arg));
+    out.push(']');
+}
+
+/// Renders `results/netd_chaos_<seed>.json`: per run, the sorted list of
 /// per-link fault-trace digests the survivors reported. Deterministic by
 /// construction — digests are pure functions of `(seed, from, to,
 /// schedule)` and realized counters are excluded — so repeated harness
 /// invocations of one seed must produce byte-identical files (asserted by
 /// the reproducibility test and `scripts/netd_chaos.sh`).
+fn chaos_artifact(spec: &RunSpec, cells: &[CellRun]) -> String {
+    let mut out = String::from("{");
+    spec_json(&mut out, spec);
+    out.push_str(",\"runs\":[");
+    json::list(&mut out, ",", cells.iter().enumerate(), |out, (i, run)| {
+        let _ = write!(
+            out,
+            "{{\"run\":{i},\"seed\":{},\"links\":[",
+            spec.seed + i as u64
+        );
+        json::list(out, ",", &run.links, |out, l| {
+            let _ = write!(
+                out,
+                "{{\"from\":{},\"to\":{},\"sched\":\"{:#018x}\"}}",
+                l.from, l.to, l.sched
+            );
+        });
+        out.push_str("]}");
+    });
+    out.push_str("]}\n");
+    out
+}
+
 fn write_chaos_artifact(opts: &ClusterOpts, cells: &[CellRun]) -> std::io::Result<()> {
-    let spec = &opts.spec;
-    let runs: Vec<String> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, run)| {
-            let links: Vec<String> = run
-                .links
-                .iter()
-                .map(|l| {
-                    format!(
-                        "{{\"from\":{},\"to\":{},\"sched\":\"{:#018x}\"}}",
-                        l.from, l.to, l.sched
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"run\":{},\"seed\":{},\"links\":[{}]}}",
-                i,
-                spec.seed + i as u64,
-                links.join(",")
-            )
-        })
-        .collect();
     std::fs::create_dir_all("results")?;
     std::fs::write(
-        format!("results/netd_chaos_{}.json", spec.seed),
-        format!(
-            "{{\"spec\":{},\"runs\":[{}]}}\n",
-            spec.to_json(),
-            runs.join(",")
-        ),
+        format!("results/netd_chaos_{}.json", opts.spec.seed),
+        chaos_artifact(&opts.spec, cells),
     )
 }
 
-/// Emits `BENCH_netd.json` and `results/netd_<seed>.json`, and prints the
-/// `--stats` breakdown line. Cell rows read each cell's one-run ledger;
-/// the totals read the cells' batch ledger plus the kill9 phase.
-fn write_artifacts(
+/// Emits `results/netd_<seed>.json` — the spec next to the `"bench"`
+/// wall-clock object — and prints the `--stats` breakdown line. Cell rows
+/// read each cell's one-run ledger; the totals read the cells' batch
+/// ledger plus the kill9 phase.
+fn write_artifact(
     opts: &ClusterOpts,
     cells: &[CellRun],
     kill9: Option<&Kill9Run>,
 ) -> std::io::Result<()> {
     let spec = &opts.spec;
-    let mut rows = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let one = ledger([cell]);
-        rows.push(format!(
-            concat!(
-                "{{\"cell\":\"consensus\",\"workload\":\"{}\",\"chaos\":\"{}\",\"run\":{},\"seed\":{},",
-                "\"decided\":{},\"one_step\":{},\"two_step\":{},\"depth_max\":{:.0},\"latency_mean_us\":{:.1},",
-                "\"latency_max_us\":{:.0},\"bytes_on_wire\":{},\"wall_us\":{}}}"
-            ),
-            spec.workload.flag(),
-            spec.chaos.flag(),
-            i,
-            cell.inst.seed,
-            one.paths.total(),
-            one.paths.count(&"1-step"),
-            one.paths.count(&"2-step"),
-            one.steps.max().unwrap_or(0.0),
-            one.latency.mean(),
-            one.latency.max().unwrap_or(0.0),
-            one.net.bytes_on_wire,
-            cell.wall_us,
-        ));
-    }
     let all = ledger(cells);
     let (mut decisions, mut net) = (all.paths.total(), all.net);
     if let Some(k) = kill9 {
-        rows.push(format!(
-            concat!(
-                "{{\"cell\":\"kill9\",\"slots\":{},\"window\":{},\"restarts\":{},",
-                "\"divergent\":{},\"killed_at_prefix\":{},\"survivor_floor\":{},",
-                "\"converged\":true,\"digest\":\"{:#018x}\",\"bytes_on_wire\":{},\"wall_us\":{}}}"
-            ),
-            opts.slots,
-            spec.pipeline.window,
-            k.restarts,
-            spec.kill.divergent,
-            k.killed_at,
-            k.survivor_floor,
-            k.digest,
-            k.net.bytes_on_wire,
-            k.wall_us,
-        ));
         decisions += opts.slots * spec.n as u64;
         net.merge(&k.net);
     }
     if spec.stats {
         println!("{}", net.breakdown_line());
     }
-    let body = format!(
+    let mut out = String::from("{");
+    spec_json(&mut out, spec);
+    let _ = write!(
+        out,
         concat!(
-            "{{\"bench\":\"netd\",\"unit\":\"us (wall clock, real processes over localhost TCP)\",",
-            "\"n\":{},\"t\":{},\"runs\":{},\"decisions\":{},\"bytes_on_wire\":{},",
-            "\"results\":[{}]}}\n"
+            ",\"bench\":{{\"bench\":\"netd\",\"unit\":\"us (wall clock, real processes over localhost TCP)\",",
+            "\"n\":{},\"t\":{},\"runs\":{},\"decisions\":{},\"bytes_on_wire\":{},\"results\":["
         ),
-        spec.n,
-        spec.t,
-        spec.runs,
-        decisions,
-        net.bytes_on_wire,
-        rows.join(","),
+        spec.n, spec.t, spec.runs, decisions, net.bytes_on_wire,
     );
-    std::fs::write("BENCH_netd.json", &body)?;
+    // The consensus cells' rows (`Ok`), then the kill9 row (`Err`).
+    let rows = cells.iter().enumerate().map(Ok).chain(kill9.map(Err));
+    json::list(&mut out, ",", rows, |out, row| match row {
+        Ok((i, cell)) => {
+            let one = ledger([cell]);
+            let _ = write!(
+                out,
+                concat!(
+                    "{{\"cell\":\"consensus\",\"workload\":\"{}\",\"chaos\":\"{}\",\"run\":{},\"seed\":{},",
+                    "\"decided\":{},\"one_step\":{},\"two_step\":{},\"depth_max\":{:.0},\"latency_mean_us\":{:.1},",
+                    "\"latency_max_us\":{:.0},\"bytes_on_wire\":{},\"wall_us\":{}}}"
+                ),
+                spec.workload.flag(),
+                spec.chaos.flag(),
+                i,
+                cell.inst.seed,
+                one.paths.total(),
+                one.paths.count(&"1-step"),
+                one.paths.count(&"2-step"),
+                one.steps.max().unwrap_or(0.0),
+                one.latency.mean(),
+                one.latency.max().unwrap_or(0.0),
+                one.net.bytes_on_wire,
+                cell.wall_us,
+            );
+        }
+        Err(k) => {
+            let _ = write!(
+                out,
+                concat!(
+                    "{{\"cell\":\"kill9\",\"slots\":{},\"window\":{},\"restarts\":{},",
+                    "\"divergent\":{},\"killed_at_prefix\":{},\"survivor_floor\":{},",
+                    "\"converged\":true,\"digest\":\"{:#018x}\",\"bytes_on_wire\":{},\"wall_us\":{}}}"
+                ),
+                opts.slots,
+                spec.pipeline.window,
+                k.restarts,
+                spec.kill.divergent,
+                k.killed_at,
+                k.survivor_floor,
+                k.digest,
+                k.net.bytes_on_wire,
+                k.wall_us,
+            );
+        }
+    });
+    out.push_str("]}}");
     std::fs::create_dir_all("results")?;
-    let report = format!(
-        "{{\"spec\":{},\"bench\":{}}}",
-        spec.to_json(),
-        body.trim_end(),
-    );
-    std::fs::write(format!("results/netd_{}.json", spec.seed), report)?;
-    Ok(())
+    std::fs::write(format!("results/netd_{}.json", spec.seed), out)
 }
 
 // ---------------------------------------------------------------------
@@ -1348,15 +1354,17 @@ fn run_campaign_cell(
     }
     let rate = |s: &BatchStats| s.path_fraction("1-step") + s.path_fraction("2-step");
     let (netd_rate, sim_rate) = (rate(&netd), rate(&sim));
-    let body = format!(
+    let mut body = String::from("{\"campaign\":");
+    json::string(&mut body, name);
+    let _ = writeln!(
+        body,
         concat!(
-            "{{\"campaign\":\"{}\",\"cell\":{},\"n\":{},\"t\":{},\"f\":{},",
+            ",\"cell\":{},\"n\":{},\"t\":{},\"f\":{},",
             "\"adversary\":\"{}\",\"chaos\":\"{}\",\"runs\":{},",
             "\"netd\":{{\"fast\":{},\"decisions\":{},\"fast_rate\":{:.6},",
             "\"latency_mean_us\":{:.1},\"wall_us\":{}}},",
-            "\"simnet\":{{\"fast\":{},\"decisions\":{},\"fast_rate\":{:.6}}}}}\n"
+            "\"simnet\":{{\"fast\":{},\"decisions\":{},\"fast_rate\":{:.6}}}}}"
         ),
-        name,
         idx,
         cell.n,
         cell.t,
@@ -1580,6 +1588,20 @@ mod tests {
         let err = parse_cluster_args(args("--cluster --n 5 --t 0 --window 4"))
             .expect_err("--window is not a flag");
         assert!(err.contains("--window"), "{err}");
+    }
+
+    #[test]
+    fn an_artifact_names_its_spec_as_escaped_replay_flags() {
+        // `--peers` takes any host text, a quote included.
+        let spec = RunSpec::from_args(&args("--n 1 --t 0 --runtime netd --peers a\"b:1"))
+            .expect("spec with a quoted host");
+        let artifact = chaos_artifact(&spec, &[]);
+        assert!(
+            artifact.starts_with("{\"spec\":[\"--n\",\"1\",\"--t\",\"0\","),
+            "{artifact}"
+        );
+        assert!(artifact.contains(r#""--peers","a\"b:1""#), "{artifact}");
+        assert!(artifact.ends_with("],\"runs\":[]}\n"), "{artifact}");
     }
 
     fn cluster_opts(argv: &str) -> ClusterOpts {

@@ -1,4 +1,6 @@
-//! Deterministic JSON rendering of a checked run trace.
+//! The workspace's one JSON writer: [`string`] and [`list`], which every
+//! artifact emitter (traces, campaign reports, netd cells) writes through,
+//! and [`render`], the checked-run trace artifact.
 //!
 //! Hand-rolled on purpose: the artifact must be **byte-identical** for the
 //! same seed, so every key is emitted in a fixed order, all numbers are
@@ -10,8 +12,9 @@ use crate::checker::{CheckReport, RunTrace, SchemeRules};
 use crate::event::{Event, EventKind};
 use core::fmt::Write as _;
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal, escaping quotes, backslashes and
+/// control characters.
+pub fn string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -29,12 +32,28 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Writes each of `items` through `item`, with `sep` between consecutive
+/// ones: the one separator loop every emitter shares.
+pub fn list<I: IntoIterator>(
+    out: &mut String,
+    sep: &str,
+    items: I,
+    mut item: impl FnMut(&mut String, I::Item),
+) {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        item(out, x);
+    }
+}
+
 /// Writes a value code as a fixed-width hex JSON string.
-fn code(c: u64, out: &mut String) {
+fn code(out: &mut String, c: u64) {
     let _ = write!(out, "\"{c:016x}\"");
 }
 
-fn event(e: &Event, out: &mut String) {
+fn event(out: &mut String, e: &Event) {
     let _ = write!(out, "{{\"at\":{},\"depth\":{},\"kind\":", e.at, e.depth);
     match e.kind {
         EventKind::Send { to } => {
@@ -54,7 +73,7 @@ fn event(e: &Event, out: &mut String) {
                 view.label(),
                 origin
             );
-            code(c, out);
+            code(out, c);
         }
         EventKind::Predicate {
             pred,
@@ -73,7 +92,7 @@ fn event(e: &Event, out: &mut String) {
                 top_count,
                 second_count
             );
-            code(top_code, out);
+            code(out, top_code);
         }
         EventKind::Decide { scheme, code: c } => {
             let _ = write!(
@@ -81,27 +100,27 @@ fn event(e: &Event, out: &mut String) {
                 "\"decide\",\"scheme\":\"{}\",\"code\":",
                 scheme.label()
             );
-            code(c, out);
+            code(out, c);
         }
         EventKind::IdbInit { origin, code: c } => {
             let _ = write!(out, "\"idb_init\",\"origin\":{origin},\"code\":");
-            code(c, out);
+            code(out, c);
         }
         EventKind::IdbEcho { origin, code: c } => {
             let _ = write!(out, "\"idb_echo\",\"origin\":{origin},\"code\":");
-            code(c, out);
+            code(out, c);
         }
         EventKind::IdbAccept { origin, code: c } => {
             let _ = write!(out, "\"idb_accept\",\"origin\":{origin},\"code\":");
-            code(c, out);
+            code(out, c);
         }
         EventKind::Fallback { code: c } => {
             out.push_str("\"fallback\",\"code\":");
-            code(c, out);
+            code(out, c);
         }
         EventKind::Commit { slot, code: c } => {
             let _ = write!(out, "\"commit\",\"slot\":{slot},\"code\":");
-            code(c, out);
+            code(out, c);
         }
         EventKind::LinkDrop { to } => {
             let _ = write!(out, "\"link_drop\",\"to\":{to}");
@@ -123,7 +142,7 @@ fn event(e: &Event, out: &mut String) {
         }
         EventKind::CatchUp { slot, code: c } => {
             let _ = write!(out, "\"catch_up\",\"slot\":{slot},\"code\":");
-            code(c, out);
+            code(out, c);
         }
         EventKind::Resend { to } => {
             let _ = write!(out, "\"resend\",\"to\":{to}");
@@ -148,19 +167,16 @@ pub fn render(run: &RunTrace, report: &CheckReport) -> String {
         "\"seed\":{},\n\"n\":{},\n\"t\":{},\n\"algo\":",
         run.meta.seed, run.meta.n, run.meta.t
     );
-    escape(&run.meta.algo, &mut out);
+    string(&mut out, &run.meta.algo);
     let _ = write!(out, ",\n\"rules\":\"{}\"", run.meta.rules.label());
     if let SchemeRules::Privileged { m_code } = run.meta.rules {
         out.push_str(",\n\"m_code\":");
-        code(m_code, &mut out);
+        code(&mut out, m_code);
     }
     out.push_str(",\n\"faulty\":[");
-    for (i, f) in run.meta.faulty.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    list(&mut out, ",", &run.meta.faulty, |out, f| {
         let _ = write!(out, "{f}");
-    }
+    });
     out.push(']');
     // The chaos block is emitted only for chaos runs: fault-free artifacts
     // keep their pre-chaos byte layout exactly.
@@ -170,10 +186,7 @@ pub fn render(run: &RunTrace, report: &CheckReport) -> String {
             ",\n\"chaos\":{{\"last_heal\":{},\"eventually_clean\":{},\"crashes\":[",
             chaos.last_heal, chaos.eventually_clean
         );
-        for (i, (p, from, until)) in chaos.crashes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        list(&mut out, ",", &chaos.crashes, |out, (p, from, until)| {
             let _ = write!(out, "{{\"process\":{p},\"from\":{from},\"until\":");
             match until {
                 Some(u) => {
@@ -182,7 +195,7 @@ pub fn render(run: &RunTrace, report: &CheckReport) -> String {
                 None => out.push_str("null"),
             }
             out.push('}');
-        }
+        });
         out.push_str("]}");
     }
     // Likewise the pipeline block: only pipelined replication runs carry
@@ -205,53 +218,40 @@ pub fn render(run: &RunTrace, report: &CheckReport) -> String {
         );
     }
     out.push_str(",\n\"legend\":[");
-    for (i, (c, label)) in run.meta.legend.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    list(&mut out, ",", &run.meta.legend, |out, (c, label)| {
         out.push_str("{\"code\":");
-        code(*c, &mut out);
+        code(out, *c);
         out.push_str(",\"value\":");
-        escape(label, &mut out);
+        string(out, label);
         out.push('}');
-    }
-    out.push_str("],\n\"check\":{\"ok\":");
-    let _ = write!(out, "{}", report.is_ok());
-    out.push_str(",\"checks\":[");
-    for (i, (invariant, count)) in report.checks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    });
+    let _ = write!(
+        out,
+        "],\n\"check\":{{\"ok\":{},\"checks\":[",
+        report.is_ok()
+    );
+    list(&mut out, ",", &report.checks, |out, (invariant, count)| {
         let _ = write!(out, "{{\"invariant\":\"{invariant}\",\"count\":{count}}}");
-    }
+    });
     out.push_str("],\"violations\":[");
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    list(&mut out, ",", &report.violations, |out, v| {
         let _ = write!(
             out,
             "\n{{\"invariant\":\"{}\",\"process\":{},\"detail\":",
             v.invariant, v.process
         );
-        escape(&v.detail, &mut out);
+        string(out, &v.detail);
         out.push('}');
-    }
+    });
     out.push_str("]},\n\"processes\":[");
-    for (i, p) in run.processes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    list(&mut out, ",", &run.processes, |out, p| {
         let _ = write!(out, "\n{{\"id\":{},\"events\":[", p.id);
-        for (j, e) in p.events.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
+        list(out, ",", &p.events, |out, e| {
             out.push('\n');
-            event(e, &mut out);
-        }
+            event(out, e);
+        });
         out.push_str("\n]}");
-    }
+    });
     out.push_str("\n]\n}\n");
     out
 }
@@ -375,9 +375,30 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_specials() {
-        let mut out = String::new();
-        escape("a\"b\\c\nd", &mut out);
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
+    fn string_escapes_quotes_backslashes_and_control_characters() {
+        let written = |s: &str| {
+            let mut out = String::new();
+            string(&mut out, s);
+            out
+        };
+        assert_eq!(written("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(written("\r\t"), "\"\\r\\t\"");
+        assert_eq!(written("\u{0}\u{1f}\u{7f}"), "\"\\u0000\\u001f\u{7f}\"");
+        assert_eq!(written("plain é"), "\"plain é\"");
+    }
+
+    #[test]
+    fn list_separates_items_and_nothing_else() {
+        let written = |items: &[u32]| {
+            let mut out = String::from("[");
+            list(&mut out, ", ", items, |out, x| {
+                let _ = write!(out, "{x}");
+            });
+            out.push(']');
+            out
+        };
+        assert_eq!(written(&[]), "[]");
+        assert_eq!(written(&[7]), "[7]");
+        assert_eq!(written(&[1, 2, 3]), "[1, 2, 3]");
     }
 }

@@ -28,17 +28,16 @@
 //! # Examples
 //!
 //! ```
-//! use dex_replication::{run_cluster, ClusterOptions, Command};
+//! use dex_replication::{run_generic_cluster, Command, GenericClusterOptions, KvStore};
 //! use dex_types::SystemConfig;
 //!
-//! let outcome = run_cluster(ClusterOptions {
-//!     config: SystemConfig::new(7, 1)?,
+//! let outcome = run_generic_cluster::<KvStore>(GenericClusterOptions::new(
+//!     SystemConfig::new(7, 1)?,
 //!     // Each replica observed the same two client requests.
-//!     pending: vec![vec![Command::put(1, 10), Command::put(2, 20)]; 7],
-//!     target_slots: 2,
-//!     byzantine: vec![],
-//!     seed: 1,
-//! });
+//!     vec![vec![Command::put(1, 10), Command::put(2, 20)]; 7],
+//!     2, // log slots to commit
+//!     1, // seed
+//! ));
 //! assert!(outcome.converged());
 //! assert_eq!(outcome.logs[0].as_ref().unwrap().len(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -47,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cluster;
 mod command;
 mod kvstore;
 mod log;
@@ -56,7 +54,6 @@ mod mux;
 mod replica;
 mod wal;
 
-pub use cluster::{run_cluster, ClusterOptions, ClusterOutcome};
 pub use command::Command;
 pub use kvstore::KvStore;
 pub use log::{CommitOutcome, ReplicatedLog};

@@ -899,8 +899,7 @@ impl<SM: StateMachine> Recoverable for Replica<SM> {
 /// observes (see [`dex_core::Node`]).
 pub type Node<SM> = dex_core::Node<Replica<SM>>;
 
-/// Options for [`run_generic_cluster`] (see also `run_cluster` in the
-/// crate root for the KV special case).
+/// Options for [`run_generic_cluster`].
 #[derive(Clone, Debug)]
 pub struct GenericClusterOptions<C> {
     /// System size and fault bound (`n > 6t` — replicas run DEX-freq).
@@ -1502,14 +1501,80 @@ mod tests {
     }
 
     #[test]
-    fn generic_and_kv_runners_share_machinery() {
+    fn uncontended_kv_cluster_commits_on_the_fast_path() {
+        let requests = vec![Command::put(1, 10), Command::add(1, 5), Command::delete(2)];
         let outcome = run_generic_cluster::<crate::KvStore>(GenericClusterOptions::new(
             cfg(),
-            vec![vec![Command::put(5, 50)]; 7],
-            1,
+            vec![requests.clone(); 7],
             3,
+            42,
         ));
         assert!(outcome.converged());
-        assert_eq!(outcome.logs[0].clone().unwrap(), vec![Command::put(5, 50)]);
+        assert_eq!(outcome.logs[0].clone().unwrap(), requests);
+        // Identical queues ⇒ unanimous proposals ⇒ all one-step.
+        assert_eq!(outcome.one_step_fraction(), 1.0);
+    }
+
+    #[test]
+    fn contended_kv_cluster_still_converges() {
+        // Every replica observed the requests in a different order.
+        let base = [
+            Command::put(1, 10),
+            Command::put(2, 20),
+            Command::add(1, 1),
+            Command::delete(2),
+        ];
+        let pending: Vec<Vec<Command>> = (0..7)
+            .map(|i| {
+                let mut v = base.to_vec();
+                v.rotate_left(i % base.len());
+                v
+            })
+            .collect();
+        for seed in 0..5 {
+            let outcome = run_generic_cluster::<crate::KvStore>(GenericClusterOptions::new(
+                cfg(),
+                pending.clone(),
+                4,
+                seed,
+            ));
+            assert!(outcome.converged(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn byzantine_kv_replica_cannot_diverge_the_cluster() {
+        let requests = vec![Command::put(1, 1), Command::put(2, 2), Command::put(3, 3)];
+        let poison = [Command::put(666, 666), Command::put(999, 999)];
+        for seed in 0..5 {
+            let outcome = run_generic_cluster::<crate::KvStore>(GenericClusterOptions {
+                byzantine: vec![6],
+                byz_values: poison.to_vec(),
+                ..GenericClusterOptions::new(cfg(), vec![requests.clone(); 7], 3, seed)
+            });
+            assert!(outcome.converged(), "seed {seed}");
+            // The forged commands never enter the log: they are only ever
+            // proposed by the Byzantine replica.
+            let log = outcome.logs[0].clone().unwrap();
+            assert!(
+                !log.iter().any(|c| poison.contains(c)),
+                "seed {seed}: {log:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_kv_queues_fill_slots_with_noops() {
+        let outcome = run_generic_cluster::<crate::KvStore>(GenericClusterOptions::new(
+            cfg(),
+            vec![vec![]; 7],
+            2,
+            7,
+        ));
+        assert!(outcome.converged());
+        assert_eq!(
+            outcome.logs[0].clone().unwrap(),
+            vec![Command::Noop, Command::Noop]
+        );
     }
 }

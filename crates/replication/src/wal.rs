@@ -164,8 +164,9 @@ impl WalCodec for u64 {
     }
 }
 
-/// File-backed [`Wal`]: one `c <slot> <command>` line per record;
-/// [`sync`](Wal::sync) flushes buffered lines and calls `fsync`.
+/// File-backed [`Wal`]: one `c <slot> <command>` line per record, and only
+/// a `\n`-terminated line is one; [`sync`](Wal::sync) flushes buffered
+/// lines and calls `fsync`.
 ///
 /// The simulator runs on [`MemWal`]; this impl exists to pin the
 /// abstraction to a real durable medium (and is what a deployment would
@@ -177,13 +178,22 @@ pub struct FileWal<C> {
 }
 
 impl<C: Value + WalCodec> FileWal<C> {
-    /// Opens (or creates) the log at `path`.
+    /// Opens (or creates) the log at `path`, cutting a torn last line (a
+    /// crash mid-append) so the next record starts a line of its own
+    /// instead of gluing onto the torn bytes. The format is unchanged.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
-        std::fs::OpenOptions::new()
+        let file = std::fs::OpenOptions::new()
             .create(true)
-            .append(true)
+            .truncate(false)
+            .write(true)
             .open(&path)?;
+        let content = std::fs::read(&path)?;
+        let complete = complete_lines(&content).len();
+        if complete < content.len() {
+            file.set_len(complete as u64)?;
+            file.sync_all()?;
+        }
         Ok(FileWal {
             path,
             buffered: Vec::new(),
@@ -206,6 +216,12 @@ impl<C: Value + WalCodec> FileWal<C> {
     }
 }
 
+/// `bytes` up to and including its last `\n`: the complete lines.
+fn complete_lines(bytes: &[u8]) -> &[u8] {
+    let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    &bytes[..end]
+}
+
 impl<C: Value + WalCodec> Wal<C> for FileWal<C> {
     fn append(&mut self, record: WalRecord<C>) {
         self.buffered.push(record);
@@ -224,11 +240,13 @@ impl<C: Value + WalCodec> Wal<C> for FileWal<C> {
     }
 
     fn replay(&self) -> Vec<WalRecord<C>> {
-        let Ok(content) = std::fs::read_to_string(&self.path) else {
+        let Ok(content) = std::fs::read(&self.path) else {
             return Vec::new();
         };
         let mut records = Vec::new();
-        for line in content.lines() {
+        // Only `\n`-terminated lines are records: a torn last line may
+        // still decode (`c 1 12` from `c 1 123`), to a value nobody decided.
+        for line in String::from_utf8_lossy(complete_lines(&content)).lines() {
             // Torn-tail semantics: stop at the first undecodable record.
             match Self::decode_record(line) {
                 Some(r) => records.push(r),
@@ -431,6 +449,60 @@ mod tests {
             assert_eq!(wal.replay().len(), 2, "torn tail ignored");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Syncs `first` as slot 0, appends `torn` (a slot-1 record cut short
+    /// by a crash, still decodable), then reopens and syncs `next` as slot
+    /// 1: the torn bytes are never a record, and the record after them
+    /// survives on a line of its own.
+    fn torn_tail_case<C: Value + WalCodec>(tag: &str, first: C, torn: &[u8], next: C) {
+        let path =
+            std::env::temp_dir().join(format!("dex-wal-torn-{tag}-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let slot0 = WalRecord::Commit {
+            slot: 0,
+            value: first,
+        };
+        let mut wal: FileWal<C> = FileWal::open(&path).unwrap();
+        wal.append(slot0.clone());
+        wal.sync();
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(torn)
+            .unwrap();
+        assert_eq!(
+            wal.replay(),
+            vec![slot0.clone()],
+            "{tag}: torn line replayed"
+        );
+        let slot1 = WalRecord::Commit {
+            slot: 1,
+            value: next,
+        };
+        let mut wal: FileWal<C> = FileWal::open(&path).unwrap();
+        wal.append(slot1.clone());
+        wal.sync();
+        let wal: FileWal<C> = FileWal::open(&path).unwrap();
+        assert_eq!(
+            wal.replay(),
+            vec![slot0, slot1],
+            "{tag}: synced record lost"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_tail_that_decodes_is_not_a_record_and_reopening_cuts_it() {
+        // `c 1 123` torn to `c 1 12`; `put 1 10` torn to `put 1 1`.
+        torn_tail_case::<u64>("u64", 10, b"c 1 12", 123);
+        torn_tail_case(
+            "command",
+            Command::Noop,
+            b"c 1 put 1 1",
+            Command::put(1, 10),
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based cluster tests: arbitrary request queues, queue skews and
 //! Byzantine placements always converge to identical logs and digests.
 
-use dex_replication::{run_cluster, ClusterOptions, Command};
+use dex_replication::{run_generic_cluster, Command, GenericClusterOptions, KvStore};
 use dex_types::SystemConfig;
 use proptest::prelude::*;
 
@@ -35,15 +35,16 @@ proptest! {
             })
             .collect();
         let target = base.len() as u64;
-        let outcome = run_cluster(ClusterOptions {
-            config,
-            pending,
-            target_slots: target,
+        // A Byzantine replica equivocates between two poison commands no
+        // queue holds.
+        let outcome = run_generic_cluster::<KvStore>(GenericClusterOptions {
             byzantine: byz.map(|b| vec![b]).unwrap_or_default(),
-            seed,
+            byz_values: vec![Command::put(666, 666), Command::put(999, 999)],
+            ..GenericClusterOptions::new(config, pending, target, seed)
         });
         prop_assert!(outcome.converged(), "logs {:?}", outcome.logs);
-        // Every committed command is Noop or from somebody's queue.
+        // Every committed command is Noop or from somebody's queue, never
+        // a poison value.
         let log = outcome.logs.iter().flatten().next().unwrap();
         for cmd in log {
             prop_assert!(

@@ -6,7 +6,7 @@
 //! cargo run --example kv_cluster
 //! ```
 
-use dex::replication::{run_cluster, ClusterOptions, Command};
+use dex::replication::{run_generic_cluster, Command, GenericClusterOptions, KvStore};
 use dex::types::SystemConfig;
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
 
     // The client broadcast its requests to all replicas; replicas 5 and 6
     // saw the tail in a different order (late delivery), and replica 6 is
-    // outright Byzantine.
+    // outright Byzantine: it equivocates between two poison commands.
     let canonical = vec![
         Command::put(1, 100),
         Command::put(2, 200),
@@ -24,12 +24,10 @@ fn main() {
     ];
     let mut pending = vec![canonical.clone(); 7];
     pending[5].swap(3, 4);
-    let outcome = run_cluster(ClusterOptions {
-        config,
-        pending,
-        target_slots: 5,
+    let outcome = run_generic_cluster::<KvStore>(GenericClusterOptions {
         byzantine: vec![6],
-        seed: 2010,
+        byz_values: vec![Command::put(666, 666), Command::put(999, 999)],
+        ..GenericClusterOptions::new(config, pending, 5, 2010)
     });
 
     assert!(outcome.converged(), "correct replicas must converge");

@@ -9,9 +9,11 @@
 # canonical chaos schedule (--assert-monotone-f checks both).
 #
 # Leaves results/campaign_smoke.json and results/campaign_smoke.md behind
-# for CI artifact upload and the step summary.
+# for CI artifact upload and the step summary. Both JSON artifacts must
+# parse (check_json, exported by scripts/ci.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+declare -F check_json > /dev/null || { echo "run this as scripts/ci.sh <stage>: it defines check_json" >&2; exit 2; }
 
 echo "campaign smoke: --jobs 1"
 cargo run --release -q --bin dex-campaign -- \
@@ -25,6 +27,7 @@ cargo run --release -q --bin dex-campaign -- \
 
 echo "campaign determinism: --jobs 1 vs --jobs 8, byte-identical artifact"
 cmp results/campaign_smoke.json results/campaign_smoke_jobs1.json
+check_json results/campaign_smoke.json
 rm -f results/campaign_smoke_jobs1.json
 
 # One smoke cell (n=7, t=1, f=0 — the clean corner of the sweep) routed
@@ -44,6 +47,7 @@ cargo run --release -q --bin dex-sim -- "${PIPELINE_ARGS[@]}" > /dev/null
 mv results/trace_pipeline_42.json results/trace_pipeline_42.first.json
 cargo run --release -q --bin dex-sim -- "${PIPELINE_ARGS[@]}" > /dev/null
 cmp results/trace_pipeline_42.json results/trace_pipeline_42.first.json
+check_json results/trace_pipeline_42.json
 rm -f results/trace_pipeline_42.json results/trace_pipeline_42.first.json
 
 echo "campaign smoke OK"

@@ -10,8 +10,10 @@
 # the same (spec, seed) must render the identical file twice, and that file
 # must equal the committed results/logs/trace_chaos_partition_31.json (its
 # holds reach past the simulator's near ring into the far event map).
+# Every trace must parse as JSON (check_json, exported by scripts/ci.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+declare -F check_json > /dev/null || { echo "run this as scripts/ci.sh <stage>: it defines check_json" >&2; exit 2; }
 
 SCHEDULES=(drop:0.4 dup:0.35 partition:5:120 crash:3:100)
 SEEDS=(0 1 2 3 4 5 6 7)
@@ -24,6 +26,7 @@ for chaos in "${SCHEDULES[@]}"; do
     cargo run --release -q --bin dex-sim -- \
       "${BASE[@]}" --chaos "$chaos" --seed "$seed" > /dev/null
   done
+  check_json results/trace_chaos_*.json
   echo "chaos $chaos: ${#SEEDS[@]} seeds clean"
 done
 
@@ -36,6 +39,7 @@ cargo run --release -q --bin dex-sim -- \
   "${BASE[@]}" --chaos partition:5:120 --seed 31 > /dev/null
 cmp results/trace_chaos_partition_31.json results/trace_chaos_partition_31.first.json
 cmp results/trace_chaos_partition_31.json results/logs/trace_chaos_partition_31.json
+check_json results/trace_chaos_partition_31.json
 
 rm -f results/trace_chaos_*.json
 

@@ -38,6 +38,9 @@
 #                    one dex_ function
 #   all              everything above, in order (the default)
 #
+# Every JSON file a stage writes must parse: check_json runs jq -e . on
+# each, so the stages that write JSON need jq installed.
+#
 # The workspace builds fully offline: every external dependency is vendored
 # as a path crate under vendor/ and pinned by the committed Cargo.lock.
 set -euo pipefail
@@ -45,6 +48,17 @@ cd "$(dirname "$0")/.."
 
 # Lints gate first-party code only; vendored stand-ins are checked as-is.
 FIRST_PARTY=(--workspace --exclude crossbeam --exclude proptest --exclude rand)
+
+# Exported, so the stage scripts below call it on their artifacts before
+# they clean up.
+check_json() {
+  command -v jq > /dev/null || { echo "check_json: jq is not installed" >&2; exit 1; }
+  local file
+  for file in "$@"; do
+    jq -e . "$file" > /dev/null || { echo "check_json: $file is not valid JSON" >&2; exit 1; }
+  done
+}
+export -f check_json
 
 stage_lint() {
   echo "== fmt"
@@ -90,6 +104,7 @@ stage_test() {
   cargo run --release -q --bin dex-sim -- "${trace_args[@]}" > /dev/null
   cmp results/trace_31.json results/trace_31.first.json
   cmp results/trace_31.json results/logs/trace_31_dex-freq.json
+  check_json results/trace_31.json
   rm -f results/trace_31.json results/trace_31.first.json
 
   # The baselines' event streams (ViewSet, Decide, send/deliver stamps) are
@@ -100,6 +115,7 @@ stage_test() {
     cargo run --release -q --bin dex-sim -- --n 8 --t 1 --algo "$algo" \
       --workload bernoulli:0.8 --f 1 --adversary equivocate --runs 3 --seed 31 --trace > /dev/null
     cmp results/trace_31.json "results/logs/trace_31_$algo.json"
+    check_json results/trace_31.json
   done
   rm -f results/trace_31.json
 }

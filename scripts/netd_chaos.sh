@@ -14,19 +14,23 @@
 #   4. the campaign cell records wall-clock fast-decision rates next to
 #      the simnet rates for the same cells.
 # The harness asserts agreement, convergence and restart counts itself
-# and exits non-zero otherwise; this script checks the artifacts.
+# and exits non-zero otherwise; this script checks the artifacts, each
+# of which must parse as JSON (check_json, exported by scripts/ci.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+declare -F check_json > /dev/null || { echo "run this as scripts/ci.sh <stage>: it defines check_json" >&2; exit 2; }
 
 cargo build --release -q --bin dex-netd
 NETD="$PWD/target/release/dex-netd"
 
-rm -f BENCH_netd.json results/netd_chaos_42.json results/campaign_netd_smoke.json
+rm -f results/netd_42.json results/netd_99.json results/netd_chaos_42.json \
+  results/campaign_netd_smoke.json
 
 echo "== chaos cells: 4 MATRIX schedules on live sockets (n=7 t=1 f=1)"
 for chaos in drop:0.4 dup:0.35 partition:5:120 crash:3:100; do
   "$NETD" --cluster --n 7 --t 1 --f 1 --chaos "$chaos" \
     --phase cells --runs 1 --seed 42 --timeout-secs 120
+  check_json results/netd_42.json results/netd_chaos_42.json
 done
 
 echo "== fault-trace reproducibility: same seed, two dirs, cmp"
@@ -38,6 +42,7 @@ for dir in "$trace_a" "$trace_b"; do
     --phase cells --runs 2 --seed 42 --timeout-secs 120)
 done
 cmp "$trace_a/results/netd_chaos_42.json" "$trace_b/results/netd_chaos_42.json"
+check_json "$trace_a"/results/*.json "$trace_b"/results/*.json
 # Keep one copy where the CI artifact globs collect it.
 mkdir -p results
 cp "$trace_a/results/netd_chaos_42.json" results/netd_chaos_42.json
@@ -45,17 +50,15 @@ cp "$trace_a/results/netd_chaos_42.json" results/netd_chaos_42.json
 echo "== divergent kill -9: survivor progress, then WAL replay + catch-up"
 "$NETD" --cluster --n 7 --t 1 --phase kill9 --kill 2:divergent \
   --slots 8 --pipeline 4 --seed 99 --timeout-secs 120
-grep -q '"divergent":true' BENCH_netd.json
-grep -q '"converged":true' BENCH_netd.json
-grep -q '"survivor_floor":' BENCH_netd.json
+check_json results/netd_99.json
+grep -q '"divergent":true' results/netd_99.json
+grep -q '"converged":true' results/netd_99.json
+grep -q '"survivor_floor":' results/netd_99.json
 
 echo "== campaign cell: wall-clock fast-decision rates vs simnet"
 "$NETD" --campaign smoke:0 --runs 1 --timeout-secs 120
+check_json results/campaign_netd_smoke.json
 grep -q '"netd":{"fast":' results/campaign_netd_smoke.json
 grep -q '"simnet":{"fast":' results/campaign_netd_smoke.json
-
-for artifact in results/netd_chaos_42.json results/campaign_netd_smoke.json; do
-  [ -f "$artifact" ] || { echo "missing artifact $artifact" >&2; exit 1; }
-done
 
 echo "netd chaos OK: MATRIX decided, trace reproducible, divergent kill converged"

@@ -6,14 +6,16 @@
 # kill -9 + respawn of one replica, converging through FileWal replay and
 # t+1 catch-up. The harness asserts agreement, convergence and the
 # restart count itself and exits non-zero otherwise; this script checks
-# the artifacts it leaves behind (BENCH_netd.json, results/netd_31.json)
-# and that --stats printed the wire breakdown line.
+# the artifact it leaves behind (results/netd_31.json: valid JSON, via
+# check_json from scripts/ci.sh, with the kill9 row) and that --stats
+# printed the wire breakdown line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+declare -F check_json > /dev/null || { echo "run this as scripts/ci.sh <stage>: it defines check_json" >&2; exit 2; }
 
 cargo build --release -q --bin dex-netd
 
-rm -f BENCH_netd.json results/netd_31.json
+rm -f results/netd_31.json
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
@@ -22,11 +24,9 @@ trap 'rm -f "$out"' EXIT
   --slots 8 --pipeline 4 --stats --timeout-secs 120 | tee "$out"
 grep -q '^wire classes: ' "$out"
 
-for artifact in BENCH_netd.json results/netd_31.json; do
-  [ -f "$artifact" ] || { echo "missing artifact $artifact" >&2; exit 1; }
-done
-grep -q '"cell":"kill9"' BENCH_netd.json
-grep -q '"converged":true' BENCH_netd.json
-grep -q '"restarts":1' BENCH_netd.json
+check_json results/netd_31.json
+grep -q '"cell":"kill9"' results/netd_31.json
+grep -q '"converged":true' results/netd_31.json
+grep -q '"restarts":1' results/netd_31.json
 
 echo "netd smoke OK: cells decided, kill -9 + respawn converged"

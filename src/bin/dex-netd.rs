@@ -9,7 +9,8 @@
 //!   consensus cells and the kill -9 + respawn replication schedule
 //!   (`--pipeline <W>` slots in flight), judges every cell with the
 //!   shared `BatchStats` ledger, and
-//!   writes `BENCH_netd.json` + `results/netd_<seed>.json`. Add
+//!   writes `results/netd_<seed>.json` (the spec as its replay flags,
+//!   then the wall-clock `"bench"` rows). Add
 //!   `--chaos <schedule>` to inject the schedule's faults onto the live
 //!   TCP links (per-link deterministic; fault traces land in
 //!   `results/netd_chaos_<seed>.json`), and `--kill <victim>[:divergent]`

@@ -80,15 +80,12 @@ fn five_process_cluster_decides_and_survives_kill9() {
         stdout.contains("converged at prefix 6") && stdout.contains("after 1 restart"),
         "kill -9 phase did not converge as expected:\n{stdout}"
     );
-    let bench = std::fs::read_to_string(dir.join("BENCH_netd.json")).expect("BENCH_netd.json");
+    let bench =
+        std::fs::read_to_string(dir.join("results/netd_31.json")).expect("results/netd_31.json");
     assert!(bench.contains("\"cell\":\"consensus\""), "bench: {bench}");
     assert!(
         bench.contains("\"cell\":\"kill9\"") && bench.contains("\"converged\":true"),
         "bench: {bench}"
-    );
-    assert!(
-        dir.join("results/netd_31.json").exists(),
-        "results artifact missing"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -160,7 +157,7 @@ fn matrix_chaos_schedules_decide_with_reproducible_fault_traces() {
     );
     let trace = String::from_utf8(trace_a).expect("utf8 artifact");
     assert!(
-        trace.contains("\"sched\":\"0x") && trace.contains("\"chaos\":\"drop:0.4\""),
+        trace.contains("\"sched\":\"0x") && trace.contains("\"--chaos\",\"drop:0.4\""),
         "trace artifact shape: {trace}"
     );
     let _ = std::fs::remove_dir_all(&dir_a);
@@ -206,7 +203,8 @@ fn divergent_kill9_proves_survivor_progress_before_the_respawn_converges() {
             stdout.contains("converged at prefix 8") && stdout.contains("after 1 restart"),
             "W = {window}: divergent kill9 did not converge:\n{stdout}"
         );
-        let bench = std::fs::read_to_string(dir.join("BENCH_netd.json")).expect("BENCH_netd.json");
+        let bench = std::fs::read_to_string(dir.join("results/netd_99.json"))
+            .expect("results/netd_99.json");
         // The kill landed at (at least) the configured prefix 2; the exact
         // landing prefix is wall-clock dependent.
         assert!(
