@@ -228,7 +228,7 @@ impl CampaignSpec {
             delay: self.delay.clone(),
             chaos: cell.chaos.clone(),
             pipeline: PipelineSpec::default(),
-            aggregate: crate::spec::AggregationSpec::Off,
+            aggregate: false,
             runtime: crate::spec::RuntimeSpec::Simnet,
             kill: crate::spec::KillSpec::default(),
             stats: false,

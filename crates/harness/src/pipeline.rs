@@ -134,7 +134,7 @@ impl PipelineRun {
             batch: spec.pipeline.batch,
             slots,
             seed: spec.seed,
-            aggregate: spec.aggregate.is_on(),
+            aggregate: spec.aggregate,
         })
     }
 

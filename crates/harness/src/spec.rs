@@ -441,21 +441,6 @@ impl ChaosSpec {
         }
     }
 
-    /// Compiles the spec against a canonical *last-`f`* fault budget —
-    /// the placement the netd cluster harness uses, where the budget
-    /// processes are real child processes running correct code whose
-    /// liveness is simply not awaited. With `f == 0` the plan is empty
-    /// (so `DropHeavy` compiles to an empty schedule, exactly as in the
-    /// simulator: no faulty processes means nothing to attach drops to).
-    pub fn build_with_budget(&self, config: SystemConfig, f: usize) -> FaultSchedule {
-        let plan = if f > 0 {
-            FaultPlan::last_k(config, f)
-        } else {
-            FaultPlan::none()
-        };
-        self.build(config, &plan)
-    }
-
     /// Compiles the symbolic spec into a concrete [`FaultSchedule`] for a
     /// run whose Byzantine processes are given by `plan`.
     pub fn build(&self, config: SystemConfig, plan: &FaultPlan) -> FaultSchedule {
@@ -472,38 +457,30 @@ impl ChaosSpec {
                 open,
                 heal,
             ),
-            ChaosSpec::CrashRecover { down, up } => {
-                // Crash correct, non-coordinator processes: the oracle
-                // coordinator (p0) stays up so the fallback path works, and
-                // crashing a Byzantine process would waste the window.
-                let victims: Vec<ProcessId> = config
-                    .processes()
-                    .filter(|q| !plan.is_faulty(*q) && q.index() != 0)
-                    .collect();
-                let k = config.t().max(1).min(victims.len());
-                let mut sched = FaultSchedule::new();
-                for &q in victims.iter().rev().take(k) {
-                    sched = sched.crash(q, down, up);
-                }
-                sched
-            }
-            ChaosSpec::CrashRestart { down, up } => {
-                // Same victim choice as CrashRecover, but with amnesia:
-                // in-window deliveries are lost and the process is rebuilt
-                // through its `Recoverable` hook at `up`.
-                let victims: Vec<ProcessId> = config
-                    .processes()
-                    .filter(|q| !plan.is_faulty(*q) && q.index() != 0)
-                    .collect();
-                let k = config.t().max(1).min(victims.len());
-                let mut sched = FaultSchedule::new();
-                for &q in victims.iter().rev().take(k) {
-                    sched = sched.crash_restart(q, down, up);
-                }
-                sched
-            }
+            ChaosSpec::CrashRecover { down, up } => crash_victims(config, plan)
+                .fold(FaultSchedule::new(), |sched, q| sched.crash(q, down, up)),
+            // Same victims, but with amnesia: in-window deliveries are lost
+            // and the process is rebuilt through its `Recoverable` hook at
+            // `up`.
+            ChaosSpec::CrashRestart { down, up } => crash_victims(config, plan)
+                .fold(FaultSchedule::new(), |sched, q| {
+                    sched.crash_restart(q, down, up)
+                }),
         }
     }
+}
+
+/// The processes a crash schedule takes down, last first: `max(t, 1)`
+/// correct, non-coordinator processes. The oracle coordinator (p0) stays
+/// up so the fallback path works, and crashing a Byzantine process would
+/// waste the window.
+fn crash_victims(config: SystemConfig, plan: &FaultPlan) -> impl Iterator<Item = ProcessId> {
+    let victims: Vec<ProcessId> = config
+        .processes()
+        .filter(|q| !plan.is_faulty(*q) && q.index() != 0)
+        .collect();
+    let k = config.t().max(1).min(victims.len());
+    victims.into_iter().rev().take(k)
 }
 
 /// Pipelined-replication selection, mirroring `--pipeline`
@@ -563,38 +540,6 @@ impl PipelineSpec {
     /// Renders the `--pipeline` value this spec parses from.
     pub fn flag(&self) -> String {
         format!("{}:{}", self.window, self.batch)
-    }
-}
-
-/// Echo/vote aggregation selection, mirroring the **valueless**
-/// `--aggregate` flag.
-///
-/// `Off` (the default) keeps the wire protocol byte-identical to
-/// pre-aggregation builds — the seed trace artifacts `cmp` equal. `On`
-/// coalesces each process's per-tick echo flood into one batched
-/// multicast per causal depth (see [`dex_broadcast::EchoAggregator`]),
-/// cutting the IDB wire complexity from `n²` point-to-point echoes to `n`
-/// batches per tick. Algorithms without an echo/vote flood (`bosco`,
-/// `plain`, the crash rows: one value per process, nothing to batch)
-/// reject the switch (see [`RunSpec::config`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AggregationSpec {
-    /// Unbatched echoes — the paper's literal message pattern.
-    #[default]
-    Off,
-    /// Per-tick batched echoes riding the `Dest::All` zero-clone path.
-    On,
-}
-
-impl AggregationSpec {
-    /// `true` for [`AggregationSpec::Off`].
-    pub fn is_off(&self) -> bool {
-        *self == AggregationSpec::Off
-    }
-
-    /// `true` for [`AggregationSpec::On`].
-    pub fn is_on(&self) -> bool {
-        *self == AggregationSpec::On
     }
 }
 
@@ -805,9 +750,13 @@ pub struct RunSpec {
     /// the single-shot consensus path). On netd the window is the kill9
     /// replicas' window.
     pub pipeline: PipelineSpec,
-    /// Echo/vote aggregation (the valueless `--aggregate` flag; off keeps
-    /// the wire byte-identical to pre-aggregation builds).
-    pub aggregate: AggregationSpec,
+    /// Echo/vote aggregation (the valueless `--aggregate` flag). On
+    /// coalesces each process's per-tick echo flood into one batched
+    /// multicast per causal depth (see [`dex_broadcast::EchoAggregator`]);
+    /// off keeps the paper's literal message pattern, byte-identical to
+    /// pre-aggregation builds. Algorithms without an echo/vote flood
+    /// reject it (see [`RunSpec::config`]).
+    pub aggregate: bool,
     /// Which runtime executes the batch (`--runtime`), with the optional
     /// netd peer table (`--peers`).
     pub runtime: RuntimeSpec,
@@ -842,7 +791,7 @@ impl Default for RunSpec {
             delay: DelayModel::Uniform { min: 1, max: 10 },
             chaos: ChaosSpec::default(),
             pipeline: PipelineSpec::default(),
-            aggregate: AggregationSpec::default(),
+            aggregate: false,
             runtime: RuntimeSpec::default(),
             kill: KillSpec::default(),
             stats: false,
@@ -947,7 +896,7 @@ impl RunSpec {
                 self.f, self.t
             ));
         }
-        if self.aggregate.is_on() && !self.algo.aggregates() {
+        if self.aggregate && !self.algo.aggregates() {
             return Err(format!(
                 "--aggregate coalesces an echo/vote flood and --algo {} has none",
                 algo_flag(self.algo)
@@ -992,7 +941,7 @@ impl RunSpec {
             workload: workload.as_ref(),
             delay: self.delay.clone(),
             chaos: self.chaos.clone(),
-            aggregate: self.aggregate.is_on(),
+            aggregate: self.aggregate,
             runs: self.runs,
             seed0: self.seed,
             max_events: self.max_events,
@@ -1001,9 +950,10 @@ impl RunSpec {
     }
 
     /// Derives batch run `i` of this spec ([`BatchSpec::instance`]): its
-    /// seed, input vector, fault plan and compiled chaos schedule. The
-    /// netd cluster harness takes its children's proposals from here, so
-    /// a netd cell and a simnet batch run see the same input.
+    /// seed, input vector, fault plan and compiled chaos schedule. A netd
+    /// cell runs `instance(i)`, and each of its children derives the same
+    /// run as `instance(0)` of this spec at the run seed, so a netd cell
+    /// and a simnet batch run see the same input and schedule.
     pub fn instance(&self, i: usize) -> Result<RunInstance, String> {
         self.with_batch(|batch| batch.instance(i))
     }
@@ -1111,7 +1061,7 @@ impl RunSpec {
             "--max-events".into(),
             self.max_events.to_string(),
         ]);
-        if self.aggregate.is_on() {
+        if self.aggregate {
             args.push("--aggregate".into());
         }
         if self.stats {
@@ -1142,7 +1092,7 @@ impl RunSpec {
                 continue;
             }
             if name == "aggregate" {
-                spec.aggregate = AggregationSpec::On;
+                spec.aggregate = true;
                 continue;
             }
             if name == "stats" {
@@ -1213,7 +1163,7 @@ mod tests {
                 window: 8,
                 batch: 4,
             },
-            aggregate: AggregationSpec::On,
+            aggregate: true,
             runtime: RuntimeSpec::Thread,
             kill: KillSpec {
                 after: 2,
@@ -1232,18 +1182,18 @@ mod tests {
     #[test]
     fn aggregate_and_stats_flags_are_valueless_and_default_off() {
         let spec = RunSpec::from_args(&["--aggregate", "--stats"]).unwrap();
-        assert!(spec.aggregate.is_on());
+        assert!(spec.aggregate);
         assert!(spec.stats);
         assert_eq!(
             spec,
             RunSpec {
-                aggregate: AggregationSpec::On,
+                aggregate: true,
                 stats: true,
                 ..RunSpec::default()
             }
         );
         let off = RunSpec::default();
-        assert!(off.aggregate.is_off());
+        assert!(!off.aggregate);
         assert!(!off
             .to_args()
             .iter()
@@ -1268,7 +1218,7 @@ mod tests {
             let spec = RunSpec::from_args(&["--algo", algo]).unwrap();
             assert!(spec.config().is_ok(), "{algo} without --aggregate");
             assert!(RunSpec {
-                aggregate: AggregationSpec::On,
+                aggregate: true,
                 ..spec
             }
             .run()

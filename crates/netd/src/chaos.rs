@@ -1,10 +1,12 @@
 //! Deterministic fault injection between the [`Mesh`](crate::conn::Mesh)
 //! and its real sockets.
 //!
-//! The simulator's [`ChaosSpec`] schedules (drop, dup, healing
-//! partitions, crash silence windows) compile here into **per-connection
-//! behavior on real TCP links**, so every robustness claim the simulated
-//! runtimes make is falsifiable against actual network pathology. The
+//! A run's compiled chaos schedule — the very
+//! [`RunInstance::faults`](dex_harness::runner::RunInstance) the simulator
+//! runs (drop, dup, healing partitions, crash silence windows) — becomes
+//! **per-connection behavior on real TCP links** here, so every
+//! robustness claim the simulated runtimes make is falsifiable against
+//! actual network pathology. The
 //! injection point is the writer/reader boundary inside the mesh: a
 //! [`ChaosRuntime`] is consulted once per logical send (the drop / dup /
 //! hold verdict of [`FaultSchedule::verdict`], the very function the
@@ -29,19 +31,18 @@
 //! the digests are compared — wall-clock runs legitimately differ in how
 //! many frames each connection incarnation carries.
 //!
-//! Virtual schedule units map to wall clock through `scale_us`
-//! (default 1000 µs per unit), so e.g. the MATRIX partition `[5, 120)`
-//! spans `5 ms → 120 ms` of real time.
+//! One virtual schedule unit spans [`SCALE_US`] wall microseconds, so
+//! e.g. the MATRIX partition `[5, 120)` spans `5 ms → 120 ms` of real
+//! time.
 
-use dex_harness::spec::ChaosSpec;
 use dex_simnet::{FaultSchedule, Verdict, CHAOS_SALT};
-use dex_types::{ProcessId, SystemConfig};
+use dex_types::ProcessId;
 use rand::rngs::StdRng;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Default wall-clock microseconds per virtual schedule unit.
-pub const DEFAULT_SCALE_US: u64 = 1000;
+/// Wall-clock microseconds per virtual schedule unit.
+pub const SCALE_US: u64 = 1000;
 
 /// SplitMix64 — the standard 64-bit seed scrambler, used to derive
 /// per-link RNG seeds that differ in every bit even for adjacent ids.
@@ -55,7 +56,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// A deliberate mid-frame connection tear: the writer sends the whole
 /// frames batched ahead of this one and exactly `offset` bytes of it,
 /// then kills the socket. Built only by
-/// tests ([`ChaosRuntime::with_tears`]) — `ChaosSpec` schedules never
+/// tests ([`ChaosRuntime::with_tears`]) — compiled schedules never
 /// tear, they drop whole frames like the simulator does.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TearPoint {
@@ -112,7 +113,6 @@ pub struct ChaosRuntime {
     schedule: FaultSchedule,
     me: ProcessId,
     start: Instant,
-    scale_us: u64,
     links: Vec<Option<Mutex<LinkChaos>>>,
     tears: Vec<TearPoint>,
 }
@@ -128,22 +128,13 @@ fn fnv1a(acc: u64, word: u64) -> u64 {
 }
 
 impl ChaosRuntime {
-    /// Compiles `spec` for process `me` of the `config` system, against a
-    /// last-`f` fault budget (the netd placement), with the chaos RNG
-    /// seeded from the run seed exactly like the simulator's stream.
-    /// `scale_us` maps virtual schedule units to wall microseconds.
-    pub fn new(
-        spec: &ChaosSpec,
-        config: SystemConfig,
-        f: usize,
-        me: ProcessId,
-        seed: u64,
-        scale_us: u64,
-    ) -> Self {
-        let schedule = spec.build_with_budget(config, f);
-        schedule.validate(config.n());
+    /// Runs `schedule` — a run's compiled `RunInstance::faults` — as
+    /// process `me` of an `n`-process system, with the chaos RNG seeded
+    /// from the run seed exactly like the simulator's stream.
+    pub fn new(schedule: FaultSchedule, n: usize, me: ProcessId, seed: u64) -> Self {
+        schedule.validate(n);
         let base = seed ^ CHAOS_SALT;
-        let links = (0..config.n())
+        let links = (0..n)
             .map(|to| {
                 if to == me.index() {
                     return None;
@@ -181,7 +172,6 @@ impl ChaosRuntime {
             schedule,
             me,
             start: Instant::now(),
-            scale_us: scale_us.max(1),
             links,
             tears: Vec::new(),
         }
@@ -190,20 +180,19 @@ impl ChaosRuntime {
     /// A schedule-free injector that only tears connections at the given
     /// points — the reconnect-robustness suite's configuration.
     pub fn with_tears(n: usize, me: ProcessId, tears: Vec<TearPoint>) -> Self {
-        let config = SystemConfig::new(n, 0).expect("n ≥ 1, t = 0 is always legal");
-        let mut rt = ChaosRuntime::new(&ChaosSpec::None, config, 0, me, 0, DEFAULT_SCALE_US);
+        let mut rt = ChaosRuntime::new(FaultSchedule::none(), n, me, 0);
         rt.tears = tears;
         rt
     }
 
     /// Current virtual time in schedule units.
     fn now_units(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64 / self.scale_us
+        self.start.elapsed().as_micros() as u64 / SCALE_US
     }
 
     /// The wall instant at which virtual unit `u` is reached.
     pub fn instant_of(&self, u: u64) -> Instant {
-        self.start + Duration::from_micros(u.saturating_mul(self.scale_us))
+        self.start + Duration::from_micros(u.saturating_mul(SCALE_US))
     }
 
     /// Decides the fate of one logical outbound frame to `to`: the
@@ -302,6 +291,8 @@ impl ChaosRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_harness::runner::Placement;
+    use dex_harness::spec::{ChaosSpec, RunSpec};
 
     /// An untouched frame: delivered, not held, not duplicated.
     fn free(verdict: Verdict) -> bool {
@@ -316,15 +307,29 @@ mod tests {
         )
     }
 
-    fn config7() -> SystemConfig {
-        SystemConfig::new(7, 1).expect("n > 6t")
+    /// `chaos` compiled as a netd child compiles it: run 0 of a 7-process
+    /// spec whose fault budget is the last `f` processes.
+    fn schedule(chaos: &ChaosSpec, f: usize) -> FaultSchedule {
+        RunSpec {
+            f,
+            chaos: chaos.clone(),
+            placement: Placement::LastK,
+            ..RunSpec::default()
+        }
+        .instance(0)
+        .expect("7-process spec")
+        .faults
+    }
+
+    fn runtime(chaos: &ChaosSpec, f: usize, me: usize, seed: u64) -> ChaosRuntime {
+        ChaosRuntime::new(schedule(chaos, f), 7, ProcessId::new(me), seed)
     }
 
     #[test]
     fn same_seed_reproduces_the_per_link_fault_trace() {
         let spec = ChaosSpec::DropHeavy { p: 0.4 };
-        let a = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(2), 42, 1000);
-        let b = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(2), 42, 1000);
+        let a = runtime(&spec, 1, 2, 42);
+        let b = runtime(&spec, 1, 2, 42);
         for to in 0..7 {
             assert_eq!(
                 a.sched_digest(ProcessId::new(to)),
@@ -333,8 +338,8 @@ mod tests {
             );
         }
         // Different seeds and different sources give different streams.
-        let c = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(2), 43, 1000);
-        let d = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(3), 42, 1000);
+        let c = runtime(&spec, 1, 2, 43);
+        let d = runtime(&spec, 1, 3, 42);
         assert_ne!(
             a.sched_digest(ProcessId::new(0)),
             c.sched_digest(ProcessId::new(0))
@@ -355,7 +360,7 @@ mod tests {
         let spec = ChaosSpec::DropHeavy { p: 1.0 };
         // p6 is the budget process under last-1 placement: the 2→6 link
         // drops everything, correct↔correct links drop nothing.
-        let rt = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(2), 7, 1000);
+        let rt = runtime(&spec, 1, 2, 7);
         assert!(matches!(
             rt.outbound(ProcessId::new(6)),
             Verdict::Drop { .. }
@@ -363,7 +368,7 @@ mod tests {
         assert!(free(rt.outbound(ProcessId::new(3))));
         // With f = 0 the budget is empty and the schedule compiles empty:
         // nothing drops anywhere (exactly the simulator's behavior).
-        let clean = ChaosRuntime::new(&spec, config7(), 0, ProcessId::new(2), 7, 1000);
+        let clean = runtime(&spec, 0, 2, 7);
         assert!(clean.schedule().is_empty());
         assert!(free(clean.outbound(ProcessId::new(6))));
     }
@@ -372,14 +377,13 @@ mod tests {
     fn partition_holds_cross_cut_frames_until_heal() {
         // First ⌈7/2⌉ = 4 processes are cut from the rest over [5, 120).
         let spec = ChaosSpec::PartitionHeal { open: 5, heal: 120 };
-        // Scale of 1 µs/unit: by the time we call outbound we are inside
-        // the window (construction to call is far more than 5 µs... not
-        // guaranteed — so use a huge window instead).
+        // A window open from unit 0 is live from construction on, however
+        // long the test takes to reach its first send.
         let spec_now = ChaosSpec::PartitionHeal {
             open: 0,
             heal: 1_000_000,
         };
-        let rt = ChaosRuntime::new(&spec_now, config7(), 0, ProcessId::new(0), 7, 1000);
+        let rt = runtime(&spec_now, 0, 0, 7);
         match rt.outbound(ProcessId::new(5)) {
             Verdict::Deliver {
                 at: 1_000_000,
@@ -392,7 +396,7 @@ mod tests {
         assert!(free(rt.outbound(ProcessId::new(1))));
         // After the heal instant the cut is gone (probe the schedule
         // directly — wall clock cannot be fast-forwarded in a test).
-        let sched = spec.build_with_budget(config7(), 0);
+        let sched = schedule(&spec, 0);
         assert_eq!(
             sched.partition_hold(ProcessId::new(0), ProcessId::new(5), 130),
             None
@@ -407,11 +411,11 @@ mod tests {
         };
         // Victim choice mirrors the simulator: last correct
         // non-coordinator, here p6 (f = 0 ⇒ nobody is budget-faulty).
-        let sched = spec.build_with_budget(config7(), 0);
+        let sched = schedule(&spec, 0);
         let victims: Vec<_> = sched.crash_windows().iter().map(|w| w.process).collect();
         assert_eq!(victims, vec![ProcessId::new(6)]);
-        let rt = ChaosRuntime::new(&spec, config7(), 0, ProcessId::new(0), 7, 1);
-        std::thread::sleep(Duration::from_millis(1)); // enter the window
+        let rt = runtime(&spec, 0, 0, 7);
+        std::thread::sleep(Duration::from_micros(SCALE_US)); // enter the window at unit 1
         match rt.outbound(ProcessId::new(6)) {
             Verdict::Deliver {
                 at: 1_000_000,
@@ -421,8 +425,8 @@ mod tests {
             other => panic!("frames to a crashed peer must queue, got {other:?}"),
         }
         // The victim's own runtime stalls its event loop.
-        let victim = ChaosRuntime::new(&spec, config7(), 0, ProcessId::new(6), 7, 1);
-        std::thread::sleep(Duration::from_millis(1));
+        let victim = runtime(&spec, 0, 6, 7);
+        std::thread::sleep(Duration::from_micros(SCALE_US));
         assert!(victim.self_resume_at().is_some());
         // Everyone else keeps running.
         assert!(rt.self_resume_at().is_none());
@@ -431,7 +435,7 @@ mod tests {
     #[test]
     fn dup_heavy_duplicates_with_forward_jitter() {
         let spec = ChaosSpec::DupHeavy { p: 1.0 };
-        let rt = ChaosRuntime::new(&spec, config7(), 0, ProcessId::new(1), 9, 1000);
+        let rt = runtime(&spec, 0, 1, 9);
         match rt.outbound(ProcessId::new(2)) {
             Verdict::Deliver {
                 at,
@@ -486,7 +490,7 @@ mod tests {
     #[test]
     fn reports_carry_digests_and_realized_counters() {
         let spec = ChaosSpec::DropHeavy { p: 1.0 };
-        let rt = ChaosRuntime::new(&spec, config7(), 1, ProcessId::new(0), 11, 1000);
+        let rt = runtime(&spec, 1, 0, 11);
         let _ = rt.outbound(ProcessId::new(6)); // dropped (budget link)
         let _ = rt.outbound(ProcessId::new(1)); // delivered
         let reports = rt.reports();

@@ -9,10 +9,13 @@
 //!    `i` is the spec's batch run `i` ([`RunSpec::instance`] — the very
 //!    derivation `run_batch` executes, with netd's last-`f` fault
 //!    budget), `n` child processes are spawned — each a [`DexActor`] on an
-//!    [`Endpoint`](crate::endpoint::Endpoint) — and every awaited child's
-//!    `DECIDED` report becomes that process's [`Outcome`]. The cell is one
-//!    [`RunResult`], judged for agreement and unanimity and folded into
-//!    the [`BatchStats`] ledger every runtime shares.
+//!    [`Endpoint`](crate::endpoint::Endpoint) that derives its proposal
+//!    and chaos schedule as `instance(0)` of its run's spec — and every
+//!    awaited child's `DECIDED` report becomes that process's
+//!    [`Outcome`]. The cell is one [`RunResult`], judged for agreement and
+//!    unanimity and folded into the [`BatchStats`] ledger every runtime
+//!    shares, next to its *simnet twin*: the same [`RunInstance`] run in
+//!    the simulator.
 //! 2. **kill -9 + respawn**: `n` replica children run multi-slot DEX
 //!    against per-process [`FileWal`]s. One non-coordinator victim is
 //!    killed with a literal `SIGKILL` mid-run, then respawned with
@@ -25,16 +28,16 @@
 //! `--runtime netd --peers <table>`) plus role flags; children report on
 //! stdout in the [`Report`] line grammar. The parent writes the wall-clock
 //! artifact `results/netd_<seed>.json`: the spec as the `dex-sim` flags
-//! that replay it, next to a `"bench"` object of per-cell rows. Each
+//! that replay it, next to a `"bench"` object of per-cell rows (a
+//! consensus row ends with its twin's one- and two-step counts). Each
 //! child also watches its stdin and exits when the parent goes away, so an
 //! aborted harness never leaks orphan processes.
 
-use crate::chaos::{splitmix64, ChaosReport, ChaosRuntime, DEFAULT_SCALE_US};
+use crate::chaos::{splitmix64, ChaosReport, ChaosRuntime};
 use crate::endpoint::Endpoint;
 use crate::listener::free_loopback_addrs;
 use dex_conditions::FrequencyPair;
 use dex_core::{DexActor, DexProcess};
-use dex_harness::campaign::{CampaignCell, CampaignSpec};
 use dex_harness::json;
 use dex_harness::runner::{
     run_instance, Algo, BatchStats, Outcome, Placement, RunInstance, RunResult,
@@ -80,9 +83,6 @@ pub struct ClusterOpts {
     pub phase: Phase,
     /// Per-phase wall-clock budget before the harness gives up.
     pub timeout: Duration,
-    /// Wall microseconds one virtual chaos-schedule unit spans
-    /// (`--chaos-scale-us`, default [`DEFAULT_SCALE_US`]).
-    pub scale_us: u64,
 }
 
 /// Options one spawned child parses back out of its argv.
@@ -90,12 +90,10 @@ pub struct ClusterOpts {
 pub struct NodeOpts {
     /// This process's id.
     pub me: ProcessId,
-    /// The run's spec: system size, run seed, chaos schedule and fault
-    /// budget, aggregation, kill9 window and divergence, and the `--peers`
-    /// table this child binds entry `me` of.
+    /// The run's spec: system size, run seed, workload, chaos schedule
+    /// and fault budget, aggregation, kill9 window and divergence, and the
+    /// `--peers` table this child binds entry `me` of.
     pub spec: RunSpec,
-    /// Wall microseconds per virtual chaos-schedule unit.
-    pub scale_us: u64,
     /// What this child runs.
     pub role: Role,
 }
@@ -103,11 +101,8 @@ pub struct NodeOpts {
 /// A child's role.
 #[derive(Clone, Debug)]
 pub enum Role {
-    /// Single-shot DEX consensus on a proposal.
-    Consensus {
-        /// This process's input value.
-        propose: u64,
-    },
+    /// Single-shot DEX consensus on entry `me` of the spec's run-0 input.
+    Consensus,
     /// Multi-slot replication against a WAL.
     Replica {
         /// WAL path (unique per process, stable across respawns).
@@ -305,7 +300,7 @@ pub fn run_node(opts: NodeOpts) -> Result<(), String> {
     let cfg = opts.spec.config()?;
     let peers = opts.spec.runtime.peers().ok_or("--peers required")?.clone();
     match &opts.role {
-        Role::Consensus { propose } => consensus_node(&opts, cfg, peers, *propose),
+        Role::Consensus => consensus_node(&opts, cfg, peers),
         Role::Replica {
             wal,
             slots,
@@ -314,31 +309,21 @@ pub fn run_node(opts: NodeOpts) -> Result<(), String> {
     }
 }
 
-fn consensus_node(
-    opts: &NodeOpts,
-    cfg: SystemConfig,
-    peers: AddressTable,
-    propose: u64,
-) -> Result<(), String> {
+fn consensus_node(opts: &NodeOpts, cfg: SystemConfig, peers: AddressTable) -> Result<(), String> {
     let spec = &opts.spec;
+    // The parent hands each child its cell's run as run 0 of a spec at the
+    // run seed, so this is the parent's `instance(i)`: the same input, and
+    // the schedule compiled against the same last-`f` budget — real
+    // processes running correct code, never awaited.
+    let inst = spec.instance(0)?;
     let pair = FrequencyPair::new(cfg).map_err(|e| e.to_string())?;
     let uc = OracleConsensus::new(cfg, opts.me, ProcessId::new(0));
-    let mut actor = DexActor::new(DexProcess::new(cfg, opts.me, pair, uc), propose);
-    if spec.aggregate.is_on() {
+    let mut actor = DexActor::new(DexProcess::new(cfg, opts.me, pair, uc), inst.input[opts.me]);
+    if spec.aggregate {
         actor.enable_aggregation();
     }
-    // The last `f` processes are the fault budget the schedule compiles
-    // against: real processes running correct code, never awaited.
-    let chaos = (!spec.chaos.is_none()).then(|| {
-        Arc::new(ChaosRuntime::new(
-            &spec.chaos,
-            cfg,
-            spec.f,
-            opts.me,
-            spec.seed,
-            opts.scale_us,
-        ))
-    });
+    let chaos = (!spec.chaos.is_none())
+        .then(|| Arc::new(ChaosRuntime::new(inst.faults, cfg.n(), opts.me, spec.seed)));
     let mut ep = Endpoint::with_net(actor, opts.me, peers, spec.seed, chaos.clone())
         .map_err(|e| format!("bind: {e}"))?;
     ep.boot();
@@ -545,11 +530,17 @@ fn child_spec(spec: &RunSpec, seed: u64, peers: AddressTable) -> RunSpec {
     }
 }
 
-/// Spawns child `id`: its role flags, then the run's own spec flags.
-fn spawn_node_process(id: usize, run: &RunSpec, role: &[&str]) -> Result<ChildHandle, String> {
+/// Child `id`'s argv: its role flags, then the run's own spec flags.
+fn node_argv(id: usize, run: &RunSpec, role: &[&str]) -> Vec<String> {
     let mut argv: Vec<String> = vec!["--node".into(), id.to_string()];
     argv.extend(role.iter().map(|a| a.to_string()));
     argv.extend(run.to_args());
+    argv
+}
+
+/// Spawns child `id` on [`node_argv`].
+fn spawn_node_process(id: usize, run: &RunSpec, role: &[&str]) -> Result<ChildHandle, String> {
+    let argv = node_argv(id, run, role);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut child = Command::new(exe)
         .args(&argv)
@@ -619,6 +610,9 @@ pub struct CellRun {
     /// The cell as a harness run: one outcome per process, the summed
     /// per-child wire ledgers. Judged before it is returned.
     pub result: RunResult,
+    /// The simnet twin: [`run_instance`] on `inst`, the simulator's
+    /// decision paths for the input and schedule the cell ran.
+    pub twin: RunResult,
     /// Whole-run wall clock, µs (spawn to last decision).
     pub wall_us: u64,
     /// Per-link fault-trace digests reported by the awaited survivors,
@@ -657,49 +651,55 @@ fn judge_cell(
     Ok(result)
 }
 
-/// Folds cells into the batch ledger every runtime shares.
-fn ledger<'a>(cells: impl IntoIterator<Item = &'a CellRun>) -> BatchStats {
+impl CellRun {
+    /// A judged cell, paired with its simnet twin.
+    fn new(inst: RunInstance, result: RunResult, wall_us: u64, links: Vec<LinkTrace>) -> Self {
+        let twin = run_instance(&inst);
+        CellRun {
+            inst,
+            result,
+            twin,
+            wall_us,
+            links,
+        }
+    }
+}
+
+/// Folds runs into the batch ledger every runtime shares.
+fn ledger<'a>(runs: impl IntoIterator<Item = (&'a RunInstance, &'a RunResult)>) -> BatchStats {
     let mut stats = BatchStats::default();
-    for cell in cells {
-        stats.fold(&cell.inst, &cell.result);
+    for (inst, result) in runs {
+        stats.fold(inst, result);
     }
     stats
 }
 
-/// Runs one consensus cell: spawn `n`, collect the awaited children's
-/// reports into a judged [`RunResult`], reap. The cell's fault plan is
-/// netd's budget — the last `f` processes, against which
-/// [`ChaosSpec::build_with_budget`] compiles the schedule: real processes
-/// running correct code whose links the schedule degrades and whose
-/// liveness is deliberately not awaited (each is [`Outcome::Faulty`],
-/// mirroring the simulator's budget semantics).
-fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, String> {
-    // The input is drawn before the plan, so the placement changes no
-    // proposal.
-    let spec = RunSpec {
+/// The spec of a cluster's cells: netd's fault budget is the last `f`
+/// processes. The input is drawn before the plan, so the placement changes
+/// no proposal.
+fn cells_spec(spec: &RunSpec) -> RunSpec {
+    RunSpec {
         placement: Placement::LastK,
-        ..opts.spec.clone()
-    };
+        ..spec.clone()
+    }
+}
+
+/// Runs one consensus cell: spawn `n`, collect the awaited children's
+/// reports into a judged [`RunResult`], reap, and run the simnet twin.
+/// The budget processes are real processes running correct code whose
+/// links the schedule degrades and whose liveness is deliberately not
+/// awaited (each is [`Outcome::Faulty`], mirroring the simulator's budget
+/// semantics).
+fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, String> {
+    let spec = cells_spec(&opts.spec);
     let inst = spec.instance(run_idx)?;
     let run = child_spec(&spec, inst.seed, cluster_addrs(&spec)?);
     let start = Instant::now();
     let deadline = start + opts.timeout;
-    let scale = opts.scale_us.to_string();
     let mut children = inst
         .config
         .processes()
-        .map(|p| {
-            let propose = inst.input[p].to_string();
-            let role = [
-                "--mode",
-                "consensus",
-                "--propose",
-                &propose,
-                "--chaos-scale-us",
-                &scale,
-            ];
-            spawn_node_process(p.index(), &run, &role)
-        })
+        .map(|p| spawn_node_process(p.index(), &run, &["--mode", "consensus"]))
         .collect::<Result<Vec<_>, _>>()?;
     let mut outcomes = Vec::with_capacity(spec.n);
     let mut net = NetStats::default();
@@ -745,12 +745,7 @@ fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, Str
     drop(children);
     links.sort_by_key(|l| (l.from, l.to));
     let result = judge_cell(run_idx, &inst, outcomes, net)?;
-    Ok(CellRun {
-        inst,
-        result,
-        wall_us,
-        links,
-    })
+    Ok(CellRun::new(inst, result, wall_us, links))
 }
 
 /// Outcome of the kill -9 + respawn phase.
@@ -999,13 +994,16 @@ pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
     if opts.phase != Phase::Kill9 {
         for i in 0..spec.runs {
             let cell = run_consensus_cell(opts, i)?;
-            let one = ledger([&cell]);
+            let one = ledger([(&cell.inst, &cell.result)]);
+            let twin = ledger([(&cell.inst, &cell.twin)]);
             println!(
-                "cell {} run {i}: decided {} ({} of {} one-step, chaos {}) in {:.1} ms",
+                "cell {} run {i}: decided {} ({} of {} one-step, simnet {} of {}, chaos {}) in {:.1} ms",
                 spec.workload.flag(),
                 cell.result.decided().next().map_or(0, |r| r.value),
                 one.paths.count(&"1-step"),
                 one.paths.total(),
+                twin.paths.count(&"1-step"),
+                twin.paths.total(),
                 spec.chaos.label(),
                 cell.wall_us as f64 / 1000.0,
             );
@@ -1090,7 +1088,7 @@ fn write_artifact(
     kill9: Option<&Kill9Run>,
 ) -> std::io::Result<()> {
     let spec = &opts.spec;
-    let all = ledger(cells);
+    let all = ledger(cells.iter().map(|cell| (&cell.inst, &cell.result)));
     let (mut decisions, mut net) = (all.paths.total(), all.net);
     if let Some(k) = kill9 {
         decisions += opts.slots * spec.n as u64;
@@ -1113,13 +1111,15 @@ fn write_artifact(
     let rows = cells.iter().enumerate().map(Ok).chain(kill9.map(Err));
     json::list(&mut out, ",", rows, |out, row| match row {
         Ok((i, cell)) => {
-            let one = ledger([cell]);
+            let one = ledger([(&cell.inst, &cell.result)]);
+            let twin = ledger([(&cell.inst, &cell.twin)]);
             let _ = write!(
                 out,
                 concat!(
                     "{{\"cell\":\"consensus\",\"workload\":\"{}\",\"chaos\":\"{}\",\"run\":{},\"seed\":{},",
                     "\"decided\":{},\"one_step\":{},\"two_step\":{},\"depth_max\":{:.0},\"latency_mean_us\":{:.1},",
-                    "\"latency_max_us\":{:.0},\"bytes_on_wire\":{},\"wall_us\":{}}}"
+                    "\"latency_max_us\":{:.0},\"bytes_on_wire\":{},\"wall_us\":{},",
+                    "\"simnet_one_step\":{},\"simnet_two_step\":{}}}"
                 ),
                 spec.workload.flag(),
                 spec.chaos.flag(),
@@ -1133,6 +1133,8 @@ fn write_artifact(
                 one.latency.max().unwrap_or(0.0),
                 one.net.bytes_on_wire,
                 cell.wall_us,
+                twin.paths.count(&"1-step"),
+                twin.paths.count(&"2-step"),
             );
         }
         Err(k) => {
@@ -1206,14 +1208,8 @@ fn take_num<T: std::str::FromStr>(
 pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
     let me = take_value(&mut args, "--node")?.ok_or("--node <id> required")?;
     let mode = take_value(&mut args, "--mode")?.ok_or("--mode required")?;
-    let scale_us = take_num(&mut args, "--chaos-scale-us", DEFAULT_SCALE_US)?;
     let role = match mode.as_str() {
-        "consensus" => Role::Consensus {
-            propose: parse_num(
-                "--propose",
-                &take_value(&mut args, "--propose")?.ok_or("--propose required")?,
-            )?,
-        },
+        "consensus" => Role::Consensus,
         "replica" => Role::Replica {
             wal: PathBuf::from(take_value(&mut args, "--wal")?.ok_or("--wal required")?),
             slots: parse_num(
@@ -1236,7 +1232,6 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
     Ok(NodeOpts {
         me: ProcessId::new(parse_num("--node", &me)?),
         spec,
-        scale_us,
         role,
     })
 }
@@ -1253,7 +1248,6 @@ pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> 
         Some(other) => return Err(format!("unknown --phase `{other}` (cells|kill9|both)")),
     };
     let timeout = Duration::from_secs(take_num(&mut args, "--timeout-secs", 60)?);
-    let scale_us = take_num(&mut args, "--chaos-scale-us", DEFAULT_SCALE_US)?;
     if !args.iter().any(|a| a == "--runtime") {
         args.push("--runtime".into());
         args.push("netd".into());
@@ -1264,154 +1258,25 @@ pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> 
         slots,
         phase,
         timeout,
-        scale_us,
     })
 }
 
-// ---------------------------------------------------------------------
-// Campaign cells over netd: wall-clock vs virtual fast-decision rates.
-// ---------------------------------------------------------------------
-
-/// Parses and runs `--campaign <name>:<cell>`: one campaign cell executed
-/// on *both* runtimes — simnet in-process and netd as real processes over
-/// TCP — recording the two fast-decision rates side by side in
-/// `results/campaign_netd_<name>.json`.
-fn run_campaign_args(mut args: Vec<String>) -> Result<(), String> {
-    let raw = take_value(&mut args, "--campaign")?.ok_or("--campaign <name>:<cell> required")?;
-    let (name, idx) = raw
-        .split_once(':')
-        .ok_or("--campaign wants <name>:<cell>, e.g. smoke:0")?;
-    let idx: usize = parse_num("--campaign cell", idx)?;
-    let runs: Option<usize> = take_value(&mut args, "--runs")?
-        .map(|raw| parse_num("--runs", &raw))
-        .transpose()?;
-    let timeout = Duration::from_secs(take_num(&mut args, "--timeout-secs", 60)?);
-    if !args.is_empty() {
-        return Err(format!("unknown campaign flags: {args:?}"));
-    }
-    let campaign =
-        CampaignSpec::by_name(name).ok_or_else(|| format!("unknown campaign `{name}`"))?;
-    let cells = campaign.cells();
-    let cell = cells.get(idx).ok_or_else(|| {
-        format!(
-            "campaign `{name}` has {} cells; {idx} is out of range",
-            cells.len()
-        )
-    })?;
-    let runs = runs.unwrap_or(campaign.seeds);
-    run_campaign_cell(&campaign, cell, idx, runs, timeout)
-}
-
-/// Runs one campaign cell `runs` times on netd (real processes, wall
-/// clock) and on simnet (in-process, virtual time), folding each side
-/// into its own batch ledger, then writes the side-by-side
-/// fast-decision-rate artifact. "Fast" is the paper's expedited set:
-/// one-step plus two-step decisions.
-fn run_campaign_cell(
-    campaign: &CampaignSpec,
-    cell: &CampaignCell,
-    idx: usize,
-    runs: usize,
-    timeout: Duration,
-) -> Result<(), String> {
-    let name = &campaign.name;
-    if !cell.chaos.is_none() {
-        return Err(
-            "campaign-over-netd compares fast-decision rates on clean networks; \
-                    pick a chaos-free cell (netd chaos cells run via --cluster --chaos)"
-                .into(),
-        );
-    }
-    let (mut netd, mut sim) = (BatchStats::default(), BatchStats::default());
-    let mut wall_us = 0u64;
-    for run in 0..runs {
-        // The simnet task's own spec, on netd; `validate_cluster` refuses
-        // cells the children cannot run (a Byzantine budget, say).
-        let opts = ClusterOpts {
-            spec: RunSpec {
-                runtime: RuntimeSpec::Netd { peers: None },
-                ..campaign.runspec_for(cell, run)
-            },
-            slots: 8,
-            phase: Phase::Cells,
-            timeout,
-            scale_us: DEFAULT_SCALE_US,
-        };
-        validate_cluster(&opts)?;
-        let r = run_consensus_cell(&opts, 0)?;
-        netd.fold(&r.inst, &r.result);
-        wall_us += r.wall_us;
-        let inst = campaign.runspec_for(cell, run).instance(0)?;
-        sim.fold(&inst, &run_instance(&inst));
-        println!(
-            "campaign {name}:{idx} run {run}: netd {}/{} fast in {:.1} ms, simnet {}/{} fast",
-            fast(&netd),
-            netd.paths.total(),
-            r.wall_us as f64 / 1000.0,
-            fast(&sim),
-            sim.paths.total(),
-        );
-    }
-    let rate = |s: &BatchStats| s.path_fraction("1-step") + s.path_fraction("2-step");
-    let (netd_rate, sim_rate) = (rate(&netd), rate(&sim));
-    let mut body = String::from("{\"campaign\":");
-    json::string(&mut body, name);
-    let _ = writeln!(
-        body,
-        concat!(
-            ",\"cell\":{},\"n\":{},\"t\":{},\"f\":{},",
-            "\"adversary\":\"{}\",\"chaos\":\"{}\",\"runs\":{},",
-            "\"netd\":{{\"fast\":{},\"decisions\":{},\"fast_rate\":{:.6},",
-            "\"latency_mean_us\":{:.1},\"wall_us\":{}}},",
-            "\"simnet\":{{\"fast\":{},\"decisions\":{},\"fast_rate\":{:.6}}}}}"
-        ),
-        idx,
-        cell.n,
-        cell.t,
-        cell.f,
-        cell.adversary.flag(),
-        cell.chaos.flag(),
-        runs,
-        fast(&netd),
-        netd.paths.total(),
-        netd_rate,
-        netd.latency.mean(),
-        wall_us,
-        fast(&sim),
-        sim.paths.total(),
-        sim_rate,
-    );
-    std::fs::create_dir_all("results").map_err(|e| format!("results dir: {e}"))?;
-    let path = format!("results/campaign_netd_{name}.json");
-    std::fs::write(&path, body).map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "campaign {name}:{idx}: wall-clock fast-decision rate {netd_rate:.3} (netd) vs {sim_rate:.3} (simnet) over {runs} runs → {path}"
-    );
-    Ok(())
-}
-
-/// Expedited (one- or two-step) decisions in a ledger.
-fn fast(stats: &BatchStats) -> u64 {
-    stats.paths.count(&"1-step") + stats.paths.count(&"2-step")
-}
-
-/// `dex-netd` entry: dispatches `--cluster`, `--campaign` and `--node`
-/// argv forms.
+/// `dex-netd` entry: dispatches the `--cluster` and `--node` argv forms.
 pub fn main(args: Vec<String>) -> Result<(), String> {
-    if args.iter().any(|a| a == "--campaign") {
-        run_campaign_args(args)
-    } else if args.iter().any(|a| a == "--cluster") {
+    if args.iter().any(|a| a == "--cluster") {
         run_cluster(&parse_cluster_args(args)?)
     } else if args.iter().any(|a| a == "--node") {
         run_node(parse_node_args(args)?)
     } else {
-        Err(concat!(
-            "usage: dex-netd --cluster [spec flags] [--slots K] ",
-            "[--phase cells|kill9|both] [--timeout-secs S] [--chaos-scale-us U]\n",
-            "       dex-netd --campaign <name>:<cell> [--runs R] [--timeout-secs S]\n",
-            "       (children are spawned internally via --node)"
-        )
-        .into())
+        Err(format!(
+            concat!(
+                "no --cluster or --node in {:?}\n",
+                "usage: dex-netd --cluster [spec flags] [--slots K] ",
+                "[--phase cells|kill9|both] [--timeout-secs S]\n",
+                "       (children are spawned internally via --node)"
+            ),
+            args
+        ))
     }
 }
 
@@ -1425,7 +1290,7 @@ mod tests {
 
     /// A child argv as the parent spawns it: role flags, then the run's
     /// spec flags.
-    fn node_argv(role: &str, spec: &str) -> (Vec<String>, RunSpec) {
+    fn child_argv(role: &str, spec: &str) -> (Vec<String>, RunSpec) {
         let spec = RunSpec::from_args(&args(spec)).expect("spec flags");
         (args(role).into_iter().chain(spec.to_args()).collect(), spec)
     }
@@ -1520,16 +1385,16 @@ mod tests {
 
     #[test]
     fn node_argv_is_role_flags_plus_the_run_spec() {
-        let (argv, spec) = node_argv(
-            "--node 2 --mode consensus --propose 7",
+        let (argv, spec) = child_argv(
+            "--node 2 --mode consensus",
             "--n 3 --t 0 --seed 9 --aggregate --runtime netd --peers h:1,h:2,h:3",
         );
         let opts = parse_node_args(argv).expect("consensus argv");
         assert_eq!(opts.me, ProcessId::new(2));
-        assert!(matches!(opts.role, Role::Consensus { propose: 7 }));
+        assert!(matches!(opts.role, Role::Consensus));
         assert_eq!(opts.spec, spec);
-        assert!(opts.spec.aggregate.is_on());
-        let (argv, spec) = node_argv(
+        assert!(opts.spec.aggregate);
+        let (argv, spec) = child_argv(
             "--node 1 --mode replica --wal /tmp/w.log --slots 8 --respawn",
             "--n 7 --t 1 --pipeline 4 --kill 2:divergent --runtime netd \
              --peers h:1,h:2,h:3,h:4,h:5,h:6,h:7",
@@ -1546,28 +1411,28 @@ mod tests {
 
     #[test]
     fn node_argv_carries_chaos_and_peers() {
-        let role = "--node 2 --mode consensus --propose 7";
-        let (argv, _) = node_argv(
-            &format!("{role} --chaos-scale-us 500"),
+        let role = "--node 2 --mode consensus";
+        let (argv, _) = child_argv(
+            role,
             "--n 7 --t 1 --f 1 --chaos drop:0.4 --runtime netd \
              --peers 10.0.0.1:9000,10.0.0.2:9001,h:3,h:4,h:5,h:6,h:7",
         );
         let opts = parse_node_args(argv).expect("chaos argv");
         assert_eq!(opts.spec.chaos, ChaosSpec::DropHeavy { p: 0.4 });
-        assert_eq!((opts.spec.f, opts.scale_us), (1, 500));
+        assert_eq!(opts.spec.f, 1);
         let peers = opts.spec.runtime.peers().expect("table");
         assert_eq!((peers.host(1), peers.port(1)), ("10.0.0.2", 9001));
-        // Defaults: clean, no budget, canonical scale.
-        let (argv, _) = node_argv(role, "--n 2 --t 0 --runtime netd --peers h:1,h:2");
+        // Defaults: clean, no budget.
+        let (argv, _) = child_argv(role, "--n 2 --t 0 --runtime netd --peers h:1,h:2");
         let opts = parse_node_args(argv).expect("clean argv");
         assert!(opts.spec.chaos.is_none());
-        assert_eq!((opts.spec.f, opts.scale_us), (0, DEFAULT_SCALE_US));
+        assert_eq!(opts.spec.f, 0);
         // The table is the only addressing path: it is required, and it
         // must name exactly `n` processes.
-        let (argv, _) = node_argv(role, "--n 2 --t 0 --runtime netd");
+        let (argv, _) = child_argv(role, "--n 2 --t 0 --runtime netd");
         let err = parse_node_args(argv).expect_err("no table");
         assert!(err.contains("--peers required"), "{err}");
-        let (argv, _) = node_argv(role, "--n 2 --t 0 --runtime netd --peers h:1,h:2,h:3");
+        let (argv, _) = child_argv(role, "--n 2 --t 0 --runtime netd --peers h:1,h:2,h:3");
         let err = parse_node_args(argv).expect_err("wrong size");
         assert!(err.contains("names 3 processes"), "{err}");
     }
@@ -1576,14 +1441,13 @@ mod tests {
     fn cluster_argv_carries_spec_and_netd_knobs() {
         let opts = parse_cluster_args(args(
             "--cluster --n 5 --t 0 --workload unanimous:7 --runs 2 --seed 31 --slots 6 \
-             --pipeline 4 --phase cells --chaos-scale-us 250",
+             --pipeline 4 --phase cells",
         ))
         .expect("cluster argv");
         assert_eq!(opts.spec.n, 5);
         assert!(opts.spec.runtime.is_netd());
         assert_eq!((opts.slots, opts.spec.pipeline.window), (6, 4));
         assert_eq!(opts.phase, Phase::Cells);
-        assert_eq!(opts.scale_us, 250);
         // The kill9 window is `--pipeline`; there is no second spelling.
         let err = parse_cluster_args(args("--cluster --n 5 --t 0 --window 4"))
             .expect_err("--window is not a flag");
@@ -1668,6 +1532,36 @@ mod tests {
         assert_eq!(validate_cluster(&opts), Ok(()));
     }
 
+    #[test]
+    fn a_child_derives_the_input_and_schedule_of_the_parents_run() {
+        let table = AddressTable::parse("h:1,h:2,h:3,h:4,h:5,h:6,h:7").expect("table");
+        for chaos in ChaosSpec::MATRIX {
+            for f in [0, 1] {
+                let opts = cluster_opts(&format!(
+                    "--cluster --n 7 --t 1 --f {f} --chaos {} --phase cells --runs 3 --seed 42",
+                    chaos.flag()
+                ));
+                let spec = cells_spec(&opts.spec);
+                for i in 0..spec.runs {
+                    let inst = spec.instance(i).expect("parent instance");
+                    let run = child_spec(&spec, inst.seed, table.clone());
+                    for p in 0..spec.n {
+                        let child = parse_node_args(node_argv(p, &run, &["--mode", "consensus"]))
+                            .and_then(|opts| opts.spec.instance(0))
+                            .expect("child instance");
+                        let at = format!("{} f = {f}, run {i}, process {p}", chaos.flag());
+                        assert_eq!(child.input, inst.input, "{at}");
+                        assert_eq!(
+                            format!("{:?}", child.faults),
+                            format!("{:?}", inst.faults),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Run `i` of a 7-process last-k batch on `workload`.
     fn cell_instance(workload: &str, i: usize) -> RunInstance {
         RunSpec::from_args(&args(&format!(
@@ -1710,5 +1604,17 @@ mod tests {
         stats.fold(&inst, &run);
         assert!(stats.clean(), "{stats:?}");
         assert_eq!(stats.paths.count(&"1-step"), 6);
+    }
+
+    #[test]
+    fn a_cells_twin_is_its_instance_run_on_simnet() {
+        let inst = cell_instance("unanimous:7", 5);
+        let outcomes = (0..7).map(|_| decided(7)).collect();
+        let run = judge_cell(5, &inst, outcomes, NetStats::default()).expect("unanimous");
+        let cell = CellRun::new(inst, run, 0, Vec::new());
+        assert_eq!(cell.twin, run_instance(&cell.inst));
+        let twin = ledger([(&cell.inst, &cell.twin)]);
+        assert!(twin.clean(), "{twin:?}");
+        assert_eq!(twin.paths.total(), 7);
     }
 }

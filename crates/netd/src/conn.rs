@@ -1051,9 +1051,8 @@ mod tests {
 
     #[test]
     fn a_batch_draws_the_same_chaos_verdicts_as_one_by_one_sends() {
-        use dex_harness::spec::ChaosSpec;
-        use dex_types::SystemConfig;
-        let config = SystemConfig::new(7, 1).expect("n > 6t");
+        use dex_harness::runner::Placement;
+        use dex_harness::spec::{ChaosSpec, RunSpec};
         // Process 6 is the f = 1 budget process, so its links drop; every
         // link duplicates. No peer is up, so the queues keep everything.
         let me = ProcessId::new(6);
@@ -1061,8 +1060,17 @@ mod tests {
             ChaosSpec::DropHeavy { p: 0.4 },
             ChaosSpec::DupHeavy { p: 0.5 },
         ] {
+            let faults = RunSpec {
+                f: 1,
+                chaos: spec.clone(),
+                placement: Placement::LastK,
+                ..RunSpec::default()
+            }
+            .instance(0)
+            .expect("7-process spec")
+            .faults;
             let mesh = || {
-                let chaos = ChaosRuntime::new(&spec, config, 1, me, 42, 1000);
+                let chaos = ChaosRuntime::new(faults.clone(), 7, me, 42);
                 let addrs = free_loopback_addrs(7).expect("free ports");
                 Mesh::with_net(me, addrs, Some(Arc::new(chaos))).expect("bind")
             };

@@ -928,10 +928,6 @@ pub struct GenericClusterOptions<C> {
     /// under sustained probabilistic loss; incompatible with restart
     /// crash windows in this runner.
     pub reliable: bool,
-    /// Panic unless every correct replica commits the full target prefix.
-    /// Turn off for runs that are *expected* to starve, e.g. sustained
-    /// loss without the resend layer.
-    pub require_convergence: bool,
     /// Pipeline window `W`: how many slots each replica keeps in flight
     /// concurrently. `1` (the default) is the sequential engine,
     /// byte-for-byte; larger windows enable slot recycling and UC
@@ -946,7 +942,7 @@ pub struct GenericClusterOptions<C> {
 
 impl<C> GenericClusterOptions<C> {
     /// The defaults every pre-existing call site used implicitly: reliable
-    /// links, no durability, no resend layer, convergence required.
+    /// links, no durability, no resend layer.
     pub fn new(config: SystemConfig, pending: Vec<Vec<C>>, target_slots: u64, seed: u64) -> Self {
         GenericClusterOptions {
             config,
@@ -958,7 +954,6 @@ impl<C> GenericClusterOptions<C> {
             faults: FaultSchedule::none(),
             durable: false,
             reliable: false,
-            require_convergence: true,
             window: 1,
             aggregate: false,
         }
@@ -1092,8 +1087,8 @@ pub fn build_cluster<SM: StateMachine>(
 ///
 /// # Panics
 ///
-/// Panics where [`build_cluster`] does, or if `require_convergence` is set
-/// and a correct replica fails to commit the full prefix (a liveness bug).
+/// Panics where [`build_cluster`] does, or if a correct replica fails to
+/// commit the full prefix (a liveness bug).
 pub fn run_generic_cluster<SM: StateMachine>(
     options: GenericClusterOptions<SM::Command>,
 ) -> GenericClusterOutcome<SM::Command> {
@@ -1146,8 +1141,7 @@ const DEFAULT_SNAPSHOT_EVERY: usize = 4;
 ///
 /// # Panics
 ///
-/// Panics if `require_convergence` is set and a correct replica stopped
-/// short of the target prefix.
+/// Panics if a correct replica stopped short of the target prefix.
 pub fn collect_outcome<'a, SM: StateMachine>(
     nodes: impl Iterator<Item = &'a Node<SM>>,
     options: &GenericClusterOptions<SM::Command>,
@@ -1164,14 +1158,12 @@ pub fn collect_outcome<'a, SM: StateMachine>(
     for node in nodes {
         match node {
             Node::Correct(r) => {
-                if options.require_convergence {
-                    assert_eq!(
-                        r.log().committed_prefix(),
-                        options.target_slots as usize,
-                        "replica {} missed slots",
-                        r.me
-                    );
-                }
+                assert_eq!(
+                    r.log().committed_prefix(),
+                    options.target_slots as usize,
+                    "replica {} missed slots",
+                    r.me
+                );
                 logs.push(Some(r.log().prefix()));
                 digests.push(Some(r.machine().digest()));
                 paths.push(r.paths().to_vec());
@@ -1351,16 +1343,16 @@ mod tests {
         // resend layer restores liveness with the very same seed.
         let options = GenericClusterOptions {
             faults: FaultSchedule::none().lossy_link(None, None, 0.25, 0.0),
-            require_convergence: false,
             ..GenericClusterOptions::new(cfg(), vec![vec![81u64, 82]; 7], 3, 31)
         };
-        let starved = run_generic_cluster::<TotalOrder<u64>>(options.clone());
-        let short = starved.logs.iter().flatten().any(|log| log.len() < 3);
-        assert!(short, "25% loss without retransmission must starve");
+        let starved =
+            std::panic::catch_unwind(|| run_generic_cluster::<TotalOrder<u64>>(options.clone()))
+                .expect_err("25% loss without retransmission must starve");
+        let why = starved.downcast_ref::<String>().expect("panic message");
+        assert!(why.contains("missed slots"), "{why}");
 
         let reliable = run_generic_cluster::<TotalOrder<u64>>(GenericClusterOptions {
             reliable: true,
-            require_convergence: true,
             ..options
         });
         assert!(reliable.converged(), "{:?}", reliable.logs);

@@ -19,7 +19,7 @@ use crate::machine::StateMachine;
 use crate::Command;
 use dex_types::Value;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One durable record: slot `slot` decided `value`.
 ///
@@ -180,9 +180,15 @@ pub struct FileWal<C> {
 impl<C: Value + WalCodec> FileWal<C> {
     /// Opens (or creates) the log at `path`, cutting a torn last line (a
     /// crash mid-append) so the next record starts a line of its own
-    /// instead of gluing onto the torn bytes. The format is unchanged.
+    /// instead of gluing onto the torn bytes, and removing the
+    /// `<path>.compact` a crash mid-compaction leaves behind. The format
+    /// is unchanged.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
+        let leftover = compact_path(&path);
+        if leftover.exists() {
+            std::fs::remove_file(leftover)?;
+        }
         let file = std::fs::OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -214,6 +220,13 @@ impl<C: Value + WalCodec> FileWal<C> {
             value: C::decode(value)?,
         })
     }
+}
+
+/// Where [`FileWal::compact`] writes the log it renames over `path`.
+fn compact_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".compact");
+    PathBuf::from(name)
 }
 
 /// `bytes` up to and including its last `\n`: the complete lines.
@@ -261,9 +274,22 @@ impl<C: Value + WalCodec> Wal<C> for FileWal<C> {
         for record in &retain {
             content.push_str(&Self::encode_record(record));
         }
-        std::fs::write(&self.path, content).expect("wal rewrite failed");
-        let file = std::fs::File::open(&self.path).expect("wal file vanished");
+        // A new file renamed over the log: a crash leaves the old log or
+        // the new one, never a truncated mix, and open readers keep the
+        // old bytes.
+        let tmp = compact_path(&self.path);
+        let mut file = std::fs::File::create(&tmp).expect("wal compaction file");
+        file.write_all(content.as_bytes())
+            .expect("wal rewrite failed");
         file.sync_all().expect("wal fsync failed");
+        std::fs::rename(&tmp, &self.path).expect("wal rename failed");
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .expect("wal directory fsync failed");
         self.buffered.clear();
     }
 
@@ -503,6 +529,43 @@ mod tests {
             b"c 1 put 1 1",
             Command::put(1, 10),
         );
+    }
+
+    #[test]
+    fn compaction_swaps_in_a_new_file_and_an_open_reader_keeps_the_old_bytes() {
+        use std::io::Read as _;
+        let path = std::env::temp_dir().join(format!("dex-wal-compact-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut wal: FileWal<u64> = FileWal::open(&path).unwrap();
+        for slot in 0..4 {
+            wal.append(WalRecord::Commit {
+                slot,
+                value: 10 + slot,
+            });
+        }
+        wal.sync();
+        let synced = std::fs::read(&path).unwrap();
+        let mut reader = std::fs::File::open(&path).unwrap();
+        let kept = WalRecord::Commit { slot: 3, value: 13 };
+        wal.compact(vec![kept.clone()]);
+        // Rewriting the live file in place (truncate, then write) would
+        // show the reader the one-record log; a crash inside it would lose
+        // synced records.
+        let mut seen = Vec::new();
+        reader.read_to_end(&mut seen).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&seen),
+            String::from_utf8_lossy(&synced)
+        );
+        assert_eq!(wal.replay(), vec![kept.clone()]);
+        // A compaction cut short leaves `<path>.compact` behind; the
+        // next open removes it and keeps the log.
+        let leftover = format!("{}.compact", path.display());
+        std::fs::write(&leftover, "c 9 9\n").unwrap();
+        let wal: FileWal<u64> = FileWal::open(&path).unwrap();
+        assert!(!std::path::Path::new(&leftover).exists());
+        assert_eq!(wal.replay(), vec![kept]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 #                    wake-up is a rare hang, not a failure), then a
 #                    real-process TCP cluster: MATRIX cell + kill -9 respawn
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
-#                    fault traces, divergent-state kill -9, campaign rates
+#                    fault traces, divergent-state kill -9, a campaign point
 #   benchmark-smoke  benchmark/ builds and tests offline against this
 #                    checkout; all six workloads (simlog-n31, -agg,
 #                    chaoslog-n13, campaign-std, both netlog), 3 s each,

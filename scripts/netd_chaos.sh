@@ -11,8 +11,8 @@
 #   3. the divergent-state kill -9 converges: per-process pending
 #      streams, survivor progress proven while the victim is down, one
 #      digest at the full prefix after FileWal replay + t+1 catch-up;
-#   4. the campaign cell records wall-clock fast-decision rates next to
-#      the simnet rates for the same cells.
+#   4. a campaign point runs on netd from the flags dex-campaign --replay
+#      prints, and its cell row records its simnet twin's decision paths.
 # The harness asserts agreement, convergence and restart counts itself
 # and exits non-zero otherwise; this script checks the artifacts, each
 # of which must parse as JSON (check_json, exported by scripts/ci.sh).
@@ -23,8 +23,8 @@ declare -F check_json > /dev/null || { echo "run this as scripts/ci.sh <stage>: 
 cargo build --release -q --bin dex-netd
 NETD="$PWD/target/release/dex-netd"
 
-rm -f results/netd_42.json results/netd_99.json results/netd_chaos_42.json \
-  results/campaign_netd_smoke.json
+rm -f results/netd_2.json results/netd_42.json results/netd_99.json \
+  results/netd_chaos_42.json
 
 echo "== chaos cells: 4 MATRIX schedules on live sockets (n=7 t=1 f=1)"
 for chaos in drop:0.4 dup:0.35 partition:5:120 crash:3:100; do
@@ -55,10 +55,14 @@ grep -q '"divergent":true' results/netd_99.json
 grep -q '"converged":true' results/netd_99.json
 grep -q '"survivor_floor":' results/netd_99.json
 
-echo "== campaign cell: wall-clock fast-decision rates vs simnet"
-"$NETD" --campaign smoke:0 --runs 1 --timeout-secs 120
-check_json results/campaign_netd_smoke.json
-grep -q '"netd":{"fast":' results/campaign_netd_smoke.json
-grep -q '"simnet":{"fast":' results/campaign_netd_smoke.json
+echo "== campaign point on netd: the replay flags, next to the simnet twin"
+cargo build --release -q --bin dex-campaign
+replay="$(./target/release/dex-campaign --config smoke --replay 0 0)"
+replay="${replay#dex-sim }"
+# shellcheck disable=SC2086 # the replay line is a flag list
+"$NETD" --cluster --phase cells --timeout-secs 120 ${replay/--runtime simnet/--runtime netd}
+check_json results/netd_2.json
+grep -q '"simnet_one_step":' results/netd_2.json
+grep -q '"simnet_two_step":' results/netd_2.json
 
-echo "netd chaos OK: MATRIX decided, trace reproducible, divergent kill converged"
+echo "netd chaos OK: MATRIX decided, trace reproducible, divergent kill converged, campaign point twinned"

@@ -16,14 +16,15 @@
 //!   `results/netd_chaos_<seed>.json`), and `--kill <victim>[:divergent]`
 //!   to choose the kill9 victim — `:divergent` gives every replica its
 //!   own pending stream and proves survivor progress while the victim
-//!   is down.
-//! * `dex-netd --campaign smoke:<index> [--runs R]` — runs one campaign
-//!   cell on real processes and records the wall-clock fast-decision
-//!   rate next to the simnet rate for the same cell
-//!   (`results/campaign_netd_smoke.json`).
+//!   is down. Each consensus row also records its simnet twin's one-
+//!   and two-step counts: the simulator's run of the same input and
+//!   schedule. To run a campaign point on real processes, pass the flags
+//!   `dex-campaign --replay <cell> <run>` prints, with `--runtime netd`
+//!   for `--runtime simnet`.
 //! * `dex-netd --node I --mode consensus|replica <role flags> <spec flags>`
 //!   — one child process, parsing its run's `RunSpec` flags (spawned by
-//!   the parent; not normally invoked by hand).
+//!   the parent; not normally invoked by hand). A consensus child runs
+//!   `instance(0)` of that spec: its proposal and chaos schedule.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -11,9 +11,12 @@
 //! while the victim is down, byte-identical committed prefixes after the
 //! respawn. The harness itself asserts agreement, convergence and the
 //! restart count; these tests assert the harness succeeds and emits the
-//! artifacts — and (e) that a child which dies instead of reporting fails
+//! artifacts — (e) a campaign point's cell row next to its simnet twin —
+//! and (f) that a child which dies instead of reporting fails
 //! the run at once, with its id, exit status and stderr.
 
+use dex::harness::campaign::CampaignSpec;
+use dex::harness::spec::{RunSpec, RuntimeSpec};
 use std::path::Path;
 use std::process::Command;
 
@@ -220,27 +223,28 @@ fn divergent_kill9_proves_survivor_progress_before_the_respawn_converges() {
 
 #[test]
 fn campaign_cell_records_wall_clock_rates_next_to_simnet_rates() {
+    // A campaign point on netd is a cluster run on its replay spec.
+    let campaign = CampaignSpec::smoke();
+    let spec = RunSpec {
+        runtime: RuntimeSpec::Netd { peers: None },
+        ..campaign.runspec_for(&campaign.cells()[0], 0)
+    };
+    let flags = spec.to_args();
+    let mut argv = vec!["--cluster", "--phase", "cells", "--timeout-secs", "120"];
+    argv.extend(flags.iter().map(String::as_str));
     let dir = scratch_dir("campaign");
-    let stdout = netd(
-        &dir,
-        &[
-            "--campaign",
-            "smoke:0",
-            "--runs",
-            "1",
-            "--timeout-secs",
-            "120",
-        ],
-    );
+    let stdout = netd(&dir, &argv);
     assert!(
-        stdout.contains("wall-clock fast-decision rate"),
-        "campaign summary missing:\n{stdout}"
+        stdout.contains("simnet"),
+        "cell line names no twin:\n{stdout}"
     );
-    let report = std::fs::read_to_string(dir.join("results/campaign_netd_smoke.json"))
-        .expect("campaign artifact");
+    let artifact = format!("results/netd_{}.json", spec.seed);
+    let bench = std::fs::read_to_string(dir.join(&artifact)).expect("netd artifact");
     assert!(
-        report.contains("\"netd\":{\"fast\":") && report.contains("\"simnet\":{\"fast\":"),
-        "campaign artifact shape: {report}"
+        bench.contains("\"cell\":\"consensus\"")
+            && bench.contains("\"simnet_one_step\":")
+            && bench.contains("\"simnet_two_step\":"),
+        "{artifact} rows carry no simnet twin: {bench}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
