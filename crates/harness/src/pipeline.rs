@@ -10,9 +10,9 @@
 //! hard speedup ratio instead of tolerating wall-clock noise.
 //!
 //! [`PipelineRun::traced`] re-executes the run with event recording and
-//! assembles the checked trace artifact, carrying
-//! [`PipelineMeta`](dex_obs::PipelineMeta) so the checker's pipeline
-//! invariants (`window-bound`, `slot-reuse-isolation`) apply.
+//! assembles the checked trace artifact, carrying [`PipelineMeta`] so the
+//! checker's pipeline invariants (`window-bound`, `slot-reuse-isolation`)
+//! apply.
 
 use crate::spec::RunSpec;
 use dex_obs::{PipelineMeta, ProcessTrace, RunTrace, SchemeRules, TraceMeta};

@@ -38,6 +38,7 @@
 use dex_simnet::{FaultSchedule, Verdict, CHAOS_SALT};
 use dex_types::ProcessId;
 use rand::rngs::StdRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -112,7 +113,10 @@ struct LinkChaos {
 pub struct ChaosRuntime {
     schedule: FaultSchedule,
     me: ProcessId,
-    start: Instant,
+    /// The construction instant; unit 0 is `start_us` past it.
+    epoch: Instant,
+    /// Moved by [`Self::start_clock`].
+    start_us: AtomicU64,
     links: Vec<Option<Mutex<LinkChaos>>>,
     tears: Vec<TearPoint>,
 }
@@ -171,7 +175,8 @@ impl ChaosRuntime {
         ChaosRuntime {
             schedule,
             me,
-            start: Instant::now(),
+            epoch: Instant::now(),
+            start_us: AtomicU64::new(0),
             links,
             tears: Vec::new(),
         }
@@ -185,14 +190,25 @@ impl ChaosRuntime {
         rt
     }
 
+    /// Restarts the schedule's clock: unit 0 is now. The clock first
+    /// starts at construction; a process that waits for its peers before
+    /// it boots restarts it at boot, so its windows open as the
+    /// simulator's do, counted from the protocol's start.
+    pub fn start_clock(&self) {
+        let now = self.epoch.elapsed().as_micros() as u64;
+        self.start_us.store(now, Ordering::Relaxed);
+    }
+
     /// Current virtual time in schedule units.
     fn now_units(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64 / SCALE_US
+        let since_epoch = self.epoch.elapsed().as_micros() as u64;
+        since_epoch.saturating_sub(self.start_us.load(Ordering::Relaxed)) / SCALE_US
     }
 
     /// The wall instant at which virtual unit `u` is reached.
     pub fn instant_of(&self, u: u64) -> Instant {
-        self.start + Duration::from_micros(u.saturating_mul(SCALE_US))
+        let start_us = self.start_us.load(Ordering::Relaxed);
+        self.epoch + Duration::from_micros(start_us.saturating_add(u.saturating_mul(SCALE_US)))
     }
 
     /// Decides the fate of one logical outbound frame to `to`: the

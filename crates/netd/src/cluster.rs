@@ -1,21 +1,20 @@
 //! The cluster harness: spawn, drive, kill and judge real OS processes.
 //!
-//! `dex-netd --cluster` is the orchestrator. From one
-//! [`RunSpec`](dex_harness::spec::RunSpec) — the same serializable spec
-//! that drives simnet and threadnet — it runs two phases on localhost
-//! TCP:
+//! `dex-netd --cluster` is the orchestrator. From one [`RunSpec`] — the
+//! same serializable spec that drives simnet and threadnet — it runs two
+//! phases on localhost TCP:
 //!
 //! 1. **Consensus cells** (the campaign MATRIX's fault-free cells): run
 //!    `i` is the spec's batch run `i` ([`RunSpec::instance`] — the very
 //!    derivation `run_batch` executes, with netd's last-`f` fault
 //!    budget), `n` child processes are spawned — each a [`DexActor`] on an
-//!    [`Endpoint`](crate::endpoint::Endpoint) that derives its proposal
-//!    and chaos schedule as `instance(0)` of its run's spec — and every
-//!    awaited child's `DECIDED` report becomes that process's
-//!    [`Outcome`]. The cell is one [`RunResult`], judged for agreement and
-//!    unanimity and folded into the [`BatchStats`] ledger every runtime
-//!    shares, next to its *simnet twin*: the same [`RunInstance`] run in
-//!    the simulator.
+//!    [`Endpoint`] that derives its proposal and chaos schedule as
+//!    `instance(0)` of its run's spec, and boots once its mesh is
+//!    connected — and every awaited child's `DECIDED` report becomes that
+//!    process's [`Outcome`]. The cell is one [`RunResult`], judged for
+//!    agreement and unanimity and folded into the [`BatchStats`] ledger
+//!    every runtime shares, next to its *simnet twin*: the same
+//!    [`RunInstance`] run in the simulator.
 //! 2. **kill -9 + respawn**: `n` replica children run multi-slot DEX
 //!    against per-process [`FileWal`]s. One non-coordinator victim is
 //!    killed with a literal `SIGKILL` mid-run, then respawned with
@@ -102,7 +101,12 @@ pub struct NodeOpts {
 #[derive(Clone, Debug)]
 pub enum Role {
     /// Single-shot DEX consensus on entry `me` of the spec's run-0 input.
-    Consensus,
+    Consensus {
+        /// The cell's budget (`--timeout-secs`): the child waits up to
+        /// half of it for its mesh to connect before it boots, so a
+        /// failed wait reaches the parent inside the budget.
+        timeout: Duration,
+    },
     /// Multi-slot replication against a WAL.
     Replica {
         /// WAL path (unique per process, stable across respawns).
@@ -300,7 +304,7 @@ pub fn run_node(opts: NodeOpts) -> Result<(), String> {
     let cfg = opts.spec.config()?;
     let peers = opts.spec.runtime.peers().ok_or("--peers required")?.clone();
     match &opts.role {
-        Role::Consensus => consensus_node(&opts, cfg, peers),
+        Role::Consensus { timeout } => consensus_node(&opts, cfg, peers, *timeout),
         Role::Replica {
             wal,
             slots,
@@ -309,7 +313,12 @@ pub fn run_node(opts: NodeOpts) -> Result<(), String> {
     }
 }
 
-fn consensus_node(opts: &NodeOpts, cfg: SystemConfig, peers: AddressTable) -> Result<(), String> {
+fn consensus_node(
+    opts: &NodeOpts,
+    cfg: SystemConfig,
+    peers: AddressTable,
+    timeout: Duration,
+) -> Result<(), String> {
     let spec = &opts.spec;
     // The parent hands each child its cell's run as run 0 of a spec at the
     // run seed, so this is the parent's `instance(i)`: the same input, and
@@ -326,6 +335,30 @@ fn consensus_node(opts: &NodeOpts, cfg: SystemConfig, peers: AddressTable) -> Re
         .then(|| Arc::new(ChaosRuntime::new(inst.faults, cfg.n(), opts.me, spec.seed)));
     let mut ep = Endpoint::with_net(actor, opts.me, peers, spec.seed, chaos.clone())
         .map_err(|e| format!("bind: {e}"))?;
+    // Siblings derive their run at their own pace (a hot-key workload
+    // compiles a large client population), so boot only once every peer
+    // is linked: all children then start together, and this child's
+    // latency and chaos clocks count from its boot, not from its bind.
+    let deadline = Instant::now() + timeout / 2;
+    loop {
+        let missing = ep.unconnected();
+        if missing.is_empty() {
+            break;
+        }
+        if Instant::now() >= deadline {
+            let missing: Vec<usize> = missing.iter().map(|p| p.index()).collect();
+            return Err(format!(
+                "process {}: no link to processes {missing:?} within {:?}",
+                opts.me.index(),
+                timeout / 2
+            ));
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    if let Some(chaos) = &chaos {
+        chaos.start_clock();
+    }
+    let booted = Instant::now();
     ep.boot();
     let mut announced = false;
     loop {
@@ -341,7 +374,7 @@ fn consensus_node(opts: &NodeOpts, cfg: SystemConfig, peers: AddressTable) -> Re
                     value: d.value,
                     path: d.path,
                     depth: d.depth,
-                    elapsed_us: ep.elapsed_us(),
+                    elapsed_us: booted.elapsed().as_micros() as u64,
                 });
                 reports.push(Report::Stats(ep.stats().clone()));
                 report(&reports);
@@ -613,7 +646,10 @@ pub struct CellRun {
     /// The simnet twin: [`run_instance`] on `inst`, the simulator's
     /// decision paths for the input and schedule the cell ran.
     pub twin: RunResult,
-    /// Whole-run wall clock, µs (spawn to last decision).
+    /// Whole-run wall clock, µs, from spawn to the last decision: it
+    /// includes set-up — spawning the children, each deriving its run and
+    /// the mesh connecting — where a decision's latency counts from its
+    /// child's boot.
     pub wall_us: u64,
     /// Per-link fault-trace digests reported by the awaited survivors,
     /// sorted by `(from, to)`; empty on chaos-free cells.
@@ -696,10 +732,12 @@ fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, Str
     let run = child_spec(&spec, inst.seed, cluster_addrs(&spec)?);
     let start = Instant::now();
     let deadline = start + opts.timeout;
+    let secs = opts.timeout.as_secs().to_string();
+    let role = ["--mode", "consensus", "--timeout-secs", &secs];
     let mut children = inst
         .config
         .processes()
-        .map(|p| spawn_node_process(p.index(), &run, &["--mode", "consensus"]))
+        .map(|p| spawn_node_process(p.index(), &run, &role))
         .collect::<Result<Vec<_>, _>>()?;
     let mut outcomes = Vec::with_capacity(spec.n);
     let mut net = NetStats::default();
@@ -1203,13 +1241,18 @@ fn take_num<T: std::str::FromStr>(
     }
 }
 
+/// A cell's or phase's budget when `--timeout-secs` is absent.
+const TIMEOUT_SECS: u64 = 60;
+
 /// Parses a `--node` child argv (everything after the program name): the
 /// role flags, then the run's [`RunSpec`] flags.
 pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
     let me = take_value(&mut args, "--node")?.ok_or("--node <id> required")?;
     let mode = take_value(&mut args, "--mode")?.ok_or("--mode required")?;
     let role = match mode.as_str() {
-        "consensus" => Role::Consensus,
+        "consensus" => Role::Consensus {
+            timeout: Duration::from_secs(take_num(&mut args, "--timeout-secs", TIMEOUT_SECS)?),
+        },
         "replica" => Role::Replica {
             wal: PathBuf::from(take_value(&mut args, "--wal")?.ok_or("--wal required")?),
             slots: parse_num(
@@ -1247,7 +1290,7 @@ pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> 
         Some("kill9") => Phase::Kill9,
         Some(other) => return Err(format!("unknown --phase `{other}` (cells|kill9|both)")),
     };
-    let timeout = Duration::from_secs(take_num(&mut args, "--timeout-secs", 60)?);
+    let timeout = Duration::from_secs(take_num(&mut args, "--timeout-secs", TIMEOUT_SECS)?);
     if !args.iter().any(|a| a == "--runtime") {
         args.push("--runtime".into());
         args.push("netd".into());
@@ -1386,12 +1429,15 @@ mod tests {
     #[test]
     fn node_argv_is_role_flags_plus_the_run_spec() {
         let (argv, spec) = child_argv(
-            "--node 2 --mode consensus",
+            "--node 2 --mode consensus --timeout-secs 5",
             "--n 3 --t 0 --seed 9 --aggregate --runtime netd --peers h:1,h:2,h:3",
         );
         let opts = parse_node_args(argv).expect("consensus argv");
         assert_eq!(opts.me, ProcessId::new(2));
-        assert!(matches!(opts.role, Role::Consensus));
+        assert!(matches!(
+            opts.role,
+            Role::Consensus { timeout } if timeout == Duration::from_secs(5)
+        ));
         assert_eq!(opts.spec, spec);
         assert!(opts.spec.aggregate);
         let (argv, spec) = child_argv(
@@ -1530,6 +1576,33 @@ mod tests {
         let opts =
             cluster_opts("--cluster --n 7 --t 1 --kill 2:divergent --pipeline 4 --phase kill9");
         assert_eq!(validate_cluster(&opts), Ok(()));
+    }
+
+    #[test]
+    fn a_consensus_child_whose_peers_never_come_up_names_them() {
+        // Process 1 of 3, alone: processes 0 and 2 never bind.
+        let peers = free_loopback_addrs(3).expect("free ports");
+        let spec = RunSpec {
+            n: 3,
+            t: 0,
+            runtime: RuntimeSpec::Netd {
+                peers: Some(peers.clone()),
+            },
+            ..RunSpec::default()
+        };
+        let opts = NodeOpts {
+            me: ProcessId::new(1),
+            role: Role::Consensus {
+                timeout: Duration::from_secs(1),
+            },
+            spec,
+        };
+        let cfg = opts.spec.config().expect("config");
+        let started = Instant::now();
+        let err = consensus_node(&opts, cfg, peers, Duration::from_secs(1))
+            .expect_err("no peer ever links");
+        assert!(started.elapsed() >= Duration::from_millis(500), "{err}");
+        assert!(err.contains("no link to processes [0, 2]"), "{err}");
     }
 
     #[test]

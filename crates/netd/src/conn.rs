@@ -26,6 +26,15 @@
 //!   appends a whole batch (one event-loop turn's sends) to each peer
 //!   under one lock, so a turn costs each peer at most one wake however
 //!   many frames it carries. [`Mesh::send`] is the one-frame batch.
+//! * **One reader per link, one channel message per read** — the reader
+//!   of each connection reads straight into its [`FrameBuf`] and, after
+//!   each read, sends the event loop every frame that read completed as
+//!   one chunk ([`FrameBuf::take_run`]: one allocation, one channel send),
+//!   leaving a torn tail for the next read. The event loop takes frames
+//!   from the chunk in hand in place, and frees it with its last frame;
+//!   [`Mesh::recv_timeout`] and [`Mesh::try_recv`] hand out owned copies.
+//!   A corrupt length prefix condemns the connection once the frames
+//!   ahead of it are sent.
 //!
 //! Frames that were handed to a connection that later died are *lost*,
 //! not retried: netd offers the same at-most-once delivery the simulator
@@ -33,10 +42,11 @@
 //! semantics (catch-up, flush ticks).
 
 use crate::chaos::ChaosRuntime;
-use crate::frame::{hello_sender, FrameBuf};
+use crate::frame::{hello_sender, FrameBuf, FrameRef, FrameRun};
 use dex_harness::spec::AddressTable;
 use dex_simnet::Verdict;
 use dex_types::{ProcessId, StepDepth};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -70,6 +80,11 @@ pub struct MeshCounters {
     pub queue_dropped: u64,
     /// Condvar signals sent to a parked writer (each one a futex wake).
     pub writer_wakes: u64,
+    /// Runs of frames the readers handed the event loop: one channel
+    /// message per socket read that completed a frame.
+    pub chunks_received: u64,
+    /// Frames in those runs.
+    pub frames_received: u64,
 }
 
 /// The live form of [`MeshCounters`]: statistics only, so relaxed.
@@ -79,9 +94,12 @@ struct Counters {
     frames_written: AtomicU64,
     queue_dropped: AtomicU64,
     writer_wakes: AtomicU64,
+    chunks_received: AtomicU64,
+    frames_received: AtomicU64,
 }
 
-/// One message received from a peer, as the event loop consumes it.
+/// One message received from a peer, as an owned copy
+/// ([`Mesh::recv_timeout`], [`Mesh::try_recv`]).
 #[derive(Debug)]
 pub struct Delivery {
     /// The peer the connection authenticated at hello time.
@@ -92,6 +110,24 @@ pub struct Delivery {
     pub class: u8,
     /// `WireCodec`-encoded message bytes.
     pub payload: Vec<u8>,
+}
+
+impl Delivery {
+    fn new(from: ProcessId, frame: FrameRef<'_>) -> Delivery {
+        Delivery {
+            from,
+            depth: StepDepth::new(frame.depth),
+            class: frame.class,
+            payload: frame.payload.to_vec(),
+        }
+    }
+}
+
+/// What a reader sends the event loop: the whole frames one socket read
+/// completed on the link from `from`.
+struct Chunk {
+    from: ProcessId,
+    run: FrameRun,
 }
 
 /// One queued outbound frame, with its earliest-release instant when the
@@ -242,7 +278,10 @@ impl Peer {
 pub struct Mesh {
     me: ProcessId,
     peers: Vec<Option<Arc<Peer>>>,
-    rx: Receiver<Delivery>,
+    rx: Receiver<Chunk>,
+    /// The chunk being handed out, frame by frame; dropped once its last
+    /// frame is taken.
+    held: RefCell<Option<Chunk>>,
     shutdown: Arc<AtomicBool>,
     chaos: Option<Arc<ChaosRuntime>>,
     counters: Arc<Counters>,
@@ -298,6 +337,7 @@ impl Mesh {
             me,
             peers,
             rx,
+            held: RefCell::new(None),
             shutdown,
             chaos,
             counters,
@@ -362,23 +402,54 @@ impl Mesh {
         }
     }
 
-    /// Waits up to `timeout` for the next delivery.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Delivery> {
-        self.rx.recv_timeout(timeout).ok()
+    /// Hands the next received frame, borrowed in place from its chunk,
+    /// to `f` together with its sender, and returns what `f` returns. The
+    /// frame comes from the chunk in hand, else from the next chunk in
+    /// the channel: one already waiting when `wait` is `None`, else the
+    /// first to arrive within `wait`. `None` when there is none.
+    pub(crate) fn next_frame<R>(
+        &self,
+        wait: Option<Duration>,
+        f: impl FnOnce(ProcessId, FrameRef<'_>) -> R,
+    ) -> Option<R> {
+        let mut held = self.held.borrow_mut();
+        if held.is_none() {
+            *held = Some(match wait {
+                None => self.rx.try_recv().ok()?,
+                Some(wait) => self.rx.recv_timeout(wait).ok()?,
+            });
+        }
+        let chunk = held.as_mut().expect("a chunk in hand");
+        let frame = chunk.run.next_frame().expect("a held chunk has a frame");
+        let out = f(chunk.from, frame);
+        if chunk.run.is_empty() {
+            *held = None;
+        }
+        Some(out)
     }
 
-    /// The next delivery if one is already waiting.
+    /// Waits up to `timeout` for the next frame, as an owned [`Delivery`].
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Delivery> {
+        self.next_frame(Some(timeout), Delivery::new)
+    }
+
+    /// The next frame, as an owned [`Delivery`], if one is already waiting.
     pub fn try_recv(&self) -> Option<Delivery> {
-        self.rx.try_recv().ok()
+        self.next_frame(None, Delivery::new)
     }
 
     /// How many peers currently have a live connection installed.
     pub fn connected(&self) -> usize {
-        self.peers
-            .iter()
-            .flatten()
-            .filter(|p| p.state.lock().expect("peer lock").stream.is_some())
-            .count()
+        self.peers.iter().flatten().count() - self.unconnected().len()
+    }
+
+    /// The peers with no live connection installed, in id order.
+    pub fn unconnected(&self) -> Vec<ProcessId> {
+        let down = |peer: &Arc<Peer>| peer.state.lock().expect("peer lock").stream.is_none();
+        (0..self.peers.len())
+            .filter(|&j| self.peers[j].as_ref().is_some_and(down))
+            .map(ProcessId::new)
+            .collect()
     }
 
     /// What the writers and queues have done so far.
@@ -388,6 +459,8 @@ impl Mesh {
             frames_written: self.counters.frames_written.load(Ordering::Relaxed),
             queue_dropped: self.counters.queue_dropped.load(Ordering::Relaxed),
             writer_wakes: self.counters.writer_wakes.load(Ordering::Relaxed),
+            chunks_received: self.counters.chunks_received.load(Ordering::Relaxed),
+            frames_received: self.counters.frames_received.load(Ordering::Relaxed),
         }
     }
 
@@ -578,7 +651,7 @@ fn spawn_dialer(
     to: ProcessId,
     addrs: Arc<AddressTable>,
     peer: Arc<Peer>,
-    tx: Sender<Delivery>,
+    tx: Sender<Chunk>,
     shutdown: Arc<AtomicBool>,
 ) {
     thread::spawn(move || {
@@ -603,7 +676,7 @@ fn spawn_dialer(
                 continue;
             }
             let generation = peer.install(stream.try_clone().expect("clone dialed stream"));
-            read_frames(stream, to, &tx, &shutdown, FrameBuf::new());
+            read_frames(stream, to, &tx, &peer.counters, &shutdown, FrameBuf::new());
             peer.uninstall(generation);
         }
     });
@@ -620,7 +693,7 @@ fn spawn_acceptor(
     n: usize,
     listener: TcpListener,
     peers: Vec<Option<Arc<Peer>>>,
-    tx: Sender<Delivery>,
+    tx: Sender<Chunk>,
     shutdown: Arc<AtomicBool>,
 ) {
     thread::spawn(move || {
@@ -661,14 +734,14 @@ fn spawn_acceptor(
                     accept_seq,
                 ) {
                     Some(generation) => {
-                        read_frames(stream, from, &tx, &shutdown, leftover);
+                        read_frames(stream, from, &tx, &peer.counters, &shutdown, leftover);
                         peer.uninstall(generation);
                     }
                     None => {
                         // Superseded by a newer accepted connection: never
                         // touch the slot, but drain whatever frames this
                         // stale (already torn) connection still buffers.
-                        read_frames(stream, from, &tx, &shutdown, leftover);
+                        read_frames(stream, from, &tx, &peer.counters, &shutdown, leftover);
                     }
                 }
             });
@@ -705,13 +778,18 @@ fn identify(stream: &TcpStream) -> Option<(usize, FrameBuf)> {
     }
 }
 
-/// Reads frames off an established connection until it dies (or shutdown),
-/// forwarding each as a [`Delivery`]. A corrupt frame prefix condemns the
-/// connection — framing resynchronizes by reconnecting, never in-stream.
+/// Reads frames off an established connection until it dies (or
+/// shutdown). After each read, every frame the read completed goes to the
+/// event loop as one [`Chunk`] — one allocation and one channel send per
+/// read, not per frame — and the torn tail stays for the next read. A
+/// corrupt frame prefix condemns the connection once the whole frames
+/// ahead of it are sent — framing resynchronizes by reconnecting, never
+/// in-stream.
 fn read_frames(
     mut stream: TcpStream,
     from: ProcessId,
-    tx: &Sender<Delivery>,
+    tx: &Sender<Chunk>,
+    counters: &Counters,
     shutdown: &AtomicBool,
     mut buf: FrameBuf,
 ) {
@@ -720,15 +798,13 @@ fn read_frames(
     // socket.
     loop {
         loop {
-            match buf.next_frame() {
-                Ok(Some(frame)) => {
-                    let delivery = Delivery {
-                        from,
-                        depth: StepDepth::new(frame.depth),
-                        class: frame.class,
-                        payload: frame.payload,
-                    };
-                    if tx.send(delivery).is_err() {
+            match buf.take_run() {
+                Ok(Some(run)) => {
+                    counters.chunks_received.fetch_add(1, Ordering::Relaxed);
+                    counters
+                        .frames_received
+                        .fetch_add(run.len() as u64, Ordering::Relaxed);
+                    if tx.send(Chunk { from, run }).is_err() {
                         return; // event loop gone
                     }
                 }
@@ -985,6 +1061,22 @@ mod tests {
     }
 
     #[test]
+    fn one_batch_reaches_the_event_loop_in_a_few_chunks() {
+        let (m0, m1) = parked_pair();
+        let before = m0.counters();
+        let frames = (0..500).map(|i| (ProcessId::new(0), encode_frame(1, i, &[7; 20]).into()));
+        m1.send_all(frames);
+        recv_in_order(&m0, 500);
+        let after = m0.counters();
+        assert_eq!(after.frames_received - before.frames_received, 500);
+        // One chunk per socket read that completed a frame: the batch
+        // goes out in a few writes, so it comes in a few reads.
+        let chunks = after.chunks_received - before.chunks_received;
+        assert!((1..=50).contains(&chunks), "{chunks} chunks: {after:?}");
+        assert!(m0.try_recv().is_none(), "every run was handed out whole");
+    }
+
+    #[test]
     fn bursts_against_a_parking_writer_lose_no_wake_up() {
         const FRAMES: u32 = 20_000;
         let (m0, m1) = parked_pair();
@@ -1092,6 +1184,47 @@ mod tests {
             assert!(drawn.iter().any(|r| r.drops + r.dups > 0), "{drawn:?}");
             assert_eq!(drawn, reports(&single), "{spec:?}");
             assert_eq!(queued_bytes(&batched), queued_bytes(&single), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn frames_ahead_of_a_corrupt_prefix_are_delivered_before_the_link_drops() {
+        // Once with the hello in the same write (the frames reach the
+        // reader through identify's leftover bytes), once after it.
+        for hello_alone in [false, true] {
+            let addrs = free_loopback_addrs(2).expect("free ports");
+            let m0 = Mesh::with_net(ProcessId::new(0), addrs.clone(), None).expect("bind 0");
+            let mut raw = TcpStream::connect((addrs.host(0), addrs.port(0))).expect("dial");
+            let mut wire = crate::frame::hello_frame(1);
+            if hello_alone {
+                raw.write_all(&wire).expect("hello");
+                wire.clear();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while m0.connected() == 0 {
+                    assert!(Instant::now() < deadline, "the link never came up");
+                    thread::sleep(Duration::from_millis(1));
+                }
+            }
+            wire.extend_from_slice(&encode_frame(1, 0, b"first"));
+            wire.extend_from_slice(&encode_frame(2, 1, b"second"));
+            wire.extend_from_slice(&0u32.to_le_bytes());
+            raw.write_all(&wire)
+                .expect("two frames and a corrupt prefix");
+            for (depth, payload) in [(0, &b"first"[..]), (1, &b"second"[..])] {
+                let d = m0
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("a frame ahead of the corrupt prefix");
+                assert_eq!(d.from, ProcessId::new(1));
+                assert_eq!((d.depth, &d.payload[..]), (StepDepth::new(depth), payload));
+            }
+            raw.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            match raw.read(&mut [0; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+                other => panic!("the connection stayed open: {other:?}"),
+            }
+            assert!(m0.try_recv().is_none(), "nothing past the corrupt prefix");
         }
     }
 

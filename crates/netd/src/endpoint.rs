@@ -12,6 +12,12 @@
 //! * outbound frames are staged for a whole [`Endpoint::pump`] turn and
 //!   handed to the mesh in one [`Mesh::send_all`], so each peer's writer
 //!   is woken at most once per turn;
+//! * inbound frames arrive in chunks, all the frames one socket read
+//!   completed: the loop takes the next frame from the chunk in hand, or
+//!   else the next chunk from the mesh channel, and decodes its payload
+//!   in place ([`WireCodec::from_bytes`] on a slice of the chunk) — no
+//!   per-frame allocation, channel operation or wake. A turn can end
+//!   inside a chunk; the next turn goes on from there;
 //! * self-addressed traffic (a multicast's own copy, explicit self-sends)
 //!   never touches a socket: it loops through a local queue, preserving
 //!   the simulator's semantics that a process always hears itself;
@@ -20,7 +26,7 @@
 
 use crate::chaos::ChaosRuntime;
 use crate::codec::WireCodec;
-use crate::conn::{Delivery, Mesh, MeshCounters};
+use crate::conn::{Mesh, MeshCounters};
 use crate::frame::{class_byte, write_frame};
 use dex_harness::spec::AddressTable;
 use dex_simnet::{Actor, ActorHost, Context, NetStats, Recoverable};
@@ -161,17 +167,27 @@ where
         self.host.deliver(&mut self.actor, from, depth, msg, sink);
     }
 
-    /// Decodes and handles one frame from the mesh.
-    fn receive(&mut self, delivery: Delivery) {
-        match A::Msg::from_bytes(&delivery.payload) {
-            Some(msg) => self.deliver(delivery.from, delivery.depth, &msg),
+    /// Decodes the next frame from the mesh in place, straight from the
+    /// chunk it arrived in, and handles it; `wait` as in
+    /// [`Mesh::next_frame`]. Returns whether there was one.
+    fn receive(&mut self, wait: Option<Duration>) -> bool {
+        let Some((from, depth, msg)) = self.mesh.next_frame(wait, |from, frame| {
+            let depth = StepDepth::new(frame.depth);
+            (from, depth, A::Msg::from_bytes(frame.payload))
+        }) else {
+            return false;
+        };
+        match msg {
+            Some(msg) => self.deliver(from, depth, &msg),
             None => self.decode_failures += 1,
         }
+        true
     }
 
     /// Handles one unit of work without blocking — a due timer (earliest
-    /// first), else a queued self-delivery, else a frame already in the
-    /// mesh channel. Returns whether there was one.
+    /// first), else a queued self-delivery, else a frame already received
+    /// (the rest of the chunk in hand, else the next in the mesh channel).
+    /// Returns whether there was one.
     fn step(&mut self) -> bool {
         let (me, n) = (self.host.me(), self.host.n());
         let sink = wire_sink::<A>(&mut self.staged, &mut self.local, &mut self.scratch, me, n);
@@ -182,17 +198,19 @@ where
             self.deliver(me, depth, &msg);
             return true;
         }
-        self.mesh.try_recv().map(|d| self.receive(d)).is_some()
+        self.receive(None)
     }
 
     /// Runs one turn of the event loop and returns whether it handled
-    /// anything. A turn takes units of work ([`Self::step`]) until none
-    /// is left or [`MAX_TURN`] are done, then hands every frame they sent
-    /// to the mesh in one [`Mesh::send_all`], so each peer's writer is
-    /// woken at most once per turn, not once per frame. Only a turn that
-    /// found nothing blocks, up to `idle` but never past the next timer,
-    /// for one frame, which it handles and flushes. Nothing stays staged
-    /// between calls.
+    /// anything. A turn takes units of work — a due timer, a
+    /// self-delivery or a received frame — until none is left or
+    /// `MAX_TURN` (64) are done, then hands every frame they sent to the
+    /// mesh in one [`Mesh::send_all`], so each peer's writer is woken at
+    /// most once per turn, not once per frame. A turn can end inside a
+    /// chunk of received frames; the next turn goes on from there. Only a
+    /// turn that found nothing blocks, up to `idle` but never past the
+    /// next timer, for one frame, which it handles and flushes. Nothing
+    /// stays staged between calls.
     pub fn pump(&mut self, idle: Duration) -> bool {
         // A process inside its own crash-silence window is not scheduled:
         // stall (bounded by `idle`) without handling timers, local
@@ -211,11 +229,8 @@ where
         while handled < MAX_TURN && self.step() {
             handled += 1;
         }
-        if handled == 0 {
-            match self.mesh.recv_timeout(self.host.next_wait(idle)) {
-                Some(delivery) => self.receive(delivery),
-                None => return false,
-            }
+        if handled == 0 && !self.receive(Some(self.host.next_wait(idle))) {
+            return false;
         }
         self.flush();
         true
@@ -236,14 +251,14 @@ where
         self.host.stats().delivered
     }
 
-    /// Microseconds since the endpoint came up.
-    pub fn elapsed_us(&self) -> u64 {
-        self.host.elapsed_us()
-    }
-
     /// Live peer connections (diagnostic).
     pub fn connected(&self) -> usize {
         self.mesh.connected()
+    }
+
+    /// The peers with no live connection (see [`Mesh::unconnected`]).
+    pub fn unconnected(&self) -> Vec<ProcessId> {
+        self.mesh.unconnected()
     }
 
     /// What the mesh's writers and queues have done so far.

@@ -174,6 +174,9 @@ impl WalCodec for u64 {
 #[derive(Debug)]
 pub struct FileWal<C> {
     path: PathBuf,
+    /// Append handle on the log, opened once and reopened only when
+    /// [`compact`](Wal::compact) renames a new file over `path`.
+    file: std::fs::File,
     buffered: Vec<WalRecord<C>>,
 }
 
@@ -191,8 +194,7 @@ impl<C: Value + WalCodec> FileWal<C> {
         }
         let file = std::fs::OpenOptions::new()
             .create(true)
-            .truncate(false)
-            .write(true)
+            .append(true)
             .open(&path)?;
         let content = std::fs::read(&path)?;
         let complete = complete_lines(&content).len();
@@ -202,6 +204,7 @@ impl<C: Value + WalCodec> FileWal<C> {
         }
         Ok(FileWal {
             path,
+            file,
             buffered: Vec::new(),
         })
     }
@@ -241,15 +244,12 @@ impl<C: Value + WalCodec> Wal<C> for FileWal<C> {
     }
 
     fn sync(&mut self) {
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .expect("wal file vanished");
         for record in self.buffered.drain(..) {
-            file.write_all(Self::encode_record(&record).as_bytes())
+            self.file
+                .write_all(Self::encode_record(&record).as_bytes())
                 .expect("wal append failed");
         }
-        file.sync_all().expect("wal fsync failed");
+        self.file.sync_all().expect("wal fsync failed");
     }
 
     fn replay(&self) -> Vec<WalRecord<C>> {
@@ -283,6 +283,11 @@ impl<C: Value + WalCodec> Wal<C> for FileWal<C> {
             .expect("wal rewrite failed");
         file.sync_all().expect("wal fsync failed");
         std::fs::rename(&tmp, &self.path).expect("wal rename failed");
+        // The old handle now appends to the unlinked log.
+        self.file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&self.path)
+            .expect("wal reopen after compaction failed");
         let dir = match self.path.parent() {
             Some(dir) if !dir.as_os_str().is_empty() => dir,
             _ => Path::new("."),
@@ -565,6 +570,35 @@ mod tests {
         let wal: FileWal<u64> = FileWal::open(&path).unwrap();
         assert!(!std::path::Path::new(&leftover).exists());
         assert_eq!(wal.replay(), vec![kept]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_synced_after_compaction_lands_in_the_compacted_log() {
+        let path = std::env::temp_dir().join(format!("dex-wal-handle-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let record = |slot| WalRecord::Commit {
+            slot,
+            value: 10 + slot,
+        };
+        let mut wal: FileWal<u64> = FileWal::open(&path).unwrap();
+        for slot in 0..3 {
+            wal.append(record(slot));
+        }
+        wal.sync();
+        wal.compact(vec![record(2)]);
+        // Appending through a handle opened before the rename would write
+        // to the unlinked old log, and the record would vanish.
+        wal.append(record(3));
+        wal.sync();
+        wal.append(record(4));
+        wal.sync();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "c 2 12\nc 3 13\nc 4 14\n"
+        );
+        let wal: FileWal<u64> = FileWal::open(&path).unwrap();
+        assert_eq!(wal.replay(), vec![record(2), record(3), record(4)]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -55,7 +55,7 @@
 //!
 //! Hostile schedules — timed partitions, lossy links, crash/recovery
 //! windows — are injected with a [`FaultSchedule`] via
-//! [`SimulationBuilder::faults`]; see the [`faults`](crate::faults) module
+//! [`SimulationBuilder::faults`]; see the [`faults`] module
 //! docs for semantics and the determinism argument.
 
 #![forbid(unsafe_code)]

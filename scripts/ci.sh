@@ -5,8 +5,9 @@
 # fans these exact stages out as jobs.
 #
 # Stages:
-#   lint             cargo fmt --check + clippy -D warnings (first-party);
-#                    the workflow's stage matrix names only stages below
+#   lint             cargo fmt --check + clippy -D warnings + rustdoc
+#                    -D warnings (first-party); the workflow's stage matrix
+#                    names only stages below
 #   build            warning-free release build of the workspace + examples
 #   test             full test suite (twice, default parallelism; includes the
 #                    simnet multicast/chaos delivery-log properties), example
@@ -66,6 +67,9 @@ stage_lint() {
 
   echo "== clippy"
   cargo clippy "${FIRST_PARTY[@]}" --all-targets -- -D warnings
+
+  echo "== rustdoc"
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 
   echo "== workflow matrix stages are ci.sh stages"
   for s in $(sed -n 's/^ *stage: \[\(.*\)\]$/\1/p' .github/workflows/ci.yml | tr -d ','); do

@@ -5,7 +5,7 @@
 //!     --workload bernoulli:0.8 --adversary equivocate --f 1 --runs 50
 //! ```
 //!
-//! The flag set *is* [`RunSpec`](dex::harness::spec::RunSpec): the binary
+//! The flag set *is* [`RunSpec`]: the binary
 //! parses its arguments with `RunSpec::from_args`, so every experiment the
 //! CLI can express is a serializable spec value (and vice versa —
 //! `RunSpec::to_args` renders the exact invocation back).
