@@ -7,10 +7,10 @@
 //! **per-connection behavior on real TCP links** here, so every
 //! robustness claim the simulated runtimes make is falsifiable against
 //! actual network pathology. The
-//! injection point is the writer/reader boundary inside the mesh: a
+//! injection point is the queue/socket boundary inside the mesh: a
 //! [`ChaosRuntime`] is consulted once per logical send (the drop / dup /
 //! hold verdict of [`FaultSchedule::verdict`], the very function the
-//! simulator calls) and once per frame the writer offers to a socket
+//! simulator calls) and once per frame the I/O thread offers to a socket
 //! (mid-frame connection tears, for the reconnect suite).
 //!
 //! # Determinism story
@@ -54,7 +54,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deliberate mid-frame connection tear: the writer sends the whole
+/// A deliberate mid-frame connection tear: the mesh sends the whole
 /// frames batched ahead of this one and exactly `offset` bytes of it,
 /// then kills the socket. Built only by
 /// tests ([`ChaosRuntime::with_tears`]) — compiled schedules never
@@ -63,8 +63,8 @@ pub fn splitmix64(mut z: u64) -> u64 {
 pub struct TearPoint {
     /// Destination process of the torn link.
     pub to: usize,
-    /// Which frame to tear: the zero-based count of frames the writer has
-    /// offered to this link's socket, in queue order. The writer coalesces
+    /// Which frame to tear: the zero-based count of frames the mesh has
+    /// offered to this link's socket, in queue order. The mesh coalesces
     /// many frames into one `write`, so this counts frames, not syscalls;
     /// a frame requeued after a tear or a dead connection is offered — and
     /// counted — again.
@@ -109,7 +109,7 @@ struct LinkChaos {
 /// The per-process fault injector: one compiled [`FaultSchedule`] (shared
 /// with what the simulator would run) plus one RNG stream per outbound
 /// link. Thread-safe — the mesh consults it from the caller thread
-/// (`send`) and from per-peer writer threads (`tear_len`).
+/// (`send`) and from the mesh's I/O thread (`tear_len`).
 pub struct ChaosRuntime {
     schedule: FaultSchedule,
     me: ProcessId,
@@ -247,7 +247,7 @@ impl ChaosRuntime {
         verdict
     }
 
-    /// Consulted by the writer once for each frame it is about to offer
+    /// Consulted by the mesh once for each frame it is about to offer
     /// to `to`'s socket, in queue order: `Some(offset)` tears the
     /// connection after `offset` bytes of this frame. Offsets are clamped
     /// to `1..frame_len` so a tear is never a clean frame boundary.

@@ -10,8 +10,8 @@
 //!   is shared across peer sockets, so the host is told `0` fan-out
 //!   clones and `payload_clones` honestly reports zero on this runtime;
 //! * outbound frames are staged for a whole [`Endpoint::pump`] turn and
-//!   handed to the mesh in one [`Mesh::send_all`], so each peer's writer
-//!   is woken at most once per turn;
+//!   handed to the mesh in one [`Mesh::send_all`], so the mesh's I/O
+//!   thread is woken at most once per turn, and only when it polls;
 //! * inbound frames arrive in chunks, all the frames one socket read
 //!   completed: the loop takes the next frame from the chunk in hand, or
 //!   else the next chunk from the mesh channel, and decodes its payload
@@ -43,7 +43,7 @@ type LocalQueue<M> = VecDeque<(StepDepth, M)>;
 type Staged = Vec<(ProcessId, Arc<[u8]>)>;
 
 /// Most deliveries one [`Endpoint::pump`] turn handles before it flushes
-/// its sends, so a busy loop still hands frames to the writers often.
+/// its sends, so a busy loop still hands frames to the mesh often.
 const MAX_TURN: usize = 64;
 
 /// One consensus process: actor + host + mesh.
@@ -205,8 +205,8 @@ where
     /// anything. A turn takes units of work — a due timer, a
     /// self-delivery or a received frame — until none is left or
     /// `MAX_TURN` (64) are done, then hands every frame they sent to the
-    /// mesh in one [`Mesh::send_all`], so each peer's writer is woken at
-    /// most once per turn, not once per frame. A turn can end inside a
+    /// mesh in one [`Mesh::send_all`], so the mesh's I/O thread is woken
+    /// at most once per turn, not once per frame. A turn can end inside a
     /// chunk of received frames; the next turn goes on from there. Only a
     /// turn that found nothing blocks, up to `idle` but never past the
     /// next timer, for one frame, which it handles and flushes. Nothing
@@ -261,7 +261,7 @@ where
         self.mesh.unconnected()
     }
 
-    /// What the mesh's writers and queues have done so far.
+    /// What the mesh's I/O thread and queues have done so far.
     pub fn mesh_counters(&self) -> MeshCounters {
         self.mesh.counters()
     }

@@ -106,7 +106,7 @@ pub fn encode_frame(class: u8, depth: u32, payload: &[u8]) -> Vec<u8> {
 }
 
 /// The hello frame process `me` sends right after connecting, so the
-/// acceptor learns who dialed before any protocol traffic flows.
+/// accepting side learns who dialed before any protocol traffic flows.
 pub fn hello_frame(me: usize) -> Vec<u8> {
     encode_frame(CLASS_HELLO, me as u32, HELLO_MAGIC)
 }

@@ -17,10 +17,11 @@
 //! real deployment threatens: the cluster harness ([`cluster`]) kills a
 //! child with an actual `SIGKILL` and requires the respawned process to
 //! recover through its [`FileWal`](dex_replication::FileWal) and the
-//! catch-up protocol. No async runtime is involved; the event loop
-//! ([`endpoint`]) and the per-peer writers are plain blocking threads,
-//! because the workspace vendors its dependencies and tokio is not one
-//! of them.
+//! catch-up protocol. No async runtime is involved, because the
+//! workspace vendors its dependencies and tokio is not one of them: an
+//! endpoint is two plain threads, the event loop ([`endpoint`]) and its
+//! mesh's one I/O thread, which owns every socket and waits on them in
+//! `poll(2)` ([`conn`]).
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,5 @@
-//! Loopback listener with `SO_REUSEADDR`.
+//! Sockets the standard library cannot build: a listener with
+//! `SO_REUSEADDR`, a non-blocking dial, and `poll(2)`.
 //!
 //! The kill-9 schedule respawns a child that must rebind the port its
 //! previous incarnation owned. Connections accepted on a listening port
@@ -10,12 +11,19 @@
 //! through a minimal `libc`-free FFI shim (the workspace vendors no libc
 //! crate) and handed to [`TcpListener`] as a raw fd. Everywhere else the
 //! plain bind is used and a fast respawn may have to retry.
+//!
+//! The mesh's one I/O thread (see [`crate::conn`]) must never block, so
+//! it dials through the same shim: a `SOCK_NONBLOCK` socket whose
+//! `connect` returns at once, completing later as writability. It waits
+//! in `poll(2)`, declared here the same way.
 
 use dex_harness::spec::AddressTable;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::io;
-use std::net::TcpListener;
+use std::net::{SocketAddrV4, TcpListener, TcpStream};
+use std::os::fd::RawFd;
+use std::time::Duration;
 
 /// Picks `n` loopback listen addresses that are free right now — the one
 /// way single-host clusters (the `--cluster` parent, the benchmark-style
@@ -78,19 +86,86 @@ pub fn bind_reusable_on(port: u16, loopback: bool) -> io::Result<TcpListener> {
     }
 }
 
+/// Starts a TCP connection to `addr` without waiting for it: the stream
+/// comes back at once, and the connection completes (or fails) later,
+/// which `poll` reports as writability ([`POLLOUT`]); the outcome is then
+/// [`TcpStream::take_error`]. Off Linux the dial blocks for at most
+/// [`BACKOFF_MIN`](crate::conn::BACKOFF_MIN).
+pub(crate) fn connect_nonblocking(addr: SocketAddrV4) -> io::Result<TcpStream> {
+    #[cfg(target_os = "linux")]
+    {
+        linux::connect_nonblocking(addr)
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let stream = TcpStream::connect_timeout(&addr.into(), crate::conn::BACKOFF_MIN)?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
+    }
+}
+
+/// `poll` event: readable (or, on a listener, a connection to accept).
+pub(crate) const POLLIN: i16 = 0x1;
+/// `poll` event: writable (or, on a dialing socket, the dial has ended).
+pub(crate) const POLLOUT: i16 = 0x4;
+/// `poll` event, always reported: an error is pending.
+pub(crate) const POLLERR: i16 = 0x8;
+/// `poll` event, always reported: both directions are shut.
+pub(crate) const POLLHUP: i16 = 0x10;
+
+/// `struct pollfd`.
+#[repr(C)]
+pub(crate) struct PollFd {
+    pub fd: RawFd,
+    pub events: i16,
+    pub revents: i16,
+}
+
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+}
+
+/// Waits until one of `fds` is ready or `timeout` passes (`None`: no
+/// timeout), and fills in each `revents`. A timeout is rounded up to
+/// whole milliseconds, so a wait for an instant never returns before it.
+/// A signal ends the wait early with no events, not an error.
+pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    let ms = timeout.map_or(-1, |t| {
+        t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+    });
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `pollfd`s and
+    // `poll` writes only their `revents`, within its length.
+    if unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+        fds.iter_mut().for_each(|fd| fd.revents = 0);
+    }
+    Ok(())
+}
+
 #[cfg(target_os = "linux")]
 mod linux {
     use std::io;
-    use std::net::TcpListener;
+    use std::net::{SocketAddrV4, TcpListener, TcpStream};
     use std::os::fd::{FromRawFd, RawFd};
 
     const AF_INET: i32 = 2;
     const SOCK_STREAM: i32 = 1;
+    const SOCK_NONBLOCK: i32 = 0o4000;
     /// Close-on-exec at creation, so cluster children never inherit each
     /// other's listening sockets through `Command::spawn`.
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEADDR: i32 = 2;
+    /// `connect` on a non-blocking socket: the dial goes on in the kernel.
+    const EINPROGRESS: i32 = 115;
 
     /// `struct sockaddr_in` (fields in network byte order where the ABI
     /// says so).
@@ -102,10 +177,22 @@ mod linux {
         sin_zero: [u8; 8],
     }
 
+    impl SockAddrIn {
+        fn new(ip: [u8; 4], port: u16) -> SockAddrIn {
+            SockAddrIn {
+                sin_family: AF_INET as u16,
+                sin_port: port.to_be(),
+                sin_addr: u32::from_be_bytes(ip).to_be(),
+                sin_zero: [0; 8],
+            }
+        }
+    }
+
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
         fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
+        fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
         fn listen(fd: i32, backlog: i32) -> i32;
         fn close(fd: i32) -> i32;
     }
@@ -133,12 +220,7 @@ mod linux {
             if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) < 0 {
                 return Err(last_error(Some(fd)));
             }
-            let addr = SockAddrIn {
-                sin_family: AF_INET as u16,
-                sin_port: port.to_be(),
-                sin_addr: u32::from_be_bytes(ip).to_be(),
-                sin_zero: [0; 8],
-            };
+            let addr = SockAddrIn::new(ip, port);
             if bind(fd, &addr, core::mem::size_of::<SockAddrIn>() as u32) < 0 {
                 return Err(last_error(Some(fd)));
             }
@@ -146,6 +228,24 @@ mod linux {
                 return Err(last_error(Some(fd)));
             }
             Ok(TcpListener::from_raw_fd(fd))
+        }
+    }
+
+    pub fn connect_nonblocking(addr: SocketAddrV4) -> io::Result<TcpStream> {
+        // SAFETY: as in `bind_reuseaddr`: the fd moves from `socket` into
+        // `TcpStream::from_raw_fd` or into `close` on the error paths.
+        unsafe {
+            let fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+            if fd < 0 {
+                return Err(last_error(None));
+            }
+            let sa = SockAddrIn::new(addr.ip().octets(), addr.port());
+            if connect(fd, &sa, core::mem::size_of::<SockAddrIn>() as u32) < 0
+                && io::Error::last_os_error().raw_os_error() != Some(EINPROGRESS)
+            {
+                return Err(last_error(Some(fd)));
+            }
+            Ok(TcpStream::from_raw_fd(fd))
         }
     }
 }

@@ -3,7 +3,7 @@
 //! traffic.
 //!
 //! [`ChaosRuntime::with_tears`] schedules surgical tears — (link, frame
-//! attempt, byte offset) triples — that the mesh writer executes as a
+//! attempt, byte offset) triples — that the mesh's I/O thread executes as a
 //! strict-prefix write (behind the whole frames batched ahead of it)
 //! followed by a hard socket shutdown, requeueing the condemned frame and
 //! the rest of its batch at the head of the FIFO. The victim of the torn
@@ -17,7 +17,7 @@
 //!    duplication (the torn prefix is never completed by the peer);
 //! 2. a 3-replica replicated log over torn links still commits every
 //!    slot with one digest — a tear's `shutdown(Both)` also condemns
-//!    in-flight frames from the *opposite* direction (their writer saw
+//!    in-flight frames from the *opposite* direction (their sender saw
 //!    the doomed socket accept them before the RST landed), so the
 //!    paper's reliable-links assumption (§2.1) is restored the way a
 //!    real deployment restores it: the [`Reliable`] retransmission layer
@@ -62,7 +62,7 @@ proptest! {
     /// dialer tearing its own socket and redialing, and the acceptor
     /// tearing so the remote dialer must notice the dead socket. The
     /// sender queues its whole burst before the receiver exists, so the
-    /// writer's first wake-up coalesces many frames into one write and
+    /// first write on the link coalesces many frames into one and
     /// the tears — drawn inside the burst — land in the middle of a
     /// batch: the whole frames ahead of the cut must not be resent, the
     /// torn frame and everything behind it must be.
@@ -121,12 +121,12 @@ proptest! {
         mesh.shutdown();
         let expected: Vec<u64> = (0..frames).collect();
         if receiver > sender {
-            // The receiver dials: one thread reads the condemned socket to
-            // its end before it redials, so arrival order is queue order
-            // — which a requeue that reversed or skipped the unsent tail
-            // would break. (When the receiver accepts, the condemned
-            // connection's reader and its replacement's are two threads
-            // feeding one channel; only the multiset is defined.)
+            // The receiver dials: it redials only once the condemned
+            // socket has ended, so arrival order is queue order — which a
+            // requeue that reversed or skipped the unsent tail would
+            // break. (When the receiver accepts, the condemned connection
+            // and its replacement are two sockets, read as each becomes
+            // readable; only the multiset is defined.)
             prop_assert_eq!(&seqs, &expected);
         }
         seqs.sort_unstable();

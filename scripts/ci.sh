@@ -26,9 +26,10 @@
 #   recovery-matrix  crash-restart recovery: WAL + catch-up + resend
 #   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves;
 #                    pipelined cell traced twice, cmp
-#   netd-smoke       dex-netd's tests three times in a row (a lost writer
-#                    wake-up is a rare hang, not a failure), then a
-#                    real-process TCP cluster: MATRIX cell + kill -9 respawn
+#   netd-smoke       dex-netd's tests three times in a row (a lost wake-up
+#                    of a mesh's I/O thread is a rare hang, not a
+#                    failure), then a real-process TCP cluster: MATRIX
+#                    cell + kill -9 respawn, and the n = 31, t = 5 cells
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
 #                    fault traces, divergent-state kill -9, a campaign point
 #   benchmark-smoke  benchmark/ builds and tests offline against this
@@ -172,14 +173,14 @@ stage_campaign_smoke() {
 }
 
 stage_netd_smoke() {
-  # The mesh's writers park and are woken only when parked: a lost
+  # A mesh's I/O thread is woken only when it is about to poll: a lost
   # wake-up shows as a rare hang, so one green pass proves little.
   local pass
   for pass in 1 2 3; do
     echo "== netd smoke: dex-netd tests, pass $pass of 3"
     cargo test --release -q -p dex-netd
   done
-  echo "== netd smoke: 5 real processes over TCP, decide + kill -9 + respawn"
+  echo "== netd smoke: 5 real processes over TCP, decide + kill -9 + respawn; 31 processes decide"
   ./scripts/netd_smoke.sh
 }
 

@@ -9,6 +9,10 @@
 # the artifact it leaves behind (results/netd_31.json: valid JSON, via
 # check_json from scripts/ci.sh, with the kill9 row) and that --stats
 # printed the wire breakdown line.
+#
+# Then the paper's n = 31, t = 5 point (n > 6t) on real sockets: 31
+# processes, each with one mesh I/O thread, must all decide each cell
+# (results/netd_7.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 declare -F check_json > /dev/null || { echo "run this as scripts/ci.sh <stage>: it defines check_json" >&2; exit 2; }
@@ -29,4 +33,14 @@ grep -q '"cell":"kill9"' results/netd_31.json
 grep -q '"converged":true' results/netd_31.json
 grep -q '"restarts":1' results/netd_31.json
 
-echo "netd smoke OK: cells decided, kill -9 + respawn converged"
+rm -f results/netd_7.json
+./target/release/dex-netd --cluster \
+  --n 31 --t 5 --phase cells --runs 2 --seed 7 | tee "$out"
+check_json results/netd_7.json
+[ "$(grep -c '^cell .* run [0-9]*: decided ' "$out")" -eq 2 ]
+if grep '^cell ' "$out" | grep -v ': decided [0-9]* (31 of 31 '; then
+  echo "an n = 31 cell did not report 31 of 31 decided" >&2
+  exit 1
+fi
+
+echo "netd smoke OK: cells decided, kill -9 + respawn converged, n = 31 decided"
