@@ -85,11 +85,6 @@ impl<K, V> EchoAggregator<K, V> {
         true
     }
 
-    /// Whether any entries await a flush.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Takes every pending batch, one per depth bucket, sorted ascending by
     /// depth (entries keep offer order within their bucket) and disarms the
     /// flush tick. Deterministic: depends only on the offer sequence.
@@ -132,7 +127,7 @@ mod tests {
                 (d(4), vec![(3, 30), (2, 20)]),
             ]
         );
-        assert!(!agg.has_pending());
+        assert!(agg.take_batches().is_empty());
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl<A: Actor> Reliable<A> {
         &self.inner
     }
 
-    /// The wrapped actor, mutably.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
     /// Total retransmissions performed.
     pub fn resends(&self) -> u64 {
         self.resends

@@ -17,22 +17,20 @@
 //! Which worker of the pool (`runner::par_map`) executes which task is
 //! scheduling-dependent, but every task is a pure function of
 //! `(cell, run)` — the seed is `seed0 + run`, and the input vector, fault
-//! plan and chaos schedule are the ones
-//! [`BatchSpec::instance`] derives for the single-run [`RunSpec`] the task
-//! compiles to (see [`CampaignSpec::runspec_for`]). The pool returns the
+//! plan and chaos schedule are `instance(0)` ([`RunSpec::instance`]) of the
+//! single-run [`RunSpec`] the task compiles to (see
+//! [`CampaignSpec::runspec_for`]). The pool returns the
 //! digests in task order and the aggregator sorts by `(cell, run)` before
 //! folding anyway, so the artifact is byte-identical regardless of worker
 //! count or scheduling order — `--jobs 1` and `--jobs 8` must `cmp` equal,
 //! and CI pins exactly that.
 
-use crate::runner::{
-    par_map, run_instance, Algo, BatchSpec, Outcome, Placement, RunInstance, UnderlyingKind,
-};
+use crate::runner::{par_map, run_instance, Algo, Outcome, Placement};
 use crate::spec::{AdversarySpec, ChaosSpec, PipelineSpec, RunSpec, UnderlyingSpec, WorkloadSpec};
 use dex_obs::json;
 use dex_simnet::DelayModel;
 use dex_types::SystemConfig;
-use dex_workloads::{ClientPopulation, ContentionPhase, PhaseSchedule, PopulationModel};
+use dex_workloads::{ContentionPhase, PhaseSchedule, PopulationModel};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -271,49 +269,21 @@ pub struct RunDigest {
     pub quiescent: bool,
 }
 
-/// Derives the [`RunInstance`] of one `(cell, run)` task against a
-/// pre-compiled population: index 0 of the one-run batch that
-/// [`CampaignSpec::runspec_for`] describes (seed `seed0 + run`, fault
-/// plan placed at random, the MVC coin seeded per run), minus the cost of
-/// recompiling the population per task.
-fn task_instance(
-    spec: &CampaignSpec,
-    cell: &CampaignCell,
-    populations: &[ClientPopulation],
-    run: usize,
-) -> RunInstance {
-    let config = SystemConfig::new(cell.n, cell.t).expect("validated pair");
-    let seed = spec.seed0 + run as u64;
-    BatchSpec {
-        underlying: match spec.underlying {
-            UnderlyingSpec::Oracle => UnderlyingKind::Oracle,
-            UnderlyingSpec::Mvc => UnderlyingKind::Mvc { coin_seed: seed },
-        },
-        strategy: cell.adversary.strategy(),
-        f: cell.f,
-        placement: Placement::RandomK,
-        delay: spec.delay.clone(),
-        chaos: cell.chaos.clone(),
-        seed0: seed,
-        max_events: spec.max_events,
-        ..BatchSpec::base(
-            config,
-            spec.algo,
-            &populations[spec.phases.phase_index(run)],
-        )
-    }
-    .instance(0)
-}
-
-/// Executes one `(cell, run)` task and digests its result.
+/// Executes one `(cell, run)` task and digests its result. The task is
+/// run 0 of the one-run spec [`CampaignSpec::runspec_for`] describes (seed
+/// `seed0 + run`, fault plan placed at random, the MVC coin seeded per
+/// run): the population it draws from is compiled per task, which costs
+/// one shared Zipf-table lookup ([`PopulationModel::compile`]).
 fn execute_task(
     spec: &CampaignSpec,
     cells: &[CampaignCell],
-    populations: &[ClientPopulation],
     cell_idx: usize,
     run: usize,
 ) -> RunDigest {
-    let inst = task_instance(spec, &cells[cell_idx], populations, run);
+    let inst = spec
+        .runspec_for(&cells[cell_idx], run)
+        .instance(0)
+        .expect("validated campaign cell");
     let result = run_instance(&inst);
     let mut digest = RunDigest {
         cell: cell_idx,
@@ -353,9 +323,8 @@ fn execute_task(
 pub fn run_digests(spec: &CampaignSpec, jobs: usize) -> Result<Vec<RunDigest>, String> {
     spec.validate()?;
     let cells = spec.cells();
-    let populations = spec.phases.compile();
     Ok(par_map(cells.len() * spec.seeds, jobs, |i| {
-        execute_task(spec, &cells, &populations, i / spec.seeds, i % spec.seeds)
+        execute_task(spec, &cells, i / spec.seeds, i % spec.seeds)
     }))
 }
 
@@ -398,11 +367,6 @@ impl CellStats {
     /// denominator.
     pub fn total(&self) -> u64 {
         self.one_step + self.two_step + self.fallback + self.undecided
-    }
-
-    /// Fast-decision rate, `None` for an empty cell.
-    pub fn fast_rate(&self) -> Option<f64> {
-        (self.total() > 0).then(|| self.fast() as f64 / self.total() as f64)
     }
 }
 
@@ -910,11 +874,10 @@ mod tests {
     fn aggregation_is_order_independent() {
         let spec = tiny();
         let cells = spec.cells();
-        let populations = spec.phases.compile();
         let mut digests = Vec::new();
         for cell in 0..cells.len() {
             for run in 0..spec.seeds {
-                digests.push(execute_task(&spec, &cells, &populations, cell, run));
+                digests.push(execute_task(&spec, &cells, cell, run));
             }
         }
         let forward = aggregate(&spec, digests.clone()).render_json();
@@ -928,9 +891,8 @@ mod tests {
         // RunSpec executes: same decide paths, same latency sum.
         let spec = tiny();
         let cells = spec.cells();
-        let populations = spec.phases.compile();
         for (cell_idx, run) in [(0usize, 0usize), (1, 1), (3, 2)] {
-            let digest = execute_task(&spec, &cells, &populations, cell_idx, run);
+            let digest = execute_task(&spec, &cells, cell_idx, run);
             let stats = spec.runspec_for(&cells[cell_idx], run).run().unwrap();
             assert_eq!(stats.runs, 1);
             assert_eq!(
@@ -949,14 +911,13 @@ mod tests {
 
     #[test]
     fn every_run_path_executes_the_one_derived_instance() {
-        use crate::runner::{batch_runs, traced_batch_run, Runtime};
+        use crate::runner::{batch_runs, traced_batch_run, RunInstance, Runtime};
         use dex_types::ProcessId;
         // One phase, so a whole cell is one batch over one population and
         // run i of that batch is the campaign's task (cell, i).
         let mut spec = tiny();
         spec.phases = PhaseSchedule::new(vec![spec.phases.phases()[1].clone()]);
         let cells = spec.cells();
-        let populations = spec.phases.compile();
         let cell = &cells[2];
         assert_eq!((cell.f, &cell.chaos), (1, &ChaosSpec::None));
         let cell_batch = RunSpec {
@@ -974,10 +935,6 @@ mod tests {
                         assert_eq!(inst.input, want.input, "{path} run {i}");
                         assert_eq!(inst.fault_plan, want.fault_plan, "{path} run {i}");
                     };
-                    same(
-                        &task_instance(&spec, cell, &populations, i),
-                        "campaign task",
-                    );
                     same(
                         &spec.runspec_for(cell, i).instance(0).unwrap(),
                         "runspec_for",

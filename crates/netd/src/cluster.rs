@@ -25,14 +25,28 @@
 //!
 //! A child's argv is its run's own [`RunSpec::to_args`] (the run seed,
 //! `--runtime netd --peers <table>`) plus role flags; children report on
-//! stdout in the [`Report`] line grammar. The parent writes the wall-clock
-//! artifact `results/netd_<seed>.json`: the spec as the `dex-sim` flags
-//! that replay it, next to a `"bench"` object of per-cell rows (a
-//! consensus row ends with its twin's one- and two-step counts). Each
-//! child also watches its stdin and exits when the parent goes away, so an
-//! aborted harness never leaks orphan processes.
+//! stdout in the [`Report`] line grammar, from one serve loop (pump, print
+//! what changed, keep serving).
+//!
+//! The parent waits in one place. Every child's stdout reader sends its
+//! lines, tagged with the child's spawn index, on the phase's one channel,
+//! and each line folds into that spawn's ledger: highest committed prefix,
+//! decision, `DONE`, `STATS`, chaos links. A respawn is a new spawn with
+//! an empty ledger. Each phase step — a cell's decisions, the kill -9
+//! victim's prefix, the survivors' floor, convergence — is one wait until
+//! a predicate holds of every awaited ledger. A wait fails at once on a
+//! malformed report or a child that exited on its own (its id, exit status
+//! and stderr tail), and at the deadline it names every awaited process
+//! with its ledger.
+//!
+//! The parent writes the wall-clock artifact `results/netd_<seed>.json`:
+//! the spec as the `dex-sim` flags that replay it, next to a `"bench"`
+//! object of per-cell rows (a consensus row ends with its twin's one- and
+//! two-step counts). Each child also watches its stdin and exits when the
+//! parent goes away, so an aborted harness never leaks orphan processes.
 
 use crate::chaos::{splitmix64, ChaosReport, ChaosRuntime};
+use crate::codec::WireCodec;
 use crate::endpoint::Endpoint;
 use crate::listener::free_loopback_addrs;
 use dex_conditions::FrequencyPair;
@@ -45,12 +59,12 @@ use dex_harness::spec::{
     AddressTable, AdversarySpec, ChaosSpec, RunSpec, RuntimeSpec, UnderlyingSpec,
 };
 use dex_replication::{Durability, FileWal, Replica, StateMachine, TotalOrder};
-use dex_simnet::{NetStats, Time};
+use dex_simnet::{Actor, NetStats, Time};
 use dex_types::{DecisionPath, ProcessId, StepDepth, SystemConfig};
 use dex_underlying::OracleConsensus;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -287,13 +301,8 @@ fn report(reports: &[Report]) {
 /// (late echoes, catch-up replies) and are reaped by the parent.
 fn exit_with_parent() {
     thread::spawn(|| {
-        let mut sink = [0u8; 64];
-        loop {
-            match std::io::stdin().read(&mut sink) {
-                Ok(0) | Err(_) => std::process::exit(0),
-                Ok(_) => {}
-            }
-        }
+        let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+        std::process::exit(0)
     });
 }
 
@@ -340,13 +349,9 @@ fn consensus_node(
     // is linked: all children then start together, and this child's
     // latency and chaos clocks count from its boot, not from its bind.
     let deadline = Instant::now() + timeout / 2;
-    loop {
-        let missing = ep.unconnected();
-        if missing.is_empty() {
-            break;
-        }
+    while !ep.unconnected().is_empty() {
         if Instant::now() >= deadline {
-            let missing: Vec<usize> = missing.iter().map(|p| p.index()).collect();
+            let missing: Vec<usize> = ep.unconnected().iter().map(|p| p.index()).collect();
             return Err(format!(
                 "process {}: no link to processes {missing:?} within {:?}",
                 opts.me.index(),
@@ -361,28 +366,25 @@ fn consensus_node(
     let booted = Instant::now();
     ep.boot();
     let mut announced = false;
-    loop {
-        ep.pump(Duration::from_millis(10));
-        if !announced {
-            if let Some(d) = ep.actor().decision() {
-                let mut reports: Vec<Report> = chaos
-                    .iter()
-                    .flat_map(|c| c.reports())
-                    .map(Report::Chaos)
-                    .collect();
-                reports.push(Report::Decided {
-                    value: d.value,
-                    path: d.path,
-                    depth: d.depth,
-                    elapsed_us: booted.elapsed().as_micros() as u64,
-                });
-                reports.push(Report::Stats(ep.stats().clone()));
-                report(&reports);
-                announced = true;
-            }
-        }
-        // Decided processes keep serving: peers may still need echoes.
-    }
+    serve(ep, Duration::from_millis(10), |ep| {
+        let Some(d) = ep.actor().decision().filter(|_| !announced) else {
+            return Vec::new();
+        };
+        announced = true;
+        let mut reports: Vec<Report> = chaos
+            .iter()
+            .flat_map(|c| c.reports())
+            .map(Report::Chaos)
+            .collect();
+        reports.push(Report::Decided {
+            value: d.value,
+            path: d.path,
+            depth: d.depth,
+            elapsed_us: booted.elapsed().as_micros() as u64,
+        });
+        reports.push(Report::Stats(ep.stats().clone()));
+        reports
+    })
 }
 
 fn replica_node(
@@ -428,27 +430,42 @@ fn replica_node(
     } else {
         ep.boot();
     }
-    let mut last_prefix = usize::MAX;
-    let mut done = false;
-    loop {
-        ep.pump(Duration::from_millis(5));
+    let (mut last_prefix, mut done) = (usize::MAX, false);
+    serve(ep, Duration::from_millis(5), |ep| {
         let prefix = ep.actor().log().committed_prefix();
+        let mut reports = Vec::new();
         if prefix != last_prefix {
-            report(&[Report::Progress(prefix as u64)]);
+            reports.push(Report::Progress(prefix as u64));
             last_prefix = prefix;
         }
         if !done && prefix as u64 >= slots {
-            report(&[
-                Report::Done {
-                    digest: ep.actor().machine().digest(),
-                    prefix: prefix as u64,
-                    restarts: u64::from(ep.actor().restarts()),
-                },
-                Report::Stats(ep.stats().clone()),
-            ]);
+            reports.push(Report::Done {
+                digest: ep.actor().machine().digest(),
+                prefix: prefix as u64,
+                restarts: u64::from(ep.actor().restarts()),
+            });
+            reports.push(Report::Stats(ep.stats().clone()));
             done = true;
         }
-        // Finished replicas keep serving catch-up requests until killed.
+        reports
+    })
+}
+
+/// A child's serve loop, until the parent kills it: pump `ep` for up to
+/// `idle`, then print what `news` has to report — nothing, most turns. A
+/// child that has reported everything keeps serving: peers may still need
+/// its echoes or catch-up replies.
+fn serve<A: Actor>(
+    mut ep: Endpoint<A>,
+    idle: Duration,
+    mut news: impl FnMut(&Endpoint<A>) -> Vec<Report>,
+) -> !
+where
+    A::Msg: WireCodec + Clone,
+{
+    loop {
+        ep.pump(idle);
+        report(&news(&ep));
     }
 }
 
@@ -456,18 +473,71 @@ fn replica_node(
 // Parent orchestration.
 // ---------------------------------------------------------------------
 
-/// How often a wait on one child's stdout looks at the other children.
-const LIVENESS_POLL: Duration = Duration::from_millis(50);
 /// Stderr lines kept per child for its failure report.
 const STDERR_TAIL: usize = 20;
 
-/// A spawned child plus its parsed stdout line stream. Dropping the
-/// handle reaps the child, so every exit path of a phase — success, a
-/// failed wait, a malformed report — leaves no process behind.
+/// What one spawn has reported so far: the fold of its stdout lines. A
+/// respawn is a new spawn with an empty ledger, so no line its killed
+/// predecessor printed lands in it.
+#[derive(Default, Debug)]
+struct Ledger {
+    /// The highest committed prefix a `PROGRESS` or `DONE` named.
+    prefix: Option<u64>,
+    /// The `DECIDED` report, as the process's outcome.
+    decided: Option<Outcome>,
+    /// The `DONE` report: digest, prefix, restarts.
+    done: Option<(u64, u64, u64)>,
+    /// The `STATS` report.
+    stats: Option<NetStats>,
+    /// The `CHAOS` reports, one per outbound link.
+    links: Vec<LinkTrace>,
+}
+
+impl Ledger {
+    /// Folds one stdout line of process `id`. A line that starts with a
+    /// report keyword but does not parse, and a `STATS` before `DECIDED`
+    /// (or a replica's `DONE`), fail, naming the process.
+    fn fold(&mut self, id: usize, line: &str) -> Result<(), String> {
+        match Report::parse(line).map_err(|e| format!("process {id}: {e}"))? {
+            Some(Report::Decided {
+                value,
+                path,
+                depth,
+                elapsed_us,
+            }) => {
+                self.decided = Some(Outcome::decided(value, path, depth, Time::new(elapsed_us)));
+            }
+            Some(Report::Progress(prefix)) => self.prefix = self.prefix.max(Some(prefix)),
+            Some(Report::Done {
+                digest,
+                prefix,
+                restarts,
+            }) => {
+                self.prefix = self.prefix.max(Some(prefix));
+                self.done = Some((digest, prefix, restarts));
+            }
+            Some(Report::Stats(_)) if self.decided.is_none() && self.done.is_none() => {
+                return Err(format!("process {id} sent STATS before DECIDED"));
+            }
+            Some(Report::Stats(net)) => self.stats = Some(net),
+            Some(Report::Chaos(c)) => self.links.push(LinkTrace {
+                from: id,
+                to: c.to,
+                sched: c.sched,
+            }),
+            None => {}
+        }
+        Ok(())
+    }
+}
+
+/// A spawned child and its [`Ledger`]. Dropping the handle reaps the
+/// child, so every exit path of a phase — success, a failed wait, a
+/// malformed report — leaves no process behind.
 struct ChildHandle {
     id: usize,
     child: Child,
-    rx: mpsc::Receiver<String>,
+    ledger: Ledger,
     /// Drains the child's stderr to EOF, keeping the last lines.
     stderr: Option<thread::JoinHandle<VecDeque<String>>>,
     /// Set by [`ChildHandle::kill`]: this death is the harness's doing.
@@ -482,12 +552,28 @@ impl ChildHandle {
         let _ = self.child.wait();
     }
 
-    /// If the child died on its own: its id, exit status and stderr tail.
+    /// The child as a deadline error names it: its id, then its decision or
+    /// last prefix and whether `DONE` and `STATS` came, e.g. `process 1
+    /// [prefix 8, DONE]`.
+    fn state(&self) -> String {
+        let l = &self.ledger;
+        let last = match (&l.decided, l.prefix) {
+            (Some(Outcome::Decided(r)), _) => format!("decided {} ({})", r.value, r.path),
+            (_, Some(prefix)) => format!("prefix {prefix}"),
+            _ => "no report".into(),
+        };
+        let done = if l.done.is_some() { ", DONE" } else { "" };
+        let stats = if l.stats.is_some() { ", STATS" } else { "" };
+        format!("process {} [{last}{done}{stats}]", self.id)
+    }
+
+    /// Once the child's stdout has ended: if it died on its own, its id,
+    /// exit status and stderr tail.
     fn obituary(&mut self) -> Option<String> {
         if self.killed {
             return None;
         }
-        let status = self.child.try_wait().ok()??;
+        let status = self.child.wait().ok()?;
         let tail = self
             .stderr
             .take()
@@ -507,49 +593,110 @@ impl Drop for ChildHandle {
     }
 }
 
-/// Next stdout line of `children[i]` before `deadline`. The error says
-/// why there is none: the deadline passed, or some child — the awaited
-/// one or any other, since one dead process can stall the rest for good —
-/// exited without the harness killing it.
-fn next_line(children: &mut [ChildHandle], i: usize, deadline: Instant) -> Result<String, String> {
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        match children[i].rx.recv_timeout(left.min(LIVENESS_POLL)) {
-            Ok(line) => return Ok(line),
-            // Stdout closed or a poll interval passed: look for the dead.
-            Err(err) => {
-                let closed = err == mpsc::RecvTimeoutError::Disconnected;
-                if closed {
-                    // Stdout closes a moment before the status is there.
-                    let _ = children[i].child.wait();
+/// One stdout line of spawn `.0`, or `None` once its stdout closed.
+type Line = (usize, Option<String>);
+
+/// One phase's children, indexed by spawn: a respawn is a new spawn. Every
+/// child's stdout feeds one channel, and [`Children::wait_until`] — the
+/// one place the parent waits on children — folds each line into its
+/// spawn's ledger.
+struct Children {
+    /// The program every child runs: this binary, given a [`node_argv`].
+    exe: PathBuf,
+    deadline: Instant,
+    tx: mpsc::Sender<Line>,
+    rx: mpsc::Receiver<Line>,
+    spawns: Vec<ChildHandle>,
+}
+
+impl Children {
+    fn new(deadline: Instant) -> Result<Self, String> {
+        let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+        let (tx, rx) = mpsc::channel();
+        Ok(Children {
+            exe,
+            deadline,
+            tx,
+            rx,
+            spawns: Vec::new(),
+        })
+    }
+
+    /// Spawns process `id` on `argv`; returns its spawn index.
+    fn spawn(&mut self, id: usize, argv: Vec<String>) -> Result<usize, String> {
+        let mut child = Command::new(&self.exe)
+            .args(&argv)
+            .stdin(Stdio::piped()) // the child's parent-liveness watch
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("spawn child: {e}"))?;
+        let spawn = self.spawns.len();
+        let stdout = child.stdout.take().expect("piped stdout");
+        let tx = self.tx.clone();
+        thread::spawn(move || {
+            for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+                if tx.send((spawn, Some(line))).is_err() {
+                    return;
                 }
-                if let Some(obituary) = children.iter_mut().find_map(ChildHandle::obituary) {
-                    return Err(obituary);
+            }
+            let _ = tx.send((spawn, None));
+        });
+        let stderr = child.stderr.take().expect("piped stderr");
+        let stderr = thread::spawn(move || {
+            let mut tail = VecDeque::with_capacity(STDERR_TAIL);
+            for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+                if tail.len() == STDERR_TAIL {
+                    tail.pop_front();
                 }
-                if closed {
-                    return Err(format!("process {i} was killed before its report"));
+                tail.push_back(line);
+            }
+            tail
+        });
+        self.spawns.push(ChildHandle {
+            id,
+            child,
+            ledger: Ledger::default(),
+            stderr: Some(stderr),
+            killed: false,
+            argv,
+        });
+        Ok(spawn)
+    }
+
+    /// Folds every child's lines until `done` holds of each `awaited`
+    /// spawn's ledger. Fails, prefixed with `what`, at once on a malformed
+    /// report or on a child — awaited or not, since one dead process can
+    /// stall the rest for good — whose stdout ended without the harness
+    /// killing it, and at the deadline, naming every awaited process with
+    /// its ledger.
+    fn wait_until(
+        &mut self,
+        what: &str,
+        awaited: &[usize],
+        done: impl Fn(&Ledger) -> bool,
+    ) -> Result<(), String> {
+        let fail = |cause: String| format!("{what}: {cause}");
+        while !awaited.iter().all(|&s| done(&self.spawns[s].ledger)) {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            match self.rx.recv_timeout(left) {
+                Ok((s, Some(line))) => {
+                    let child = &mut self.spawns[s];
+                    child.ledger.fold(child.id, &line).map_err(fail)?;
                 }
-                if left.is_zero() {
-                    return Err(format!("process {i} did not report before the deadline"));
+                Ok((s, None)) => {
+                    if let Some(obituary) = self.spawns[s].obituary() {
+                        return Err(fail(obituary));
+                    }
+                }
+                Err(_) => {
+                    let states: Vec<String> =
+                        awaited.iter().map(|&s| self.spawns[s].state()).collect();
+                    return Err(fail(format!("the deadline passed: {}", states.join(", "))));
                 }
             }
         }
-    }
-}
-
-/// Next [`Report`] of `children[i]` before `deadline`, skipping lines that
-/// carry none. A line that starts with a report keyword but does not
-/// parse fails at once, naming the child and the line.
-fn next_report(
-    children: &mut [ChildHandle],
-    i: usize,
-    deadline: Instant,
-) -> Result<Report, String> {
-    loop {
-        let line = next_line(children, i, deadline)?;
-        if let Some(report) = Report::parse(&line).map_err(|e| format!("process {i}: {e}"))? {
-            return Ok(report);
-        }
+        Ok(())
     }
 }
 
@@ -569,47 +716,6 @@ fn node_argv(id: usize, run: &RunSpec, role: &[&str]) -> Vec<String> {
     argv.extend(role.iter().map(|a| a.to_string()));
     argv.extend(run.to_args());
     argv
-}
-
-/// Spawns child `id` on [`node_argv`].
-fn spawn_node_process(id: usize, run: &RunSpec, role: &[&str]) -> Result<ChildHandle, String> {
-    let argv = node_argv(id, run, role);
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut child = Command::new(exe)
-        .args(&argv)
-        .stdin(Stdio::piped()) // the child's parent-liveness watch
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("spawn child: {e}"))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let (tx, rx) = mpsc::channel();
-    thread::spawn(move || {
-        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    let stderr = child.stderr.take().expect("piped stderr");
-    let stderr = thread::spawn(move || {
-        let mut tail = VecDeque::with_capacity(STDERR_TAIL);
-        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-            if tail.len() == STDERR_TAIL {
-                tail.pop_front();
-            }
-            tail.push_back(line);
-        }
-        tail
-    });
-    Ok(ChildHandle {
-        id,
-        child,
-        rx,
-        stderr: Some(stderr),
-        killed: false,
-        argv,
-    })
 }
 
 /// The addresses one phase's children listen on: the spec's explicit
@@ -729,57 +835,28 @@ fn cells_spec(spec: &RunSpec) -> RunSpec {
 fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, String> {
     let spec = cells_spec(&opts.spec);
     let inst = spec.instance(run_idx)?;
-    let run = child_spec(&spec, inst.seed, cluster_addrs(&spec)?);
     let start = Instant::now();
-    let deadline = start + opts.timeout;
+    let run = child_spec(&spec, inst.seed, cluster_addrs(&spec)?);
+    let mut children = Children::new(start + opts.timeout)?;
     let secs = opts.timeout.as_secs().to_string();
     let role = ["--mode", "consensus", "--timeout-secs", &secs];
-    let mut children = inst
-        .config
-        .processes()
-        .map(|p| spawn_node_process(p.index(), &run, &role))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut outcomes = Vec::with_capacity(spec.n);
-    let mut net = NetStats::default();
-    let mut links: Vec<LinkTrace> = Vec::new();
-    for p in inst.config.processes() {
-        if inst.fault_plan.is_faulty(p) {
-            outcomes.push(Outcome::Faulty);
-            continue;
-        }
-        let i = p.index();
-        let mut decided = None;
-        loop {
-            let report = next_report(&mut children, i, deadline).map_err(|cause| {
-                format!(
-                    "run {run_idx}: no decision ({:?} budget): {cause}",
-                    opts.timeout
-                )
-            })?;
-            match report {
-                Report::Decided {
-                    value,
-                    path,
-                    depth,
-                    elapsed_us,
-                } => decided = Some(Outcome::decided(value, path, depth, Time::new(elapsed_us))),
-                Report::Chaos(c) => links.push(LinkTrace {
-                    from: i,
-                    to: c.to,
-                    sched: c.sched,
-                }),
-                Report::Stats(stats) => {
-                    net.merge(&stats);
-                    outcomes.push(decided.take().ok_or_else(|| {
-                        format!("run {run_idx}: process {i} sent STATS before DECIDED")
-                    })?);
-                    break;
-                }
-                _ => {}
-            }
-        }
+    for i in 0..spec.n {
+        children.spawn(i, node_argv(i, &run, &role))?; // spawn `i` is process `i`
     }
+    let correct = inst.fault_plan.correct(inst.config);
+    let awaited: Vec<usize> = correct.map(|p| p.index()).collect();
+    let what = format!("run {run_idx}: no decision ({:?} budget)", opts.timeout);
+    children.wait_until(&what, &awaited, |l| l.stats.is_some())?;
     let wall_us = start.elapsed().as_micros() as u64;
+    // The budget processes' reports are not read.
+    let (mut net, mut links) = (NetStats::default(), Vec::<LinkTrace>::new());
+    let mut outcomes = vec![Outcome::Faulty; spec.n];
+    for &i in &awaited {
+        let ledger = &children.spawns[i].ledger;
+        net.merge(ledger.stats.as_ref().expect("awaited until STATS"));
+        links.extend(&ledger.links);
+        outcomes[i] = ledger.decided.clone().unwrap_or(Outcome::Undecided);
+    }
     drop(children);
     links.sort_by_key(|l| (l.from, l.to));
     let result = judge_cell(run_idx, &inst, outcomes, net)?;
@@ -828,112 +905,62 @@ fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
 fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Run, String> {
     let spec = &opts.spec;
     let divergent = spec.kill.divergent;
-    let run = child_spec(spec, spec.seed, cluster_addrs(spec)?);
     let start = Instant::now();
-    let deadline = start + opts.timeout;
+    let run = child_spec(spec, spec.seed, cluster_addrs(spec)?);
+    let mut children = Children::new(start + opts.timeout)?;
     let slots = opts.slots.to_string();
-    let spawn = |i: usize, respawn: bool| {
+    let spawn = |children: &mut Children, i: usize, respawn: bool| {
         let wal = wal_dir.join(format!("wal_{i}.log")).display().to_string();
         let mut role = vec!["--mode", "replica", "--slots", &slots, "--wal", &wal];
-        if respawn {
-            role.push("--respawn");
-        }
-        spawn_node_process(i, &run, &role)
+        role.extend(respawn.then_some("--respawn"));
+        children.spawn(i, node_argv(i, &run, &role))
     };
-    let mut children = (0..spec.n)
-        .map(|i| spawn(i, false))
+    // `live[i]` is process `i`'s current spawn.
+    let mut live = (0..spec.n)
+        .map(|i| spawn(&mut children, i, false))
         .collect::<Result<Vec<_>, _>>()?;
     // The victim: not the UC coordinator (p0 stays up so fallbacks keep
     // deciding), and guaranteed to have synced `spec.kill.after` commits
     // to its WAL before dying, so recovery exercises replay *and*
     // catch-up.
     let victim = 1usize;
-    let mut killed_at = 0u64;
-    while killed_at < spec.kill.after {
-        let report = next_report(&mut children, victim, deadline).map_err(|cause| {
-            format!(
-                "kill9: victim never committed {} slots: {cause}",
-                spec.kill.after
-            )
-        })?;
-        if let Report::Progress(prefix) | Report::Done { prefix, .. } = report {
-            killed_at = killed_at.max(prefix);
-        }
-    }
+    let after = spec.kill.after;
+    let what = format!("kill9: victim never committed {after} slots");
+    children.wait_until(&what, &[live[victim]], |l| l.prefix >= Some(after))?;
+    let killed_at = children.spawns[live[victim]].ledger.prefix.unwrap_or(0);
     // The literal kill -9 (SIGKILL via Child::kill).
-    children[victim].kill();
+    children.spawns[live[victim]].kill();
     // Divergent schedule: before the respawn exists, every survivor must
     // demonstrably outrun the dead victim — the cluster keeps committing
     // with one replica's state gone and n - 1 divergent pending streams.
-    // Other reports (an early DONE and its STATS) are stashed for the
-    // convergence pass rather than dropped.
-    let mut stash: Vec<VecDeque<Report>> = (0..spec.n).map(|_| VecDeque::new()).collect();
-    let survivor_floor = if divergent {
-        opts.slots.min(killed_at + 2)
-    } else {
-        0
-    };
+    let mut survivor_floor = 0;
     if divergent {
-        for i in (0..spec.n).filter(|i| *i != victim) {
-            loop {
-                let report = next_report(&mut children, i, deadline).map_err(|cause| {
-                    format!(
-                        "kill9: survivor {i} stalled below prefix {survivor_floor} \
-                         while the victim was down: {cause}"
-                    )
-                })?;
-                if let Report::Progress(prefix) = report {
-                    if prefix >= survivor_floor {
-                        break;
-                    }
-                } else {
-                    let finished = matches!(report, Report::Done { .. });
-                    stash[i].push_back(report);
-                    if finished {
-                        break; // DONE ⇒ the full prefix, ≥ any floor
-                    }
-                }
-            }
-        }
+        survivor_floor = opts.slots.min(killed_at + 2);
+        let survivors: Vec<usize> = (0..spec.n).filter(|i| *i != victim).collect();
+        let what = format!(
+            "kill9: survivors stalled below prefix {survivor_floor} while the victim was down"
+        );
+        children.wait_until(&what, &survivors, |l| l.prefix >= Some(survivor_floor))?;
         println!(
             "kill9: all {} survivors progressed to ≥ {survivor_floor} with the victim dead at {killed_at}",
             spec.n - 1
         );
     }
-    // Now the respawn.
-    children[victim] = spawn(victim, true)?;
+    // Now the respawn, with an empty ledger.
+    live[victim] = spawn(&mut children, victim, true)?;
     println!(
         "kill9: SIGKILLed process {victim} at prefix {killed_at}, respawned as `{}`",
-        children[victim].argv.join(" ")
+        children.spawns[live[victim]].argv.join(" ")
     );
     // Convergence: every live child reports DONE, then its STATS.
-    let mut dones = Vec::with_capacity(spec.n);
-    let mut net = NetStats::default();
-    for (i, stashed) in stash.iter_mut().enumerate() {
-        let mut done = None;
-        loop {
-            let report = match stashed.pop_front() {
-                Some(report) => report,
-                None => next_report(&mut children, i, deadline).map_err(|cause| {
-                    format!("kill9: no convergence ({:?} budget): {cause}", opts.timeout)
-                })?,
-            };
-            match report {
-                Report::Done {
-                    digest,
-                    prefix,
-                    restarts,
-                } => done = Some((digest, prefix, restarts)),
-                Report::Stats(stats) if done.is_some() => {
-                    net.merge(&stats);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        dones.extend(done);
-    }
+    let what = format!("kill9: no convergence ({:?} budget)", opts.timeout);
+    children.wait_until(&what, &live, |l| l.done.is_some() && l.stats.is_some())?;
     let wall_us = start.elapsed().as_micros() as u64;
+    let (mut net, mut dones) = (NetStats::default(), Vec::with_capacity(spec.n));
+    for ledger in live.iter().map(|&s| &children.spawns[s].ledger) {
+        net.merge(ledger.stats.as_ref().expect("awaited until STATS"));
+        dones.extend(ledger.done);
+    }
     drop(children);
     // One digest at the full prefix everywhere; one restart, the victim's.
     let (digest, restarts) = (dones[0].0, dones[victim].2);
@@ -1028,7 +1055,6 @@ pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
     let spec = &opts.spec;
     validate_cluster(opts)?;
     let mut cells: Vec<CellRun> = Vec::new();
-    let mut kill9: Option<Kill9Run> = None;
     if opts.phase != Phase::Kill9 {
         for i in 0..spec.runs {
             let cell = run_consensus_cell(opts, i)?;
@@ -1056,8 +1082,10 @@ pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
             );
         }
     }
-    if opts.phase != Phase::Cells {
-        let run = run_kill9(opts)?;
+    let kill9 = (opts.phase != Phase::Cells)
+        .then(|| run_kill9(opts))
+        .transpose()?;
+    if let Some(run) = &kill9 {
         println!(
             "kill9: converged at prefix {} digest {:#018x} after {} restart in {:.1} ms",
             opts.slots,
@@ -1065,7 +1093,6 @@ pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
             run.restarts,
             run.wall_us as f64 / 1000.0,
         );
-        kill9 = Some(run);
     }
     write_artifact(opts, &cells, kill9.as_ref()).map_err(|e| format!("artifact: {e}"))
 }
@@ -1633,6 +1660,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    const STATS: &str = "STATS sent=1 delivered=1 multicasts=0 clones=0 bytes=8 init=1 echo=0 \
+                         batch=0 other=0 batched=0 max_depth=1";
+
+    #[test]
+    fn a_ledger_keeps_the_highest_prefix_and_refuses_stats_before_decided() {
+        let mut ledger = Ledger::default();
+        let err = ledger.fold(3, STATS).expect_err("STATS first");
+        assert_eq!(err, "process 3 sent STATS before DECIDED");
+        for line in [
+            "listening on 127.0.0.1:9000",
+            "PROGRESS prefix=5",
+            "PROGRESS prefix=2",
+            "DONE digest=0x00000000000000ab prefix=8 restarts=1",
+            "PROGRESS prefix=6",
+            STATS,
+        ] {
+            ledger.fold(3, line).expect(line);
+        }
+        assert_eq!(ledger.prefix, Some(8));
+        assert_eq!(ledger.done, Some((0xab, 8, 1)));
+        assert!(ledger.stats.is_some());
+        let err = ledger.fold(3, "PROGRESS prefix=x").expect_err("malformed");
+        assert!(
+            err.starts_with("process 3: malformed PROGRESS report"),
+            "{err}"
+        );
+        // A consensus child: its links, its decision, then STATS.
+        let mut ledger = Ledger::default();
+        for line in [
+            "CHAOS to=2 sched=0x0000000000000007 frames=1 drops=0 dups=0 held=0 torn=0",
+            "DECIDED value=4 path=2-step depth=2 elapsed_us=90",
+            STATS,
+        ] {
+            ledger.fold(3, line).expect(line);
+        }
+        let link = LinkTrace {
+            from: 3,
+            to: 2,
+            sched: 7,
+        };
+        assert_eq!(ledger.links, vec![link]);
+        let two_step = Outcome::decided(4, DecisionPath::TwoStep, StepDepth::new(2), Time::new(90));
+        assert_eq!(ledger.decided, Some(two_step));
+    }
+
+    /// Children that each run `sh -c "<script>; exec sleep 30"` in place of
+    /// a node, all spawns of one phase, with a deadline `budget` away.
+    fn shell_children(budget: Duration) -> Children {
+        Children {
+            exe: "sh".into(),
+            ..Children::new(Instant::now() + budget).expect("current_exe")
+        }
+    }
+
+    fn sh(children: &mut Children, id: usize, script: &str) -> usize {
+        let argv = vec!["-c".into(), format!("{script}; exec sleep 30")];
+        children.spawn(id, argv).expect("spawn sh")
+    }
+
+    #[test]
+    fn a_respawn_starts_an_empty_ledger_and_its_predecessors_lines_stay_behind() {
+        let mut children = shell_children(Duration::from_secs(30));
+        // Both lines leave in one write, so both are in the pipe before the
+        // parent reads the first.
+        let first = sh(
+            &mut children,
+            1,
+            "printf 'PROGRESS prefix=3\\nPROGRESS prefix=7\\n'",
+        );
+        children
+            .wait_until("victim", &[first], |l| l.prefix >= Some(3))
+            .expect("the victim reaches 3");
+        children.spawns[first].kill();
+        // The respawn reports only once the test writes to its stdin.
+        let second = sh(&mut children, 1, "read go; echo PROGRESS prefix=1");
+        children
+            .wait_until("the corpse's last line", &[first], |l| l.prefix >= Some(7))
+            .expect("the killed spawn's second line folds into its own ledger");
+        assert_eq!(children.spawns[second].ledger.prefix, None);
+        let stdin = children.spawns[second]
+            .child
+            .stdin
+            .as_mut()
+            .expect("piped stdin");
+        stdin.write_all(b"go\n").expect("release the respawn");
+        children
+            .wait_until("respawn", &[second], |l| l.prefix.is_some())
+            .expect("the respawn reports");
+        assert_eq!(children.spawns[second].ledger.prefix, Some(1));
+    }
+
+    #[test]
+    fn a_wait_past_its_deadline_names_every_awaited_process_with_its_ledger() {
+        let mut children = shell_children(Duration::from_secs(30));
+        let awaited = [
+            sh(&mut children, 0, "echo PROGRESS prefix=2"),
+            sh(&mut children, 1, "true"),
+            sh(
+                &mut children,
+                2,
+                "echo DECIDED value=4 path=1-step depth=1 elapsed_us=9",
+            ),
+        ];
+        let reported = [awaited[0], awaited[2]];
+        children
+            .wait_until("reports", &reported, |l| {
+                l.prefix.is_some() || l.decided.is_some()
+            })
+            .expect("two reports");
+        children.deadline = Instant::now() + Duration::from_millis(100);
+        let err = children
+            .wait_until("kill9: no convergence", &awaited, |l| l.stats.is_some())
+            .expect_err("no child ever sends STATS");
+        assert_eq!(
+            err,
+            "kill9: no convergence: the deadline passed: process 0 [prefix 2], \
+             process 1 [no report], process 2 [decided 4 (1-step)]"
+        );
+    }
+
+    #[test]
+    fn a_wait_fails_at_once_on_any_child_that_exits_on_its_own() {
+        let mut children = shell_children(Duration::from_secs(30));
+        let awaited = sh(&mut children, 0, "true");
+        sh(&mut children, 4, "echo bind: in use >&2; exit 3");
+        let started = Instant::now();
+        let err = children
+            .wait_until("run 0: no decision", &[awaited], |l| l.stats.is_some())
+            .expect_err("process 4 died");
+        assert!(started.elapsed() < Duration::from_secs(5), "{err}");
+        assert_eq!(
+            err,
+            "run 0: no decision: process 4 exited (exit status: 3) before its report; \
+             stderr:\nbind: in use"
+        );
     }
 
     /// Run `i` of a 7-process last-k batch on `workload`.

@@ -593,32 +593,6 @@ impl<A: Actor> Simulation<A> {
             ended_at: self.now,
         }
     }
-
-    /// Runs until `stop(actors)` returns `true`, the network drains, or
-    /// `max_events` deliveries have happened. Returns the outcome; check
-    /// `stop` again afterwards to distinguish success from exhaustion.
-    pub fn run_until<F>(&mut self, max_events: u64, mut stop: F) -> RunOutcome
-    where
-        F: FnMut(&[A]) -> bool,
-    {
-        self.start();
-        let mut delivered = 0;
-        while delivered < max_events && !stop(&self.actors) {
-            if self.step().is_none() {
-                return RunOutcome {
-                    delivered,
-                    quiescent: true,
-                    ended_at: self.now,
-                };
-            }
-            delivered += 1;
-        }
-        RunOutcome {
-            delivered,
-            quiescent: self.queue.is_empty(),
-            ended_at: self.now,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -726,17 +700,6 @@ mod tests {
         };
         assert_eq!(log(77), log(77));
         assert_ne!(log(77), log(78));
-    }
-
-    #[test]
-    fn run_until_stops_at_predicate() {
-        let mut sim = echo_sim(3, 5);
-        let out = sim.run_until(1_000, |actors| {
-            actors.iter().map(|a| a.received.len()).sum::<usize>() >= 2
-        });
-        assert!(out.delivered <= 6);
-        let total: usize = sim.actors().iter().map(|a| a.received.len()).sum();
-        assert!(total >= 2);
     }
 
     #[test]

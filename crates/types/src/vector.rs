@@ -69,11 +69,6 @@ impl<V: Value> InputVector<V> {
         &self.entries
     }
 
-    /// Consumes the vector, returning its entries.
-    pub fn into_inner(self) -> Vec<V> {
-        self.entries
-    }
-
     /// Iterates over `(ProcessId, &V)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &V)> {
         self.entries

@@ -339,12 +339,6 @@ impl PhaseSchedule {
     pub fn phase_at(&self, run: usize) -> &ContentionPhase {
         &self.phases[self.phase_index(run)]
     }
-
-    /// Compiles every phase's population once, in schedule order — the
-    /// shared read-only samplers a campaign's workers draw from.
-    pub fn compile(&self) -> Vec<ClientPopulation> {
-        self.phases.iter().map(|p| p.model.compile()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -621,7 +615,6 @@ mod tests {
         assert_eq!(sched.phase_at(3).label, "calm");
         assert_eq!(sched.phase_at(4).label, "crowd");
         assert_eq!(sched.phase_at(6).label, "dispersed");
-        assert_eq!(sched.compile().len(), 3);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 #                    and 127, and at n = 31 with --aggregate, equals
 #                    results/logs/pipeline_n{31,31_agg,63,127}_seed5.log
 #   chaos-matrix     chaos schedules x seeds through the invariant checker
-#   recovery-matrix  crash-restart recovery: WAL + catch-up + resend
+#   recovery-matrix  --chaos crash-restart across seeds through the checker,
+#                    seed 31 artifact twice, cmp (the recovery test suite
+#                    and the chaos-free seed-31 pin run in `test`)
 #   campaign-smoke   fixed campaign twice at different --jobs, cmp + curves;
 #                    pipelined cell traced twice, cmp
 #   netd-smoke       dex-netd's tests three times in a row (a lost wake-up
@@ -163,7 +165,7 @@ stage_chaos_matrix() {
 }
 
 stage_recovery_matrix() {
-  echo "== recovery matrix: crash-restart x seeds, WAL + catch-up + resend"
+  echo "== recovery matrix: --chaos crash-restart x seeds, byte-stable artifact"
   ./scripts/recovery_matrix.sh
 }
 

@@ -48,7 +48,36 @@
 
 use dex::harness::pipeline::{PipelineRun, DEFAULT_SLOTS};
 use dex::harness::spec::RunSpec;
+use dex::obs::RunTrace;
 use std::process::ExitCode;
+
+/// Checks `trace`, writes it with its verdict to `path` under `results/`,
+/// and prints `{what}<checks> invariant checks, <violations> violations →
+/// <path>` plus each violation on stderr. `Some(ok)` is the checker's
+/// verdict, `None` a write that failed (already reported).
+fn write_checked_trace(trace: &RunTrace, path: &str, what: &str) -> Option<bool> {
+    let report = dex::obs::check(trace);
+    if let Err(e) = std::fs::create_dir_all("results") {
+        eprintln!("cannot create results/: {e}");
+        return None;
+    }
+    if let Err(e) = std::fs::write(path, dex::obs::json::render(trace, &report)) {
+        eprintln!("cannot write {path}: {e}");
+        return None;
+    }
+    println!(
+        "{what}{} invariant checks, {} violations → {path}",
+        report.total_checks(),
+        report.violations.len(),
+    );
+    for v in &report.violations {
+        eprintln!(
+            "trace violation [{}] p{}: {}",
+            v.invariant, v.process, v.detail
+        );
+    }
+    Some(report.is_ok())
+}
 
 fn run_pipeline(spec: &RunSpec) -> ExitCode {
     let run = match PipelineRun::from_spec(spec, DEFAULT_SLOTS) {
@@ -85,32 +114,14 @@ fn run_pipeline(spec: &RunSpec) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let (_, trace) = run.traced();
-    let report = dex::obs::check(&trace);
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("cannot create results/: {e}");
-        return ExitCode::FAILURE;
-    }
     let path = format!("results/trace_pipeline_{}.json", spec.seed);
-    if let Err(e) = std::fs::write(&path, dex::obs::json::render(&trace, &report)) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "trace: re-executed with recording — {} invariant checks, {} violations → {path}",
-        report.total_checks(),
-        report.violations.len(),
-    );
-    for v in &report.violations {
-        eprintln!(
-            "trace violation [{}] p{}: {}",
-            v.invariant, v.process, v.detail
-        );
-    }
-    if report.is_ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("VIOLATIONS DETECTED");
-        ExitCode::FAILURE
+    match write_checked_trace(&trace, &path, "trace: re-executed with recording — ") {
+        Some(true) => ExitCode::SUCCESS,
+        Some(false) => {
+            eprintln!("VIOLATIONS DETECTED");
+            ExitCode::FAILURE
+        }
+        None => ExitCode::FAILURE,
     }
 }
 
@@ -185,29 +196,12 @@ fn main() -> ExitCode {
     let mut trace_ok = true;
     if spec.trace {
         let traced = spec.traced(0).expect("spec validated above");
-        let report = dex::obs::check(&traced.trace);
         let events: usize = traced.trace.processes.iter().map(|p| p.events.len()).sum();
-        if let Err(e) = std::fs::create_dir_all("results") {
-            eprintln!("cannot create results/: {e}");
-            return ExitCode::FAILURE;
+        let what = format!("trace: run 0 re-executed with recording — {events} events, ");
+        match write_checked_trace(&traced.trace, &spec.trace_artifact(), &what) {
+            Some(ok) => trace_ok = ok,
+            None => return ExitCode::FAILURE,
         }
-        let path = spec.trace_artifact();
-        if let Err(e) = std::fs::write(&path, dex::obs::json::render(&traced.trace, &report)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "trace: run 0 re-executed with recording — {events} events, {} invariant checks, {} violations → {path}",
-            report.total_checks(),
-            report.violations.len(),
-        );
-        for v in &report.violations {
-            eprintln!(
-                "trace violation [{}] p{}: {}",
-                v.invariant, v.process, v.detail
-            );
-        }
-        trace_ok = report.is_ok();
     }
     if stats.clean() && trace_ok {
         println!("all runs clean");
