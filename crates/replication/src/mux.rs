@@ -1,10 +1,10 @@
 //! `SlotMux` — the slot-demultiplexing and instance-recycling layer of the
 //! pipelined replica.
 //!
-//! A replica runs one DEX instance per log slot. Sequential replication
-//! (`window = 1`) only ever grows the set of instances; the pipelined
-//! engine keeps a *window* of `W` in-flight slots and turns it into a
-//! recycling pool:
+//! A replica runs one DEX instance per log slot and keeps a *window* of
+//! `W` in-flight slots (`W = 1` is sequential replication), which the mux
+//! turns into a recycling pool, so a replica holds a handful of instances
+//! however long its log grows:
 //!
 //! * **Demux**: slot-tagged wire traffic (`ReplicaMsg::Slot { slot, .. }`)
 //!   is routed to the per-slot [`DexProcess`], created on demand. Live
@@ -16,7 +16,8 @@
 //!   shared-payload slab, so the `Dest::All` zero-clone fast path is
 //!   preserved end to end.
 //! * **Recycle**: once the committed floor has slid a full window past a
-//!   decided slot, that slot's instance is retired into a free pool and its
+//!   decided slot ([`SlotMux::retire_line`]; the log's last two windows
+//!   stay live), that slot's instance is retired into a free pool and its
 //!   allocations — the `J1`/`J2` [`View`](dex_types::View) tally buffers,
 //!   the IDB instance table (one entry per origin) and its one witness
 //!   table (three flat vectors per machine, not a heap block per origin),
@@ -60,7 +61,7 @@ pub struct SlotMux<C: Value> {
     me: ProcessId,
     coordinator: ProcessId,
     /// Pipeline window `W`: how many slots may be in flight past the
-    /// committed floor. `1` reproduces sequential replication exactly.
+    /// committed floor. `1` is sequential replication.
     window: u64,
     /// Live instances: entry `i` serves slot `retire_floor + i`, `None`
     /// until that slot is checked out.
@@ -68,7 +69,7 @@ pub struct SlotMux<C: Value> {
     /// Reset instances ready for reuse, tagged with the slot they served.
     pool: Vec<(u64, Box<SlotInstance<C>>)>,
     /// Slots below this line are retired: committed locally and no longer
-    /// served by a live instance. Always `0` when `window == 1`.
+    /// served by a live instance.
     retire_floor: u64,
     /// How many checkouts were served from the pool (diagnostics/bench).
     recycled: u64,
@@ -92,8 +93,9 @@ impl<C: Value> SlotMux<C> {
         }
     }
 
-    /// Sets the pipeline window (`≥ 1`). With `window == 1` the mux
-    /// never retires instances — byte-for-byte the pre-pipeline engine.
+    /// Sets the pipeline window (`≥ 1`): the replica opens slots inside
+    /// it, and it sets how far behind the committed floor slots retire
+    /// ([`retire_line`](Self::retire_line)).
     pub fn set_window(&mut self, window: u64) {
         assert!(window >= 1, "pipeline window must be at least 1");
         self.window = window;
@@ -172,11 +174,23 @@ impl<C: Value> SlotMux<C> {
         (instance, how)
     }
 
-    /// Slides the retirement line up to `floor` (callers pass the committed
-    /// floor minus the window): every live instance strictly below it is
-    /// reset and returned to the pool. No-op while `window == 1`.
+    /// Where the retirement line of a replica stands once its committed
+    /// floor is `committed`, in a log of `horizon` slots: a full window
+    /// behind the floor, so a decided slot keeps echoing for every peer
+    /// still inside the window, and never into the log's last two
+    /// windows. A replica stuck on a retired slot learns so from a peer's
+    /// proposal two windows past it; no proposal lies two windows past a
+    /// slot in the last two, so those stay live until the run ends.
+    pub fn retire_line(&self, committed: u64, horizon: u64) -> u64 {
+        let tail = horizon.saturating_sub(2 * self.window);
+        committed.saturating_sub(self.window).min(tail)
+    }
+
+    /// Slides the retirement line up to `floor` (the replica passes its
+    /// [`retire_line`](Self::retire_line)): every live instance strictly
+    /// below it is reset and returned to the pool.
     pub fn retire_below(&mut self, floor: u64) {
-        if self.window <= 1 || floor <= self.retire_floor {
+        if floor <= self.retire_floor {
             return;
         }
         // The ring's front is the lowest slot, so instances enter the pool
@@ -219,16 +233,41 @@ mod tests {
     }
 
     #[test]
-    fn sequential_mux_never_retires() {
+    fn sequential_mux_retires_and_recycles_like_any_window() {
         let mut m = mux();
+        assert_eq!(m.window(), 1);
         for slot in 0..10 {
             let (_, how) = m.checkout(slot);
             assert_eq!(how, Checkout::Allocated);
         }
         m.retire_below(8);
-        assert_eq!(m.retire_floor(), 0, "window 1 keeps every instance live");
-        assert_eq!(m.live(), 10);
-        assert_eq!(m.recycled(), 0);
+        assert_eq!(m.retire_floor(), 8);
+        assert!(m.is_retired(7) && !m.is_retired(8));
+        assert_eq!(m.live(), 2);
+        // Retired in ascending slot order, handed out newest first.
+        for (slot, freed) in (10..18).zip((0..8).rev()) {
+            let (_, how) = m.checkout(slot);
+            assert_eq!(how, Checkout::Recycled(freed));
+        }
+        assert_eq!(m.checkout(18).1, Checkout::Allocated);
+        assert_eq!((m.recycled(), m.allocated()), (8, 11));
+    }
+
+    #[test]
+    fn the_retirement_line_trails_by_a_window_and_spares_the_last_two() {
+        let mut m = mux();
+        // A 100-slot log at W = 1: floor 50 retires below 49, and the
+        // line stops at 98 however far the floor goes.
+        assert_eq!(m.retire_line(50, 100), 49);
+        assert_eq!(m.retire_line(99, 100), 98);
+        assert_eq!(m.retire_line(100, 100), 98);
+        assert_eq!(m.retire_line(0, 100), 0);
+        m.set_window(8);
+        assert_eq!(m.retire_line(50, 100), 42);
+        assert_eq!(m.retire_line(100, 100), 84);
+        // A log of two windows or less never retires.
+        assert_eq!(m.retire_line(16, 16), 0);
+        assert_eq!(m.retire_line(10, 10), 0);
     }
 
     #[test]
@@ -307,7 +346,6 @@ mod tests {
     /// The mux as it was spelled over a `HashMap` keyed by slot, kept as
     /// the reference: the map's values stand in for the instances.
     struct Reference {
-        window: u64,
         active: HashMap<u64, ()>,
         pool: Vec<u64>,
         retire_floor: u64,
@@ -331,7 +369,7 @@ mod tests {
         }
 
         fn retire_below(&mut self, floor: u64) {
-            if self.window <= 1 || floor <= self.retire_floor {
+            if floor <= self.retire_floor {
                 return;
             }
             let mut below: Vec<u64> = self.active.keys().copied().filter(|s| *s < floor).collect();
@@ -383,7 +421,6 @@ mod tests {
         fn ring_acts_like_the_hash_map_reference(ops in proptest::collection::vec(op_strategy(), 1..200)) {
             let mut m = mux();
             let mut reference = Reference {
-                window: 1,
                 active: HashMap::new(),
                 pool: Vec::new(),
                 retire_floor: 0,
@@ -394,7 +431,6 @@ mod tests {
                 match *op {
                     Op::Window(w) => {
                         m.set_window(w);
-                        reference.window = w;
                     }
                     Op::Checkout(above) => {
                         let slot = reference.retire_floor + above;

@@ -187,7 +187,16 @@ pub struct SlotPath {
 struct CatchUpState<C> {
     replies: HashMap<u64, Vec<(C, Vec<ProcessId>)>>,
     attempt: u32,
+    /// Whether the retry loop runs, i.e. a [`ReplicaMsg::CatchUpTick`] is
+    /// in flight.
     active: bool,
+    /// The loop asks until the committed floor reaches this slot.
+    until: u64,
+    /// The committed floor `ahead` was gathered at.
+    ahead_floor: u64,
+    /// Peers seen proposing a slot two windows or more past `ahead_floor`
+    /// (see [`Replica::note_proposal`]).
+    ahead: Vec<ProcessId>,
 }
 
 impl<C> Default for CatchUpState<C> {
@@ -196,6 +205,9 @@ impl<C> Default for CatchUpState<C> {
             replies: HashMap::new(),
             attempt: 0,
             active: false,
+            until: 0,
+            ahead_floor: 0,
+            ahead: Vec::new(),
         }
     }
 }
@@ -307,11 +319,11 @@ impl<SM: StateMachine> Replica<SM> {
     }
 
     /// Turns on the pipelined engine: up to `window` slots run their DEX
-    /// instances concurrently, decided slots retire into the recycling
-    /// pool once the committed floor slides a full window past them, and
-    /// same-window UC fallbacks are coalesced into [`ReplicaMsg::UcBatch`]
-    /// rounds. `window == 1` is the sequential pre-pipeline engine,
-    /// byte-for-byte.
+    /// instances concurrently and same-window UC fallbacks are coalesced
+    /// into [`ReplicaMsg::UcBatch`] rounds. At every window, `1` (the
+    /// sequential engine) included, decided slots retire into the
+    /// recycling pool once the committed floor slides a full window past
+    /// them.
     pub fn enable_pipelining(&mut self, window: u64) {
         self.mux.set_window(window);
     }
@@ -459,11 +471,13 @@ impl<SM: StateMachine> Replica<SM> {
     }
 
     /// Retires decided slots a full window behind the committed floor into
-    /// the recycling pool. No-op in sequential mode.
+    /// the recycling pool (at `W = 1`, slot `s` once the floor passes
+    /// `s + 1`), except the log's last two windows
+    /// ([`SlotMux::retire_line`]).
     fn slide_window(&mut self) {
         let floor = self.log.committed_prefix() as u64;
         self.mux
-            .retire_below(floor.saturating_sub(self.mux.window()));
+            .retire_below(self.mux.retire_line(floor, self.target_slots));
     }
 
     fn apply_ready(&mut self) {
@@ -485,6 +499,9 @@ impl<SM: StateMachine> Replica<SM> {
     ) {
         if slot >= self.target_slots {
             return; // Byzantine traffic beyond the agreed horizon
+        }
+        if let SlotInput::Msg(DexMsg::Proposal(_)) = input {
+            self.note_proposal(from, slot, ctx);
         }
         if self.mux.is_retired(slot) {
             // Retired ⊆ committed prefix: the instance has been recycled,
@@ -567,6 +584,47 @@ impl<SM: StateMachine> Replica<SM> {
         }
     }
 
+    /// Watches for peers that have retired this replica's first
+    /// uncommitted slot, and asks them for it.
+    ///
+    /// A correct peer proposes slot `x` only after committing `x − W`, so
+    /// its retirement line is at least
+    /// [`retire_line`](SlotMux::retire_line)`(x − W + 1)`: once that line
+    /// passes `floor` (away from the log's last two windows, once
+    /// `x ≥ floor + 2W`), the sender will answer for `floor` only through
+    /// catch-up. A slot's instance here can stall once its peers retire
+    /// it: if its P2 test fails, its decision waits on the underlying
+    /// consensus, whose coordinator announces only after `n − t` peers'
+    /// proposals, and a peer that committed the slot early may retire it
+    /// before it proposes there. When the `t + 1`-th peer (so at least one
+    /// correct) proves it retired `floor`, the replica asks for `floor`
+    /// until it commits there, and adopts it from `t + 1` matching
+    /// replies.
+    fn note_proposal(
+        &mut self,
+        from: ProcessId,
+        slot: u64,
+        ctx: &mut Context<'_, ReplicaMsg<SM::Command>>,
+    ) {
+        let floor = self.log.committed_prefix() as u64;
+        let committed_there = (slot + 1).saturating_sub(self.mux.window());
+        if from == self.me || self.mux.retire_line(committed_there, self.target_slots) <= floor {
+            return;
+        }
+        let catch_up = &mut self.catch_up;
+        if catch_up.ahead_floor != floor {
+            catch_up.ahead_floor = floor;
+            catch_up.ahead.clear();
+        }
+        if catch_up.ahead.contains(&from) {
+            return;
+        }
+        catch_up.ahead.push(from);
+        if catch_up.ahead.len() == self.config.t() + 1 {
+            self.start_catch_up(floor + 1, ctx);
+        }
+    }
+
     /// Commits a slot learned through the catch-up protocol (quorum of
     /// matching replies) and persists it like any other commit.
     fn adopt_slot(&mut self, slot: u64, value: SM::Command) {
@@ -585,11 +643,28 @@ impl<SM: StateMachine> Replica<SM> {
         }
     }
 
+    /// Asks for the first missing slot now, and keeps asking with backoff
+    /// until the committed floor reaches `until`. A loop already running
+    /// takes on the later of the two targets and restarts its backoff.
+    fn start_catch_up(&mut self, until: u64, ctx: &mut Context<'_, ReplicaMsg<SM::Command>>) {
+        self.catch_up.attempt = 0;
+        if self.catch_up.active {
+            // The loop's tick is in flight and keeps it going.
+            self.catch_up.until = self.catch_up.until.max(until);
+            let from_slot = self.log.committed_prefix() as u64;
+            ctx.broadcast(ReplicaMsg::CatchUpRequest { from_slot });
+        } else {
+            self.catch_up.until = until;
+            self.request_catch_up(ctx);
+        }
+    }
+
     /// Broadcasts a catch-up request for the first missing slot and arms
-    /// the next backoff timer.
+    /// the next backoff timer, unless the floor has reached the loop's
+    /// target.
     fn request_catch_up(&mut self, ctx: &mut Context<'_, ReplicaMsg<SM::Command>>) {
         let prefix = self.log.committed_prefix() as u64;
-        if prefix >= self.target_slots {
+        if prefix >= self.catch_up.until {
             self.catch_up.active = false;
             return;
         }
@@ -655,11 +730,9 @@ impl<SM: StateMachine> Replica<SM> {
             }
         }
         if adopted {
+            // The loop, if one runs, stops at its next tick.
             self.apply_ready();
             self.propose_due_slots(ctx);
-            if self.log.committed_prefix() as u64 >= self.target_slots {
-                self.catch_up.active = false;
-            }
         }
     }
 
@@ -669,11 +742,7 @@ impl<SM: StateMachine> Replica<SM> {
         ctx: &mut Context<'_, ReplicaMsg<SM::Command>>,
     ) {
         if from != self.me || !self.catch_up.active {
-            return; // forged tick, or the gap already closed
-        }
-        if self.log.committed_prefix() as u64 >= self.target_slots {
-            self.catch_up.active = false;
-            return;
+            return; // forged tick, or a tick from before a restart
         }
         if self.catch_up.attempt >= CATCH_UP_MAX_ATTEMPTS {
             // Degrade to fallback: stop the retry loop and let the live
@@ -890,7 +959,7 @@ impl<SM: StateMachine> Recoverable for Replica<SM> {
             }
         }
         self.propose_due_slots(ctx);
-        self.request_catch_up(ctx);
+        self.start_catch_up(self.target_slots, ctx);
     }
 }
 
@@ -929,9 +998,9 @@ pub struct GenericClusterOptions<C> {
     /// crash windows in this runner.
     pub reliable: bool,
     /// Pipeline window `W`: how many slots each replica keeps in flight
-    /// concurrently. `1` (the default) is the sequential engine,
-    /// byte-for-byte; larger windows enable slot recycling and UC
-    /// coalescing (see [`Replica::enable_pipelining`]).
+    /// concurrently. `1` (the default) is the sequential engine; larger
+    /// windows add UC coalescing (see [`Replica::enable_pipelining`]).
+    /// Every window recycles retired slot instances.
     pub window: u64,
     /// Coalesce each replica's per-tick `Dest::All` echoes into
     /// [`ReplicaMsg::EchoBatch`] multicasts (see
@@ -978,7 +1047,7 @@ pub struct GenericClusterOutcome<C> {
     /// bytes on wire, …).
     pub net: NetStats,
     /// Per-replica count of recycled slot instances (`0` for Byzantine
-    /// replicas and in sequential mode).
+    /// replicas).
     pub recycled: Vec<u64>,
     /// Per-replica count of messages saved by UC-batch coalescing.
     pub uc_coalesced: Vec<u64>,
@@ -1553,6 +1622,197 @@ mod tests {
                 "seed {seed}: {log:?}"
             );
         }
+    }
+
+    /// Runs the durable n = 13 log `chaoslog-n13` runs, at window 1 or
+    /// `window`: an `EchoPoison` replica, replica 3 down from tick 30 to
+    /// tick 300 and client queues that each see adjacent pairs swapped, so
+    /// slots take all three decision paths and the restarted replica
+    /// catches up on slots its peers have retired. Checks that the log is
+    /// the client values, each once, and returns each correct replica's
+    /// `(id, instances allocated, instances recycled, restarts)`.
+    fn run_swapped_log(slots: u64, window: u64, seed: u64) -> Vec<(ProcessId, u64, u64, u32)> {
+        let config = SystemConfig::new(13, 2).unwrap();
+        let stream: Vec<u64> = (1..=slots).collect();
+        let pending: Vec<Vec<u64>> = (0..config.n())
+            .map(|i| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(1000 + i as u64);
+                let mut queue = stream.clone();
+                let mut at = 0;
+                while at + 1 < queue.len() {
+                    if rng.random_bool(0.2) {
+                        queue.swap(at, at + 1);
+                        at += 2;
+                    } else {
+                        at += 1;
+                    }
+                }
+                queue
+            })
+            .collect();
+        let options = GenericClusterOptions {
+            durable: true,
+            byzantine: vec![12],
+            byz_values: vec![u64::MAX, u64::MAX - 1],
+            faults: FaultSchedule::none().crash_restart(ProcessId::new(3), 30, 300),
+            window,
+            ..GenericClusterOptions::new(config, pending, slots, seed)
+        };
+        let mut sim = Simulation::builder(build_cluster::<TotalOrder<u64>>(&options))
+            .seed(seed)
+            .delay(DelayModel::Uniform { min: 1, max: 10 })
+            .faults(options.faults.clone())
+            .recoverable()
+            .build();
+        let run = sim.run(50_000_000);
+        let outcome = collect_outcome(
+            sim.actors().iter(),
+            &options,
+            run.quiescent,
+            run.ended_at.as_units(),
+            sim.stats().clone(),
+        );
+        assert!(outcome.converged(), "seed {seed}");
+        let mut committed: Vec<u64> = outcome.logs[0]
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|v| *v != 0)
+            .collect();
+        committed.sort_unstable();
+        assert_eq!(committed, stream, "seed {seed}: each client value once");
+        sim.actors()
+            .iter()
+            .filter_map(|node| match node {
+                Node::Correct(r) => Some((
+                    r.me(),
+                    r.mux().allocated(),
+                    r.mux().recycled(),
+                    r.restarts(),
+                )),
+                Node::Byz(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sequential_replicas_keep_a_bounded_set_of_slot_instances() {
+        // At seed 8 a replica's slot falls back to the underlying
+        // consensus after its peers retired it: only the catch-up request
+        // `note_proposal` sends completes it.
+        let slots = 300;
+        for seed in [7401, 8] {
+            for (me, allocated, recycled, restarts) in run_swapped_log(slots, 1, seed) {
+                // Slot s retires once the floor passes s + 1, so each
+                // incarnation of a replica allocates a handful of
+                // instances around its open slot: never one per slot.
+                let bound = 8 * (1 + u64::from(restarts));
+                assert!(
+                    allocated <= bound,
+                    "seed {seed}: replica {me} allocated {allocated} instances for {slots} slots"
+                );
+                assert!(recycled > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_stall_in_the_last_two_windows_of_the_log_still_converges() {
+        // At 300 slots, seeds 77, 138 and 180 each stall one replica at
+        // slot 49 until `note_proposal` asks for it. Cut after slot 50,
+        // the log puts that slot second to last, where no peer proposes
+        // two windows past it: only the live instances the peers keep in
+        // the log's last two windows finish it (each seed leaves a
+        // replica short of the log when those retire too).
+        for seed in [77, 138, 180] {
+            run_swapped_log(51, 1, seed);
+        }
+    }
+
+    /// Delivers `msg` from `from` to `replica` and returns what it sent:
+    /// catch-up requests (their `from_slot`) and armed timer delays.
+    fn deliver(
+        replica: &mut Replica<TotalOrder<u64>>,
+        from: usize,
+        msg: ReplicaMsg<u64>,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut ctx = Context::external(
+            replica.me(),
+            replica.config.n(),
+            dex_simnet::Time::ZERO,
+            StepDepth::ZERO,
+            &mut rng,
+        );
+        replica.on_message(ProcessId::new(from), &msg, &mut ctx);
+        let asked = ctx
+            .take_outbox()
+            .into_iter()
+            .filter_map(|(_, m)| match m {
+                ReplicaMsg::CatchUpRequest { from_slot } => Some(from_slot),
+                _ => None,
+            })
+            .collect();
+        let delays = ctx.take_timers().into_iter().map(|(d, _)| d).collect();
+        (asked, delays)
+    }
+
+    #[test]
+    fn a_stall_starts_its_own_catch_up_loop_which_stops_at_the_stalled_slot() {
+        let mut r = Replica::<TotalOrder<u64>>::new(
+            cfg(),
+            ProcessId::new(1),
+            ProcessId::new(0),
+            vec![7],
+            20,
+        );
+        let proposal = |slot| ReplicaMsg::Slot {
+            slot,
+            inner: DexMsg::Proposal(9),
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut ctx = Context::external(
+            ProcessId::new(1),
+            7,
+            dex_simnet::Time::ZERO,
+            StepDepth::ZERO,
+            &mut rng,
+        );
+        // A restart's loop that went unanswered to the end.
+        r.restart(&mut ctx);
+        for _ in 0..CATCH_UP_MAX_ATTEMPTS {
+            deliver(&mut r, 1, ReplicaMsg::CatchUpTick);
+        }
+        assert!(!r.catch_up.active, "the retry budget ran out");
+        // Slot 2 is two windows past the floor: one proposer could be
+        // Byzantine, the second (t + 1 = 2) proves slot 0 retired.
+        assert_eq!(deliver(&mut r, 2, proposal(2)), (vec![], vec![]));
+        assert_eq!(
+            deliver(&mut r, 3, proposal(2)),
+            (vec![0], vec![CATCH_UP_RTO])
+        );
+        // Further proof of the same stall asks nothing more.
+        assert_eq!(deliver(&mut r, 4, proposal(3)), (vec![], vec![]));
+        // An earlier backoff does not delay the next request.
+        let (asked, delays) = deliver(&mut r, 1, ReplicaMsg::CatchUpTick);
+        assert_eq!((asked, delays), (vec![0], vec![CATCH_UP_RTO << 1]));
+        // Slot 0 adopted from t + 1 matching replies: the next tick ends
+        // the loop, though slots 1 to 19 are still missing.
+        for from in [2, 3] {
+            let reply = ReplicaMsg::CatchUpReply {
+                slots: vec![(0, 7)],
+            };
+            deliver(&mut r, from, reply);
+        }
+        assert_eq!(r.log().committed_prefix(), 1);
+        assert_eq!(
+            deliver(&mut r, 1, ReplicaMsg::CatchUpTick),
+            (vec![], vec![])
+        );
+        assert!(!r.catch_up.active);
+        // A stall at the new floor asks again at once.
+        deliver(&mut r, 2, proposal(3));
+        assert_eq!(deliver(&mut r, 3, proposal(3)).0, vec![1]);
     }
 
     #[test]

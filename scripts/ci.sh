@@ -21,7 +21,9 @@
 #                    results/logs transcripts, results/*.csv unchanged;
 #                    dex-sim --pipeline 8:4 --seed 5 --stats at n = 31, 63
 #                    and 127, and at n = 31 with --aggregate, equals
-#                    results/logs/pipeline_n{31,31_agg,63,127}_seed5.log
+#                    results/logs/pipeline_n{31,31_agg,63,127}_seed5.log;
+#                    the sequential log (--pipeline 1:4 at n = 7) equals
+#                    results/logs/pipeline_n7_w1_seed5.log
 #   chaos-matrix     chaos schedules x seeds through the invariant checker
 #   recovery-matrix  --chaos crash-restart across seeds through the checker,
 #                    seed 31 artifact twice, cmp (the recovery test suite
@@ -31,7 +33,8 @@
 #   netd-smoke       dex-netd's tests three times in a row (a lost wake-up
 #                    of a mesh's I/O thread is a rare hang, not a
 #                    failure), then a real-process TCP cluster: MATRIX
-#                    cell + kill -9 respawn, and the n = 31, t = 5 cells
+#                    cell + kill -9 respawn, a divergent kill -9 at
+#                    window 1, and the n = 31, t = 5 cells
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
 #                    fault traces, divergent-state kill -9, a campaign point
 #   benchmark-smoke  benchmark/ builds and tests offline against this
@@ -157,6 +160,9 @@ stage_results() {
     | diff results/logs/pipeline_n63_seed5.log -
   ./target/release/dex-sim --n 127 --t 21 --pipeline 8:4 --seed 5 --stats \
     | diff results/logs/pipeline_n127_seed5.log -
+  echo "== results: dex-sim --pipeline 1:4 --seed 5 --stats at n = 7 (the sequential log) vs results/logs/pipeline_n7_w1_seed5.log"
+  ./target/release/dex-sim --n 7 --t 1 --pipeline 1:4 --seed 5 --stats \
+    | diff results/logs/pipeline_n7_w1_seed5.log -
 }
 
 stage_chaos_matrix() {

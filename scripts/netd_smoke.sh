@@ -8,7 +8,10 @@
 # restart count itself and exits non-zero otherwise; this script checks
 # the artifact it leaves behind (results/netd_31.json: valid JSON, via
 # check_json from scripts/ci.sh, with the kill9 row) and that --stats
-# printed the wire breakdown line.
+# printed the wire breakdown line. A second kill -9 runs at window 1, the
+# default: the survivors retire the slots the victim misses while it is
+# down, so the respawned victim can only fetch them by catch-up
+# (results/netd_32.json).
 #
 # Then the paper's n = 31, t = 5 point (n > 6t) on real sockets: 31
 # processes, each with one mesh I/O thread, must all decide each cell
@@ -33,6 +36,14 @@ grep -q '"cell":"kill9"' results/netd_31.json
 grep -q '"converged":true' results/netd_31.json
 grep -q '"restarts":1' results/netd_31.json
 
+rm -f results/netd_32.json
+./target/release/dex-netd --cluster --n 7 --t 1 --phase kill9 --kill 4:divergent \
+  --slots 16 --pipeline 1 --seed 32 --timeout-secs 120
+check_json results/netd_32.json
+grep -q '"window":1,' results/netd_32.json
+grep -q '"converged":true' results/netd_32.json
+grep -q '"restarts":1' results/netd_32.json
+
 rm -f results/netd_7.json
 ./target/release/dex-netd --cluster \
   --n 31 --t 5 --phase cells --runs 2 --seed 7 | tee "$out"
@@ -43,4 +54,4 @@ if grep '^cell ' "$out" | grep -v ': decided [0-9]* (31 of 31 '; then
   exit 1
 fi
 
-echo "netd smoke OK: cells decided, kill -9 + respawn converged, n = 31 decided"
+echo "netd smoke OK: cells decided, kill -9 + respawn converged at windows 4 and 1, n = 31 decided"
