@@ -137,7 +137,8 @@ impl<A: Actor> Reliable<A> {
     }
 
     /// Runs `f` against the inner actor under a shadow context, then
-    /// wraps its outbox in tracked `Data` envelopes and re-arms timers.
+    /// wraps its outbox — depth-stamped sends included — in tracked `Data`
+    /// envelopes and re-arms timers.
     fn drive_inner(
         &mut self,
         ctx: &mut Context<'_, ReliableMsg<A::Msg>>,
@@ -150,7 +151,7 @@ impl<A: Actor> Reliable<A> {
             (inner_ctx.take_outbox(), inner_ctx.take_timers())
         };
         let now = now.as_units();
-        for (dest, msg) in out {
+        for (dest, msg, at) in out {
             let seq = self.next_seq;
             self.next_seq += 1;
             let waiting: Vec<u16> = match dest {
@@ -166,7 +167,10 @@ impl<A: Actor> Reliable<A> {
                     due: now + self.policy.rto,
                 },
             );
-            ctx.send_dest(dest, ReliableMsg::Data { seq, msg });
+            // The first attempt leaves at the inner send's own depth (an
+            // echo-aggregation flush stamps its batches); retransmissions
+            // leave at the retry tick's.
+            ctx.send_dest_at(dest, ReliableMsg::Data { seq, msg }, at);
         }
         for (delay, msg) in timers {
             ctx.send_self_after(delay, ReliableMsg::Timer(msg));

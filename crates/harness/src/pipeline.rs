@@ -271,6 +271,28 @@ mod tests {
     }
 
     #[test]
+    fn a_long_window_8_log_retires_and_recycles_slots_byte_for_byte() {
+        // 64 slots are eight windows: every replica retires and recycles
+        // all but the last two windows' instances. The counts, the drain
+        // time, the wire bytes and the committed log are pinned.
+        let out = PipelineRun::from_spec(&spec(8, 4, 5), 64)
+            .unwrap()
+            .execute();
+        let digest = out
+            .log
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+                (h ^ v).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(out.committed_values, 64 * 4);
+        assert_eq!(
+            (out.recycled, out.ticks, out.bytes_on_wire, digest),
+            (304, 98, 1_381_432, 0xad46_4b9f_c6fa_cddd)
+        );
+    }
+
+    #[test]
     fn traced_run_carries_pipeline_meta_and_passes_the_checker() {
         let run = PipelineRun::from_spec(&spec(4, 2, 31), 6).unwrap();
         let (outcome, trace) = run.traced();

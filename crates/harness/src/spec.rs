@@ -494,7 +494,7 @@ fn crash_victims(config: SystemConfig, plan: &FaultPlan) -> impl Iterator<Item =
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PipelineSpec {
     /// Slots each replica may keep in flight past its committed prefix
-    /// (`1` = the sequential engine, byte-for-byte).
+    /// (`1` = the sequential engine).
     pub window: u64,
     /// Client values batched into each slot's proposed command.
     pub batch: u64,
@@ -606,53 +606,38 @@ impl AddressTable {
     }
 }
 
-/// The netd kill-9 schedule (`--kill <after>[:divergent]`): SIGKILL the
-/// victim replica once its committed prefix reaches `after`, and — when
-/// `divergent` — give every replica a *different* pending-command stream
-/// so the kill lands mid-disagreement and recovery must reconcile real
-/// divergence (WAL replay + `t+1` catch-up), not just replay identical
-/// state.
+/// The netd kill-9 schedule (`--kill <after>`): SIGKILL the victim
+/// replica once its committed prefix reaches `after`. Every replica
+/// proposes its own pending-command stream, so the victim dies holding
+/// state no peer can recompute, and recovery must reconcile it (WAL replay
+/// + `t + 1` catch-up).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct KillSpec {
     /// Victim committed-prefix threshold that triggers the SIGKILL (≥ 1).
     pub after: u64,
-    /// Whether replicas propose divergent per-process pending commands.
-    pub divergent: bool,
 }
 
 impl Default for KillSpec {
     fn default() -> Self {
-        KillSpec {
-            after: 1,
-            divergent: false,
-        }
+        KillSpec { after: 1 }
     }
 }
 
 impl KillSpec {
-    /// Parses a `--kill` value (`<after>` or `<after>:divergent`).
+    /// Parses a `--kill` value: the prefix threshold.
     pub fn parse(raw: &str) -> Result<Self, String> {
-        let (after, divergent) = match raw.split(':').collect::<Vec<_>>().as_slice() {
-            [a] => (*a, false),
-            [a, "divergent"] => (*a, true),
-            _ => return Err(format!("unknown kill schedule {raw:?}")),
-        };
-        let after: u64 = after
+        let after: u64 = raw
             .parse()
             .map_err(|_| format!("bad prefix threshold in kill schedule {raw:?}"))?;
         if after == 0 {
-            return Err("kill threshold must be ≥ 1 (a victim with nothing committed has no divergent state to recover)".into());
+            return Err("kill threshold must be ≥ 1 (a victim with nothing committed has no state of its own to recover)".into());
         }
-        Ok(KillSpec { after, divergent })
+        Ok(KillSpec { after })
     }
 
     /// Renders the `--kill` value this spec parses from.
     pub fn flag(&self) -> String {
-        if self.divergent {
-            format!("{}:divergent", self.after)
-        } else {
-            self.after.to_string()
-        }
+        self.after.to_string()
     }
 }
 
@@ -761,8 +746,7 @@ pub struct RunSpec {
     /// netd peer table (`--peers`).
     pub runtime: RuntimeSpec,
     /// The netd kill-9 schedule (`--kill`); only the cluster harness's
-    /// kill9 phase consults it. The default (`1`, non-divergent) is the
-    /// established kill-at-first-commit schedule.
+    /// kill -9 run consults it. The default `1` kills at the first commit.
     pub kill: KillSpec,
     /// Print the per-class wire-statistics breakdown after the batch (the
     /// valueless `--stats` flag).
@@ -1165,10 +1149,7 @@ mod tests {
             },
             aggregate: true,
             runtime: RuntimeSpec::Thread,
-            kill: KillSpec {
-                after: 2,
-                divergent: true,
-            },
+            kill: KillSpec { after: 2 },
             stats: true,
             runs: 8,
             seed: 31,
@@ -1486,41 +1467,17 @@ mod tests {
 
     #[test]
     fn kill_schedule_parses_round_trips_and_defaults() {
-        assert_eq!(
-            KillSpec::default(),
-            KillSpec {
-                after: 1,
-                divergent: false
-            }
-        );
-        assert_eq!(
-            KillSpec::parse("3:divergent").unwrap(),
-            KillSpec {
-                after: 3,
-                divergent: true
-            }
-        );
-        assert_eq!(
-            KillSpec::parse("2").unwrap(),
-            KillSpec {
-                after: 2,
-                divergent: false
-            }
-        );
+        assert_eq!(KillSpec::default(), KillSpec { after: 1 });
+        assert_eq!(KillSpec::parse("2").unwrap(), KillSpec { after: 2 });
         assert!(KillSpec::parse("0").is_err(), "threshold must be ≥ 1");
-        assert!(KillSpec::parse("3:weird").is_err());
+        // There is one kill schedule: no suffix selects another.
+        assert!(KillSpec::parse("3:divergent").is_err());
         let spec = RunSpec {
-            kill: KillSpec {
-                after: 2,
-                divergent: true,
-            },
+            kill: KillSpec { after: 2 },
             ..RunSpec::default()
         };
         assert_eq!(RunSpec::from_args(&spec.to_args()).unwrap(), spec);
-        assert!(spec
-            .to_args()
-            .windows(2)
-            .any(|w| w == ["--kill", "2:divergent"]));
+        assert!(spec.to_args().windows(2).any(|w| w == ["--kill", "2"]));
         let default = RunSpec::default().to_args();
         assert!(default.windows(2).any(|w| w == ["--kill", "1"]));
         assert!(!default.iter().any(|a| a == "--peers"));

@@ -1,8 +1,9 @@
 //! The cluster harness: spawn, drive, kill and judge real OS processes.
 //!
 //! `dex-netd --cluster` is the orchestrator. From one [`RunSpec`] — the
-//! same serializable spec that drives simnet and threadnet — it runs two
-//! phases on localhost TCP:
+//! same serializable spec that drives simnet and threadnet — it runs one
+//! of two phases on localhost TCP: the kill -9 run when the invocation
+//! names `--slots K`, the consensus cells otherwise.
 //!
 //! 1. **Consensus cells** (the campaign MATRIX's fault-free cells): run
 //!    `i` is the spec's batch run `i` ([`RunSpec::instance`] — the very
@@ -15,16 +16,19 @@
 //!    agreement and unanimity and folded into the [`BatchStats`] ledger
 //!    every runtime shares, next to its *simnet twin*: the same
 //!    [`RunInstance`] run in the simulator.
-//! 2. **kill -9 + respawn**: `n` replica children run multi-slot DEX
-//!    against per-process [`FileWal`]s. One non-coordinator victim is
-//!    killed with a literal `SIGKILL` mid-run, then respawned with
-//!    `--respawn`; the fresh incarnation replays its WAL, re-proposes,
-//!    and closes the gap through the `t + 1`-vouched catch-up protocol.
-//!    The phase converges when every replica reports the full committed
-//!    prefix and a single state-machine digest.
+//! 2. **kill -9 + respawn**: `n` replica children run `K` slots of DEX,
+//!    each proposing its own pending stream, against per-process
+//!    [`FileWal`]s. One non-coordinator victim — a fault, so the run needs
+//!    `t ≥ 1` — is killed with a literal `SIGKILL` mid-run; every survivor
+//!    must then commit past it before the victim is respawned with
+//!    `--respawn`. The fresh incarnation replays its WAL, re-proposes, and
+//!    closes the gap through the `t + 1`-vouched catch-up protocol. The
+//!    phase converges when every replica reports the full committed prefix
+//!    and a single state-machine digest.
 //!
 //! A child's argv is its run's own [`RunSpec::to_args`] (the run seed,
-//! `--runtime netd --peers <table>`) plus role flags; children report on
+//! `--runtime netd --peers <table>`) plus role flags — a child given
+//! `--wal` is a replica, any other a consensus process; children report on
 //! stdout in the [`Report`] line grammar, from one serve loop (pump, print
 //! what changed, keep serving).
 //!
@@ -32,8 +36,8 @@
 //! lines, tagged with the child's spawn index, on the phase's one channel,
 //! and each line folds into that spawn's ledger: highest committed prefix,
 //! decision, `DONE`, `STATS`, chaos links. A respawn is a new spawn with
-//! an empty ledger. Each phase step — a cell's decisions, the kill -9
-//! victim's prefix, the survivors' floor, convergence — is one wait until
+//! an empty ledger. Each step — a cell's decisions, the kill -9 victim's
+//! prefix, the survivors' floor, convergence — is one wait until
 //! a predicate holds of every awaited ledger. A wait fails at once on a
 //! malformed report or a child that exited on its own (its id, exit status
 //! and stderr tail), and at the deadline it names every awaited process
@@ -41,9 +45,10 @@
 //!
 //! The parent writes the wall-clock artifact `results/netd_<seed>.json`:
 //! the spec as the `dex-sim` flags that replay it, next to a `"bench"`
-//! object of per-cell rows (a consensus row ends with its twin's one- and
-//! two-step counts). Each child also watches its stdin and exits when the
-//! parent goes away, so an aborted harness never leaks orphan processes.
+//! object of rows — one per consensus cell, each ending with its twin's
+//! one- and two-step counts, or the one kill -9 row. Each child also
+//! watches its stdin and exits when the parent goes away, so an aborted
+//! harness never leaks orphan processes.
 
 use crate::chaos::{splitmix64, ChaosReport, ChaosRuntime};
 use crate::codec::WireCodec;
@@ -72,28 +77,16 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Which phases a `--cluster` invocation runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Phase {
-    /// Fault-free consensus cells only.
-    Cells,
-    /// The kill -9 + respawn replication run only.
-    Kill9,
-    /// Both, cells first.
-    Both,
-}
-
 /// Parsed `--cluster` options: the shared [`RunSpec`] plus netd-specific
 /// knobs.
 #[derive(Clone, Debug)]
 pub struct ClusterOpts {
     /// The spec driving workload, `n`/`t`, seeding, `--stats`, the kill9
-    /// window (`--pipeline <W>`) and kill schedule (`--kill`).
+    /// window (`--pipeline <W>`) and kill threshold (`--kill`).
     pub spec: RunSpec,
-    /// Committed slots the kill-9 phase must reach.
-    pub slots: u64,
-    /// Phase selection.
-    pub phase: Phase,
+    /// `--slots K`: run the kill -9 phase to `K` committed slots. `None`
+    /// runs the consensus cells.
+    pub slots: Option<u64>,
     /// Per-phase wall-clock budget before the harness gives up.
     pub timeout: Duration,
 }
@@ -104,8 +97,8 @@ pub struct NodeOpts {
     /// This process's id.
     pub me: ProcessId,
     /// The run's spec: system size, run seed, workload, chaos schedule
-    /// and fault budget, aggregation, kill9 window and divergence, and the
-    /// `--peers` table this child binds entry `me` of.
+    /// and fault budget, aggregation, kill9 window, and the `--peers`
+    /// table this child binds entry `me` of.
     pub spec: RunSpec,
     /// What this child runs.
     pub role: Role,
@@ -121,7 +114,7 @@ pub enum Role {
         /// failed wait reaches the parent inside the budget.
         timeout: Duration,
     },
-    /// Multi-slot replication against a WAL.
+    /// Multi-slot replication against a WAL (the child given `--wal`).
     Replica {
         /// WAL path (unique per process, stable across respawns).
         wal: PathBuf,
@@ -396,29 +389,17 @@ fn replica_node(
     respawn: bool,
 ) -> Result<(), String> {
     let spec = &opts.spec;
-    // Identical pending client commands at every replica — the
-    // replicated-log setting: all replicas order the same request
-    // stream, so every slot's consensus instance is unanimous. Under
-    // `--kill N:divergent` every process instead derives its *own*
-    // pending stream from `(seed, me, slot)`: slots are contested,
-    // decisions ride the coordinator fallback, and the kill -9 victim
-    // dies holding state no other process can reconstruct locally —
-    // convergence then proves WAL replay plus `t + 1` catch-up, not
-    // lockstep recomputation.
-    let pending: Vec<u64> = if spec.kill.divergent {
-        (0..slots)
-            .map(|s| splitmix64(spec.seed ^ ((opts.me.index() as u64) << 32) ^ s))
-            .collect()
-    } else {
-        (0..slots)
-            .map(|s| spec.seed.wrapping_mul(1000).wrapping_add(s))
-            .collect()
-    };
+    // Every process derives its *own* pending stream from `(seed, me,
+    // slot)`: slots are contested, decisions ride the coordinator
+    // fallback, and the kill -9 victim dies holding state no other process
+    // can reconstruct locally — convergence proves WAL replay plus `t + 1`
+    // catch-up, not lockstep recomputation.
+    let pending: Vec<u64> = (0..slots)
+        .map(|s| splitmix64(spec.seed ^ ((opts.me.index() as u64) << 32) ^ s))
+        .collect();
     let mut replica: Replica<TotalOrder<u64>> =
         Replica::new(cfg, opts.me, ProcessId::new(0), pending, slots);
-    if spec.pipeline.window > 1 {
-        replica.enable_pipelining(spec.pipeline.window);
-    }
+    replica.enable_pipelining(spec.pipeline.window);
     // `snapshot_every = 0`: never compact, recovery replays the full WAL.
     // In-memory snapshots would not survive a kill -9 anyway.
     let file_wal = FileWal::open(wal).map_err(|e| format!("wal {}: {e}", wal.display()))?;
@@ -839,7 +820,7 @@ fn run_consensus_cell(opts: &ClusterOpts, run_idx: usize) -> Result<CellRun, Str
     let run = child_spec(&spec, inst.seed, cluster_addrs(&spec)?);
     let mut children = Children::new(start + opts.timeout)?;
     let secs = opts.timeout.as_secs().to_string();
-    let role = ["--mode", "consensus", "--timeout-secs", &secs];
+    let role = ["--timeout-secs", &secs];
     for i in 0..spec.n {
         children.spawn(i, node_argv(i, &run, &role))?; // spawn `i` is process `i`
     }
@@ -872,8 +853,7 @@ pub struct Kill9Run {
     pub restarts: u64,
     /// The victim's committed prefix when the SIGKILL landed.
     pub killed_at: u64,
-    /// The prefix every survivor was proven past before the respawn
-    /// (divergent schedule only, else 0).
+    /// The prefix every survivor was proven past before the respawn.
     pub survivor_floor: u64,
     /// Whole-phase wall clock, µs.
     pub wall_us: u64,
@@ -883,35 +863,37 @@ pub struct Kill9Run {
     pub net: NetStats,
 }
 
-/// Runs the kill -9 schedule: spawn `n` replicas, SIGKILL a
-/// non-coordinator once its committed prefix reaches `spec.kill.after`,
-/// respawn it, require full convergence. Under `spec.kill.divergent` the
-/// replicas hold per-process *differing* pending commands, and every
-/// survivor must be proven past `min(slots, killed_at + 2)` while the
-/// victim is down — survivor progress, before any recovery — before the
-/// respawn is even spawned.
-fn run_kill9(opts: &ClusterOpts) -> Result<Kill9Run, String> {
+/// Runs the kill -9 schedule: spawn `n` replicas holding per-process
+/// *differing* pending commands, SIGKILL a non-coordinator once its
+/// committed prefix reaches `spec.kill.after`, prove every survivor past
+/// `min(slots, killed_at + 2)` while the victim is down — survivor
+/// progress, before any recovery — then respawn it and require full
+/// convergence at `slots`.
+fn run_kill9(opts: &ClusterOpts, slots: u64) -> Result<Kill9Run, String> {
     let wal_dir = std::env::temp_dir().join(format!(
         "dex-netd-{}-{}",
         std::process::id(),
         opts.spec.seed
     ));
     std::fs::create_dir_all(&wal_dir).map_err(|e| format!("wal dir: {e}"))?;
-    let run = run_kill9_in(opts, &wal_dir);
+    let run = run_kill9_in(opts, slots, &wal_dir);
     let _ = std::fs::remove_dir_all(&wal_dir);
     run
 }
 
-fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Run, String> {
+fn run_kill9_in(
+    opts: &ClusterOpts,
+    slots: u64,
+    wal_dir: &std::path::Path,
+) -> Result<Kill9Run, String> {
     let spec = &opts.spec;
-    let divergent = spec.kill.divergent;
     let start = Instant::now();
     let run = child_spec(spec, spec.seed, cluster_addrs(spec)?);
     let mut children = Children::new(start + opts.timeout)?;
-    let slots = opts.slots.to_string();
+    let target = slots.to_string();
     let spawn = |children: &mut Children, i: usize, respawn: bool| {
         let wal = wal_dir.join(format!("wal_{i}.log")).display().to_string();
-        let mut role = vec!["--mode", "replica", "--slots", &slots, "--wal", &wal];
+        let mut role = vec!["--slots", &target, "--wal", &wal];
         role.extend(respawn.then_some("--respawn"));
         children.spawn(i, node_argv(i, &run, &role))
     };
@@ -930,22 +912,18 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
     let killed_at = children.spawns[live[victim]].ledger.prefix.unwrap_or(0);
     // The literal kill -9 (SIGKILL via Child::kill).
     children.spawns[live[victim]].kill();
-    // Divergent schedule: before the respawn exists, every survivor must
-    // demonstrably outrun the dead victim — the cluster keeps committing
-    // with one replica's state gone and n - 1 divergent pending streams.
-    let mut survivor_floor = 0;
-    if divergent {
-        survivor_floor = opts.slots.min(killed_at + 2);
-        let survivors: Vec<usize> = (0..spec.n).filter(|i| *i != victim).collect();
-        let what = format!(
-            "kill9: survivors stalled below prefix {survivor_floor} while the victim was down"
-        );
-        children.wait_until(&what, &survivors, |l| l.prefix >= Some(survivor_floor))?;
-        println!(
-            "kill9: all {} survivors progressed to ≥ {survivor_floor} with the victim dead at {killed_at}",
-            spec.n - 1
-        );
-    }
+    // Before the respawn exists, every survivor must demonstrably outrun
+    // the dead victim — the cluster keeps committing with one replica's
+    // state gone and n - 1 divergent pending streams.
+    let survivor_floor = slots.min(killed_at + 2);
+    let survivors: Vec<usize> = (0..spec.n).filter(|i| *i != victim).collect();
+    let what =
+        format!("kill9: survivors stalled below prefix {survivor_floor} while the victim was down");
+    children.wait_until(&what, &survivors, |l| l.prefix >= Some(survivor_floor))?;
+    println!(
+        "kill9: all {} survivors progressed to ≥ {survivor_floor} with the victim dead at {killed_at}",
+        spec.n - 1
+    );
     // Now the respawn, with an empty ledger.
     live[victim] = spawn(&mut children, victim, true)?;
     println!(
@@ -964,11 +942,10 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
     drop(children);
     // One digest at the full prefix everywhere; one restart, the victim's.
     let (digest, restarts) = (dones[0].0, dones[victim].2);
-    if restarts != 1 || dones.iter().any(|d| d.0 != digest || d.1 != opts.slots) {
+    if restarts != 1 || dones.iter().any(|d| d.0 != digest || d.1 != slots) {
         return Err(format!(
-            "kill9: no convergence on prefix {} with 1 restart of process {victim}: \
-             (digest, prefix, restarts) per replica {dones:x?}",
-            opts.slots
+            "kill9: no convergence on prefix {slots} with 1 restart of process {victim}: \
+             (digest, prefix, restarts) per replica {dones:x?}"
         ));
     }
     Ok(Kill9Run {
@@ -988,7 +965,7 @@ fn run_kill9_in(opts: &ClusterOpts, wal_dir: &std::path::Path) -> Result<Kill9Ru
 /// per slot.
 fn validate_cluster(opts: &ClusterOpts) -> Result<(), String> {
     let spec = &opts.spec;
-    let kill9 = opts.phase != Phase::Cells;
+    let kill9 = opts.slots.is_some();
     let rules = [
         (
             !spec.runtime.is_netd(),
@@ -1017,12 +994,12 @@ fn validate_cluster(opts: &ClusterOpts) -> Result<(), String> {
         (
             matches!(spec.chaos, ChaosSpec::CrashRestart { .. }),
             "amnesiac crash-restart is a real process death on this runtime: \
-             use --phase kill9 (the kill -9 + respawn schedule) instead of --chaos crash-restart",
+             pass --slots K (the kill -9 + respawn run) instead of --chaos crash-restart",
         ),
         (
             !spec.chaos.is_none() && kill9,
-            "chaos schedules drive the consensus-cell phase only: add --phase cells \
-             (the kill -9 phase's fault is the SIGKILL itself)",
+            "chaos schedules drive the consensus cells only: drop --slots \
+             (the kill -9 run's fault is the SIGKILL itself)",
         ),
         (
             spec.f != 0 && spec.chaos.is_none(),
@@ -1030,18 +1007,18 @@ fn validate_cluster(opts: &ClusterOpts) -> Result<(), String> {
              and needs --chaos",
         ),
         (
-            spec.kill.divergent && spec.t == 0,
-            "--kill N:divergent needs t ≥ 1: divergent pending commands make slots \
-             contested, and recovery must close the gap through the t + 1-vouched catch-up",
+            kill9 && spec.t == 0,
+            "a kill -9 needs t ≥ 1: the killed replica is a fault, and DEX tolerates \
+             at most t of them",
         ),
     ];
     if let Some((_, why)) = rules.iter().find(|(broken, _)| *broken) {
         return Err(why.to_string());
     }
-    if kill9 && spec.kill.after >= opts.slots {
+    if let Some(slots) = opts.slots.filter(|&slots| spec.kill.after >= slots) {
         return Err(format!(
-            "--kill {} must land mid-run: it needs to be < --slots {}",
-            spec.kill.after, opts.slots
+            "--kill {} must land mid-run: it needs to be < --slots {slots}",
+            spec.kill.after
         ));
     }
     spec.config()
@@ -1049,52 +1026,109 @@ fn validate_cluster(opts: &ClusterOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the configured phases and writes the artifacts. The entry point
+/// Runs the invocation's phase and writes its artifacts. The entry point
 /// behind `dex-netd --cluster`.
 pub fn run_cluster(opts: &ClusterOpts) -> Result<(), String> {
-    let spec = &opts.spec;
     validate_cluster(opts)?;
-    let mut cells: Vec<CellRun> = Vec::new();
-    if opts.phase != Phase::Kill9 {
-        for i in 0..spec.runs {
-            let cell = run_consensus_cell(opts, i)?;
-            let one = ledger([(&cell.inst, &cell.result)]);
-            let twin = ledger([(&cell.inst, &cell.twin)]);
-            println!(
-                "cell {} run {i}: decided {} ({} of {} one-step, simnet {} of {}, chaos {}) in {:.1} ms",
-                spec.workload.flag(),
-                cell.result.decided().next().map_or(0, |r| r.value),
-                one.paths.count(&"1-step"),
-                one.paths.total(),
-                twin.paths.count(&"1-step"),
-                twin.paths.total(),
-                spec.chaos.label(),
-                cell.wall_us as f64 / 1000.0,
-            );
-            cells.push(cell);
-        }
-        if !spec.chaos.is_none() {
-            write_chaos_artifact(opts, &cells).map_err(|e| format!("chaos artifact: {e}"))?;
-            println!(
-                "chaos {}: per-link fault traces → results/netd_chaos_{}.json",
-                spec.chaos.flag(),
-                spec.seed
-            );
-        }
+    match opts.slots {
+        Some(slots) => kill9_phase(opts, slots),
+        None => cells_phase(opts),
     }
-    let kill9 = (opts.phase != Phase::Cells)
-        .then(|| run_kill9(opts))
-        .transpose()?;
-    if let Some(run) = &kill9 {
+}
+
+/// The consensus cells: `--runs` cells, then the chaos artifact (on a
+/// chaos schedule) and one artifact row per cell.
+fn cells_phase(opts: &ClusterOpts) -> Result<(), String> {
+    let spec = &opts.spec;
+    let mut cells: Vec<CellRun> = Vec::new();
+    for i in 0..spec.runs {
+        let cell = run_consensus_cell(opts, i)?;
+        let one = ledger([(&cell.inst, &cell.result)]);
+        let twin = ledger([(&cell.inst, &cell.twin)]);
         println!(
-            "kill9: converged at prefix {} digest {:#018x} after {} restart in {:.1} ms",
-            opts.slots,
-            run.digest,
-            run.restarts,
-            run.wall_us as f64 / 1000.0,
+            "cell {} run {i}: decided {} ({} of {} one-step, simnet {} of {}, chaos {}) in {:.1} ms",
+            spec.workload.flag(),
+            cell.result.decided().next().map_or(0, |r| r.value),
+            one.paths.count(&"1-step"),
+            one.paths.total(),
+            twin.paths.count(&"1-step"),
+            twin.paths.total(),
+            spec.chaos.label(),
+            cell.wall_us as f64 / 1000.0,
+        );
+        cells.push(cell);
+    }
+    if !spec.chaos.is_none() {
+        write_chaos_artifact(opts, &cells).map_err(|e| format!("chaos artifact: {e}"))?;
+        println!(
+            "chaos {}: per-link fault traces → results/netd_chaos_{}.json",
+            spec.chaos.flag(),
+            spec.seed
         );
     }
-    write_artifact(opts, &cells, kill9.as_ref()).map_err(|e| format!("artifact: {e}"))
+    // The totals read the cells' batch ledger; each row its one-run ledger.
+    let all = ledger(cells.iter().map(|cell| (&cell.inst, &cell.result)));
+    write_artifact(spec, all.paths.total(), &all.net, |out| {
+        json::list(out, ",", cells.iter().enumerate(), |out, (i, cell)| {
+            let one = ledger([(&cell.inst, &cell.result)]);
+            let twin = ledger([(&cell.inst, &cell.twin)]);
+            let _ = write!(
+                out,
+                concat!(
+                    "{{\"cell\":\"consensus\",\"workload\":\"{}\",\"chaos\":\"{}\",\"run\":{},\"seed\":{},",
+                    "\"decided\":{},\"one_step\":{},\"two_step\":{},\"depth_max\":{:.0},\"latency_mean_us\":{:.1},",
+                    "\"latency_max_us\":{:.0},\"bytes_on_wire\":{},\"wall_us\":{},",
+                    "\"simnet_one_step\":{},\"simnet_two_step\":{}}}"
+                ),
+                spec.workload.flag(),
+                spec.chaos.flag(),
+                i,
+                cell.inst.seed,
+                one.paths.total(),
+                one.paths.count(&"1-step"),
+                one.paths.count(&"2-step"),
+                one.steps.max().unwrap_or(0.0),
+                one.latency.mean(),
+                one.latency.max().unwrap_or(0.0),
+                one.net.bytes_on_wire,
+                cell.wall_us,
+                twin.paths.count(&"1-step"),
+                twin.paths.count(&"2-step"),
+            );
+        });
+    })
+    .map_err(|e| format!("artifact: {e}"))
+}
+
+/// The kill -9 run to `slots` committed slots, and its one artifact row.
+fn kill9_phase(opts: &ClusterOpts, slots: u64) -> Result<(), String> {
+    let spec = &opts.spec;
+    let k = run_kill9(opts, slots)?;
+    println!(
+        "kill9: converged at prefix {slots} digest {:#018x} after {} restart in {:.1} ms",
+        k.digest,
+        k.restarts,
+        k.wall_us as f64 / 1000.0,
+    );
+    write_artifact(spec, slots * spec.n as u64, &k.net, |out| {
+        let _ = write!(
+            out,
+            concat!(
+                "{{\"cell\":\"kill9\",\"slots\":{},\"window\":{},\"restarts\":{},",
+                "\"killed_at_prefix\":{},\"survivor_floor\":{},",
+                "\"converged\":true,\"digest\":\"{:#018x}\",\"bytes_on_wire\":{},\"wall_us\":{}}}"
+            ),
+            slots,
+            spec.pipeline.window,
+            k.restarts,
+            k.killed_at,
+            k.survivor_floor,
+            k.digest,
+            k.net.bytes_on_wire,
+            k.wall_us,
+        );
+    })
+    .map_err(|e| format!("artifact: {e}"))
 }
 
 /// Writes `"spec":[...]`: the run's `dex-sim` flags ([`RunSpec::to_args`]),
@@ -1144,21 +1178,15 @@ fn write_chaos_artifact(opts: &ClusterOpts, cells: &[CellRun]) -> std::io::Resul
 }
 
 /// Emits `results/netd_<seed>.json` — the spec next to the `"bench"`
-/// wall-clock object — and prints the `--stats` breakdown line. Cell rows
-/// read each cell's one-run ledger; the totals read the cells' batch
-/// ledger plus the kill9 phase.
+/// wall-clock object: the phase's `decisions`, the bytes of its summed wire
+/// ledger `net`, and the `rows` it writes — and prints the `--stats`
+/// breakdown line.
 fn write_artifact(
-    opts: &ClusterOpts,
-    cells: &[CellRun],
-    kill9: Option<&Kill9Run>,
+    spec: &RunSpec,
+    decisions: u64,
+    net: &NetStats,
+    rows: impl FnOnce(&mut String),
 ) -> std::io::Result<()> {
-    let spec = &opts.spec;
-    let all = ledger(cells.iter().map(|cell| (&cell.inst, &cell.result)));
-    let (mut decisions, mut net) = (all.paths.total(), all.net);
-    if let Some(k) = kill9 {
-        decisions += opts.slots * spec.n as u64;
-        net.merge(&k.net);
-    }
     if spec.stats {
         println!("{}", net.breakdown_line());
     }
@@ -1172,56 +1200,7 @@ fn write_artifact(
         ),
         spec.n, spec.t, spec.runs, decisions, net.bytes_on_wire,
     );
-    // The consensus cells' rows (`Ok`), then the kill9 row (`Err`).
-    let rows = cells.iter().enumerate().map(Ok).chain(kill9.map(Err));
-    json::list(&mut out, ",", rows, |out, row| match row {
-        Ok((i, cell)) => {
-            let one = ledger([(&cell.inst, &cell.result)]);
-            let twin = ledger([(&cell.inst, &cell.twin)]);
-            let _ = write!(
-                out,
-                concat!(
-                    "{{\"cell\":\"consensus\",\"workload\":\"{}\",\"chaos\":\"{}\",\"run\":{},\"seed\":{},",
-                    "\"decided\":{},\"one_step\":{},\"two_step\":{},\"depth_max\":{:.0},\"latency_mean_us\":{:.1},",
-                    "\"latency_max_us\":{:.0},\"bytes_on_wire\":{},\"wall_us\":{},",
-                    "\"simnet_one_step\":{},\"simnet_two_step\":{}}}"
-                ),
-                spec.workload.flag(),
-                spec.chaos.flag(),
-                i,
-                cell.inst.seed,
-                one.paths.total(),
-                one.paths.count(&"1-step"),
-                one.paths.count(&"2-step"),
-                one.steps.max().unwrap_or(0.0),
-                one.latency.mean(),
-                one.latency.max().unwrap_or(0.0),
-                one.net.bytes_on_wire,
-                cell.wall_us,
-                twin.paths.count(&"1-step"),
-                twin.paths.count(&"2-step"),
-            );
-        }
-        Err(k) => {
-            let _ = write!(
-                out,
-                concat!(
-                    "{{\"cell\":\"kill9\",\"slots\":{},\"window\":{},\"restarts\":{},",
-                    "\"divergent\":{},\"killed_at_prefix\":{},\"survivor_floor\":{},",
-                    "\"converged\":true,\"digest\":\"{:#018x}\",\"bytes_on_wire\":{},\"wall_us\":{}}}"
-                ),
-                opts.slots,
-                spec.pipeline.window,
-                k.restarts,
-                spec.kill.divergent,
-                k.killed_at,
-                k.survivor_floor,
-                k.digest,
-                k.net.bytes_on_wire,
-                k.wall_us,
-            );
-        }
-    });
+    rows(&mut out);
     out.push_str("]}}");
     std::fs::create_dir_all("results")?;
     std::fs::write(format!("results/netd_{}.json", spec.seed), out)
@@ -1272,23 +1251,22 @@ fn take_num<T: std::str::FromStr>(
 const TIMEOUT_SECS: u64 = 60;
 
 /// Parses a `--node` child argv (everything after the program name): the
-/// role flags, then the run's [`RunSpec`] flags.
+/// role flags, then the run's [`RunSpec`] flags. A child given `--wal` is a
+/// replica; any other is a consensus process.
 pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
     let me = take_value(&mut args, "--node")?.ok_or("--node <id> required")?;
-    let mode = take_value(&mut args, "--mode")?.ok_or("--mode required")?;
-    let role = match mode.as_str() {
-        "consensus" => Role::Consensus {
-            timeout: Duration::from_secs(take_num(&mut args, "--timeout-secs", TIMEOUT_SECS)?),
-        },
-        "replica" => Role::Replica {
-            wal: PathBuf::from(take_value(&mut args, "--wal")?.ok_or("--wal required")?),
+    let role = match take_value(&mut args, "--wal")? {
+        Some(wal) => Role::Replica {
+            wal: PathBuf::from(wal),
             slots: parse_num(
                 "--slots",
                 &take_value(&mut args, "--slots")?.ok_or("--slots required")?,
             )?,
             respawn: take_flag(&mut args, "--respawn"),
         },
-        other => return Err(format!("unknown --mode `{other}`")),
+        None => Role::Consensus {
+            timeout: Duration::from_secs(take_num(&mut args, "--timeout-secs", TIMEOUT_SECS)?),
+        },
     };
     let spec = RunSpec::from_args(&args)?;
     let peers = spec.runtime.peers().ok_or("--peers required")?;
@@ -1310,13 +1288,9 @@ pub fn parse_node_args(mut args: Vec<String>) -> Result<NodeOpts, String> {
 /// valid [`RunSpec`] flag set (with `--runtime netd` implied).
 pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> {
     take_flag(&mut args, "--cluster");
-    let slots = take_num(&mut args, "--slots", 8)?;
-    let phase = match take_value(&mut args, "--phase")?.as_deref() {
-        None | Some("both") => Phase::Both,
-        Some("cells") => Phase::Cells,
-        Some("kill9") => Phase::Kill9,
-        Some(other) => return Err(format!("unknown --phase `{other}` (cells|kill9|both)")),
-    };
+    let slots = take_value(&mut args, "--slots")?
+        .map(|raw| parse_num("--slots", &raw))
+        .transpose()?;
     let timeout = Duration::from_secs(take_num(&mut args, "--timeout-secs", TIMEOUT_SECS)?);
     if !args.iter().any(|a| a == "--runtime") {
         args.push("--runtime".into());
@@ -1326,7 +1300,6 @@ pub fn parse_cluster_args(mut args: Vec<String>) -> Result<ClusterOpts, String> 
     Ok(ClusterOpts {
         spec,
         slots,
-        phase,
         timeout,
     })
 }
@@ -1341,8 +1314,9 @@ pub fn main(args: Vec<String>) -> Result<(), String> {
         Err(format!(
             concat!(
                 "no --cluster or --node in {:?}\n",
-                "usage: dex-netd --cluster [spec flags] [--slots K] ",
-                "[--phase cells|kill9|both] [--timeout-secs S]\n",
+                "usage: dex-netd --cluster [spec flags] [--slots K [--kill N]] ",
+                "[--timeout-secs S]\n",
+                "       (--slots K: the kill -9 run to K slots; otherwise the consensus cells)\n",
                 "       (children are spawned internally via --node)"
             ),
             args
@@ -1456,7 +1430,7 @@ mod tests {
     #[test]
     fn node_argv_is_role_flags_plus_the_run_spec() {
         let (argv, spec) = child_argv(
-            "--node 2 --mode consensus --timeout-secs 5",
+            "--node 2 --timeout-secs 5",
             "--n 3 --t 0 --seed 9 --aggregate --runtime netd --peers h:1,h:2,h:3",
         );
         let opts = parse_node_args(argv).expect("consensus argv");
@@ -1468,8 +1442,8 @@ mod tests {
         assert_eq!(opts.spec, spec);
         assert!(opts.spec.aggregate);
         let (argv, spec) = child_argv(
-            "--node 1 --mode replica --wal /tmp/w.log --slots 8 --respawn",
-            "--n 7 --t 1 --pipeline 4 --kill 2:divergent --runtime netd \
+            "--node 1 --wal /tmp/w.log --slots 8 --respawn",
+            "--n 7 --t 1 --pipeline 4 --kill 2 --runtime netd \
              --peers h:1,h:2,h:3,h:4,h:5,h:6,h:7",
         );
         let opts = parse_node_args(argv).expect("replica argv");
@@ -1478,13 +1452,19 @@ mod tests {
             other => panic!("wrong role {other:?}"),
         }
         assert_eq!(opts.spec, spec);
-        assert_eq!(opts.spec.pipeline.window, 4);
-        assert!(opts.spec.kill.divergent);
+        assert_eq!((opts.spec.pipeline.window, opts.spec.kill.after), (4, 2));
+        // `--wal` is what makes a replica: there is no mode flag.
+        let (argv, _) = child_argv(
+            "--node 2 --mode consensus",
+            "--n 2 --t 0 --runtime netd --peers h:1,h:2",
+        );
+        let err = parse_node_args(argv).expect_err("--mode is not a flag");
+        assert!(err.contains("--mode"), "{err}");
     }
 
     #[test]
     fn node_argv_carries_chaos_and_peers() {
-        let role = "--node 2 --mode consensus";
+        let role = "--node 2";
         let (argv, _) = child_argv(
             role,
             "--n 7 --t 1 --f 1 --chaos drop:0.4 --runtime netd \
@@ -1513,18 +1493,23 @@ mod tests {
     #[test]
     fn cluster_argv_carries_spec_and_netd_knobs() {
         let opts = parse_cluster_args(args(
-            "--cluster --n 5 --t 0 --workload unanimous:7 --runs 2 --seed 31 --slots 6 \
-             --pipeline 4 --phase cells",
+            "--cluster --n 7 --t 1 --workload unanimous:7 --runs 2 --seed 31 --slots 6 \
+             --pipeline 4",
         ))
         .expect("cluster argv");
-        assert_eq!(opts.spec.n, 5);
+        assert_eq!(opts.spec.n, 7);
         assert!(opts.spec.runtime.is_netd());
-        assert_eq!((opts.slots, opts.spec.pipeline.window), (6, 4));
-        assert_eq!(opts.phase, Phase::Cells);
-        // The kill9 window is `--pipeline`; there is no second spelling.
-        let err = parse_cluster_args(args("--cluster --n 5 --t 0 --window 4"))
-            .expect_err("--window is not a flag");
-        assert!(err.contains("--window"), "{err}");
+        assert_eq!((opts.slots, opts.spec.pipeline.window), (Some(6), 4));
+        // Without `--slots` the invocation runs the consensus cells.
+        let opts = parse_cluster_args(args("--cluster --n 5 --t 0")).expect("cells argv");
+        assert_eq!(opts.slots, None);
+        // The kill9 window is `--pipeline`, and the phase is `--slots`:
+        // there is no second spelling of either.
+        for flag in ["--window 4", "--phase cells"] {
+            let err =
+                parse_cluster_args(args(&format!("--cluster --n 5 --t 0 {flag}"))).expect_err(flag);
+            assert!(err.contains(flag.split(' ').next().unwrap()), "{err}");
+        }
     }
 
     #[test]
@@ -1550,58 +1535,59 @@ mod tests {
         // The four MATRIX schedules are legal consensus-cell specs.
         for chaos in ChaosSpec::MATRIX {
             let opts = cluster_opts(&format!(
-                "--cluster --n 7 --t 1 --f 1 --chaos {} --phase cells",
+                "--cluster --n 7 --t 1 --f 1 --chaos {}",
                 chaos.flag()
             ));
             assert_eq!(validate_cluster(&opts), Ok(()), "{}", chaos.flag());
         }
-        // Chaos without the cells phase is rejected.
-        let err = validate_cluster(&cluster_opts("--cluster --n 5 --t 0 --chaos drop:0.4"))
-            .expect_err("chaos needs --phase cells");
-        assert!(err.contains("cells"), "{err}");
+        // Chaos on the kill -9 run is rejected.
+        let err = validate_cluster(&cluster_opts(
+            "--cluster --n 7 --t 1 --chaos drop:0.4 --slots 8",
+        ))
+        .expect_err("chaos drives the cells only");
+        assert!(err.contains("drop --slots"), "{err}");
         // Amnesiac restart chaos points at the real kill -9 schedule.
         let err = validate_cluster(&cluster_opts(
-            "--cluster --n 5 --t 0 --chaos crash-restart:1:9 --phase cells",
+            "--cluster --n 5 --t 0 --chaos crash-restart:1:9",
         ))
         .expect_err("crash-restart is kill9's job");
-        assert!(err.contains("kill9"), "{err}");
+        assert!(err.contains("--slots K"), "{err}");
         // A fault budget without chaos to attach it to is rejected.
-        let err = validate_cluster(&cluster_opts("--cluster --n 7 --t 1 --f 1 --phase cells"))
+        let err = validate_cluster(&cluster_opts("--cluster --n 7 --t 1 --f 1"))
             .expect_err("--f needs --chaos");
         assert!(err.contains("--chaos"), "{err}");
         // The kill point must land mid-run.
-        let err = validate_cluster(&cluster_opts(
-            "--cluster --n 5 --t 0 --kill 6 --slots 6 --phase kill9",
-        ))
-        .expect_err("kill point past the last slot");
+        let err = validate_cluster(&cluster_opts("--cluster --n 7 --t 1 --kill 6 --slots 6"))
+            .expect_err("kill point past the last slot");
         assert!(err.contains("--slots"), "{err}");
-        // Divergent kills need a catch-up quorum margin.
-        let err = validate_cluster(&cluster_opts(
-            "--cluster --n 5 --t 0 --kill 1:divergent --phase kill9",
-        ))
-        .expect_err("divergent needs t ≥ 1");
-        assert!(err.contains("divergent"), "{err}");
+        // The victim is a fault: a kill needs t ≥ 1, whatever the cells'
+        // system would accept.
+        assert_eq!(
+            validate_cluster(&cluster_opts("--cluster --n 5 --t 0")),
+            Ok(())
+        );
+        let err = validate_cluster(&cluster_opts("--cluster --n 5 --t 0 --slots 6"))
+            .expect_err("a kill needs t ≥ 1");
+        assert!(err.contains("t ≥ 1"), "{err}");
         // A system the children's DEX-freq cannot run fails before any spawn.
-        let err = validate_cluster(&cluster_opts("--cluster --n 6 --t 1 --phase cells"))
-            .expect_err("n = 6t");
+        let err = validate_cluster(&cluster_opts("--cluster --n 6 --t 1")).expect_err("n = 6t");
         assert!(err.starts_with("bad configuration"), "{err}");
         // Spec flags the children cannot honour are refused, not ignored.
         for (argv, needle) in [
-            ("--algo bosco --phase cells", "--algo"),
-            ("--underlying mvc --phase cells", "mvc"),
+            ("--algo bosco", "--algo"),
+            ("--underlying mvc", "mvc"),
             (
-                "--f 1 --chaos drop:0.4 --adversary equivocate --phase cells",
+                "--f 1 --chaos drop:0.4 --adversary equivocate",
                 "--adversary",
             ),
-            ("--trace --phase cells", "--trace"),
-            ("--pipeline 4:2 --phase kill9", "batch"),
+            ("--trace", "--trace"),
+            ("--pipeline 4:2 --slots 8", "batch"),
         ] {
             let err = validate_cluster(&cluster_opts(&format!("--cluster --n 7 --t 1 {argv}")))
                 .expect_err(argv);
             assert!(err.contains(needle), "{argv}: {err}");
         }
-        let opts =
-            cluster_opts("--cluster --n 7 --t 1 --kill 2:divergent --pipeline 4 --phase kill9");
+        let opts = cluster_opts("--cluster --n 7 --t 1 --kill 2 --pipeline 4 --slots 8");
         assert_eq!(validate_cluster(&opts), Ok(()));
     }
 
@@ -1638,7 +1624,7 @@ mod tests {
         for chaos in ChaosSpec::MATRIX {
             for f in [0, 1] {
                 let opts = cluster_opts(&format!(
-                    "--cluster --n 7 --t 1 --f {f} --chaos {} --phase cells --runs 3 --seed 42",
+                    "--cluster --n 7 --t 1 --f {f} --chaos {} --runs 3 --seed 42",
                     chaos.flag()
                 ));
                 let spec = cells_spec(&opts.spec);
@@ -1646,7 +1632,7 @@ mod tests {
                     let inst = spec.instance(i).expect("parent instance");
                     let run = child_spec(&spec, inst.seed, table.clone());
                     for p in 0..spec.n {
-                        let child = parse_node_args(node_argv(p, &run, &["--mode", "consensus"]))
+                        let child = parse_node_args(node_argv(p, &run, &[]))
                             .and_then(|opts| opts.spec.instance(0))
                             .expect("child instance");
                         let at = format!("{} f = {f}, run {i}, process {p}", chaos.flag());

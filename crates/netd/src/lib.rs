@@ -34,7 +34,7 @@ pub mod frame;
 pub mod listener;
 
 pub use chaos::{ChaosRuntime, TearPoint};
-pub use cluster::{run_cluster, ClusterOpts, Phase};
+pub use cluster::{run_cluster, ClusterOpts};
 pub use codec::WireCodec;
 pub use conn::{Mesh, MeshCounters};
 pub use endpoint::Endpoint;

@@ -1139,9 +1139,7 @@ pub fn build_cluster<SM: StateMachine>(
                 if options.durable {
                     replica.enable_durability(Durability::mem(DEFAULT_SNAPSHOT_EVERY));
                 }
-                if options.window > 1 {
-                    replica.enable_pipelining(options.window);
-                }
+                replica.enable_pipelining(options.window);
                 if options.aggregate {
                     replica.enable_echo_aggregation();
                 }
@@ -1547,6 +1545,32 @@ mod tests {
     }
 
     #[test]
+    fn resend_layer_carries_aggregated_echo_batches() {
+        // Two replicas swap their first two requests, so some slots are
+        // contested. Aggregation flushes its echo batches at an explicit
+        // depth (`send_dest_at`); the resend layer must wrap and send those
+        // too, or no echo ever leaves and no slot commits.
+        let mut pending = vec![vec![501u64, 502, 503, 504]; 7];
+        pending[5].swap(0, 1);
+        pending[6].swap(0, 1);
+        let base = GenericClusterOptions::new(cfg(), pending, 4, 3);
+        for (reliable, aggregate) in [(true, false), (false, true), (true, true)] {
+            let outcome = run_generic_cluster::<TotalOrder<u64>>(GenericClusterOptions {
+                reliable,
+                aggregate,
+                ..base.clone()
+            });
+            let at = format!("reliable {reliable}, aggregate {aggregate}");
+            assert!(outcome.converged(), "{at}: {:?}", outcome.logs);
+            let paths = outcome.paths.iter().flatten();
+            let one = paths.filter(|p| p.path == DecisionPath::OneStep).count();
+            assert_eq!(one, 21, "{at}");
+            let coalesced: u64 = outcome.echoes_coalesced.iter().sum();
+            assert_eq!(coalesced > 0, aggregate, "{at}");
+        }
+    }
+
+    #[test]
     fn aggregated_cluster_recovers_through_restart() {
         // Restart amnesia must cover the aggregation buffer: the victim's
         // pending echoes die with the crash, recovery proceeds via WAL +
@@ -1748,7 +1772,7 @@ mod tests {
         let asked = ctx
             .take_outbox()
             .into_iter()
-            .filter_map(|(_, m)| match m {
+            .filter_map(|(_, m, _)| match m {
                 ReplicaMsg::CatchUpRequest { from_slot } => Some(from_slot),
                 _ => None,
             })

@@ -176,10 +176,15 @@ impl<'a, M: Clone> Context<'a, M> {
         Context::new(me, n, now, depth, rng)
     }
 
-    /// Drains the buffered `(Dest, Msg)` sends. A [`Dest::All`] entry is
+    /// Drains the buffered sends, each with the causal depth it leaves
+    /// at: plain sends at `self.depth().next()`, then the depth-stamped
+    /// ones ([`send_dest_at`](Self::send_dest_at)) at their own depth — the
+    /// order the simulator dispatches them in. A [`Dest::All`] entry is
     /// still unexpanded; whoever forwards it decides how to fan it out.
-    pub fn take_outbox(&mut self) -> Vec<(Dest, M)> {
-        std::mem::take(&mut self.outbox)
+    pub fn take_outbox(&mut self) -> Vec<(Dest, M, StepDepth)> {
+        let next = self.depth.next();
+        let plain = self.outbox.drain(..).map(|(dest, msg)| (dest, msg, next));
+        plain.chain(self.outbox_at.drain(..)).collect()
     }
 
     /// Drains the buffered `(delay, Msg)` timers armed with
@@ -227,7 +232,9 @@ impl<'a, M: Clone> Context<'a, M> {
     /// Queues `msg` for `dest` carrying an **explicit** causal depth
     /// instead of the handler default `self.depth().next()`.
     ///
-    /// This exists for one caller: the echo-aggregation flush. A flush
+    /// This exists for the echo-aggregation flush, and for wrappers that
+    /// forward an inner actor's [`take_outbox`](Self::take_outbox) at the
+    /// depths it reports (`dex_core::Reliable`). A flush
     /// tick is a local timer, not a communication step, so the batches it
     /// emits must travel at the depth their unbatched echoes would have
     /// had — one batch per depth bucket (see

@@ -32,11 +32,12 @@
 #                    pipelined cell traced twice, cmp
 #   netd-smoke       dex-netd's tests three times in a row (a lost wake-up
 #                    of a mesh's I/O thread is a rare hang, not a
-#                    failure), then a real-process TCP cluster: MATRIX
-#                    cell + kill -9 respawn, a divergent kill -9 at
-#                    window 1, and the n = 31, t = 5 cells
+#                    failure), then real-process TCP clusters: MATRIX
+#                    cells at n = 5, t = 0 (a kill -9 there is refused),
+#                    kill -9 + respawn at n = 7, t = 1, windows 4 and 1,
+#                    and the n = 31, t = 5 cells
 #   netd-chaos       fault-injected TCP links: chaos schedules, reproducible
-#                    fault traces, divergent-state kill -9, a campaign point
+#                    fault traces, a kill -9 + respawn, a campaign point
 #   benchmark-smoke  benchmark/ builds and tests offline against this
 #                    checkout; all six workloads (simlog-n31, -agg,
 #                    chaoslog-n13, campaign-std, both netlog), 3 s each,
@@ -188,12 +189,12 @@ stage_netd_smoke() {
     echo "== netd smoke: dex-netd tests, pass $pass of 3"
     cargo test --release -q -p dex-netd
   done
-  echo "== netd smoke: 5 real processes over TCP, decide + kill -9 + respawn; 31 processes decide"
+  echo "== netd smoke: 5 real processes over TCP decide; 7 survive kill -9 + respawn; 31 decide"
   ./scripts/netd_smoke.sh
 }
 
 stage_netd_chaos() {
-  echo "== netd chaos: MATRIX schedules on live sockets + divergent kill -9"
+  echo "== netd chaos: MATRIX schedules on live sockets + kill -9"
   ./scripts/netd_chaos.sh
 }
 

@@ -8,9 +8,9 @@
 #   2. the per-link fault trace is seed-reproducible: the same schedule
 #      under the same seed in two fresh directories emits byte-identical
 #      results/netd_chaos_42.json artifacts;
-#   3. the divergent-state kill -9 converges: per-process pending
-#      streams, survivor progress proven while the victim is down, one
-#      digest at the full prefix after FileWal replay + t+1 catch-up;
+#   3. the kill -9 converges: per-process pending streams, survivor
+#      progress proven while the victim is down, one digest at the full
+#      prefix after FileWal replay + t+1 catch-up;
 #   4. a campaign point runs on netd from the flags dex-campaign --replay
 #      prints, and its cell row records its simnet twin's decision paths.
 # The harness asserts agreement, convergence and restart counts itself
@@ -29,7 +29,7 @@ rm -f results/netd_2.json results/netd_42.json results/netd_99.json \
 echo "== chaos cells: 4 MATRIX schedules on live sockets (n=7 t=1 f=1)"
 for chaos in drop:0.4 dup:0.35 partition:5:120 crash:3:100; do
   "$NETD" --cluster --n 7 --t 1 --f 1 --chaos "$chaos" \
-    --phase cells --runs 1 --seed 42 --timeout-secs 120
+    --runs 1 --seed 42 --timeout-secs 120
   check_json results/netd_42.json results/netd_chaos_42.json
 done
 
@@ -39,7 +39,7 @@ trace_b="$(mktemp -d)"
 trap 'rm -rf "$trace_a" "$trace_b"' EXIT
 for dir in "$trace_a" "$trace_b"; do
   (cd "$dir" && "$NETD" --cluster --n 7 --t 1 --f 1 --chaos drop:0.4 \
-    --phase cells --runs 2 --seed 42 --timeout-secs 120)
+    --runs 2 --seed 42 --timeout-secs 120)
 done
 cmp "$trace_a/results/netd_chaos_42.json" "$trace_b/results/netd_chaos_42.json"
 check_json "$trace_a"/results/*.json "$trace_b"/results/*.json
@@ -47,11 +47,10 @@ check_json "$trace_a"/results/*.json "$trace_b"/results/*.json
 mkdir -p results
 cp "$trace_a/results/netd_chaos_42.json" results/netd_chaos_42.json
 
-echo "== divergent kill -9: survivor progress, then WAL replay + catch-up"
-"$NETD" --cluster --n 7 --t 1 --phase kill9 --kill 2:divergent \
+echo "== kill -9: survivor progress, then WAL replay + catch-up"
+"$NETD" --cluster --n 7 --t 1 --kill 2 \
   --slots 8 --pipeline 4 --seed 99 --timeout-secs 120
 check_json results/netd_99.json
-grep -q '"divergent":true' results/netd_99.json
 grep -q '"converged":true' results/netd_99.json
 grep -q '"survivor_floor":' results/netd_99.json
 
@@ -60,9 +59,9 @@ cargo build --release -q --bin dex-campaign
 replay="$(./target/release/dex-campaign --config smoke --replay 0 0)"
 replay="${replay#dex-sim }"
 # shellcheck disable=SC2086 # the replay line is a flag list
-"$NETD" --cluster --phase cells --timeout-secs 120 ${replay/--runtime simnet/--runtime netd}
+"$NETD" --cluster --timeout-secs 120 ${replay/--runtime simnet/--runtime netd}
 check_json results/netd_2.json
 grep -q '"simnet_one_step":' results/netd_2.json
 grep -q '"simnet_two_step":' results/netd_2.json
 
-echo "netd chaos OK: MATRIX decided, trace reproducible, divergent kill converged, campaign point twinned"
+echo "netd chaos OK: MATRIX decided, trace reproducible, kill -9 converged, campaign point twinned"

@@ -27,7 +27,7 @@
 //! | `--pipeline` | `<window>` or `<window>:<batch>` — run the pipelined replication engine instead of single-shot batches | `1:1` (off) |
 //! | `--aggregate` | (no value) coalesce each correct process's per-tick echo fan-out into one batched multicast (`dex-freq`, `dex-prv` only: the baselines have no flood to batch) | off |
 //! | `--runtime` | `simnet` (deterministic simulation), `threadnet` (one OS thread per process, `--delay` units read as microseconds), `netd` (one OS *process* per process — use the `dex-netd` binary) | `simnet` |
-//! | `--kill` | `<after>` or `<after>:divergent` — netd's kill -9 schedule; netd-only (`dex-netd --cluster`): simnet and threadnet refuse a non-default value | `1` |
+//! | `--kill` | `<after>` — the committed-prefix threshold at which netd's kill -9 run SIGKILLs its victim (process 1); netd-only (`dex-netd --cluster --slots K`): simnet and threadnet refuse a non-default value | `1` |
 //! | `--stats` | (no value) print the per-class wire breakdown (init/echo/batch/other sends, batched echoes, bytes) — same line on every runtime | off |
 //! | `--runs` | batch size | `20` |
 //! | `--seed` | base seed | `0` |
